@@ -8,7 +8,7 @@ input. This script solves that equation for a few interactions and shows
 * how the loop state adapts instantly to the input and to the gate,
 * a degenerate case where a whole family of states is self-consistent
   (the solver returns the entropy maximizer and says so), and
-* that both solver methods (eigenspace analysis and damped iteration)
+* that both solver methods (min-norm Bloch solve and damped iteration)
   land on the same state.
 
 Run: python demos/01_consistency_fixed_point.py
@@ -64,12 +64,12 @@ def main():
     spec = CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=0.3, gate_noise=0.2)
     interaction = build_interaction(spec)
     rho_in = PureQubit(2.2, 0.7).density()
-    eigen = solve_fixed_point(rho_in, interaction)
+    affine = solve_fixed_point(rho_in, interaction)
     damped = solve_fixed_point(rho_in, interaction, method="damped_iteration")
-    print(f"  eigenspace analysis : residual {eigen.residual:.2e}")
+    print(f"  min-norm Bloch solve: residual {affine.residual:.2e}")
     print(f"  damped iteration    : residual {damped.residual:.2e} "
           f"after {damped.iterations} steps")
-    print(f"  disagreement        : {trace_distance(eigen.rho_ctc, damped.rho_ctc):.2e}")
+    print(f"  disagreement        : {trace_distance(affine.rho_ctc, damped.rho_ctc):.2e}")
     print()
 
     print("The consistency superoperator is tiny (4x4); here it is for the")

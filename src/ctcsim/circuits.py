@@ -5,19 +5,21 @@ then hand the rails over": either CNOT followed by SWAP (the nonlinear
 amplifier circuit) or SWAP followed by a controlled pi-rotation CU_xz
 (the state-discrimination circuit). Channels are stored as weighted Kraus
 lists so that noise semantics stay explicit and trace preservation can be
-checked locally.
+checked locally; each also carries its real Pauli-transfer tensors, the
+form the fixed-point engine works in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .qmath import (
+    ID2,
     ID4,
     SIGMA_X,
     SIGMA_Y,
@@ -46,6 +48,14 @@ __all__ = [
 UNITARITY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 
+# Two-qubit Pauli products _PAIRS[4 mu + nu] = P_mu (x) P_nu, P = (I, X, Y, Z);
+# Tr[O P_mu (x) P_nu] = O.flat @ _PAIRS_T[:, 4 mu + nu]. The rail readouts are
+# I (x) P_k (loop rail, qubit 2) and P_k (x) I (output rail, qubit 1).
+_PAULI = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+_PAIRS = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
+_PAIRS_T = _PAIRS.transpose(0, 2, 1).reshape(16, 16).T
+_READOUTS = np.concatenate([_PAIRS[:4], _PAIRS[::4]])
+
 
 @dataclass(frozen=True)
 class TwoQubitGate:
@@ -57,7 +67,7 @@ class TwoQubitGate:
         m = np.asarray(self.mat, dtype=complex)
         if m.shape != (4, 4):
             raise ValidationError(f"two-qubit gate must be 4x4, got {m.shape}")
-        if np.abs(m.conj().T @ m - ID4).max() > UNITARITY_TOL:
+        if not np.abs(m.conj().T @ m - ID4).max() <= UNITARITY_TOL:
             raise ValidationError("gate violates unitarity (|U^dag U - I|_max > 1e-12)")
         m = m.copy()
         m.setflags(write=False)
@@ -74,9 +84,16 @@ class QubitChannel:
     Each entry is (weight, op) with weight in (0, 1]; the Kraus operator
     proper is sqrt(weight) * op. Completeness sum_k w_k op_k^dag op_k = I
     is enforced on construction.
+
+    transfer holds the real Pauli-transfer tensors of the loop rail [0]
+    and the output rail [1]: they map Bloch 4-vectors a = (1, a_x, a_y,
+    a_z) of the input and r of the loop qubit to transfer[rail, k, mu, nu]
+    a_mu r_nu, entry Tr[S_k E(P_mu (x) P_nu)]/4 with S_k = I (x) P_k on
+    the loop rail and P_k (x) I on the output rail.
     """
 
     kraus: tuple[tuple[float, np.ndarray], ...]
+    transfer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         terms = []
@@ -92,11 +109,16 @@ class QubitChannel:
             op.setflags(write=False)
             acc += w * (op.conj().T @ op)
             terms.append((w, op))
-        if np.abs(acc - ID4).max() > COMPLETENESS_TOL:
+        if not np.abs(acc - ID4).max() <= COMPLETENESS_TOL:
             raise ValidationError(
                 "channel violates completeness (sum w_k op_k^dag op_k != I to 1e-10)"
             )
         object.__setattr__(self, "kraus", tuple(terms))
+        # Heisenberg picture: Tr[S E(P)] = Tr[E^dag(S) P] for every readout S.
+        adjoint = sum(w * (op.conj().T @ _READOUTS @ op) for w, op in terms)
+        tensors = (adjoint.reshape(8, 16) @ _PAIRS_T).real.reshape(2, 4, 4, 4) / 4.0
+        tensors.setflags(write=False)
+        object.__setattr__(self, "transfer", tensors)
 
     def apply_raw(self, mat4: np.ndarray) -> np.ndarray:
         out = np.zeros((4, 4), dtype=complex)

@@ -9,8 +9,7 @@ reproduce     emit a bundled experiment (fig3, fig5a..c, fig6, s1, s2, threshold
 selftest      run the acceptance suite; exit 0 iff everything passes
 
 CSV files are byte-deterministic for a fixed configuration: fixed field
-order, 17-significant-digit floats, UTF-8, '.' decimal separator. Set
-CTCSIM_THREADS to parallelize sweeps (output order is unaffected).
+order, 17-significant-digit floats, UTF-8, '.' decimal separator.
 
 Exit codes: 2 invalid parameters, 3 solver non-convergence, 4 record
 invariant violation in reproduce, 1 failed selftest.
@@ -101,11 +100,14 @@ def read_records_csv(path: str) -> list[SweepRecord]:
     return out
 
 
-def write_records_json(records: list[SweepRecord], path: str) -> None:
-    data = [dataclasses.asdict(r) for r in records]
+def _write_json(data, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
+
+
+def write_records_json(records: list[SweepRecord], path: str) -> None:
+    _write_json([dataclasses.asdict(r) for r in records], path)
 
 
 def write_thresholds_csv(results: list[ThresholdResult], path: str) -> None:
@@ -268,43 +270,27 @@ def cmd_sweep(args) -> int:
 
 
 def _reproduce_records(target: str, grid: int | None) -> list[SweepRecord]:
-    from dataclasses import replace
+    def retagged(experiment_id: str, mode: str, variant: str) -> list[SweepRecord]:
+        recs = discrimination_sweep(mode, variant, grid)
+        return [dataclasses.replace(r, experiment_id=experiment_id) for r in recs]
 
+    variants = ("optimal-gate", "fixed-state", "fixed-gate")
+    both = [(v, m) for v in variants for m in ("local", "nonlocal")]
     if target == "fig3":
         return nonlinearity_sweep()
     if target == "fig5a":
-        recs = discrimination_sweep("local", "optimal-gate", grid)
-        return [replace(r, experiment_id="fig5a") for r in recs]
+        return retagged("fig5a", "local", "optimal-gate")
     if target == "fig5b":
-        out = []
-        for variant in ("optimal-gate", "fixed-state", "fixed-gate"):
-            recs = discrimination_sweep("nonlocal", variant, grid)
-            out.extend(replace(r, experiment_id=f"fig5b-{variant}") for r in recs)
-        return out
+        return [r for v in variants for r in retagged(f"fig5b-{v}", "nonlocal", v)]
     if target == "fig5c":
-        out = []
-        for variant in ("fixed-state", "fixed-gate"):
-            for mode in ("local", "nonlocal"):
-                recs = discrimination_sweep(mode, variant, grid)
-                out.extend(replace(r, experiment_id=f"fig5c-{variant}-{mode}") for r in recs)
-        return out
+        cuts = [(v, m) for v, m in both if v != "optimal-gate"]
+        return [r for v, m in cuts for r in retagged(f"fig5c-{v}-{m}", m, v)]
     if target == "fig6":
-        if grid is not None:
-            axis = np.linspace(0.0, 1.0, grid).tolist()
-            return decoherence_surface(axis, axis)
-        return decoherence_surface()
-    if target == "s1":
-        out = []
-        for variant in ("optimal-gate", "fixed-state", "fixed-gate"):
-            for mode in ("local", "nonlocal"):
-                out.extend(optimal_measurement_sweep(mode, variant, grid))
-        return out
-    if target == "s2":
-        out = []
-        for variant in ("optimal-gate", "fixed-state", "fixed-gate"):
-            for mode in ("local", "nonlocal"):
-                out.extend(identification_sweep(mode, variant, grid))
-        return out
+        axis = None if grid is None else np.linspace(0.0, 1.0, grid).tolist()
+        return decoherence_surface(axis, axis)
+    if target in ("s1", "s2"):
+        sweep = optimal_measurement_sweep if target == "s1" else identification_sweep
+        return [r for v, m in both for r in sweep(m, v, grid)]
     raise ValidationError(f"unknown reproduce target {target!r}")
 
 
@@ -357,18 +343,7 @@ def cmd_reproduce(args) -> int:
         results = [find_threshold("p"), find_threshold("epsilon")]
         path = args.out or f"thresholds.{args.format}"
         if args.format == "json":
-            data = [
-                {
-                    "parameter": t.parameter,
-                    "crossing": t.crossing,
-                    "bracket": list(t.bracket),
-                    "achieved_tolerance": t.achieved_tolerance,
-                }
-                for t in results
-            ]
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(data, fh, indent=2)
-                fh.write("\n")
+            _write_json([dataclasses.asdict(t) for t in results], path)
         else:
             write_thresholds_csv(results, path)
         for t in results:
@@ -454,8 +429,8 @@ def _validate_args(args) -> None:
     if grid is not None and grid < 2:
         raise ValidationError("grid size must be >= 2")
     tol = getattr(args, "tol", None)
-    if tol is not None and tol < 1e-14:
-        raise ValidationError("tolerance override must be >= 1e-14")
+    if tol is not None and not 1e-14 <= tol < math.inf:
+        raise ValidationError("tolerance override must be finite and >= 1e-14")
     for name in ("p", "epsilon"):
         v = getattr(args, name, None)
         if v is not None and not 0.0 <= v <= 1.0:

@@ -5,14 +5,20 @@ two-qubit interaction channel: the state entering the wormhole equals the
 state leaving it. This module solves that equation for arbitrary channels
 and preparation modes, evolves chronology-respecting inputs through the
 loop (rho_out = Tr_2[E(rho_in (x) rho)]), and exposes the closed forms
-that serve as independent oracles for the matrix engine.
+that serve as independent oracles for the engine.
 
 Conventions follow qmath: qubit 1 is the chronology-respecting rail and
 qubit 2 the loop rail, so Tr_1 keeps the loop qubit and Tr_2 the output.
 
-Where the fixed-point set has more than one state, the solver returns the
-von Neumann entropy maximizer (Deutsch's prescription); the degeneracy is
-reported, never hidden.
+The engine works in Bloch coordinates on the channels' Pauli-transfer
+tensors and solves whole batches at once (solve_loops, run_batch): for a
+fixed input the consistency map is affine on the loop's Bloch vector,
+r -> A r + b, and Deutsch's maximum-entropy fixed point is the
+minimum-norm solution of (I - A) r = b. Where the fixed set has more than
+one state its dimension is reported, never hidden. Density matrices are
+built only at the API boundary (solve_fixed_point, run_scenario); the
+Kraus-form consistency_map, evolve_output, superoperator and the damped
+iteration stay as independent oracles.
 """
 
 from __future__ import annotations
@@ -22,14 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CircuitKind, CircuitSpec, QubitChannel, build_interaction, depolarize
+from .circuits import CircuitKind, CircuitSpec, QubitChannel, build_interaction
 from .qmath import (
+    PSD_TOL,
     DensityMatrix,
     PureQubit,
     Subsystem,
     ValidationError,
     _eig_range_2x2,
     _partial_trace_raw,
+    bloch_array,
+    density_from_bloch,
     fidelity,
     trace_distance,
     von_neumann_entropy,
@@ -45,8 +54,11 @@ __all__ = [
     "PreparationMode",
     "FixedPointResult",
     "ScenarioOutput",
+    "LoopBatch",
     "consistency_map",
     "superoperator",
+    "solve_loops",
+    "run_batch",
     "solve_fixed_point",
     "evolve_output",
     "run_scenario",
@@ -57,9 +69,12 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-# Tolerance for counting a superoperator eigenvalue as exactly 1: detects
-# true degeneracies reliably at dim-4 superoperator scale.
+# Tolerance for counting a singular value of (consistency map - I) as zero:
+# detects true degeneracies reliably at dim-4 scale.
 EIGENVALUE_ONE_TOL = 1e-9
+# Largest Bloch norm a valid state may have: (1 - |r|)/2 >= -PSD_TOL.
+BALL_TOL = 1.0 + 2.0 * PSD_TOL
+LOOP_RAIL, OUTPUT_RAIL = 0, 1  # indices into QubitChannel.transfer
 
 
 class ConvergenceError(RuntimeError):
@@ -105,7 +120,7 @@ class NonLocalEnsemble:
             raise ValidationError("ensemble needs matching, non-empty states and probs")
         if any(p < 0 for p in probs):
             raise ValidationError("ensemble probabilities must be non-negative")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ValidationError(f"ensemble probabilities sum to {sum(probs)}, not 1")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", probs)
@@ -123,8 +138,10 @@ class FixedPointResult:
     """Solved loop state plus solver diagnostics.
 
     fixed_set_dimension is the dimension of the eigenvalue-1 eigenspace of
-    the consistency superoperator; values above 1 mean the returned state
-    is the entropy maximizer over a continuum of solutions.
+    the consistency map; values above 1 mean the returned state is the
+    entropy maximizer (the min-norm Bloch vector) over a continuum of
+    solutions. iterations counts damped-iteration steps (0 for the
+    closed-form solve).
     """
 
     rho_ctc: DensityMatrix
@@ -170,7 +187,9 @@ def evolve_output(input_state: DensityMatrix, rho_ctc: DensityMatrix,
 def superoperator(rho_in: DensityMatrix, interaction: QubitChannel) -> np.ndarray:
     """4x4 matrix M with M @ vec(rho) = vec(consistency_map(rho)) for all rho.
 
-    vec is row-major flattening of the 2x2 matrix.
+    vec is row-major flattening of the 2x2 matrix. Built from the Kraus
+    form, independently of the transfer tensors the engine solves with;
+    the damped iteration runs on it.
     """
     cols = []
     for k in range(4):
@@ -179,81 +198,6 @@ def superoperator(rho_in: DensityMatrix, interaction: QubitChannel) -> np.ndarra
         img = _apply_loop(rho_in.mat, interaction, basis, Subsystem.FIRST)
         cols.append(img.reshape(-1))
     return np.column_stack(cols)
-
-
-def _hermitian_kernel_basis(kernel: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal real basis of the Hermitian matrices inside span(kernel columns).
-
-    The consistency map preserves Hermiticity, so its fixed subspace is
-    closed under X -> X^dag and splits into Hermitian + i*Hermitian parts.
-    """
-    candidates = []
-    for k in range(kernel.shape[1]):
-        x = kernel[:, k].reshape(2, 2)
-        candidates.append((x + x.conj().T) / 2.0)
-        candidates.append((x - x.conj().T) / 2.0j)
-    basis: list[np.ndarray] = []
-    for c in candidates:
-        for b in basis:
-            c = c - np.trace(b.conj().T @ c).real * b
-        n = math.sqrt(np.trace(c.conj().T @ c).real)
-        if n > 1e-9:
-            basis.append(c / n)
-    return basis
-
-
-def _psd_interval(rho0: np.ndarray, direction: np.ndarray) -> tuple[float, float]:
-    """[t_lo, t_hi] with rho0 + t*direction PSD; empty sets raise.
-
-    For 2x2 trace-1 matrices positivity is det >= 0, and det(rho0 + t D)
-    is a downward-opening quadratic in t (D is traceless), so the set is
-    exactly the interval between its roots.
-    """
-    def det_at(t: float) -> float:
-        return float(np.linalg.det(rho0 + t * direction).real)
-
-    d0 = det_at(0.0)
-    # Quadratic a t^2 + b t + c through t = -1, 0, 1.
-    c = d0
-    dp, dm = det_at(1.0), det_at(-1.0)
-    a = (dp + dm) / 2.0 - c
-    b = (dp - dm) / 2.0
-    if abs(a) < 1e-15:
-        # Degenerate direction (zero Bloch part): positivity does not vary.
-        if c < -1e-12:
-            raise ValidationError("no positive state in the fixed-point set")
-        return (0.0, 0.0)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        raise ValidationError("no positive state in the fixed-point set")
-    r1 = (-b - math.sqrt(disc)) / (2 * a)
-    r2 = (-b + math.sqrt(disc)) / (2 * a)
-    return (min(r1, r2), max(r1, r2))
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Argmax of a strictly concave f on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2
-
-
-def _entropy_of(mat: np.ndarray) -> float:
-    lam = np.clip(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0), 0.0, None)
-    lam = lam[lam > 1e-15]
-    return float(-(lam * np.log2(lam)).sum())
 
 
 def _clip_to_density(mat: np.ndarray) -> DensityMatrix:
@@ -267,67 +211,134 @@ def _clip_to_density(mat: np.ndarray) -> DensityMatrix:
     return DensityMatrix(h / h.trace().real)
 
 
-def _max_entropy_fixed_state(m_super: np.ndarray, kernel: np.ndarray) -> DensityMatrix:
-    """Entropy maximizer over {density matrices rho : vec(rho) in kernel span}."""
-    basis = _hermitian_kernel_basis(kernel)
-    if not basis:
-        raise ValidationError("fixed-point set contains no Hermitian state (non-CPTP bug)")
-    traces = np.array([np.trace(b).real for b in basis])
-    if np.abs(traces).max() < 1e-9:
-        raise ValidationError("fixed-point set contains no unit-trace state (non-CPTP bug)")
-    # Base point: trace-functional projection, normalized to trace 1.
-    base = sum(t * b for t, b in zip(traces, basis))
-    rho0 = base / np.trace(base).real
-    directions = []
-    for b in basis:
-        d = b - np.trace(b).real * rho0
-        for e in directions:
-            d = d - np.trace(e.conj().T @ d).real * e
-        n = math.sqrt(np.trace(d.conj().T @ d).real)
-        if n > 1e-9:
-            directions.append(d / n)
+@dataclass(frozen=True)
+class LoopBatch:
+    """Solved loop scenarios in Bloch coordinates: loop (N, 3) min-norm loop
+    states, outputs (N, K, 3) evolved inputs, and three per-row diagnostics."""
 
-    if not directions:
-        return _clip_to_density(rho0)
+    loop: np.ndarray
+    outputs: np.ndarray
+    fixed_set_dimension: np.ndarray
+    residual: np.ndarray
+    consistency_fidelity: np.ndarray
 
-    # The maximally mixed state globally maximizes entropy: if it is a fixed
-    # point, no search is needed.
-    half = np.eye(2, dtype=complex) / 2
-    if np.abs((m_super @ half.reshape(-1)) - half.reshape(-1)).max() < 1e-10:
-        return DensityMatrix(half)
 
-    if len(directions) == 1:
-        d = directions[0]
-        lo, hi = _psd_interval(rho0, d)
-        t = _golden_max(lambda s: _entropy_of(rho0 + s * d), lo, hi)
-        return _clip_to_density(rho0 + t * d)
+def _homogeneous(v: np.ndarray) -> np.ndarray:
+    """Bloch vectors (..., 3) -> Pauli coordinates (..., 4) with leading 1."""
+    out = np.ones(v.shape[:-1] + (4,))
+    out[..., 1:] = v
+    return out
 
-    # Rare many-parameter case: cyclic coordinate ascent, one golden-section
-    # line search per direction, until the entropy stops improving.
-    current = rho0.copy()
-    for _ in range(100):
-        # The base point need not be positive yet; climb the smallest
-        # eigenvalue (concave along every line) into the cone first.
-        if np.linalg.eigvalsh(current).min() >= -1e-13:
-            break
-        for d in directions:
-            t = _golden_max(
-                lambda s: float(np.linalg.eigvalsh(current + s * d).min()), -1.0, 1.0
-            )
-            current = current + t * d
-    else:
-        raise ValidationError("no positive state in the fixed-point set")
-    best = _entropy_of(current)
-    for _ in range(200):
-        for d in directions:
-            lo, hi = _psd_interval(current, d)
-            t = _golden_max(lambda s: _entropy_of(current + s * d), lo, hi)
-            current = current + t * d
-        e = _entropy_of(current)
-        if e - best < 1e-14:
-            break
-        best = e
-    return _clip_to_density(current)
+
+def _mix(terms, rail: int, subscripts: str, x: np.ndarray) -> np.ndarray:
+    """Per-row contraction of a rail's transfer tensor with x, mixed over terms.
+
+    terms are (rows, weight, channel): row n's interaction is the sum of
+    weight * channel over the terms whose rows hold n (weight scalar or
+    one per row). Transfer tensors are linear in the channel, so they mix.
+    """
+    out = np.zeros(x.shape[:1] + (4, 4))
+    for rows, w, ch in terms:
+        out[rows] += np.reshape(w, (-1, 1, 1)) * np.einsum(subscripts, ch.transfer[rail], x[rows])
+    return out
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", u, v)
+
+
+def _qubit_fidelity(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per-row Uhlmann fidelity of Bloch vectors: Tr(ab) + 2 sqrt(det a det b)."""
+    dets = np.maximum(1.0 - _dot(r, r), 0.0) * np.maximum(1.0 - _dot(s, s), 0.0) / 16.0
+    return np.clip((1.0 + _dot(r, s)) / 2.0 + 2.0 * np.sqrt(dets), 0.0, 1.0)
+
+
+def _require_in_ball(v: np.ndarray, what: str) -> np.ndarray:
+    norm = np.sqrt(_dot(v, v))
+    if not (norm <= BALL_TOL).all():
+        raise ValidationError(f"{what} Bloch norm {np.nanmax(norm):.6g} exceeds 1 + 2 PSD_TOL")
+    return norm
+
+
+def solve_loops(terms, loop_in: np.ndarray, evolve: np.ndarray) -> LoopBatch:
+    """Solve a batch of consistency conditions at once, in Bloch coordinates.
+
+    For a fixed input the map is affine on the loop's Bloch vector,
+    (1, r) -> M (1, r) with M = [[1, 0], [b, A]]. The fixed set has
+    dimension d = #(singular values of M - I below EIGENVALUE_ONE_TOL).
+    Entropy falls as |r| grows, so the maximum-entropy fixed state is the
+    min-norm solution pinv(I - A) b of (I - A) r = b; with P the projector
+    onto null(M - I) it is (1, r) = P e0 / (e0 . P e0).
+
+    terms: (rows, weight, channel) triples (see _mix); loop_in (N, 3): the
+    state the loop adapts to; evolve (N, K, 3): inputs sent through the
+    output rail. A row with residual above RESIDUAL_TOL raises
+    ConvergenceError, a state outside the Bloch ball ValidationError; a
+    NaN fails both checks.
+    """
+    m = _mix(terms, LOOP_RAIL, "kmv,nm->nkv", _homogeneous(loop_in))
+    if not np.isfinite(m).all():
+        raise ValidationError("non-finite loop input or interaction")
+    _, sing, vt = np.linalg.svd(m - np.eye(4))
+    null = sing < EIGENVALUE_ONE_TOL
+    dims = null.sum(axis=1)
+    # Null-space rows of vt; e0 . P e0 = sum of their squared first entries.
+    lead = np.where(null, vt[:, :, 0], 0.0)
+    norm0 = _dot(lead, vt[:, :, 0])
+    if not (norm0 > 0.0).all():
+        raise ValidationError("consistency map has no unit-trace fixed state (non-CPTP interaction)")
+    r = np.einsum("nj,nji->ni", lead, vt[:, :, 1:]) / norm0[:, None]
+    # Round the few-ulp excess of a pure fixed state back onto the sphere.
+    r = r / np.maximum(_require_in_ball(r, "loop state"), 1.0)[:, None]
+
+    image = np.einsum("nij,nj->ni", m[:, 1:, 1:], r) + m[:, 1:, 0]
+    residual = np.sqrt(_dot(image - r, image - r)) / 2.0
+    if not (residual <= RESIDUAL_TOL).all():
+        raise ConvergenceError(
+            f"fixed-point residual {np.nanmax(residual):.3e} exceeds {RESIDUAL_TOL:.0e}"
+        )
+
+    outputs = evolve
+    if evolve.shape[1]:
+        o = _mix(terms, OUTPUT_RAIL, "kmv,nv->nkm", _homogeneous(r))
+        outputs = np.einsum("nkm,nim->nik", o[:, 1:], _homogeneous(evolve))
+        _require_in_ball(outputs, "output")
+    return LoopBatch(r, outputs, dims, residual, _qubit_fidelity(r, image))
+
+
+def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray,
+              evolve: np.ndarray) -> LoopBatch:
+    """Solve N loop scenarios of one circuit kind, one spec per row.
+
+    theta, eps and p (length N) are each row's gate angle, gate failure
+    probability and input depolarization; loop_in (N, 3) and evolve
+    (N, K, 3) are as in solve_loops, before depolarization (a 1 - p
+    shrink). Gate failure is linear in eps, so each row mixes the eps = 0
+    channel of its angle with the eps = 1 channel (SWAP only).
+    """
+    theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
+    for name, v in (("gate_noise", eps), ("input_noise", p)):
+        if not ((0.0 <= v) & (v <= 1.0)).all():
+            raise ValidationError(f"{name} outside [0, 1]")
+    terms = []
+    if eps.any():
+        terms.append((slice(None), eps, build_interaction(CircuitSpec(kind=kind, gate_noise=1.0))))
+    for t in sorted(set(theta.tolist())):
+        rows = np.flatnonzero(theta == t)
+        terms.append((rows, 1.0 - eps[rows], build_interaction(CircuitSpec(kind=kind, theta_xz=t))))
+    shrink = (1.0 - p)[:, None]
+    return solve_loops(terms, loop_in * shrink, evolve * shrink[:, None])
+
+
+def _fixed_point_result(batch: LoopBatch) -> FixedPointResult:
+    rho = density_from_bloch(batch.loop[0])
+    return FixedPointResult(
+        rho_ctc=rho,
+        residual=float(batch.residual[0]),
+        iterations=0,
+        fixed_set_dimension=int(batch.fixed_set_dimension[0]),
+        entropy=von_neumann_entropy(rho),
+    )
 
 
 def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
@@ -335,49 +346,43 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
                       max_iter: int = 10000) -> FixedPointResult:
     """Solve rho = Tr_1[E(rho_in (x) rho)] for the loop state.
 
-    method "eigen_max_entropy" (authoritative): extract the eigenvalue-1
-    eigenspace of the consistency superoperator and return the entropy
-    maximizer over its intersection with the density-matrix set.
+    method "eigen_max_entropy" (authoritative): the min-norm Bloch-affine
+    solve of solve_loops, a batch of one. Its state maximizes the entropy
+    over the fixed set, whose dimension is reported.
 
-    method "damped_iteration": rho <- (map(rho) + rho)/2 from the maximally
-    mixed state until the step is below tol. Agrees with the eigen method
-    whenever the fixed point is unique; on degenerate sets it lands
-    somewhere in the set (residual still checked).
+    method "damped_iteration" (independent oracle): rho <- (map(rho) +
+    rho)/2 on the Kraus-form superoperator, from the maximally mixed state
+    until the step is below tol. Agrees with the default whenever the
+    fixed point is unique; on degenerate sets it lands somewhere in the
+    set (residual still checked).
     """
     if rho_in.dim != 2:
         raise ValidationError("fixed-point input must be a single-qubit state")
+    if method == "eigen_max_entropy":
+        return _fixed_point_result(
+            solve_loops([(slice(None), 1.0, interaction)], bloch_array(rho_in)[None],
+                        np.empty((1, 0, 3)))
+        )
+    if method != "damped_iteration":
+        raise ValidationError(f"unknown solver method {method!r}")
     m_super = superoperator(rho_in, interaction)
     sing = np.linalg.svd(m_super - np.eye(4), compute_uv=False)
     fixed_dim = int((sing < EIGENVALUE_ONE_TOL).sum())
-
+    cur = np.eye(2, dtype=complex) / 2
+    step = math.inf
     iterations = 0
-    if method == "eigen_max_entropy":
-        if fixed_dim == 0:
-            raise ValidationError(
-                "consistency superoperator has no eigenvalue-1 eigenspace (non-CPTP bug)"
+    while step > tol:
+        if iterations >= max_iter:
+            raise ConvergenceError(
+                f"damped iteration did not converge in {max_iter} steps (step = {step:.3e})"
             )
-        _, _, vh = np.linalg.svd(m_super - np.eye(4))
-        kernel = vh[4 - fixed_dim:].conj().T
-        rho = _max_entropy_fixed_state(m_super, kernel)
-    elif method == "damped_iteration":
-        cur = np.eye(2, dtype=complex) / 2
-        step = math.inf
-        while step > tol:
-            if iterations >= max_iter:
-                raise ConvergenceError(
-                    f"damped iteration did not converge in {max_iter} steps (step = {step:.3e})"
-                )
-            nxt = 0.5 * (m_super @ cur.reshape(-1)).reshape(2, 2) + 0.5 * cur
-            step = float(np.abs(np.linalg.eigvalsh(nxt - cur)).sum() / 2)
-            cur = nxt
-            iterations += 1
-        rho = _clip_to_density(cur)
-    else:
-        raise ValidationError(f"unknown solver method {method!r}")
-
-    image = consistency_map(rho_in, interaction, rho)
-    residual = trace_distance(rho, image)
-    if residual > RESIDUAL_TOL:
+        nxt = 0.5 * (m_super @ cur.reshape(-1)).reshape(2, 2) + 0.5 * cur
+        step = float(np.abs(np.linalg.eigvalsh(nxt - cur)).sum() / 2)
+        cur = nxt
+        iterations += 1
+    rho = _clip_to_density(cur)
+    residual = trace_distance(rho, consistency_map(rho_in, interaction, rho))
+    if not residual <= RESIDUAL_TOL:
         raise ConvergenceError(
             f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
@@ -390,17 +395,19 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     )
 
 
-def _effective_input(prep: PreparationMode, p: float) -> DensityMatrix:
-    """Reduced state the loop adapts to, including input depolarization."""
-    if isinstance(prep, LocalPure):
-        rho = prep.state.density()
-    elif isinstance(prep, ImproperMixed):
-        rho = prep.rho
-    elif isinstance(prep, NonLocalEnsemble):
-        rho = prep.mixture()
-    else:
-        raise ValidationError(f"unknown preparation mode {prep!r}")
-    return depolarize(rho, p) if p > 0 else rho
+def _bloch_of(state: PureQubit | DensityMatrix) -> np.ndarray:
+    if isinstance(state, PureQubit):
+        return state.bloch().as_array()
+    return bloch_array(state)
+
+
+def _prepared_bloch(prep: PreparationMode) -> np.ndarray:
+    """Bloch vector of the reduced input the loop adapts to, before depolarization."""
+    if isinstance(prep, (LocalPure, ImproperMixed)):
+        return _bloch_of(prep.state if isinstance(prep, LocalPure) else prep.rho)
+    if isinstance(prep, NonLocalEnsemble):
+        return sum(q * _bloch_of(s) for q, s in zip(prep.probs, prep.states))
+    raise ValidationError(f"unknown preparation mode {prep!r}")
 
 
 def run_scenario(spec: CircuitSpec, prep: PreparationMode,
@@ -411,7 +418,8 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
     The loop state is solved once, from the reduced input the preparation
     mode dictates (pure state for LocalPure, the given matrix for
     ImproperMixed, the unconditioned mixture for NonLocalEnsemble), after
-    input depolarization.
+    input depolarization. The default method is run_batch on a batch of
+    one; "damped_iteration" runs the Kraus-form oracle instead.
 
     For local and improper preparations each requested input is depolarized
     and sent through the loop individually. For NonLocalEnsemble the
@@ -420,11 +428,7 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
     post-selection outcome cannot steer it: every requested input emerges
     as the evolved ensemble mixture.
     """
-    interaction = build_interaction(spec)
-    p = spec.input_noise
-    rho_in = _effective_input(prep, p)
-    fp = solve_fixed_point(rho_in, interaction, method=method)
-
+    loop_in = _prepared_bloch(prep)
     if inputs_to_evolve is None:
         if isinstance(prep, LocalPure):
             inputs_to_evolve = [prep.state]
@@ -432,21 +436,27 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
             inputs_to_evolve = [prep.rho]
         else:
             inputs_to_evolve = list(prep.states)
+    if isinstance(prep, NonLocalEnsemble):
+        evolve = np.tile(loop_in, (len(inputs_to_evolve), 1))
+    else:
+        evolve = np.array([_bloch_of(item) for item in inputs_to_evolve]).reshape(-1, 3)
 
-    outs = []
-    for item in inputs_to_evolve:
-        if isinstance(prep, NonLocalEnsemble):
-            evolved_in = rho_in
-        else:
-            rho = item.density() if isinstance(item, PureQubit) else item
-            evolved_in = depolarize(rho, p) if p > 0 else rho
-        outs.append(evolve_output(evolved_in, fp.rho_ctc, interaction))
+    if method != "eigen_max_entropy":
+        interaction = build_interaction(spec)
+        shrink = 1.0 - spec.input_noise
+        rho_in = density_from_bloch(shrink * loop_in)
+        fp = solve_fixed_point(rho_in, interaction, method=method)
+        outs = tuple(evolve_output(density_from_bloch(shrink * e), fp.rho_ctc, interaction)
+                     for e in evolve)
+        cf = fidelity(fp.rho_ctc, consistency_map(rho_in, interaction, fp.rho_ctc))
+        return ScenarioOutput(fixed_point=fp, rho_out_per_input=outs, consistency_fidelity=cf)
 
-    cf = fidelity(fp.rho_ctc, consistency_map(rho_in, interaction, fp.rho_ctc))
+    batch = run_batch(spec.kind, [spec.theta_xz], [spec.gate_noise], [spec.input_noise],
+                      loop_in[None], evolve[None])
     return ScenarioOutput(
-        fixed_point=fp,
-        rho_out_per_input=tuple(outs),
-        consistency_fidelity=cf,
+        fixed_point=_fixed_point_result(batch),
+        rho_out_per_input=tuple(density_from_bloch(o) for o in batch.outputs[0]),
+        consistency_fidelity=float(batch.consistency_fidelity[0]),
     )
 
 
@@ -476,28 +486,16 @@ def iterate_circuit(input_state: PureQubit, n: int,
     the previous output as an improper mixture, because that mixture comes
     from tracing out the loop rail, not from classical fluctuation.
     """
-    out, _ = _iterate_with_diagnostics(input_state, n, spec)
-    return out
-
-
-def _iterate_with_diagnostics(
-    input_state: PureQubit, n: int, spec: CircuitSpec | None = None
-) -> tuple[DensityMatrix, list[ScenarioOutput]]:
     if n < 1:
         raise ValidationError("iteration count must be >= 1")
     if spec is None:
         spec = CircuitSpec(kind=CircuitKind.SWAP_CNOT)
     if spec.gate_noise != 0.0 or spec.input_noise != 0.0:
         raise ValidationError("iterated circuits are defined for noise-free specs only")
-    passes = []
-    result = run_scenario(spec, LocalPure(input_state))
-    passes.append(result)
-    state = result.rho_out_per_input[0]
+    state = run_scenario(spec, LocalPure(input_state)).rho_out_per_input[0]
     for _ in range(n - 1):
-        result = run_scenario(spec, ImproperMixed(state))
-        passes.append(result)
-        state = result.rho_out_per_input[0]
-    return state, passes
+        state = run_scenario(spec, ImproperMixed(state)).rho_out_per_input[0]
+    return state
 
 
 def swap_cnot_closed_form(h_weight: float) -> tuple[DensityMatrix, DensityMatrix]:

@@ -6,35 +6,22 @@ distance, identification probability) for both the loop circuit and the
 standard-QM baseline, plus the solver diagnostics. Nothing is discarded;
 the experiment id says which published panel a sweep corresponds to.
 
-Grid points are independent pure computations; set CTCSIM_THREADS to
-evaluate them on a thread pool (records are always emitted in grid order).
+Every sweep solves its whole grid as one batch (deutsch.run_batch) and
+builds its records through one function from the Bloch closed forms of
+the measures; records are emitted in grid order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .circuits import CircuitKind, CircuitSpec
-from .deutsch import (
-    LocalPure,
-    NonLocalEnsemble,
-    ScenarioOutput,
-    _iterate_with_diagnostics,
-    run_scenario,
-)
-from .measures import (
-    SIGMA_Z_AXIS,
-    helstrom_success_probability,
-    mismatch_probability,
-    optimal_mismatch_probability,
-    qm_baseline,
-)
-from .qmath import DensityMatrix, PureQubit, ValidationError, trace_distance
+from .circuits import CircuitKind
+from .deutsch import LoopBatch, run_batch
+from .measures import bloch_measures
+from .qmath import ValidationError
 
 __all__ = [
     "SweepRecord",
@@ -81,6 +68,9 @@ class SweepRecord:
     fixed_set_dimension: int
 
 
+_FIELDS = fields(SweepRecord)
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     """Noise level where the loop advantage over standard QM disappears."""
@@ -95,65 +85,45 @@ class ThresholdNotFound(RuntimeError):
     """No sign change found: the advantage region vanished (regression guard)."""
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CTCSIM_THREADS", "1")))
-    except ValueError:
-        return 1
+def _pure_bloch(phi, phase) -> np.ndarray:
+    """Bloch vectors (N, 3) of the pure states psi(phi, phase)."""
+    phi, phase = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(phase, dtype=float))
+    return np.stack([np.sin(phi) * np.cos(phase), np.sin(phi) * np.sin(phase), np.cos(phi)],
+                    axis=-1)
 
 
-def _ordered_map(fn, items):
-    n = _thread_count()
-    items = list(items)
-    if n > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=n) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
+def _diagnostics(batches: list[LoopBatch], n: int) -> tuple[np.ndarray, ...]:
+    """Worst residual, fidelity and dimension over the scenarios of each record.
+
+    Every batch holds one or more scenarios per record, as blocks of n rows.
+    """
+    def worst(name, reduce):
+        return reduce(np.concatenate([getattr(b, name) for b in batches]).reshape(-1, n), axis=0)
+
+    return (worst("residual", np.max), worst("consistency_fidelity", np.min),
+            worst("fixed_set_dimension", np.max))
 
 
-def _pair_diagnostics(scenarios: list[ScenarioOutput]) -> tuple[float, float, int]:
-    resid = max(s.fixed_point.residual for s in scenarios)
-    fid = min(s.consistency_fidelity for s in scenarios)
-    dim = max(s.fixed_point.fixed_set_dimension for s in scenarios)
-    return resid, fid, dim
+def _records(out0: np.ndarray, out1: np.ndarray, qm_pair: tuple[np.ndarray, np.ndarray],
+             qm_fixed_axis: bool, diagnostics, **columns) -> list[SweepRecord]:
+    """Records of N output pairs (N, 3) against their standard-QM input pairs.
 
-
-def _ctc_measures(o0: DensityMatrix, o1: DensityMatrix) -> dict:
-    l_opt, _ = optimal_mismatch_probability(o0, o1)
-    return {
-        "L_ctc_sigma_z": mismatch_probability(o0, o1, SIGMA_Z_AXIS),
-        "L_ctc_optimal": l_opt,
-        "D_ctc": trace_distance(o0, o1),
-        "p_succ_ctc": helstrom_success_probability(o0, o1),
-    }
-
-
-def _nonlinearity_record(phi: float, phase: float, n: int) -> SweepRecord:
-    spec = CircuitSpec(kind=CircuitKind.SWAP_CNOT)
-    out_psi, passes_psi = _iterate_with_diagnostics(PureQubit(phi, phase), n, spec)
-    out_ref, passes_ref = _iterate_with_diagnostics(PureQubit(0.0, 0.0), n, spec)
-    resid, fid, dim = _pair_diagnostics(passes_psi + passes_ref)
-    qm = qm_baseline(phi, 0.0)
-    return SweepRecord(
-        experiment_id="fig3",
-        phi=phi,
-        phase=phase,
-        theta_xz=0.0,
-        p=0.0,
-        epsilon=0.0,
-        prep_mode="local_pure",
-        n_iterations=n,
-        **_ctc_measures(out_psi, out_ref),
-        # The nonlinearity experiment compares against the fixed sigma-z
-        # measurement on the un-evolved inputs (the reference state is
-        # known, the swept one is not).
-        L_qm=qm.L_sigma_z,
-        D_qm=qm.trace_dist,
-        p_succ_qm=qm.p_succ_optimal,
-        fixed_point_residual=resid,
-        consistency_fidelity=fid,
-        fixed_set_dimension=dim,
+    The QM side is scored with the optimal measurement and full state
+    knowledge, or with the fixed sigma-z measurement if qm_fixed_axis.
+    Scalar columns are broadcast to every record.
+    """
+    l_z, l_opt, d, p_succ = bloch_measures(out0, out1)
+    qm_z, qm_opt, qm_d, qm_p = bloch_measures(*qm_pair)
+    resid, fid, dim = diagnostics
+    columns.update(
+        L_ctc_sigma_z=l_z, L_ctc_optimal=l_opt, D_ctc=d,
+        L_qm=qm_z if qm_fixed_axis else qm_opt, D_qm=qm_d,
+        p_succ_ctc=p_succ, p_succ_qm=qm_p,
+        fixed_point_residual=resid, consistency_fidelity=fid, fixed_set_dimension=dim,
     )
+    n = len(out0)
+    values = [np.broadcast_to(np.asarray(columns[f.name]), (n,)).tolist() for f in _FIELDS]
+    return [SweepRecord(*row) for row in zip(*values)]
 
 
 def nonlinearity_sweep(phi_grid: list[float] | None = None,
@@ -164,7 +134,10 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
     Defaults reproduce the 14 published states: polar angles
     {0, pi/4, pi/2, 3pi/4, pi} crossed with 4 phases, de-duplicated at the
     poles where the phase is meaningless, plus iterated-circuit rows for
-    each n in `iterations`.
+    each n in `iterations`. Pass 1 sends each pure state through the loop;
+    every later pass sends the previous output as an improper mixture
+    (deutsch.iterate_circuit). All states and the reference go through
+    each pass as one batch.
     """
     if phi_grid is None:
         phi_grid = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
@@ -174,56 +147,69 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
         iterations = [2, 3, 4, 5]
     if not phi_grid or not phase_grid:
         raise ValidationError("sweep grids must be non-empty")
+    passes = [1] + list(iterations)
+    if min(passes) < 1:
+        raise ValidationError("iteration count must be >= 1")
 
-    points: list[tuple[float, float, int]] = []
-    for n in [1] + list(iterations):
-        for phi in phi_grid:
-            at_pole = abs(math.sin(phi)) < 1e-15
-            for phase in phase_grid[: 1 if at_pole else len(phase_grid)]:
-                points.append((phi, phase, n))
-    return _ordered_map(lambda t: _nonlinearity_record(*t), points)
+    states = [(phi, phase) for phi in phi_grid
+              for phase in phase_grid[: 1 if abs(math.sin(phi)) < 1e-15 else len(phase_grid)]]
+    phi, phase = (np.array(c) for c in zip(*states))
+    n = len(states)
+    # Rows 0..n-1 carry the swept states, rows n..2n-1 the |H> reference.
+    state = np.vstack([_pure_bloch(phi, phase), np.tile([0.0, 0.0, 1.0], (n, 1))])
+    zeros = np.zeros(2 * n)
+    batches = []
+    for _ in range(max(passes)):
+        batches.append(run_batch(CircuitKind.SWAP_CNOT, zeros, zeros, zeros, state, state[:, None]))
+        state = batches[-1].outputs[:, 0]
+    # The nonlinearity experiment compares against the fixed sigma-z
+    # measurement on the un-evolved inputs (the reference state is known,
+    # the swept one is not).
+    qm_pair = (np.array([0.0, 0.0, 1.0]), _pure_bloch(phi, 0.0))
+    return [record for k in passes for record in _records(
+        batches[k - 1].outputs[:n, 0], batches[k - 1].outputs[n:, 0], qm_pair, True,
+        _diagnostics(batches[:k], n), experiment_id="fig3", phi=phi, phase=phase,
+        theta_xz=0.0, p=0.0, epsilon=0.0, prep_mode="local_pure", n_iterations=k,
+    )]
 
 
-def _discrimination_record(experiment_id: str, phi: float, theta: float,
-                           p: float, epsilon: float, mode: str,
-                           phase: float = 0.0) -> SweepRecord:
-    spec = CircuitSpec(
-        kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta, gate_noise=epsilon, input_noise=p
-    )
-    psi0 = PureQubit(0.0, 0.0)
-    psi1 = PureQubit(phi, phase)
+def _discrimination_records(experiment_id: str, mode: str, phi, theta, p,
+                            epsilon) -> list[SweepRecord]:
+    """Discrimination of the pair {|H>, psi1(phi)} at each grid point, as one batch.
+
+    phi, theta, p and epsilon are per-point sequences (or scalars). Local
+    preparation solves one loop per state; non-local preparation one loop
+    for the unconditioned mixture, which is also what both outputs are
+    evolved from.
+    """
+    phi, theta, p, epsilon = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (phi, theta, p, epsilon)))
+    n = len(phi)
+    if n == 0:
+        return []
+    psi0 = np.broadcast_to([0.0, 0.0, 1.0], (n, 3))
+    psi1 = _pure_bloch(phi, 0.0)
+    kind = CircuitKind.SWAP_THEN_CU
     if mode == "local":
-        s0 = run_scenario(spec, LocalPure(psi0))
-        s1 = run_scenario(spec, LocalPure(psi1))
-        o0, o1 = s0.rho_out_per_input[0], s1.rho_out_per_input[0]
-        resid, fid, dim = _pair_diagnostics([s0, s1])
+        pair = np.vstack([psi0, psi1])
+        batch = run_batch(kind, np.tile(theta, 2), np.tile(epsilon, 2), np.tile(p, 2),
+                          pair, pair[:, None])
+        out0, out1 = batch.outputs[:n, 0], batch.outputs[n:, 0]
         prep = "local_pure"
     elif mode == "nonlocal":
-        s = run_scenario(spec, NonLocalEnsemble((psi0, psi1), (0.5, 0.5)))
-        o0, o1 = s.rho_out_per_input
-        resid, fid, dim = _pair_diagnostics([s])
+        mixture = (psi0 + psi1) / 2.0
+        batch = run_batch(kind, theta, epsilon, p, mixture, mixture[:, None])
+        out0 = out1 = batch.outputs[:, 0]
         prep = "nonlocal_ensemble"
     else:
         raise ValidationError(f"unknown preparation mode {mode!r}")
-    qm = qm_baseline(phi, p)
-    return SweepRecord(
-        experiment_id=experiment_id,
-        phi=phi,
-        phase=phase,
-        theta_xz=theta,
-        p=p,
-        epsilon=epsilon,
-        prep_mode=prep,
-        n_iterations=1,
-        **_ctc_measures(o0, o1),
-        # Discrimination experiments compare against standard QM with the
-        # optimal measurement and full state knowledge.
-        L_qm=qm.L_optimal,
-        D_qm=qm.trace_dist,
-        p_succ_qm=qm.p_succ_optimal,
-        fixed_point_residual=resid,
-        consistency_fidelity=fid,
-        fixed_set_dimension=dim,
+    # Discrimination experiments compare against standard QM with the
+    # optimal measurement and full state knowledge.
+    shrink = (1.0 - p)[:, None]
+    return _records(
+        out0, out1, (psi0 * shrink, psi1 * shrink), False, _diagnostics([batch], n),
+        experiment_id=experiment_id, phi=phi, phase=0.0, theta_xz=theta, p=p,
+        epsilon=epsilon, prep_mode=prep, n_iterations=1,
     )
 
 
@@ -248,24 +234,17 @@ def discrimination_sweep(mode: str, variant: str, grid_size: int | None = None,
         experiment_id = f"{variant}-{mode}"
 
     if variant == "optimal-gate":
-        points = [(2 * math.pi * k / grid_size, None) for k in range(grid_size)]
+        phi = [2 * math.pi * k / grid_size for k in range(grid_size)]
+        theta = [(x - math.pi) / 2 for x in phi]
     elif variant == "fixed-gate":
-        points = [(2 * math.pi * k / grid_size, WORKING_POINT_THETA) for k in range(grid_size)]
+        phi = [2 * math.pi * k / grid_size for k in range(grid_size)]
+        theta = WORKING_POINT_THETA
     elif variant == "fixed-state":
-        points = [
-            (WORKING_POINT_PHI, -math.pi / 2 + math.pi * j / grid_size)
-            for j in range(grid_size)
-        ]
+        phi = WORKING_POINT_PHI
+        theta = [-math.pi / 2 + math.pi * j / grid_size for j in range(grid_size)]
     else:
         raise ValidationError(f"unknown sweep variant {variant!r}")
-
-    def record(pt):
-        phi, theta = pt
-        if theta is None:
-            theta = (phi - math.pi) / 2
-        return _discrimination_record(experiment_id, phi, theta, 0.0, 0.0, mode)
-
-    return _ordered_map(record, points)
+    return _discrimination_records(experiment_id, mode, phi, theta, 0.0, 0.0)
 
 
 def decoherence_surface(p_grid: list[float] | None = None,
@@ -274,7 +253,7 @@ def decoherence_surface(p_grid: list[float] | None = None,
 
     The loop side keeps the sigma-z measurement and the QM side its
     decoherence-free optimal axis: the experimenter does not know the
-    noise parameters.
+    noise parameters. Records run over eps fastest, then p.
     """
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 41).tolist()
@@ -283,22 +262,24 @@ def decoherence_surface(p_grid: list[float] | None = None,
     for g in (p_grid, eps_grid):
         if any(not 0.0 <= x <= 1.0 for x in g):
             raise ValidationError("noise grids must stay within [0, 1]")
-    points = [(p, e) for p in p_grid for e in eps_grid]
-    return _ordered_map(
-        lambda t: _discrimination_record(
-            "fig6", WORKING_POINT_PHI, WORKING_POINT_THETA, t[0], t[1], "local"
-        ),
-        points,
+    p = np.repeat(np.asarray(p_grid, dtype=float), len(eps_grid))
+    eps = np.tile(np.asarray(eps_grid, dtype=float), len(p_grid))
+    return _discrimination_records("fig6", "local", WORKING_POINT_PHI, WORKING_POINT_THETA,
+                                   p, eps)
+
+
+def _advantage_gaps(parameter: str, xs) -> np.ndarray:
+    """L_ctc(sigma_z) minus the QM baseline along one noise axis, as one batch."""
+    xs = np.asarray(xs, dtype=float)
+    p, eps = (xs, 0.0) if parameter == "p" else (0.0, xs)
+    records = _discrimination_records(
+        "threshold-probe", "local", WORKING_POINT_PHI, WORKING_POINT_THETA, p, eps
     )
+    return np.array([r.L_ctc_sigma_z - r.L_qm for r in records])
 
 
 def _advantage_gap(parameter: str, x: float) -> float:
-    """L_ctc(sigma_z) minus the QM baseline along one noise axis."""
-    p, eps = (x, 0.0) if parameter == "p" else (0.0, x)
-    rec = _discrimination_record(
-        "threshold-probe", WORKING_POINT_PHI, WORKING_POINT_THETA, p, eps, "local"
-    )
-    return rec.L_ctc_sigma_z - rec.L_qm
+    return float(_advantage_gaps(parameter, [x])[0])
 
 
 def find_threshold(parameter: str, scan_points: int = 41,
@@ -311,7 +292,7 @@ def find_threshold(parameter: str, scan_points: int = 41,
     if parameter not in ("p", "epsilon"):
         raise ValidationError(f"unknown threshold parameter {parameter!r}")
     xs = np.linspace(0.0, 1.0, scan_points)
-    vals = [_advantage_gap(parameter, float(x)) for x in xs]
+    vals = _advantage_gaps(parameter, xs)
     bracket = None
     for i in range(len(xs) - 1):
         if vals[i] > 0.0 >= vals[i + 1]:
@@ -339,8 +320,6 @@ def find_threshold(parameter: str, scan_points: int = 41,
 
 
 def _retagged(records: list[SweepRecord], experiment_id: str) -> list[SweepRecord]:
-    from dataclasses import replace
-
     return [replace(r, experiment_id=experiment_id) for r in records]
 
 
@@ -372,9 +351,9 @@ def validate_records(records: list[SweepRecord]) -> list[str]:
     """Regression guard: list of human-readable invariant violations (empty = good)."""
     problems = []
     for i, r in enumerate(records):
-        if r.fixed_point_residual > 1e-10:
+        if not r.fixed_point_residual <= 1e-10:
             problems.append(f"row {i}: residual {r.fixed_point_residual:.3e} > 1e-10")
-        if r.consistency_fidelity < 1 - 1e-9:
+        if not r.consistency_fidelity >= 1 - 1e-9:
             problems.append(f"row {i}: consistency fidelity {r.consistency_fidelity}")
         for name in ("L_ctc_sigma_z", "L_ctc_optimal", "D_ctc", "L_qm", "D_qm",
                      "p_succ_ctc", "p_succ_qm"):

@@ -39,6 +39,7 @@ __all__ = [
     "helstrom_success_probability",
     "qm_baseline",
     "grid_search_mismatch",
+    "bloch_measures",
 ]
 
 
@@ -128,6 +129,20 @@ def optimal_mismatch_probability(
 def helstrom_success_probability(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Best equal-prior identification probability: (1 + trace distance)/2."""
     return 0.5 * (1.0 + trace_distance(rho1, rho2))
+
+
+def bloch_measures(r1: np.ndarray, r2: np.ndarray):
+    """(L_sigma_z, L_optimal, trace distance, Helstrom) of Bloch pairs (..., 3), batched.
+
+    Closed forms (1 - z1 z2)/2, (1 - (r1.r2 - |r1||r2|)/2)/2, |r1 - r2|/2
+    and (1 + D)/2; the eigen-based functions above are their oracles.
+    """
+    d = np.linalg.norm(r1 - r2, axis=-1) / 2.0
+    l_z = (1.0 - r1[..., 2] * r2[..., 2]) / 2.0
+    lam = (np.sum(r1 * r2, axis=-1)
+           - np.linalg.norm(r1, axis=-1) * np.linalg.norm(r2, axis=-1)) / 2.0
+    l_opt = np.clip((1.0 - lam) / 2.0, 0.0, 1.0)
+    return l_z, l_opt, d, 0.5 * (1.0 + d)
 
 
 def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix,

@@ -8,8 +8,9 @@ conventions are fixed once and for all here:
 * qubit 1 is the chronology-respecting rail, qubit 2 the loop rail, and
   tensor products are written (qubit 1) x (qubit 2).
 
-Everything is a pure function of its inputs; values are safe to share
-between threads.
+Everything is a pure function of its inputs. Non-finite numbers are
+rejected wherever a state is built, so a NaN cannot pass a validation by
+failing every comparison in it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "von_neumann_entropy",
     "hermitian_eigensystem",
     "bloch_from_density",
+    "bloch_array",
     "density_from_bloch",
 ]
 
@@ -93,7 +95,7 @@ class BlochVector:
     z: float
 
     def __post_init__(self) -> None:
-        if self.norm() > 1 + 1e-12:
+        if not self.norm() <= 1 + 1e-12:
             raise ValidationError(
                 f"Bloch vector norm {self.norm()} exceeds 1 (invariant: norm <= 1 + 1e-12)"
             )
@@ -118,6 +120,10 @@ class PureQubit:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.polar) and math.isfinite(self.phase)):
+            raise ValidationError(
+                f"pure qubit angles must be finite (polar = {self.polar}, phase = {self.phase})"
+            )
         object.__setattr__(self, "polar", float(self.polar) % (2 * math.pi))
         object.__setattr__(self, "phase", float(self.phase) % (2 * math.pi))
         if abs(np.linalg.norm(self.vector()) - 1.0) > 1e-14:
@@ -157,6 +163,8 @@ class DensityMatrix:
             raise ValidationError(f"density matrix must be square, got shape {a.shape}")
         if a.shape[0] not in (2, 4):
             raise ValidationError(f"density matrix dim must be 2 or 4, got {a.shape[0]}")
+        if not np.isfinite(a).all():
+            raise ValidationError("density matrix has non-finite entries")
         if np.abs(a - a.conj().T).max() > HERMITICITY_TOL:
             raise ValidationError(
                 "density matrix violates Hermiticity (|m - m^dag|_max > 1e-12)"
@@ -301,14 +309,16 @@ def bloch_from_density(rho: DensityMatrix) -> BlochVector:
     """Bloch vector (x, y, z) with rho = (I + v . sigma)/2."""
     if rho.dim != 2:
         raise ValidationError("Bloch coordinates are defined for single qubits only")
+    return BlochVector(*bloch_array(rho).tolist())
+
+
+def bloch_array(rho: DensityMatrix) -> np.ndarray:
+    """Bloch vector of a qubit state as a (3,) array, without the unit-norm check."""
     m = rho.mat
-    x = float(2 * m[0, 1].real)
-    y = float(-2 * m[0, 1].imag)
-    z = float((m[0, 0] - m[1, 1]).real)
-    return BlochVector(x, y, z)
+    return np.array([2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
 
 
-def density_from_bloch(v: BlochVector) -> DensityMatrix:
-    """Qubit state (I + v . sigma)/2; requires |v| <= 1."""
-    m = (ID2 + v.x * SIGMA_X + v.y * SIGMA_Y + v.z * SIGMA_Z) / 2.0
-    return DensityMatrix(m)
+def density_from_bloch(v: BlochVector | np.ndarray) -> DensityMatrix:
+    """Qubit state (I + v . sigma)/2; positivity requires |v| <= 1 + 2 PSD_TOL."""
+    x, y, z = (v.x, v.y, v.z) if isinstance(v, BlochVector) else v
+    return DensityMatrix(np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2.0)

@@ -47,6 +47,19 @@ class TestFixedPointCommand:
         assert main(["fixed-point", "--p", "1.5"]) == 2
         assert "outside [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fixed-point", "--phi", "nan"],
+        ["fixed-point", "--phase", "inf"],
+        ["fixed-point", "--theta", "nan"],
+        ["fixed-point", "--epsilon", "nan"],
+        ["discriminate", "--phase", "nan"],
+        ["discriminate", "--phi", "inf"],
+        ["discriminate", "--p", "nan"],
+    ])
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "invalid parameters" in capsys.readouterr().err
+
     def test_nonconvergence_exits_3(self, capsys, monkeypatch):
         import ctcsim.cli as cli_mod
         from ctcsim.deutsch import ConvergenceError
@@ -167,3 +180,8 @@ class TestSweepCommand:
 class TestSelftestCommand:
     def test_tolerance_floor_enforced(self, capsys):
         assert main(["selftest", "--tol", "1e-15"]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, capsys, tol):
+        assert main(["selftest", "--tol", tol]) == 2
+        assert "tolerance override" in capsys.readouterr().err

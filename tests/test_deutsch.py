@@ -13,6 +13,7 @@ from ctcsim.circuits import (
     make_swap,
 )
 from ctcsim.deutsch import (
+    EIGENVALUE_ONE_TOL,
     ConvergenceError,
     ImproperMixed,
     LocalPure,
@@ -22,8 +23,10 @@ from ctcsim.deutsch import (
     iterate_circuit,
     proper_mixture_output,
     resource_state_vector,
+    run_batch,
     run_scenario,
     solve_fixed_point,
+    solve_loops,
     superoperator,
     swap_cnot_closed_form,
 )
@@ -32,6 +35,8 @@ from ctcsim.qmath import (
     PureQubit,
     Subsystem,
     ValidationError,
+    bloch_array,
+    density_from_bloch,
     partial_trace,
     trace_distance,
 )
@@ -107,6 +112,115 @@ class TestSuperoperator:
         m = superoperator(psi.density(), build_interaction(SWAP_CNOT))
         sing = np.linalg.svd(m - np.eye(4), compute_uv=False)
         assert (sing < 1e-9).sum() == 2
+
+
+def consistency_affine(rho_in, interaction):
+    """(A, b) with Bloch(consistency_map(rho)) = A r + b, read off the loop-rail tensor."""
+    m = np.einsum("kmv,m->kv", interaction.transfer[0], np.r_[1.0, bloch_array(rho_in)])
+    return m[1:, 1:], m[1:, 0]
+
+
+def kraus_fixed_dimension(rho_in, interaction):
+    """Oracle: singular values of the Kraus-form superoperator minus I that vanish."""
+    sing = np.linalg.svd(superoperator(rho_in, interaction) - np.eye(4), compute_uv=False)
+    return int((sing < EIGENVALUE_ONE_TOL).sum())
+
+
+class TestAffineMap:
+    """The Bloch-affine form r -> A r + b the engine solves, against the Kraus form."""
+
+    def test_swap_only_maps_every_loop_state_to_the_input(self):
+        rng = np.random.default_rng(73)
+        rho_in = random_qubit_state(rng)
+        a, b = consistency_affine(rho_in, QubitChannel(((1.0, make_swap().mat),)))
+        np.testing.assert_allclose(a, np.zeros((3, 3)), atol=1e-15)
+        np.testing.assert_allclose(b, bloch_array(rho_in), atol=1e-15)
+
+    def test_affine_form_reproduces_map_on_random_states(self):
+        rng = np.random.default_rng(79)
+        for _ in range(30):
+            rho_in = random_qubit_state(rng)
+            interaction = build_interaction(cu_circuit(rng.uniform(-1.5, 1.5),
+                                                       eps=rng.uniform(0, 1)))
+            a, b = consistency_affine(rho_in, interaction)
+            rho = random_qubit_state(rng)
+            direct = bloch_array(consistency_map(rho_in, interaction, rho))
+            assert np.abs(a @ bloch_array(rho) + b - direct).max() <= 1e-12
+
+    def test_output_rail_reproduces_evolve_output(self):
+        rng = np.random.default_rng(97)
+        for _ in range(30):
+            interaction = build_interaction(cu_circuit(rng.uniform(-1.5, 1.5),
+                                                       eps=rng.uniform(0, 1)))
+            rho_in, rho = random_qubit_state(rng), random_qubit_state(rng)
+            a4 = np.r_[1.0, bloch_array(rho_in)]
+            r4 = np.r_[1.0, bloch_array(rho)]
+            via_tensor = np.einsum("kmv,m,v->k", interaction.transfer[1], a4, r4)
+            direct = bloch_array(evolve_output(rho_in, rho, interaction))
+            assert via_tensor[0] == pytest.approx(1.0, abs=1e-14)
+            assert np.abs(via_tensor[1:] - direct).max() <= 1e-12
+
+    def test_equator_input_has_nullity_one(self):
+        psi = PureQubit(math.pi / 2, 0.0)
+        a, _ = consistency_affine(psi.density(), build_interaction(SWAP_CNOT))
+        sing = np.linalg.svd(np.eye(3) - a, compute_uv=False)
+        assert (sing < 1e-9).sum() == 1
+
+    def test_dimension_matches_kraus_superoperator_on_random_specs(self):
+        rng = np.random.default_rng(131)
+        n = 3000
+        theta = rng.uniform(-math.pi / 2, math.pi / 2, n)
+        eps, p = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        bloch = np.array([
+            PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)).bloch().as_array()
+            for _ in range(n)
+        ])
+        batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch, bloch[:, None])
+        for i in range(n):
+            interaction = build_interaction(cu_circuit(theta[i], eps=eps[i]))
+            rho_in = density_from_bloch((1 - p[i]) * bloch[i])
+            assert batch.fixed_set_dimension[i] == kraus_fixed_dimension(rho_in, interaction)
+
+    def test_dimension_and_min_norm_on_theta_eps_p_grid(self):
+        """Every grid row matches the Kraus count; degenerate rows return the min-norm state."""
+        rows = []
+        for theta in np.linspace(-math.pi / 2, math.pi / 2, 8, endpoint=False):
+            for eps in (0.0, 0.5, 1.0):
+                for p in (0.0, 0.5, 1.0):
+                    for phi in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
+                        rows.append((float(theta), eps, p, phi))
+        theta, eps, p, phi = (np.array(c) for c in zip(*rows))
+        bloch = np.array([PureQubit(f).bloch().as_array() for f in phi])
+        batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch, bloch[:, None])
+        degenerate = 0
+        for i in range(len(rows)):
+            rho_in = density_from_bloch((1 - p[i]) * bloch[i])
+            interaction = build_interaction(cu_circuit(theta[i], eps=eps[i]))
+            dim = batch.fixed_set_dimension[i]
+            assert dim == kraus_fixed_dimension(rho_in, interaction)
+            if dim > 1:
+                degenerate += 1
+                # Min norm: the loop state has no component along the free directions.
+                a, _ = consistency_affine(rho_in, interaction)
+                _, sing, vt = np.linalg.svd(np.eye(3) - a)
+                free = vt[sing < 1e-9]
+                assert len(free) == dim - 1
+                assert np.abs(free @ batch.loop[i]).max() <= 1e-12
+        assert degenerate > 0
+
+    def test_nan_row_raises(self):
+        interaction = build_interaction(cu_circuit(0.3, eps=0.2))
+        loop_in = np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises((ValidationError, ConvergenceError)):
+            solve_loops([(slice(None), 1.0, interaction)], loop_in, loop_in[:, None])
+        with pytest.raises(ValidationError):
+            run_batch(CircuitKind.SWAP_THEN_CU, [0.3, 0.3], [0.2, 0.2], [0.1, math.nan],
+                      loop_in[::2], loop_in[::2, None])
+
+    def test_state_outside_ball_rejected(self):
+        with pytest.raises(ValidationError, match="Bloch"):
+            solve_loops([(slice(None), 1.0, QubitChannel(((1.0, make_swap().mat),)))],
+                        np.array([[0.0, 0.0, 1.5]]), np.zeros((1, 0, 3)))
 
 
 class TestSolveFixedPoint:
@@ -279,6 +393,8 @@ class TestRunScenario:
             NonLocalEnsemble((H,), (0.7,))
         with pytest.raises(ValidationError):
             NonLocalEnsemble((H, H), (1.5, -0.5))
+        with pytest.raises(ValidationError):
+            NonLocalEnsemble((H, H), (math.nan, 0.5))
 
 
 class TestProperVsImproper:

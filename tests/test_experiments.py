@@ -1,11 +1,13 @@
 """Sweeps, surfaces, and thresholds: structure, closed forms, determinism."""
 
+import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
 
+from ctcsim.circuits import CircuitKind
+from ctcsim.deutsch import run_batch
 from ctcsim.experiments import (
     WORKING_POINT_PHI,
     WORKING_POINT_THETA,
@@ -17,6 +19,7 @@ from ctcsim.experiments import (
     optimal_measurement_sweep,
     validate_records,
 )
+from ctcsim.qmath import PureQubit
 
 
 class TestNonlinearitySweep:
@@ -91,6 +94,11 @@ class TestDiscriminationSweep:
             s_z = (math.cos(r.phi) + math.sin(r.phi)) / (2 - math.cos(r.phi) + math.sin(r.phi))
             assert r.L_ctc_sigma_z == pytest.approx((1 - s_z) / 2, abs=1e-10)
             assert r.theta_xz == WORKING_POINT_THETA
+
+    def test_nan_diagnostics_fail_validation(self):
+        rec = discrimination_sweep("local", "fixed-gate", 4)[1]
+        for name in ("fixed_point_residual", "consistency_fidelity", "L_ctc_sigma_z"):
+            assert validate_records([dataclasses.replace(rec, **{name: math.nan})])
 
     def test_record_invariants(self):
         recs = discrimination_sweep("local", "fixed-gate", 8)
@@ -191,11 +199,47 @@ class TestDeterminism:
         b = discrimination_sweep("local", "fixed-state", 8)
         assert a == b
 
-    def test_thread_pool_preserves_order_and_values(self):
-        sequential = decoherence_surface([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
-        os.environ["CTCSIM_THREADS"] = "4"
-        try:
-            threaded = decoherence_surface([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
-        finally:
-            del os.environ["CTCSIM_THREADS"]
-        assert sequential == threaded
+    def test_batched_surface_matches_batches_of_one(self):
+        """One batch over a 3x3 grid gives the same records as nine batches of one."""
+        grid = [0.0, 0.5, 1.0]
+        batched = decoherence_surface(grid, grid)
+        single = [decoherence_surface([p], [e])[0] for p in grid for e in grid]
+        assert len(batched) == len(single) == 9
+        for a, b in zip(batched, single):
+            assert_records_match(a, b)
+
+    def test_permuting_or_splitting_a_batch_leaves_rows_unchanged(self):
+        rng = np.random.default_rng(137)
+        n = 40
+        theta = rng.choice([-0.9, 0.2, WORKING_POINT_THETA], n)
+        eps, p = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        eps[::7] = 0.0
+        bloch = np.array([PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 6.2))
+                          .bloch().as_array() for _ in range(n)])
+
+        def solve(rows):
+            return run_batch(CircuitKind.SWAP_THEN_CU, theta[rows], eps[rows], p[rows],
+                             bloch[rows], bloch[rows, None])
+
+        whole = solve(np.arange(n))
+        perm = rng.permutation(n)
+        parts = [solve(perm), solve(np.arange(n // 3)), solve(np.arange(n // 3, n))]
+        rows = [perm, np.arange(n // 3), np.arange(n // 3, n)]
+        for part, idx in zip(parts, rows):
+            np.testing.assert_array_equal(part.fixed_set_dimension,
+                                          whole.fixed_set_dimension[idx])
+            for name in ("loop", "outputs", "residual", "consistency_fidelity"):
+                np.testing.assert_allclose(getattr(part, name), getattr(whole, name)[idx],
+                                           rtol=0, atol=1e-12)
+
+
+DISCRETE_FIELDS = {"experiment_id", "prep_mode", "n_iterations", "fixed_set_dimension"}
+
+
+def assert_records_match(a, b, atol=1e-12):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name in DISCRETE_FIELDS:
+            assert x == y, f.name
+        else:
+            assert abs(x - y) <= atol, (f.name, x, y)

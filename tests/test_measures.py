@@ -13,6 +13,7 @@ from ctcsim.measures import (
     grid_search_mismatch,
     helstrom_success_probability,
     mismatch_probability,
+    bloch_measures,
     optimal_mismatch_probability,
     qm_baseline,
 )
@@ -192,3 +193,36 @@ class TestQmBaseline:
                 L_sigma_z=0.9, L_optimal=0.5, optimal_axis=SIGMA_Z_AXIS,
                 trace_dist=0.5, p_succ_optimal=0.75,
             )
+
+
+class TestBlochClosedForms:
+    """The batched closed forms against the eigen-based functions they replace."""
+
+    def test_match_eigen_measures_on_random_pairs(self):
+        rng = np.random.default_rng(127)
+        pairs = []
+        for k in range(1000):
+            # Mixed pairs, plus pure pairs and identical pairs for the edges.
+            a = random_qubit_state(rng) if k % 3 else random_pure(rng).density()
+            b = a if k % 50 == 0 else random_qubit_state(rng)
+            pairs.append((a, b))
+        r1 = np.array([bloch_from_density(a).as_array() for a, _ in pairs])
+        r2 = np.array([bloch_from_density(b).as_array() for _, b in pairs])
+        l_z, l_opt, d, p_succ = bloch_measures(r1, r2)
+        for i, (a, b) in enumerate(pairs):
+            assert abs(l_z[i] - mismatch_probability(a, b, SIGMA_Z_AXIS)) <= 1e-12
+            assert abs(l_opt[i] - optimal_mismatch_probability(a, b)[0]) <= 1e-12
+            assert abs(d[i] - trace_distance(a, b)) <= 1e-12
+            assert abs(p_succ[i] - helstrom_success_probability(a, b)) <= 1e-12
+
+    def test_qm_baseline_from_depolarized_bloch_pair(self):
+        for phi in np.linspace(0, 2 * math.pi, 9):
+            for p in (0.0, 0.3, 1.0):
+                qm = qm_baseline(float(phi), p)
+                r0 = (1 - p) * np.array([0.0, 0.0, 1.0])
+                r1 = (1 - p) * PureQubit(float(phi), 0.0).bloch().as_array()
+                l_z, l_opt, d, p_succ = bloch_measures(r0, r1)
+                assert qm.L_sigma_z == pytest.approx(l_z, abs=1e-12)
+                assert qm.L_optimal == pytest.approx(l_opt, abs=1e-12)
+                assert qm.trace_dist == pytest.approx(d, abs=1e-12)
+                assert qm.p_succ_optimal == pytest.approx(p_succ, abs=1e-12)

@@ -269,6 +269,26 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="dim"):
             DensityMatrix(np.eye(3, dtype=complex) / 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix(np.full((2, 2), bad, dtype=complex))
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pure_qubit_angles_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            PureQubit(bad, 0.0)
+        with pytest.raises(ValidationError, match="finite"):
+            PureQubit(0.3, bad)
+
+    def test_nan_bloch_vector_rejected(self):
+        with pytest.raises(ValidationError):
+            BlochVector(math.nan, 0.0, 0.0)
+
     def test_pure_qubit_normalization(self):
         for polar in (0.0, 0.7, math.pi, 4.0):
             assert abs(np.linalg.norm(PureQubit(polar, 1.3).vector()) - 1) < 1e-14
