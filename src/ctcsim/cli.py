@@ -7,6 +7,7 @@ discriminate  run one discrimination point (both states) and print measures
 sweep         run a single parameter sweep to CSV/JSON
 reproduce     emit a bundled experiment (fig3, fig5a..c, fig6, s1, s2, thresholds)
 selftest      run the acceptance suite; exit 0 iff everything passes
+              (--json prints the per-check report as JSON instead)
 
 CSV files are byte-deterministic for a fixed configuration: fixed field
 order, 17-significant-digit floats, UTF-8, '.' decimal separator.
@@ -359,11 +360,20 @@ def cmd_reproduce(args) -> int:
 
 def cmd_selftest(args) -> int:
     scale = args.tol / 1e-12
-    if scale != 1.0:
-        print(f"tolerance scale: x{scale:g} (base tolerances multiplied by this factor)")
-    report = run_selftest(tol_scale=scale)
-    print(f"{'all checks passed' if report.all_passed else 'FAILURES detected'} "
-          f"in {report.total_elapsed:.2f}s")
+    if args.json:
+        report = run_selftest(tol_scale=scale, echo=None)
+        print(json.dumps({
+            "tol_scale": scale,
+            "all_passed": report.all_passed,
+            "total_elapsed": report.total_elapsed,
+            "checks": [dataclasses.asdict(r) for r in report.results],
+        }, indent=2))
+    else:
+        if scale != 1.0:
+            print(f"tolerance scale: x{scale:g} (base tolerances multiplied by this factor)")
+        report = run_selftest(tol_scale=scale)
+        print(f"{'all checks passed' if report.all_passed else 'FAILURES detected'} "
+              f"in {report.total_elapsed:.2f}s")
     return 0 if report.all_passed else 1
 
 
@@ -420,6 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("selftest", help="run the acceptance suite")
     st.add_argument("--tol", type=float, default=1e-12,
                     help="base tolerance (>= 1e-14); scales every check tolerance")
+    st.add_argument("--json", action="store_true",
+                    help="print the per-check report (id, pass, time, detail) as JSON")
     st.set_defaults(fn=cmd_selftest)
     return ap
 

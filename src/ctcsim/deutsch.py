@@ -16,9 +16,15 @@ fixed input the consistency map is affine on the loop's Bloch vector,
 r -> A r + b, and Deutsch's maximum-entropy fixed point is the
 minimum-norm solution of (I - A) r = b. Where the fixed set has more than
 one state its dimension is reported, never hidden. Density matrices are
-built only at the API boundary (solve_fixed_point, run_scenario); the
-Kraus-form consistency_map, evolve_output, superoperator and the damped
-iteration stay as independent oracles.
+built only at the API boundary (solve_fixed_point, run_scenario).
+
+The Kraus-form consistency_map, evolve_output, superoperator and the
+damped iteration stay as independent oracles: they never read the
+transfer tensors. The damped iteration is batched too (damped_iteration):
+it stacks the rows' Kraus terms, builds one 4x4 superoperator per row
+and iterates all rows together, each stopping on its own;
+superoperator and solve_fixed_point(method="damped_iteration") are
+batches of one of it.
 """
 
 from __future__ import annotations
@@ -35,12 +41,12 @@ from .qmath import (
     PureQubit,
     Subsystem,
     ValidationError,
-    _eig_range_2x2,
+    _eig_ranges_2x2,
     _partial_trace_raw,
     bloch_array,
     density_from_bloch,
     fidelity,
-    trace_distance,
+    trace_distances,
     von_neumann_entropy,
 )
 
@@ -55,8 +61,10 @@ __all__ = [
     "FixedPointResult",
     "ScenarioOutput",
     "LoopBatch",
+    "DampedBatch",
     "consistency_map",
     "superoperator",
+    "damped_iteration",
     "solve_loops",
     "run_batch",
     "solve_fixed_point",
@@ -114,14 +122,7 @@ class NonLocalEnsemble:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        probs = tuple(float(p) for p in self.probs)
-        if len(states) != len(probs) or not states:
-            raise ValidationError("ensemble needs matching, non-empty states and probs")
-        if any(p < 0 for p in probs):
-            raise ValidationError("ensemble probabilities must be non-negative")
-        if not abs(sum(probs) - 1.0) <= 1e-12:
-            raise ValidationError(f"ensemble probabilities sum to {sum(probs)}, not 1")
+        states, probs = _ensemble(self.states, self.probs)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", probs)
 
@@ -131,6 +132,22 @@ class NonLocalEnsemble:
 
 
 PreparationMode = LocalPure | ImproperMixed | NonLocalEnsemble
+
+
+def _ensemble(states, probs) -> tuple[tuple, tuple[float, ...]]:
+    """Validated (states, weights): matching, non-empty, non-negative, summing to 1.
+
+    A non-finite weight fails the sum check.
+    """
+    states = tuple(states)
+    probs = tuple(float(p) for p in probs)
+    if len(states) != len(probs) or not states:
+        raise ValidationError("ensemble needs matching, non-empty states and probs")
+    if any(p < 0 for p in probs):
+        raise ValidationError("ensemble probabilities must be non-negative")
+    if not abs(sum(probs) - 1.0) <= 1e-12:
+        raise ValidationError(f"ensemble probabilities sum to {sum(probs)}, not 1")
+    return states, probs
 
 
 @dataclass(frozen=True)
@@ -184,31 +201,115 @@ def evolve_output(input_state: DensityMatrix, rho_ctc: DensityMatrix,
     )
 
 
+def _kraus_stack(channels) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (N, K) and operators (N, K, 4, 4) of N channels' Kraus terms.
+
+    Rows with fewer than K terms are padded with zero-weight zero operators,
+    which add exact zeros.
+    """
+    k = max(len(ch.kraus) for ch in channels)
+    weights = np.zeros((len(channels), k))
+    ops = np.zeros((len(channels), k, 4, 4), dtype=complex)
+    for n, ch in enumerate(channels):
+        for j, (w, op) in enumerate(ch.kraus):
+            weights[n, j] = w
+            ops[n, j] = op
+    return weights, ops
+
+
+def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Tr_1[E_n(rho_in[n] (x) x[n, b])] for a Kraus stack: rho_in (N, 2, 2),
+    x (N, B, 2, 2) -> (N, B, 2, 2). The batched form of _apply_loop."""
+    weights, ops = kraus
+    n, b = x.shape[:2]
+    joint = (rho_in[:, None, :, None, :, None] * x[:, :, None, :, None, :]).reshape(n, 1, b, 4, 4)
+    op = ops[:, :, None]
+    out = (weights[:, :, None, None, None] * (op @ joint @ op.conj().swapaxes(-1, -2))).sum(axis=1)
+    t = out.reshape(n, b, 2, 2, 2, 2)
+    return t[:, :, 0, :, 0, :] + t[:, :, 1, :, 1, :]
+
+
+_VEC_BASIS = np.eye(4, dtype=complex).reshape(4, 2, 2)
+
+
+def _superoperators(kraus, rho_in: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) stack of superoperators: column k is vec of the map's image of
+    the k-th matrix unit (row-major vec)."""
+    images = _kraus_loop(kraus, rho_in, np.broadcast_to(_VEC_BASIS, (len(rho_in), 4, 2, 2)))
+    return images.reshape(-1, 4, 4).transpose(0, 2, 1)
+
+
 def superoperator(rho_in: DensityMatrix, interaction: QubitChannel) -> np.ndarray:
     """4x4 matrix M with M @ vec(rho) = vec(consistency_map(rho)) for all rho.
 
     vec is row-major flattening of the 2x2 matrix. Built from the Kraus
     form, independently of the transfer tensors the engine solves with;
-    the damped iteration runs on it.
+    the damped iteration runs on it. A batch of one of _superoperators.
     """
-    cols = []
-    for k in range(4):
-        basis = np.zeros((2, 2), dtype=complex)
-        basis.flat[k] = 1.0
-        img = _apply_loop(rho_in.mat, interaction, basis, Subsystem.FIRST)
-        cols.append(img.reshape(-1))
-    return np.column_stack(cols)
+    return _superoperators(_kraus_stack([interaction]), rho_in.mat[None])[0]
 
 
-def _clip_to_density(mat: np.ndarray) -> DensityMatrix:
-    """Round a numerically almost-valid state onto the density-matrix set."""
-    h = (mat + mat.conj().T) / 2.0
-    if _eig_range_2x2(h)[0] >= 0.0:
-        return DensityMatrix(h / h.trace().real)
-    lam, v = np.linalg.eigh(h)
-    lam = np.clip(lam, 0.0, None)
-    h = (v * lam) @ v.conj().T
-    return DensityMatrix(h / h.trace().real)
+def _clip_to_density(mats: np.ndarray) -> np.ndarray:
+    """Round numerically almost-valid states (N, 2, 2) onto the density-matrix set."""
+    h = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
+    neg = np.flatnonzero(~(_eig_ranges_2x2(h)[0] >= 0.0))
+    if neg.size:
+        lam, v = np.linalg.eigh(h[neg])
+        h[neg] = (v * np.clip(lam, 0.0, None)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return h / np.trace(h, axis1=-2, axis2=-1).real[:, None, None]
+
+
+@dataclass(frozen=True)
+class DampedBatch:
+    """Damped-iteration fixed points: rho (N, 2, 2) states, and per row the
+    Kraus-map residual, the step count and the fixed-set dimension."""
+
+    rho: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    fixed_set_dimension: np.ndarray
+
+
+def damped_iteration(rho_in: np.ndarray, channels, tol: float = 1e-12,
+                     max_iter: int = 10000) -> DampedBatch:
+    """Independent oracle: damped iteration on the Kraus-form superoperators.
+
+    Row n iterates rho <- (M_n vec(rho) + vec(rho))/2 from the maximally
+    mixed state until the step (trace distance between iterates) is at
+    most tol, then stops; M_n is the superoperator of channels[n] at input
+    rho_in[n] (N, 2, 2). Any row still moving after max_iter steps raises
+    ConvergenceError. The fixed-set dimension counts the singular values of
+    M_n - I below EIGENVALUE_ONE_TOL, and each clipped state must close the
+    Kraus consistency map to RESIDUAL_TOL (else ConvergenceError; a NaN
+    fails). Never touches the transfer tensors.
+    """
+    kraus = _kraus_stack(channels)
+    m = _superoperators(kraus, rho_in)
+    sing = np.linalg.svd(m - np.eye(4), compute_uv=False)
+    cur = np.tile(np.eye(2, dtype=complex).reshape(4) / 2, (len(m), 1))
+    iterations = np.zeros(len(m), dtype=int)
+    active, step = np.arange(len(m)), np.array([math.inf])
+    steps = 0
+    while active.size:
+        if steps >= max_iter:
+            raise ConvergenceError(
+                f"damped iteration did not converge in {max_iter} steps (step = {step.max():.3e})"
+            )
+        c = cur[active]
+        nxt = 0.5 * (m[active] @ c[:, :, None])[:, :, 0] + 0.5 * c
+        step = np.abs(np.linalg.eigvalsh((nxt - c).reshape(-1, 2, 2))).sum(axis=1) / 2
+        cur[active] = nxt
+        steps += 1
+        iterations[active] = steps
+        moving = step > tol
+        active, step = active[moving], step[moving]
+    rho = _clip_to_density(cur.reshape(-1, 2, 2))
+    residual = trace_distances(rho, _kraus_loop(kraus, rho_in, rho[:, None])[:, 0])
+    if not (residual <= RESIDUAL_TOL).all():
+        raise ConvergenceError(
+            f"fixed-point residual {np.nanmax(residual):.3e} exceeds {RESIDUAL_TOL:.0e}"
+        )
+    return DampedBatch(rho, residual, iterations, (sing < EIGENVALUE_ONE_TOL).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -352,7 +453,8 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
 
     method "damped_iteration" (independent oracle): rho <- (map(rho) +
     rho)/2 on the Kraus-form superoperator, from the maximally mixed state
-    until the step is below tol. Agrees with the default whenever the
+    until the step is below tol; damped_iteration on a batch of one.
+    Agrees with the default whenever the
     fixed point is unique; on degenerate sets it lands somewhere in the
     set (residual still checked).
     """
@@ -365,32 +467,13 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
         )
     if method != "damped_iteration":
         raise ValidationError(f"unknown solver method {method!r}")
-    m_super = superoperator(rho_in, interaction)
-    sing = np.linalg.svd(m_super - np.eye(4), compute_uv=False)
-    fixed_dim = int((sing < EIGENVALUE_ONE_TOL).sum())
-    cur = np.eye(2, dtype=complex) / 2
-    step = math.inf
-    iterations = 0
-    while step > tol:
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"damped iteration did not converge in {max_iter} steps (step = {step:.3e})"
-            )
-        nxt = 0.5 * (m_super @ cur.reshape(-1)).reshape(2, 2) + 0.5 * cur
-        step = float(np.abs(np.linalg.eigvalsh(nxt - cur)).sum() / 2)
-        cur = nxt
-        iterations += 1
-    rho = _clip_to_density(cur)
-    residual = trace_distance(rho, consistency_map(rho_in, interaction, rho))
-    if not residual <= RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"fixed-point residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
-        )
+    batch = damped_iteration(rho_in.mat[None], [interaction], tol=tol, max_iter=max_iter)
+    rho = DensityMatrix(batch.rho[0])
     return FixedPointResult(
         rho_ctc=rho,
-        residual=residual,
-        iterations=iterations,
-        fixed_set_dimension=fixed_dim,
+        residual=float(batch.residual[0]),
+        iterations=int(batch.iterations[0]),
+        fixed_set_dimension=int(batch.fixed_set_dimension[0]),
         entropy=von_neumann_entropy(rho),
     )
 
@@ -469,8 +552,7 @@ def proper_mixture_output(spec: CircuitSpec, states: list[PureQubit],
     nonlinear evolution this generally differs from feeding the same
     reduced density matrix in as an improper mixture.
     """
-    if abs(sum(probs) - 1.0) > 1e-12 or any(q < 0 for q in probs):
-        raise ValidationError("proper mixture needs non-negative probs summing to 1")
+    states, probs = _ensemble(states, probs)
     out = np.zeros((2, 2), dtype=complex)
     for q, psi in zip(probs, states):
         res = run_scenario(spec, LocalPure(psi))

@@ -145,45 +145,59 @@ def bloch_measures(r1: np.ndarray, r2: np.ndarray):
     return l_z, l_opt, d, 0.5 * (1.0 + d)
 
 
-def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix,
-                         points: int = 10_000, levels: int = 4) -> float:
-    """Brute-force oracle for the optimized mismatch probability.
-
-    Scans a Fibonacci sphere of `points` axes, then zooms onto the best
-    region `levels` times. Deliberately independent of the eigensystem
-    shortcut it is used to check.
-    """
-    r1 = rho1.bloch().as_array()
-    r2 = rho2.bloch().as_array()
-
+@lru_cache(maxsize=8)
+def _search_grid(points: int, levels: int):
+    """Fibonacci sphere of `points` axes and each zoom level's (du, dv) mesh
+    offsets, built on first use and shared (read-only) by later searches."""
     idx = np.arange(points, dtype=float)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     z = 1.0 - 2.0 * (idx + 0.5) / points
     rad = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     ang = golden * idx
     axes = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), z])
+    spread = math.sqrt(4.0 * math.pi / points)
+    rng_grid = np.linspace(-1.0, 1.0, 21)
+    zoom = []
+    for _ in range(levels):
+        du, dv = np.meshgrid(rng_grid * spread, rng_grid * spread)
+        zoom.append((du.reshape(-1, 1), dv.reshape(-1, 1)))
+        spread /= 8.0
+    for a in (axes, *(d for pair in zoom for d in pair)):
+        a.setflags(write=False)
+    return axes, tuple(zoom)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, same arithmetic, without its per-call overhead."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix,
+                         points: int = 10_000, levels: int = 4) -> float:
+    """Brute-force oracle for the optimized mismatch probability.
+
+    Scans a Fibonacci sphere of `points` axes, then zooms onto the best
+    region `levels` times, scanning a 21x21 mesh each time. Deliberately
+    independent of the eigensystem shortcut it is used to check.
+    """
+    r1 = rho1.bloch().as_array()
+    r2 = rho2.bloch().as_array()
+    axes, zoom = _search_grid(points, levels)
 
     def value(ax: np.ndarray) -> np.ndarray:
         return (1.0 - (ax @ r1) * (ax @ r2)) / 2.0
 
     best_ax = axes[int(np.argmax(value(axes)))]
-    spread = math.sqrt(4.0 * math.pi / points)
-    rng_grid = np.linspace(-1.0, 1.0, 21)
     # Local frame around the current best axis.
-    for _ in range(levels):
+    for du, dv in zoom:
         ref = np.array([1.0, 0.0, 0.0]) if abs(best_ax[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        u = np.cross(best_ax, ref)
+        u = _cross(best_ax, ref)
         u /= np.linalg.norm(u)
-        v = np.cross(best_ax, u)
-        du, dv = np.meshgrid(rng_grid * spread, rng_grid * spread)
-        cand = (
-            best_ax[None, :]
-            + du.reshape(-1, 1) * u[None, :]
-            + dv.reshape(-1, 1) * v[None, :]
-        )
+        v = _cross(best_ax, u)
+        cand = best_ax[None, :] + du * u[None, :] + dv * v[None, :]
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         best_ax = cand[int(np.argmax(value(cand)))]
-        spread /= 8.0
     return float(value(best_ax[None, :])[0])
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "tensor",
     "partial_trace",
     "trace_distance",
+    "trace_distances",
     "fidelity",
     "von_neumann_entropy",
     "hermitian_eigensystem",
@@ -83,6 +84,14 @@ def _eig_range_2x2(h: np.ndarray) -> tuple[float, float]:
     t = (h[0, 0] + h[1, 1]).real
     det = (h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real
     r = math.sqrt(max(t * t - 4.0 * det, 0.0))
+    return (t - r) / 2.0, (t + r) / 2.0
+
+
+def _eig_ranges_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_eig_range_2x2 row by row for a stack (..., 2, 2), to within an ulp."""
+    t = (h[..., 0, 0] + h[..., 1, 1]).real
+    det = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]).real
+    r = np.sqrt(np.maximum(t * t - 4.0 * det, 0.0))
     return (t - r) / 2.0, (t + r) / 2.0
 
 
@@ -254,6 +263,12 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(np.abs(lam).sum() / 2.0)
 
 
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """trace_distance row by row for stacks of qubit matrices (..., 2, 2)."""
+    lo, hi = _eig_ranges_2x2(a - b)
+    return (np.abs(lo) + np.abs(hi)) / 2.0
+
+
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     lam, v = np.linalg.eigh(mat)
     return (v * np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
@@ -299,7 +314,9 @@ def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = _as_square_array(m)
     if a.shape[0] not in (2, 3, 4):
         raise ValidationError(f"eigensystem dim must be 2, 3 or 4, got {a.shape[0]}")
-    if np.abs(a - a.conj().T).max() > 1e-10:
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix has non-finite entries")
+    if not np.abs(a - a.conj().T).max() <= 1e-10:
         raise ValidationError("matrix is not Hermitian (|m - m^dag|_max > 1e-10)")
     lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     return lam, v

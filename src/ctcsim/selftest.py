@@ -19,8 +19,10 @@ from .deutsch import (
     ImproperMixed,
     LocalPure,
     NonLocalEnsemble,
+    damped_iteration,
     run_scenario,
     solve_fixed_point,
+    solve_loops,
     swap_cnot_closed_form,
 )
 from .experiments import (
@@ -37,7 +39,14 @@ from .measures import (
     helstrom_success_probability,
     optimal_mismatch_probability,
 )
-from .qmath import DensityMatrix, PureQubit, trace_distance
+from .qmath import (
+    DensityMatrix,
+    PureQubit,
+    bloch_array,
+    density_from_bloch,
+    trace_distance,
+    trace_distances,
+)
 
 __all__ = ["CheckResult", "SelfTestReport", "run_selftest", "CHECKS"]
 
@@ -256,26 +265,57 @@ def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
     )
 
 
+# C10 draws its candidates CHUNK at a time: the damped oracle and the
+# engine each solve a chunk as one batch, while the working set stays small.
+SOLVER_CHECKS = 1000
+CHUNK = 200
+_CANDIDATE_LOW = [-math.pi / 2, 0.0, 0.0, -1.0, 0.0]
+_CANDIDATE_HIGH = [math.pi / 2 - 1e-9, 1.0, 1.0, 1.0, 2 * math.pi]
+
+
+def _draw_candidates(rng: np.random.Generator, n: int):
+    """n random (spec, rho_in) candidates, drawing exactly what n successive
+    draws of (theta, eps, p, cos polar, phase) would, in the same order."""
+    specs, states = [], []
+    for theta, eps, p, cos_polar, phase in rng.uniform(_CANDIDATE_LOW, _CANDIDATE_HIGH,
+                                                       size=(n, 5)).tolist():
+        specs.append(CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
+                                 gate_noise=eps, input_noise=p))
+        states.append(depolarize(PureQubit(math.acos(cos_polar), phase).density(), p))
+    return specs, states
+
+
+def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int):
+    """Yield (channels, rho_in (M, 2, 2), engine loop states (M, 3)) for the first
+    `count` candidates whose fixed point is unique, chunk by chunk.
+
+    Each chunk's engine side is one solve_loops batch on the same
+    build_interaction channels the oracle iterates. A chunk draws at most as
+    many candidates as are still needed, so the generator ends just after
+    the last accepted draw, as if the candidates had been drawn one at a time.
+    """
+    need = count
+    while need:
+        specs, states = _draw_candidates(rng, min(chunk, need))
+        channels = [build_interaction(s) for s in specs]
+        batch = solve_loops([([n], 1.0, ch) for n, ch in enumerate(channels)],
+                            np.array([bloch_array(s) for s in states]),
+                            np.empty((len(states), 0, 3)))
+        keep = np.flatnonzero(batch.fixed_set_dimension == 1)
+        need -= len(keep)
+        if len(keep):
+            yield ([channels[n] for n in keep], np.array([states[n].mat for n in keep]),
+                   batch.loop[keep])
+
+
 def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
     """Both solver methods agree; eigen measurement optimum matches grid search."""
     rng = np.random.default_rng(42)
     worst = 0.0
-    checked = 0
-    while checked < 1000:
-        spec = CircuitSpec(
-            kind=CircuitKind.SWAP_THEN_CU,
-            theta_xz=rng.uniform(-math.pi / 2, math.pi / 2 - 1e-9),
-            gate_noise=rng.uniform(0, 1),
-            input_noise=rng.uniform(0, 1),
-        )
-        interaction = build_interaction(spec)
-        rho_in = depolarize(_random_pure(rng).density(), spec.input_noise)
-        a = solve_fixed_point(rho_in, interaction)
-        if a.fixed_set_dimension != 1:
-            continue
-        b = solve_fixed_point(rho_in, interaction, method="damped_iteration")
-        worst = max(worst, trace_distance(a.rho_ctc, b.rho_ctc))
-        checked += 1
+    for channels, rho_in, loop in _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK):
+        damped = damped_iteration(rho_in, channels)
+        engine = np.array([density_from_bloch(r).mat for r in loop])
+        worst = max(worst, float(trace_distances(engine, damped.rho).max()))
 
     worst_grid = 0.0
     for _ in range(200):
@@ -332,7 +372,7 @@ def run_selftest(tol_scale: float = 1.0, echo=print) -> SelfTestReport:
         except Exception as exc:  # noqa: BLE001 - a crash is a failed criterion
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         dt = time.perf_counter() - t
-        results.append(CheckResult(check_id, description, passed, detail, dt))
+        results.append(CheckResult(check_id, description, bool(passed), detail, dt))
         if echo:
             status = "PASS" if passed else "FAIL"
             echo(f"[{status}] {check_id}: {description} ({dt:.2f}s) -- {detail}")

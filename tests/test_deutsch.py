@@ -18,7 +18,12 @@ from ctcsim.deutsch import (
     ImproperMixed,
     LocalPure,
     NonLocalEnsemble,
+    _apply_loop,
+    _clip_to_density,
+    _kraus_stack,
+    _superoperators,
     consistency_map,
+    damped_iteration,
     evolve_output,
     iterate_circuit,
     proper_mixture_output,
@@ -112,6 +117,82 @@ class TestSuperoperator:
         m = superoperator(psi.density(), build_interaction(SWAP_CNOT))
         sing = np.linalg.svd(m - np.eye(4), compute_uv=False)
         assert (sing < 1e-9).sum() == 2
+
+
+def per_basis_superoperator(rho_in, interaction):
+    """Reference: column k is vec of the map applied to the k-th matrix unit, one at a time."""
+    cols = []
+    for k in range(4):
+        basis = np.zeros((2, 2), dtype=complex)
+        basis.flat[k] = 1.0
+        cols.append(_apply_loop(rho_in.mat, interaction, basis, Subsystem.FIRST).reshape(-1))
+    return np.column_stack(cols)
+
+
+def random_rows(rng, n):
+    """n random (rho_in, channel) rows mixing one- and two-term channels."""
+    rho_in, channels = [], []
+    for i in range(n):
+        eps = (0.0, 1.0, rng.uniform(0, 1))[i % 3]
+        spec = SWAP_CNOT if i % 7 == 0 else cu_circuit(rng.uniform(-1.5, 1.5), eps=eps)
+        rho_in.append(random_qubit_state(rng).mat)
+        channels.append(build_interaction(spec))
+    return np.array(rho_in), channels
+
+
+class TestDampedBatch:
+    """The batched Kraus-form oracle: superoperator stack and damped iteration."""
+
+    def test_superoperator_stack_matches_per_basis_construction(self):
+        rng = np.random.default_rng(137)
+        rho_in, channels = random_rows(rng, 600)
+        stack = _superoperators(_kraus_stack(channels), rho_in)
+        for i, ch in enumerate(channels):
+            ref = per_basis_superoperator(DensityMatrix(rho_in[i]), ch)
+            assert np.abs(stack[i] - ref).max() <= 1e-15
+
+    def test_rows_match_batches_of_one(self):
+        rng = np.random.default_rng(139)
+        rho_in, channels = random_rows(rng, 40)
+        batch = damped_iteration(rho_in, channels)
+        for i, ch in enumerate(channels):
+            one = solve_fixed_point(DensityMatrix(rho_in[i]), ch, method="damped_iteration")
+            assert batch.iterations[i] == one.iterations > 0
+            assert batch.fixed_set_dimension[i] == one.fixed_set_dimension
+            assert np.abs(batch.rho[i] - one.rho_ctc.mat).max() <= 1e-12
+            assert batch.residual[i] <= 1e-10
+
+    def test_permuting_rows_permutes_results(self):
+        rng = np.random.default_rng(149)
+        rho_in, channels = random_rows(rng, 30)
+        perm = rng.permutation(len(channels))
+        batch = damped_iteration(rho_in, channels)
+        permuted = damped_iteration(rho_in[perm], [channels[i] for i in perm])
+        np.testing.assert_array_equal(permuted.iterations, batch.iterations[perm])
+        np.testing.assert_array_equal(permuted.fixed_set_dimension,
+                                      batch.fixed_set_dimension[perm])
+        np.testing.assert_allclose(permuted.rho, batch.rho[perm], rtol=0, atol=1e-15)
+
+    def test_clip_rounds_only_rows_outside_the_state_set(self):
+        inside = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
+        outside = np.array([[1.0 + 1e-13, 1e-7], [1e-7, -1e-13]])  # eigenvalue -1e-13 - 1e-14
+        clipped = _clip_to_density(np.array([inside, outside, inside]))
+        np.testing.assert_array_equal(clipped[0], inside)
+        np.testing.assert_array_equal(clipped[2], inside)
+        lam, v = np.linalg.eigh(outside)
+        ref = (v * np.clip(lam, 0.0, None)) @ v.conj().T
+        np.testing.assert_allclose(clipped[1], ref / ref.trace().real, rtol=0, atol=1e-16)
+        assert np.linalg.eigvalsh(clipped[1]).min() >= -1e-17
+        assert clipped[1].trace().real == pytest.approx(1.0, abs=1e-15)
+
+    def test_one_row_exhausting_the_budget_raises(self):
+        rng = np.random.default_rng(151)
+        rho_in, channels = random_rows(rng, 12)
+        steps = damped_iteration(rho_in, channels).iterations
+        assert steps.min() < steps.max()
+        damped_iteration(rho_in, channels, max_iter=int(steps.max()))
+        with pytest.raises(ConvergenceError, match="converge"):
+            damped_iteration(rho_in, channels, max_iter=int(steps.max()) - 1)
 
 
 def consistency_affine(rho_in, interaction):
@@ -398,6 +479,18 @@ class TestRunScenario:
 
 
 class TestProperVsImproper:
+    @pytest.mark.parametrize("states, probs", [
+        ([H, PureQubit(math.pi / 2, 0.0)], [1.0]),
+        ([H], [0.5, 0.5]),
+        ([], []),
+        ([H, H], [1.5, -0.5]),
+        ([H, H], [math.nan, 0.5]),
+        ([H], [math.inf]),
+    ])
+    def test_ensemble_weights_validated(self, states, probs):
+        with pytest.raises(ValidationError, match="ensemble"):
+            proper_mixture_output(SWAP_CNOT, states, probs)
+
     def test_proper_and_improper_mixtures_differ_under_nonlinearity(self):
         """Same reduced state, different outputs: the loop sees the difference."""
         states = [H, PureQubit(math.pi / 2, 0.0)]

@@ -21,6 +21,7 @@ from ctcsim.qmath import (
     partial_trace,
     tensor,
     trace_distance,
+    trace_distances,
     von_neumann_entropy,
 )
 
@@ -142,6 +143,15 @@ class TestTraceDistance:
             ov = abs(np.vdot(s0.vector(), s1.vector())) ** 2
             assert d * d + ov == pytest.approx(1.0, abs=1e-10)
 
+    def test_stacked_form_equals_scalar_form_row_by_row(self):
+        rng = np.random.default_rng(31)
+        pairs = [(random_qubit_state(rng), random_qubit_state(rng)) for _ in range(200)]
+        stacked = trace_distances(np.array([a.mat for a, _ in pairs]),
+                                  np.array([b.mat for _, b in pairs]))
+        scalar = np.array([trace_distance(a, b) for a, b in pairs])
+        # Vectorised complex products may round differently (fused multiply-add).
+        assert np.abs(stacked - scalar).max() <= 1e-15
+
     def test_dimension_mismatch(self):
         bell = DensityMatrix.from_state_vector(np.array([1, 0, 0, 1]) / math.sqrt(2))
         with pytest.raises(ValidationError):
@@ -219,6 +229,15 @@ class TestHermitianEigensystem:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError, match="Hermitian"):
             hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            hermitian_eigensystem(np.array([[bad, 0], [0, 1]], dtype=complex))
+        form = np.zeros((3, 3))
+        form[0, 2] = form[2, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            hermitian_eigensystem(form)
 
 
 class TestBlochConversions:
