@@ -32,13 +32,10 @@ from .circuits import (
     CircuitSpec,
     QubitChannel,
     TwoQubitGate,
-    apply_channel,
     build_interaction,
     depolarize,
-    gate_failure_channel,
     make_cnot,
     make_cu_xz,
-    make_cz,
     make_swap,
 )
 from .deutsch import (
@@ -64,9 +61,7 @@ from .experiments import (
     decoherence_surface,
     discrimination_sweep,
     find_threshold,
-    identification_sweep,
     nonlinearity_sweep,
-    optimal_measurement_sweep,
 )
 from .measures import (
     SIGMA_Z_AXIS,
@@ -88,7 +83,6 @@ from .qmath import (
     fidelity,
     hermitian_eigensystem,
     partial_trace,
-    tensor,
     trace_distance,
     von_neumann_entropy,
 )
@@ -100,11 +94,10 @@ __all__ = [
     # qmath
     "BlochVector", "DensityMatrix", "PureQubit", "Subsystem", "ValidationError",
     "bloch_from_density", "density_from_bloch", "fidelity", "hermitian_eigensystem",
-    "partial_trace", "tensor", "trace_distance", "von_neumann_entropy",
+    "partial_trace", "trace_distance", "von_neumann_entropy",
     # circuits
-    "CircuitKind", "CircuitSpec", "QubitChannel", "TwoQubitGate", "apply_channel",
-    "build_interaction", "depolarize", "gate_failure_channel", "make_cnot",
-    "make_cu_xz", "make_cz", "make_swap",
+    "CircuitKind", "CircuitSpec", "QubitChannel", "TwoQubitGate", "build_interaction",
+    "depolarize", "make_cnot", "make_cu_xz", "make_swap",
     # deutsch
     "ConvergenceError", "FixedPointResult", "ImproperMixed", "LocalPure",
     "NonLocalEnsemble", "ScenarioOutput", "consistency_map", "evolve_output",
@@ -116,6 +109,5 @@ __all__ = [
     "optimal_mismatch_probability", "qm_baseline",
     # experiments
     "SweepRecord", "ThresholdResult", "decoherence_surface", "discrimination_sweep",
-    "find_threshold", "identification_sweep", "nonlinearity_sweep",
-    "optimal_measurement_sweep",
+    "find_threshold", "nonlinearity_sweep",
 ]

@@ -3,7 +3,9 @@
 The interaction that drives the time-travel circuit is always "some gate,
 then hand the rails over": either CNOT followed by SWAP (the nonlinear
 amplifier circuit) or SWAP followed by a controlled pi-rotation CU_xz
-(the state-discrimination circuit). Channels are stored as weighted Kraus
+(the state-discrimination circuit). build_interaction is the one place a
+gate-failure channel is built: when the controlled gate fails (probability
+epsilon) only the SWAP remains. Channels are stored as weighted Kraus
 lists so that noise semantics stay explicit and trace preservation can be
 checked locally; each also carries its real Pauli-transfer tensors, the
 form the fixed-point engine works in.
@@ -37,11 +39,8 @@ __all__ = [
     "CircuitSpec",
     "make_swap",
     "make_cnot",
-    "make_cz",
     "make_cu_xz",
     "depolarize",
-    "gate_failure_channel",
-    "apply_channel",
     "build_interaction",
 ]
 
@@ -120,12 +119,6 @@ class QubitChannel:
         tensors.setflags(write=False)
         object.__setattr__(self, "transfer", tensors)
 
-    def apply_raw(self, mat4: np.ndarray) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for w, op in self.kraus:
-            out += w * (op @ mat4 @ op.conj().T)
-        return out
-
 
 class CircuitKind(Enum):
     SWAP_CNOT = "swap-cnot"
@@ -136,8 +129,8 @@ class CircuitKind(Enum):
 class CircuitSpec:
     """One simulated interaction: gate choice plus both decoherence knobs.
 
-    `gate_noise` is the probability epsilon that the controlled gate fails
-    (acts as identity); `input_noise` is the depolarization strength p
+    `gate_noise` is the probability epsilon that the controlled gate fails,
+    leaving only the SWAP; `input_noise` is the depolarization strength p
     applied to the input qubit before it reaches the loop.
     """
 
@@ -152,7 +145,8 @@ class CircuitSpec:
                 raise ValidationError(
                     f"theta_xz = {self.theta_xz} outside the sweep range [-pi/2, pi/2)"
                 )
-        for name, v in (("gate_noise", self.gate_noise), ("input_noise", self.input_noise)):
+        for name, v in (("gate_noise (epsilon)", self.gate_noise),
+                        ("input_noise (p)", self.input_noise)):
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} = {v} outside [0, 1]")
 
@@ -172,19 +166,12 @@ def make_cnot() -> TwoQubitGate:
     return TwoQubitGate(m)
 
 
-def make_cz() -> TwoQubitGate:
-    """Controlled-Z: |VV> -> -|VV>, all other basis states unchanged."""
-    m = np.eye(4, dtype=complex)
-    m[3, 3] = -1
-    return TwoQubitGate(m)
-
-
 def make_cu_xz(theta_xz: float) -> TwoQubitGate:
     """Controlled pi-rotation of the target about the Bloch xz-plane axis at theta_xz.
 
     Control is qubit 1: identity on the control-|H> block, and the
     reflection [[cos t, sin t], [sin t, -cos t]] on the control-|V> block.
-    theta_xz = 0 gives a CZ-like gate, pi/2 gives CNOT, pi/4 a controlled
+    theta_xz = 0 gives CZ, pi/2 gives CNOT, pi/4 a controlled
     Hadamard. The angle is taken mod 2pi.
     """
     t = float(theta_xz) % (2 * math.pi)
@@ -210,25 +197,6 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
         SIGMA_X @ m @ SIGMA_X + SIGMA_Y @ m @ SIGMA_Y + SIGMA_Z @ m @ SIGMA_Z
     )
     return DensityMatrix(out)
-
-
-def gate_failure_channel(gate: TwoQubitGate, epsilon: float) -> QubitChannel:
-    """Channel rho -> (1-eps) G rho G^dag + eps rho: the gate fails with probability eps."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"gate failure probability epsilon = {epsilon} outside [0, 1]")
-    terms = []
-    if epsilon < 1.0:
-        terms.append((1.0 - epsilon, gate.mat))
-    if epsilon > 0.0:
-        terms.append((epsilon, ID4))
-    return QubitChannel(tuple(terms))
-
-
-def apply_channel(ch: QubitChannel, rho: DensityMatrix) -> DensityMatrix:
-    """sum_k w_k op_k rho op_k^dag on a two-qubit state; trace is preserved."""
-    if rho.dim != 4:
-        raise ValidationError("apply_channel expects a two-qubit (dim 4) state")
-    return DensityMatrix(ch.apply_raw(rho.mat))
 
 
 def build_interaction(spec: CircuitSpec) -> QubitChannel:

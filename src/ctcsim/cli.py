@@ -41,9 +41,7 @@ from .experiments import (
     decoherence_surface,
     discrimination_sweep,
     find_threshold,
-    identification_sweep,
     nonlinearity_sweep,
-    optimal_measurement_sweep,
     validate_records,
 )
 from .measures import (
@@ -61,6 +59,17 @@ RECORD_FIELDS = [f.name for f in dataclasses.fields(SweepRecord)]
 THRESHOLD_FIELDS = ["parameter", "crossing", "bracket_lo", "bracket_hi", "achieved_tolerance"]
 
 REPRODUCE_TARGETS = ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2", "thresholds")
+
+_VARIANTS = ("optimal-gate", "fixed-state", "fixed-gate")
+_MODES = ("local", "nonlocal")
+# The discrimination-sweep targets as (experiment_id, variant, mode) triples,
+# in emission order; every record of a triple carries its experiment_id.
+_SWEEP_TABLES = {
+    "fig5a": [("fig5a", "optimal-gate", "local")],
+    "fig5b": [(f"fig5b-{v}", v, "nonlocal") for v in _VARIANTS],
+    "fig5c": [(f"fig5c-{v}-{m}", v, m) for v in _VARIANTS[1:] for m in _MODES],
+    **{t: [(f"{t}-{v}-{m}", v, m) for v in _VARIANTS for m in _MODES] for t in ("s1", "s2")},
+}
 
 
 def _fmt(v) -> str:
@@ -192,27 +201,26 @@ def cmd_fixed_point(args) -> int:
     for i, out in enumerate(res.rho_out_per_input):
         _print_state(f"rho_out[{i}]", out)
     if args.out:
-        payload = {
+        _write_json({
             "rho_ctc": [[_fmt(v.real), _fmt(v.imag)] for v in fp.rho_ctc.mat.reshape(-1)],
             "residual": fp.residual,
             "fixed_set_dimension": fp.fixed_set_dimension,
             "entropy": fp.entropy,
             "consistency_fidelity": res.consistency_fidelity,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        }, args.out)
     return 0
 
 
 def cmd_discriminate(args) -> int:
-    phi = _angle(args.phi, args.deg)
+    psi0, psi1 = PureQubit(0.0, 0.0), PureQubit(_angle(args.phi, args.deg),
+                                                 _angle(args.phase, args.deg))
+    # The optimal gate angle (phi - pi)/2 lies in the sweep range for phi in [0, 2pi).
+    phi = psi1.polar
     theta = _angle(args.theta, args.deg) if args.theta is not None else (phi - math.pi) / 2
     spec = CircuitSpec(
         kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
         gate_noise=args.epsilon, input_noise=args.p,
     )
-    psi0, psi1 = PureQubit(0.0, 0.0), PureQubit(phi, _angle(args.phase, args.deg))
     if args.prep == "nonlocal":
         res = run_scenario(spec, NonLocalEnsemble((psi0, psi1), (0.5, 0.5)))
         o0, o1 = res.rho_out_per_input
@@ -271,27 +279,14 @@ def cmd_sweep(args) -> int:
 
 
 def _reproduce_records(target: str, grid: int | None) -> list[SweepRecord]:
-    def retagged(experiment_id: str, mode: str, variant: str) -> list[SweepRecord]:
-        recs = discrimination_sweep(mode, variant, grid)
-        return [dataclasses.replace(r, experiment_id=experiment_id) for r in recs]
-
-    variants = ("optimal-gate", "fixed-state", "fixed-gate")
-    both = [(v, m) for v in variants for m in ("local", "nonlocal")]
+    if target in _SWEEP_TABLES:
+        return [r for eid, variant, mode in _SWEEP_TABLES[target]
+                for r in discrimination_sweep(mode, variant, grid, eid)]
     if target == "fig3":
         return nonlinearity_sweep()
-    if target == "fig5a":
-        return retagged("fig5a", "local", "optimal-gate")
-    if target == "fig5b":
-        return [r for v in variants for r in retagged(f"fig5b-{v}", "nonlocal", v)]
-    if target == "fig5c":
-        cuts = [(v, m) for v, m in both if v != "optimal-gate"]
-        return [r for v, m in cuts for r in retagged(f"fig5c-{v}-{m}", m, v)]
     if target == "fig6":
         axis = None if grid is None else np.linspace(0.0, 1.0, grid).tolist()
         return decoherence_surface(axis, axis)
-    if target in ("s1", "s2"):
-        sweep = optimal_measurement_sweep if target == "s1" else identification_sweep
-        return [r for v, m in both for r in sweep(m, v, grid)]
     raise ValidationError(f"unknown reproduce target {target!r}")
 
 
@@ -340,6 +335,8 @@ def _plot_reproduction(target: str, records: list[SweepRecord], path: str) -> No
 
 
 def cmd_reproduce(args) -> int:
+    if args.grid is not None and args.grid < 2:
+        raise ValidationError("grid size must be >= 2")
     if args.target == "thresholds":
         results = [find_threshold("p"), find_threshold("epsilon")]
         path = args.out or f"thresholds.{args.format}"
@@ -359,6 +356,8 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if not 1e-14 <= args.tol < math.inf:
+        raise ValidationError("tolerance override must be finite and >= 1e-14")
     scale = args.tol / 1e-12
     if args.json:
         report = run_selftest(tol_scale=scale, echo=None)
@@ -405,14 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     ds = sub.add_parser("discriminate", help="run one discrimination point")
     ds.add_argument("--theta", type=float, default=None,
                     help="gate angle (default: optimal for phi)")
-    ds.add_argument("--prep", choices=["local", "nonlocal"], default="local")
+    ds.add_argument("--prep", choices=_MODES, default="local")
     _add_common_angles(ds)
     ds.set_defaults(fn=cmd_discriminate)
 
     sw = sub.add_parser("sweep", help="run a single discrimination sweep")
-    sw.add_argument("--variant", choices=["optimal-gate", "fixed-state", "fixed-gate"],
-                    required=True)
-    sw.add_argument("--prep", choices=["local", "nonlocal"], default="local")
+    sw.add_argument("--variant", choices=_VARIANTS, required=True)
+    sw.add_argument("--prep", choices=_MODES, default="local")
     sw.add_argument("--grid", type=int, default=None, help="grid size (>= 2)")
     sw.add_argument("--out", help="output path")
     sw.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -436,23 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _validate_args(args) -> None:
-    grid = getattr(args, "grid", None)
-    if grid is not None and grid < 2:
-        raise ValidationError("grid size must be >= 2")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not 1e-14 <= tol < math.inf:
-        raise ValidationError("tolerance override must be finite and >= 1e-14")
-    for name in ("p", "epsilon"):
-        v = getattr(args, name, None)
-        if v is not None and not 0.0 <= v <= 1.0:
-            raise ValidationError(f"{name} = {v} outside [0, 1]")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _validate_args(args)
         return args.fn(args)
     except ValidationError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -20,11 +20,12 @@ built only at the API boundary (solve_fixed_point, run_scenario).
 
 The Kraus-form consistency_map, evolve_output, superoperator and the
 damped iteration stay as independent oracles: they never read the
-transfer tensors. The damped iteration is batched too (damped_iteration):
-it stacks the rows' Kraus terms, builds one 4x4 superoperator per row
-and iterates all rows together, each stopping on its own;
-superoperator and solve_fixed_point(method="damped_iteration") are
-batches of one of it.
+transfer tensors. All four apply the interaction through one batched
+Kraus path (_kraus_loop, on the rows' stacked Kraus terms);
+consistency_map and evolve_output are batches of one of it. The damped
+iteration (damped_iteration) builds one 4x4 superoperator per row and
+iterates all rows together, each stopping on its own; superoperator and
+solve_fixed_point(method="damped_iteration") are batches of one of it.
 """
 
 from __future__ import annotations
@@ -175,32 +176,6 @@ class ScenarioOutput:
     consistency_fidelity: float
 
 
-def _apply_loop(rho_in4: np.ndarray, interaction: QubitChannel, rho: np.ndarray,
-                keep: Subsystem) -> np.ndarray:
-    """Raw map X -> Tr_traced[E(rho_in (x) X)] without validation (linear in X)."""
-    # Inlined 2x2 Kronecker product; np.kron overhead dominates at this size.
-    joint = (rho_in4[:, None, :, None] * rho[None, :, None, :]).reshape(4, 4)
-    return _partial_trace_raw(interaction.apply_raw(joint), keep)
-
-
-def consistency_map(rho_in: DensityMatrix, interaction: QubitChannel,
-                    rho: DensityMatrix) -> DensityMatrix:
-    """One application of the consistency condition: Tr_1[E(rho_in (x) rho)]."""
-    if rho_in.dim != 2 or rho.dim != 2:
-        raise ValidationError("consistency_map acts on single-qubit states")
-    return DensityMatrix(_apply_loop(rho_in.mat, interaction, rho.mat, Subsystem.FIRST))
-
-
-def evolve_output(input_state: DensityMatrix, rho_ctc: DensityMatrix,
-                  interaction: QubitChannel) -> DensityMatrix:
-    """State leaving the loop region: Tr_2[E(input (x) rho_ctc)]."""
-    if input_state.dim != 2 or rho_ctc.dim != 2:
-        raise ValidationError("evolve_output acts on single-qubit states")
-    return DensityMatrix(
-        _apply_loop(input_state.mat, interaction, rho_ctc.mat, Subsystem.SECOND)
-    )
-
-
 def _kraus_stack(channels) -> tuple[np.ndarray, np.ndarray]:
     """Weights (N, K) and operators (N, K, 4, 4) of N channels' Kraus terms.
 
@@ -217,16 +192,40 @@ def _kraus_stack(channels) -> tuple[np.ndarray, np.ndarray]:
     return weights, ops
 
 
-def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Tr_1[E_n(rho_in[n] (x) x[n, b])] for a Kraus stack: rho_in (N, 2, 2),
-    x (N, B, 2, 2) -> (N, B, 2, 2). The batched form of _apply_loop."""
+def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray,
+                traced: Subsystem = Subsystem.FIRST) -> np.ndarray:
+    """Tr_traced[E_n(rho_in[n] (x) x[n, b])] for a Kraus stack: rho_in (N, 2, 2),
+    x (N, B, 2, 2) -> (N, B, 2, 2). Linear in x; tracing out FIRST gives the
+    consistency map, SECOND the output rail."""
     weights, ops = kraus
     n, b = x.shape[:2]
+    # Inlined 2x2 Kronecker products; np.kron overhead dominates at this size.
     joint = (rho_in[:, None, :, None, :, None] * x[:, :, None, :, None, :]).reshape(n, 1, b, 4, 4)
     op = ops[:, :, None]
     out = (weights[:, :, None, None, None] * (op @ joint @ op.conj().swapaxes(-1, -2))).sum(axis=1)
-    t = out.reshape(n, b, 2, 2, 2, 2)
-    return t[:, :, 0, :, 0, :] + t[:, :, 1, :, 1, :]
+    return _partial_trace_raw(out, traced)
+
+
+def _kraus_apply(rho_in: DensityMatrix, interaction: QubitChannel, x: DensityMatrix,
+                 traced: Subsystem) -> DensityMatrix:
+    """_kraus_loop on a batch of one, validated as a state."""
+    if rho_in.dim != 2 or x.dim != 2:
+        raise ValidationError("the loop interaction acts on single-qubit states")
+    return DensityMatrix(
+        _kraus_loop(_kraus_stack([interaction]), rho_in.mat[None], x.mat[None, None], traced)[0, 0]
+    )
+
+
+def consistency_map(rho_in: DensityMatrix, interaction: QubitChannel,
+                    rho: DensityMatrix) -> DensityMatrix:
+    """One application of the consistency condition: Tr_1[E(rho_in (x) rho)]."""
+    return _kraus_apply(rho_in, interaction, rho, Subsystem.FIRST)
+
+
+def evolve_output(input_state: DensityMatrix, rho_ctc: DensityMatrix,
+                  interaction: QubitChannel) -> DensityMatrix:
+    """State leaving the loop region: Tr_2[E(input (x) rho_ctc)]."""
+    return _kraus_apply(input_state, interaction, rho_ctc, Subsystem.SECOND)
 
 
 _VEC_BASIS = np.eye(4, dtype=complex).reshape(4, 2, 2)

@@ -14,7 +14,7 @@ the measures; records are emitted in grid order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "discrimination_sweep",
     "decoherence_surface",
     "find_threshold",
-    "optimal_measurement_sweep",
-    "identification_sweep",
     "validate_records",
 ]
 
@@ -316,34 +314,6 @@ def find_threshold(parameter: str, scan_points: int = 41,
         crossing=crossing,
         bracket=bracket,
         achieved_tolerance=hi - lo,
-    )
-
-
-def _retagged(records: list[SweepRecord], experiment_id: str) -> list[SweepRecord]:
-    return [replace(r, experiment_id=experiment_id) for r in records]
-
-
-def optimal_measurement_sweep(mode: str, variant: str,
-                              grid_size: int | None = None) -> list[SweepRecord]:
-    """Discrimination sweeps where the loop side also measures optimally.
-
-    Identical grids to discrimination_sweep; the quantity of interest is
-    the L_ctc_optimal column (every record carries both measurements).
-    """
-    return _retagged(
-        discrimination_sweep(mode, variant, grid_size), f"s1-{variant}-{mode}"
-    )
-
-
-def identification_sweep(mode: str, variant: str,
-                         grid_size: int | None = None) -> list[SweepRecord]:
-    """Discrimination sweeps scored as a state-identification game.
-
-    The quantity of interest is p_succ_ctc vs p_succ_qm (the Helstrom
-    probability on the loop outputs vs on the raw inputs).
-    """
-    return _retagged(
-        discrimination_sweep(mode, variant, grid_size), f"s2-{variant}-{mode}"
     )
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "BlochVector",
     "PureQubit",
     "DensityMatrix",
-    "tensor",
     "partial_trace",
     "trace_distance",
     "trace_distances",
@@ -218,20 +217,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices, capped at dimension 4.
-
-    Block (i, j) of the result equals a[i, j] * b. Products beyond dim 4
-    are rejected: nothing in this artifact is larger than two qubits.
-    """
-    am, bm = _as_square_array(a), _as_square_array(b)
-    if am.shape[0] * bm.shape[0] > 4:
-        raise ValidationError(
-            f"tensor product dim {am.shape[0] * bm.shape[0]} exceeds 4 (out of scope)"
-        )
-    return np.kron(am, bm)
-
-
 def partial_trace(rho: DensityMatrix, subsystem: Subsystem) -> DensityMatrix:
     """Reduced state of the kept qubit after tracing out `subsystem`."""
     if not isinstance(rho, DensityMatrix):
@@ -242,12 +227,13 @@ def partial_trace(rho: DensityMatrix, subsystem: Subsystem) -> DensityMatrix:
 
 
 def _partial_trace_raw(mat4: np.ndarray, subsystem: Subsystem) -> np.ndarray:
-    # Index layout after reshape: [i, j, k, l] = <ij|rho|kl>.
-    t = mat4.reshape(2, 2, 2, 2)
+    """Trace `subsystem` out of a 4x4 matrix or a stack (..., 4, 4), unvalidated."""
+    # Index layout after reshape: [..., i, j, k, l] = <ij|rho|kl>.
+    t = mat4.reshape(mat4.shape[:-2] + (2, 2, 2, 2))
     if subsystem is Subsystem.FIRST:
-        return np.trace(t, axis1=0, axis2=2)
+        return np.trace(t, axis1=-4, axis2=-2)
     if subsystem is Subsystem.SECOND:
-        return np.trace(t, axis1=1, axis2=3)
+        return np.trace(t, axis1=-3, axis2=-1)
     raise ValidationError(f"unknown subsystem {subsystem!r}")
 
 

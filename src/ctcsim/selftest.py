@@ -32,7 +32,6 @@ from .experiments import (
     discrimination_sweep,
     find_threshold,
     nonlinearity_sweep,
-    optimal_measurement_sweep,
 )
 from .measures import (
     grid_search_mismatch,
@@ -251,7 +250,7 @@ def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
 
     plateau = 0.0
     for variant, n in (("optimal-gate", 32), ("fixed-state", 64), ("fixed-gate", 32)):
-        for r in optimal_measurement_sweep("nonlocal", variant, n):
+        for r in discrimination_sweep("nonlocal", variant, n):
             ctx.fidelities.append(r.consistency_fidelity)
             plateau = max(plateau, abs(r.L_ctc_optimal - 0.5))
     ok = (

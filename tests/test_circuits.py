@@ -9,21 +9,18 @@ from ctcsim.circuits import (
     CircuitKind,
     CircuitSpec,
     QubitChannel,
-    apply_channel,
     build_interaction,
     depolarize,
-    gate_failure_channel,
     make_cnot,
     make_cu_xz,
-    make_cz,
     make_swap,
 )
+from ctcsim.deutsch import consistency_map, evolve_output
 from ctcsim.qmath import (
     DensityMatrix,
     PureQubit,
     ValidationError,
     bloch_from_density,
-    tensor,
 )
 
 HH = np.array([1, 0, 0, 0], dtype=complex)
@@ -42,9 +39,12 @@ class TestGateConstructors:
         np.testing.assert_allclose(make_cnot().mat @ HV, HV, atol=0)
 
     def test_cz_sign_flip_on_vv(self):
-        np.testing.assert_allclose(make_cz().mat @ VV, -VV, atol=0)
+        """CU_xz at angle 0 is exactly CZ."""
+        cz = make_cu_xz(0.0).mat
+        np.testing.assert_array_equal(cz, np.diag([1, 1, 1, -1]).astype(complex))
+        np.testing.assert_allclose(cz @ VV, -VV, atol=0)
         for basis in (HH, HV, VH):
-            np.testing.assert_allclose(make_cz().mat @ basis, basis, atol=0)
+            np.testing.assert_allclose(cz @ basis, basis, atol=0)
 
     def test_cu_at_zero_is_cz_like(self):
         np.testing.assert_allclose(
@@ -109,63 +109,94 @@ class TestDepolarize:
             depolarize(PureQubit(0.0, 0.0).density(), 1.2)
 
 
+def cu_interaction(theta, eps):
+    return build_interaction(CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
+                                         gate_noise=eps))
+
+
+def joint_image(ch, rho4):
+    """sum_k w_k op_k rho op_k^dag, written out in the test."""
+    return sum(w * op @ rho4 @ op.conj().T for w, op in ch.kraus)
+
+
 class TestGateFailureChannel:
+    """build_interaction's gate-failure channel: when CU_xz fails, the SWAP remains."""
+
     def test_completeness_across_strength_grid(self):
-        gate = make_cu_xz(math.pi / 4)
         for eps in np.linspace(0.0, 1.0, 101):
-            ch = gate_failure_channel(gate, float(eps))
+            ch = cu_interaction(math.pi / 4, float(eps))
             acc = sum(w * op.conj().T @ op for w, op in ch.kraus)
             assert np.abs(acc - np.eye(4)).max() <= 1e-10
 
     def test_zero_failure_is_pure_unitary(self):
-        ch = gate_failure_channel(make_cu_xz(0.3), 0.0)
+        ch = cu_interaction(0.3, 0.0)
         assert len(ch.kraus) == 1 and ch.kraus[0][0] == 1.0
+        np.testing.assert_allclose(ch.kraus[0][1], make_cu_xz(0.3).mat @ make_swap().mat,
+                                   atol=0)
 
-    def test_certain_failure_is_identity_channel(self):
-        ch = gate_failure_channel(make_cu_xz(0.3), 1.0)
-        assert len(ch.kraus) == 1
-        np.testing.assert_allclose(ch.kraus[0][1], np.eye(4), atol=0)
+    def test_certain_failure_is_pure_swap(self):
+        ch = cu_interaction(0.3, 1.0)
+        assert len(ch.kraus) == 1 and ch.kraus[0][0] == 1.0
+        np.testing.assert_allclose(ch.kraus[0][1], make_swap().mat, atol=0)
 
     def test_half_failure_two_term_expansion(self):
-        """eps=1/2 on |V>|H>: even mixture of the original and the rotated target."""
-        gate = make_cu_xz(math.pi / 4)
-        vh = DensityMatrix(tensor(PureQubit(math.pi).density().mat,
-                                  PureQubit(0.0).density().mat))
-        out = apply_channel(gate_failure_channel(gate, 0.5), vh)
-        plus_vec = gate.mat[2:, 2:] @ np.array([1.0, 0.0])  # Hadamard |H>
+        """eps=1/2 on |H>|V>: the SWAP gives |V>|H>, then CU_xz rotates the target
+        half of the time, so the result is an even mixture of |V>|H> and |V>|+>."""
+        h = PureQubit(0.0).density().mat
+        v = PureQubit(math.pi).density().mat
+        plus_vec = make_cu_xz(math.pi / 4).mat[2:, 2:] @ np.array([1.0, 0.0])  # Hadamard |H>
         plus = np.outer(plus_vec, plus_vec.conj())
-        expected = 0.5 * vh.mat + 0.5 * tensor(
-            PureQubit(math.pi).density().mat, plus
-        )
-        np.testing.assert_allclose(out.mat, expected, atol=1e-14)
+        out = joint_image(cu_interaction(math.pi / 4, 0.5), np.kron(h, v))
+        expected = 0.5 * np.kron(v, h) + 0.5 * np.kron(v, plus)
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_third_failure_direct_sum(self):
-        gate = make_cu_xz(math.pi / 4)
-        vh = DensityMatrix(np.outer(np.array([0, 0, 1, 0.0]), np.array([0, 0, 1, 0.0])))
-        out = apply_channel(gate_failure_channel(gate, 1 / 3), vh)
-        expected = (2 / 3) * gate.mat @ vh.mat @ gate.mat.conj().T + (1 / 3) * vh.mat
-        np.testing.assert_allclose(out.mat, expected, atol=1e-14)
+        """eps=1/3: two thirds of the full interaction, one third of the bare SWAP."""
+        rng = np.random.default_rng(67)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        rho /= rho.trace().real
+        u = make_cu_xz(math.pi / 4).mat @ make_swap().mat
+        s = make_swap().mat
+        out = joint_image(cu_interaction(math.pi / 4, 1 / 3), rho)
+        expected = (2 / 3) * u @ rho @ u.conj().T + (1 / 3) * s @ rho @ s.conj().T
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
 class TestApplyChannel:
+    """Applying a channel through the Kraus path: consistency_map keeps the loop
+    rail (Tr_1), evolve_output the output rail (Tr_2)."""
+
     def test_identity_channel(self):
+        rng = np.random.default_rng(59)
         ch = QubitChannel(((1.0, np.eye(4, dtype=complex)),))
-        bell = DensityMatrix.from_state_vector(np.array([1, 0, 0, 1]) / math.sqrt(2))
-        np.testing.assert_allclose(apply_channel(ch, bell).mat, bell.mat, atol=0)
+        for _ in range(20):
+            a, b = PureQubit(*rng.uniform(0, 2 * math.pi, 2)), PureQubit(rng.uniform(0, 3))
+            a, b = depolarize(a.density(), rng.uniform()), b.density()
+            np.testing.assert_allclose(consistency_map(a, ch, b).mat, b.mat, atol=1e-15)
+            np.testing.assert_allclose(evolve_output(a, b, ch).mat, a.mat, atol=1e-15)
 
     def test_pure_unitary_channel(self):
-        u = make_swap().mat
-        ch = QubitChannel(((1.0, u),))
-        rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
-        np.testing.assert_allclose(apply_channel(ch, rho).mat, u @ rho.mat @ u.conj().T)
+        """A CNOT on |a>|b>, reduced on each rail, against the written-out joint state."""
+        ch = QubitChannel(((1.0, make_cnot().mat),))
+        b = PureQubit(1.1, 0.2).density()
+        for polar in np.linspace(0.0, math.pi, 7):
+            a = PureQubit(polar, 0.4).density()
+            joint = make_cnot().mat @ np.kron(a.mat, b.mat) @ make_cnot().mat.conj().T
+            t = joint.reshape(2, 2, 2, 2)
+            np.testing.assert_allclose(consistency_map(a, ch, b).mat,
+                                       np.einsum("ijil->jl", t), atol=1e-15)
+            np.testing.assert_allclose(evolve_output(a, b, ch).mat,
+                                       np.einsum("ijkj->ik", t), atol=1e-15)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(67)
-        ch = gate_failure_channel(make_cu_xz(0.9), 0.37)
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = g @ g.conj().T
-        rho = DensityMatrix(m / m.trace().real)
-        assert abs(apply_channel(ch, rho).mat.trace() - 1) <= 1e-12
+        ch = cu_interaction(0.9, 0.37)
+        for _ in range(50):
+            a = depolarize(PureQubit(*rng.uniform(0, 2 * math.pi, 2)).density(), rng.uniform())
+            b = depolarize(PureQubit(*rng.uniform(0, 2 * math.pi, 2)).density(), rng.uniform())
+            assert abs(consistency_map(a, ch, b).mat.trace() - 1) <= 1e-12
+            assert abs(evolve_output(a, b, ch).mat.trace() - 1) <= 1e-12
 
     def test_incomplete_channel_rejected(self):
         with pytest.raises(ValidationError, match="completeness"):

@@ -79,6 +79,17 @@ class TestDiscriminateCommand:
         assert "L(sigma_z)  = 1.000000000000" in out
         assert "QM baseline: L = 0.750000000000" in out
 
+    def test_default_gate_uses_the_wrapped_angle(self, capsys):
+        """phi = -90 deg is the state of phi = 270 deg; the default optimal gate
+        is taken from the wrapped angle, so both print the same measures."""
+        assert main(["discriminate", "--phi", "-90", "--deg"]) == 0
+        wrapped = capsys.readouterr().out
+        assert main(["discriminate", "--phi", "270", "--deg"]) == 0
+        assert capsys.readouterr().out == wrapped
+        assert "L(sigma_z)  = 1.000000000000" in wrapped
+        assert main(["discriminate", "--phi", "7"]) == 0
+        assert main(["discriminate", "--phi", str(7 - 2 * math.pi)]) == 0
+
     def test_nonlocal_coin_flip(self, capsys):
         rc = main(["discriminate", "--phi", str(3 * math.pi / 2), "--prep", "nonlocal"])
         out = capsys.readouterr().out

@@ -18,7 +18,6 @@ from ctcsim.deutsch import (
     ImproperMixed,
     LocalPure,
     NonLocalEnsemble,
-    _apply_loop,
     _clip_to_density,
     _kraus_stack,
     _superoperators,
@@ -120,12 +119,15 @@ class TestSuperoperator:
 
 
 def per_basis_superoperator(rho_in, interaction):
-    """Reference: column k is vec of the map applied to the k-th matrix unit, one at a time."""
+    """Reference sharing no code with the package's Kraus path: column k is vec
+    of Tr_1 of the Kraus sum on rho_in (x) (k-th matrix unit), via np.kron and einsum."""
     cols = []
     for k in range(4):
         basis = np.zeros((2, 2), dtype=complex)
         basis.flat[k] = 1.0
-        cols.append(_apply_loop(rho_in.mat, interaction, basis, Subsystem.FIRST).reshape(-1))
+        joint = np.kron(rho_in.mat, basis)
+        image = sum(w * op @ joint @ op.conj().T for w, op in interaction.kraus)
+        cols.append(np.einsum("ijil->jl", image.reshape(2, 2, 2, 2)).reshape(-1))
     return np.column_stack(cols)
 
 

@@ -14,9 +14,7 @@ from ctcsim.experiments import (
     decoherence_surface,
     discrimination_sweep,
     find_threshold,
-    identification_sweep,
     nonlinearity_sweep,
-    optimal_measurement_sweep,
     validate_records,
 )
 from ctcsim.qmath import PureQubit
@@ -169,28 +167,57 @@ class TestThresholds:
             find_threshold("q")
 
 
+def supplement_sweep(target, variant, mode, grid):
+    """The records of one (variant, mode) block of the s1/s2 reproduce table."""
+    from ctcsim.cli import _reproduce_records
+
+    records = _reproduce_records(target, grid)
+    assert len({r.experiment_id for r in records}) == 6
+    return [r for r in records if r.experiment_id == f"{target}-{variant}-{mode}"]
+
+
 class TestSupplementSweeps:
+    """The s1 (optimized loop measurement) and s2 (identification) tables."""
+
     def test_nonlocal_optimal_measure_plateau(self):
         for variant in ("optimal-gate", "fixed-state", "fixed-gate"):
-            for r in optimal_measurement_sweep("nonlocal", variant, 12):
+            recs = supplement_sweep("s1", variant, "nonlocal", 12)
+            assert len(recs) == 12
+            for r in recs:
                 assert abs(r.L_ctc_optimal - 0.5) <= 1e-9
                 assert r.experiment_id == f"s1-{variant}-nonlocal"
+                assert r.prep_mode == "nonlocal_ensemble"
 
     def test_identification_values_at_working_point(self):
-        recs = identification_sweep("local", "optimal-gate", 8)
+        recs = supplement_sweep("s2", "optimal-gate", "local", 8)
         peak = [r for r in recs if abs(r.phi - 3 * math.pi / 2) < 1e-9][0]
         assert peak.p_succ_ctc == pytest.approx(1.0, abs=1e-9)
         assert peak.p_succ_qm == pytest.approx(0.8535533905932737, abs=1e-12)
 
     def test_nonlocal_identification_never_beats_coin_flip(self):
-        for r in identification_sweep("nonlocal", "fixed-gate", 12):
+        recs = supplement_sweep("s2", "fixed-gate", "nonlocal", 12)
+        assert len(recs) == 12
+        for r in recs:
             assert r.p_succ_ctc <= 0.5 + 1e-9
 
     def test_identical_inputs_are_indistinguishable(self):
-        recs = identification_sweep("local", "fixed-gate", 8)
+        recs = supplement_sweep("s2", "fixed-gate", "local", 8)
         zero = [r for r in recs if r.phi == 0.0][0]
         assert zero.p_succ_ctc == pytest.approx(0.5, abs=1e-9)
         assert zero.p_succ_qm == pytest.approx(0.5, abs=1e-9)
+
+    def test_table_blocks_are_the_discrimination_sweeps(self):
+        """Each table is the six discrimination sweeps, variant-major, each
+        under its own experiment id."""
+        from ctcsim.cli import _reproduce_records
+
+        for target in ("s1", "s2"):
+            assert _reproduce_records(target, 6) == [
+                dataclasses.replace(r, experiment_id=f"{target}-{variant}-{mode}")
+                for variant in ("optimal-gate", "fixed-state", "fixed-gate")
+                for mode in ("local", "nonlocal")
+                for r in discrimination_sweep(mode, variant, 6)
+            ]
 
 
 class TestDeterminism:
