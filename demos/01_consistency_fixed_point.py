@@ -31,9 +31,9 @@ from ctcsim import (
 
 
 def show(label, fp):
-    b = fp.rho_ctc.bloch()
+    x, y, z = fp.rho_ctc.bloch()
     flag = f"  [fixed set dim {fp.fixed_set_dimension}]" if fp.fixed_set_dimension > 1 else ""
-    print(f"  {label:<42} Bloch ({b.x:+.4f}, {b.y:+.4f}, {b.z:+.4f})  "
+    print(f"  {label:<42} Bloch ({x:+.4f}, {y:+.4f}, {z:+.4f})  "
           f"entropy {fp.entropy:.4f}  residual {fp.residual:.1e}{flag}")
 
 

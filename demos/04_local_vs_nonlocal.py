@@ -29,9 +29,7 @@ from ctcsim import (
     ImproperMixed,
     NonLocalEnsemble,
     PureQubit,
-    Subsystem,
     discrimination_sweep,
-    partial_trace,
     proper_mixture_output,
     resource_state_vector,
     run_scenario,
@@ -43,10 +41,10 @@ def main():
     psi0, psi1 = PureQubit(0.0), PureQubit(phi)
 
     print("What the loop sees under non-local preparation:")
-    resource = DensityMatrix.from_state_vector(resource_state_vector(psi0, psi1))
-    seen = partial_trace(resource, Subsystem.FIRST)
-    b = seen.bloch()
-    print(f"  reduced input state has Bloch vector ({b.x:+.3f}, {b.y:+.3f}, {b.z:+.3f})")
+    # Trace the ancilla out: rows of `amps` are indexed by the ancilla.
+    amps = resource_state_vector(psi0, psi1).reshape(2, 2)
+    x, y, z = DensityMatrix(amps.T @ amps.conj()).bloch()
+    print(f"  reduced input state has Bloch vector ({x:+.3f}, {y:+.3f}, {z:+.3f})")
     print()
 
     print("Discrimination at the optimal gate, phi = 3 pi/2:")

@@ -73,7 +73,6 @@ from .measures import (
     qm_baseline,
 )
 from .qmath import (
-    BlochVector,
     DensityMatrix,
     PureQubit,
     Subsystem,
@@ -81,8 +80,6 @@ from .qmath import (
     bloch_from_density,
     density_from_bloch,
     fidelity,
-    hermitian_eigensystem,
-    partial_trace,
     trace_distance,
     von_neumann_entropy,
 )
@@ -92,9 +89,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # qmath
-    "BlochVector", "DensityMatrix", "PureQubit", "Subsystem", "ValidationError",
-    "bloch_from_density", "density_from_bloch", "fidelity", "hermitian_eigensystem",
-    "partial_trace", "trace_distance", "von_neumann_entropy",
+    "DensityMatrix", "PureQubit", "Subsystem", "ValidationError",
+    "bloch_from_density", "density_from_bloch", "fidelity", "trace_distance",
+    "von_neumann_entropy",
     # circuits
     "CircuitKind", "CircuitSpec", "QubitChannel", "TwoQubitGate", "build_interaction",
     "depolarize", "make_cnot", "make_cu_xz", "make_swap",

@@ -190,8 +190,6 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarization strength p = {p} outside [0, 1]")
-    if rho.dim != 2:
-        raise ValidationError("depolarize acts on single qubits")
     m = rho.mat
     out = (1 - 0.75 * p) * m + 0.25 * p * (
         SIGMA_X @ m @ SIGMA_X + SIGMA_Y @ m @ SIGMA_Y + SIGMA_Z @ m @ SIGMA_Z

@@ -133,25 +133,6 @@ def write_thresholds_csv(results: list[ThresholdResult], path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_thresholds_csv(path: str) -> list[ThresholdResult]:
-    with open(path, encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh if line.strip()]
-    if rows[0].split(",") != THRESHOLD_FIELDS:
-        raise ValidationError(f"unexpected CSV header {rows[0]}")
-    out = []
-    for row in rows[1:]:
-        p, c, lo, hi, tol = row.split(",")
-        out.append(
-            ThresholdResult(
-                parameter=p,
-                crossing=float(c),
-                bracket=(float(lo), float(hi)),
-                achieved_tolerance=float(tol),
-            )
-        )
-    return out
-
-
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
@@ -161,9 +142,8 @@ def _print_state(label: str, dm) -> None:
     print(f"{label}:")
     for row in m:
         print("   [" + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row) + "]")
-    if dm.dim == 2:
-        b = dm.bloch()
-        print(f"   Bloch: ({b.x:+.6f}, {b.y:+.6f}, {b.z:+.6f})")
+    x, y, z = dm.bloch()
+    print(f"   Bloch: ({x:+.6f}, {y:+.6f}, {z:+.6f})")
 
 
 def _build_spec(args) -> CircuitSpec:
@@ -235,7 +215,8 @@ def cmd_discriminate(args) -> int:
     l_opt, axis = optimal_mismatch_probability(o0, o1)
     qm = qm_baseline(phi, args.p)
     print(f"L(sigma_z)  = {l_z:.12f}")
-    print(f"L(optimal)  = {l_opt:.12f}  axis ({axis.axis.x:+.4f}, {axis.axis.y:+.4f}, {axis.axis.z:+.4f})")
+    x, y, z = axis.axis
+    print(f"L(optimal)  = {l_opt:.12f}  axis ({x:+.4f}, {y:+.4f}, {z:+.4f})")
     print(f"D           = {trace_distance(o0, o1):.12f}")
     print(f"p_succ      = {helstrom_success_probability(o0, o1):.12f}")
     print(f"QM baseline: L = {qm.L_optimal:.12f}, D = {qm.trace_dist:.12f}, p_succ = {qm.p_succ_optimal:.12f}")

@@ -44,7 +44,6 @@ from .qmath import (
     ValidationError,
     _eig_ranges_2x2,
     _partial_trace_raw,
-    bloch_array,
     density_from_bloch,
     fidelity,
     trace_distances,
@@ -209,8 +208,6 @@ def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray,
 def _kraus_apply(rho_in: DensityMatrix, interaction: QubitChannel, x: DensityMatrix,
                  traced: Subsystem) -> DensityMatrix:
     """_kraus_loop on a batch of one, validated as a state."""
-    if rho_in.dim != 2 or x.dim != 2:
-        raise ValidationError("the loop interaction acts on single-qubit states")
     return DensityMatrix(
         _kraus_loop(_kraus_stack([interaction]), rho_in.mat[None], x.mat[None, None], traced)[0, 0]
     )
@@ -457,11 +454,9 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     fixed point is unique; on degenerate sets it lands somewhere in the
     set (residual still checked).
     """
-    if rho_in.dim != 2:
-        raise ValidationError("fixed-point input must be a single-qubit state")
     if method == "eigen_max_entropy":
         return _fixed_point_result(
-            solve_loops([(slice(None), 1.0, interaction)], bloch_array(rho_in)[None],
+            solve_loops([(slice(None), 1.0, interaction)], rho_in.bloch()[None],
                         np.empty((1, 0, 3)))
         )
     if method != "damped_iteration":
@@ -477,18 +472,12 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     )
 
 
-def _bloch_of(state: PureQubit | DensityMatrix) -> np.ndarray:
-    if isinstance(state, PureQubit):
-        return state.bloch().as_array()
-    return bloch_array(state)
-
-
 def _prepared_bloch(prep: PreparationMode) -> np.ndarray:
     """Bloch vector of the reduced input the loop adapts to, before depolarization."""
     if isinstance(prep, (LocalPure, ImproperMixed)):
-        return _bloch_of(prep.state if isinstance(prep, LocalPure) else prep.rho)
+        return (prep.state if isinstance(prep, LocalPure) else prep.rho).bloch()
     if isinstance(prep, NonLocalEnsemble):
-        return sum(q * _bloch_of(s) for q, s in zip(prep.probs, prep.states))
+        return sum(q * s.bloch() for q, s in zip(prep.probs, prep.states))
     raise ValidationError(f"unknown preparation mode {prep!r}")
 
 
@@ -521,7 +510,7 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
     if isinstance(prep, NonLocalEnsemble):
         evolve = np.tile(loop_in, (len(inputs_to_evolve), 1))
     else:
-        evolve = np.array([_bloch_of(item) for item in inputs_to_evolve]).reshape(-1, 3)
+        evolve = np.array([item.bloch() for item in inputs_to_evolve]).reshape(-1, 3)
 
     if method != "eigen_max_entropy":
         interaction = build_interaction(spec)

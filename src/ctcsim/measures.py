@@ -22,11 +22,9 @@ from .qmath import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    BlochVector,
     DensityMatrix,
     PureQubit,
     ValidationError,
-    hermitian_eigensystem,
     trace_distance,
 )
 
@@ -43,24 +41,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementDirection:
-    """Projective measurement along a unit Bloch axis; "+" projector (I + n.sigma)/2."""
+    """Projective measurement along a unit Bloch axis; "+" projector (I + n.sigma)/2.
 
-    axis: BlochVector
+    `axis` is stored as a read-only (3,) float array.
+    """
+
+    axis: np.ndarray
 
     def __post_init__(self) -> None:
-        if abs(self.axis.norm() - 1.0) > 1e-12:
-            raise ValidationError(
-                f"measurement axis must be a unit vector (norm = {self.axis.norm()})"
-            )
+        axis = np.array(self.axis, dtype=float)
+        if axis.shape != (3,) or not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:
+            raise ValidationError(f"measurement axis must be a unit 3-vector, got {axis.tolist()}")
+        axis.setflags(write=False)
+        object.__setattr__(self, "axis", axis)
 
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        n_sigma = self.axis.x * SIGMA_X + self.axis.y * SIGMA_Y + self.axis.z * SIGMA_Z
+        x, y, z = self.axis
+        n_sigma = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
         return (ID2 + n_sigma) / 2.0, (ID2 - n_sigma) / 2.0
 
 
-SIGMA_Z_AXIS = MeasurementDirection(BlochVector(0.0, 0.0, 1.0))
+SIGMA_Z_AXIS = MeasurementDirection(np.array([0.0, 0.0, 1.0]))
 
 
 @dataclass(frozen=True)
@@ -108,12 +111,14 @@ def optimal_mismatch_probability(
     (either Bloch vector zero) every axis gives 1/2 and the z-axis is
     returned for determinism.
     """
-    r1 = rho1.bloch().as_array()
-    r2 = rho2.bloch().as_array()
+    r1, r2 = rho1.bloch(), rho2.bloch()
     form = (np.outer(r1, r2) + np.outer(r2, r1)) / 2.0
     if np.abs(form).max() < 1e-14:
         return 0.5, SIGMA_Z_AXIS
-    lam, vecs = hermitian_eigensystem(form)
+    # Solved as a complex Hermitian matrix: the real solver can flip the
+    # sign of a roundoff-sized axis component, which the CLI prints.
+    form = form.astype(complex)
+    lam, vecs = np.linalg.eigh((form + form.conj().T) / 2.0)
     axis = vecs[:, 0].real
     axis = axis / np.linalg.norm(axis)
     # Canonical sign: first clearly nonzero component positive.
@@ -123,7 +128,7 @@ def optimal_mismatch_probability(
                 axis = -axis
             break
     value = float((1.0 - lam[0]) / 2.0)
-    return min(max(value, 0.0), 1.0), MeasurementDirection(BlochVector(*axis))
+    return min(max(value, 0.0), 1.0), MeasurementDirection(axis)
 
 
 def helstrom_success_probability(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -181,8 +186,7 @@ def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix,
     region `levels` times, scanning a 21x21 mesh each time. Deliberately
     independent of the eigensystem shortcut it is used to check.
     """
-    r1 = rho1.bloch().as_array()
-    r2 = rho2.bloch().as_array()
+    r1, r2 = rho1.bloch(), rho2.bloch()
     axes, zoom = _search_grid(points, levels)
 
     def value(ax: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .deutsch import (
 from .experiments import (
     WORKING_POINT_PHI,
     WORKING_POINT_THETA,
+    SweepRecord,
     decoherence_surface,
     discrimination_sweep,
     find_threshold,
@@ -41,7 +42,6 @@ from .measures import (
 from .qmath import (
     DensityMatrix,
     PureQubit,
-    bloch_array,
     density_from_bloch,
     trace_distance,
     trace_distances,
@@ -59,15 +59,28 @@ class CheckResult:
     elapsed: float
 
 
+# The non-local discrimination sweeps (variant, grid) that C7 and C9 both read.
+NONLOCAL_SWEEPS = (("optimal-gate", 32), ("fixed-state", 64), ("fixed-gate", 32))
+
+
 @dataclass
 class Context:
-    """Shared state across checks: tolerance scale and observed fidelities."""
+    """Shared state across checks: tolerance scale, observed fidelities and
+    the non-local sweeps, solved once on first use so each check can run alone."""
 
     tol_scale: float = 1.0
     fidelities: list[float] = field(default_factory=list)
+    _nonlocal: list[SweepRecord] | None = field(default=None, init=False, repr=False)
 
     def tol(self, base: float) -> float:
         return base * self.tol_scale
+
+    def nonlocal_sweeps(self) -> list[SweepRecord]:
+        if self._nonlocal is None:
+            self._nonlocal = [r for variant, n in NONLOCAL_SWEEPS
+                              for r in discrimination_sweep("nonlocal", variant, n)]
+            self.fidelities.extend(r.consistency_fidelity for r in self._nonlocal)
+        return self._nonlocal
 
 
 def _random_density(rng: np.random.Generator) -> DensityMatrix:
@@ -200,11 +213,7 @@ def _check_nonlocal_ceiling(ctx: Context) -> tuple[bool, str]:
         ctx.fidelities.append(res.consistency_fidelity)
         for o in res.rho_out_per_input:
             worst_d = max(worst_d, trace_distance(o, half))
-    ceiling = 0.0
-    for variant, n in (("optimal-gate", 32), ("fixed-state", 64), ("fixed-gate", 32)):
-        for r in discrimination_sweep("nonlocal", variant, n):
-            ctx.fidelities.append(r.consistency_fidelity)
-            ceiling = max(ceiling, r.L_ctc_sigma_z - 0.5)
+    ceiling = max([0.0] + [r.L_ctc_sigma_z - 0.5 for r in ctx.nonlocal_sweeps()])
     ok = worst_d <= ctx.tol(1e-10) and ceiling <= ctx.tol(1e-9)
     return ok, f"worst distance to I/2 {worst_d:.2e}, max L - 1/2 = {ceiling:.2e}"
 
@@ -248,11 +257,7 @@ def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
         )
         worst_hel = max(worst_hel, abs(helstrom_success_probability(r1, r2) - explicit))
 
-    plateau = 0.0
-    for variant, n in (("optimal-gate", 32), ("fixed-state", 64), ("fixed-gate", 32)):
-        for r in discrimination_sweep("nonlocal", variant, n):
-            ctx.fidelities.append(r.consistency_fidelity)
-            plateau = max(plateau, abs(r.L_ctc_optimal - 0.5))
+    plateau = max(abs(r.L_ctc_optimal - 0.5) for r in ctx.nonlocal_sweeps())
     ok = (
         worst_si <= ctx.tol(1e-10)
         and worst_hel <= ctx.tol(1e-10)
@@ -298,7 +303,7 @@ def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int)
         specs, states = _draw_candidates(rng, min(chunk, need))
         channels = [build_interaction(s) for s in specs]
         batch = solve_loops([([n], 1.0, ch) for n, ch in enumerate(channels)],
-                            np.array([bloch_array(s) for s in states]),
+                            np.array([s.bloch() for s in states]),
                             np.empty((len(states), 0, 3)))
         keep = np.flatnonzero(batch.fixed_set_dimension == 1)
         need -= len(keep)

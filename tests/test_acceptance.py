@@ -17,11 +17,19 @@ import numpy as np
 import pytest
 
 import ctcsim.cli as cli
+import ctcsim.selftest as selftest
 from ctcsim.circuits import CircuitKind, CircuitSpec, build_interaction, depolarize
 from ctcsim.cli import main
 from ctcsim.deutsch import solve_fixed_point
-from ctcsim.qmath import PureQubit, bloch_array
-from ctcsim.selftest import CHECKS, CheckResult, SelfTestReport, _unique_fixed_point_chunks
+from ctcsim.qmath import PureQubit
+from ctcsim.selftest import (
+    CHECKS,
+    NONLOCAL_SWEEPS,
+    CheckResult,
+    Context,
+    SelfTestReport,
+    _unique_fixed_point_chunks,
+)
 
 CRITERIA = [check_id for check_id, _, _ in CHECKS] + ["C12"]
 
@@ -131,7 +139,7 @@ def test_chunked_draw_matches_one_at_a_time_draw():
         rho_in = depolarize(psi.density(), spec.input_noise)
         fp = solve_fixed_point(rho_in, build_interaction(spec))
         if fp.fixed_set_dimension == 1:
-            expected.append((build_interaction(spec), rho_in.mat, bloch_array(fp.rho_ctc)))
+            expected.append((build_interaction(spec), rho_in.mat, fp.rho_ctc.bloch()))
 
     chunks = list(_unique_fixed_point_chunks(chunked, count, chunk))
     assert [len(c[0]) for c in chunks] == [3, 3, 1]
@@ -142,3 +150,24 @@ def test_chunked_draw_matches_one_at_a_time_draw():
     np.testing.assert_array_equal(rho_in, [m for _, m, _ in expected])
     np.testing.assert_allclose(loop, [r for _, _, r in expected], rtol=0, atol=1e-15)
     assert chunked.bit_generator.state == one_at_a_time.bit_generator.state
+
+
+def test_nonlocal_sweeps_shared_by_c7_and_c9(monkeypatch):
+    """C9 run alone solves the non-local sweeps; C7 after it reuses them, and
+    their scenarios are counted once for C11."""
+    calls = []
+    real = selftest.discrimination_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(selftest, "discrimination_sweep", counted)
+    ctx = Context()
+    assert selftest._check_supplement_identities(ctx)[0]
+    assert calls == [("nonlocal", variant, n) for variant, n in NONLOCAL_SWEEPS]
+    swept = sum(n for _, n in NONLOCAL_SWEEPS)
+    assert len(ctx.fidelities) == swept
+    assert selftest._check_nonlocal_ceiling(ctx)[0]
+    assert len(calls) == len(NONLOCAL_SWEEPS)
+    assert len(ctx.fidelities) == swept + 31  # C7's own 31 scenarios

@@ -100,8 +100,8 @@ class TestDepolarize:
             m = g @ g.conj().T
             rho = DensityMatrix(m / m.trace().real)
             p = rng.uniform(0, 1)
-            before = bloch_from_density(rho).as_array()
-            after = bloch_from_density(depolarize(rho, p)).as_array()
+            before = bloch_from_density(rho)
+            after = bloch_from_density(depolarize(rho, p))
             np.testing.assert_allclose(after, (1 - p) * before, atol=1e-12)
 
     def test_out_of_range_rejected(self):

@@ -1,18 +1,22 @@
 """Command-line interface: outputs, exit codes, CSV/JSON determinism, round trips."""
 
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ctcsim.cli import (
     RECORD_FIELDS,
+    THRESHOLD_FIELDS,
+    _print_state,
     main,
     read_records_csv,
-    read_thresholds_csv,
     write_records_csv,
 )
 from ctcsim.experiments import discrimination_sweep
+from ctcsim.qmath import DensityMatrix
 
 
 class TestFixedPointCommand:
@@ -60,6 +64,17 @@ class TestFixedPointCommand:
         assert main(argv) == 2
         assert "invalid parameters" in capsys.readouterr().err
 
+    def test_prints_a_boundary_state_with_its_bloch_vector(self, capsys):
+        """Min eigenvalue -1e-11 is within PSD_TOL, so the state and its Bloch
+        vector (norm 1 + 2e-11) are printed, not rejected."""
+        _print_state("rho", DensityMatrix(np.diag([1 + 1e-11, -1e-11])))
+        assert capsys.readouterr().out == (
+            "rho:\n"
+            "   [+1.000000+0.000000j  +0.000000+0.000000j]\n"
+            "   [+0.000000+0.000000j  -0.000000+0.000000j]\n"
+            "   Bloch: (+0.000000, -0.000000, +1.000000)\n"
+        )
+
     def test_nonconvergence_exits_3(self, capsys, monkeypatch):
         import ctcsim.cli as cli_mod
         from ctcsim.deutsch import ConvergenceError
@@ -90,6 +105,12 @@ class TestDiscriminateCommand:
         assert main(["discriminate", "--phi", "7"]) == 0
         assert main(["discriminate", "--phi", str(7 - 2 * math.pi)]) == 0
 
+    def test_optimal_axis_signs_of_the_readme_example(self, capsys):
+        """The optimal axis's roundoff-sized components keep their printed signs."""
+        assert main(["discriminate", "--phi", "4.712", "--p", "0.2"]) == 0
+        assert ("L(optimal)  = 0.722279837739  axis (-0.0000, -0.0000, +1.0000)"
+                in capsys.readouterr().out)
+
     def test_nonlocal_coin_flip(self, capsys):
         rc = main(["discriminate", "--phi", str(3 * math.pi / 2), "--prep", "nonlocal"])
         out = capsys.readouterr().out
@@ -118,9 +139,12 @@ class TestReproduce:
     def test_thresholds_values(self, tmp_path):
         path = tmp_path / "thr.csv"
         assert main(["reproduce", "thresholds", "--out", str(path)]) == 0
-        results = {t.parameter: t for t in read_thresholds_csv(str(path))}
-        assert results["p"].crossing == pytest.approx(math.sqrt(2) - 1, abs=1e-6)
-        assert results["epsilon"].crossing == pytest.approx(1 / 3, abs=1e-6)
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            results = {row["parameter"]: row for row in reader}
+        assert reader.fieldnames == THRESHOLD_FIELDS
+        assert float(results["p"]["crossing"]) == pytest.approx(math.sqrt(2) - 1, abs=1e-6)
+        assert float(results["epsilon"]["crossing"]) == pytest.approx(1 / 3, abs=1e-6)
 
     def test_csv_is_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

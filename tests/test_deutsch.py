@@ -37,11 +37,8 @@ from ctcsim.deutsch import (
 from ctcsim.qmath import (
     DensityMatrix,
     PureQubit,
-    Subsystem,
     ValidationError,
-    bloch_array,
     density_from_bloch,
-    partial_trace,
     trace_distance,
 )
 
@@ -199,7 +196,7 @@ class TestDampedBatch:
 
 def consistency_affine(rho_in, interaction):
     """(A, b) with Bloch(consistency_map(rho)) = A r + b, read off the loop-rail tensor."""
-    m = np.einsum("kmv,m->kv", interaction.transfer[0], np.r_[1.0, bloch_array(rho_in)])
+    m = np.einsum("kmv,m->kv", interaction.transfer[0], np.r_[1.0, rho_in.bloch()])
     return m[1:, 1:], m[1:, 0]
 
 
@@ -217,7 +214,7 @@ class TestAffineMap:
         rho_in = random_qubit_state(rng)
         a, b = consistency_affine(rho_in, QubitChannel(((1.0, make_swap().mat),)))
         np.testing.assert_allclose(a, np.zeros((3, 3)), atol=1e-15)
-        np.testing.assert_allclose(b, bloch_array(rho_in), atol=1e-15)
+        np.testing.assert_allclose(b, rho_in.bloch(), atol=1e-15)
 
     def test_affine_form_reproduces_map_on_random_states(self):
         rng = np.random.default_rng(79)
@@ -227,8 +224,8 @@ class TestAffineMap:
                                                        eps=rng.uniform(0, 1)))
             a, b = consistency_affine(rho_in, interaction)
             rho = random_qubit_state(rng)
-            direct = bloch_array(consistency_map(rho_in, interaction, rho))
-            assert np.abs(a @ bloch_array(rho) + b - direct).max() <= 1e-12
+            direct = consistency_map(rho_in, interaction, rho).bloch()
+            assert np.abs(a @ rho.bloch() + b - direct).max() <= 1e-12
 
     def test_output_rail_reproduces_evolve_output(self):
         rng = np.random.default_rng(97)
@@ -236,10 +233,10 @@ class TestAffineMap:
             interaction = build_interaction(cu_circuit(rng.uniform(-1.5, 1.5),
                                                        eps=rng.uniform(0, 1)))
             rho_in, rho = random_qubit_state(rng), random_qubit_state(rng)
-            a4 = np.r_[1.0, bloch_array(rho_in)]
-            r4 = np.r_[1.0, bloch_array(rho)]
+            a4 = np.r_[1.0, rho_in.bloch()]
+            r4 = np.r_[1.0, rho.bloch()]
             via_tensor = np.einsum("kmv,m,v->k", interaction.transfer[1], a4, r4)
-            direct = bloch_array(evolve_output(rho_in, rho, interaction))
+            direct = evolve_output(rho_in, rho, interaction).bloch()
             assert via_tensor[0] == pytest.approx(1.0, abs=1e-14)
             assert np.abs(via_tensor[1:] - direct).max() <= 1e-12
 
@@ -255,7 +252,7 @@ class TestAffineMap:
         theta = rng.uniform(-math.pi / 2, math.pi / 2, n)
         eps, p = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
         bloch = np.array([
-            PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)).bloch().as_array()
+            PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)).bloch()
             for _ in range(n)
         ])
         batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch, bloch[:, None])
@@ -273,7 +270,7 @@ class TestAffineMap:
                     for phi in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
                         rows.append((float(theta), eps, p, phi))
         theta, eps, p, phi = (np.array(c) for c in zip(*rows))
-        bloch = np.array([PureQubit(f).bloch().as_array() for f in phi])
+        bloch = np.array([PureQubit(f).bloch() for f in phi])
         batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch, bloch[:, None])
         degenerate = 0
         for i in range(len(rows)):
@@ -447,10 +444,9 @@ class TestRunScenario:
         """The mixture the loop sees equals the traced-out resource state."""
         psi1 = PureQubit(3 * math.pi / 2, 0.0)
         ensemble = NonLocalEnsemble((H, psi1), (0.5, 0.5))
-        reduced = partial_trace(
-            DensityMatrix.from_state_vector(resource_state_vector(H, psi1)),
-            Subsystem.FIRST,
-        )
+        # Trace the ancilla (the first factor, the rows of `amps`) out.
+        amps = resource_state_vector(H, psi1).reshape(2, 2)
+        reduced = DensityMatrix(amps.T @ amps.conj())
         assert trace_distance(ensemble.mixture(), reduced) <= 1e-14
 
     def test_consistency_fidelity_is_one(self):

@@ -242,7 +242,7 @@ class TestDeterminism:
         eps, p = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
         eps[::7] = 0.0
         bloch = np.array([PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 6.2))
-                          .bloch().as_array() for _ in range(n)])
+                          .bloch() for _ in range(n)])
 
         def solve(rows):
             return run_batch(CircuitKind.SWAP_THEN_CU, theta[rows], eps[rows], p[rows],

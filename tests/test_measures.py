@@ -18,7 +18,6 @@ from ctcsim.measures import (
     qm_baseline,
 )
 from ctcsim.qmath import (
-    BlochVector,
     DensityMatrix,
     PureQubit,
     ValidationError,
@@ -44,7 +43,7 @@ def random_pure(rng):
 def random_axis(rng):
     v = rng.normal(size=3)
     v /= np.linalg.norm(v)
-    return MeasurementDirection(BlochVector(*v))
+    return MeasurementDirection(v)
 
 
 class TestMismatchProbability:
@@ -74,14 +73,24 @@ class TestMismatchProbability:
         for _ in range(100):
             a, b = random_qubit_state(rng), random_qubit_state(rng)
             axis = random_axis(rng)
-            n = axis.axis.as_array()
-            closed = (1 - (n @ bloch_from_density(a).as_array())
-                      * (n @ bloch_from_density(b).as_array())) / 2
+            n = axis.axis
+            closed = (1 - (n @ bloch_from_density(a)) * (n @ bloch_from_density(b))) / 2
             assert mismatch_probability(a, b, axis) == pytest.approx(closed, abs=1e-12)
 
     def test_non_unit_axis_rejected(self):
-        with pytest.raises(ValidationError):
-            MeasurementDirection(BlochVector(0.5, 0.0, 0.5))
+        """Non-unit, NaN, infinite and wrong-length axes all fail the unit check."""
+        for axis in ([0.5, 0.0, 0.5], [math.nan, 0.0, 1.0], [0.0, 0.0, math.nan],
+                     [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0], [0.0, 1.0]):
+            with pytest.raises(ValidationError, match="unit 3-vector"):
+                MeasurementDirection(np.array(axis))
+
+    def test_axis_is_a_read_only_copy(self):
+        given = np.array([0.0, 1.0, 0.0])
+        direction = MeasurementDirection(given)
+        given[1] = 5.0
+        assert tuple(direction.axis) == (0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            direction.axis[0] = 1.0
 
 
 class TestOptimalMismatch:
@@ -112,7 +121,7 @@ class TestOptimalMismatch:
     def test_degenerate_pair_returns_z_axis(self):
         val, axis = optimal_mismatch_probability(HALF, HALF)
         assert val == 0.5
-        assert (axis.axis.x, axis.axis.y, axis.axis.z) == (0.0, 0.0, 1.0)
+        assert tuple(axis.axis) == (0.0, 0.0, 1.0)
 
     def test_identical_mixed_states_cap_at_half(self):
         rng = np.random.default_rng(109)
@@ -176,8 +185,8 @@ class TestQmBaseline:
     def test_isotropic_noise_keeps_the_optimal_axis(self):
         clean = qm_baseline(3 * math.pi / 2, 0.0)
         noisy = qm_baseline(3 * math.pi / 2, 0.3)
-        n_clean = clean.optimal_axis.axis.as_array()
-        n_noisy = noisy.optimal_axis.axis.as_array()
+        n_clean = clean.optimal_axis.axis
+        n_noisy = noisy.optimal_axis.axis
         assert abs(abs(n_clean @ n_noisy) - 1) <= 1e-10
         # Evaluating the noisy pair on the clean axis gives the same optimum.
         val = mismatch_probability(
@@ -206,8 +215,8 @@ class TestBlochClosedForms:
             a = random_qubit_state(rng) if k % 3 else random_pure(rng).density()
             b = a if k % 50 == 0 else random_qubit_state(rng)
             pairs.append((a, b))
-        r1 = np.array([bloch_from_density(a).as_array() for a, _ in pairs])
-        r2 = np.array([bloch_from_density(b).as_array() for _, b in pairs])
+        r1 = np.array([bloch_from_density(a) for a, _ in pairs])
+        r2 = np.array([bloch_from_density(b) for _, b in pairs])
         l_z, l_opt, d, p_succ = bloch_measures(r1, r2)
         for i, (a, b) in enumerate(pairs):
             assert abs(l_z[i] - mismatch_probability(a, b, SIGMA_Z_AXIS)) <= 1e-12
@@ -220,7 +229,7 @@ class TestBlochClosedForms:
             for p in (0.0, 0.3, 1.0):
                 qm = qm_baseline(float(phi), p)
                 r0 = (1 - p) * np.array([0.0, 0.0, 1.0])
-                r1 = (1 - p) * PureQubit(float(phi), 0.0).bloch().as_array()
+                r1 = (1 - p) * PureQubit(float(phi), 0.0).bloch()
                 l_z, l_opt, d, p_succ = bloch_measures(r0, r1)
                 assert qm.L_sigma_z == pytest.approx(l_z, abs=1e-12)
                 assert qm.L_optimal == pytest.approx(l_opt, abs=1e-12)

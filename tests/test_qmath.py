@@ -8,8 +8,6 @@ import pytest
 from ctcsim.qmath import (
     ID2,
     SIGMA_X,
-    SIGMA_Z,
-    BlochVector,
     DensityMatrix,
     PureQubit,
     Subsystem,
@@ -18,8 +16,6 @@ from ctcsim.qmath import (
     bloch_from_density,
     density_from_bloch,
     fidelity,
-    hermitian_eigensystem,
-    partial_trace,
     trace_distance,
     trace_distances,
     von_neumann_entropy,
@@ -64,22 +60,25 @@ class TestTensor:
 
 
 class TestPartialTrace:
+    """_partial_trace_raw on joint 4x4 arrays built with np.kron / np.outer."""
+
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b = random_qubit_state(rng), random_qubit_state(rng)
-            joint = DensityMatrix(np.kron(a.mat, b.mat))
+            joint = np.kron(a.mat, b.mat)
             np.testing.assert_allclose(
-                partial_trace(joint, Subsystem.FIRST).mat, b.mat, atol=1e-12
+                _partial_trace_raw(joint, Subsystem.FIRST), b.mat, atol=1e-12
             )
             np.testing.assert_allclose(
-                partial_trace(joint, Subsystem.SECOND).mat, a.mat, atol=1e-12
+                _partial_trace_raw(joint, Subsystem.SECOND), a.mat, atol=1e-12
             )
 
     def test_bell_state_reduces_to_maximally_mixed(self):
-        bell = DensityMatrix.from_state_vector(np.array([1, 0, 0, 1]) / math.sqrt(2))
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
         np.testing.assert_allclose(
-            partial_trace(bell, Subsystem.SECOND).mat, HALF.mat, atol=1e-14
+            _partial_trace_raw(np.outer(bell, bell.conj()), Subsystem.SECOND), HALF.mat,
+            atol=1e-14,
         )
 
     def test_resource_state_reduction(self):
@@ -88,24 +87,19 @@ class TestPartialTrace:
         vec = np.zeros(4, dtype=complex)
         vec[:2] = PureQubit(0.0, 0.0).vector() / math.sqrt(2)
         vec[2:] = psi1.vector() / math.sqrt(2)
-        reduced = partial_trace(DensityMatrix.from_state_vector(vec), Subsystem.FIRST)
+        reduced = DensityMatrix(_partial_trace_raw(np.outer(vec, vec.conj()), Subsystem.FIRST))
         # Independent construction of the mixture from outer products.
         expected = (H.mat + psi1.density().mat) / 2
         np.testing.assert_allclose(reduced.mat, expected, atol=1e-14)
-        b = reduced.bloch()
-        np.testing.assert_allclose([b.x, b.y, b.z], [-0.5, 0.0, 0.5], atol=1e-14)
+        np.testing.assert_allclose(reduced.bloch(), [-0.5, 0.0, 0.5], atol=1e-14)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
-        joint = DensityMatrix(m / m.trace().real)
+        joint = m / m.trace().real
         for sub in Subsystem:
-            assert abs(partial_trace(joint, sub).mat.trace() - 1) < 1e-12
-
-    def test_invalid_input_names_invariant(self):
-        with pytest.raises(ValidationError, match="trace"):
-            partial_trace(np.eye(4, dtype=complex), Subsystem.FIRST)
+            assert abs(_partial_trace_raw(joint, sub).trace() - 1) < 1e-12
 
     def test_stacked_raw_trace_equals_row_by_row(self):
         """A seeded (N, 4, 4) stack (not states) traced at once equals each row traced alone."""
@@ -169,10 +163,6 @@ class TestTraceDistance:
         # Vectorised complex products may round differently (fused multiply-add).
         assert np.abs(stacked - scalar).max() <= 1e-15
 
-    def test_dimension_mismatch(self):
-        bell = DensityMatrix.from_state_vector(np.array([1, 0, 0, 1]) / math.sqrt(2))
-        with pytest.raises(ValidationError):
-            trace_distance(H, bell)
 
 
 class TestFidelity:
@@ -214,58 +204,15 @@ class TestEntropy:
         assert expected == pytest.approx(0.8112781244591328, abs=1e-15)
 
 
-class TestHermitianEigensystem:
-    def test_sigma_z_spectrum(self):
-        lam, _ = hermitian_eigensystem(SIGMA_Z)
-        np.testing.assert_allclose(lam, [-1.0, 1.0], atol=1e-15)
-
-    def test_degenerate_identity_still_orthonormal(self):
-        lam, v = hermitian_eigensystem(np.eye(4, dtype=complex))
-        np.testing.assert_allclose(lam, np.ones(4), atol=1e-15)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
-
-    def test_rank_two_symmetric_form(self):
-        """(r1 r2^T + r2 r1^T)/2 for orthogonal unit vectors: spectrum (-1/2, 0, 1/2)."""
-        r1 = np.array([1.0, 0.0, 0.0])
-        r2 = np.array([0.0, 0.0, 1.0])
-        form = (np.outer(r1, r2) + np.outer(r2, r1)) / 2
-        lam, _ = hermitian_eigensystem(form)
-        np.testing.assert_allclose(lam, [-0.5, 0.0, 0.5], atol=1e-14)
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_reconstruction_on_random_matrices(self, dim):
-        rng = np.random.default_rng(41 + dim)
-        for _ in range(1000):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            m = (g + g.conj().T) / 2
-            lam, v = hermitian_eigensystem(m)
-            assert np.abs(m - (v * lam) @ v.conj().T).max() <= 1e-10
-            assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-10
-            assert all(np.diff(lam) >= -1e-14)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValidationError, match="Hermitian"):
-            hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(ValidationError, match="non-finite"):
-            hermitian_eigensystem(np.array([[bad, 0], [0, 1]], dtype=complex))
-        form = np.zeros((3, 3))
-        form[0, 2] = form[2, 0] = bad
-        with pytest.raises(ValidationError, match="non-finite"):
-            hermitian_eigensystem(form)
-
-
 class TestBlochConversions:
     def test_basis_state_convention(self):
         b = bloch_from_density(H)
-        assert (b.x, b.y, b.z) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
-        np.testing.assert_allclose(density_from_bloch(BlochVector(0, 0, 1)).mat, H.mat)
+        assert b.shape == (3,)
+        assert tuple(b) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
+        np.testing.assert_allclose(density_from_bloch(np.array([0.0, 0.0, 1.0])).mat, H.mat)
 
     def test_maximally_mixed_is_origin(self):
-        b = bloch_from_density(HALF)
-        assert (b.x, b.y, b.z) == (0.0, 0.0, 0.0)
+        assert tuple(bloch_from_density(HALF)) == (0.0, 0.0, 0.0)
 
     def test_equatorial_state(self):
         """polar 3pi/2 with zero phase sits at Bloch (-1, 0, 0)."""
@@ -273,8 +220,7 @@ class TestBlochConversions:
         # Independent route: outer product of the amplitude vector.
         v = np.array([math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4)])
         np.testing.assert_allclose(psi.density().mat, np.outer(v, v), atol=1e-15)
-        b = psi.bloch()
-        assert (b.x, b.y, b.z) == pytest.approx((-1.0, 0.0, 0.0), abs=1e-15)
+        assert tuple(psi.bloch()) == pytest.approx((-1.0, 0.0, 0.0), abs=1e-15)
 
     def test_round_trip(self):
         rng = np.random.default_rng(53)
@@ -284,8 +230,14 @@ class TestBlochConversions:
             assert np.abs(back.mat - rho.mat).max() <= 1e-12
 
     def test_norm_above_one_rejected(self):
-        with pytest.raises(ValidationError):
-            BlochVector(1.0, 0.1, 0.0)
+        with pytest.raises(ValidationError, match="positivity"):
+            density_from_bloch(np.array([1.0, 0.1, 0.0]))
+
+    def test_boundary_state_keeps_its_bloch_vector(self):
+        """A state whose min eigenvalue dips below 0 within PSD_TOL is valid, and so
+        is its Bloch vector, although its norm exceeds 1 by 2e-11."""
+        rho = DensityMatrix(np.diag([1 + 1e-11, -1e-11]))
+        np.testing.assert_allclose(rho.bloch(), [0.0, 0.0, 1 + 2e-11], rtol=0, atol=1e-16)
 
 
 class TestDensityMatrixValidation:
@@ -302,17 +254,14 @@ class TestDensityMatrixValidation:
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
     def test_wrong_dimension(self):
-        with pytest.raises(ValidationError, match="dim"):
-            DensityMatrix(np.eye(3, dtype=complex) / 3)
+        for dim in (3, 4):
+            with pytest.raises(ValidationError, match="dim"):
+                DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
             DensityMatrix(np.full((2, 2), bad, dtype=complex))
-        m = np.eye(4, dtype=complex) / 4
-        m[1, 2] = m[2, 1] = bad
-        with pytest.raises(ValidationError, match="non-finite"):
-            DensityMatrix(m)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_pure_qubit_angles_rejected(self, bad):
@@ -322,8 +271,8 @@ class TestDensityMatrixValidation:
             PureQubit(0.3, bad)
 
     def test_nan_bloch_vector_rejected(self):
-        with pytest.raises(ValidationError):
-            BlochVector(math.nan, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            density_from_bloch(np.array([math.nan, 0.0, 0.0]))
 
     def test_pure_qubit_normalization(self):
         for polar in (0.0, 0.7, math.pi, 4.0):
