@@ -28,15 +28,14 @@ The `experiments` module sweeps entire parameter grids and the
 """
 
 from .circuits import (
+    CNOT,
+    SWAP,
     CircuitKind,
     CircuitSpec,
     QubitChannel,
-    TwoQubitGate,
     build_interaction,
     depolarize,
-    make_cnot,
     make_cu_xz,
-    make_swap,
 )
 from .deutsch import (
     ConvergenceError,
@@ -93,8 +92,8 @@ __all__ = [
     "bloch_from_density", "density_from_bloch", "fidelity", "trace_distance",
     "von_neumann_entropy",
     # circuits
-    "CircuitKind", "CircuitSpec", "QubitChannel", "TwoQubitGate", "build_interaction",
-    "depolarize", "make_cnot", "make_cu_xz", "make_swap",
+    "CNOT", "SWAP", "CircuitKind", "CircuitSpec", "QubitChannel", "build_interaction",
+    "depolarize", "make_cu_xz",
     # deutsch
     "ConvergenceError", "FixedPointResult", "ImproperMixed", "LocalPure",
     "NonLocalEnsemble", "ScenarioOutput", "consistency_map", "evolve_output",

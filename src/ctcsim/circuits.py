@@ -1,14 +1,16 @@
 """Two-qubit gates, noise channels, and the loop interaction builder.
 
-The interaction that drives the time-travel circuit is always "some gate,
-then hand the rails over": either CNOT followed by SWAP (the nonlinear
-amplifier circuit) or SWAP followed by a controlled pi-rotation CU_xz
-(the state-discrimination circuit). build_interaction is the one place a
-gate-failure channel is built: when the controlled gate fails (probability
-epsilon) only the SWAP remains. Channels are stored as weighted Kraus
-lists so that noise semantics stay explicit and trace preservation can be
-checked locally; each also carries its real Pauli-transfer tensors, the
-form the fixed-point engine works in.
+Gates are plain 4x4 arrays (SWAP and CNOT read-only constants, CU_xz from
+make_cu_xz). The interaction that drives the time-travel circuit is always
+"some gate, then hand the rails over": either CNOT followed by SWAP (the
+nonlinear amplifier circuit) or SWAP followed by a controlled pi-rotation
+CU_xz (the state-discrimination circuit). build_interaction is the one
+place a gate-failure channel is built: when the controlled gate fails
+(probability epsilon) only the SWAP remains. QubitChannel is the one
+validated interaction type: weighted Kraus lists whose completeness check
+covers every gate in them, so noise semantics stay explicit and trace
+preservation is checked locally; each also carries its real Pauli-transfer
+tensors, the form the fixed-point engine works in.
 """
 
 from __future__ import annotations
@@ -31,21 +33,24 @@ from .qmath import (
 )
 
 __all__ = [
-    "UNITARITY_TOL",
     "COMPLETENESS_TOL",
-    "TwoQubitGate",
+    "SWAP",
+    "CNOT",
     "QubitChannel",
     "CircuitKind",
     "CircuitSpec",
-    "make_swap",
-    "make_cnot",
     "make_cu_xz",
     "depolarize",
     "build_interaction",
 ]
 
-UNITARITY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
+
+# SWAP: |xy> -> |yx>. CNOT: qubit 1 controls, flipping the target when it is |V>.
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+SWAP.setflags(write=False)
+CNOT.setflags(write=False)
 
 # Two-qubit Pauli products _PAIRS[4 mu + nu] = P_mu (x) P_nu, P = (I, X, Y, Z);
 # Tr[O P_mu (x) P_nu] = O.flat @ _PAIRS_T[:, 4 mu + nu]. The rail readouts are
@@ -54,26 +59,6 @@ _PAULI = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 _PAIRS = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
 _PAIRS_T = _PAIRS.transpose(0, 2, 1).reshape(16, 16).T
 _READOUTS = np.concatenate([_PAIRS[:4], _PAIRS[::4]])
-
-
-@dataclass(frozen=True)
-class TwoQubitGate:
-    """A 4x4 unitary in the (HH, HV, VH, VV) basis."""
-
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValidationError(f"two-qubit gate must be 4x4, got {m.shape}")
-        if not np.abs(m.conj().T @ m - ID4).max() <= UNITARITY_TOL:
-            raise ValidationError("gate violates unitarity (|U^dag U - I|_max > 1e-12)")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-
-    def __matmul__(self, other: "TwoQubitGate") -> "TwoQubitGate":
-        return TwoQubitGate(self.mat @ other.mat)
 
 
 @dataclass(frozen=True)
@@ -151,22 +136,7 @@ class CircuitSpec:
                 raise ValidationError(f"{name} = {v} outside [0, 1]")
 
 
-def make_swap() -> TwoQubitGate:
-    """SWAP: |xy> -> |yx>."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = 1
-    m[1, 2] = m[2, 1] = 1
-    return TwoQubitGate(m)
-
-
-def make_cnot() -> TwoQubitGate:
-    """CNOT with qubit 1 as control: flips the target when the control is |V>."""
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = SIGMA_X
-    return TwoQubitGate(m)
-
-
-def make_cu_xz(theta_xz: float) -> TwoQubitGate:
+def make_cu_xz(theta_xz: float) -> np.ndarray:
     """Controlled pi-rotation of the target about the Bloch xz-plane axis at theta_xz.
 
     Control is qubit 1: identity on the control-|H> block, and the
@@ -179,7 +149,7 @@ def make_cu_xz(theta_xz: float) -> TwoQubitGate:
     m[2:, 2:] = np.array(
         [[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]], dtype=complex
     )
-    return TwoQubitGate(m)
+    return m
 
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -214,15 +184,14 @@ def build_interaction(spec: CircuitSpec) -> QubitChannel:
 def _build_interaction_cached(kind: CircuitKind, theta_xz: float,
                               eps: float) -> QubitChannel:
     # Channels are immutable (read-only arrays), so sharing them is safe.
-    swap = make_swap()
     if kind is CircuitKind.SWAP_CNOT:
-        ideal = swap.mat @ make_cnot().mat
+        ideal = SWAP @ CNOT
     else:
-        ideal = make_cu_xz(theta_xz).mat @ swap.mat
+        ideal = make_cu_xz(theta_xz) @ SWAP
     terms = []
     if eps < 1.0:
         terms.append((1.0 - eps, ideal))
     if eps > 0.0:
         # When the controlled gate fails only the SWAP remains.
-        terms.append((eps, swap.mat))
+        terms.append((eps, SWAP))
     return QubitChannel(tuple(terms))

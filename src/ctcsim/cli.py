@@ -148,13 +148,13 @@ def _print_state(label: str, dm) -> None:
 
 def _build_spec(args) -> CircuitSpec:
     kind = CircuitKind(args.circuit)
-    theta = _angle(args.theta, args.deg)
-    return CircuitSpec(
-        kind=kind,
-        theta_xz=theta if kind is CircuitKind.SWAP_THEN_CU else 0.0,
-        gate_noise=args.epsilon,
-        input_noise=args.p,
-    )
+    if kind is CircuitKind.SWAP_CNOT:
+        if args.theta is not None:
+            raise ValidationError("--theta sets the CU_xz axis; the swap-cnot circuit has none")
+        theta = 0.0
+    else:
+        theta = math.pi / 4 if args.theta is None else _angle(args.theta, args.deg)
+    return CircuitSpec(kind=kind, theta_xz=theta, gate_noise=args.epsilon, input_noise=args.p)
 
 
 def _build_prep(args, psi: PureQubit):
@@ -318,7 +318,11 @@ def _plot_reproduction(target: str, records: list[SweepRecord], path: str) -> No
 def cmd_reproduce(args) -> int:
     if args.grid is not None and args.grid < 2:
         raise ValidationError("grid size must be >= 2")
+    if args.grid is not None and args.target in ("fig3", "thresholds"):
+        raise ValidationError(f"reproduce {args.target} has a fixed grid; drop --grid")
     if args.target == "thresholds":
+        if args.plot:
+            raise ValidationError("reproduce thresholds writes no plot; drop --plot")
         results = [find_threshold("p"), find_threshold("epsilon")]
         path = args.out or f"thresholds.{args.format}"
         if args.format == "json":
@@ -374,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fp = sub.add_parser("fixed-point", help="solve one loop scenario")
     fp.add_argument("--circuit", choices=[k.value for k in CircuitKind], default="swap-cu")
-    fp.add_argument("--theta", type=float, default=math.pi / 4, help="CU_xz rotation axis angle")
+    fp.add_argument("--theta", type=float, default=None,
+                    help="CU_xz rotation axis angle, swap-cu only (default: pi/4)")
     fp.add_argument("--prep", choices=["local", "improper", "nonlocal"], default="local")
     fp.add_argument("--method", choices=["eigen_max_entropy", "damped_iteration"],
                     default="eigen_max_entropy")
@@ -400,10 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("reproduce", help="emit a bundled experiment table")
     rp.add_argument("target", choices=REPRODUCE_TARGETS)
-    rp.add_argument("--grid", type=int, default=None, help="grid size override (>= 2)")
+    rp.add_argument("--grid", type=int, default=None,
+                    help="grid size override (>= 2), sweep and fig6 targets only")
     rp.add_argument("--out", help="output path")
     rp.add_argument("--format", choices=["csv", "json"], default="csv")
-    rp.add_argument("--plot", action="store_true", help="also write an SVG plot")
+    rp.add_argument("--plot", action="store_true",
+                    help="also write an SVG plot (not for thresholds)")
     rp.set_defaults(fn=cmd_reproduce)
 
     st = sub.add_parser("selftest", help="run the acceptance suite")

@@ -439,8 +439,7 @@ def _fixed_point_result(batch: LoopBatch) -> FixedPointResult:
 
 
 def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
-                      method: str = "eigen_max_entropy", tol: float = 1e-12,
-                      max_iter: int = 10000) -> FixedPointResult:
+                      method: str = "eigen_max_entropy") -> FixedPointResult:
     """Solve rho = Tr_1[E(rho_in (x) rho)] for the loop state.
 
     method "eigen_max_entropy" (authoritative): the min-norm Bloch-affine
@@ -448,11 +447,11 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     over the fixed set, whose dimension is reported.
 
     method "damped_iteration" (independent oracle): rho <- (map(rho) +
-    rho)/2 on the Kraus-form superoperator, from the maximally mixed state
-    until the step is below tol; damped_iteration on a batch of one.
-    Agrees with the default whenever the
-    fixed point is unique; on degenerate sets it lands somewhere in the
-    set (residual still checked).
+    rho)/2 on the Kraus-form superoperator, from the maximally mixed state;
+    damped_iteration on a batch of one, with its default step tolerance
+    and step budget. Agrees with the default whenever the fixed point is
+    unique; on degenerate sets it lands somewhere in the set (residual
+    still checked).
     """
     if method == "eigen_max_entropy":
         return _fixed_point_result(
@@ -461,7 +460,7 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
         )
     if method != "damped_iteration":
         raise ValidationError(f"unknown solver method {method!r}")
-    batch = damped_iteration(rho_in.mat[None], [interaction], tol=tol, max_iter=max_iter)
+    batch = damped_iteration(rho_in.mat[None], [interaction])
     rho = DensityMatrix(batch.rho[0])
     return FixedPointResult(
         rho_ctc=rho,
@@ -482,9 +481,8 @@ def _prepared_bloch(prep: PreparationMode) -> np.ndarray:
 
 
 def run_scenario(spec: CircuitSpec, prep: PreparationMode,
-                 inputs_to_evolve: list[PureQubit | DensityMatrix] | None = None,
                  method: str = "eigen_max_entropy") -> ScenarioOutput:
-    """Solve one complete loop scenario and evolve the requested inputs.
+    """Solve one complete loop scenario and evolve its inputs.
 
     The loop state is solved once, from the reduced input the preparation
     mode dictates (pure state for LocalPure, the given matrix for
@@ -492,25 +490,17 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
     input depolarization. The default method is run_batch on a batch of
     one; "damped_iteration" runs the Kraus-form oracle instead.
 
-    For local and improper preparations each requested input is depolarized
-    and sent through the loop individually. For NonLocalEnsemble the
-    interaction correlates the output with the loop qubit, not with the
-    remote ancilla, so conditioning on the (space-like separated)
-    post-selection outcome cannot steer it: every requested input emerges
-    as the evolved ensemble mixture.
+    For local and improper preparations the prepared state itself is
+    depolarized and sent through the loop: rho_out_per_input has one
+    entry. For NonLocalEnsemble the interaction correlates the output
+    with the loop qubit, not with the remote ancilla, so conditioning on
+    the (space-like separated) post-selection outcome cannot steer it:
+    every ensemble state emerges as the evolved ensemble mixture, one
+    entry per state.
     """
     loop_in = _prepared_bloch(prep)
-    if inputs_to_evolve is None:
-        if isinstance(prep, LocalPure):
-            inputs_to_evolve = [prep.state]
-        elif isinstance(prep, ImproperMixed):
-            inputs_to_evolve = [prep.rho]
-        else:
-            inputs_to_evolve = list(prep.states)
-    if isinstance(prep, NonLocalEnsemble):
-        evolve = np.tile(loop_in, (len(inputs_to_evolve), 1))
-    else:
-        evolve = np.array([item.bloch() for item in inputs_to_evolve]).reshape(-1, 3)
+    count = len(prep.states) if isinstance(prep, NonLocalEnsemble) else 1
+    evolve = loop_in[None].repeat(count, axis=0)
 
     if method != "eigen_max_entropy":
         interaction = build_interaction(spec)

@@ -41,6 +41,10 @@ __all__ = [
 WORKING_POINT_PHI = 3 * math.pi / 2
 WORKING_POINT_THETA = math.pi / 4
 
+# find_threshold's sign-change scan resolution and final bracket width.
+_SCAN_POINTS = 41
+_BISECT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -276,20 +280,16 @@ def _advantage_gaps(parameter: str, xs) -> np.ndarray:
     return np.array([r.L_ctc_sigma_z - r.L_qm for r in records])
 
 
-def _advantage_gap(parameter: str, x: float) -> float:
-    return float(_advantage_gaps(parameter, [x])[0])
-
-
-def find_threshold(parameter: str, scan_points: int = 41,
-                   tol: float = 1e-12) -> ThresholdResult:
+def find_threshold(parameter: str) -> ThresholdResult:
     """Locate where the loop advantage dies along the p (eps=0) or epsilon (p=0) axis.
 
-    Scans for a sign change first (the gap also vanishes at full noise, so
-    a blind [0, 1] bracket would be ambiguous), then bisects it down.
+    Scans _SCAN_POINTS evenly spaced noise levels for a sign change first
+    (the gap also vanishes at full noise, so a blind [0, 1] bracket would
+    be ambiguous), then bisects it down to a width of at most _BISECT_TOL.
     """
     if parameter not in ("p", "epsilon"):
         raise ValidationError(f"unknown threshold parameter {parameter!r}")
-    xs = np.linspace(0.0, 1.0, scan_points)
+    xs = np.linspace(0.0, 1.0, _SCAN_POINTS)
     vals = _advantage_gaps(parameter, xs)
     bracket = None
     for i in range(len(xs) - 1):
@@ -300,10 +300,10 @@ def find_threshold(parameter: str, scan_points: int = 41,
         raise ThresholdNotFound(f"no advantage crossing found along {parameter}")
 
     lo, hi = bracket
-    flo = _advantage_gap(parameter, lo)
-    while hi - lo > tol:
+    flo = _advantage_gaps(parameter, [lo])[0]
+    while hi - lo > _BISECT_TOL:
         mid = (lo + hi) / 2
-        fm = _advantage_gap(parameter, mid)
+        fm = _advantage_gaps(parameter, [mid])[0]
         if (flo > 0) == (fm > 0):
             lo, flo = mid, fm
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -150,20 +150,25 @@ def bloch_measures(r1: np.ndarray, r2: np.ndarray):
     return l_z, l_opt, d, 0.5 * (1.0 + d)
 
 
-@lru_cache(maxsize=8)
-def _search_grid(points: int, levels: int):
-    """Fibonacci sphere of `points` axes and each zoom level's (du, dv) mesh
-    offsets, built on first use and shared (read-only) by later searches."""
-    idx = np.arange(points, dtype=float)
+# grid_search_mismatch's Fibonacci sphere size and number of zoom levels.
+_GRID_POINTS = 10_000
+_ZOOM_LEVELS = 4
+
+
+@cache
+def _search_grid():
+    """Fibonacci sphere of _GRID_POINTS axes and each zoom level's (du, dv)
+    mesh offsets, built on first use and shared (read-only) by later searches."""
+    idx = np.arange(_GRID_POINTS, dtype=float)
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    z = 1.0 - 2.0 * (idx + 0.5) / points
+    z = 1.0 - 2.0 * (idx + 0.5) / _GRID_POINTS
     rad = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     ang = golden * idx
     axes = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), z])
-    spread = math.sqrt(4.0 * math.pi / points)
+    spread = math.sqrt(4.0 * math.pi / _GRID_POINTS)
     rng_grid = np.linspace(-1.0, 1.0, 21)
     zoom = []
-    for _ in range(levels):
+    for _ in range(_ZOOM_LEVELS):
         du, dv = np.meshgrid(rng_grid * spread, rng_grid * spread)
         zoom.append((du.reshape(-1, 1), dv.reshape(-1, 1)))
         spread /= 8.0
@@ -178,16 +183,16 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix,
-                         points: int = 10_000, levels: int = 4) -> float:
+def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Brute-force oracle for the optimized mismatch probability.
 
-    Scans a Fibonacci sphere of `points` axes, then zooms onto the best
-    region `levels` times, scanning a 21x21 mesh each time. Deliberately
-    independent of the eigensystem shortcut it is used to check.
+    Scans a Fibonacci sphere of _GRID_POINTS axes, then zooms onto the
+    best region _ZOOM_LEVELS times, each time scanning a 21x21 mesh 8
+    times finer than the last. Deliberately independent of the
+    eigensystem shortcut it is used to check.
     """
     r1, r2 = rho1.bloch(), rho2.bloch()
-    axes, zoom = _search_grid(points, levels)
+    axes, zoom = _search_grid()
 
     def value(ax: np.ndarray) -> np.ndarray:
         return (1.0 - (ax @ r1) * (ax @ r2)) / 2.0
@@ -205,7 +210,6 @@ def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix,
     return float(value(best_ax[None, :])[0])
 
 
-@lru_cache(maxsize=65536)
 def qm_baseline(phi: float, p: float = 0.0) -> DistinguishabilityReport:
     """Standard-QM reference for the pair {|H>, psi1(phi)} after depolarization p.
 

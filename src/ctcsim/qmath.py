@@ -68,16 +68,8 @@ class Subsystem(Enum):
     SECOND = 2
 
 
-def _eig_range_2x2(h: np.ndarray) -> tuple[float, float]:
-    """(min, max) eigenvalue of a Hermitian 2x2 matrix, closed form."""
-    t = (h[0, 0] + h[1, 1]).real
-    det = (h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real
-    r = math.sqrt(max(t * t - 4.0 * det, 0.0))
-    return (t - r) / 2.0, (t + r) / 2.0
-
-
 def _eig_ranges_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_eig_range_2x2 row by row for a stack (..., 2, 2), to within an ulp."""
+    """(min, max) eigenvalues of Hermitian 2x2 matrices (..., 2, 2), closed form."""
     t = (h[..., 0, 0] + h[..., 1, 1]).real
     det = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]).real
     r = np.sqrt(np.maximum(t * t - 4.0 * det, 0.0))
@@ -148,7 +140,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix violates unit trace (trace = {a.trace():.6g})"
             )
-        lo = _eig_range_2x2(a)[0]
+        lo = _eig_ranges_2x2(a)[0]
         if lo < -PSD_TOL:
             raise ValidationError(
                 f"density matrix violates positivity (min eigenvalue = {lo:.3e})"
@@ -181,8 +173,8 @@ def _partial_trace_raw(mat4: np.ndarray, subsystem: Subsystem) -> np.ndarray:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the sum of |eigenvalues| of (a - b); 0 iff equal, 1 iff orthogonal."""
-    lo, hi = _eig_range_2x2(a.mat - b.mat)
-    return (abs(lo) + abs(hi)) / 2.0
+    lo, hi = _eig_ranges_2x2(a.mat - b.mat)
+    return float(abs(lo) + abs(hi)) / 2.0
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,7 +196,7 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum lambda_i log2 lambda_i with 0 log 0 := 0."""
-    lam = np.array(_eig_range_2x2(rho.mat))
+    lam = np.array(_eig_ranges_2x2(rho.mat))
     lam = lam[lam > 1e-15]
     return float(-(lam * np.log2(lam)).sum()) + 0.0
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .circuits import CircuitKind, CircuitSpec, build_interaction, depolarize
 from .deutsch import (
-    ImproperMixed,
     LocalPure,
     NonLocalEnsemble,
     damped_iteration,
@@ -26,8 +25,6 @@ from .deutsch import (
     swap_cnot_closed_form,
 )
 from .experiments import (
-    WORKING_POINT_PHI,
-    WORKING_POINT_THETA,
     SweepRecord,
     decoherence_surface,
     discrimination_sweep,

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from ctcsim.circuits import (
+    CNOT,
+    SWAP,
     CircuitKind,
     CircuitSpec,
     QubitChannel,
     build_interaction,
     depolarize,
-    make_cnot,
     make_cu_xz,
-    make_swap,
 )
 from ctcsim.deutsch import consistency_map, evolve_output
 from ctcsim.qmath import (
@@ -31,16 +31,16 @@ VV = np.array([0, 0, 0, 1], dtype=complex)
 
 class TestGateConstructors:
     def test_swap_exchanges_rails(self):
-        np.testing.assert_allclose(make_swap().mat @ HV, VH, atol=0)
-        np.testing.assert_allclose(make_swap().mat @ VH, HV, atol=0)
+        np.testing.assert_allclose(SWAP @ HV, VH, atol=0)
+        np.testing.assert_allclose(SWAP @ VH, HV, atol=0)
 
     def test_cnot_control_is_first_qubit(self):
-        np.testing.assert_allclose(make_cnot().mat @ VH, VV, atol=0)
-        np.testing.assert_allclose(make_cnot().mat @ HV, HV, atol=0)
+        np.testing.assert_allclose(CNOT @ VH, VV, atol=0)
+        np.testing.assert_allclose(CNOT @ HV, HV, atol=0)
 
     def test_cz_sign_flip_on_vv(self):
         """CU_xz at angle 0 is exactly CZ."""
-        cz = make_cu_xz(0.0).mat
+        cz = make_cu_xz(0.0)
         np.testing.assert_array_equal(cz, np.diag([1, 1, 1, -1]).astype(complex))
         np.testing.assert_allclose(cz @ VV, -VV, atol=0)
         for basis in (HH, HV, VH):
@@ -48,27 +48,30 @@ class TestGateConstructors:
 
     def test_cu_at_zero_is_cz_like(self):
         np.testing.assert_allclose(
-            make_cu_xz(0.0).mat[2:, 2:], np.diag([1.0, -1.0]), atol=1e-15
+            make_cu_xz(0.0)[2:, 2:], np.diag([1.0, -1.0]), atol=1e-15
         )
 
     def test_cu_at_half_pi_is_cnot(self):
-        np.testing.assert_allclose(make_cu_xz(math.pi / 2).mat, make_cnot().mat, atol=1e-15)
+        np.testing.assert_allclose(make_cu_xz(math.pi / 2), CNOT, atol=1e-15)
 
     def test_cu_at_quarter_pi_is_controlled_hadamard(self):
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        np.testing.assert_allclose(make_cu_xz(math.pi / 4).mat[2:, 2:], hadamard, atol=1e-15)
+        np.testing.assert_allclose(make_cu_xz(math.pi / 4)[2:, 2:], hadamard, atol=1e-15)
 
     @pytest.mark.parametrize("theta", np.linspace(-math.pi / 2, math.pi / 2, 25))
     def test_cu_unitary_and_involutive(self, theta):
-        u = make_cu_xz(theta).mat
+        u = make_cu_xz(theta)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(u @ u, np.eye(4), atol=1e-12)
 
     def test_non_unitary_rejected(self):
-        from ctcsim.circuits import TwoQubitGate
+        with pytest.raises(ValidationError, match="completeness"):
+            QubitChannel(((1.0, np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex)),))
 
-        with pytest.raises(ValidationError, match="unitarity"):
-            TwoQubitGate(np.diag([1.0, 1.0, 1.0, 0.5]).astype(complex))
+    def test_gate_constants_are_read_only(self):
+        for gate in (SWAP, CNOT):
+            with pytest.raises(ValueError):
+                gate[0, 0] = 0.0
 
 
 class TestDepolarize:
@@ -131,20 +134,20 @@ class TestGateFailureChannel:
     def test_zero_failure_is_pure_unitary(self):
         ch = cu_interaction(0.3, 0.0)
         assert len(ch.kraus) == 1 and ch.kraus[0][0] == 1.0
-        np.testing.assert_allclose(ch.kraus[0][1], make_cu_xz(0.3).mat @ make_swap().mat,
+        np.testing.assert_allclose(ch.kraus[0][1], make_cu_xz(0.3) @ SWAP,
                                    atol=0)
 
     def test_certain_failure_is_pure_swap(self):
         ch = cu_interaction(0.3, 1.0)
         assert len(ch.kraus) == 1 and ch.kraus[0][0] == 1.0
-        np.testing.assert_allclose(ch.kraus[0][1], make_swap().mat, atol=0)
+        np.testing.assert_allclose(ch.kraus[0][1], SWAP, atol=0)
 
     def test_half_failure_two_term_expansion(self):
         """eps=1/2 on |H>|V>: the SWAP gives |V>|H>, then CU_xz rotates the target
         half of the time, so the result is an even mixture of |V>|H> and |V>|+>."""
         h = PureQubit(0.0).density().mat
         v = PureQubit(math.pi).density().mat
-        plus_vec = make_cu_xz(math.pi / 4).mat[2:, 2:] @ np.array([1.0, 0.0])  # Hadamard |H>
+        plus_vec = make_cu_xz(math.pi / 4)[2:, 2:] @ np.array([1.0, 0.0])  # Hadamard |H>
         plus = np.outer(plus_vec, plus_vec.conj())
         out = joint_image(cu_interaction(math.pi / 4, 0.5), np.kron(h, v))
         expected = 0.5 * np.kron(v, h) + 0.5 * np.kron(v, plus)
@@ -156,8 +159,8 @@ class TestGateFailureChannel:
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = g @ g.conj().T
         rho /= rho.trace().real
-        u = make_cu_xz(math.pi / 4).mat @ make_swap().mat
-        s = make_swap().mat
+        u = make_cu_xz(math.pi / 4) @ SWAP
+        s = SWAP
         out = joint_image(cu_interaction(math.pi / 4, 1 / 3), rho)
         expected = (2 / 3) * u @ rho @ u.conj().T + (1 / 3) * s @ rho @ s.conj().T
         np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -178,11 +181,11 @@ class TestApplyChannel:
 
     def test_pure_unitary_channel(self):
         """A CNOT on |a>|b>, reduced on each rail, against the written-out joint state."""
-        ch = QubitChannel(((1.0, make_cnot().mat),))
+        ch = QubitChannel(((1.0, CNOT),))
         b = PureQubit(1.1, 0.2).density()
         for polar in np.linspace(0.0, math.pi, 7):
             a = PureQubit(polar, 0.4).density()
-            joint = make_cnot().mat @ np.kron(a.mat, b.mat) @ make_cnot().mat.conj().T
+            joint = CNOT @ np.kron(a.mat, b.mat) @ CNOT.conj().T
             t = joint.reshape(2, 2, 2, 2)
             np.testing.assert_allclose(consistency_map(a, ch, b).mat,
                                        np.einsum("ijil->jl", t), atol=1e-15)
@@ -207,7 +210,7 @@ class TestBuildInteraction:
     def test_swap_cnot_is_single_kraus(self):
         ch = build_interaction(CircuitSpec(kind=CircuitKind.SWAP_CNOT))
         assert len(ch.kraus) == 1
-        np.testing.assert_allclose(ch.kraus[0][1], make_swap().mat @ make_cnot().mat)
+        np.testing.assert_allclose(ch.kraus[0][1], SWAP @ CNOT)
 
     def test_swap_then_cu_gate_order(self):
         ch = build_interaction(
@@ -215,7 +218,7 @@ class TestBuildInteraction:
         )
         assert len(ch.kraus) == 1
         np.testing.assert_allclose(
-            ch.kraus[0][1], make_cu_xz(math.pi / 4).mat @ make_swap().mat
+            ch.kraus[0][1], make_cu_xz(math.pi / 4) @ SWAP
         )
 
     def test_full_gate_noise_leaves_pure_swap(self):
@@ -223,7 +226,7 @@ class TestBuildInteraction:
             CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=math.pi / 4, gate_noise=1.0)
         )
         assert len(ch.kraus) == 1
-        np.testing.assert_allclose(ch.kraus[0][1], make_swap().mat)
+        np.testing.assert_allclose(ch.kraus[0][1], SWAP)
 
     def test_noisy_channel_weights(self):
         ch = build_interaction(

@@ -47,6 +47,17 @@ class TestFixedPointCommand:
         out_rad = capsys.readouterr().out
         assert out_deg == out_rad
 
+    def test_default_theta_is_quarter_pi_in_either_unit(self, capsys):
+        assert main(["fixed-point", "--phi", "270", "--deg"]) == 0
+        out_deg = capsys.readouterr().out
+        assert main(["fixed-point", "--phi", str(3 * math.pi / 2),
+                     "--theta", str(math.pi / 4)]) == 0
+        assert capsys.readouterr().out == out_deg
+
+    def test_theta_rejected_for_swap_cnot(self, capsys):
+        assert main(["fixed-point", "--circuit", "swap-cnot", "--theta", "0.3"]) == 2
+        assert "invalid parameters:" in capsys.readouterr().err
+
     def test_invalid_noise_exits_2(self, capsys):
         assert main(["fixed-point", "--p", "1.5"]) == 2
         assert "outside [0, 1]" in capsys.readouterr().err
@@ -180,6 +191,17 @@ class TestReproduce:
         assert main(["reproduce", "fig3", "--out", str(path), "--plot"]) == 0
         svg = (tmp_path / "fig3.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "fig3", "--grid", "7"],
+        ["reproduce", "thresholds", "--grid", "9"],
+        ["reproduce", "thresholds", "--plot"],
+    ])
+    def test_flag_the_target_cannot_honour_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "invalid parameters:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_grid_too_small_exits_2(self):
         assert main(["reproduce", "fig6", "--grid", "1"]) == 2

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ctcsim.circuits import (
+    SWAP,
     CircuitKind,
     CircuitSpec,
     QubitChannel,
     build_interaction,
-    make_swap,
 )
 from ctcsim.deutsch import (
     EIGENVALUE_ONE_TOL,
@@ -39,6 +39,7 @@ from ctcsim.qmath import (
     PureQubit,
     ValidationError,
     density_from_bloch,
+    fidelity,
     trace_distance,
 )
 
@@ -74,7 +75,7 @@ class TestConsistencyMap:
 
     def test_pure_swap_returns_input_regardless_of_loop_state(self):
         rng = np.random.default_rng(71)
-        swap_only = QubitChannel(((1.0, make_swap().mat),))
+        swap_only = QubitChannel(((1.0, SWAP),))
         rho_in = random_qubit_state(rng)
         for _ in range(20):
             rho = random_qubit_state(rng)
@@ -91,7 +92,7 @@ class TestSuperoperator:
     def test_swap_only_is_rank_one_projector_onto_input(self):
         rng = np.random.default_rng(73)
         rho_in = random_qubit_state(rng)
-        m = superoperator(rho_in, QubitChannel(((1.0, make_swap().mat),)))
+        m = superoperator(rho_in, QubitChannel(((1.0, SWAP),)))
         expected = np.outer(rho_in.mat.reshape(-1), np.eye(2, dtype=complex).reshape(-1))
         np.testing.assert_allclose(m, expected, atol=1e-14)
         assert np.linalg.matrix_rank(m, tol=1e-10) == 1
@@ -212,7 +213,7 @@ class TestAffineMap:
     def test_swap_only_maps_every_loop_state_to_the_input(self):
         rng = np.random.default_rng(73)
         rho_in = random_qubit_state(rng)
-        a, b = consistency_affine(rho_in, QubitChannel(((1.0, make_swap().mat),)))
+        a, b = consistency_affine(rho_in, QubitChannel(((1.0, SWAP),)))
         np.testing.assert_allclose(a, np.zeros((3, 3)), atol=1e-15)
         np.testing.assert_allclose(b, rho_in.bloch(), atol=1e-15)
 
@@ -299,7 +300,7 @@ class TestAffineMap:
 
     def test_state_outside_ball_rejected(self):
         with pytest.raises(ValidationError, match="Bloch"):
-            solve_loops([(slice(None), 1.0, QubitChannel(((1.0, make_swap().mat),)))],
+            solve_loops([(slice(None), 1.0, QubitChannel(((1.0, SWAP),)))],
                         np.array([[0.0, 0.0, 1.5]]), np.zeros((1, 0, 3)))
 
 
@@ -387,13 +388,49 @@ class TestSolveFixedPoint:
 
     def test_iteration_budget_exhaustion_raises(self):
         with pytest.raises(ConvergenceError, match="converge"):
-            solve_fixed_point(PureQubit(1.0, 0.0).density(),
-                              build_interaction(SWAP_CNOT),
-                              method="damped_iteration", max_iter=2)
+            damped_iteration(PureQubit(1.0, 0.0).density().mat[None],
+                             [build_interaction(SWAP_CNOT)], max_iter=2)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
             solve_fixed_point(H.density(), build_interaction(SWAP_CNOT), method="newton")
+
+
+def random_stinespring_channel(rng, k):
+    """Random CPTP map with k Kraus terms: the blocks V_j of an isometry V (4k x 4),
+    the Q of a complex Gaussian, as terms (1/k, sqrt(k) V_j)."""
+    g = rng.normal(size=(4 * k, 4)) + 1j * rng.normal(size=(4 * k, 4))
+    v, _ = np.linalg.qr(g)
+    return QubitChannel(tuple((1.0 / k, math.sqrt(k) * v[4 * j:4 * j + 4]) for j in range(k)))
+
+
+class TestRandomChannels:
+    """Arbitrary two-qubit interaction channels: the engine and the Kraus-form
+    oracles agree on seeded random CPTP maps, not just the paper's circuits."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_fixed_points_and_outputs(self, k):
+        rng = np.random.default_rng(173 + k)
+        for _ in range(30):
+            interaction = random_stinespring_channel(rng, k)
+            rho_in = random_qubit_state(rng)
+            engine = solve_fixed_point(rho_in, interaction)
+            damped = solve_fixed_point(rho_in, interaction, method="damped_iteration")
+            for fp in (engine, damped):
+                assert fp.residual <= 1e-10
+                image = consistency_map(rho_in, interaction, fp.rho_ctc)
+                assert fidelity(fp.rho_ctc, image) == pytest.approx(1.0, abs=1e-12)
+            if engine.fixed_set_dimension == 1:
+                assert trace_distance(engine.rho_ctc, damped.rho_ctc) <= 1e-9
+
+            inputs = np.array([random_qubit_state(rng).bloch() for _ in range(3)])
+            batch = solve_loops([(slice(None), 1.0, interaction)], rho_in.bloch()[None],
+                                inputs[None])
+            assert np.linalg.norm(batch.loop[0]) <= 1 + 2e-10
+            assert batch.consistency_fidelity[0] == pytest.approx(1.0, abs=1e-12)
+            for e, out in zip(inputs, batch.outputs[0]):
+                direct = evolve_output(density_from_bloch(e), engine.rho_ctc, interaction)
+                assert np.abs(direct.bloch() - out).max() <= 1e-12
 
 
 class TestEvolveOutput:

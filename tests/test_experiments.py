@@ -156,9 +156,9 @@ class TestThresholds:
         assert thr.crossing == pytest.approx(1 / 3, abs=1e-6)
 
     def test_advantage_at_zero_noise(self):
-        from ctcsim.experiments import _advantage_gap
+        from ctcsim.experiments import _advantage_gaps
 
-        assert _advantage_gap("p", 0.0) == pytest.approx(0.25, abs=1e-9)
+        assert _advantage_gaps("p", [0.0])[0] == pytest.approx(0.25, abs=1e-9)
 
     def test_unknown_parameter_rejected(self):
         from ctcsim.qmath import ValidationError
