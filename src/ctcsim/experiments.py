@@ -41,9 +41,11 @@ __all__ = [
 WORKING_POINT_PHI = 3 * math.pi / 2
 WORKING_POINT_THETA = math.pi / 4
 
-# find_threshold's sign-change scan resolution and final bracket width.
+# find_threshold's sign-change scan resolution, final bracket width and
+# bisection-tree levels scored per batch (2**5 - 1 = 31 midpoints).
 _SCAN_POINTS = 41
 _BISECT_TOL = 1e-12
+_SPEC_LEVELS = 5
 
 
 @dataclass(frozen=True)
@@ -175,20 +177,15 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
     )]
 
 
-def _discrimination_records(experiment_id: str, mode: str, phi, theta, p,
-                            epsilon) -> list[SweepRecord]:
-    """Discrimination of the pair {|H>, psi1(phi)} at each grid point, as one batch.
+def _discrimination_batch(mode: str, phi, theta, p, epsilon):
+    """Solve the pair {|H>, psi1(phi)} at each point of equal-length grids, as one batch.
 
-    phi, theta, p and epsilon are per-point sequences (or scalars). Local
-    preparation solves one loop per state; non-local preparation one loop
-    for the unconditioned mixture, which is also what both outputs are
-    evolved from.
+    Local preparation solves one loop per state; non-local preparation one
+    loop for the unconditioned mixture, which is also what both outputs are
+    evolved from. Returns the output pairs (N, 3), the depolarized input
+    pair (the standard-QM side) and the batch.
     """
-    phi, theta, p, epsilon = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (phi, theta, p, epsilon)))
     n = len(phi)
-    if n == 0:
-        return []
     psi0 = np.broadcast_to([0.0, 0.0, 1.0], (n, 3))
     psi1 = _pure_bloch(phi, 0.0)
     kind = CircuitKind.SWAP_THEN_CU
@@ -197,21 +194,32 @@ def _discrimination_records(experiment_id: str, mode: str, phi, theta, p,
         batch = run_batch(kind, np.tile(theta, 2), np.tile(epsilon, 2), np.tile(p, 2),
                           pair, pair[:, None])
         out0, out1 = batch.outputs[:n, 0], batch.outputs[n:, 0]
-        prep = "local_pure"
     elif mode == "nonlocal":
         mixture = (psi0 + psi1) / 2.0
         batch = run_batch(kind, theta, epsilon, p, mixture, mixture[:, None])
         out0 = out1 = batch.outputs[:, 0]
-        prep = "nonlocal_ensemble"
     else:
         raise ValidationError(f"unknown preparation mode {mode!r}")
+    shrink = (1.0 - p)[:, None]
+    return out0, out1, (psi0 * shrink, psi1 * shrink), batch
+
+
+def _discrimination_records(experiment_id: str, mode: str, phi, theta, p,
+                            epsilon) -> list[SweepRecord]:
+    """Discrimination records at each grid point; phi, theta, p and epsilon
+    are per-point sequences (or scalars)."""
+    phi, theta, p, epsilon = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (phi, theta, p, epsilon)))
+    if len(phi) == 0:
+        return []
+    out0, out1, qm_pair, batch = _discrimination_batch(mode, phi, theta, p, epsilon)
     # Discrimination experiments compare against standard QM with the
     # optimal measurement and full state knowledge.
-    shrink = (1.0 - p)[:, None]
     return _records(
-        out0, out1, (psi0 * shrink, psi1 * shrink), False, _diagnostics([batch], n),
+        out0, out1, qm_pair, False, _diagnostics([batch], len(phi)),
         experiment_id=experiment_id, phi=phi, phase=0.0, theta_xz=theta, p=p,
-        epsilon=epsilon, prep_mode=prep, n_iterations=1,
+        epsilon=epsilon, prep_mode="local_pure" if mode == "local" else "nonlocal_ensemble",
+        n_iterations=1,
     )
 
 
@@ -271,13 +279,13 @@ def decoherence_surface(p_grid: list[float] | None = None,
 
 
 def _advantage_gaps(parameter: str, xs) -> np.ndarray:
-    """L_ctc(sigma_z) minus the QM baseline along one noise axis, as one batch."""
+    """L_ctc(sigma_z) minus the QM baseline along one noise axis: one batch, no records."""
     xs = np.asarray(xs, dtype=float)
-    p, eps = (xs, 0.0) if parameter == "p" else (0.0, xs)
-    records = _discrimination_records(
-        "threshold-probe", "local", WORKING_POINT_PHI, WORKING_POINT_THETA, p, eps
-    )
-    return np.array([r.L_ctc_sigma_z - r.L_qm for r in records])
+    zero = np.zeros_like(xs)
+    p, eps = (xs, zero) if parameter == "p" else (zero, xs)
+    out0, out1, qm_pair, _ = _discrimination_batch(
+        "local", np.full_like(xs, WORKING_POINT_PHI), np.full_like(xs, WORKING_POINT_THETA), p, eps)
+    return bloch_measures(out0, out1)[0] - bloch_measures(*qm_pair)[1]
 
 
 def find_threshold(parameter: str) -> ThresholdResult:
@@ -286,28 +294,35 @@ def find_threshold(parameter: str) -> ThresholdResult:
     Scans _SCAN_POINTS evenly spaced noise levels for a sign change first
     (the gap also vanishes at full noise, so a blind [0, 1] bracket would
     be ambiguous), then bisects it down to a width of at most _BISECT_TOL.
+    Bisection is evaluated in batches by tree level: the (lo + hi) / 2
+    midpoints of the next _SPEC_LEVELS levels are scored as one batch in
+    heap order (node i's halves at 2i + 1, 2i + 2), then walked with the
+    sign rule, so every bracket is the one a step-by-step bisection takes.
     """
     if parameter not in ("p", "epsilon"):
         raise ValidationError(f"unknown threshold parameter {parameter!r}")
     xs = np.linspace(0.0, 1.0, _SCAN_POINTS)
     vals = _advantage_gaps(parameter, xs)
-    bracket = None
-    for i in range(len(xs) - 1):
-        if vals[i] > 0.0 >= vals[i + 1]:
-            bracket = (float(xs[i]), float(xs[i + 1]))
-            break
-    if bracket is None:
+    starts = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+    if not starts.size:
         raise ThresholdNotFound(f"no advantage crossing found along {parameter}")
-
-    lo, hi = bracket
-    flo = _advantage_gaps(parameter, [lo])[0]
+    i = starts[0]
+    bracket = (float(xs[i]), float(xs[i + 1]))
+    (lo, hi), flo = bracket, vals[i]
     while hi - lo > _BISECT_TOL:
-        mid = (lo + hi) / 2
-        fm = _advantage_gaps(parameter, [mid])[0]
-        if (flo > 0) == (fm > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        nodes, mids = [(lo, hi)], []
+        while len(mids) < 2 ** _SPEC_LEVELS - 1:
+            a, b = nodes[len(mids)]
+            mids.append((a + b) / 2)
+            nodes += [(a, mids[-1]), (mids[-1], b)]
+        gaps = _advantage_gaps(parameter, mids)
+        node = 0
+        while node < len(mids) and hi - lo > _BISECT_TOL:
+            mid, fm = mids[node], gaps[node]
+            if (flo > 0) == (fm > 0):
+                lo, flo, node = mid, fm, 2 * node + 2
+            else:
+                hi, node = mid, 2 * node + 1
     crossing = (lo + hi) / 2
     return ThresholdResult(
         parameter=parameter,

@@ -31,18 +31,8 @@ from .experiments import (
     find_threshold,
     nonlinearity_sweep,
 )
-from .measures import (
-    grid_search_mismatch,
-    helstrom_success_probability,
-    optimal_mismatch_probability,
-)
-from .qmath import (
-    DensityMatrix,
-    PureQubit,
-    density_from_bloch,
-    trace_distance,
-    trace_distances,
-)
+from .measures import grid_search_mismatch, optimal_mismatch_probability
+from .qmath import DensityMatrix, PureQubit, trace_distance, trace_distances
 
 __all__ = ["CheckResult", "SelfTestReport", "run_selftest", "CHECKS"]
 
@@ -80,14 +70,36 @@ class Context:
         return self._nonlocal
 
 
-def _random_density(rng: np.random.Generator) -> DensityMatrix:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real)
+def _random_pairs(rng: np.random.Generator, n: int, pure: bool) -> tuple[np.ndarray, np.ndarray]:
+    """n random pairs of qubit states as two (n, 2, 2) stacks, equal bit for bit
+    to n pairs drawn one state at a time: pure psi(acos u, phase) with u and
+    the phase uniform, or mixed G G^dag / Tr(G G^dag) with G complex Gaussian.
+    Symmetrised as DensityMatrix does, so wrapping a row leaves it unchanged."""
+    if pure:
+        u, phase = np.moveaxis(rng.uniform([-1.0, 0.0], [1.0, 2 * math.pi], size=(n, 2, 2)), -1, 0)
+        # math.acos, not np.arccos: the two round differently.
+        half = np.array([math.acos(c) for c in u.ravel().tolist()]).reshape(n, 2) / 2
+        v = np.stack([np.cos(half).astype(complex), np.exp(1j * phase) * np.sin(half)], axis=-1)
+        m = v[..., :, None] * v[..., None, :].conj()
+    else:
+        x = rng.normal(size=(n, 2, 2, 2, 2))
+        g = x[:, :, 0] + 1j * x[:, :, 1]
+        m = g @ g.conj().swapaxes(-1, -2)
+        m = m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    return m[:, 0], m[:, 1]
 
 
-def _random_pure(rng: np.random.Generator) -> PureQubit:
-    return PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+def _bloch_rows(m: np.ndarray) -> np.ndarray:
+    """bloch_from_density row by row: Bloch vectors (N, 3) of matrices (N, 2, 2)."""
+    return np.stack([2 * m[:, 0, 1].real, -2 * m[:, 0, 1].imag, (m[:, 0, 0] - m[:, 1, 1]).real],
+                    axis=-1)
+
+
+def _density_rows(r: np.ndarray) -> np.ndarray:
+    """density_from_bloch row by row: matrices (N, 2, 2) of Bloch vectors (N, 3)."""
+    x, y, z = r.T
+    return np.stack([1 + z, x - 1j * y, x + 1j * y, 1 - z], axis=-1).reshape(-1, 2, 2) / 2.0
 
 
 def _check_closed_form(ctx: Context) -> tuple[bool, str]:
@@ -237,22 +249,26 @@ def _check_decoherence_thresholds(ctx: Context) -> tuple[bool, str]:
 def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
     """Optimized-measure and Helstrom identities, and the non-local 1/2 plateau."""
     rng = np.random.default_rng(20260810)
-    worst_si = 0.0
-    for _ in range(1000):
-        r1, r2 = _random_pure(rng).density(), _random_pure(rng).density()
-        val, _ = optimal_mismatch_probability(r1, r2)
-        d = trace_distance(r1, r2)
-        worst_si = max(worst_si, abs(val - 0.5 * (1 + d * d)))
+    a, b = _random_pairs(rng, 1000, pure=True)
+    # optimal_mismatch_probability's eigensolve, stacked. Pure states have
+    # unit Bloch vectors, so its vanishing-form branch never applies.
+    outer = _bloch_rows(a)[:, :, None] * _bloch_rows(b)[:, None, :]
+    lam = np.linalg.eigh(((outer + outer.swapaxes(1, 2)) / 2.0).astype(complex))[0][:, 0]
+    d = trace_distances(a, b)
+    worst_si = float(np.abs(np.clip((1.0 - lam) / 2.0, 0.0, 1.0) - 0.5 * (1 + d * d)).max())
 
-    worst_hel = 0.0
-    for _ in range(1000):
-        r1, r2 = _random_density(rng), _random_density(rng)
-        lam, v = np.linalg.eigh(r1.mat - r2.mat)
-        proj = (v[:, lam > 0] @ v[:, lam > 0].conj().T) if (lam > 0).any() else np.zeros((2, 2))
-        explicit = 0.5 * float(
-            np.trace(proj @ r1.mat).real + np.trace((np.eye(2) - proj) @ r2.mat).real
-        )
-        worst_hel = max(worst_hel, abs(helstrom_success_probability(r1, r2) - explicit))
+    m1, m2 = _random_pairs(rng, 1000, pure=False)
+    lam, v = np.linalg.eigh(m1 - m2)
+    # Projector onto the positive eigenspace of each difference, built from
+    # its top k eigenvectors for each dimension k (none: the zero matrix).
+    positive = (lam > 0).sum(axis=1)
+    proj = np.zeros_like(m1)
+    for k in (1, 2):
+        top = v[positive == k][:, :, 2 - k:]
+        proj[positive == k] = top @ top.conj().swapaxes(-1, -2)
+    explicit = 0.5 * (np.trace(proj @ m1, axis1=-2, axis2=-1).real
+                      + np.trace((np.eye(2) - proj) @ m2, axis1=-2, axis2=-1).real)
+    worst_hel = float(np.abs(0.5 * (1.0 + trace_distances(m1, m2)) - explicit).max())
 
     plateau = max(abs(r.L_ctc_optimal - 0.5) for r in ctx.nonlocal_sweeps())
     ok = (
@@ -315,12 +331,11 @@ def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
     worst = 0.0
     for channels, rho_in, loop in _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK):
         damped = damped_iteration(rho_in, channels)
-        engine = np.array([density_from_bloch(r).mat for r in loop])
-        worst = max(worst, float(trace_distances(engine, damped.rho).max()))
+        worst = max(worst, float(trace_distances(_density_rows(loop), damped.rho).max()))
 
     worst_grid = 0.0
-    for _ in range(200):
-        r1, r2 = _random_density(rng), _random_density(rng)
+    for m1, m2 in zip(*_random_pairs(rng, 200, pure=False)):
+        r1, r2 = DensityMatrix(m1), DensityMatrix(m2)
         val, _ = optimal_mismatch_probability(r1, r2)
         worst_grid = max(worst_grid, abs(val - grid_search_mismatch(r1, r2)))
     ok = worst <= ctx.tol(1e-9) and worst_grid <= ctx.tol(1e-6)

@@ -21,7 +21,14 @@ import ctcsim.selftest as selftest
 from ctcsim.circuits import CircuitKind, CircuitSpec, build_interaction, depolarize
 from ctcsim.cli import main
 from ctcsim.deutsch import solve_fixed_point
-from ctcsim.qmath import PureQubit
+from ctcsim.measures import helstrom_success_probability, optimal_mismatch_probability
+from ctcsim.qmath import (
+    DensityMatrix,
+    PureQubit,
+    bloch_from_density,
+    density_from_bloch,
+    trace_distance,
+)
 from ctcsim.selftest import (
     CHECKS,
     NONLOCAL_SWEEPS,
@@ -171,3 +178,60 @@ def test_nonlocal_sweeps_shared_by_c7_and_c9(monkeypatch):
     assert selftest._check_nonlocal_ceiling(ctx)[0]
     assert len(calls) == len(NONLOCAL_SWEEPS)
     assert len(ctx.fidelities) == swept + 31  # C7's own 31 scenarios
+
+
+def one_state_at_a_time(rng, pure):
+    """Oracle: the draws of one random state, as C9 and C10 made them before
+    they drew whole stacks (density matrix, as a (2, 2) array)."""
+    if pure:
+        return PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)).density().mat
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m = g @ g.conj().T
+    return DensityMatrix(m / m.trace().real).mat
+
+
+@pytest.mark.parametrize("seed", [20260810, 42])
+def test_stacked_draws_match_one_at_a_time(seed):
+    """The stacked pairs are the one-at-a-time states bit for bit, leave the
+    generator where the one-at-a-time draws do, and are DensityMatrix-exact."""
+    stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for pure in (True, False):
+        a, b = selftest._random_pairs(stacked, 500, pure)
+        want = np.array([one_state_at_a_time(scalar, pure) for _ in range(1000)])
+        np.testing.assert_array_equal(np.stack([a, b], axis=1).reshape(-1, 2, 2), want)
+        for m in a:
+            np.testing.assert_array_equal(DensityMatrix(m).mat, m)
+    assert stacked.bit_generator.state == scalar.bit_generator.state
+
+
+def test_stacked_bloch_conversions_match_qmath():
+    rng = np.random.default_rng(5)
+    a, _ = selftest._random_pairs(rng, 64, pure=False)
+    r = selftest._bloch_rows(a)
+    np.testing.assert_array_equal(r, [bloch_from_density(DensityMatrix(m)) for m in a])
+    np.testing.assert_array_equal(selftest._density_rows(r),
+                                  [density_from_bloch(v).mat for v in r])
+
+
+def test_c9_deviations_match_scalar_measures(report):
+    """C9's stacked identities report the deviations the scalar measures give
+    on the same draws, to the printed digits."""
+    rng = np.random.default_rng(20260810)
+    worst_si = worst_hel = 0.0
+    for _ in range(1000):
+        r1 = DensityMatrix(one_state_at_a_time(rng, True))
+        r2 = DensityMatrix(one_state_at_a_time(rng, True))
+        d = trace_distance(r1, r2)
+        worst_si = max(worst_si, abs(optimal_mismatch_probability(r1, r2)[0] - 0.5 * (1 + d * d)))
+    for _ in range(1000):
+        r1 = DensityMatrix(one_state_at_a_time(rng, False))
+        r2 = DensityMatrix(one_state_at_a_time(rng, False))
+        lam, v = np.linalg.eigh(r1.mat - r2.mat)
+        proj = (v[:, lam > 0] @ v[:, lam > 0].conj().T) if (lam > 0).any() else np.zeros((2, 2))
+        explicit = 0.5 * float(
+            np.trace(proj @ r1.mat).real + np.trace((np.eye(2) - proj) @ r2.mat).real
+        )
+        worst_hel = max(worst_hel, abs(helstrom_success_probability(r1, r2) - explicit))
+    detail = {r.check_id: r.detail for r in report.results}["C9"]
+    assert detail.startswith(
+        f"optimal-measure identity dev {worst_si:.2e}, Helstrom dev {worst_hel:.2e}, ")

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +246,13 @@ class TestSelftestCommand:
     def test_non_finite_tolerance_exits_2(self, capsys, tol):
         assert main(["selftest", "--tol", tol]) == 2
         assert "tolerance override" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    """`python -m ctcsim` is the `ctcsim` command line."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ctcsim", "--help"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "selftest" in proc.stdout

@@ -166,6 +166,53 @@ class TestThresholds:
         with pytest.raises(ValidationError):
             find_threshold("q")
 
+    @pytest.mark.parametrize("parameter", ["p", "epsilon"])
+    def test_speculative_bisection_matches_sequential(self, parameter):
+        """Every bracket, the crossing and the tolerance are the step-by-step ones."""
+        assert find_threshold(parameter) == sequential_threshold(parameter)
+
+    @pytest.mark.parametrize("parameter", ["p", "epsilon"])
+    def test_bisection_is_batched_and_builds_no_records(self, parameter, monkeypatch):
+        import ctcsim.experiments as experiments
+
+        batches, records = [], []
+        real = experiments.run_batch
+
+        def counted(*args, **kwargs):
+            batches.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_batch", counted)
+        monkeypatch.setattr(experiments, "SweepRecord", lambda *row: records.append(row))
+        find_threshold(parameter)
+        assert 1 < len(batches) <= 10
+        assert records == []
+
+
+def sequential_threshold(parameter):
+    """Oracle: the one-midpoint-at-a-time bisection, on batch-of-one gaps."""
+    from ctcsim.experiments import (
+        _BISECT_TOL,
+        _SCAN_POINTS,
+        ThresholdResult,
+        _advantage_gaps,
+    )
+
+    xs = np.linspace(0.0, 1.0, _SCAN_POINTS)
+    vals = _advantage_gaps(parameter, xs)
+    i = next(i for i in range(len(xs) - 1) if vals[i] > 0.0 >= vals[i + 1])
+    bracket = (float(xs[i]), float(xs[i + 1]))
+    lo, hi = bracket
+    flo = _advantage_gaps(parameter, [lo])[0]
+    while hi - lo > _BISECT_TOL:
+        mid = (lo + hi) / 2
+        fm = _advantage_gaps(parameter, [mid])[0]
+        if (flo > 0) == (fm > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return ThresholdResult(parameter, (lo + hi) / 2, bracket, hi - lo)
+
 
 def supplement_sweep(target, variant, mode, grid):
     """The records of one (variant, mode) block of the s1/s2 reproduce table."""
