@@ -226,6 +226,8 @@ def evolve_output(input_state: DensityMatrix, rho_ctc: DensityMatrix,
 
 
 _VEC_BASIS = np.eye(4, dtype=complex).reshape(4, 2, 2)
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 
 
 def _superoperators(kraus, rho_in: np.ndarray) -> np.ndarray:
@@ -281,7 +283,7 @@ def damped_iteration(rho_in: np.ndarray, channels, tol: float = 1e-12,
     """
     kraus = _kraus_stack(channels)
     m = _superoperators(kraus, rho_in)
-    sing = np.linalg.svd(m - np.eye(4), compute_uv=False)
+    sing = np.linalg.svd(m - _EYE4, compute_uv=False)
     cur = np.tile(np.eye(2, dtype=complex).reshape(4) / 2, (len(m), 1))
     iterations = np.zeros(len(m), dtype=int)
     active, step = np.arange(len(m)), np.array([math.inf])
@@ -376,7 +378,7 @@ def solve_loops(terms, loop_in: np.ndarray, evolve: np.ndarray) -> LoopBatch:
     m = _mix(terms, LOOP_RAIL, "kmv,nm->nkv", _homogeneous(loop_in))
     if not np.isfinite(m).all():
         raise ValidationError("non-finite loop input or interaction")
-    _, sing, vt = np.linalg.svd(m - np.eye(4))
+    _, sing, vt = np.linalg.svd(m - _EYE4)
     null = sing < EIGENVALUE_ONE_TOL
     dims = null.sum(axis=1)
     # Null-space rows of vt; e0 . P e0 = sum of their squared first entries.

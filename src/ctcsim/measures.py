@@ -6,17 +6,22 @@ distinguishability measure (0 for identical aligned states, 1 for
 orthogonal states measured along their axis). Optimizing the measurement
 axis relates it to the trace distance; the Helstrom bound covers the
 identify-one-state-at-a-time game instead.
+
+The measures on DensityMatrix pairs (mismatch_probability,
+optimal_mismatch_probability, trace_distance) work on the matrices and
+their eigensystems. bloch_measures gives the same quantities in closed
+form on Bloch vectors; the reproduce tables and qm_baseline use it, and
+the eigen-based functions are its oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
-from .circuits import depolarize
 from .qmath import (
     ID2,
     SIGMA_X,
@@ -45,7 +50,8 @@ __all__ = [
 class MeasurementDirection:
     """Projective measurement along a unit Bloch axis; "+" projector (I + n.sigma)/2.
 
-    `axis` is stored as a read-only (3,) float array.
+    `axis` is stored as a read-only (3,) float array; the projector pair is
+    built on the first projectors() call and kept, read-only, for later ones.
     """
 
     axis: np.ndarray
@@ -57,10 +63,18 @@ class MeasurementDirection:
         axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _projector_pair(self) -> tuple[np.ndarray, np.ndarray]:
         x, y, z = self.axis
         n_sigma = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
-        return (ID2 + n_sigma) / 2.0, (ID2 - n_sigma) / 2.0
+        pair = (ID2 + n_sigma) / 2.0, (ID2 - n_sigma) / 2.0
+        for proj in pair:
+            proj.setflags(write=False)
+        return pair
+
+    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P+, P-) as read-only 2x2 arrays, the same pair on every call."""
+        return self._projector_pair
 
 
 SIGMA_Z_AXIS = MeasurementDirection(np.array([0.0, 0.0, 1.0]))
@@ -120,20 +134,28 @@ def optimal_mismatch_probability(
     form = form.astype(complex)
     lam, vecs = np.linalg.eigh((form + form.conj().T) / 2.0)
     axis = vecs[:, 0].real
-    axis = axis / np.linalg.norm(axis)
-    # Canonical sign: first clearly nonzero component positive.
-    for c in axis:
+    value = float((1.0 - lam[0]) / 2.0)
+    return min(max(value, 0.0), 1.0), _canonical_direction(axis / np.linalg.norm(axis))
+
+
+def _canonical_direction(axis: np.ndarray) -> MeasurementDirection:
+    """The direction of +-axis whose first clearly nonzero component is positive."""
+    for c in axis.tolist():
         if abs(c) > 1e-9:
             if c < 0:
                 axis = -axis
             break
-    value = float((1.0 - lam[0]) / 2.0)
-    return min(max(value, 0.0), 1.0), MeasurementDirection(axis)
+    return MeasurementDirection(axis)
 
 
 def helstrom_success_probability(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """Best equal-prior identification probability: (1 + trace distance)/2."""
     return 0.5 * (1.0 + trace_distance(rho1, rho2))
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of real vectors, same arithmetic, without its per-call overhead."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
 
 
 def bloch_measures(r1: np.ndarray, r2: np.ndarray):
@@ -142,10 +164,9 @@ def bloch_measures(r1: np.ndarray, r2: np.ndarray):
     Closed forms (1 - z1 z2)/2, (1 - (r1.r2 - |r1||r2|)/2)/2, |r1 - r2|/2
     and (1 + D)/2; the eigen-based functions above are their oracles.
     """
-    d = np.linalg.norm(r1 - r2, axis=-1) / 2.0
+    d = _norms(r1 - r2) / 2.0
     l_z = (1.0 - r1[..., 2] * r2[..., 2]) / 2.0
-    lam = (np.sum(r1 * r2, axis=-1)
-           - np.linalg.norm(r1, axis=-1) * np.linalg.norm(r2, axis=-1)) / 2.0
+    lam = (np.add.reduce(r1 * r2, axis=-1) - _norms(r1) * _norms(r2)) / 2.0
     l_opt = np.clip((1.0 - lam) / 2.0, 0.0, 1.0)
     return l_z, l_opt, d, 0.5 * (1.0 + d)
 
@@ -214,20 +235,26 @@ def qm_baseline(phi: float, p: float = 0.0) -> DistinguishabilityReport:
     """Standard-QM reference for the pair {|H>, psi1(phi)} after depolarization p.
 
     This is the un-evolved comparison used against every loop experiment;
-    it does not depend on how the states were prepared. Because
-    depolarization shrinks both Bloch vectors isotropically, the optimal
-    axis is the decoherence-free one and L_optimal equals its value on the
-    noisy pair.
+    it does not depend on how the states were prepared. Depolarization
+    shrinks the Bloch vectors to (1 - p) z and (1 - p) r(phi); the measures
+    are bloch_measures' closed forms on them, as in the reproduce tables.
+    The shrink is isotropic, so the optimal axis is the noise-free one,
+    along z - r(phi), i.e. (-cos(phi/2), 0, sin(phi/2)), in canonical sign
+    (the x-axis at phi = 0); at p = 1 every axis gives 1/2 and it is z.
+    The eigen-based measures on the depolarized matrices are the oracles.
     """
-    rho0 = depolarize(PureQubit(0.0, 0.0).density(), p)
-    rho1 = depolarize(PureQubit(phi, 0.0).density(), p)
-    l_z = mismatch_probability(rho0, rho1, SIGMA_Z_AXIS)
-    l_opt, axis = optimal_mismatch_probability(rho0, rho1)
-    d = trace_distance(rho0, rho1)
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"depolarization strength p = {p} outside [0, 1]")
+    psi1 = PureQubit(phi, 0.0)
+    shrink = 1.0 - p
+    l_z, l_opt, d, p_succ = bloch_measures(np.array([0.0, 0.0, shrink]), shrink * psi1.bloch())
+    half = psi1.polar / 2.0
+    axis = (SIGMA_Z_AXIS if p == 1.0
+            else _canonical_direction(np.array([-math.cos(half), 0.0, math.sin(half)])))
     return DistinguishabilityReport(
-        L_sigma_z=l_z,
-        L_optimal=l_opt,
+        L_sigma_z=float(l_z),
+        L_optimal=float(l_opt),
         optimal_axis=axis,
-        trace_dist=d,
-        p_succ_optimal=0.5 * (1.0 + d),
+        trace_dist=float(d),
+        p_succ_optimal=float(p_succ),
     )

@@ -16,6 +16,7 @@ failing every comparison in it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -119,7 +120,9 @@ class DensityMatrix:
 
     All three invariants are checked on construction, so any value of this
     type that exists is valid; operations therefore validate their outputs
-    simply by returning them through this constructor.
+    simply by returning them through this constructor. The checks run on
+    the four entries as Python complex numbers (one tolist(), no numpy call
+    per check); `mat` is the read-only Hermitian part (m + m^dag)/2.
     """
 
     __slots__ = ("mat",)
@@ -130,22 +133,32 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix must be a qubit state (dim 2), got shape {a.shape}"
             )
-        if not np.isfinite(a).all():
+        (m00, m01), (m10, m11) = a.tolist()
+        if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
             raise ValidationError("density matrix has non-finite entries")
-        if np.abs(a - a.conj().T).max() > HERMITICITY_TOL:
+        try:
+            skew = abs(m01 - m10.conjugate())
+        except OverflowError:  # both parts finite, their modulus beyond the float range
+            skew = math.inf
+        # On the diagonal, m - m^dag is 2i Im m.
+        if max(2.0 * abs(m00.imag), 2.0 * abs(m11.imag), skew) > HERMITICITY_TOL:
             raise ValidationError(
                 "density matrix violates Hermiticity (|m - m^dag|_max > 1e-12)"
             )
-        if abs(a.trace() - 1.0) > TRACE_TOL:
+        trace = 0j + m00 + m11  # summed from +0, as numpy's trace is: same sign of zero
+        if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(
-                f"density matrix violates unit trace (trace = {a.trace():.6g})"
+                f"density matrix violates unit trace (trace = {trace:.6g})"
             )
-        lo = _eig_ranges_2x2(a)[0]
+        t = trace.real
+        det = (m00 * m11 - m01 * m10).real
+        lo = (t - math.sqrt(max(t * t - 4.0 * det, 0.0))) / 2.0
         if lo < -PSD_TOL:
             raise ValidationError(
                 f"density matrix violates positivity (min eigenvalue = {lo:.3e})"
             )
-        a = (a + a.conj().T) / 2.0
+        a = np.array([[m00 + m00.conjugate(), m01 + m10.conjugate()],
+                      [m10 + m01.conjugate(), m11 + m11.conjugate()]]) / 2.0
         a.setflags(write=False)
         self.mat = a
 
@@ -209,5 +222,5 @@ def bloch_from_density(rho: DensityMatrix) -> np.ndarray:
 
 def density_from_bloch(v: np.ndarray) -> DensityMatrix:
     """Qubit state (I + v . sigma)/2; positivity requires |v| <= 1 + 2 PSD_TOL."""
-    x, y, z = v
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return DensityMatrix(np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2.0)

@@ -54,7 +54,9 @@ def test_cli_matrix_matches_golden():
         assert render_case(argv) == "### " + expected, " ".join(argv)
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--regenerate"]:
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: PYTHONPATH=src python3 tests/test_cli_golden.py --regenerate")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("".join(render_case(argv) for argv in CASES), encoding="utf-8")
     print(f"wrote {len(CASES)} cases to {GOLDEN}")

@@ -18,6 +18,10 @@ from ctcsim.measures import (
     qm_baseline,
 )
 from ctcsim.qmath import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     PureQubit,
     ValidationError,
@@ -83,6 +87,31 @@ class TestMismatchProbability:
                      [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0], [0.0, 1.0]):
             with pytest.raises(ValidationError, match="unit 3-vector"):
                 MeasurementDirection(np.array(axis))
+
+    def test_projectors_built_once_and_read_only(self):
+        direction = random_axis(np.random.default_rng(127))
+        pair = direction.projectors()
+        again = direction.projectors()
+        assert again[0] is pair[0] and again[1] is pair[1]
+        for proj in pair + SIGMA_Z_AXIS.projectors():
+            assert not proj.flags.writeable
+            with pytest.raises(ValueError):
+                proj[0, 0] = 1.0
+        np.testing.assert_allclose(pair[0] + pair[1], np.eye(2), atol=1e-15)
+
+    def test_cached_projectors_give_per_call_values(self):
+        """mismatch_probability is bit-identical with projectors built on each call."""
+        rng = np.random.default_rng(131)
+        for _ in range(200):
+            a, b, direction = random_qubit_state(rng), random_qubit_state(rng), random_axis(rng)
+            x, y, z = direction.axis
+            n_sigma = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+            p_plus, p_minus = (ID2 + n_sigma) / 2.0, (ID2 - n_sigma) / 2.0
+            per_call = (float(np.trace(p_plus @ a.mat).real) * float(np.trace(p_minus @ b.mat).real)
+                        + float(np.trace(p_minus @ a.mat).real)
+                        * float(np.trace(p_plus @ b.mat).real))
+            for _ in range(2):
+                assert mismatch_probability(a, b, direction) == per_call
 
     def test_axis_is_a_read_only_copy(self):
         given = np.array([0.0, 1.0, 0.0])
@@ -203,6 +232,52 @@ class TestQmBaseline:
                 trace_dist=0.5, p_succ_optimal=0.75,
             )
 
+    @staticmethod
+    def points(seed):
+        """The 9 x 3 (phi, p) grid, the axis edge cases and a seeded 200-point draw."""
+        rng = np.random.default_rng(seed)
+        grid = [(float(phi), p) for phi in np.linspace(0, 2 * math.pi, 9) for p in (0.0, 0.3, 1.0)]
+        edges = [(0.0, 0.0), (0.0, 0.6), (math.pi, 0.0), (math.pi, 0.6), (2.0, 1.0)]
+        draw = zip(rng.uniform(0.0, 2 * math.pi, 200).tolist(), rng.uniform(0.0, 1.0, 200).tolist())
+        return grid + edges + list(draw)
+
+    @staticmethod
+    def depolarized_pair(phi, p):
+        return depolarize(H, p), depolarize(PureQubit(phi, 0.0).density(), p)
+
+    def test_matches_eigen_oracles_on_depolarized_pairs(self):
+        """The closed forms against the eigen-based measures on the depolarized
+        DensityMatrix pair."""
+        for phi, p in self.points(20261018):
+            qm = qm_baseline(phi, p)
+            rho0, rho1 = self.depolarized_pair(phi, p)
+            d = trace_distance(rho0, rho1)
+            assert abs(qm.L_sigma_z - mismatch_probability(rho0, rho1, SIGMA_Z_AXIS)) <= 1e-12
+            assert abs(qm.L_optimal - optimal_mismatch_probability(rho0, rho1)[0]) <= 1e-12
+            assert abs(qm.trace_dist - d) <= 1e-12
+            assert abs(qm.p_succ_optimal - helstrom_success_probability(rho0, rho1)) <= 1e-12
+
+    def test_axis_reaches_the_optimum(self):
+        """Measuring the depolarized pair along the returned axis gives L_optimal,
+        also at phi = 0 (both states on z), phi = pi and p = 1 (the z-axis)."""
+        for phi, p in self.points(20261019):
+            qm = qm_baseline(phi, p)
+            rho0, rho1 = self.depolarized_pair(phi, p)
+            assert abs(mismatch_probability(rho0, rho1, qm.optimal_axis) - qm.L_optimal) <= 1e-12
+            if p < 1.0 and math.sin(phi / 2) > 1e-6:
+                # Where the eigenvector is unique it is the same canonical axis.
+                eigen_axis = optimal_mismatch_probability(rho0, rho1)[1].axis
+                np.testing.assert_allclose(qm.optimal_axis.axis, eigen_axis, atol=1e-9)
+        assert tuple(qm_baseline(2.0, 1.0).optimal_axis.axis) == (0.0, 0.0, 1.0)
+        assert tuple(qm_baseline(0.0, 0.2).optimal_axis.axis) == (1.0, 0.0, 0.0)
+
+    def test_invalid_inputs_rejected(self):
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValidationError, match="depolarization strength"):
+                qm_baseline(1.0, p)
+        with pytest.raises(ValidationError, match="finite"):
+            qm_baseline(math.inf, 0.2)
+
 
 class TestBlochClosedForms:
     """The batched closed forms against the eigen-based functions they replace."""
@@ -223,15 +298,3 @@ class TestBlochClosedForms:
             assert abs(l_opt[i] - optimal_mismatch_probability(a, b)[0]) <= 1e-12
             assert abs(d[i] - trace_distance(a, b)) <= 1e-12
             assert abs(p_succ[i] - helstrom_success_probability(a, b)) <= 1e-12
-
-    def test_qm_baseline_from_depolarized_bloch_pair(self):
-        for phi in np.linspace(0, 2 * math.pi, 9):
-            for p in (0.0, 0.3, 1.0):
-                qm = qm_baseline(float(phi), p)
-                r0 = (1 - p) * np.array([0.0, 0.0, 1.0])
-                r1 = (1 - p) * PureQubit(float(phi), 0.0).bloch()
-                l_z, l_opt, d, p_succ = bloch_measures(r0, r1)
-                assert qm.L_sigma_z == pytest.approx(l_z, abs=1e-12)
-                assert qm.L_optimal == pytest.approx(l_opt, abs=1e-12)
-                assert qm.trace_dist == pytest.approx(d, abs=1e-12)
-                assert qm.p_succ_optimal == pytest.approx(p_succ, abs=1e-12)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from ctcsim.qmath import (
+    HERMITICITY_TOL,
     ID2,
+    PSD_TOL,
+    TRACE_TOL,
     SIGMA_X,
     DensityMatrix,
     PureQubit,
@@ -277,3 +280,123 @@ class TestDensityMatrixValidation:
     def test_pure_qubit_normalization(self):
         for polar in (0.0, 0.7, math.pi, 4.0):
             assert abs(np.linalg.norm(PureQubit(polar, 1.3).vector()) - 1) < 1e-14
+
+
+def numpy_checked(mat) -> np.ndarray:
+    """Oracle: DensityMatrix's checks as whole-array numpy operations, the form
+    they had before the constructor checked the four entries as scalars.
+    Returns the symmetrized matrix the constructor stores, or raises."""
+    a = np.asarray(mat, dtype=complex)
+    if a.shape != (2, 2):
+        raise ValidationError(f"density matrix must be a qubit state (dim 2), got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("density matrix has non-finite entries")
+    if np.abs(a - a.conj().T).max() > HERMITICITY_TOL:
+        raise ValidationError("density matrix violates Hermiticity (|m - m^dag|_max > 1e-12)")
+    if abs(a.trace() - 1.0) > TRACE_TOL:
+        raise ValidationError(f"density matrix violates unit trace (trace = {a.trace():.6g})")
+    t = (a[..., 0, 0] + a[..., 1, 1]).real
+    det = (a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]).real
+    lo = (t - np.sqrt(np.maximum(t * t - 4.0 * det, 0.0))) / 2.0
+    if lo < -PSD_TOL:
+        raise ValidationError(f"density matrix violates positivity (min eigenvalue = {lo:.3e})")
+    return (a + a.conj().T) / 2.0
+
+
+def verdict(check, mat):
+    """("ok", stored bytes) or (exception type, message)."""
+    try:
+        out = check(mat)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", out.tobytes()
+
+
+class TestScalarChecksMatchNumpyOracle:
+    """The scalar checks accept, reject and word each boundary case as the
+    whole-array numpy checks do, and store the same bytes.
+
+    Near the positivity bound the two can differ in the last ulp of the
+    determinant (numpy's complex multiply may fuse multiply-adds); cases
+    sit 1e-3 (relative) away from each bound, far outside that."""
+
+    @staticmethod
+    def assert_same(mat):
+        want = verdict(numpy_checked, mat)
+        got = verdict(lambda m: DensityMatrix(m).mat, mat)
+        assert got == want, mat.tolist()
+        return want[0]
+
+    @staticmethod
+    def interior_state(rng):
+        """A random state with eigenvalues in [0.2, 0.8], far from every bound."""
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        lam = rng.uniform(0.2, 0.8)
+        return u @ np.diag([lam, 1.0 - lam]) @ u.conj().T
+
+    def test_hermiticity_bound(self):
+        rng = np.random.default_rng(3101)
+        seen = set()
+        for _ in range(100):
+            for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+                gap = HERMITICITY_TOL * scale
+                off = self.interior_state(rng)
+                off[0, 1] += gap * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                diag = self.interior_state(rng)
+                k = rng.integers(2)
+                diag[k, k] += 0.5j * gap
+                for m in (off, diag):
+                    seen.add(self.assert_same(m))
+        assert seen == {"ok", "ValidationError"}
+
+    def test_trace_bound(self):
+        rng = np.random.default_rng(3102)
+        seen = set()
+        for _ in range(100):
+            for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+                m = self.interior_state(rng)
+                k = rng.integers(2)
+                m[k, k] += rng.choice([-1.0, 1.0]) * TRACE_TOL * scale
+                seen.add(self.assert_same(m))
+        assert seen == {"ok", "ValidationError"}
+        # The message prints the trace, signed zeros included.
+        for a, b in ((-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (complex(-0.0, 1e-13), -0.0)):
+            assert self.assert_same(np.array([[a, 0.0], [0.0, b]], dtype=complex)) == "ValidationError"
+
+    def test_positivity_bound(self):
+        rng = np.random.default_rng(3103)
+        seen = set()
+        for _ in range(100):
+            for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+                lam = PSD_TOL * scale
+                u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                for m in (np.diag([1.0 + lam, -lam]).astype(complex),
+                          u @ np.diag([1.0 + lam, -lam]) @ u.conj().T):
+                    seen.add(self.assert_same(m))
+        assert seen == {"ok", "ValidationError"}
+
+    def test_finite_entries_beyond_float_range_differences(self):
+        """|m01 - conj(m10)| overflows although both entries are finite."""
+        for off in (complex(1.5e308, 1.5e308), complex(-1e308, 1e308), complex(1e200, 0.0)):
+            m = np.array([[0.5, off], [0.0, 0.5]])
+            with np.errstate(over="ignore"):
+                assert self.assert_same(m) == "ValidationError"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parts(self, bad):
+        for k in range(4):
+            for shift in (complex(bad, 0.0), complex(0.0, bad)):
+                m = (ID2 / 2).reshape(4).copy()
+                m[k] += shift
+                assert self.assert_same(m.reshape(2, 2)) == "ValidationError"
+
+    def test_stored_matrix_is_read_only_and_bit_identical(self):
+        rng = np.random.default_rng(3104)
+        for _ in range(200):
+            m = self.interior_state(rng)
+            m[0, 1] += 1e-13 * (rng.normal() + 1j * rng.normal())
+            stored = DensityMatrix(m).mat
+            assert stored.tobytes() == numpy_checked(m).tobytes()
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0, 0] = 1.0
