@@ -16,7 +16,6 @@ failing every comparison in it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -134,7 +133,8 @@ class DensityMatrix:
                 f"density matrix must be a qubit state (dim 2), got shape {a.shape}"
             )
         (m00, m01), (m10, m11) = a.tolist()
-        if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+        parts = (m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
+        if not all(map(math.isfinite, parts)):
             raise ValidationError("density matrix has non-finite entries")
         try:
             skew = abs(m01 - m10.conjugate())
