@@ -81,7 +81,6 @@ class QubitChannel:
 
     def __post_init__(self) -> None:
         terms = []
-        acc = np.zeros((4, 4), dtype=complex)
         for w, op in self.kraus:
             w = float(w)
             if not 0.0 < w <= 1.0:
@@ -91,18 +90,33 @@ class QubitChannel:
                 raise ValidationError(f"Kraus operator must be 4x4, got {op.shape}")
             op = op.copy()
             op.setflags(write=False)
-            acc += w * (op.conj().T @ op)
             terms.append((w, op))
-        if not np.abs(acc - ID4).max() <= COMPLETENESS_TOL:
-            raise ValidationError(
-                "channel violates completeness (sum w_k op_k^dag op_k != I to 1e-10)"
-            )
         object.__setattr__(self, "kraus", tuple(terms))
-        # Heisenberg picture: Tr[S E(P)] = Tr[E^dag(S) P] for every readout S.
-        adjoint = sum(w * (op.conj().T @ _READOUTS @ op) for w, op in terms)
-        tensors = (adjoint.reshape(8, 16) @ _PAIRS_T).real.reshape(2, 4, 4, 4) / 4.0
+        weights = np.array([[w for w, _ in terms]])
+        ops = np.array([op for _, op in terms]).reshape(1, -1, 4, 4)
+        # A copy: a cached channel keeps one array, not a view and its base.
+        tensors = _transfer_tensors(weights, ops)[0].copy()
         tensors.setflags(write=False)
         object.__setattr__(self, "transfer", tensors)
+
+
+def _transfer_tensors(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Pauli-transfer tensors (N, 2, 4, 4, 4) of N weighted Kraus rows, each
+    checked for completeness: weights (N, K), ops (N, K, 4, 4).
+
+    Rows with fewer than K terms may be padded with zero-weight terms (as
+    deutsch._kraus_stack does), which add exact zeros. QubitChannel is a
+    batch of one of this.
+    """
+    # Heisenberg picture: Tr[S E(P)] = Tr[E^dag(S) P] for every readout S.
+    adj = ops.conj().swapaxes(-1, -2)[:, :, None]
+    adjoint = (weights[:, :, None, None, None] * (adj @ _READOUTS @ ops[:, :, None])).sum(axis=1)
+    # The first readout is I (x) I, so its image is sum_k w_k op_k^dag op_k.
+    if not np.abs(adjoint[:, 0] - ID4).max() <= COMPLETENESS_TOL:
+        raise ValidationError(
+            "channel violates completeness (sum w_k op_k^dag op_k != I to 1e-10)"
+        )
+    return (adjoint.reshape(-1, 8, 16) @ _PAIRS_T).real.reshape(-1, 2, 4, 4, 4) / 4.0
 
 
 class CircuitKind(Enum):
@@ -160,11 +174,15 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarization strength p = {p} outside [0, 1]")
-    m = rho.mat
-    out = (1 - 0.75 * p) * m + 0.25 * p * (
+    return DensityMatrix(_depolarized(rho.mat, p))
+
+
+def _depolarized(m: np.ndarray, p) -> np.ndarray:
+    """depolarize's arithmetic on matrices (..., 2, 2) with strengths p (...), unvalidated."""
+    p = np.asarray(p, dtype=float)[..., None, None]
+    return (1 - 0.75 * p) * m + 0.25 * p * (
         SIGMA_X @ m @ SIGMA_X + SIGMA_Y @ m @ SIGMA_Y + SIGMA_Z @ m @ SIGMA_Z
     )
-    return DensityMatrix(out)
 
 
 def build_interaction(spec: CircuitSpec) -> QubitChannel:

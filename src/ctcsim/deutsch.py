@@ -16,15 +16,21 @@ fixed input the consistency map is affine on the loop's Bloch vector,
 r -> A r + b, and Deutsch's maximum-entropy fixed point is the
 minimum-norm solution of (I - A) r = b. Where the fixed set has more than
 one state its dimension is reported, never hidden. Density matrices are
-built only at the API boundary (solve_fixed_point, run_scenario).
+built only at the API boundary (solve_fixed_point, run_scenario). A
+solve_loops term carries a transfer array, not a channel: one channel's
+tensors (QubitChannel.transfer) shared by its rows, or a stack with one
+channel per row (circuits._transfer_tensors), so a batch of distinct
+channels is one term.
 
 The Kraus-form consistency_map, evolve_output, superoperator and the
 damped iteration stay as independent oracles: they never read the
 transfer tensors. All four apply the interaction through one batched
 Kraus path (_kraus_loop, on the rows' stacked Kraus terms);
 consistency_map and evolve_output are batches of one of it. The damped
-iteration (damped_iteration) builds one 4x4 superoperator per row and
-iterates all rows together, each stopping on its own; superoperator and
+iteration (damped_iteration) takes a Kraus stack, builds one 4x4
+superoperator per row and iterates all rows together, each stopping on
+its own when its step, the closed-form trace distance between successive
+iterates, is small enough; superoperator and
 solve_fixed_point(method="damped_iteration") are batches of one of it.
 """
 
@@ -116,6 +122,9 @@ class NonLocalEnsemble:
 
     No classical record of the post-selection outcome exists at the loop, so
     the loop adapts to the unconditioned mixture sum_i p_i |psi_i><psi_i|.
+    That a Deutsch loop's output depends on how its input was prepared,
+    not only on the input's density matrix, is the point made by Bennett,
+    Leung, Smith & Smolin, Phys. Rev. Lett. 103, 170502 (2009).
     """
 
     states: tuple[PureQubit, ...]
@@ -268,20 +277,20 @@ class DampedBatch:
     fixed_set_dimension: np.ndarray
 
 
-def damped_iteration(rho_in: np.ndarray, channels, tol: float = 1e-12,
+def damped_iteration(rho_in: np.ndarray, kraus, tol: float = 1e-12,
                      max_iter: int = 10000) -> DampedBatch:
     """Independent oracle: damped iteration on the Kraus-form superoperators.
 
     Row n iterates rho <- (M_n vec(rho) + vec(rho))/2 from the maximally
-    mixed state until the step (trace distance between iterates) is at
-    most tol, then stops; M_n is the superoperator of channels[n] at input
-    rho_in[n] (N, 2, 2). Any row still moving after max_iter steps raises
-    ConvergenceError. The fixed-set dimension counts the singular values of
-    M_n - I below EIGENVALUE_ONE_TOL, and each clipped state must close the
-    Kraus consistency map to RESIDUAL_TOL (else ConvergenceError; a NaN
-    fails). Never touches the transfer tensors.
+    mixed state until the step (the closed-form trace distance between
+    successive iterates) is at most tol, then stops; M_n is the
+    superoperator of row n of the Kraus stack kraus (weights (N, K), ops
+    (N, K, 4, 4), as _kraus_stack builds) at input rho_in[n] (N, 2, 2).
+    Any row still moving after max_iter steps raises ConvergenceError. The
+    fixed-set dimension counts the singular values of M_n - I below
+    EIGENVALUE_ONE_TOL, and each clipped state must close the Kraus
+    consistency map to RESIDUAL_TOL (else ConvergenceError; a NaN fails). Never touches the transfer tensors.
     """
-    kraus = _kraus_stack(channels)
     m = _superoperators(kraus, rho_in)
     sing = np.linalg.svd(m - _EYE4, compute_uv=False)
     cur = np.tile(np.eye(2, dtype=complex).reshape(4) / 2, (len(m), 1))
@@ -295,7 +304,7 @@ def damped_iteration(rho_in: np.ndarray, channels, tol: float = 1e-12,
             )
         c = cur[active]
         nxt = 0.5 * (m[active] @ c[:, :, None])[:, :, 0] + 0.5 * c
-        step = np.abs(np.linalg.eigvalsh((nxt - c).reshape(-1, 2, 2))).sum(axis=1) / 2
+        step = trace_distances(nxt.reshape(-1, 2, 2), c.reshape(-1, 2, 2))
         cur[active] = nxt
         steps += 1
         iterations[active] = steps
@@ -330,15 +339,18 @@ def _homogeneous(v: np.ndarray) -> np.ndarray:
 
 
 def _mix(terms, rail: int, subscripts: str, x: np.ndarray) -> np.ndarray:
-    """Per-row contraction of a rail's transfer tensor with x, mixed over terms.
+    """Per-row contraction of a rail's transfer tensors with x, mixed over terms.
 
-    terms are (rows, weight, channel): row n's interaction is the sum of
-    weight * channel over the terms whose rows hold n (weight scalar or
+    terms are (rows, weight, transfer): transfer is either one channel's
+    tensors (2, 4, 4, 4), shared by all the rows, or a stack (len(rows), 2,
+    4, 4, 4) with one channel per row. Row n's interaction is the sum of
+    weight * transfer over the terms whose rows hold n (weight scalar or
     one per row). Transfer tensors are linear in the channel, so they mix.
     """
     out = np.zeros(x.shape[:1] + (4, 4))
-    for rows, w, ch in terms:
-        out[rows] += np.reshape(w, (-1, 1, 1)) * np.einsum(subscripts, ch.transfer[rail], x[rows])
+    for rows, w, t in terms:
+        rail_t = t[..., rail, :, :, :]
+        out[rows] += np.reshape(w, (-1, 1, 1)) * np.einsum(subscripts, rail_t, x[rows])
     return out
 
 
@@ -369,13 +381,13 @@ def solve_loops(terms, loop_in: np.ndarray, evolve: np.ndarray) -> LoopBatch:
     min-norm solution pinv(I - A) b of (I - A) r = b; with P the projector
     onto null(M - I) it is (1, r) = P e0 / (e0 . P e0).
 
-    terms: (rows, weight, channel) triples (see _mix); loop_in (N, 3): the
+    terms: (rows, weight, transfer) triples (see _mix); loop_in (N, 3): the
     state the loop adapts to; evolve (N, K, 3): inputs sent through the
     output rail. A row with residual above RESIDUAL_TOL raises
     ConvergenceError, a state outside the Bloch ball ValidationError; a
     NaN fails both checks.
     """
-    m = _mix(terms, LOOP_RAIL, "kmv,nm->nkv", _homogeneous(loop_in))
+    m = _mix(terms, LOOP_RAIL, "...kmv,...m->...kv", _homogeneous(loop_in))
     if not np.isfinite(m).all():
         raise ValidationError("non-finite loop input or interaction")
     _, sing, vt = np.linalg.svd(m - _EYE4)
@@ -399,7 +411,7 @@ def solve_loops(terms, loop_in: np.ndarray, evolve: np.ndarray) -> LoopBatch:
 
     outputs = evolve
     if evolve.shape[1]:
-        o = _mix(terms, OUTPUT_RAIL, "kmv,nv->nkm", _homogeneous(r))
+        o = _mix(terms, OUTPUT_RAIL, "...kmv,...v->...km", _homogeneous(r))
         outputs = np.einsum("nkm,nim->nik", o[:, 1:], _homogeneous(evolve))
         _require_in_ball(outputs, "output")
     return LoopBatch(r, outputs, dims, residual, _qubit_fidelity(r, image))
@@ -421,10 +433,12 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray,
             raise ValidationError(f"{name} outside [0, 1]")
     terms = []
     if eps.any():
-        terms.append((slice(None), eps, build_interaction(CircuitSpec(kind=kind, gate_noise=1.0))))
+        swap_only = build_interaction(CircuitSpec(kind=kind, gate_noise=1.0))
+        terms.append((slice(None), eps, swap_only.transfer))
     for t in sorted(set(theta.tolist())):
         rows = np.flatnonzero(theta == t)
-        terms.append((rows, 1.0 - eps[rows], build_interaction(CircuitSpec(kind=kind, theta_xz=t))))
+        ideal = build_interaction(CircuitSpec(kind=kind, theta_xz=t))
+        terms.append((rows, 1.0 - eps[rows], ideal.transfer))
     shrink = (1.0 - p)[:, None]
     return solve_loops(terms, loop_in * shrink, evolve * shrink[:, None])
 
@@ -457,12 +471,12 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     """
     if method == "eigen_max_entropy":
         return _fixed_point_result(
-            solve_loops([(slice(None), 1.0, interaction)], rho_in.bloch()[None],
+            solve_loops([(slice(None), 1.0, interaction.transfer)], rho_in.bloch()[None],
                         np.empty((1, 0, 3)))
         )
     if method != "damped_iteration":
         raise ValidationError(f"unknown solver method {method!r}")
-    batch = damped_iteration(rho_in.mat[None], [interaction])
+    batch = damped_iteration(rho_in.mat[None], _kraus_stack([interaction]))
     rho = DensityMatrix(batch.rho[0])
     return FixedPointResult(
         rho_ctc=rho,

@@ -121,14 +121,14 @@ def optimal_mismatch_probability(
 
     (n.r1)(n.r2) is the quadratic form of the symmetric matrix
     (r1 r2^T + r2 r1^T)/2, so the maximum is (1 - lambda_min)/2 with the
-    minimizing eigenvector as axis. When the form vanishes identically
-    (either Bloch vector zero) every axis gives 1/2 and the z-axis is
-    returned for determinism.
+    minimizing eigenvector as axis. When either Bloch vector vanishes (norm
+    below 1e-12) the form vanishes too, every axis gives 1/2 and the z-axis
+    is returned for determinism.
     """
     r1, r2 = rho1.bloch(), rho2.bloch()
-    form = (np.outer(r1, r2) + np.outer(r2, r1)) / 2.0
-    if np.abs(form).max() < 1e-14:
+    if min(math.hypot(*r1), math.hypot(*r2)) < 1e-12:
         return 0.5, SIGMA_Z_AXIS
+    form = (np.outer(r1, r2) + np.outer(r2, r1)) / 2.0
     # Solved as a complex Hermitian matrix: the real solver can flip the
     # sign of a roundoff-sized axis component, which the CLI prints.
     form = form.astype(complex)

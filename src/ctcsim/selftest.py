@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import CircuitKind, CircuitSpec, build_interaction, depolarize
+from .circuits import (
+    SWAP,
+    CircuitKind,
+    CircuitSpec,
+    _depolarized,
+    _transfer_tensors,
+    build_interaction,
+    make_cu_xz,
+)
 from .deutsch import (
     LocalPure,
     NonLocalEnsemble,
@@ -32,7 +40,17 @@ from .experiments import (
     nonlinearity_sweep,
 )
 from .measures import grid_search_mismatch, optimal_mismatch_probability
-from .qmath import DensityMatrix, PureQubit, trace_distance, trace_distances
+from .qmath import (
+    HERMITICITY_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    PureQubit,
+    ValidationError,
+    _eig_ranges_2x2,
+    trace_distance,
+    trace_distances,
+)
 
 __all__ = ["CheckResult", "SelfTestReport", "run_selftest", "CHECKS"]
 
@@ -70,6 +88,41 @@ class Context:
         return self._nonlocal
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag)/2 row by row, the symmetrisation DensityMatrix applies."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _pure_outer(cos_polar: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """|psi><psi| (..., 2, 2) of PureQubit(acos(cos_polar), phase), row by row,
+    before DensityMatrix's symmetrisation; the phase is wrapped as PureQubit does."""
+    # math.acos, not np.arccos: the two round differently.
+    half = np.array([math.acos(c) for c in cos_polar.ravel().tolist()])
+    half = half.reshape(cos_polar.shape) / 2
+    phase = np.mod(phase, 2 * math.pi)
+    v = np.stack([np.cos(half).astype(complex), np.exp(1j * phase) * np.sin(half)], axis=-1)
+    return v[..., :, None] * v[..., None, :].conj()
+
+
+def _checked_states(m: np.ndarray) -> np.ndarray:
+    """A stack (N, 2, 2) checked against DensityMatrix's invariants (finite,
+    Hermitian, unit trace, min eigenvalue >= -PSD_TOL) and symmetrised as it
+    does; a violation raises ValidationError."""
+    if not np.isfinite(m).all():
+        raise ValidationError("density matrix stack has non-finite entries")
+    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= HERMITICITY_TOL:
+        raise ValidationError(
+            "density matrix stack violates Hermiticity (|m - m^dag|_max > 1e-12)")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    if not np.abs(trace - 1.0).max() <= TRACE_TOL:
+        raise ValidationError("density matrix stack violates unit trace")
+    lo = _eig_ranges_2x2(m)[0].min()
+    if not lo >= -PSD_TOL:
+        raise ValidationError(
+            f"density matrix stack violates positivity (min eigenvalue = {lo:.3e})")
+    return _hermitian_part(m)
+
+
 def _random_pairs(rng: np.random.Generator, n: int, pure: bool) -> tuple[np.ndarray, np.ndarray]:
     """n random pairs of qubit states as two (n, 2, 2) stacks, equal bit for bit
     to n pairs drawn one state at a time: pure psi(acos u, phase) with u and
@@ -77,16 +130,13 @@ def _random_pairs(rng: np.random.Generator, n: int, pure: bool) -> tuple[np.ndar
     Symmetrised as DensityMatrix does, so wrapping a row leaves it unchanged."""
     if pure:
         u, phase = np.moveaxis(rng.uniform([-1.0, 0.0], [1.0, 2 * math.pi], size=(n, 2, 2)), -1, 0)
-        # math.acos, not np.arccos: the two round differently.
-        half = np.array([math.acos(c) for c in u.ravel().tolist()]).reshape(n, 2) / 2
-        v = np.stack([np.cos(half).astype(complex), np.exp(1j * phase) * np.sin(half)], axis=-1)
-        m = v[..., :, None] * v[..., None, :].conj()
+        m = _pure_outer(u, phase)
     else:
         x = rng.normal(size=(n, 2, 2, 2, 2))
         g = x[:, :, 0] + 1j * x[:, :, 1]
         m = g @ g.conj().swapaxes(-1, -2)
         m = m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    m = _hermitian_part(m)
     return m[:, 0], m[:, 1]
 
 
@@ -291,46 +341,47 @@ _CANDIDATE_HIGH = [math.pi / 2 - 1e-9, 1.0, 1.0, 1.0, 2 * math.pi]
 
 
 def _draw_candidates(rng: np.random.Generator, n: int):
-    """n random (spec, rho_in) candidates, drawing exactly what n successive
-    draws of (theta, eps, p, cos polar, phase) would, in the same order."""
-    specs, states = [], []
-    for theta, eps, p, cos_polar, phase in rng.uniform(_CANDIDATE_LOW, _CANDIDATE_HIGH,
-                                                       size=(n, 5)).tolist():
-        specs.append(CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
-                                 gate_noise=eps, input_noise=p))
-        states.append(depolarize(PureQubit(math.acos(cos_polar), phase).density(), p))
-    return specs, states
+    """n random swap-cu candidates from one draw of n rows (theta, eps, p,
+    cos polar, phase), as stacks: the depolarized input states (n, 2, 2),
+    their Bloch rows (n, 3) and the Kraus stack (weights (n, 2), ops
+    (n, 2, 4, 4)) of build_interaction's gate-failure channel, [1 - eps, eps]
+    on [CU_xz(theta) SWAP, SWAP]. Each equals, bit for bit, what n
+    successive draws built one spec and one state at a time would give.
+    """
+    theta, eps, p, cos_polar, phase = rng.uniform(_CANDIDATE_LOW, _CANDIDATE_HIGH, size=(n, 5)).T
+    rho_in = _checked_states(_depolarized(_hermitian_part(_pure_outer(cos_polar, phase)), p))
+    cu = np.array([make_cu_xz(t) for t in theta.tolist()])
+    ops = np.stack([cu @ SWAP, np.broadcast_to(SWAP, cu.shape)], axis=1)
+    return rho_in, _bloch_rows(rho_in), (np.stack([1.0 - eps, eps], axis=1), ops)
 
 
 def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int):
-    """Yield (channels, rho_in (M, 2, 2), engine loop states (M, 3)) for the first
-    `count` candidates whose fixed point is unique, chunk by chunk.
+    """Yield (Kraus stack, rho_in (M, 2, 2), engine loop states (M, 3)) for the
+    first `count` candidates whose fixed point is unique, chunk by chunk.
 
-    Each chunk's engine side is one solve_loops batch on the same
-    build_interaction channels the oracle iterates. A chunk draws at most as
-    many candidates as are still needed, so the generator ends just after
-    the last accepted draw, as if the candidates had been drawn one at a time.
+    Each chunk's engine side is one solve_loops batch, one term whose
+    transfer tensors come from the same Kraus stack the oracle iterates. A
+    chunk draws at most as many candidates as are still needed, so the
+    generator ends just after the last accepted draw, as if the candidates
+    had been drawn one at a time.
     """
     need = count
     while need:
-        specs, states = _draw_candidates(rng, min(chunk, need))
-        channels = [build_interaction(s) for s in specs]
-        batch = solve_loops([([n], 1.0, ch) for n, ch in enumerate(channels)],
-                            np.array([s.bloch() for s in states]),
-                            np.empty((len(states), 0, 3)))
+        rho_in, bloch, (weights, ops) = _draw_candidates(rng, min(chunk, need))
+        batch = solve_loops([(slice(None), 1.0, _transfer_tensors(weights, ops))], bloch,
+                            np.empty((len(bloch), 0, 3)))
         keep = np.flatnonzero(batch.fixed_set_dimension == 1)
         need -= len(keep)
         if len(keep):
-            yield ([channels[n] for n in keep], np.array([states[n].mat for n in keep]),
-                   batch.loop[keep])
+            yield (weights[keep], ops[keep]), rho_in[keep], batch.loop[keep]
 
 
 def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
     """Both solver methods agree; eigen measurement optimum matches grid search."""
     rng = np.random.default_rng(42)
     worst = 0.0
-    for channels, rho_in, loop in _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK):
-        damped = damped_iteration(rho_in, channels)
+    for kraus, rho_in, loop in _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK):
+        damped = damped_iteration(rho_in, kraus)
         worst = max(worst, float(trace_distances(_density_rows(loop), damped.rho).max()))
 
     worst_grid = 0.0

@@ -20,11 +20,12 @@ import ctcsim.cli as cli
 import ctcsim.selftest as selftest
 from ctcsim.circuits import CircuitKind, CircuitSpec, build_interaction, depolarize
 from ctcsim.cli import main
-from ctcsim.deutsch import solve_fixed_point
+from ctcsim.deutsch import _kraus_stack, solve_fixed_point
 from ctcsim.measures import helstrom_success_probability, optimal_mismatch_probability
 from ctcsim.qmath import (
     DensityMatrix,
     PureQubit,
+    ValidationError,
     bloch_from_density,
     density_from_bloch,
     trace_distance,
@@ -149,11 +150,13 @@ def test_chunked_draw_matches_one_at_a_time_draw():
             expected.append((build_interaction(spec), rho_in.mat, fp.rho_ctc.bloch()))
 
     chunks = list(_unique_fixed_point_chunks(chunked, count, chunk))
-    assert [len(c[0]) for c in chunks] == [3, 3, 1]
-    channels = [ch for c in chunks for ch in c[0]]
+    assert [len(c[1]) for c in chunks] == [3, 3, 1]
+    weights, ops = (np.concatenate([c[0][i] for c in chunks]) for i in (0, 1))
     rho_in = np.concatenate([c[1] for c in chunks])
     loop = np.concatenate([c[2] for c in chunks])
-    assert all(ch is want for ch, (want, _, _) in zip(channels, expected, strict=True))
+    want_weights, want_ops = _kraus_stack([ch for ch, _, _ in expected])
+    np.testing.assert_array_equal(weights, want_weights)
+    np.testing.assert_array_equal(ops, want_ops)
     np.testing.assert_array_equal(rho_in, [m for _, m, _ in expected])
     np.testing.assert_allclose(loop, [r for _, _, r in expected], rtol=0, atol=1e-15)
     assert chunked.bit_generator.state == one_at_a_time.bit_generator.state
@@ -202,6 +205,54 @@ def test_stacked_draws_match_one_at_a_time(seed):
         for m in a:
             np.testing.assert_array_equal(DensityMatrix(m).mat, m)
     assert stacked.bit_generator.state == scalar.bit_generator.state
+
+
+def draw_candidates_one_at_a_time(rng, n):
+    """Oracle: C10's draw as it was made before it drew whole stacks, one
+    CircuitSpec and one depolarized PureQubit density per candidate."""
+    specs, states = [], []
+    for theta, eps, p, cos_polar, phase in rng.uniform(selftest._CANDIDATE_LOW,
+                                                       selftest._CANDIDATE_HIGH,
+                                                       size=(n, 5)).tolist():
+        specs.append(CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
+                                 gate_noise=eps, input_noise=p))
+        states.append(depolarize(PureQubit(math.acos(cos_polar), phase).density(), p))
+    return specs, states
+
+
+@pytest.mark.parametrize("seed", [42, 20260810])
+def test_stacked_candidates_match_one_at_a_time(seed):
+    """C10's stacked draw gives the one-at-a-time states, Bloch rows and
+    build_interaction Kraus stacks bit for bit, and leaves the generator where
+    the one-at-a-time draw does."""
+    stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (200, 200, 37):
+        rho_in, bloch, (weights, ops) = selftest._draw_candidates(stacked, n)
+        specs, states = draw_candidates_one_at_a_time(scalar, n)
+        np.testing.assert_array_equal(rho_in, [s.mat for s in states])
+        np.testing.assert_array_equal(bloch, [s.bloch() for s in states])
+        want_weights, want_ops = _kraus_stack([build_interaction(s) for s in specs])
+        np.testing.assert_array_equal(weights, want_weights)
+        np.testing.assert_array_equal(ops, want_ops)
+    assert stacked.bit_generator.state == scalar.bit_generator.state
+
+
+def test_checked_states_enforce_density_invariants():
+    """The stacked draw's one check: rows within DensityMatrix's tolerances pass
+    unchanged by its symmetrisation; one row off unit trace, non-Hermitian,
+    negative or non-finite fails the stack."""
+    a, b = selftest._random_pairs(np.random.default_rng(7), 8, pure=False)
+    good = np.concatenate([a, b])
+    np.testing.assert_array_equal(selftest._checked_states(good), good)
+    shifted = np.diag([1e-9, 0.0])
+    skew = np.array([[0.0, 1e-9], [0.0, 0.0]])
+    negative = np.array([[1.0 + 1e-9, 0.0], [0.0, -1e-9]]) - good[3]
+    for bad, match in ((shifted, "unit trace"), (skew, "Hermiticity"),
+                       (negative, "positivity"), (np.full((2, 2), math.nan), "non-finite")):
+        stack = good.copy()
+        stack[3] += bad
+        with pytest.raises(ValidationError, match=match):
+            selftest._checked_states(stack)
 
 
 def test_stacked_bloch_conversions_match_qmath():

@@ -11,11 +11,12 @@ from ctcsim.circuits import (
     CircuitKind,
     CircuitSpec,
     QubitChannel,
+    _transfer_tensors,
     build_interaction,
     depolarize,
     make_cu_xz,
 )
-from ctcsim.deutsch import consistency_map, evolve_output
+from ctcsim.deutsch import _kraus_stack, consistency_map, evolve_output
 from ctcsim.qmath import (
     DensityMatrix,
     PureQubit,
@@ -241,3 +242,71 @@ class TestBuildInteraction:
             CircuitSpec(kind=CircuitKind.SWAP_CNOT, gate_noise=-0.1)
         with pytest.raises(ValidationError):
             CircuitSpec(kind=CircuitKind.SWAP_CNOT, input_noise=1.01)
+
+
+PAULI = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+
+
+def transfer_reference(ch):
+    """transfer[rail, k, mu, nu] = Tr[S_k E(P_mu (x) P_nu)]/4, written out with
+    np.kron: S_k = I (x) P_k on the loop rail, P_k (x) I on the output rail."""
+    out = np.zeros((2, 4, 4, 4))
+    for mu in range(4):
+        for nu in range(4):
+            image = joint_image(ch, np.kron(PAULI[mu], PAULI[nu]))
+            for k in range(4):
+                out[0, k, mu, nu] = np.trace(np.kron(PAULI[0], PAULI[k]) @ image).real / 4
+                out[1, k, mu, nu] = np.trace(np.kron(PAULI[k], PAULI[0]) @ image).real / 4
+    return out
+
+
+def stinespring_channel(rng, k):
+    """Random CPTP map with k Kraus terms (1/k, sqrt(k) V_j), the V_j the 4x4
+    blocks of the Q of a complex Gaussian (4k x 4)."""
+    g = rng.normal(size=(4 * k, 4)) + 1j * rng.normal(size=(4 * k, 4))
+    v, _ = np.linalg.qr(g)
+    return QubitChannel(tuple((1.0 / k, math.sqrt(k) * v[4 * j:4 * j + 4]) for j in range(k)))
+
+
+class TestTransferTensors:
+    """The stacked transfer builder: each row is its channel's QubitChannel.transfer
+    (a batch of one of the same function), bit for bit, padded rows included."""
+
+    @staticmethod
+    def assert_rows_match(channels):
+        stacked = _transfer_tensors(*_kraus_stack(channels))
+        assert stacked.shape == (len(channels), 2, 4, 4, 4)
+        for row, ch in zip(stacked, channels):
+            np.testing.assert_array_equal(row, ch.transfer)
+        return stacked
+
+    def test_paper_circuits(self):
+        channels = [build_interaction(CircuitSpec(kind=CircuitKind.SWAP_CNOT)),
+                    cu_interaction(math.pi / 4, 0.0), cu_interaction(-0.3, 0.4),
+                    cu_interaction(0.0, 1.0)]
+        stacked = self.assert_rows_match(channels)
+        for row, ch in zip(stacked, channels):
+            np.testing.assert_allclose(row, transfer_reference(ch), rtol=0, atol=1e-15)
+
+    def test_seeded_swap_cu_draws(self):
+        rng = np.random.default_rng(83)
+        theta = rng.uniform(-math.pi / 2, math.pi / 2, 300)
+        eps = rng.uniform(0, 1, 300)
+        eps[::50] = 0.0  # one-term rows, padded with a zero-weight term
+        self.assert_rows_match([cu_interaction(t, e) for t, e in zip(theta, eps)])
+
+    def test_seeded_stinespring_channels(self):
+        channels = []
+        for k in (1, 2, 3, 4):
+            rng = np.random.default_rng(173 + k)
+            channels += [stinespring_channel(rng, k) for _ in range(30)]
+        self.assert_rows_match(channels)
+        for ch in channels[::10]:
+            np.testing.assert_allclose(ch.transfer, transfer_reference(ch), rtol=0, atol=1e-14)
+
+    def test_incomplete_row_rejected(self):
+        weights, ops = _kraus_stack([cu_interaction(t, 0.3) for t in (-1.0, 0.2, 1.1)])
+        _transfer_tensors(weights, ops)
+        weights[1] *= 1.0 + 1e-9
+        with pytest.raises(ValidationError, match="completeness"):
+            _transfer_tensors(weights, ops)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ctcsim.selftest as selftest
 from ctcsim.circuits import (
     SWAP,
     CircuitKind,
@@ -154,7 +155,7 @@ class TestDampedBatch:
     def test_rows_match_batches_of_one(self):
         rng = np.random.default_rng(139)
         rho_in, channels = random_rows(rng, 40)
-        batch = damped_iteration(rho_in, channels)
+        batch = damped_iteration(rho_in, _kraus_stack(channels))
         for i, ch in enumerate(channels):
             one = solve_fixed_point(DensityMatrix(rho_in[i]), ch, method="damped_iteration")
             assert batch.iterations[i] == one.iterations > 0
@@ -166,8 +167,8 @@ class TestDampedBatch:
         rng = np.random.default_rng(149)
         rho_in, channels = random_rows(rng, 30)
         perm = rng.permutation(len(channels))
-        batch = damped_iteration(rho_in, channels)
-        permuted = damped_iteration(rho_in[perm], [channels[i] for i in perm])
+        batch = damped_iteration(rho_in, _kraus_stack(channels))
+        permuted = damped_iteration(rho_in[perm], _kraus_stack([channels[i] for i in perm]))
         np.testing.assert_array_equal(permuted.iterations, batch.iterations[perm])
         np.testing.assert_array_equal(permuted.fixed_set_dimension,
                                       batch.fixed_set_dimension[perm])
@@ -188,11 +189,54 @@ class TestDampedBatch:
     def test_one_row_exhausting_the_budget_raises(self):
         rng = np.random.default_rng(151)
         rho_in, channels = random_rows(rng, 12)
-        steps = damped_iteration(rho_in, channels).iterations
+        kraus = _kraus_stack(channels)
+        steps = damped_iteration(rho_in, kraus).iterations
         assert steps.min() < steps.max()
-        damped_iteration(rho_in, channels, max_iter=int(steps.max()))
+        damped_iteration(rho_in, kraus, max_iter=int(steps.max()))
         with pytest.raises(ConvergenceError, match="converge"):
-            damped_iteration(rho_in, channels, max_iter=int(steps.max()) - 1)
+            damped_iteration(rho_in, kraus, max_iter=int(steps.max()) - 1)
+
+
+def eigvalsh_step_iteration(rho_in, kraus, tol=1e-12):
+    """damped_iteration's loop with a LAPACK step, half the sum of
+    |eigvalsh(next - current)|, in place of the closed-form trace distance:
+    (clipped states, step counts)."""
+    m = _superoperators(kraus, rho_in)
+    cur = np.tile(np.eye(2, dtype=complex).reshape(4) / 2, (len(m), 1))
+    iterations = np.zeros(len(m), dtype=int)
+    active = np.arange(len(m))
+    while active.size:
+        c = cur[active]
+        nxt = 0.5 * (m[active] @ c[:, :, None])[:, :, 0] + 0.5 * c
+        step = np.abs(np.linalg.eigvalsh((nxt - c).reshape(-1, 2, 2))).sum(axis=1) / 2
+        cur[active] = nxt
+        iterations[active] += 1
+        active = active[step > tol]
+    return _clip_to_density(cur.reshape(-1, 2, 2)), iterations
+
+
+class TestDampedStep:
+    """The closed-form trace-distance step stops every row where the eigvalsh
+    step does, so the iterates and counts are unchanged bit for bit."""
+
+    @staticmethod
+    def assert_same_as_eigvalsh_step(rho_in, kraus):
+        batch = damped_iteration(rho_in, kraus)
+        rho, iterations = eigvalsh_step_iteration(rho_in, kraus)
+        np.testing.assert_array_equal(batch.iterations, iterations)
+        np.testing.assert_array_equal(batch.rho, rho)
+
+    def test_c10_candidates(self):
+        chunks = selftest._unique_fixed_point_chunks(np.random.default_rng(42), 200, 200)
+        for kraus, rho_in, _ in chunks:
+            self.assert_same_as_eigvalsh_step(rho_in, kraus)
+
+    def test_random_channels(self):
+        rng = np.random.default_rng(157)
+        rho_in, channels = random_rows(rng, 60)
+        channels += [random_stinespring_channel(rng, k) for k in (1, 2, 3, 4) for _ in range(15)]
+        rho_in = np.concatenate([rho_in, [random_qubit_state(rng).mat for _ in range(60)]])
+        self.assert_same_as_eigvalsh_step(rho_in, _kraus_stack(channels))
 
 
 def consistency_affine(rho_in, interaction):
@@ -293,14 +337,14 @@ class TestAffineMap:
         interaction = build_interaction(cu_circuit(0.3, eps=0.2))
         loop_in = np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises((ValidationError, ConvergenceError)):
-            solve_loops([(slice(None), 1.0, interaction)], loop_in, loop_in[:, None])
+            solve_loops([(slice(None), 1.0, interaction.transfer)], loop_in, loop_in[:, None])
         with pytest.raises(ValidationError):
             run_batch(CircuitKind.SWAP_THEN_CU, [0.3, 0.3], [0.2, 0.2], [0.1, math.nan],
                       loop_in[::2], loop_in[::2, None])
 
     def test_state_outside_ball_rejected(self):
         with pytest.raises(ValidationError, match="Bloch"):
-            solve_loops([(slice(None), 1.0, QubitChannel(((1.0, SWAP),)))],
+            solve_loops([(slice(None), 1.0, QubitChannel(((1.0, SWAP),)).transfer)],
                         np.array([[0.0, 0.0, 1.5]]), np.zeros((1, 0, 3)))
 
 
@@ -389,7 +433,7 @@ class TestSolveFixedPoint:
     def test_iteration_budget_exhaustion_raises(self):
         with pytest.raises(ConvergenceError, match="converge"):
             damped_iteration(PureQubit(1.0, 0.0).density().mat[None],
-                             [build_interaction(SWAP_CNOT)], max_iter=2)
+                             _kraus_stack([build_interaction(SWAP_CNOT)]), max_iter=2)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
@@ -424,7 +468,7 @@ class TestRandomChannels:
                 assert trace_distance(engine.rho_ctc, damped.rho_ctc) <= 1e-9
 
             inputs = np.array([random_qubit_state(rng).bloch() for _ in range(3)])
-            batch = solve_loops([(slice(None), 1.0, interaction)], rho_in.bloch()[None],
+            batch = solve_loops([(slice(None), 1.0, interaction.transfer)], rho_in.bloch()[None],
                                 inputs[None])
             assert np.linalg.norm(batch.loop[0]) <= 1 + 2e-10
             assert batch.consistency_fidelity[0] == pytest.approx(1.0, abs=1e-12)

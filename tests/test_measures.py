@@ -152,6 +152,21 @@ class TestOptimalMismatch:
         assert val == 0.5
         assert tuple(axis.axis) == (0.0, 0.0, 1.0)
 
+    def test_one_vanishing_bloch_vector_returns_z_axis(self):
+        val, axis = optimal_mismatch_probability(HALF, random_qubit_state(np.random.default_rng(3)))
+        assert val == 0.5
+        assert tuple(axis.axis) == (0.0, 0.0, 1.0)
+
+    def test_tiny_but_nonzero_bloch_vectors_use_the_eigensolve(self):
+        """|r1||r2| ~ 9e-15 is not a vanishing form: the eigen value keeps its
+        4.6e-15 excess over 1/2 and agrees with the closed form."""
+        p = 1 - 9.5e-8
+        r1, r2 = (depolarize(PureQubit(phi, 0.0).density(), p) for phi in (0.0, math.pi))
+        val, _ = optimal_mismatch_probability(r1, r2)
+        closed = float(bloch_measures(r1.bloch(), r2.bloch())[1])
+        assert val > 0.5
+        assert abs(val - closed) <= 1e-15
+
     def test_identical_mixed_states_cap_at_half(self):
         rng = np.random.default_rng(109)
         for _ in range(50):
