@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -56,6 +57,10 @@ from .selftest import run_selftest
 from .svgplot import write_svg
 
 RECORD_FIELDS = [f.name for f in dataclasses.fields(SweepRecord)]
+# One CSV row, formatted as _fmt would: 17 significant digits for float fields.
+_RECORD_ROW = ",".join("%.17g" if f.type == "float" else "%s"
+                       for f in dataclasses.fields(SweepRecord)) + "\n"
+_record_values = operator.attrgetter(*RECORD_FIELDS)
 THRESHOLD_FIELDS = ["parameter", "crossing", "bracket_lo", "bracket_hi", "achieved_tolerance"]
 
 REPRODUCE_TARGETS = ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2", "thresholds")
@@ -79,35 +84,19 @@ def _fmt(v) -> str:
 
 
 def write_records_csv(records: list[SweepRecord], path: str) -> None:
-    lines = [",".join(RECORD_FIELDS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in RECORD_FIELDS))
+    rows = "".join(_RECORD_ROW % _record_values(r) for r in records)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(RECORD_FIELDS) + "\n" + rows)
 
 
 def read_records_csv(path: str) -> list[SweepRecord]:
     """Parse a CSV written by this tool back into identical records."""
-    types = {f.name: f.type for f in dataclasses.fields(SweepRecord)}
+    casts = [{"float": float, "int": int}.get(f.type, str) for f in dataclasses.fields(SweepRecord)]
     with open(path, encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh if line.strip()]
-    header = rows[0].split(",")
-    if header != RECORD_FIELDS:
-        raise ValidationError(f"unexpected CSV header {header}")
-    out = []
-    for row in rows[1:]:
-        vals = row.split(",")
-        kwargs = {}
-        for name, raw in zip(header, vals):
-            t = types[name]
-            if t in ("float", float):
-                kwargs[name] = float(raw)
-            elif t in ("int", int):
-                kwargs[name] = int(raw)
-            else:
-                kwargs[name] = raw
-        out.append(SweepRecord(**kwargs))
-    return out
+        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    if rows[0] != RECORD_FIELDS:
+        raise ValidationError(f"unexpected CSV header {rows[0]}")
+    return [SweepRecord(*(cast(v) for cast, v in zip(casts, row))) for row in rows[1:]]
 
 
 def _write_json(data, path: str) -> None:

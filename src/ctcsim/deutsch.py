@@ -17,10 +17,10 @@ r -> A r + b, and Deutsch's maximum-entropy fixed point is the
 minimum-norm solution of (I - A) r = b. Where the fixed set has more than
 one state its dimension is reported, never hidden. Density matrices are
 built only at the API boundary (solve_fixed_point, run_scenario). A
-solve_loops term carries a transfer array, not a channel: one channel's
-tensors (QubitChannel.transfer) shared by its rows, or a stack with one
-channel per row (circuits._transfer_tensors), so a batch of distinct
-channels is one term.
+solve_loops term is a (weight, transfer) pair covering every row: one
+channel's tensors (QubitChannel.transfer) shared by all rows, or a stack
+with one channel per row (circuits._transfer_tensors, or run_batch's
+per-angle channels), so a batch of distinct channels is one term.
 
 The Kraus-form consistency_map, evolve_output, superoperator and the
 damped iteration stay as independent oracles: they never read the
@@ -289,9 +289,12 @@ def damped_iteration(rho_in: np.ndarray, kraus, tol: float = 1e-12,
     Any row still moving after max_iter steps raises ConvergenceError. The
     fixed-set dimension counts the singular values of M_n - I below
     EIGENVALUE_ONE_TOL, and each clipped state must close the Kraus
-    consistency map to RESIDUAL_TOL (else ConvergenceError; a NaN fails). Never touches the transfer tensors.
+    consistency map to RESIDUAL_TOL (else ConvergenceError); a NaN or inf
+    input raises ValidationError. Never touches the transfer tensors.
     """
     m = _superoperators(kraus, rho_in)
+    if not np.isfinite(m).all():
+        raise ValidationError("non-finite loop input or interaction")
     sing = np.linalg.svd(m - _EYE4, compute_uv=False)
     cur = np.tile(np.eye(2, dtype=complex).reshape(4) / 2, (len(m), 1))
     iterations = np.zeros(len(m), dtype=int)
@@ -341,16 +344,15 @@ def _homogeneous(v: np.ndarray) -> np.ndarray:
 def _mix(terms, rail: int, subscripts: str, x: np.ndarray) -> np.ndarray:
     """Per-row contraction of a rail's transfer tensors with x, mixed over terms.
 
-    terms are (rows, weight, transfer): transfer is either one channel's
-    tensors (2, 4, 4, 4), shared by all the rows, or a stack (len(rows), 2,
-    4, 4, 4) with one channel per row. Row n's interaction is the sum of
-    weight * transfer over the terms whose rows hold n (weight scalar or
-    one per row). Transfer tensors are linear in the channel, so they mix.
+    terms are (weight, transfer) pairs: transfer is either one channel's
+    tensors (2, 4, 4, 4), shared by all the rows, or a stack (N, 2, 4, 4,
+    4) with one channel per row. Row n's interaction is the sum over the
+    terms of weight * transfer (weight scalar or one per row), added in
+    term order. Transfer tensors are linear in the channel, so they mix.
     """
     out = np.zeros(x.shape[:1] + (4, 4))
-    for rows, w, t in terms:
-        rail_t = t[..., rail, :, :, :]
-        out[rows] += np.reshape(w, (-1, 1, 1)) * np.einsum(subscripts, rail_t, x[rows])
+    for w, t in terms:
+        out += np.reshape(w, (-1, 1, 1)) * np.einsum(subscripts, t[..., rail, :, :, :], x)
     return out
 
 
@@ -381,7 +383,7 @@ def solve_loops(terms, loop_in: np.ndarray, evolve: np.ndarray) -> LoopBatch:
     min-norm solution pinv(I - A) b of (I - A) r = b; with P the projector
     onto null(M - I) it is (1, r) = P e0 / (e0 . P e0).
 
-    terms: (rows, weight, transfer) triples (see _mix); loop_in (N, 3): the
+    terms: (weight, transfer) pairs (see _mix); loop_in (N, 3): the
     state the loop adapts to; evolve (N, K, 3): inputs sent through the
     output rail. A row with residual above RESIDUAL_TOL raises
     ConvergenceError, a state outside the Bloch ball ValidationError; a
@@ -425,20 +427,24 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray,
     probability and input depolarization; loop_in (N, 3) and evolve
     (N, K, 3) are as in solve_loops, before depolarization (a 1 - p
     shrink). Gate failure is linear in eps, so each row mixes the eps = 0
-    channel of its angle with the eps = 1 channel (SWAP only).
+    channel of its angle with the eps = 1 channel (SWAP only), built once
+    per distinct angle and stacked per row unless the batch has one angle.
     """
     theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
     for name, v in (("gate_noise", eps), ("input_noise", p)):
         if not ((0.0 <= v) & (v <= 1.0)).all():
             raise ValidationError(f"{name} outside [0, 1]")
+    if not np.isfinite(theta).all():
+        raise ValidationError("non-finite gate angle")
     terms = []
     if eps.any():
         swap_only = build_interaction(CircuitSpec(kind=kind, gate_noise=1.0))
-        terms.append((slice(None), eps, swap_only.transfer))
-    for t in sorted(set(theta.tolist())):
-        rows = np.flatnonzero(theta == t)
-        ideal = build_interaction(CircuitSpec(kind=kind, theta_xz=t))
-        terms.append((rows, 1.0 - eps[rows], ideal.transfer))
+        terms.append((eps, swap_only.transfer))
+    angles = sorted(set(theta.tolist()))
+    transfers = [build_interaction(CircuitSpec(kind=kind, theta_xz=t)).transfer for t in angles]
+    ideal = (transfers[0] if len(angles) == 1
+             else np.stack(transfers)[np.searchsorted(angles, theta)])
+    terms.append((1.0 - eps, ideal))
     shrink = (1.0 - p)[:, None]
     return solve_loops(terms, loop_in * shrink, evolve * shrink[:, None])
 
@@ -471,7 +477,7 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     """
     if method == "eigen_max_entropy":
         return _fixed_point_result(
-            solve_loops([(slice(None), 1.0, interaction.transfer)], rho_in.bloch()[None],
+            solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None],
                         np.empty((1, 0, 3)))
         )
     if method != "damped_iteration":

@@ -368,7 +368,7 @@ def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int)
     need = count
     while need:
         rho_in, bloch, (weights, ops) = _draw_candidates(rng, min(chunk, need))
-        batch = solve_loops([(slice(None), 1.0, _transfer_tensors(weights, ops))], bloch,
+        batch = solve_loops([(1.0, _transfer_tensors(weights, ops))], bloch,
                             np.empty((len(bloch), 0, 3)))
         keep = np.flatnonzero(batch.fixed_set_dimension == 1)
         need -= len(keep)

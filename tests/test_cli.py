@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, CSV/JSON determinism, round trips."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,12 +15,14 @@ import pytest
 from ctcsim.cli import (
     RECORD_FIELDS,
     THRESHOLD_FIELDS,
+    _fmt,
     _print_state,
+    _reproduce_records,
     main,
     read_records_csv,
     write_records_csv,
 )
-from ctcsim.experiments import discrimination_sweep
+from ctcsim.experiments import SweepRecord, discrimination_sweep
 from ctcsim.qmath import DensityMatrix
 
 
@@ -224,6 +227,43 @@ class TestReproduce:
             path = tmp_path / f"{target}.csv"
             assert main(["reproduce", target, "--grid", "4", "--out", str(path)]) == 0
             assert len(read_records_csv(str(path))) >= 4
+
+
+def fmt_join_csv(records, path):
+    """Oracle: the per-value _fmt writer the row template replaced."""
+    lines = [",".join(RECORD_FIELDS)]
+    for r in records:
+        lines.append(",".join(_fmt(getattr(r, name)) for name in RECORD_FIELDS))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestRecordTemplate:
+    """write_records_csv's one-template rows equal the per-value _fmt join byte for byte."""
+
+    def assert_same_bytes(self, records, tmp_path):
+        got, want = tmp_path / "template.csv", tmp_path / "fmt.csv"
+        write_records_csv(records, str(got))
+        fmt_join_csv(records, str(want))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("target", ["fig5b", "fig6"])
+    def test_real_records(self, tmp_path, target):
+        self.assert_same_bytes(_reproduce_records(target, None), tmp_path)
+
+    def test_edge_values(self, tmp_path):
+        base = discrimination_sweep("local", "fixed-state", 2)[0]
+        floats = [f.name for f in dataclasses.fields(SweepRecord) if f.type == "float"]
+        assert len(floats) == 14
+        edges = [-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf,
+                 np.float64(0.1), np.float64(-2.5e-17), 7, 0]
+        records = [dataclasses.replace(base, **{name: edges[(i + k) % len(edges)]
+                                                for i, name in enumerate(floats)})
+                   for k in range(len(edges))]
+        self.assert_same_bytes(records, tmp_path)
+
+    def test_empty_table_is_the_header(self, tmp_path):
+        self.assert_same_bytes([], tmp_path)
 
 
 class TestSweepCommand:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import ctcsim.deutsch as deutsch
+import ctcsim.experiments as experiments
 import ctcsim.selftest as selftest
 from ctcsim.circuits import (
     SWAP,
@@ -196,6 +198,13 @@ class TestDampedBatch:
         with pytest.raises(ConvergenceError, match="converge"):
             damped_iteration(rho_in, kraus, max_iter=int(steps.max()) - 1)
 
+    def test_non_finite_input_raises_validation_error(self):
+        rho_in = np.array([HALF.mat, HALF.mat])
+        rho_in[1, 0, 1] = math.nan
+        kraus = _kraus_stack([build_interaction(cu_circuit(t, eps=0.2)) for t in (0.3, -0.7)])
+        with pytest.raises(ValidationError, match="non-finite"):
+            damped_iteration(rho_in, kraus)
+
 
 def eigvalsh_step_iteration(rho_in, kraus, tol=1e-12):
     """damped_iteration's loop with a LAPACK step, half the sum of
@@ -337,15 +346,118 @@ class TestAffineMap:
         interaction = build_interaction(cu_circuit(0.3, eps=0.2))
         loop_in = np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises((ValidationError, ConvergenceError)):
-            solve_loops([(slice(None), 1.0, interaction.transfer)], loop_in, loop_in[:, None])
+            solve_loops([(1.0, interaction.transfer)], loop_in, loop_in[:, None])
         with pytest.raises(ValidationError):
             run_batch(CircuitKind.SWAP_THEN_CU, [0.3, 0.3], [0.2, 0.2], [0.1, math.nan],
+                      loop_in[::2], loop_in[::2, None])
+        with pytest.raises(ValidationError):  # the angle SWAP_CNOT ignores is still checked
+            run_batch(CircuitKind.SWAP_CNOT, [0.0, math.nan], [0.0, 0.0], [0.0, 0.0],
                       loop_in[::2], loop_in[::2, None])
 
     def test_state_outside_ball_rejected(self):
         with pytest.raises(ValidationError, match="Bloch"):
-            solve_loops([(slice(None), 1.0, QubitChannel(((1.0, SWAP),)).transfer)],
+            solve_loops([(1.0, QubitChannel(((1.0, SWAP),)).transfer)],
                         np.array([[0.0, 0.0, 1.5]]), np.zeros((1, 0, 3)))
+
+
+def grouped_mix(terms, rail, subscripts, x):
+    """_mix over (rows, weight, transfer) triples: each term adds to its rows only."""
+    out = np.zeros(x.shape[:1] + (4, 4))
+    for rows, w, t in terms:
+        rail_t = t[..., rail, :, :, :]
+        out[rows] += np.reshape(w, (-1, 1, 1)) * np.einsum(subscripts, rail_t, x[rows])
+    return out
+
+
+def grouped_run_batch(monkeypatch, kind, theta, eps, p, loop_in, evolve):
+    """Oracle: run_batch with one shared-channel term per distinct angle,
+    its rows picked by flatnonzero, the encoding the stacked term replaced."""
+    theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
+    terms = []
+    if eps.any():
+        swap_only = build_interaction(CircuitSpec(kind=kind, gate_noise=1.0))
+        terms.append((slice(None), eps, swap_only.transfer))
+    for t in sorted(set(theta.tolist())):
+        rows = np.flatnonzero(theta == t)
+        ideal = build_interaction(CircuitSpec(kind=kind, theta_xz=t))
+        terms.append((rows, 1.0 - eps[rows], ideal.transfer))
+    shrink = (1.0 - p)[:, None]
+    with monkeypatch.context() as m:
+        m.setattr(deutsch, "_mix", grouped_mix)
+        return solve_loops(terms, loop_in * shrink, evolve * shrink[:, None])
+
+
+def sweep_batches(monkeypatch, mode, variant):
+    """The run_batch arguments of one discrimination sweep."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return run_batch(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "run_batch", record)
+        experiments.discrimination_sweep(mode, variant)
+    return calls
+
+
+def random_batch(rng, angles, n):
+    """SWAP_THEN_CU run_batch arguments: angles drawn from `angles`, mixed
+    eps in (0, 1) with some rows at 0 and some at 1, random pure inputs."""
+    theta = rng.choice(angles, n)
+    eps, p = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+    eps[::5], eps[1::7] = 0.0, 1.0
+    bloch = np.array([PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+                      .bloch() for _ in range(n)])
+    return CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch, np.stack([bloch, -bloch], axis=1)
+
+
+class TestStackedInteractionTerm:
+    """run_batch's one stacked term equals the per-angle row grouping bit for bit."""
+
+    def assert_bitwise_equal(self, monkeypatch, args):
+        built = []
+        real = deutsch.build_interaction
+
+        def counted(spec):
+            built.append(spec)
+            return real(spec)
+
+        with monkeypatch.context() as m:
+            m.setattr(deutsch, "build_interaction", counted)
+            got = run_batch(*args)
+        want = grouped_run_batch(monkeypatch, *args)
+        for name in ("loop", "outputs", "fixed_set_dimension", "residual", "consistency_fidelity"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        theta, eps = np.asarray(args[1]), np.asarray(args[2])
+        ideal = [s.theta_xz for s in built if s.gate_noise == 0.0]
+        assert ideal == sorted(set(theta.tolist()))
+        assert len(built) == len(ideal) + bool(eps.any())
+
+    @pytest.mark.parametrize("mode", ["local", "nonlocal"])
+    @pytest.mark.parametrize("variant", ["optimal-gate", "fixed-state"])
+    def test_sweep_grids(self, monkeypatch, mode, variant):
+        calls = sweep_batches(monkeypatch, mode, variant)
+        assert calls
+        for args in calls:
+            assert len(set(np.asarray(args[1]).tolist())) > 1
+            self.assert_bitwise_equal(monkeypatch, args)
+
+    def test_mixed_eps_with_repeated_angles(self, monkeypatch):
+        rng = np.random.default_rng(163)
+        args = random_batch(rng, [-1.2, -0.3, 0.0, 0.4, 1.1], 60)
+        assert len(set(args[1].tolist())) == 5
+        self.assert_bitwise_equal(monkeypatch, args)
+
+    def test_single_angle_batch(self, monkeypatch):
+        rng = np.random.default_rng(167)
+        self.assert_bitwise_equal(monkeypatch, random_batch(rng, [0.4], 30))
+
+    def test_batch_of_one(self, monkeypatch):
+        rng = np.random.default_rng(173)
+        self.assert_bitwise_equal(monkeypatch, random_batch(rng, [-0.8], 1))
 
 
 class TestSolveFixedPoint:
@@ -468,7 +580,7 @@ class TestRandomChannels:
                 assert trace_distance(engine.rho_ctc, damped.rho_ctc) <= 1e-9
 
             inputs = np.array([random_qubit_state(rng).bloch() for _ in range(3)])
-            batch = solve_loops([(slice(None), 1.0, interaction.transfer)], rho_in.bloch()[None],
+            batch = solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None],
                                 inputs[None])
             assert np.linalg.norm(batch.loop[0]) <= 1 + 2e-10
             assert batch.consistency_fidelity[0] == pytest.approx(1.0, abs=1e-12)
