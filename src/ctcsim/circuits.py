@@ -139,6 +139,8 @@ class CircuitSpec:
     input_noise: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.theta_xz):  # also for SWAP_CNOT, which ignores the angle
+            raise ValidationError(f"theta_xz = {self.theta_xz} is not finite")
         if self.kind is CircuitKind.SWAP_THEN_CU:
             if not -math.pi / 2 <= self.theta_xz < math.pi / 2:
                 raise ValidationError(

@@ -89,6 +89,10 @@ EIGENVALUE_ONE_TOL = 1e-9
 # Largest Bloch norm a valid state may have: (1 - |r|)/2 >= -PSD_TOL.
 BALL_TOL = 1.0 + 2.0 * PSD_TOL
 LOOP_RAIL, OUTPUT_RAIL = 0, 1  # indices into QubitChannel.transfer
+# damped_iteration's stopping step (trace distance between successive
+# iterates) and step budget.
+_STEP_TOL = 1e-12
+_MAX_STEPS = 10000
 
 
 class ConvergenceError(RuntimeError):
@@ -277,16 +281,15 @@ class DampedBatch:
     fixed_set_dimension: np.ndarray
 
 
-def damped_iteration(rho_in: np.ndarray, kraus, tol: float = 1e-12,
-                     max_iter: int = 10000) -> DampedBatch:
+def damped_iteration(rho_in: np.ndarray, kraus) -> DampedBatch:
     """Independent oracle: damped iteration on the Kraus-form superoperators.
 
     Row n iterates rho <- (M_n vec(rho) + vec(rho))/2 from the maximally
     mixed state until the step (the closed-form trace distance between
-    successive iterates) is at most tol, then stops; M_n is the
+    successive iterates) is at most _STEP_TOL, then stops; M_n is the
     superoperator of row n of the Kraus stack kraus (weights (N, K), ops
     (N, K, 4, 4), as _kraus_stack builds) at input rho_in[n] (N, 2, 2).
-    Any row still moving after max_iter steps raises ConvergenceError. The
+    Any row still moving after _MAX_STEPS steps raises ConvergenceError. The
     fixed-set dimension counts the singular values of M_n - I below
     EIGENVALUE_ONE_TOL, and each clipped state must close the Kraus
     consistency map to RESIDUAL_TOL (else ConvergenceError); a NaN or inf
@@ -301,9 +304,9 @@ def damped_iteration(rho_in: np.ndarray, kraus, tol: float = 1e-12,
     active, step = np.arange(len(m)), np.array([math.inf])
     steps = 0
     while active.size:
-        if steps >= max_iter:
+        if steps >= _MAX_STEPS:
             raise ConvergenceError(
-                f"damped iteration did not converge in {max_iter} steps (step = {step.max():.3e})"
+                f"damped iteration did not converge in {_MAX_STEPS} steps (step = {step.max():.3e})"
             )
         c = cur[active]
         nxt = 0.5 * (m[active] @ c[:, :, None])[:, :, 0] + 0.5 * c
@@ -311,7 +314,7 @@ def damped_iteration(rho_in: np.ndarray, kraus, tol: float = 1e-12,
         cur[active] = nxt
         steps += 1
         iterations[active] = steps
-        moving = step > tol
+        moving = step > _STEP_TOL
         active, step = active[moving], step[moving]
     rho = _clip_to_density(cur.reshape(-1, 2, 2))
     residual = trace_distances(rho, _kraus_loop(kraus, rho_in, rho[:, None])[:, 0])
@@ -325,7 +328,7 @@ def damped_iteration(rho_in: np.ndarray, kraus, tol: float = 1e-12,
 @dataclass(frozen=True)
 class LoopBatch:
     """Solved loop scenarios in Bloch coordinates: loop (N, 3) min-norm loop
-    states, outputs (N, K, 3) evolved inputs, and three per-row diagnostics."""
+    states, outputs (N, 3) evolved loop inputs, and three per-row diagnostics."""
 
     loop: np.ndarray
     outputs: np.ndarray
@@ -373,7 +376,7 @@ def _require_in_ball(v: np.ndarray, what: str) -> np.ndarray:
     return norm
 
 
-def solve_loops(terms, loop_in: np.ndarray, evolve: np.ndarray) -> LoopBatch:
+def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     """Solve a batch of consistency conditions at once, in Bloch coordinates.
 
     For a fixed input the map is affine on the loop's Bloch vector,
@@ -384,7 +387,7 @@ def solve_loops(terms, loop_in: np.ndarray, evolve: np.ndarray) -> LoopBatch:
     onto null(M - I) it is (1, r) = P e0 / (e0 . P e0).
 
     terms: (weight, transfer) pairs (see _mix); loop_in (N, 3): the
-    state the loop adapts to; evolve (N, K, 3): inputs sent through the
+    state the loop adapts to, which is also the input sent through the
     output rail. A row with residual above RESIDUAL_TOL raises
     ConvergenceError, a state outside the Bloch ball ValidationError; a
     NaN fails both checks.
@@ -411,24 +414,21 @@ def solve_loops(terms, loop_in: np.ndarray, evolve: np.ndarray) -> LoopBatch:
             f"fixed-point residual {np.nanmax(residual):.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
 
-    outputs = evolve
-    if evolve.shape[1]:
-        o = _mix(terms, OUTPUT_RAIL, "...kmv,...v->...km", _homogeneous(r))
-        outputs = np.einsum("nkm,nim->nik", o[:, 1:], _homogeneous(evolve))
-        _require_in_ball(outputs, "output")
+    o = _mix(terms, OUTPUT_RAIL, "...kmv,...v->...km", _homogeneous(r))
+    outputs = np.einsum("nkm,nm->nk", o[:, 1:], _homogeneous(loop_in))
+    _require_in_ball(outputs, "output")
     return LoopBatch(r, outputs, dims, residual, _qubit_fidelity(r, image))
 
 
-def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray,
-              evolve: np.ndarray) -> LoopBatch:
+def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatch:
     """Solve N loop scenarios of one circuit kind, one spec per row.
 
     theta, eps and p (length N) are each row's gate angle, gate failure
-    probability and input depolarization; loop_in (N, 3) and evolve
-    (N, K, 3) are as in solve_loops, before depolarization (a 1 - p
-    shrink). Gate failure is linear in eps, so each row mixes the eps = 0
-    channel of its angle with the eps = 1 channel (SWAP only), built once
-    per distinct angle and stacked per row unless the batch has one angle.
+    probability and input depolarization; loop_in (N, 3) is as in
+    solve_loops, before depolarization (a 1 - p shrink). Gate failure is
+    linear in eps, so each row mixes the eps = 0 channel of its angle with
+    the eps = 1 channel (SWAP only), built once per distinct angle and
+    stacked per row unless the batch has one angle.
     """
     theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
     for name, v in (("gate_noise", eps), ("input_noise", p)):
@@ -445,19 +445,12 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray,
     ideal = (transfers[0] if len(angles) == 1
              else np.stack(transfers)[np.searchsorted(angles, theta)])
     terms.append((1.0 - eps, ideal))
-    shrink = (1.0 - p)[:, None]
-    return solve_loops(terms, loop_in * shrink, evolve * shrink[:, None])
+    return solve_loops(terms, loop_in * (1.0 - p)[:, None])
 
 
-def _fixed_point_result(batch: LoopBatch) -> FixedPointResult:
-    rho = density_from_bloch(batch.loop[0])
-    return FixedPointResult(
-        rho_ctc=rho,
-        residual=float(batch.residual[0]),
-        iterations=0,
-        fixed_set_dimension=int(batch.fixed_set_dimension[0]),
-        entropy=von_neumann_entropy(rho),
-    )
+def _fixed_point_result(rho: DensityMatrix, residual, iterations, dimension) -> FixedPointResult:
+    return FixedPointResult(rho_ctc=rho, residual=float(residual), iterations=int(iterations),
+                            fixed_set_dimension=int(dimension), entropy=von_neumann_entropy(rho))
 
 
 def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
@@ -476,21 +469,14 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     still checked).
     """
     if method == "eigen_max_entropy":
-        return _fixed_point_result(
-            solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None],
-                        np.empty((1, 0, 3)))
-        )
+        batch = solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None])
+        return _fixed_point_result(density_from_bloch(batch.loop[0]), batch.residual[0], 0,
+                                   batch.fixed_set_dimension[0])
     if method != "damped_iteration":
         raise ValidationError(f"unknown solver method {method!r}")
     batch = damped_iteration(rho_in.mat[None], _kraus_stack([interaction]))
-    rho = DensityMatrix(batch.rho[0])
-    return FixedPointResult(
-        rho_ctc=rho,
-        residual=float(batch.residual[0]),
-        iterations=int(batch.iterations[0]),
-        fixed_set_dimension=int(batch.fixed_set_dimension[0]),
-        entropy=von_neumann_entropy(rho),
-    )
+    return _fixed_point_result(DensityMatrix(batch.rho[0]), batch.residual[0],
+                               batch.iterations[0], batch.fixed_set_dimension[0])
 
 
 def _prepared_bloch(prep: PreparationMode) -> np.ndarray:
@@ -504,7 +490,7 @@ def _prepared_bloch(prep: PreparationMode) -> np.ndarray:
 
 def run_scenario(spec: CircuitSpec, prep: PreparationMode,
                  method: str = "eigen_max_entropy") -> ScenarioOutput:
-    """Solve one complete loop scenario and evolve its inputs.
+    """Solve one complete loop scenario and evolve its input.
 
     The loop state is solved once, from the reduced input the preparation
     mode dictates (pure state for LocalPure, the given matrix for
@@ -512,33 +498,33 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
     input depolarization. The default method is run_batch on a batch of
     one; "damped_iteration" runs the Kraus-form oracle instead.
 
-    For local and improper preparations the prepared state itself is
-    depolarized and sent through the loop: rho_out_per_input has one
-    entry. For NonLocalEnsemble the interaction correlates the output
-    with the loop qubit, not with the remote ancilla, so conditioning on
-    the (space-like separated) post-selection outcome cannot steer it:
-    every ensemble state emerges as the evolved ensemble mixture, one
-    entry per state.
+    The depolarized state the loop adapts to is also the one sent through
+    it, and is evolved once. For local and improper preparations
+    rho_out_per_input has that one entry. For NonLocalEnsemble the
+    interaction correlates the output with the loop qubit, not with the
+    remote ancilla, so conditioning on the (space-like separated)
+    post-selection outcome cannot steer it: every ensemble state emerges
+    as the evolved ensemble mixture, repeated once per state.
     """
     loop_in = _prepared_bloch(prep)
     count = len(prep.states) if isinstance(prep, NonLocalEnsemble) else 1
-    evolve = loop_in[None].repeat(count, axis=0)
 
     if method != "eigen_max_entropy":
         interaction = build_interaction(spec)
-        shrink = 1.0 - spec.input_noise
-        rho_in = density_from_bloch(shrink * loop_in)
+        rho_in = density_from_bloch((1.0 - spec.input_noise) * loop_in)
         fp = solve_fixed_point(rho_in, interaction, method=method)
-        outs = tuple(evolve_output(density_from_bloch(shrink * e), fp.rho_ctc, interaction)
-                     for e in evolve)
+        out = evolve_output(rho_in, fp.rho_ctc, interaction)
         cf = fidelity(fp.rho_ctc, consistency_map(rho_in, interaction, fp.rho_ctc))
-        return ScenarioOutput(fixed_point=fp, rho_out_per_input=outs, consistency_fidelity=cf)
+        return ScenarioOutput(fixed_point=fp, rho_out_per_input=(out,) * count,
+                              consistency_fidelity=cf)
 
     batch = run_batch(spec.kind, [spec.theta_xz], [spec.gate_noise], [spec.input_noise],
-                      loop_in[None], evolve[None])
+                      loop_in[None])
+    fp = _fixed_point_result(density_from_bloch(batch.loop[0]), batch.residual[0], 0,
+                             batch.fixed_set_dimension[0])
     return ScenarioOutput(
-        fixed_point=_fixed_point_result(batch),
-        rho_out_per_input=tuple(density_from_bloch(o) for o in batch.outputs[0]),
+        fixed_point=fp,
+        rho_out_per_input=(density_from_bloch(batch.outputs[0]),) * count,
         consistency_fidelity=float(batch.consistency_fidelity[0]),
     )
 
@@ -560,9 +546,8 @@ def proper_mixture_output(spec: CircuitSpec, states: list[PureQubit],
     return DensityMatrix(out)
 
 
-def iterate_circuit(input_state: PureQubit, n: int,
-                    spec: CircuitSpec | None = None) -> DensityMatrix:
-    """Feed the loop output back through the circuit n times in total.
+def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
+    """Feed the noise-free CNOT-then-SWAP loop output back through it n times in total.
 
     Pass 1 treats the pure input shot-by-shot; every later pass receives
     the previous output as an improper mixture, because that mixture comes
@@ -570,10 +555,7 @@ def iterate_circuit(input_state: PureQubit, n: int,
     """
     if n < 1:
         raise ValidationError("iteration count must be >= 1")
-    if spec is None:
-        spec = CircuitSpec(kind=CircuitKind.SWAP_CNOT)
-    if spec.gate_noise != 0.0 or spec.input_noise != 0.0:
-        raise ValidationError("iterated circuits are defined for noise-free specs only")
+    spec = CircuitSpec(kind=CircuitKind.SWAP_CNOT)
     state = run_scenario(spec, LocalPure(input_state)).rho_out_per_input[0]
     for _ in range(n - 1):
         state = run_scenario(spec, ImproperMixed(state)).rho_out_per_input[0]

@@ -164,14 +164,14 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
     zeros = np.zeros(2 * n)
     batches = []
     for _ in range(max(passes)):
-        batches.append(run_batch(CircuitKind.SWAP_CNOT, zeros, zeros, zeros, state, state[:, None]))
-        state = batches[-1].outputs[:, 0]
+        batches.append(run_batch(CircuitKind.SWAP_CNOT, zeros, zeros, zeros, state))
+        state = batches[-1].outputs
     # The nonlinearity experiment compares against the fixed sigma-z
     # measurement on the un-evolved inputs (the reference state is known,
     # the swept one is not).
     qm_pair = (np.array([0.0, 0.0, 1.0]), _pure_bloch(phi, 0.0))
     return [record for k in passes for record in _records(
-        batches[k - 1].outputs[:n, 0], batches[k - 1].outputs[n:, 0], qm_pair, True,
+        batches[k - 1].outputs[:n], batches[k - 1].outputs[n:], qm_pair, True,
         _diagnostics(batches[:k], n), experiment_id="fig3", phi=phi, phase=phase,
         theta_xz=0.0, p=0.0, epsilon=0.0, prep_mode="local_pure", n_iterations=k,
     )]
@@ -190,14 +190,12 @@ def _discrimination_batch(mode: str, phi, theta, p, epsilon):
     psi1 = _pure_bloch(phi, 0.0)
     kind = CircuitKind.SWAP_THEN_CU
     if mode == "local":
-        pair = np.vstack([psi0, psi1])
         batch = run_batch(kind, np.tile(theta, 2), np.tile(epsilon, 2), np.tile(p, 2),
-                          pair, pair[:, None])
-        out0, out1 = batch.outputs[:n, 0], batch.outputs[n:, 0]
+                          np.vstack([psi0, psi1]))
+        out0, out1 = batch.outputs[:n], batch.outputs[n:]
     elif mode == "nonlocal":
-        mixture = (psi0 + psi1) / 2.0
-        batch = run_batch(kind, theta, epsilon, p, mixture, mixture[:, None])
-        out0 = out1 = batch.outputs[:, 0]
+        batch = run_batch(kind, theta, epsilon, p, (psi0 + psi1) / 2.0)
+        out0 = out1 = batch.outputs
     else:
         raise ValidationError(f"unknown preparation mode {mode!r}")
     shrink = (1.0 - p)[:, None]

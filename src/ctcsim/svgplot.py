@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG line/scatter writer.
+"""Minimal dependency-free SVG line-plot writer.
 
 Plots are a convenience view of the CSV output, nothing more: one panel,
 linear axes, a handful of labelled series.
@@ -14,10 +14,10 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 36, 48
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     start = math.ceil(lo / step) * step
@@ -30,9 +30,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def write_svg(path: str, series: list[tuple[str, list[float], list[float]]],
-              title: str = "", x_label: str = "", y_label: str = "",
-              scatter: bool = False) -> None:
-    """Write named (x, y) series to `path` as a single-panel SVG plot."""
+              title: str = "", x_label: str = "", y_label: str = "") -> None:
+    """Write named (x, y) series to `path` as a single-panel SVG line plot."""
     xs = [x for _, sx, _ in series for x in sx]
     ys = [y for _, _, sy in series for y in sy]
     if not xs:
@@ -87,7 +86,7 @@ def write_svg(path: str, series: list[tuple[str, list[float], list[float]]],
     for i, (name, sx, sy) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         pts = sorted(zip(sx, sy))
-        if scatter or len(pts) == 1:
+        if len(pts) == 1:
             for x, y in pts:
                 parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="2.5" fill="{color}"/>')
         else:

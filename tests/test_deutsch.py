@@ -188,15 +188,18 @@ class TestDampedBatch:
         assert np.linalg.eigvalsh(clipped[1]).min() >= -1e-17
         assert clipped[1].trace().real == pytest.approx(1.0, abs=1e-15)
 
-    def test_one_row_exhausting_the_budget_raises(self):
+    def test_one_row_exhausting_the_budget_raises(self, monkeypatch):
         rng = np.random.default_rng(151)
         rho_in, channels = random_rows(rng, 12)
         kraus = _kraus_stack(channels)
         steps = damped_iteration(rho_in, kraus).iterations
         assert steps.min() < steps.max()
-        damped_iteration(rho_in, kraus, max_iter=int(steps.max()))
-        with pytest.raises(ConvergenceError, match="converge"):
-            damped_iteration(rho_in, kraus, max_iter=int(steps.max()) - 1)
+        with monkeypatch.context() as m:
+            m.setattr(deutsch, "_MAX_STEPS", int(steps.max()))
+            damped_iteration(rho_in, kraus)
+            m.setattr(deutsch, "_MAX_STEPS", int(steps.max()) - 1)
+            with pytest.raises(ConvergenceError, match="converge"):
+                damped_iteration(rho_in, kraus)
 
     def test_non_finite_input_raises_validation_error(self):
         rho_in = np.array([HALF.mat, HALF.mat])
@@ -206,7 +209,7 @@ class TestDampedBatch:
             damped_iteration(rho_in, kraus)
 
 
-def eigvalsh_step_iteration(rho_in, kraus, tol=1e-12):
+def eigvalsh_step_iteration(rho_in, kraus):
     """damped_iteration's loop with a LAPACK step, half the sum of
     |eigvalsh(next - current)|, in place of the closed-form trace distance:
     (clipped states, step counts)."""
@@ -220,7 +223,7 @@ def eigvalsh_step_iteration(rho_in, kraus, tol=1e-12):
         step = np.abs(np.linalg.eigvalsh((nxt - c).reshape(-1, 2, 2))).sum(axis=1) / 2
         cur[active] = nxt
         iterations[active] += 1
-        active = active[step > tol]
+        active = active[step > deutsch._STEP_TOL]
     return _clip_to_density(cur.reshape(-1, 2, 2)), iterations
 
 
@@ -309,7 +312,7 @@ class TestAffineMap:
             PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)).bloch()
             for _ in range(n)
         ])
-        batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch, bloch[:, None])
+        batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch)
         for i in range(n):
             interaction = build_interaction(cu_circuit(theta[i], eps=eps[i]))
             rho_in = density_from_bloch((1 - p[i]) * bloch[i])
@@ -325,7 +328,7 @@ class TestAffineMap:
                         rows.append((float(theta), eps, p, phi))
         theta, eps, p, phi = (np.array(c) for c in zip(*rows))
         bloch = np.array([PureQubit(f).bloch() for f in phi])
-        batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch, bloch[:, None])
+        batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch)
         degenerate = 0
         for i in range(len(rows)):
             rho_in = density_from_bloch((1 - p[i]) * bloch[i])
@@ -346,18 +349,18 @@ class TestAffineMap:
         interaction = build_interaction(cu_circuit(0.3, eps=0.2))
         loop_in = np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises((ValidationError, ConvergenceError)):
-            solve_loops([(1.0, interaction.transfer)], loop_in, loop_in[:, None])
+            solve_loops([(1.0, interaction.transfer)], loop_in)
         with pytest.raises(ValidationError):
             run_batch(CircuitKind.SWAP_THEN_CU, [0.3, 0.3], [0.2, 0.2], [0.1, math.nan],
-                      loop_in[::2], loop_in[::2, None])
+                      loop_in[::2])
         with pytest.raises(ValidationError):  # the angle SWAP_CNOT ignores is still checked
             run_batch(CircuitKind.SWAP_CNOT, [0.0, math.nan], [0.0, 0.0], [0.0, 0.0],
-                      loop_in[::2], loop_in[::2, None])
+                      loop_in[::2])
 
     def test_state_outside_ball_rejected(self):
         with pytest.raises(ValidationError, match="Bloch"):
             solve_loops([(1.0, QubitChannel(((1.0, SWAP),)).transfer)],
-                        np.array([[0.0, 0.0, 1.5]]), np.zeros((1, 0, 3)))
+                        np.array([[0.0, 0.0, 1.5]]))
 
 
 def grouped_mix(terms, rail, subscripts, x):
@@ -369,7 +372,7 @@ def grouped_mix(terms, rail, subscripts, x):
     return out
 
 
-def grouped_run_batch(monkeypatch, kind, theta, eps, p, loop_in, evolve):
+def grouped_run_batch(monkeypatch, kind, theta, eps, p, loop_in):
     """Oracle: run_batch with one shared-channel term per distinct angle,
     its rows picked by flatnonzero, the encoding the stacked term replaced."""
     theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
@@ -381,10 +384,9 @@ def grouped_run_batch(monkeypatch, kind, theta, eps, p, loop_in, evolve):
         rows = np.flatnonzero(theta == t)
         ideal = build_interaction(CircuitSpec(kind=kind, theta_xz=t))
         terms.append((rows, 1.0 - eps[rows], ideal.transfer))
-    shrink = (1.0 - p)[:, None]
     with monkeypatch.context() as m:
         m.setattr(deutsch, "_mix", grouped_mix)
-        return solve_loops(terms, loop_in * shrink, evolve * shrink[:, None])
+        return solve_loops(terms, loop_in * (1.0 - p)[:, None])
 
 
 def sweep_batches(monkeypatch, mode, variant):
@@ -409,7 +411,7 @@ def random_batch(rng, angles, n):
     eps[::5], eps[1::7] = 0.0, 1.0
     bloch = np.array([PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
                       .bloch() for _ in range(n)])
-    return CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch, np.stack([bloch, -bloch], axis=1)
+    return CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch
 
 
 class TestStackedInteractionTerm:
@@ -542,10 +544,11 @@ class TestSolveFixedPoint:
             # ...but strictly below the returned entropy.
             assert von_neumann_entropy(perturbed) < fp.entropy - 1e-6
 
-    def test_iteration_budget_exhaustion_raises(self):
+    def test_iteration_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(deutsch, "_MAX_STEPS", 2)
         with pytest.raises(ConvergenceError, match="converge"):
             damped_iteration(PureQubit(1.0, 0.0).density().mat[None],
-                             _kraus_stack([build_interaction(SWAP_CNOT)]), max_iter=2)
+                             _kraus_stack([build_interaction(SWAP_CNOT)]))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
@@ -579,14 +582,11 @@ class TestRandomChannels:
             if engine.fixed_set_dimension == 1:
                 assert trace_distance(engine.rho_ctc, damped.rho_ctc) <= 1e-9
 
-            inputs = np.array([random_qubit_state(rng).bloch() for _ in range(3)])
-            batch = solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None],
-                                inputs[None])
+            batch = solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None])
             assert np.linalg.norm(batch.loop[0]) <= 1 + 2e-10
             assert batch.consistency_fidelity[0] == pytest.approx(1.0, abs=1e-12)
-            for e, out in zip(inputs, batch.outputs[0]):
-                direct = evolve_output(density_from_bloch(e), engine.rho_ctc, interaction)
-                assert np.abs(direct.bloch() - out).max() <= 1e-12
+            direct = evolve_output(rho_in, engine.rho_ctc, interaction)
+            assert np.abs(direct.bloch() - batch.outputs[0]).max() <= 1e-12
 
 
 class TestEvolveOutput:
@@ -660,6 +660,35 @@ class TestRunScenario:
         )
         assert trace_distance(res.fixed_point.rho_ctc, direct.rho_ctc) <= 1e-12
 
+    @pytest.mark.parametrize("method", ["eigen_max_entropy", "damped_iteration"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_member_leaves_as_the_evolved_mixture(self, method, k):
+        """Metamorphic: a k-state ensemble gives k outputs, each the one output
+        of its mixture prepared as an improper mixture, at the same fixed point."""
+        rng = np.random.default_rng(1009 + k)
+        for i in range(12):
+            states = tuple(PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+                           for _ in range(k))
+            weights = rng.uniform(0.05, 1.0, k)
+            ensemble = NonLocalEnsemble(states, tuple(weights / weights.sum()))
+            spec = (SWAP_CNOT if i % 4 == 0 else
+                    cu_circuit(rng.uniform(-1.5, 1.5), eps=rng.uniform(0, 1), p=rng.uniform(0, 1)))
+            got = run_scenario(spec, ensemble, method=method)
+            want = run_scenario(spec, ImproperMixed(ensemble.mixture()), method=method)
+            assert len(got.rho_out_per_input) == k and len(want.rho_out_per_input) == 1
+            for out in got.rho_out_per_input:
+                assert trace_distance(out, want.rho_out_per_input[0]) <= 1e-12
+            assert trace_distance(got.fixed_point.rho_ctc, want.fixed_point.rho_ctc) <= 1e-12
+            assert got.fixed_point.fixed_set_dimension == want.fixed_point.fixed_set_dimension
+
+    @pytest.mark.parametrize("method", ["eigen_max_entropy", "damped_iteration"])
+    @pytest.mark.parametrize("kind", list(CircuitKind))
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected_by_both_methods(self, method, kind, angle):
+        with pytest.raises(ValidationError, match="theta_xz = .* is not finite"):
+            run_scenario(CircuitSpec(kind=kind, theta_xz=angle), LocalPure(PureQubit(1.0)),
+                         method=method)
+
     def test_ensemble_probabilities_validated(self):
         with pytest.raises(ValidationError):
             NonLocalEnsemble((H,), (0.7,))
@@ -718,9 +747,7 @@ class TestIterateCircuit:
         out = iterate_circuit(H, 5)
         assert trace_distance(out, H.density()) <= 1e-12
 
-    def test_requires_noise_free_spec(self):
-        with pytest.raises(ValidationError, match="noise-free"):
-            iterate_circuit(H, 2, cu_circuit(math.pi / 4, eps=0.1))
+    def test_requires_at_least_one_pass(self):
         with pytest.raises(ValidationError):
             iterate_circuit(H, 0)
 

@@ -293,7 +293,7 @@ class TestDeterminism:
 
         def solve(rows):
             return run_batch(CircuitKind.SWAP_THEN_CU, theta[rows], eps[rows], p[rows],
-                             bloch[rows], bloch[rows, None])
+                             bloch[rows])
 
         whole = solve(np.arange(n))
         perm = rng.permutation(n)

@@ -1,16 +1,19 @@
-"""Smoke test: tools/dump_outputs.py writes its full set of tables."""
+"""Smoke test: tools/dump_outputs.py writes its full set of tables and reports."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "dump_outputs.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "dump_outputs.py"
 
 EXPECTED = sorted(
     [f"{t}.csv" for t in ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2", "thresholds")]
-    + ["thresholds.json", "fig6-grid13.csv"]
+    + ["thresholds.json", "fig6-grid13.csv", "selftest.txt", "decoherence_response.svg"]
     + [f"sweep-{v}-{m}-grid50.csv" for v in ("optimal-gate", "fixed-state", "fixed-gate")
        for m in ("local", "nonlocal")]
+    + [f"demo-{d.stem}.txt" for d in (ROOT / "demos").glob("*.py")]
 )
 
 
@@ -23,6 +26,11 @@ def test_dump_outputs_writes_every_table(tmp_path):
     assert all(p.stat().st_size > 0 for p in out.iterdir())
     lines = (out / "fig6-grid13.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 13 * 13
+    report = (out / "selftest.txt").read_text(encoding="utf-8").splitlines()
+    assert len(report) == 13 and report[-1] == "all checks passed in #.##s"
+    # Every elapsed time is masked, so two runs of one checkout write the same bytes.
+    assert not any(re.search(r"\d\.\d\ds\b", line) for line in report)
+    assert report[0].startswith("[PASS] C1:") and report[0].endswith(", #.##s")
 
 
 def test_dump_outputs_takes_no_options(tmp_path):

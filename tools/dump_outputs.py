@@ -1,28 +1,35 @@
-"""Write every bundled CLI table into one directory, for byte comparison.
+"""Write every bundled CLI table and report into one directory, for byte comparison.
 
     python3 tools/dump_outputs.py DIR
 
 writes the 8 `ctcsim reproduce` targets as CSV, `reproduce thresholds`
 as JSON, the six `sweep` tables (3 variants x 2 preparations) at
-`--grid 50` and `reproduce fig6 --grid 13`. The package is imported from
-this checkout's `src`, so running the script from two checkouts into two
-directories and comparing them with `diff -r` shows whether a change
-moved any output byte.
+`--grid 50`, `reproduce fig6 --grid 13`, the `ctcsim selftest` report
+(selftest.txt, with every elapsed time masked) and the stdout of each
+script in demos/ (demo-<name>.txt), run in DIR so that the SVG demo 05
+writes lands there too. The package is imported from this checkout's
+`src`, so running the script from two checkouts into two directories and
+comparing them with `diff -r` shows whether a change moved any output byte.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import re
+import runpy
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from ctcsim.cli import REPRODUCE_TARGETS, main  # noqa: E402
 
 VARIANTS = ("optimal-gate", "fixed-state", "fixed-gate")
 PREPS = ("local", "nonlocal")
+# Elapsed times as the selftest prints them ("0.12s").
+_ELAPSED = re.compile(r"\b\d+\.\d\ds\b")
 
 
 def commands(out: Path) -> list[list[str]]:
@@ -37,14 +44,28 @@ def commands(out: Path) -> list[list[str]]:
     return cmds
 
 
+def run(argv: list[str]) -> str:
+    """stdout of `ctcsim argv`; RuntimeError on a non-zero exit."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"ctcsim {' '.join(argv)} exited {code}")
+    return buf.getvalue()
+
+
 def dump(out: Path) -> None:
-    """Run every command; raise RuntimeError on the first non-zero exit."""
+    """Run every command, the selftest and the demos; raise on the first failure."""
+    out = out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     for argv in commands(out):
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        if code != 0:
-            raise RuntimeError(f"ctcsim {' '.join(argv)} exited {code}")
+        run(argv)
+    (out / "selftest.txt").write_text(_ELAPSED.sub("#.##s", run(["selftest"])), encoding="utf-8")
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        buf = io.StringIO()
+        with contextlib.chdir(out), contextlib.redirect_stdout(buf):
+            runpy.run_path(str(demo), run_name="__main__")
+        (out / f"demo-{demo.stem}.txt").write_text(buf.getvalue(), encoding="utf-8")
 
 
 if __name__ == "__main__":
