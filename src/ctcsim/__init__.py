@@ -74,7 +74,6 @@ from .measures import (
 from .qmath import (
     DensityMatrix,
     PureQubit,
-    Subsystem,
     ValidationError,
     bloch_from_density,
     density_from_bloch,
@@ -88,7 +87,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # qmath
-    "DensityMatrix", "PureQubit", "Subsystem", "ValidationError",
+    "DensityMatrix", "PureQubit", "ValidationError",
     "bloch_from_density", "density_from_bloch", "fidelity", "trace_distance",
     "von_neumann_entropy",
     # circuits

@@ -176,15 +176,10 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarization strength p = {p} outside [0, 1]")
-    return DensityMatrix(_depolarized(rho.mat, p))
-
-
-def _depolarized(m: np.ndarray, p) -> np.ndarray:
-    """depolarize's arithmetic on matrices (..., 2, 2) with strengths p (...), unvalidated."""
-    p = np.asarray(p, dtype=float)[..., None, None]
-    return (1 - 0.75 * p) * m + 0.25 * p * (
+    m = rho.mat
+    return DensityMatrix((1 - 0.75 * p) * m + 0.25 * p * (
         SIGMA_X @ m @ SIGMA_X + SIGMA_Y @ m @ SIGMA_Y + SIGMA_Z @ m @ SIGMA_Z
-    )
+    ))
 
 
 def build_interaction(spec: CircuitSpec) -> QubitChannel:

@@ -57,11 +57,12 @@ from .selftest import run_selftest
 from .svgplot import write_svg
 
 RECORD_FIELDS = [f.name for f in dataclasses.fields(SweepRecord)]
-# One CSV row, formatted as _fmt would: 17 significant digits for float fields.
+# One CSV row per template: 17 significant digits for float fields.
 _RECORD_ROW = ",".join("%.17g" if f.type == "float" else "%s"
                        for f in dataclasses.fields(SweepRecord)) + "\n"
 _record_values = operator.attrgetter(*RECORD_FIELDS)
 THRESHOLD_FIELDS = ["parameter", "crossing", "bracket_lo", "bracket_hi", "achieved_tolerance"]
+_THRESHOLD_ROW = "%s,%.17g,%.17g,%.17g,%.17g\n"
 
 REPRODUCE_TARGETS = ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2", "thresholds")
 
@@ -75,12 +76,6 @@ _SWEEP_TABLES = {
     "fig5c": [(f"fig5c-{v}-{m}", v, m) for v in _VARIANTS[1:] for m in _MODES],
     **{t: [(f"{t}-{v}-{m}", v, m) for v in _VARIANTS for m in _MODES] for t in ("s1", "s2")},
 }
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def write_records_csv(records: list[SweepRecord], path: str) -> None:
@@ -110,16 +105,10 @@ def write_records_json(records: list[SweepRecord], path: str) -> None:
 
 
 def write_thresholds_csv(results: list[ThresholdResult], path: str) -> None:
-    lines = [",".join(THRESHOLD_FIELDS)]
-    for t in results:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (t.parameter, t.crossing, t.bracket[0], t.bracket[1], t.achieved_tolerance)
-            )
-        )
+    rows = "".join(_THRESHOLD_ROW % (t.parameter, t.crossing, *t.bracket, t.achieved_tolerance)
+                   for t in results)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(THRESHOLD_FIELDS) + "\n" + rows)
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -171,7 +160,7 @@ def cmd_fixed_point(args) -> int:
         _print_state(f"rho_out[{i}]", out)
     if args.out:
         _write_json({
-            "rho_ctc": [[_fmt(v.real), _fmt(v.imag)] for v in fp.rho_ctc.mat.reshape(-1)],
+            "rho_ctc": [["%.17g" % v.real, "%.17g" % v.imag] for v in fp.rho_ctc.mat.reshape(-1)],
             "residual": fp.residual,
             "fixed_set_dimension": fp.fixed_set_dimension,
             "entropy": fp.entropy,

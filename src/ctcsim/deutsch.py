@@ -43,10 +43,11 @@ import numpy as np
 
 from .circuits import CircuitKind, CircuitSpec, QubitChannel, build_interaction
 from .qmath import (
+    LOOP_RAIL,
+    OUTPUT_RAIL,
     PSD_TOL,
     DensityMatrix,
     PureQubit,
-    Subsystem,
     ValidationError,
     _eig_ranges_2x2,
     _partial_trace_raw,
@@ -88,7 +89,6 @@ RESIDUAL_TOL = 1e-10
 EIGENVALUE_ONE_TOL = 1e-9
 # Largest Bloch norm a valid state may have: (1 - |r|)/2 >= -PSD_TOL.
 BALL_TOL = 1.0 + 2.0 * PSD_TOL
-LOOP_RAIL, OUTPUT_RAIL = 0, 1  # indices into QubitChannel.transfer
 # damped_iteration's stopping step (trace distance between successive
 # iterates) and step budget.
 _STEP_TOL = 1e-12
@@ -204,38 +204,37 @@ def _kraus_stack(channels) -> tuple[np.ndarray, np.ndarray]:
     return weights, ops
 
 
-def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray,
-                traced: Subsystem = Subsystem.FIRST) -> np.ndarray:
-    """Tr_traced[E_n(rho_in[n] (x) x[n, b])] for a Kraus stack: rho_in (N, 2, 2),
-    x (N, B, 2, 2) -> (N, B, 2, 2). Linear in x; tracing out FIRST gives the
-    consistency map, SECOND the output rail."""
+def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray, keep: int = LOOP_RAIL) -> np.ndarray:
+    """The `keep` rail of E_n(rho_in[n] (x) x[n, b]) for a Kraus stack: rho_in
+    (N, 2, 2), x (N, B, 2, 2) -> (N, B, 2, 2). Linear in x; keeping LOOP_RAIL
+    gives the consistency map, OUTPUT_RAIL the output."""
     weights, ops = kraus
     n, b = x.shape[:2]
     # Inlined 2x2 Kronecker products; np.kron overhead dominates at this size.
     joint = (rho_in[:, None, :, None, :, None] * x[:, :, None, :, None, :]).reshape(n, 1, b, 4, 4)
     op = ops[:, :, None]
     out = (weights[:, :, None, None, None] * (op @ joint @ op.conj().swapaxes(-1, -2))).sum(axis=1)
-    return _partial_trace_raw(out, traced)
+    return _partial_trace_raw(out, keep)
 
 
 def _kraus_apply(rho_in: DensityMatrix, interaction: QubitChannel, x: DensityMatrix,
-                 traced: Subsystem) -> DensityMatrix:
+                 keep: int) -> DensityMatrix:
     """_kraus_loop on a batch of one, validated as a state."""
     return DensityMatrix(
-        _kraus_loop(_kraus_stack([interaction]), rho_in.mat[None], x.mat[None, None], traced)[0, 0]
+        _kraus_loop(_kraus_stack([interaction]), rho_in.mat[None], x.mat[None, None], keep)[0, 0]
     )
 
 
 def consistency_map(rho_in: DensityMatrix, interaction: QubitChannel,
                     rho: DensityMatrix) -> DensityMatrix:
     """One application of the consistency condition: Tr_1[E(rho_in (x) rho)]."""
-    return _kraus_apply(rho_in, interaction, rho, Subsystem.FIRST)
+    return _kraus_apply(rho_in, interaction, rho, LOOP_RAIL)
 
 
 def evolve_output(input_state: DensityMatrix, rho_ctc: DensityMatrix,
                   interaction: QubitChannel) -> DensityMatrix:
     """State leaving the loop region: Tr_2[E(input (x) rho_ctc)]."""
-    return _kraus_apply(input_state, interaction, rho_ctc, Subsystem.SECOND)
+    return _kraus_apply(input_state, interaction, rho_ctc, OUTPUT_RAIL)
 
 
 _VEC_BASIS = np.eye(4, dtype=complex).reshape(4, 2, 2)
@@ -551,15 +550,18 @@ def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
 
     Pass 1 treats the pure input shot-by-shot; every later pass receives
     the previous output as an improper mixture, because that mixture comes
-    from tracing out the loop rail, not from classical fluctuation.
+    from tracing out the loop rail, not from classical fluctuation. Each
+    pass is run_batch on a batch of one, fed the previous pass's Bloch
+    output as nonlinearity_sweep feeds its passes, so the state is fig3's
+    iterated row bit for bit; it becomes a DensityMatrix only at return.
     """
     if n < 1:
         raise ValidationError("iteration count must be >= 1")
-    spec = CircuitSpec(kind=CircuitKind.SWAP_CNOT)
-    state = run_scenario(spec, LocalPure(input_state)).rho_out_per_input[0]
-    for _ in range(n - 1):
-        state = run_scenario(spec, ImproperMixed(state)).rho_out_per_input[0]
-    return state
+    zero = np.zeros(1)
+    state = input_state.bloch()[None]
+    for _ in range(n):
+        state = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero, state).outputs
+    return density_from_bloch(state[0])
 
 
 def swap_cnot_closed_form(h_weight: float) -> tuple[DensityMatrix, DensityMatrix]:

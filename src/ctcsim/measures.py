@@ -128,11 +128,11 @@ def optimal_mismatch_probability(
     r1, r2 = rho1.bloch(), rho2.bloch()
     if min(math.hypot(*r1), math.hypot(*r2)) < 1e-12:
         return 0.5, SIGMA_Z_AXIS
-    form = (np.outer(r1, r2) + np.outer(r2, r1)) / 2.0
     # Solved as a complex Hermitian matrix: the real solver can flip the
-    # sign of a roundoff-sized axis component, which the CLI prints.
-    form = form.astype(complex)
-    lam, vecs = np.linalg.eigh((form + form.conj().T) / 2.0)
+    # sign of a roundoff-sized axis component, which the CLI prints. Those
+    # signs also follow the signs of zeros, so + 0.0 makes every zero +0.0.
+    form = (np.outer(r1, r2) + np.outer(r2, r1)) / 2.0 + 0.0
+    lam, vecs = np.linalg.eigh(form.astype(complex))
     axis = vecs[:, 0].real
     value = float((1.0 - lam[0]) / 2.0)
     return min(max(value, 0.0), 1.0), _canonical_direction(axis / np.linalg.norm(axis))

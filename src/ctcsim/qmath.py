@@ -6,8 +6,11 @@ and for all here:
 
 * computational basis |H> = (1, 0), |V> = (0, 1); |H> sits at Bloch +z,
 * two-qubit basis order (HH, HV, VH, VV),
-* qubit 1 is the chronology-respecting rail, qubit 2 the loop rail, and
-  tensor products are written (qubit 1) x (qubit 2).
+* qubit 1 is the chronology-respecting (output) rail, qubit 2 the loop
+  rail, and tensor products are written (qubit 1) x (qubit 2),
+* a rail is named by its index, LOOP_RAIL = 0 or OUTPUT_RAIL = 1: the
+  index of its Pauli-transfer tensors in QubitChannel.transfer, and the
+  qubit a partial trace keeps.
 
 Everything is a pure function of its inputs. Non-finite numbers are
 rejected wherever a state is built, so a NaN cannot pass a validation by
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,8 +33,9 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
+    "LOOP_RAIL",
+    "OUTPUT_RAIL",
     "ValidationError",
-    "Subsystem",
     "PureQubit",
     "DensityMatrix",
     "trace_distance",
@@ -50,6 +53,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
+LOOP_RAIL, OUTPUT_RAIL = 0, 1
+
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -59,13 +64,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 class ValidationError(ValueError):
     """An input violated one of the stated invariants."""
-
-
-class Subsystem(Enum):
-    """Which qubit of a two-qubit state to trace out."""
-
-    FIRST = 1
-    SECOND = 2
 
 
 def _eig_ranges_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,15 +171,13 @@ class DensityMatrix:
         return f"DensityMatrix({self.mat.tolist()})"
 
 
-def _partial_trace_raw(mat4: np.ndarray, subsystem: Subsystem) -> np.ndarray:
-    """Trace `subsystem` out of a 4x4 matrix or a stack (..., 4, 4), unvalidated."""
+def _partial_trace_raw(mat4: np.ndarray, keep: int) -> np.ndarray:
+    """The `keep` rail's reduced state (LOOP_RAIL: trace out qubit 1,
+    OUTPUT_RAIL: trace out qubit 2) of a 4x4 matrix or a stack (..., 4, 4),
+    unvalidated."""
     # Index layout after reshape: [..., i, j, k, l] = <ij|rho|kl>.
     t = mat4.reshape(mat4.shape[:-2] + (2, 2, 2, 2))
-    if subsystem is Subsystem.FIRST:
-        return np.trace(t, axis1=-4, axis2=-2)
-    if subsystem is Subsystem.SECOND:
-        return np.trace(t, axis1=-3, axis2=-1)
-    raise ValidationError(f"unknown subsystem {subsystem!r}")
+    return np.trace(t, axis1=-4 + keep, axis2=-2 + keep)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

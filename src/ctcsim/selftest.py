@@ -18,7 +18,6 @@ from .circuits import (
     SWAP,
     CircuitKind,
     CircuitSpec,
-    _depolarized,
     _transfer_tensors,
     build_interaction,
     make_cu_xz,
@@ -34,23 +33,14 @@ from .deutsch import (
 )
 from .experiments import (
     SweepRecord,
+    _pure_bloch,
     decoherence_surface,
     discrimination_sweep,
     find_threshold,
     nonlinearity_sweep,
 )
 from .measures import grid_search_mismatch, optimal_mismatch_probability
-from .qmath import (
-    HERMITICITY_TOL,
-    PSD_TOL,
-    TRACE_TOL,
-    DensityMatrix,
-    PureQubit,
-    ValidationError,
-    _eig_ranges_2x2,
-    trace_distance,
-    trace_distances,
-)
+from .qmath import DensityMatrix, PureQubit, trace_distance, trace_distances
 
 __all__ = ["CheckResult", "SelfTestReport", "run_selftest", "CHECKS"]
 
@@ -88,62 +78,16 @@ class Context:
         return self._nonlocal
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag)/2 row by row, the symmetrisation DensityMatrix applies."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
-
-
-def _pure_outer(cos_polar: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """|psi><psi| (..., 2, 2) of PureQubit(acos(cos_polar), phase), row by row,
-    before DensityMatrix's symmetrisation; the phase is wrapped as PureQubit does."""
-    # math.acos, not np.arccos: the two round differently.
-    half = np.array([math.acos(c) for c in cos_polar.ravel().tolist()])
-    half = half.reshape(cos_polar.shape) / 2
-    phase = np.mod(phase, 2 * math.pi)
-    v = np.stack([np.cos(half).astype(complex), np.exp(1j * phase) * np.sin(half)], axis=-1)
-    return v[..., :, None] * v[..., None, :].conj()
-
-
-def _checked_states(m: np.ndarray) -> np.ndarray:
-    """A stack (N, 2, 2) checked against DensityMatrix's invariants (finite,
-    Hermitian, unit trace, min eigenvalue >= -PSD_TOL) and symmetrised as it
-    does; a violation raises ValidationError."""
-    if not np.isfinite(m).all():
-        raise ValidationError("density matrix stack has non-finite entries")
-    if not np.abs(m - m.conj().swapaxes(-1, -2)).max() <= HERMITICITY_TOL:
-        raise ValidationError(
-            "density matrix stack violates Hermiticity (|m - m^dag|_max > 1e-12)")
-    trace = np.trace(m, axis1=-2, axis2=-1)
-    if not np.abs(trace - 1.0).max() <= TRACE_TOL:
-        raise ValidationError("density matrix stack violates unit trace")
-    lo = _eig_ranges_2x2(m)[0].min()
-    if not lo >= -PSD_TOL:
-        raise ValidationError(
-            f"density matrix stack violates positivity (min eigenvalue = {lo:.3e})")
-    return _hermitian_part(m)
-
-
-def _random_pairs(rng: np.random.Generator, n: int, pure: bool) -> tuple[np.ndarray, np.ndarray]:
-    """n random pairs of qubit states as two (n, 2, 2) stacks, equal bit for bit
-    to n pairs drawn one state at a time: pure psi(acos u, phase) with u and
-    the phase uniform, or mixed G G^dag / Tr(G G^dag) with G complex Gaussian.
-    Symmetrised as DensityMatrix does, so wrapping a row leaves it unchanged."""
-    if pure:
-        u, phase = np.moveaxis(rng.uniform([-1.0, 0.0], [1.0, 2 * math.pi], size=(n, 2, 2)), -1, 0)
-        m = _pure_outer(u, phase)
-    else:
-        x = rng.normal(size=(n, 2, 2, 2, 2))
-        g = x[:, :, 0] + 1j * x[:, :, 1]
-        m = g @ g.conj().swapaxes(-1, -2)
-        m = m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-    m = _hermitian_part(m)
+def _mixed_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random pairs of mixed qubit states G G^dag / Tr(G G^dag), G complex
+    Gaussian, as two (n, 2, 2) stacks. Symmetrised as DensityMatrix does, so
+    wrapping a row leaves it unchanged."""
+    x = rng.normal(size=(n, 2, 2, 2, 2))
+    g = x[:, :, 0] + 1j * x[:, :, 1]
+    m = g @ g.conj().swapaxes(-1, -2)
+    m = m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
     return m[:, 0], m[:, 1]
-
-
-def _bloch_rows(m: np.ndarray) -> np.ndarray:
-    """bloch_from_density row by row: Bloch vectors (N, 3) of matrices (N, 2, 2)."""
-    return np.stack([2 * m[:, 0, 1].real, -2 * m[:, 0, 1].imag, (m[:, 0, 0] - m[:, 1, 1]).real],
-                    axis=-1)
 
 
 def _density_rows(r: np.ndarray) -> np.ndarray:
@@ -299,15 +243,17 @@ def _check_decoherence_thresholds(ctx: Context) -> tuple[bool, str]:
 def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
     """Optimized-measure and Helstrom identities, and the non-local 1/2 plateau."""
     rng = np.random.default_rng(20260810)
-    a, b = _random_pairs(rng, 1000, pure=True)
+    # 1000 pairs of pure states psi(acos u, phase), u and the phase uniform.
+    u, phase = np.moveaxis(rng.uniform([-1.0, 0.0], [1.0, 2 * math.pi], size=(1000, 2, 2)), -1, 0)
+    a, b = np.moveaxis(_pure_bloch(np.arccos(u), phase), 1, 0)
     # optimal_mismatch_probability's eigensolve, stacked. Pure states have
     # unit Bloch vectors, so its vanishing-form branch never applies.
-    outer = _bloch_rows(a)[:, :, None] * _bloch_rows(b)[:, None, :]
+    outer = a[:, :, None] * b[:, None, :]
     lam = np.linalg.eigh(((outer + outer.swapaxes(1, 2)) / 2.0).astype(complex))[0][:, 0]
-    d = trace_distances(a, b)
+    d = trace_distances(_density_rows(a), _density_rows(b))
     worst_si = float(np.abs(np.clip((1.0 - lam) / 2.0, 0.0, 1.0) - 0.5 * (1 + d * d)).max())
 
-    m1, m2 = _random_pairs(rng, 1000, pure=False)
+    m1, m2 = _mixed_pairs(rng, 1000)
     lam, v = np.linalg.eigh(m1 - m2)
     # Projector onto the positive eigenspace of each difference, built from
     # its top k eigenvectors for each dimension k (none: the zero matrix).
@@ -342,17 +288,16 @@ _CANDIDATE_HIGH = [math.pi / 2 - 1e-9, 1.0, 1.0, 1.0, 2 * math.pi]
 
 def _draw_candidates(rng: np.random.Generator, n: int):
     """n random swap-cu candidates from one draw of n rows (theta, eps, p,
-    cos polar, phase), as stacks: the depolarized input states (n, 2, 2),
-    their Bloch rows (n, 3) and the Kraus stack (weights (n, 2), ops
-    (n, 2, 4, 4)) of build_interaction's gate-failure channel, [1 - eps, eps]
-    on [CU_xz(theta) SWAP, SWAP]. Each equals, bit for bit, what n
-    successive draws built one spec and one state at a time would give.
+    cos polar, phase), as stacks: the Bloch rows (n, 3) of the input states,
+    psi(acos(cos polar), phase) depolarized by p, and the Kraus stack
+    (weights (n, 2), ops (n, 2, 4, 4)) of build_interaction's gate-failure
+    channel, [1 - eps, eps] on [CU_xz(theta) SWAP, SWAP].
     """
     theta, eps, p, cos_polar, phase = rng.uniform(_CANDIDATE_LOW, _CANDIDATE_HIGH, size=(n, 5)).T
-    rho_in = _checked_states(_depolarized(_hermitian_part(_pure_outer(cos_polar, phase)), p))
+    bloch = (1.0 - p)[:, None] * _pure_bloch(np.arccos(cos_polar), phase)
     cu = np.array([make_cu_xz(t) for t in theta.tolist()])
     ops = np.stack([cu @ SWAP, np.broadcast_to(SWAP, cu.shape)], axis=1)
-    return rho_in, _bloch_rows(rho_in), (np.stack([1.0 - eps, eps], axis=1), ops)
+    return bloch, (np.stack([1.0 - eps, eps], axis=1), ops)
 
 
 def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int):
@@ -367,12 +312,12 @@ def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int)
     """
     need = count
     while need:
-        rho_in, bloch, (weights, ops) = _draw_candidates(rng, min(chunk, need))
+        bloch, (weights, ops) = _draw_candidates(rng, min(chunk, need))
         batch = solve_loops([(1.0, _transfer_tensors(weights, ops))], bloch)
         keep = np.flatnonzero(batch.fixed_set_dimension == 1)
         need -= len(keep)
         if len(keep):
-            yield (weights[keep], ops[keep]), rho_in[keep], batch.loop[keep]
+            yield (weights[keep], ops[keep]), _density_rows(bloch[keep]), batch.loop[keep]
 
 
 def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
@@ -384,7 +329,7 @@ def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
         worst = max(worst, float(trace_distances(_density_rows(loop), damped.rho).max()))
 
     worst_grid = 0.0
-    for m1, m2 in zip(*_random_pairs(rng, 200, pure=False)):
+    for m1, m2 in zip(*_mixed_pairs(rng, 200)):
         r1, r2 = DensityMatrix(m1), DensityMatrix(m2)
         val, _ = optimal_mismatch_probability(r1, r2)
         worst_grid = max(worst_grid, abs(val - grid_search_mismatch(r1, r2)))

@@ -22,20 +22,16 @@ from ctcsim.circuits import CircuitKind, CircuitSpec, build_interaction, depolar
 from ctcsim.cli import main
 from ctcsim.deutsch import _kraus_stack, solve_fixed_point
 from ctcsim.measures import helstrom_success_probability, optimal_mismatch_probability
-from ctcsim.qmath import (
-    DensityMatrix,
-    PureQubit,
-    ValidationError,
-    bloch_from_density,
-    density_from_bloch,
-    trace_distance,
-)
+from ctcsim.qmath import DensityMatrix, PureQubit, density_from_bloch, trace_distance
 from ctcsim.selftest import (
     CHECKS,
+    CHUNK,
     NONLOCAL_SWEEPS,
+    SOLVER_CHECKS,
     CheckResult,
     Context,
     SelfTestReport,
+    _density_rows,
     _unique_fixed_point_chunks,
 )
 
@@ -131,7 +127,8 @@ def test_json_report(report, capsys, monkeypatch):
 
 def test_chunked_draw_matches_one_at_a_time_draw():
     """C10's chunked draw accepts the candidates, and leaves the generator in the
-    state, of drawing and solving one candidate at a time."""
+    state, of drawing and solving one candidate at a time: the same Kraus
+    stacks bit for bit, the same depolarized states to roundoff."""
     count, chunk = 7, 3  # three chunks, the last one shorter
     one_at_a_time, chunked = np.random.default_rng(42), np.random.default_rng(42)
     expected = []
@@ -144,7 +141,7 @@ def test_chunked_draw_matches_one_at_a_time_draw():
             input_noise=rng.uniform(0, 1),
         )
         psi = PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-        rho_in = depolarize(psi.density(), spec.input_noise)
+        rho_in = depolarize(psi.density(), spec.input_noise)  # built as a matrix
         fp = solve_fixed_point(rho_in, build_interaction(spec))
         if fp.fixed_set_dimension == 1:
             expected.append((build_interaction(spec), rho_in.mat, fp.rho_ctc.bloch()))
@@ -157,7 +154,7 @@ def test_chunked_draw_matches_one_at_a_time_draw():
     want_weights, want_ops = _kraus_stack([ch for ch, _, _ in expected])
     np.testing.assert_array_equal(weights, want_weights)
     np.testing.assert_array_equal(ops, want_ops)
-    np.testing.assert_array_equal(rho_in, [m for _, m, _ in expected])
+    np.testing.assert_allclose(rho_in, [m for _, m, _ in expected], rtol=0, atol=1e-15)
     np.testing.assert_allclose(loop, [r for _, _, r in expected], rtol=0, atol=1e-15)
     assert chunked.bit_generator.state == one_at_a_time.bit_generator.state
 
@@ -183,85 +180,50 @@ def test_nonlocal_sweeps_shared_by_c7_and_c9(monkeypatch):
     assert len(ctx.fidelities) == swept + 31  # C7's own 31 scenarios
 
 
+def test_drawn_c10_inputs_are_density_matrices(monkeypatch):
+    """Every input state C10 draws, built as a matrix from its Bloch row, is
+    density_from_bloch's matrix bit for bit and passes DensityMatrix unchanged."""
+    drawn = []
+    real = selftest._draw_candidates
+
+    def recorded(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(selftest, "_draw_candidates", recorded)
+    accepted = sum(len(c[1]) for c in
+                   _unique_fixed_point_chunks(np.random.default_rng(42), SOLVER_CHECKS, CHUNK))
+    bloch = np.concatenate([d[0] for d in drawn])
+    assert accepted == SOLVER_CHECKS <= len(bloch)
+    for r, m in zip(bloch, _density_rows(bloch)):
+        np.testing.assert_array_equal(density_from_bloch(r).mat, m)
+        np.testing.assert_array_equal(DensityMatrix(m).mat, m)
+
+
 def one_state_at_a_time(rng, pure):
-    """Oracle: the draws of one random state, as C9 and C10 made them before
-    they drew whole stacks (density matrix, as a (2, 2) array)."""
+    """Oracle: the draws of one random state (a (2, 2) array): pure
+    psi(acos u, phase) with u and the phase uniform, in Bloch form as C9
+    draws it (np.arccos, which rounds unlike math.acos), or mixed
+    G G^dag / Tr(G G^dag) with G complex Gaussian."""
     if pure:
-        return PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)).density().mat
+        u, phase = rng.uniform(-1, 1), rng.uniform(0, 2 * math.pi)
+        return density_from_bloch(PureQubit(float(np.arccos(u)), phase).bloch()).mat
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace().real).mat
 
 
 @pytest.mark.parametrize("seed", [20260810, 42])
-def test_stacked_draws_match_one_at_a_time(seed):
-    """The stacked pairs are the one-at-a-time states bit for bit, leave the
-    generator where the one-at-a-time draws do, and are DensityMatrix-exact."""
+def test_mixed_pairs_match_one_at_a_time(seed):
+    """The stacked mixed pairs are the one-at-a-time states bit for bit, leave
+    the generator where the one-at-a-time draws do, and are DensityMatrix-exact."""
     stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    for pure in (True, False):
-        a, b = selftest._random_pairs(stacked, 500, pure)
-        want = np.array([one_state_at_a_time(scalar, pure) for _ in range(1000)])
-        np.testing.assert_array_equal(np.stack([a, b], axis=1).reshape(-1, 2, 2), want)
-        for m in a:
-            np.testing.assert_array_equal(DensityMatrix(m).mat, m)
+    a, b = selftest._mixed_pairs(stacked, 500)
+    want = np.array([one_state_at_a_time(scalar, False) for _ in range(1000)])
+    np.testing.assert_array_equal(np.stack([a, b], axis=1).reshape(-1, 2, 2), want)
+    for m in a:
+        np.testing.assert_array_equal(DensityMatrix(m).mat, m)
     assert stacked.bit_generator.state == scalar.bit_generator.state
-
-
-def draw_candidates_one_at_a_time(rng, n):
-    """Oracle: C10's draw as it was made before it drew whole stacks, one
-    CircuitSpec and one depolarized PureQubit density per candidate."""
-    specs, states = [], []
-    for theta, eps, p, cos_polar, phase in rng.uniform(selftest._CANDIDATE_LOW,
-                                                       selftest._CANDIDATE_HIGH,
-                                                       size=(n, 5)).tolist():
-        specs.append(CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
-                                 gate_noise=eps, input_noise=p))
-        states.append(depolarize(PureQubit(math.acos(cos_polar), phase).density(), p))
-    return specs, states
-
-
-@pytest.mark.parametrize("seed", [42, 20260810])
-def test_stacked_candidates_match_one_at_a_time(seed):
-    """C10's stacked draw gives the one-at-a-time states, Bloch rows and
-    build_interaction Kraus stacks bit for bit, and leaves the generator where
-    the one-at-a-time draw does."""
-    stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    for n in (200, 200, 37):
-        rho_in, bloch, (weights, ops) = selftest._draw_candidates(stacked, n)
-        specs, states = draw_candidates_one_at_a_time(scalar, n)
-        np.testing.assert_array_equal(rho_in, [s.mat for s in states])
-        np.testing.assert_array_equal(bloch, [s.bloch() for s in states])
-        want_weights, want_ops = _kraus_stack([build_interaction(s) for s in specs])
-        np.testing.assert_array_equal(weights, want_weights)
-        np.testing.assert_array_equal(ops, want_ops)
-    assert stacked.bit_generator.state == scalar.bit_generator.state
-
-
-def test_checked_states_enforce_density_invariants():
-    """The stacked draw's one check: rows within DensityMatrix's tolerances pass
-    unchanged by its symmetrisation; one row off unit trace, non-Hermitian,
-    negative or non-finite fails the stack."""
-    a, b = selftest._random_pairs(np.random.default_rng(7), 8, pure=False)
-    good = np.concatenate([a, b])
-    np.testing.assert_array_equal(selftest._checked_states(good), good)
-    shifted = np.diag([1e-9, 0.0])
-    skew = np.array([[0.0, 1e-9], [0.0, 0.0]])
-    negative = np.array([[1.0 + 1e-9, 0.0], [0.0, -1e-9]]) - good[3]
-    for bad, match in ((shifted, "unit trace"), (skew, "Hermiticity"),
-                       (negative, "positivity"), (np.full((2, 2), math.nan), "non-finite")):
-        stack = good.copy()
-        stack[3] += bad
-        with pytest.raises(ValidationError, match=match):
-            selftest._checked_states(stack)
-
-
-def test_stacked_bloch_conversions_match_qmath():
-    rng = np.random.default_rng(5)
-    a, _ = selftest._random_pairs(rng, 64, pure=False)
-    r = selftest._bloch_rows(a)
-    np.testing.assert_array_equal(r, [bloch_from_density(DensityMatrix(m)) for m in a])
-    np.testing.assert_array_equal(selftest._density_rows(r),
-                                  [density_from_bloch(v).mat for v in r])
 
 
 def test_c9_deviations_match_scalar_measures(report):

@@ -15,15 +15,17 @@ import pytest
 from ctcsim.cli import (
     RECORD_FIELDS,
     THRESHOLD_FIELDS,
-    _fmt,
     _print_state,
     _reproduce_records,
     main,
     read_records_csv,
     write_records_csv,
+    write_thresholds_csv,
 )
-from ctcsim.experiments import SweepRecord, discrimination_sweep
-from ctcsim.qmath import DensityMatrix
+from ctcsim.circuits import CircuitKind, CircuitSpec
+from ctcsim.deutsch import LocalPure, run_scenario
+from ctcsim.experiments import SweepRecord, ThresholdResult, discrimination_sweep
+from ctcsim.qmath import DensityMatrix, PureQubit
 
 
 class TestFixedPointCommand:
@@ -39,6 +41,10 @@ class TestFixedPointCommand:
         data = json.loads((tmp_path / "fp.json").read_text())
         assert data["fixed_set_dimension"] == 2
         assert data["entropy"] == pytest.approx(1.0, abs=1e-12)
+        fp = run_scenario(CircuitSpec(kind=CircuitKind.SWAP_CNOT),
+                          LocalPure(PureQubit(1.5707963267948966))).fixed_point
+        assert data["rho_ctc"] == [[_fmt(v.real), _fmt(v.imag)]
+                                   for v in fp.rho_ctc.mat.reshape(-1)]
 
     def test_h_input_pins_loop_state(self, capsys):
         rc = main(["fixed-point", "--circuit", "swap-cu", "--theta", "-0.7854", "--phi", "0"])
@@ -229,22 +235,28 @@ class TestReproduce:
             assert len(read_records_csv(str(path))) >= 4
 
 
-def fmt_join_csv(records, path):
-    """Oracle: the per-value _fmt writer the row template replaced."""
-    lines = [",".join(RECORD_FIELDS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in RECORD_FIELDS))
+def _fmt(v) -> str:
+    """Oracle: one value as the per-value writers formatted it, floats to 17 digits."""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def fmt_join_csv(header, rows, path):
+    """Oracle: the per-value _fmt writer the row templates replaced."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 class TestRecordTemplate:
-    """write_records_csv's one-template rows equal the per-value _fmt join byte for byte."""
+    """The one-template CSV rows equal the per-value _fmt join byte for byte."""
 
     def assert_same_bytes(self, records, tmp_path):
         got, want = tmp_path / "template.csv", tmp_path / "fmt.csv"
         write_records_csv(records, str(got))
-        fmt_join_csv(records, str(want))
+        fmt_join_csv(RECORD_FIELDS, [[getattr(r, name) for name in RECORD_FIELDS]
+                                     for r in records], str(want))
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize("target", ["fig5b", "fig6"])
@@ -264,6 +276,17 @@ class TestRecordTemplate:
 
     def test_empty_table_is_the_header(self, tmp_path):
         self.assert_same_bytes([], tmp_path)
+
+    def test_threshold_rows(self, tmp_path):
+        edges = [-0.0, 5e-324, 1e300, math.nan, math.inf, np.float64(0.1), 7, 0]
+        results = [ThresholdResult(name, edges[k], (edges[k - 1], edges[k - 2]), edges[k - 3])
+                   for k, name in enumerate(["p", "epsilon"] * 4)]
+        for table in (results, []):
+            got, want = tmp_path / "template.csv", tmp_path / "fmt.csv"
+            write_thresholds_csv(table, str(got))
+            fmt_join_csv(THRESHOLD_FIELDS, [(t.parameter, t.crossing, *t.bracket,
+                                             t.achieved_tolerance) for t in table], str(want))
+            assert got.read_bytes() == want.read_bytes()
 
 
 class TestSweepCommand:

@@ -751,6 +751,19 @@ class TestIterateCircuit:
         with pytest.raises(ValidationError):
             iterate_circuit(H, 0)
 
+    def test_matches_batched_passes_bit_for_bit(self):
+        """Each pass feeds its Bloch output to the next, as nonlinearity_sweep's
+        batched passes (fig3's iterated rows) do, so every row agrees to the last bit."""
+        rng = np.random.default_rng(12)
+        phi, phase = rng.uniform(0, math.pi, 120), rng.uniform(0, 2 * math.pi, 120)
+        state = experiments._pure_bloch(phi, phase)
+        zeros = np.zeros(len(phi))
+        for n in range(1, 6):
+            state = run_batch(CircuitKind.SWAP_CNOT, zeros, zeros, zeros, state).outputs
+            for k in range(len(phi)):
+                np.testing.assert_array_equal(iterate_circuit(PureQubit(phi[k], phase[k]), n).mat,
+                                              density_from_bloch(state[k]).mat)
+
 
 class TestPhaseIndependence:
     @pytest.mark.parametrize("phi", [math.pi / 4, math.pi / 2, 3 * math.pi / 4])

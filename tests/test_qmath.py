@@ -11,9 +11,10 @@ from ctcsim.qmath import (
     PSD_TOL,
     TRACE_TOL,
     SIGMA_X,
+    LOOP_RAIL,
+    OUTPUT_RAIL,
     DensityMatrix,
     PureQubit,
-    Subsystem,
     ValidationError,
     _partial_trace_raw,
     bloch_from_density,
@@ -71,16 +72,16 @@ class TestPartialTrace:
             a, b = random_qubit_state(rng), random_qubit_state(rng)
             joint = np.kron(a.mat, b.mat)
             np.testing.assert_allclose(
-                _partial_trace_raw(joint, Subsystem.FIRST), b.mat, atol=1e-12
+                _partial_trace_raw(joint, LOOP_RAIL), b.mat, atol=1e-12
             )
             np.testing.assert_allclose(
-                _partial_trace_raw(joint, Subsystem.SECOND), a.mat, atol=1e-12
+                _partial_trace_raw(joint, OUTPUT_RAIL), a.mat, atol=1e-12
             )
 
     def test_bell_state_reduces_to_maximally_mixed(self):
         bell = np.array([1, 0, 0, 1]) / math.sqrt(2)
         np.testing.assert_allclose(
-            _partial_trace_raw(np.outer(bell, bell.conj()), Subsystem.SECOND), HALF.mat,
+            _partial_trace_raw(np.outer(bell, bell.conj()), OUTPUT_RAIL), HALF.mat,
             atol=1e-14,
         )
 
@@ -90,7 +91,7 @@ class TestPartialTrace:
         vec = np.zeros(4, dtype=complex)
         vec[:2] = PureQubit(0.0, 0.0).vector() / math.sqrt(2)
         vec[2:] = psi1.vector() / math.sqrt(2)
-        reduced = DensityMatrix(_partial_trace_raw(np.outer(vec, vec.conj()), Subsystem.FIRST))
+        reduced = DensityMatrix(_partial_trace_raw(np.outer(vec, vec.conj()), LOOP_RAIL))
         # Independent construction of the mixture from outer products.
         expected = (H.mat + psi1.density().mat) / 2
         np.testing.assert_allclose(reduced.mat, expected, atol=1e-14)
@@ -101,26 +102,26 @@ class TestPartialTrace:
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
         joint = m / m.trace().real
-        for sub in Subsystem:
-            assert abs(_partial_trace_raw(joint, sub).trace() - 1) < 1e-12
+        for keep in (LOOP_RAIL, OUTPUT_RAIL):
+            assert abs(_partial_trace_raw(joint, keep).trace() - 1) < 1e-12
 
     def test_stacked_raw_trace_equals_row_by_row(self):
         """A seeded (N, 4, 4) stack (not states) traced at once equals each row traced alone."""
         rng = np.random.default_rng(89)
         stack = rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4))
-        for sub in Subsystem:
-            at_once = _partial_trace_raw(stack, sub)
+        for keep in (LOOP_RAIL, OUTPUT_RAIL):
+            at_once = _partial_trace_raw(stack, keep)
             assert at_once.shape == (64, 2, 2)
             for n in range(len(stack)):
-                np.testing.assert_array_equal(at_once[n], _partial_trace_raw(stack[n], sub))
-        nested = _partial_trace_raw(stack.reshape(8, 8, 4, 4), Subsystem.SECOND)
+                np.testing.assert_array_equal(at_once[n], _partial_trace_raw(stack[n], keep))
+        nested = _partial_trace_raw(stack.reshape(8, 8, 4, 4), OUTPUT_RAIL)
         np.testing.assert_array_equal(nested.reshape(64, 2, 2),
-                                      _partial_trace_raw(stack, Subsystem.SECOND))
+                                      _partial_trace_raw(stack, OUTPUT_RAIL))
         # Independent of the implementation: Tr_1 sums the qubit-1 diagonal blocks,
         # Tr_2 the entries with equal qubit-2 indices (|ij> is row 2i + j).
-        np.testing.assert_allclose(_partial_trace_raw(stack, Subsystem.FIRST),
+        np.testing.assert_allclose(_partial_trace_raw(stack, LOOP_RAIL),
                                    stack[:, :2, :2] + stack[:, 2:, 2:], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(_partial_trace_raw(stack, Subsystem.SECOND),
+        np.testing.assert_allclose(_partial_trace_raw(stack, OUTPUT_RAIL),
                                    stack[:, ::2, ::2] + stack[:, 1::2, 1::2], rtol=0, atol=1e-15)
 
 

@@ -8,11 +8,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "dump_outputs.py"
 
+PLOTTED = ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2")
 EXPECTED = sorted(
-    [f"{t}.csv" for t in ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2", "thresholds")]
-    + ["thresholds.json", "fig6-grid13.csv", "selftest.txt", "decoherence_response.svg"]
-    + [f"sweep-{v}-{m}-grid50.csv" for v in ("optimal-gate", "fixed-state", "fixed-gate")
-       for m in ("local", "nonlocal")]
+    [f"{t}.csv" for t in PLOTTED + ("thresholds",)]
+    + [f"{t}.svg" for t in PLOTTED]
+    + ["thresholds.json", "fig3.json", "fig6-grid13.csv", "selftest.txt",
+       "decoherence_response.svg"]
+    + [f"sweep-{v}-{m}-grid50.{ext}" for v in ("optimal-gate", "fixed-state", "fixed-gate")
+       for m in ("local", "nonlocal") for ext in ("csv", "svg")]
+    + [f"fixed-point-{m}.json" for m in ("eigen_max_entropy", "damped_iteration")]
     + [f"demo-{d.stem}.txt" for d in (ROOT / "demos").glob("*.py")]
 )
 

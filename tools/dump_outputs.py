@@ -2,12 +2,15 @@
 
     python3 tools/dump_outputs.py DIR
 
-writes the 8 `ctcsim reproduce` targets as CSV, `reproduce thresholds`
-as JSON, the six `sweep` tables (3 variants x 2 preparations) at
-`--grid 50`, `reproduce fig6 --grid 13`, the `ctcsim selftest` report
-(selftest.txt, with every elapsed time masked) and the stdout of each
-script in demos/ (demo-<name>.txt), run in DIR so that the SVG demo 05
-writes lands there too. The package is imported from this checkout's
+writes every kind of file the CLI writes: the 8 `ctcsim reproduce`
+targets as CSV, each but thresholds with its `--plot` SVG, `reproduce
+thresholds` and `reproduce fig3` as JSON, the six `sweep` tables (3
+variants x 2 preparations) at `--grid 50` with their `--plot` SVGs,
+`reproduce fig6 --grid 13`, and the `fixed-point --out` JSON of one
+noisy scenario under both solver methods. It adds the `ctcsim selftest`
+report (selftest.txt, with every elapsed time masked) and the stdout of
+each script in demos/ (demo-<name>.txt), run in DIR so that the SVG demo
+05 writes lands there too. The package is imported from this checkout's
 `src`, so running the script from two checkouts into two directories and
 comparing them with `diff -r` shows whether a change moved any output byte.
 """
@@ -28,19 +31,23 @@ from ctcsim.cli import REPRODUCE_TARGETS, main  # noqa: E402
 
 VARIANTS = ("optimal-gate", "fixed-state", "fixed-gate")
 PREPS = ("local", "nonlocal")
+METHODS = ("eigen_max_entropy", "damped_iteration")
 # Elapsed times as the selftest prints them ("0.12s").
 _ELAPSED = re.compile(r"\b\d+\.\d\ds\b")
 
 
 def commands(out: Path) -> list[list[str]]:
-    """The CLI argument lists, each writing one file into out."""
-    cmds = [["reproduce", t, "--out", str(out / f"{t}.csv")] for t in REPRODUCE_TARGETS]
-    cmds.append(["reproduce", "thresholds", "--format", "json",
-                 "--out", str(out / "thresholds.json")])
-    cmds += [["sweep", "--variant", v, "--prep", m, "--grid", "50",
+    """The CLI argument lists, each writing its files into out."""
+    cmds = [["reproduce", t, "--out", str(out / f"{t}.csv")]
+            + ([] if t == "thresholds" else ["--plot"]) for t in REPRODUCE_TARGETS]
+    cmds += [["reproduce", t, "--format", "json", "--out", str(out / f"{t}.json")]
+             for t in ("thresholds", "fig3")]
+    cmds += [["sweep", "--variant", v, "--prep", m, "--grid", "50", "--plot",
               "--out", str(out / f"sweep-{v}-{m}-grid50.csv")]
              for v in VARIANTS for m in PREPS]
     cmds.append(["reproduce", "fig6", "--grid", "13", "--out", str(out / "fig6-grid13.csv")])
+    cmds += [["fixed-point", "--phi", "1.1", "--phase", "0.4", "--p", "0.2", "--epsilon", "0.3",
+              "--method", m, "--out", str(out / f"fixed-point-{m}.json")] for m in METHODS]
     return cmds
 
 
