@@ -226,6 +226,37 @@ def test_mixed_pairs_match_one_at_a_time(seed):
     assert stacked.bit_generator.state == scalar.bit_generator.state
 
 
+def draw_candidates_one_at_a_time(rng, n):
+    """Oracle: C10's draw made one candidate at a time, one CircuitSpec and
+    one depolarized PureQubit density per candidate."""
+    specs, states = [], []
+    for theta, eps, p, cos_polar, phase in rng.uniform(selftest._CANDIDATE_LOW,
+                                                       selftest._CANDIDATE_HIGH,
+                                                       size=(n, 5)).tolist():
+        specs.append(CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
+                                 gate_noise=eps, input_noise=p))
+        states.append(depolarize(PureQubit(math.acos(cos_polar), phase).density(), p))
+    return specs, states
+
+
+@pytest.mark.parametrize("seed", [42, 20260810])
+def test_stacked_candidates_match_one_at_a_time(seed):
+    """C10's stacked draw gives the one-at-a-time Bloch rows and states to
+    roundoff, the build_interaction Kraus stacks bit for bit, and leaves the
+    generator where the one-at-a-time draw does."""
+    stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (200, 200, 37):
+        bloch, (weights, ops) = selftest._draw_candidates(stacked, n)
+        specs, states = draw_candidates_one_at_a_time(scalar, n)
+        np.testing.assert_allclose(bloch, [s.bloch() for s in states], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_density_rows(bloch), [s.mat for s in states],
+                                   rtol=0, atol=1e-15)
+        want_weights, want_ops = _kraus_stack([build_interaction(s) for s in specs])
+        np.testing.assert_array_equal(weights, want_weights)
+        np.testing.assert_array_equal(ops, want_ops)
+    assert stacked.bit_generator.state == scalar.bit_generator.state
+
+
 def test_c9_deviations_match_scalar_measures(report):
     """C9's stacked identities report the deviations the scalar measures give
     on the same draws, to the printed digits."""
