@@ -277,17 +277,16 @@ def _plot_reproduction(target: str, records: list[SweepRecord], path: str) -> No
             "s2": ("p_succ_ctc", "p_succ_qm", "success probability"),
             "s1": ("L_ctc_optimal", "L_qm", "mismatch probability"),
         }.get(target, ("L_ctc_sigma_z", "L_qm", "mismatch probability"))
+        blocks: dict[str, list[SweepRecord]] = {}
+        for r in records:
+            blocks.setdefault(r.experiment_id, []).append(r)
         series = []
-        for eid in sorted({r.experiment_id for r in records}):
-            block = [r for r in records if r.experiment_id == eid]
-            x_name = "theta_xz" if "fixed-state" in eid else "phi"
-            xs = [getattr(r, x_name) for r in block]
-            series.append((eid, xs, [getattr(r, quantity[0]) for r in block]))
-        block0 = [r for r in records if r.experiment_id == sorted({r.experiment_id for r in records})[0]]
-        x_name = "theta_xz" if "fixed-state" in block0[0].experiment_id else "phi"
-        series.append(
-            ("standard QM", [getattr(r, x_name) for r in block0], [getattr(r, quantity[1]) for r in block0])
-        )
+        for eid in sorted(blocks):
+            xs = [getattr(r, "theta_xz" if "fixed-state" in eid else "phi") for r in blocks[eid]]
+            series.append((eid, xs, [getattr(r, quantity[0]) for r in blocks[eid]]))
+        # The standard-QM curve is read off the first block, on that block's x-axis.
+        series.append(("standard QM", series[0][1],
+                       [getattr(r, quantity[1]) for r in blocks[min(blocks)]]))
         write_svg(svg, series, title=target, x_label="sweep parameter [rad]",
                   y_label=quantity[2])
     print(f"wrote plot to {svg}")

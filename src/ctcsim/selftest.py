@@ -23,10 +23,8 @@ from .circuits import (
     make_cu_xz,
 )
 from .deutsch import (
-    LocalPure,
-    NonLocalEnsemble,
     damped_iteration,
-    run_scenario,
+    run_batch,
     solve_fixed_point,
     solve_loops,
     swap_cnot_closed_form,
@@ -96,21 +94,23 @@ def _density_rows(r: np.ndarray) -> np.ndarray:
     return np.stack([1 + z, x - 1j * y, x + 1j * y, 1 - z], axis=-1).reshape(-1, 2, 2) / 2.0
 
 
+def _pure_rows(states) -> np.ndarray:
+    """Bloch vectors (N, 3) of pure states given as (polar, phase) pairs, each
+    computed as PureQubit computes it: the input run_scenario would solve."""
+    return np.array([PureQubit(phi, phase).bloch() for phi, phase in states])
+
+
 def _check_closed_form(ctx: Context) -> tuple[bool, str]:
     """Engine vs analytic loop/output states on a 64-point population grid."""
     start = time.perf_counter()
-    spec = CircuitSpec(kind=CircuitKind.SWAP_CNOT)
-    worst = 0.0
-    for a in np.linspace(0.0, 1.0, 64):
-        phi = 2 * math.acos(math.sqrt(a))
-        res = run_scenario(spec, LocalPure(PureQubit(phi, 0.0)))
-        ctx.fidelities.append(res.consistency_fidelity)
-        ref_out, ref_ctc = swap_cnot_closed_form(float(a))
-        worst = max(
-            worst,
-            trace_distance(res.rho_out_per_input[0], ref_out),
-            trace_distance(res.fixed_point.rho_ctc, ref_ctc),
-        )
+    pops = np.linspace(0.0, 1.0, 64).tolist()
+    zero = np.zeros(len(pops))
+    batch = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero,
+                      _pure_rows((2 * math.acos(math.sqrt(a)), 0.0) for a in pops))
+    ctx.fidelities.extend(batch.consistency_fidelity.tolist())
+    refs = np.array([[r.mat for r in swap_cnot_closed_form(a)] for a in pops])  # (64, out/ctc, 2, 2)
+    worst = max(trace_distances(_density_rows(batch.outputs), refs[:, 0]).max(),
+                trace_distances(_density_rows(batch.loop), refs[:, 1]).max())
     elapsed = time.perf_counter() - start
     ok = worst <= ctx.tol(1e-10) and elapsed < 1.0
     return ok, f"worst trace distance {worst:.2e}, {elapsed:.2f}s"
@@ -118,16 +118,13 @@ def _check_closed_form(ctx: Context) -> tuple[bool, str]:
 
 def _check_phase_erasure(ctx: Context) -> tuple[bool, str]:
     """Outputs agree across a 16-point phase grid at each of 5 polar angles."""
-    spec = CircuitSpec(kind=CircuitKind.SWAP_CNOT)
-    worst = 0.0
-    for phi in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi):
-        outs = []
-        for k in range(16):
-            res = run_scenario(spec, LocalPure(PureQubit(phi, 2 * math.pi * k / 16)))
-            ctx.fidelities.append(res.consistency_fidelity)
-            outs.append(res.rho_out_per_input[0])
-        for o in outs[1:]:
-            worst = max(worst, trace_distance(outs[0], o))
+    phis = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
+    zero = np.zeros(len(phis) * 16)
+    batch = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero,
+                      _pure_rows((phi, 2 * math.pi * k / 16) for phi in phis for k in range(16)))
+    ctx.fidelities.extend(batch.consistency_fidelity.tolist())
+    outs = _density_rows(batch.outputs).reshape(len(phis), 16, 2, 2)
+    worst = trace_distances(outs[:, :1], outs[:, 1:]).max()
     return worst <= ctx.tol(1e-10), f"worst pairwise trace distance {worst:.2e}"
 
 
@@ -146,12 +143,11 @@ def _check_nonlinearity_region(ctx: Context) -> tuple[bool, str]:
     """Loop curve sin^2(phi)/2 vs QM curve sin^2(phi/2), advantage iff phi < pi/2."""
     worst = 0.0
     region_ok = True
-    for k in range(0, 17):
-        phi = k * math.pi / 16
-        rec = nonlinearity_sweep([phi], [0.0], iterations=[])[0]
+    recs = nonlinearity_sweep([k * math.pi / 16 for k in range(17)], [0.0], iterations=[])
+    for k, rec in enumerate(recs):
         ctx.fidelities.append(rec.consistency_fidelity)
-        l_ctc_ref = 0.5 * math.sin(phi) ** 2
-        l_qm_ref = math.sin(phi / 2) ** 2
+        l_ctc_ref = 0.5 * math.sin(rec.phi) ** 2
+        l_qm_ref = math.sin(rec.phi / 2) ** 2
         worst = max(worst, abs(rec.L_ctc_sigma_z - l_ctc_ref), abs(rec.L_qm - l_qm_ref))
         gap = rec.L_ctc_sigma_z - rec.L_qm
         if 0 < k < 8:
@@ -173,7 +169,8 @@ def _diag_recurrence(a: float, n: int) -> float:
 
 def _check_iterated_distance(ctx: Context) -> tuple[bool, str]:
     """Trace-distance advantage appears only from the third pass on."""
-    recs = {n: nonlinearity_sweep([math.pi / 4], [0.0], iterations=[n])[-1] for n in (2, 3)}
+    sweep = nonlinearity_sweep([math.pi / 4], [0.0], iterations=[2, 3])  # passes 1, 2, 3
+    recs = {r.n_iterations: r for r in sweep[1:]}
     for r in recs.values():
         ctx.fidelities.append(r.consistency_fidelity)
     a0 = math.cos(math.pi / 8) ** 2
@@ -205,17 +202,14 @@ def _check_perfect_discrimination(ctx: Context) -> tuple[bool, str]:
 
 def _check_nonlocal_ceiling(ctx: Context) -> tuple[bool, str]:
     """Non-local preparation: maximally mixed outputs at the optimum, never above 1/2."""
-    worst_d = 0.0
-    half = DensityMatrix.maximally_mixed()
-    for k in range(1, 32):
-        phi = 2 * math.pi * k / 32
-        spec = CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=(phi - math.pi) / 2)
-        res = run_scenario(
-            spec, NonLocalEnsemble((PureQubit(0.0, 0.0), PureQubit(phi, 0.0)), (0.5, 0.5))
-        )
-        ctx.fidelities.append(res.consistency_fidelity)
-        for o in res.rho_out_per_input:
-            worst_d = max(worst_d, trace_distance(o, half))
+    phis = [2 * math.pi * k / 32 for k in range(1, 32)]
+    zero = np.zeros(len(phis))
+    # Each scenario's loop adapts to the ensemble mean of |H> and psi(phi),
+    # and both ensemble states emerge as that mean's evolved output.
+    batch = run_batch(CircuitKind.SWAP_THEN_CU, [(phi - math.pi) / 2 for phi in phis], zero, zero,
+                      (np.array([0.0, 0.0, 1.0]) + _pure_rows((phi, 0.0) for phi in phis)) / 2.0)
+    ctx.fidelities.extend(batch.consistency_fidelity.tolist())
+    worst_d = trace_distances(_density_rows(batch.outputs), DensityMatrix.maximally_mixed().mat).max()
     ceiling = max([0.0] + [r.L_ctc_sigma_z - 0.5 for r in ctx.nonlocal_sweeps()])
     ok = worst_d <= ctx.tol(1e-10) and ceiling <= ctx.tol(1e-9)
     return ok, f"worst distance to I/2 {worst_d:.2e}, max L - 1/2 = {ceiling:.2e}"

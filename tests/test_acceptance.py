@@ -20,7 +20,13 @@ import ctcsim.cli as cli
 import ctcsim.selftest as selftest
 from ctcsim.circuits import CircuitKind, CircuitSpec, build_interaction, depolarize
 from ctcsim.cli import main
-from ctcsim.deutsch import _kraus_stack, solve_fixed_point
+from ctcsim.deutsch import (
+    LocalPure,
+    NonLocalEnsemble,
+    _kraus_stack,
+    run_scenario,
+    solve_fixed_point,
+)
 from ctcsim.measures import helstrom_success_probability, optimal_mismatch_probability
 from ctcsim.qmath import DensityMatrix, PureQubit, density_from_bloch, trace_distance
 from ctcsim.selftest import (
@@ -123,6 +129,67 @@ def test_json_report(report, capsys, monkeypatch):
     assert data["all_passed"] is False
     assert data["checks"] == [{"check_id": "C4", "description": "criterion C4",
                                "passed": False, "detail": "detail C4", "elapsed": 0.25}]
+
+
+def test_c11_counts_every_scenario_once(report):
+    """Each check, run on a fresh context, records one consistency fidelity per
+    scenario it solves: the batched checks neither drop nor double-count one.
+    In a full run C9 reuses C7's non-local sweeps, so C11 sees 2034."""
+    counts = {}
+    for check_id, _, check in CHECKS[:-1]:
+        ctx = Context()
+        assert check(ctx)[0], check_id
+        counts[check_id] = len(ctx.fidelities)
+    swept = sum(n for _, n in NONLOCAL_SWEEPS)
+    assert counts == {"C1": 64, "C2": 80, "C3": 0, "C4": 17, "C5": 2, "C6": 31,
+                      "C7": 31 + swept, "C8": 1681, "C9": swept, "C10": 0}
+    assert sum(counts.values()) - swept == 2034
+    assert {r.check_id: r.detail for r in report.results}["C11"].endswith("over 2034 scenarios")
+
+
+def scenarios_one_at_a_time(check_id):
+    """Oracle: the (spec, preparation) of each scenario C1, C2 or C7 solves, in order."""
+    swap_cnot = CircuitSpec(kind=CircuitKind.SWAP_CNOT)
+    if check_id == "C1":
+        return [(swap_cnot, LocalPure(PureQubit(2 * math.acos(math.sqrt(a)), 0.0)))
+                for a in np.linspace(0.0, 1.0, 64)]
+    if check_id == "C2":
+        return [(swap_cnot, LocalPure(PureQubit(phi, 2 * math.pi * k / 16)))
+                for phi in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
+                for k in range(16)]
+    phis = [2 * math.pi * k / 32 for k in range(1, 32)]
+    return [(CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=(phi - math.pi) / 2),
+             NonLocalEnsemble((PureQubit(0.0, 0.0), PureQubit(phi, 0.0)), (0.5, 0.5)))
+            for phi in phis]
+
+
+@pytest.mark.parametrize("check_id", ["C1", "C2", "C7"])
+def test_batched_check_matches_run_scenario(check_id, monkeypatch):
+    """C1, C2 and C7 each solve their scenarios as one run_batch, whose rows are
+    run_scenario's results one at a time bit for bit: loop state, every
+    output and the consistency fidelity the check records."""
+    batches = []
+    real = selftest.run_batch
+
+    def recorded(*args):
+        batches.append(real(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(selftest, "run_batch", recorded)
+    ctx = Context()
+    assert {c: check for c, _, check in CHECKS}[check_id](ctx)[0]
+    [batch] = batches
+    scenarios = scenarios_one_at_a_time(check_id)
+    assert len(batch.loop) == len(scenarios)
+    loops, outputs = _density_rows(batch.loop), _density_rows(batch.outputs)
+    rows = zip(loops, outputs, batch.consistency_fidelity.tolist())
+    for (spec, prep), (loop, output, fid) in zip(scenarios, rows):
+        res = run_scenario(spec, prep)
+        np.testing.assert_array_equal(res.fixed_point.rho_ctc.mat, loop)
+        for out in res.rho_out_per_input:
+            np.testing.assert_array_equal(out.mat, output)
+        assert res.consistency_fidelity == fid
+    assert ctx.fidelities[:len(scenarios)] == batch.consistency_fidelity.tolist()
 
 
 def test_chunked_draw_matches_one_at_a_time_draw():

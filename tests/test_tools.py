@@ -1,5 +1,6 @@
 """Smoke test: tools/dump_outputs.py writes its full set of tables and reports."""
 
+import json
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ PLOTTED = ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2")
 EXPECTED = sorted(
     [f"{t}.csv" for t in PLOTTED + ("thresholds",)]
     + [f"{t}.svg" for t in PLOTTED]
-    + ["thresholds.json", "fig3.json", "fig6-grid13.csv", "selftest.txt",
+    + ["thresholds.json", "fig3.json", "fig6-grid13.csv", "selftest.txt", "selftest.json",
        "decoherence_response.svg"]
     + [f"sweep-{v}-{m}-grid50.{ext}" for v in ("optimal-gate", "fixed-state", "fixed-gate")
        for m in ("local", "nonlocal") for ext in ("csv", "svg")]
@@ -35,6 +36,10 @@ def test_dump_outputs_writes_every_table(tmp_path):
     # Every elapsed time is masked, so two runs of one checkout write the same bytes.
     assert not any(re.search(r"\d\.\d\ds\b", line) for line in report)
     assert report[0].startswith("[PASS] C1:") and report[0].endswith(", #.##s")
+    data = json.loads((out / "selftest.json").read_text(encoding="utf-8"))
+    assert data["all_passed"] is True and data["total_elapsed"] == "#.##"
+    assert [c["detail"] for c in data["checks"]] == [line.split(" -- ", 1)[1] for line in report[:12]]
+    assert all(c["elapsed"] == "#.##" for c in data["checks"])
 
 
 def test_dump_outputs_takes_no_options(tmp_path):

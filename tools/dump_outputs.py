@@ -8,9 +8,10 @@ thresholds` and `reproduce fig3` as JSON, the six `sweep` tables (3
 variants x 2 preparations) at `--grid 50` with their `--plot` SVGs,
 `reproduce fig6 --grid 13`, and the `fixed-point --out` JSON of one
 noisy scenario under both solver methods. It adds the `ctcsim selftest`
-report (selftest.txt, with every elapsed time masked) and the stdout of
-each script in demos/ (demo-<name>.txt), run in DIR so that the SVG demo
-05 writes lands there too. The package is imported from this checkout's
+report as text (selftest.txt) and as `--json` (selftest.json), each with
+every elapsed time masked, and the stdout of each script in demos/
+(demo-<name>.txt), run in DIR so that the SVG demo 05 writes lands there
+too. The package is imported from this checkout's
 `src`, so running the script from two checkouts into two directories and
 comparing them with `diff -r` shows whether a change moved any output byte.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import re
 import runpy
 import sys
@@ -61,6 +63,16 @@ def run(argv: list[str]) -> str:
     return buf.getvalue()
 
 
+def masked_selftest_json(text: str) -> str:
+    """`selftest --json` output with `elapsed`, `total_elapsed` and the
+    times inside the detail strings masked."""
+    report = json.loads(text)
+    report["total_elapsed"] = "#.##"
+    for check in report["checks"]:
+        check["elapsed"] = "#.##"
+    return _ELAPSED.sub("#.##s", json.dumps(report, indent=2)) + "\n"
+
+
 def dump(out: Path) -> None:
     """Run every command, the selftest and the demos; raise on the first failure."""
     out = out.resolve()
@@ -68,6 +80,8 @@ def dump(out: Path) -> None:
     for argv in commands(out):
         run(argv)
     (out / "selftest.txt").write_text(_ELAPSED.sub("#.##s", run(["selftest"])), encoding="utf-8")
+    (out / "selftest.json").write_text(masked_selftest_json(run(["selftest", "--json"])),
+                                       encoding="utf-8")
     for demo in sorted((ROOT / "demos").glob("*.py")):
         buf = io.StringIO()
         with contextlib.chdir(out), contextlib.redirect_stdout(buf):
