@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
-import operator
 import sys
+import typing
 
 import numpy as np
 
@@ -54,13 +53,13 @@ from .measures import (
 )
 from .qmath import PureQubit, ValidationError, trace_distance
 from .selftest import run_selftest
-from .svgplot import write_svg
 
-RECORD_FIELDS = [f.name for f in dataclasses.fields(SweepRecord)]
+RECORD_FIELDS = list(SweepRecord._fields)
+# Column types: postponed evaluation leaves the annotations as forward
+# references, which get_type_hints resolves to the classes.
+_RECORD_TYPES = list(typing.get_type_hints(SweepRecord).values())
 # One CSV row per template: 17 significant digits for float fields.
-_RECORD_ROW = ",".join("%.17g" if f.type == "float" else "%s"
-                       for f in dataclasses.fields(SweepRecord)) + "\n"
-_record_values = operator.attrgetter(*RECORD_FIELDS)
+_RECORD_ROW = ",".join("%.17g" if t is float else "%s" for t in _RECORD_TYPES) + "\n"
 THRESHOLD_FIELDS = ["parameter", "crossing", "bracket_lo", "bracket_hi", "achieved_tolerance"]
 _THRESHOLD_ROW = "%s,%.17g,%.17g,%.17g,%.17g\n"
 
@@ -79,29 +78,30 @@ _SWEEP_TABLES = {
 
 
 def write_records_csv(records: list[SweepRecord], path: str) -> None:
-    rows = "".join(_RECORD_ROW % _record_values(r) for r in records)
+    rows = "".join(_RECORD_ROW % r for r in records)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(RECORD_FIELDS) + "\n" + rows)
 
 
 def read_records_csv(path: str) -> list[SweepRecord]:
     """Parse a CSV written by this tool back into identical records."""
-    casts = [{"float": float, "int": int}.get(f.type, str) for f in dataclasses.fields(SweepRecord)]
     with open(path, encoding="utf-8") as fh:
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
     if rows[0] != RECORD_FIELDS:
         raise ValidationError(f"unexpected CSV header {rows[0]}")
-    return [SweepRecord(*(cast(v) for cast, v in zip(casts, row))) for row in rows[1:]]
+    return [SweepRecord._make(cast(v) for cast, v in zip(_RECORD_TYPES, row)) for row in rows[1:]]
 
 
 def _write_json(data, path: str) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
 def write_records_json(records: list[SweepRecord], path: str) -> None:
-    _write_json([dataclasses.asdict(r) for r in records], path)
+    _write_json([r._asdict() for r in records], path)
 
 
 def write_thresholds_csv(results: list[ThresholdResult], path: str) -> None:
@@ -220,6 +220,8 @@ def cmd_sweep(args) -> int:
     records = discrimination_sweep(args.prep, args.variant, args.grid)
     path, code = _emit(records, args, f"sweep-{args.variant}-{args.prep}")
     if code == 0 and args.plot:
+        from .svgplot import write_svg
+
         x_name = "theta_xz" if args.variant == "fixed-state" else "phi"
         svg = path.rsplit(".", 1)[0] + ".svg"
         xs = [getattr(r, x_name) for r in records]
@@ -250,6 +252,8 @@ def _reproduce_records(target: str, grid: int | None) -> list[SweepRecord]:
 
 
 def _plot_reproduction(target: str, records: list[SweepRecord], path: str) -> None:
+    from .svgplot import write_svg
+
     svg = path.rsplit(".", 1)[0] + ".svg"
     if target == "fig3":
         base = [r for r in records if r.n_iterations == 1 and r.phase == 0.0]
@@ -322,6 +326,8 @@ def cmd_selftest(args) -> int:
         raise ValidationError("tolerance override must be finite and >= 1e-14")
     scale = args.tol / 1e-12
     if args.json:
+        import json
+
         report = run_selftest(tol_scale=scale, echo=None)
         print(json.dumps({
             "tol_scale": scale,

@@ -14,7 +14,8 @@ the measures; records are emitted in grid order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +49,8 @@ _BISECT_TOL = 1e-12
 _SPEC_LEVELS = 5
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One row of a reproduction experiment."""
+class SweepRecord(NamedTuple):
+    """One row of a reproduction experiment, as an immutable tuple in column order."""
 
     experiment_id: str
     phi: float
@@ -70,9 +70,6 @@ class SweepRecord:
     fixed_point_residual: float
     consistency_fidelity: float
     fixed_set_dimension: int
-
-
-_FIELDS = fields(SweepRecord)
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,9 @@ def _records(out0: np.ndarray, out1: np.ndarray, qm_pair: tuple[np.ndarray, np.n
         fixed_point_residual=resid, consistency_fidelity=fid, fixed_set_dimension=dim,
     )
     n = len(out0)
-    values = [np.broadcast_to(np.asarray(columns[f.name]), (n,)).tolist() for f in _FIELDS]
-    return [SweepRecord(*row) for row in zip(*values)]
+    values = [np.broadcast_to(np.asarray(columns[name]), (n,)).tolist()
+              for name in SweepRecord._fields]
+    return list(map(SweepRecord._make, zip(*values)))
 
 
 def nonlinearity_sweep(phi_grid: list[float] | None = None,

@@ -37,7 +37,7 @@ from .experiments import (
     find_threshold,
     nonlinearity_sweep,
 )
-from .measures import grid_search_mismatch, optimal_mismatch_probability
+from .measures import grid_search_mismatches, optimal_mismatch_probability
 from .qmath import DensityMatrix, PureQubit, trace_distance, trace_distances
 
 __all__ = ["CheckResult", "SelfTestReport", "run_selftest", "CHECKS"]
@@ -109,8 +109,8 @@ def _check_closed_form(ctx: Context) -> tuple[bool, str]:
                       _pure_rows((2 * math.acos(math.sqrt(a)), 0.0) for a in pops))
     ctx.fidelities.extend(batch.consistency_fidelity.tolist())
     refs = np.array([[r.mat for r in swap_cnot_closed_form(a)] for a in pops])  # (64, out/ctc, 2, 2)
-    worst = max(trace_distances(_density_rows(batch.outputs), refs[:, 0]).max(),
-                trace_distances(_density_rows(batch.loop), refs[:, 1]).max())
+    worst = np.max([trace_distances(_density_rows(batch.outputs), refs[:, 0]).max(),
+                    trace_distances(_density_rows(batch.loop), refs[:, 1]).max()])
     elapsed = time.perf_counter() - start
     ok = worst <= ctx.tol(1e-10) and elapsed < 1.0
     return ok, f"worst trace distance {worst:.2e}, {elapsed:.2f}s"
@@ -141,14 +141,14 @@ def _check_degenerate_fixed_point(ctx: Context) -> tuple[bool, str]:
 
 def _check_nonlinearity_region(ctx: Context) -> tuple[bool, str]:
     """Loop curve sin^2(phi)/2 vs QM curve sin^2(phi/2), advantage iff phi < pi/2."""
-    worst = 0.0
+    devs = []
     region_ok = True
     recs = nonlinearity_sweep([k * math.pi / 16 for k in range(17)], [0.0], iterations=[])
     for k, rec in enumerate(recs):
         ctx.fidelities.append(rec.consistency_fidelity)
         l_ctc_ref = 0.5 * math.sin(rec.phi) ** 2
         l_qm_ref = math.sin(rec.phi / 2) ** 2
-        worst = max(worst, abs(rec.L_ctc_sigma_z - l_ctc_ref), abs(rec.L_qm - l_qm_ref))
+        devs += [abs(rec.L_ctc_sigma_z - l_ctc_ref), abs(rec.L_qm - l_qm_ref)]
         gap = rec.L_ctc_sigma_z - rec.L_qm
         if 0 < k < 8:
             region_ok &= gap > 0
@@ -156,6 +156,7 @@ def _check_nonlinearity_region(ctx: Context) -> tuple[bool, str]:
             region_ok &= abs(gap) <= ctx.tol(1e-10)
         else:
             region_ok &= gap <= ctx.tol(1e-10)
+    worst = np.max(devs)
     ok = worst <= ctx.tol(1e-10) and region_ok
     return ok, f"worst closed-form deviation {worst:.2e}, advantage region {'ok' if region_ok else 'WRONG'}"
 
@@ -188,14 +189,11 @@ def _check_iterated_distance(ctx: Context) -> tuple[bool, str]:
 
 def _check_perfect_discrimination(ctx: Context) -> tuple[bool, str]:
     """Optimal gate, local preparation: mismatch probability 1 for all 31 states."""
-    recs = discrimination_sweep("local", "optimal-gate", 32)
-    worst_l, worst_r = 0.0, 0.0
-    for r in recs:
-        if r.phi == 0.0:
-            continue  # reference state itself; degenerate by construction
-        ctx.fidelities.append(r.consistency_fidelity)
-        worst_l = max(worst_l, abs(r.L_ctc_sigma_z - 1.0))
-        worst_r = max(worst_r, r.fixed_point_residual)
+    # The phi = 0 record is the reference state itself, degenerate by construction.
+    recs = [r for r in discrimination_sweep("local", "optimal-gate", 32) if r.phi != 0.0]
+    ctx.fidelities.extend(r.consistency_fidelity for r in recs)
+    worst_l = np.max([abs(r.L_ctc_sigma_z - 1.0) for r in recs])
+    worst_r = np.max([r.fixed_point_residual for r in recs])
     ok = worst_l <= ctx.tol(1e-9) and worst_r <= ctx.tol(1e-10)
     return ok, f"worst |L-1| {worst_l:.2e}, worst residual {worst_r:.2e}"
 
@@ -210,7 +208,7 @@ def _check_nonlocal_ceiling(ctx: Context) -> tuple[bool, str]:
                       (np.array([0.0, 0.0, 1.0]) + _pure_rows((phi, 0.0) for phi in phis)) / 2.0)
     ctx.fidelities.extend(batch.consistency_fidelity.tolist())
     worst_d = trace_distances(_density_rows(batch.outputs), DensityMatrix.maximally_mixed().mat).max()
-    ceiling = max([0.0] + [r.L_ctc_sigma_z - 0.5 for r in ctx.nonlocal_sweeps()])
+    ceiling = np.max([0.0] + [r.L_ctc_sigma_z - 0.5 for r in ctx.nonlocal_sweeps()])
     ok = worst_d <= ctx.tol(1e-10) and ceiling <= ctx.tol(1e-9)
     return ok, f"worst distance to I/2 {worst_d:.2e}, max L - 1/2 = {ceiling:.2e}"
 
@@ -260,7 +258,7 @@ def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
                       + np.trace((np.eye(2) - proj) @ m2, axis1=-2, axis2=-1).real)
     worst_hel = float(np.abs(0.5 * (1.0 + trace_distances(m1, m2)) - explicit).max())
 
-    plateau = max(abs(r.L_ctc_optimal - 0.5) for r in ctx.nonlocal_sweeps())
+    plateau = np.max([abs(r.L_ctc_optimal - 0.5) for r in ctx.nonlocal_sweeps()])
     ok = (
         worst_si <= ctx.tol(1e-10)
         and worst_hel <= ctx.tol(1e-10)
@@ -317,16 +315,14 @@ def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int)
 def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
     """Both solver methods agree; eigen measurement optimum matches grid search."""
     rng = np.random.default_rng(42)
-    worst = 0.0
-    for kraus, rho_in, loop in _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK):
-        damped = damped_iteration(rho_in, kraus)
-        worst = max(worst, float(trace_distances(_density_rows(loop), damped.rho).max()))
+    worst = np.max([trace_distances(_density_rows(loop), damped_iteration(rho_in, kraus).rho).max()
+                    for kraus, rho_in, loop in
+                    _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK)])
 
-    worst_grid = 0.0
-    for m1, m2 in zip(*_mixed_pairs(rng, 200)):
-        r1, r2 = DensityMatrix(m1), DensityMatrix(m2)
-        val, _ = optimal_mismatch_probability(r1, r2)
-        worst_grid = max(worst_grid, abs(val - grid_search_mismatch(r1, r2)))
+    pairs = [(DensityMatrix(m1), DensityMatrix(m2)) for m1, m2 in zip(*_mixed_pairs(rng, 200))]
+    vals = np.array([optimal_mismatch_probability(r1, r2)[0] for r1, r2 in pairs])
+    r1, r2 = (np.array([pair[i].bloch() for pair in pairs]) for i in (0, 1))
+    worst_grid = np.max(np.abs(vals - grid_search_mismatches(r1, r2)))
     ok = worst <= ctx.tol(1e-9) and worst_grid <= ctx.tol(1e-6)
     return ok, f"solver disagreement {worst:.2e}, grid-search deviation {worst_grid:.2e}"
 
@@ -335,7 +331,7 @@ def _check_consistency_fidelity(ctx: Context) -> tuple[bool, str]:
     """Every scenario solved so far closed its loop with fidelity 1."""
     if not ctx.fidelities:
         return False, "no scenarios recorded"
-    worst = min(ctx.fidelities)
+    worst = np.min(ctx.fidelities)
     ok = worst >= 1 - ctx.tol(1e-9)
     return ok, f"minimum fidelity {worst:.12f} over {len(ctx.fidelities)} scenarios"
 

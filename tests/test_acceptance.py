@@ -7,11 +7,14 @@ so `pytest -v` shows one pass/fail line per criterion. Run with -s to see
 the timing and tolerance details.
 """
 
+import dataclasses
 import io
+import itertools
 import json
 import math
 import time
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +43,7 @@ from ctcsim.selftest import (
     _density_rows,
     _unique_fixed_point_chunks,
 )
+from test_measures import scalar_grid_search
 
 CRITERIA = [check_id for check_id, _, _ in CHECKS] + ["C12"]
 
@@ -346,3 +350,84 @@ def test_c9_deviations_match_scalar_measures(report):
     detail = {r.check_id: r.detail for r in report.results}["C9"]
     assert detail.startswith(
         f"optimal-measure identity dev {worst_si:.2e}, Helstrom dev {worst_hel:.2e}, ")
+
+
+def test_c10_grid_deviation_matches_scalar_search(report):
+    """C10's stacked grid search reports the deviation that the one-pair-at-a-time
+    search gives on the same draws, to the printed digits."""
+    rng = np.random.default_rng(42)
+    for _ in _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK):
+        pass  # the solver candidates C10 draws first
+    worst = 0.0
+    for _ in range(200):
+        r1 = DensityMatrix(one_state_at_a_time(rng, False))
+        r2 = DensityMatrix(one_state_at_a_time(rng, False))
+        val = optimal_mismatch_probability(r1, r2)[0]
+        worst = max(worst, abs(val - scalar_grid_search(r1.bloch(), r2.bloch())))
+    detail = {r.check_id: r.detail for r in report.results}["C10"]
+    assert detail.endswith(f"grid-search deviation {worst:.2e}")
+
+
+def with_nan(records, name, index=2):
+    """records with field `name` of record `index` set to NaN: past the first
+    record a check reduces, where a Python max or min would skip it."""
+    return [r._replace(**{name: math.nan}) if i == index else r for i, r in enumerate(records)]
+
+
+def patch_result(monkeypatch, name, change):
+    """Replace selftest.<name> by a wrapper that passes its result through change."""
+    real = getattr(selftest, name)
+    monkeypatch.setattr(selftest, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+
+
+def nan_row(a, index=1):
+    a = np.array(a)
+    a[index] = math.nan
+    return a
+
+
+def set_nonlocal(ctx, name):
+    ctx._nonlocal = with_nan(Context().nonlocal_sweeps(), name)
+
+
+def nan_in_later_chunks(monkeypatch, ctx):
+    """C10's damped oracle returns a NaN row in every chunk but the first."""
+    calls = itertools.count()
+    patch_result(monkeypatch, "damped_iteration",
+                 lambda d: SimpleNamespace(rho=nan_row(d.rho)) if next(calls) else d)
+
+
+# A NaN injected into one value past the first that each check reduces,
+# and the detail the failed check then prints.
+NAN_CASES = {
+    "C1 loop": ("C1", lambda mp, ctx: patch_result(
+        mp, "run_batch", lambda b: dataclasses.replace(b, loop=nan_row(b.loop))),
+        "worst trace distance nan"),
+    "C4": ("C4", lambda mp, ctx: patch_result(
+        mp, "nonlinearity_sweep", lambda recs: with_nan(recs, "L_qm")),
+        "worst closed-form deviation nan"),
+    "C6 L": ("C6", lambda mp, ctx: patch_result(
+        mp, "discrimination_sweep", lambda recs: with_nan(recs, "L_ctc_sigma_z")),
+        "worst |L-1| nan"),
+    "C6 residual": ("C6", lambda mp, ctx: patch_result(
+        mp, "discrimination_sweep", lambda recs: with_nan(recs, "fixed_point_residual")),
+        "worst residual nan"),
+    "C7": ("C7", lambda mp, ctx: set_nonlocal(ctx, "L_ctc_sigma_z"), "max L - 1/2 = nan"),
+    "C9": ("C9", lambda mp, ctx: set_nonlocal(ctx, "L_ctc_optimal"), "plateau dev nan"),
+    "C10 solver": ("C10", nan_in_later_chunks, "solver disagreement nan"),
+    "C10 grid": ("C10", lambda mp, ctx: patch_result(mp, "grid_search_mismatches", nan_row),
+                 "grid-search deviation nan"),
+    "C11": ("C11", lambda mp, ctx: ctx.fidelities.extend([1.0, math.nan]), "minimum fidelity nan"),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_nan_fails_its_check(case, monkeypatch):
+    """A NaN anywhere in what a check reduces fails the check and shows in its
+    detail: the reductions propagate NaN rather than skip it."""
+    check_id, inject, shown = NAN_CASES[case]
+    ctx = Context()
+    inject(monkeypatch, ctx)
+    passed, detail = {c: check for c, _, check in CHECKS}[check_id](ctx)
+    assert not passed
+    assert shown in detail

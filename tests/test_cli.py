@@ -1,12 +1,12 @@
 """Command-line interface: outputs, exit codes, CSV/JSON determinism, round trips."""
 
 import csv
-import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -265,14 +265,27 @@ class TestRecordTemplate:
 
     def test_edge_values(self, tmp_path):
         base = discrimination_sweep("local", "fixed-state", 2)[0]
-        floats = [f.name for f in dataclasses.fields(SweepRecord) if f.type == "float"]
+        floats = [name for name, t in typing.get_type_hints(SweepRecord).items() if t is float]
         assert len(floats) == 14
         edges = [-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf,
                  np.float64(0.1), np.float64(-2.5e-17), 7, 0]
-        records = [dataclasses.replace(base, **{name: edges[(i + k) % len(edges)]
-                                                for i, name in enumerate(floats)})
+        records = [base._replace(**{name: edges[(i + k) % len(edges)]
+                                    for i, name in enumerate(floats)})
                    for k in range(len(edges))]
         self.assert_same_bytes(records, tmp_path)
+
+    def test_float_columns_take_17_digits_and_the_rest_str(self, tmp_path):
+        """Float columns are written as %.17g (0.1 -> 0.10000000000000001, 0.0 -> 0),
+        str and int columns as %s (an int is never written in exponent form)."""
+        text = {"experiment_id": "fig6", "prep_mode": "local_pure"}
+        counts = {"n_iterations": 10 ** 20, "fixed_set_dimension": 2}
+        rec = SweepRecord._make(text.get(n, counts.get(n, 0.1)) for n in SweepRecord._fields)
+        path = tmp_path / "kinds.csv"
+        write_records_csv([rec, rec._replace(phi=0.0)], str(path))
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert rows[0] == [text[n] if n in text else str(counts[n]) if n in counts
+                           else "0.10000000000000001" for n in RECORD_FIELDS]
+        assert rows[1][RECORD_FIELDS.index("phi")] == "0"
 
     def test_empty_table_is_the_header(self, tmp_path):
         self.assert_same_bytes([], tmp_path)

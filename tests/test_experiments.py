@@ -1,6 +1,5 @@
 """Sweeps, surfaces, and thresholds: structure, closed forms, determinism."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -96,7 +95,7 @@ class TestDiscriminationSweep:
     def test_nan_diagnostics_fail_validation(self):
         rec = discrimination_sweep("local", "fixed-gate", 4)[1]
         for name in ("fixed_point_residual", "consistency_fidelity", "L_ctc_sigma_z"):
-            assert validate_records([dataclasses.replace(rec, **{name: math.nan})])
+            assert validate_records([rec._replace(**{name: math.nan})])
 
     def test_record_invariants(self):
         recs = discrimination_sweep("local", "fixed-gate", 8)
@@ -260,7 +259,7 @@ class TestSupplementSweeps:
 
         for target in ("s1", "s2"):
             assert _reproduce_records(target, 6) == [
-                dataclasses.replace(r, experiment_id=f"{target}-{variant}-{mode}")
+                r._replace(experiment_id=f"{target}-{variant}-{mode}")
                 for variant in ("optimal-gate", "fixed-state", "fixed-gate")
                 for mode in ("local", "nonlocal")
                 for r in discrimination_sweep(mode, variant, 6)
@@ -311,9 +310,8 @@ DISCRETE_FIELDS = {"experiment_id", "prep_mode", "n_iterations", "fixed_set_dime
 
 
 def assert_records_match(a, b, atol=1e-12):
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name in DISCRETE_FIELDS:
-            assert x == y, f.name
+    for name, x, y in zip(a._fields, a, b):
+        if name in DISCRETE_FIELDS:
+            assert x == y, name
         else:
-            assert abs(x - y) <= atol, (f.name, x, y)
+            assert abs(x - y) <= atol, (name, x, y)

@@ -7,10 +7,13 @@ import pytest
 
 from ctcsim.circuits import depolarize
 from ctcsim.measures import (
+    _ZOOM_CHUNK,
     SIGMA_Z_AXIS,
     DistinguishabilityReport,
     MeasurementDirection,
+    _search_grid,
     grid_search_mismatch,
+    grid_search_mismatches,
     helstrom_success_probability,
     mismatch_probability,
     bloch_measures,
@@ -313,3 +316,91 @@ class TestBlochClosedForms:
             assert abs(l_opt[i] - optimal_mismatch_probability(a, b)[0]) <= 1e-12
             assert abs(d[i] - trace_distance(a, b)) <= 1e-12
             assert abs(p_succ[i] - helstrom_success_probability(a, b)) <= 1e-12
+
+
+def scalar_grid_search(r1, r2):
+    """Oracle: the one-pair-at-a-time grid search on Bloch vectors (3,) that
+    grid_search_mismatches stacks, step for step, on the same search grid."""
+    axes, zoom = _search_grid()
+
+    def value(ax):
+        return (1.0 - (ax @ r1) * (ax @ r2)) / 2.0
+
+    def cross(a, b):
+        (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+    best_ax = axes[int(np.argmax(value(axes)))]
+    for du, dv in zoom:
+        ref = np.array([1.0, 0.0, 0.0]) if abs(best_ax[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        u = cross(best_ax, ref)
+        u /= np.linalg.norm(u)
+        v = cross(best_ax, u)
+        cand = best_ax[None, :] + du[:, None] * u[None, :] + dv[:, None] * v[None, :]
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        best_ax = cand[int(np.argmax(value(cand)))]
+    return float(value(best_ax[None, :])[0])
+
+
+def random_bloch(rng, n):
+    """n random Bloch vectors (n, 3), pure and mixed, uniform in direction."""
+    r = rng.normal(size=(n, 3))
+    return r / np.linalg.norm(r, axis=1, keepdims=True) * rng.choice([1.0, 0.7, 0.2], size=(n, 1))
+
+
+class TestGridSearchBatch:
+    """The stacked grid search against the one-pair-at-a-time search, bit for bit."""
+
+    def assert_matches_scalar(self, r1, r2):
+        got = grid_search_mismatches(r1, r2)
+        assert got.shape == (len(r1),)
+        np.testing.assert_array_equal(got, [scalar_grid_search(a, b) for a, b in zip(r1, r2)])
+
+    @pytest.mark.parametrize("n", [1, _ZOOM_CHUNK, _ZOOM_CHUNK + 1, 3 * _ZOOM_CHUNK + 7])
+    def test_seeded_pairs(self, n):
+        rng = np.random.default_rng(211 + n)
+        self.assert_matches_scalar(random_bloch(rng, n), random_bloch(rng, n))
+
+    def test_zero_and_parallel_pairs(self):
+        rng = np.random.default_rng(223)
+        r = random_bloch(rng, 12)
+        zero = np.zeros_like(r)
+        r1 = np.vstack([zero, r, zero, r, r])
+        r2 = np.vstack([r, zero, zero, r, -r])
+        self.assert_matches_scalar(r1, r2)
+        # Antiparallel pairs are told apart by the axis along them.
+        np.testing.assert_allclose(grid_search_mismatches(r[:1], -r[:1]),
+                                   (1.0 + r[0] @ r[0]) / 2.0, rtol=0, atol=1e-6)
+
+    def test_axes_near_the_frame_switch(self):
+        """Optimal axes +-n with |n_x| at and around 0.9, where the zoom frame's
+        reference vector changes from x to y."""
+        xs = 0.9 + np.array([-1e-3, -1e-6, 0.0, 1e-6, 1e-3])
+        rows = []
+        for x in np.concatenate([xs, -xs]):
+            for angle in (0.0, 1.0, 2.5):
+                rest = math.sqrt(1.0 - x * x)
+                rows.append([x, rest * math.cos(angle), rest * math.sin(angle)])
+        n = np.array(rows)
+        self.assert_matches_scalar(n, -n)
+        self.assert_matches_scalar(0.8 * n, -0.5 * n)
+
+    def test_batch_of_one_is_the_density_matrix_form(self):
+        rng = np.random.default_rng(227)
+        a, b = random_qubit_state(rng), random_qubit_state(rng)
+        assert grid_search_mismatch(a, b) == scalar_grid_search(a.bloch(), b.bloch())
+
+    def test_empty_batch(self):
+        assert grid_search_mismatches(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("r1, r2", [
+        (np.zeros((2, 3)), np.zeros((3, 3))),
+        (np.zeros(3), np.zeros(3)),
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.zeros((2, 3, 1)), np.zeros((2, 3, 1))),
+        (np.array([[0.0, math.nan, 0.0]]), np.zeros((1, 3))),
+        (np.zeros((1, 3)), np.array([[math.inf, 0.0, 0.0]])),
+    ])
+    def test_invalid_stacks_rejected(self, r1, r2):
+        with pytest.raises(ValidationError):
+            grid_search_mismatches(r1, r2)
