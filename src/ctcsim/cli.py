@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import typing
@@ -40,7 +41,8 @@ from .experiments import (
     ThresholdResult,
     decoherence_surface,
     discrimination_sweep,
-    find_threshold,
+    discrimination_sweeps,
+    find_thresholds,
     nonlinearity_sweep,
     validate_records,
 )
@@ -241,8 +243,7 @@ def cmd_sweep(args) -> int:
 
 def _reproduce_records(target: str, grid: int | None) -> list[SweepRecord]:
     if target in _SWEEP_TABLES:
-        return [r for eid, variant, mode in _SWEEP_TABLES[target]
-                for r in discrimination_sweep(mode, variant, grid, eid)]
+        return discrimination_sweeps(_SWEEP_TABLES[target], grid)
     if target == "fig3":
         return nonlinearity_sweep()
     if target == "fig6":
@@ -304,7 +305,7 @@ def cmd_reproduce(args) -> int:
     if args.target == "thresholds":
         if args.plot:
             raise ValidationError("reproduce thresholds writes no plot; drop --plot")
-        results = [find_threshold("p"), find_threshold("epsilon")]
+        results = find_thresholds(("p", "epsilon"))
         path = args.out or f"thresholds.{args.format}"
         if args.format == "json":
             _write_json([dataclasses.asdict(t) for t in results], path)
@@ -352,7 +353,9 @@ def _add_common_angles(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deg", action="store_true", help="interpret angles in degrees")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="ctcsim",
         description="Simulator of qubits traversing a Deutsch closed timelike curve.",

@@ -6,9 +6,9 @@ distance, identification probability) for both the loop circuit and the
 standard-QM baseline, plus the solver diagnostics. Nothing is discarded;
 the experiment id says which published panel a sweep corresponds to.
 
-Every sweep solves its whole grid as one batch (deutsch.run_batch) and
-builds its records through one function from the Bloch closed forms of
-the measures; records are emitted in grid order.
+A sweep table is one deutsch.run_batch, local and non-local points alike;
+find_thresholds bisects all its brackets together, one batch per tree chunk.
+Records come from the Bloch closed forms of the measures, in grid order.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ __all__ = [
     "WORKING_POINT_THETA",
     "nonlinearity_sweep",
     "discrimination_sweep",
+    "discrimination_sweeps",
     "decoherence_surface",
     "find_threshold",
+    "find_thresholds",
     "validate_records",
 ]
 
@@ -42,7 +44,10 @@ __all__ = [
 WORKING_POINT_PHI = 3 * math.pi / 2
 WORKING_POINT_THETA = math.pi / 4
 
-# find_threshold's sign-change scan resolution, final bracket width and
+# Default grid size of each discrimination sweep variant.
+_DEFAULT_GRID = {"optimal-gate": 32, "fixed-state": 64, "fixed-gate": 32}
+
+# find_thresholds' sign-change scan resolution, final bracket width and
 # bisection-tree levels scored per batch (2**5 - 1 = 31 midpoints).
 _SCAN_POINTS = 41
 _BISECT_TOL = 1e-12
@@ -93,13 +98,11 @@ def _pure_bloch(phi, phase) -> np.ndarray:
                     axis=-1)
 
 
-def _diagnostics(batches: list[LoopBatch], n: int) -> tuple[np.ndarray, ...]:
-    """Worst residual, fidelity and dimension over the scenarios of each record.
-
-    Every batch holds one or more scenarios per record, as blocks of n rows.
-    """
+def _diagnostics(batches: list[LoopBatch], rows) -> tuple[np.ndarray, ...]:
+    """Worst residual, fidelity and dimension of each record over its scenarios:
+    each index in rows picks one scenario per record from every batch."""
     def worst(name, reduce):
-        return reduce(np.concatenate([getattr(b, name) for b in batches]).reshape(-1, n), axis=0)
+        return reduce([getattr(b, name)[r] for b in batches for r in rows], axis=0)
 
     return (worst("residual", np.max), worst("consistency_fidelity", np.min),
             worst("fixed_set_dimension", np.max))
@@ -157,7 +160,7 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
               for phase in phase_grid[: 1 if abs(math.sin(phi)) < 1e-15 else len(phase_grid)]]
     phi, phase = (np.array(c) for c in zip(*states))
     n = len(states)
-    # Rows 0..n-1 carry the swept states, rows n..2n-1 the |H> reference.
+    swept, ref = slice(n), slice(n, None)  # rows of the swept states and the |H> reference
     state = np.vstack([_pure_bloch(phi, phase), np.tile([0.0, 0.0, 1.0], (n, 1))])
     zeros = np.zeros(2 * n)
     batches = []
@@ -169,88 +172,98 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
     # the swept one is not).
     qm_pair = (np.array([0.0, 0.0, 1.0]), _pure_bloch(phi, 0.0))
     return [record for k in passes for record in _records(
-        batches[k - 1].outputs[:n], batches[k - 1].outputs[n:], qm_pair, True,
-        _diagnostics(batches[:k], n), experiment_id="fig3", phi=phi, phase=phase,
+        batches[k - 1].outputs[swept], batches[k - 1].outputs[ref], qm_pair, True,
+        _diagnostics(batches[:k], (swept, ref)), experiment_id="fig3", phi=phi, phase=phase,
         theta_xz=0.0, p=0.0, epsilon=0.0, prep_mode="local_pure", n_iterations=k,
     )]
 
 
-def _discrimination_batch(mode: str, phi, theta, p, epsilon):
-    """Solve the pair {|H>, psi1(phi)} at each point of equal-length grids, as one batch.
+def _solve_pairs(local, phi, theta, p, epsilon):
+    """Solve the pair {|H>, psi1(phi)} at each point, as one batch; the
+    arguments are per-point arrays or scalars, broadcast together.
 
-    Local preparation solves one loop per state; non-local preparation one
-    loop for the unconditioned mixture, which is also what both outputs are
-    evolved from. Returns the output pairs (N, 3), the depolarized input
-    pair (the standard-QM side) and the batch.
+    A local point (local[i] true) solves one loop per state; a non-local
+    point one loop for the unconditioned mixture, which is also what both
+    outputs are evolved from. Returns the output pairs (N, 3), the
+    depolarized input pair (the standard-QM side) and each point's worst
+    diagnostics over its loops.
     """
+    local, phi, theta, p, epsilon = np.broadcast_arrays(local, phi, theta, p, epsilon)
     n = len(phi)
     psi0 = np.broadcast_to([0.0, 0.0, 1.0], (n, 3))
     psi1 = _pure_bloch(phi, 0.0)
-    kind = CircuitKind.SWAP_THEN_CU
-    if mode == "local":
-        batch = run_batch(kind, np.tile(theta, 2), np.tile(epsilon, 2), np.tile(p, 2),
-                          np.vstack([psi0, psi1]))
-        out0, out1 = batch.outputs[:n], batch.outputs[n:]
-    elif mode == "nonlocal":
-        batch = run_batch(kind, theta, epsilon, p, (psi0 + psi1) / 2.0)
-        out0 = out1 = batch.outputs
-    else:
-        raise ValidationError(f"unknown preparation mode {mode!r}")
+    # Row i is point i's |H> loop (local) or mixture loop (non-local); the
+    # psi1 loops of the local points follow. second[i] is point i's psi1 row.
+    extra = np.flatnonzero(local)
+    second = np.arange(n)
+    second[extra] = n + np.arange(len(extra))
+    rows = np.concatenate([np.arange(n), extra])
+    batch = run_batch(CircuitKind.SWAP_THEN_CU, theta[rows], epsilon[rows], p[rows],
+                      np.vstack([np.where(local[:, None], psi0, (psi0 + psi1) / 2), psi1[extra]]))
     shrink = (1.0 - p)[:, None]
-    return out0, out1, (psi0 * shrink, psi1 * shrink), batch
+    return (batch.outputs[:n], batch.outputs[second], (psi0 * shrink, psi1 * shrink),
+            _diagnostics([batch], (slice(0, n), second)))
 
 
-def _discrimination_records(experiment_id: str, mode: str, phi, theta, p,
-                            epsilon) -> list[SweepRecord]:
-    """Discrimination records at each grid point; phi, theta, p and epsilon
-    are per-point sequences (or scalars)."""
-    phi, theta, p, epsilon = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (phi, theta, p, epsilon)))
-    if len(phi) == 0:
+def _discrimination_records(experiment_id, local, phi, theta, p, epsilon) -> list[SweepRecord]:
+    """Discrimination records at each point (arguments as for _solve_pairs)."""
+    if np.broadcast(local, phi, theta, p, epsilon).size == 0:
         return []
-    out0, out1, qm_pair, batch = _discrimination_batch(mode, phi, theta, p, epsilon)
+    out0, out1, qm_pair, diagnostics = _solve_pairs(local, phi, theta, p, epsilon)
     # Discrimination experiments compare against standard QM with the
     # optimal measurement and full state knowledge.
     return _records(
-        out0, out1, qm_pair, False, _diagnostics([batch], len(phi)),
-        experiment_id=experiment_id, phi=phi, phase=0.0, theta_xz=theta, p=p,
-        epsilon=epsilon, prep_mode="local_pure" if mode == "local" else "nonlocal_ensemble",
-        n_iterations=1,
+        out0, out1, qm_pair, False, diagnostics,
+        experiment_id=experiment_id, phi=phi, phase=0.0, theta_xz=theta, p=p, epsilon=epsilon,
+        prep_mode=np.where(local, "local_pure", "nonlocal_ensemble"), n_iterations=1,
     )
 
 
-def discrimination_sweep(mode: str, variant: str, grid_size: int | None = None,
-                         experiment_id: str | None = None) -> list[SweepRecord]:
-    """State-discrimination sweep for the pair {|H>, psi1(phi)}.
+def _sweep_grid(variant: str, grid_size: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """phi and theta at each point of a discrimination sweep variant."""
+    n = _DEFAULT_GRID[variant] if grid_size is None else grid_size
+    k = np.arange(n)
+    if variant == "fixed-state":
+        return np.full(n, WORKING_POINT_PHI), -math.pi / 2 + math.pi * k / n
+    phi = 2 * math.pi * k / n
+    return phi, np.full(n, WORKING_POINT_THETA) if variant == "fixed-gate" else (phi - math.pi) / 2
 
+
+def discrimination_sweeps(tables, grid_size: int | None = None) -> list[SweepRecord]:
+    """State-discrimination sweeps for the pair {|H>, psi1(phi)}, all as one batch.
+
+    tables holds (experiment_id, variant, mode) triples, mode "local" or
+    "nonlocal"; the records come triple by triple, each in grid order.
     variant "optimal-gate": phi over [0, 2pi) with theta = (phi - pi)/2;
     variant "fixed-state":  phi = 3pi/2, theta over [-pi/2, pi/2);
     variant "fixed-gate":   theta = pi/4, phi over [0, 2pi).
+    grid_size overrides every variant's default (64 fixed-state, else 32).
 
     The phi = 0 point (psi1 identical to the reference) is emitted with
     its degeneracy visible in fixed_set_dimension rather than skipped.
     """
-    if variant == "fixed-state":
-        grid_size = 64 if grid_size is None else grid_size
-    else:
-        grid_size = 32 if grid_size is None else grid_size
-    if grid_size < 2:
+    if grid_size is not None and grid_size < 2:
         raise ValidationError("grid size must be >= 2")
-    if experiment_id is None:
-        experiment_id = f"{variant}-{mode}"
+    for _, variant, mode in tables:
+        if variant not in _DEFAULT_GRID:
+            raise ValidationError(f"unknown sweep variant {variant!r}")
+        if mode not in ("local", "nonlocal"):
+            raise ValidationError(f"unknown preparation mode {mode!r}")
+    if not tables:
+        return []
+    grids = [_sweep_grid(variant, grid_size) for _, variant, _ in tables]
+    sizes = [len(phi) for phi, _ in grids]
+    phi, theta = (np.concatenate(axis) for axis in zip(*grids))
+    return _discrimination_records(
+        np.repeat([eid for eid, _, _ in tables], sizes),
+        np.repeat([mode == "local" for _, _, mode in tables], sizes), phi, theta, 0.0, 0.0)
 
-    if variant == "optimal-gate":
-        phi = [2 * math.pi * k / grid_size for k in range(grid_size)]
-        theta = [(x - math.pi) / 2 for x in phi]
-    elif variant == "fixed-gate":
-        phi = [2 * math.pi * k / grid_size for k in range(grid_size)]
-        theta = WORKING_POINT_THETA
-    elif variant == "fixed-state":
-        phi = WORKING_POINT_PHI
-        theta = [-math.pi / 2 + math.pi * j / grid_size for j in range(grid_size)]
-    else:
-        raise ValidationError(f"unknown sweep variant {variant!r}")
-    return _discrimination_records(experiment_id, mode, phi, theta, 0.0, 0.0)
+
+def discrimination_sweep(mode: str, variant: str, grid_size: int | None = None,
+                         experiment_id: str | None = None) -> list[SweepRecord]:
+    """One discrimination_sweeps table, under experiment_id ("<variant>-<mode>" by default)."""
+    eid = f"{variant}-{mode}" if experiment_id is None else experiment_id
+    return discrimination_sweeps([(eid, variant, mode)], grid_size)
 
 
 def decoherence_surface(p_grid: list[float] | None = None,
@@ -270,62 +283,75 @@ def decoherence_surface(p_grid: list[float] | None = None,
             raise ValidationError("noise grids must stay within [0, 1]")
     p = np.repeat(np.asarray(p_grid, dtype=float), len(eps_grid))
     eps = np.tile(np.asarray(eps_grid, dtype=float), len(p_grid))
-    return _discrimination_records("fig6", "local", WORKING_POINT_PHI, WORKING_POINT_THETA,
-                                   p, eps)
+    return _discrimination_records("fig6", True, WORKING_POINT_PHI, WORKING_POINT_THETA, p, eps)
 
 
-def _advantage_gaps(parameter: str, xs) -> np.ndarray:
-    """L_ctc(sigma_z) minus the QM baseline along one noise axis: one batch, no records."""
+def _advantage_gaps(parameters, xs) -> np.ndarray:
+    """L_ctc(sigma_z) minus the QM baseline at each noise level xs[i] along the
+    axis parameters[i] ("p" at eps = 0, "epsilon" at p = 0): one batch, no records."""
     xs = np.asarray(xs, dtype=float)
-    zero = np.zeros_like(xs)
-    p, eps = (xs, zero) if parameter == "p" else (zero, xs)
-    out0, out1, qm_pair, _ = _discrimination_batch(
-        "local", np.full_like(xs, WORKING_POINT_PHI), np.full_like(xs, WORKING_POINT_THETA), p, eps)
+    on_p = np.asarray(parameters) == "p"
+    out0, out1, qm_pair, _ = _solve_pairs(True, WORKING_POINT_PHI, WORKING_POINT_THETA,
+                                          np.where(on_p, xs, 0.0), np.where(on_p, 0.0, xs))
     return bloch_measures(out0, out1)[0] - bloch_measures(*qm_pair)[1]
 
 
-def find_threshold(parameter: str) -> ThresholdResult:
-    """Locate where the loop advantage dies along the p (eps=0) or epsilon (p=0) axis.
+def find_thresholds(parameters) -> list[ThresholdResult]:
+    """Locate where the loop advantage dies along each named axis, all at once.
 
-    Scans _SCAN_POINTS evenly spaced noise levels for a sign change first
+    Each parameter is "p" (eps = 0) or "epsilon" (p = 0). One batch scans
+    _SCAN_POINTS evenly spaced noise levels per parameter for a sign change
     (the gap also vanishes at full noise, so a blind [0, 1] bracket would
-    be ambiguous), then bisects it down to a width of at most _BISECT_TOL.
-    Bisection is evaluated in batches by tree level: the (lo + hi) / 2
-    midpoints of the next _SPEC_LEVELS levels are scored as one batch in
-    heap order (node i's halves at 2i + 1, 2i + 2), then walked with the
-    sign rule, so every bracket is the one a step-by-step bisection takes.
+    be ambiguous); then every bracket is bisected down to a width of at
+    most _BISECT_TOL. Bisection is evaluated in batches by tree level: the
+    (lo + hi) / 2 midpoints of the next _SPEC_LEVELS levels of every
+    bracket are scored as one batch in heap order (node i's halves at
+    2i + 1, 2i + 2), then walked with the sign rule, so every bracket is
+    the one a step-by-step bisection takes; a closed bracket is not moved.
     """
-    if parameter not in ("p", "epsilon"):
-        raise ValidationError(f"unknown threshold parameter {parameter!r}")
+    for parameter in parameters:
+        if parameter not in ("p", "epsilon"):
+            raise ValidationError(f"unknown threshold parameter {parameter!r}")
+    if not parameters:
+        return []
     xs = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    vals = _advantage_gaps(parameter, xs)
-    starts = np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
-    if not starts.size:
-        raise ThresholdNotFound(f"no advantage crossing found along {parameter}")
-    i = starts[0]
-    bracket = (float(xs[i]), float(xs[i + 1]))
-    (lo, hi), flo = bracket, vals[i]
-    while hi - lo > _BISECT_TOL:
-        nodes, mids = [(lo, hi)], []
+    scans = _advantage_gaps(np.repeat(parameters, _SCAN_POINTS), np.tile(xs, len(parameters)))
+    brackets, state = [], []  # state: [lo, hi, gap at lo] of each bracket
+    for parameter, v in zip(parameters, scans.reshape(len(parameters), -1)):
+        starts = np.flatnonzero((v[:-1] > 0.0) & (v[1:] <= 0.0))
+        if not starts.size:
+            raise ThresholdNotFound(f"no advantage crossing found along {parameter}")
+        i = starts[0]
+        brackets.append((float(xs[i]), float(xs[i + 1])))
+        state.append([*brackets[-1], v[i]])
+    while any(hi - lo > _BISECT_TOL for lo, hi, _ in state):
+        # Every bracket's tree midpoints, one column per heap node.
+        nodes, mids = [tuple(np.array(state)[:, :2].T)], []
         while len(mids) < 2 ** _SPEC_LEVELS - 1:
             a, b = nodes[len(mids)]
             mids.append((a + b) / 2)
             nodes += [(a, mids[-1]), (mids[-1], b)]
-        gaps = _advantage_gaps(parameter, mids)
-        node = 0
-        while node < len(mids) and hi - lo > _BISECT_TOL:
-            mid, fm = mids[node], gaps[node]
-            if (flo > 0) == (fm > 0):
-                lo, flo, node = mid, fm, 2 * node + 2
-            else:
-                hi, node = mid, 2 * node + 1
-    crossing = (lo + hi) / 2
-    return ThresholdResult(
-        parameter=parameter,
-        crossing=crossing,
-        bracket=bracket,
-        achieved_tolerance=hi - lo,
-    )
+        trees = np.array(mids).T  # one row per bracket
+        gaps = _advantage_gaps(np.repeat(parameters, trees.shape[1]), trees.ravel())
+        for s, tree, tree_gaps in zip(state, trees.tolist(), gaps.reshape(trees.shape)):
+            lo, hi, flo = s
+            node = 0
+            while node < len(tree) and hi - lo > _BISECT_TOL:
+                mid, fm = tree[node], tree_gaps[node]
+                if (flo > 0) == (fm > 0):
+                    lo, flo, node = mid, fm, 2 * node + 2
+                else:
+                    hi, node = mid, 2 * node + 1
+            s[:] = lo, hi, flo
+    return [ThresholdResult(parameter=parameter, crossing=(lo + hi) / 2, bracket=bracket,
+                            achieved_tolerance=hi - lo)
+            for parameter, bracket, (lo, hi, _) in zip(parameters, brackets, state)]
+
+
+def find_threshold(parameter: str) -> ThresholdResult:
+    """Locate where the loop advantage dies along the p (eps=0) or epsilon (p=0)
+    axis: find_thresholds as a batch of one."""
+    return find_thresholds([parameter])[0]
 
 
 def validate_records(records: list[SweepRecord]) -> list[str]:

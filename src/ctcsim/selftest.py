@@ -34,7 +34,8 @@ from .experiments import (
     _pure_bloch,
     decoherence_surface,
     discrimination_sweep,
-    find_threshold,
+    discrimination_sweeps,
+    find_thresholds,
     nonlinearity_sweep,
 )
 from .measures import grid_search_mismatches, optimal_mismatch_probability
@@ -52,8 +53,10 @@ class CheckResult:
     elapsed: float
 
 
-# The non-local discrimination sweeps (variant, grid) that C7 and C9 both read.
-NONLOCAL_SWEEPS = (("optimal-gate", 32), ("fixed-state", 64), ("fixed-gate", 32))
+# The non-local discrimination sweeps that C7 and C9 both read, as
+# discrimination_sweeps tables at the default grids (32, 64 and 32 points).
+NONLOCAL_SWEEPS = tuple((f"{v}-nonlocal", v, "nonlocal")
+                        for v in ("optimal-gate", "fixed-state", "fixed-gate"))
 
 
 @dataclass
@@ -70,8 +73,7 @@ class Context:
 
     def nonlocal_sweeps(self) -> list[SweepRecord]:
         if self._nonlocal is None:
-            self._nonlocal = [r for variant, n in NONLOCAL_SWEEPS
-                              for r in discrimination_sweep("nonlocal", variant, n)]
+            self._nonlocal = discrimination_sweeps(NONLOCAL_SWEEPS)
             self.fidelities.extend(r.consistency_fidelity for r in self._nonlocal)
         return self._nonlocal
 
@@ -219,8 +221,7 @@ def _check_decoherence_thresholds(ctx: Context) -> tuple[bool, str]:
     records = decoherence_surface()
     for r in records:
         ctx.fidelities.append(r.consistency_fidelity)
-    thr_p = find_threshold("p")
-    thr_e = find_threshold("epsilon")
+    thr_p, thr_e = find_thresholds(("p", "epsilon"))
     elapsed = time.perf_counter() - start
     dev_p = abs(thr_p.crossing - (math.sqrt(2.0) - 1.0))
     dev_e = abs(thr_e.crossing - 1.0 / 3.0)

@@ -46,6 +46,8 @@ from ctcsim.selftest import (
 from test_measures import scalar_grid_search
 
 CRITERIA = [check_id for check_id, _, _ in CHECKS] + ["C12"]
+# The points of the non-local sweeps that C7 and C9 share: 32, 64 and 32.
+NONLOCAL_POINTS = 128
 
 
 @pytest.fixture(scope="session")
@@ -144,7 +146,7 @@ def test_c11_counts_every_scenario_once(report):
         ctx = Context()
         assert check(ctx)[0], check_id
         counts[check_id] = len(ctx.fidelities)
-    swept = sum(n for _, n in NONLOCAL_SWEEPS)
+    swept = NONLOCAL_POINTS
     assert counts == {"C1": 64, "C2": 80, "C3": 0, "C4": 17, "C5": 2, "C6": 31,
                       "C7": 31 + swept, "C8": 1681, "C9": swept, "C10": 0}
     assert sum(counts.values()) - swept == 2034
@@ -234,21 +236,36 @@ def test_nonlocal_sweeps_shared_by_c7_and_c9(monkeypatch):
     """C9 run alone solves the non-local sweeps; C7 after it reuses them, and
     their scenarios are counted once for C11."""
     calls = []
-    real = selftest.discrimination_sweep
+    real = selftest.discrimination_sweeps
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(selftest, "discrimination_sweep", counted)
+    monkeypatch.setattr(selftest, "discrimination_sweeps", counted)
     ctx = Context()
     assert selftest._check_supplement_identities(ctx)[0]
-    assert calls == [("nonlocal", variant, n) for variant, n in NONLOCAL_SWEEPS]
-    swept = sum(n for _, n in NONLOCAL_SWEEPS)
-    assert len(ctx.fidelities) == swept
+    assert calls == [(NONLOCAL_SWEEPS,)]
+    assert [eid for eid, _, _ in NONLOCAL_SWEEPS] == [
+        f"{v}-nonlocal" for v in ("optimal-gate", "fixed-state", "fixed-gate")]
+    assert len(ctx.fidelities) == NONLOCAL_POINTS
     assert selftest._check_nonlocal_ceiling(ctx)[0]
-    assert len(calls) == len(NONLOCAL_SWEEPS)
-    assert len(ctx.fidelities) == swept + 31  # C7's own 31 scenarios
+    assert len(calls) == 1
+    assert len(ctx.fidelities) == NONLOCAL_POINTS + 31  # C7's own 31 scenarios
+
+
+def test_c8_bisects_both_thresholds_together(monkeypatch):
+    """C8 finds both thresholds with one find_thresholds call."""
+    calls = []
+    real = selftest.find_thresholds
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(selftest, "find_thresholds", counted)
+    assert selftest._check_decoherence_thresholds(Context())[0]
+    assert calls == [(("p", "epsilon"),)]
 
 
 def test_drawn_c10_inputs_are_density_matrices(monkeypatch):

@@ -324,11 +324,55 @@ class TestSelftestCommand:
         assert "tolerance override" in capsys.readouterr().err
 
 
-def test_python_dash_m_runs_the_cli():
-    """`python -m ctcsim` is the `ctcsim` command line."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """`python args` in a fresh process that imports ctcsim from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "ctcsim", "--help"], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    """`python -m ctcsim` is the `ctcsim` command line."""
+    proc = run_python("-m", "ctcsim", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "selftest" in proc.stdout
+
+
+# Runs main() on each argv of a JSON list in turn and prints, as JSON, the
+# stdout, stderr and exit code of every call (argparse errors exit via SystemExit).
+_MAIN_SEQUENCE = """
+import contextlib, io, json, sys
+from ctcsim.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(results))
+"""
+
+
+def main_in_one_process(*argvs: list[str]) -> list:
+    proc = run_python("-c", _MAIN_SEQUENCE, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_one_parser_per_process_serves_every_call():
+    """The parser is built once per process: two subcommands run in one process,
+    with a rejected call between them, print and exit as they do run alone."""
+    from ctcsim import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    sequence = (["discriminate", "--phi", "2.5", "--p", "0.25"],
+                ["sweep", "--variant", "sideways"],
+                ["fixed-point", "--prep", "nonlocal", "--phi", "1.0", "--epsilon", "0.3"])
+    together = main_in_one_process(*sequence)
+    assert together == [r for argv in sequence for r in main_in_one_process(argv)]
+    assert [code for _, _, code in together] == [0, 2, 0]
+    assert "invalid choice: 'sideways'" in together[1][1]

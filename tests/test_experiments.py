@@ -8,15 +8,18 @@ import pytest
 from ctcsim.circuits import CircuitKind
 from ctcsim.deutsch import run_batch
 from ctcsim.experiments import (
+    _SCAN_POINTS,
     WORKING_POINT_PHI,
     WORKING_POINT_THETA,
     decoherence_surface,
     discrimination_sweep,
+    discrimination_sweeps,
     find_threshold,
+    find_thresholds,
     nonlinearity_sweep,
     validate_records,
 )
-from ctcsim.qmath import PureQubit
+from ctcsim.qmath import PureQubit, ValidationError
 
 
 class TestNonlinearitySweep:
@@ -136,6 +139,9 @@ class TestDecoherenceSurface:
         assert all(a >= b - 1e-12 for a, b in zip(vs_p, vs_p[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(vs_e, vs_e[1:]))
 
+    def test_empty_grid_gives_no_records(self):
+        assert decoherence_surface([], [0.0, 0.5]) == decoherence_surface([0.5], []) == []
+
     def test_grid_bounds_validated(self):
         from ctcsim.qmath import ValidationError
 
@@ -157,7 +163,8 @@ class TestThresholds:
     def test_advantage_at_zero_noise(self):
         from ctcsim.experiments import _advantage_gaps
 
-        assert _advantage_gaps("p", [0.0])[0] == pytest.approx(0.25, abs=1e-9)
+        assert _advantage_gaps(["p", "epsilon"], [0.0, 0.0]).tolist() == pytest.approx(
+            [0.25, 0.25], abs=1e-9)
 
     def test_unknown_parameter_rejected(self):
         from ctcsim.qmath import ValidationError
@@ -188,6 +195,81 @@ class TestThresholds:
         assert records == []
 
 
+class TestBatchedTargets:
+    """Each sweep table and the threshold pair is one batch, equal to its batches of one."""
+
+    @pytest.mark.parametrize("grid", [None, 2, 7])
+    @pytest.mark.parametrize("target", ["fig5a", "fig5b", "fig5c", "s1", "s2"])
+    def test_sweep_table_equals_its_sweeps(self, target, grid):
+        from ctcsim.cli import _SWEEP_TABLES
+
+        tables = _SWEEP_TABLES[target]
+        one_at_a_time = [r for eid, variant, mode in tables
+                         for r in discrimination_sweep(mode, variant, grid, eid)]
+        assert bitwise(discrimination_sweeps(tables, grid)) == bitwise(one_at_a_time)
+
+    def test_record_diagnostics_are_the_worst_over_its_loops(self):
+        """A local record's residual, fidelity and dimension are the worst over
+        its |H> and psi1 loops, a non-local record's those of its mixture loop."""
+        from ctcsim.cli import _SWEEP_TABLES
+
+        for r in discrimination_sweeps(_SWEEP_TABLES["s1"], 7):
+            psi0, psi1 = np.array([0.0, 0.0, 1.0]), np.array(PureQubit(r.phi, 0.0).bloch())
+            rows = [psi0, psi1] if r.prep_mode == "local_pure" else [(psi0 + psi1) / 2.0]
+            zero = np.zeros(len(rows))
+            loops = run_batch(CircuitKind.SWAP_THEN_CU, zero + r.theta_xz, zero, zero,
+                              np.array(rows))
+            assert r.fixed_point_residual == loops.residual.max()
+            assert r.consistency_fidelity == loops.consistency_fidelity.min()
+            assert r.fixed_set_dimension == loops.fixed_set_dimension.max()
+
+    def test_thresholds_equal_their_batches_of_one(self):
+        both = find_thresholds(("p", "epsilon"))
+        assert both == [find_threshold("p"), find_threshold("epsilon")]
+
+    @pytest.mark.parametrize("target", ["fig5a", "fig5b", "fig5c", "s1", "s2", "thresholds"])
+    def test_one_batch_per_sweep_target(self, target, tmp_path, monkeypatch):
+        import ctcsim.experiments as experiments
+        from ctcsim.cli import main
+
+        batches = []
+        real = experiments.run_batch
+
+        def counted(*args):
+            batches.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "run_batch", counted)
+        assert main(["reproduce", target, "--out", str(tmp_path / "t.csv")]) == 0
+        if target == "thresholds":
+            assert batches[0] == 2 * 2 * _SCAN_POINTS  # both scans, two loops a point
+            assert len(batches) <= 9
+        else:
+            assert len(batches) == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda: discrimination_sweeps([("a", "fixed-gate", "local"), ("b", "sideways", "local")]),
+        lambda: discrimination_sweeps([("a", "fixed-gate", "local"), ("b", "fixed-gate", "mixed")]),
+        lambda: discrimination_sweeps([("a", "fixed-gate", "local")], 1),
+        lambda: discrimination_sweep("both", "optimal-gate"),
+        lambda: find_thresholds(("p", "q")),
+    ])
+    def test_bad_input_rejected_before_any_solve(self, call, monkeypatch):
+        import ctcsim.experiments as experiments
+
+        def no_solve(*args):
+            raise AssertionError("solved before validating")
+
+        monkeypatch.setattr(experiments, "run_batch", no_solve)
+        with pytest.raises(ValidationError):
+            call()
+
+
+def bitwise(records):
+    """Records with every float as its hex string, so == compares bits (and -0.0)."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in r) for r in records]
+
+
 def sequential_threshold(parameter):
     """Oracle: the one-midpoint-at-a-time bisection, on batch-of-one gaps."""
     from ctcsim.experiments import (
@@ -197,15 +279,18 @@ def sequential_threshold(parameter):
         _advantage_gaps,
     )
 
+    def gaps(xs):
+        return _advantage_gaps([parameter] * len(xs), xs)
+
     xs = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    vals = _advantage_gaps(parameter, xs)
+    vals = gaps(xs)
     i = next(i for i in range(len(xs) - 1) if vals[i] > 0.0 >= vals[i + 1])
     bracket = (float(xs[i]), float(xs[i + 1]))
     lo, hi = bracket
-    flo = _advantage_gaps(parameter, [lo])[0]
+    flo = gaps([lo])[0]
     while hi - lo > _BISECT_TOL:
         mid = (lo + hi) / 2
-        fm = _advantage_gaps(parameter, [mid])[0]
+        fm = gaps([mid])[0]
         if (flo > 0) == (fm > 0):
             lo, flo = mid, fm
         else:

@@ -17,6 +17,7 @@ EXPECTED = sorted(
        "decoherence_response.svg"]
     + [f"sweep-{v}-{m}-grid50.{ext}" for v in ("optimal-gate", "fixed-state", "fixed-gate")
        for m in ("local", "nonlocal") for ext in ("csv", "svg")]
+    + [f"{t}-grid7.csv" for t in ("fig5a", "fig5b", "fig5c", "s1", "s2")]
     + [f"fixed-point-{m}.json" for m in ("eigen_max_entropy", "damped_iteration")]
     + [f"demo-{d.stem}.txt" for d in (ROOT / "demos").glob("*.py")]
 )

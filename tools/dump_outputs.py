@@ -6,7 +6,8 @@ writes every kind of file the CLI writes: the 8 `ctcsim reproduce`
 targets as CSV, each but thresholds with its `--plot` SVG, `reproduce
 thresholds` and `reproduce fig3` as JSON, the six `sweep` tables (3
 variants x 2 preparations) at `--grid 50` with their `--plot` SVGs,
-`reproduce fig6 --grid 13`, and the `fixed-point --out` JSON of one
+`reproduce fig6 --grid 13`, the five discrimination tables (fig5a-c,
+s1, s2) at `--grid 7`, and the `fixed-point --out` JSON of one
 noisy scenario under both solver methods. It adds the `ctcsim selftest`
 report as text (selftest.txt) and as `--json` (selftest.json), each with
 every elapsed time masked, and the stdout of each script in demos/
@@ -34,6 +35,7 @@ from ctcsim.cli import REPRODUCE_TARGETS, main  # noqa: E402
 VARIANTS = ("optimal-gate", "fixed-state", "fixed-gate")
 PREPS = ("local", "nonlocal")
 METHODS = ("eigen_max_entropy", "damped_iteration")
+SWEEP_TARGETS = ("fig5a", "fig5b", "fig5c", "s1", "s2")
 # Elapsed times as the selftest prints them ("0.12s").
 _ELAPSED = re.compile(r"\b\d+\.\d\ds\b")
 
@@ -48,6 +50,8 @@ def commands(out: Path) -> list[list[str]]:
               "--out", str(out / f"sweep-{v}-{m}-grid50.csv")]
              for v in VARIANTS for m in PREPS]
     cmds.append(["reproduce", "fig6", "--grid", "13", "--out", str(out / "fig6-grid13.csv")])
+    cmds += [["reproduce", t, "--grid", "7", "--out", str(out / f"{t}-grid7.csv")]
+             for t in SWEEP_TARGETS]
     cmds += [["fixed-point", "--phi", "1.1", "--phase", "0.4", "--p", "0.2", "--epsilon", "0.3",
               "--method", m, "--out", str(out / f"fixed-point-{m}.json")] for m in METHODS]
     return cmds
