@@ -102,10 +102,6 @@ def _write_json(data, path: str) -> None:
         fh.write("\n")
 
 
-def write_records_json(records: list[SweepRecord], path: str) -> None:
-    _write_json([r._asdict() for r in records], path)
-
-
 def write_thresholds_csv(results: list[ThresholdResult], path: str) -> None:
     rows = "".join(_THRESHOLD_ROW % (t.parameter, t.crossing, *t.bracket, t.achieved_tolerance)
                    for t in results)
@@ -211,7 +207,7 @@ def _emit(records: list[SweepRecord], args, default_stem: str) -> tuple[str, int
         return "", 4
     path = args.out or f"{default_stem}.{args.format}"
     if args.format == "json":
-        write_records_json(records, path)
+        _write_json([r._asdict() for r in records], path)
     else:
         write_records_csv(records, path)
     print(f"wrote {len(records)} records to {path}")

@@ -442,7 +442,7 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
     angles = sorted(set(theta.tolist()))
     transfers = [build_interaction(CircuitSpec(kind=kind, theta_xz=t)).transfer for t in angles]
     ideal = (transfers[0] if len(angles) == 1
-             else np.stack(transfers)[np.searchsorted(angles, theta)])
+             else np.array(transfers).reshape(-1, 2, 4, 4, 4)[np.searchsorted(angles, theta)])
     terms.append((1.0 - eps, ideal))
     return solve_loops(terms, loop_in * (1.0 - p)[:, None])
 

@@ -207,8 +207,6 @@ def _solve_pairs(local, phi, theta, p, epsilon):
 
 def _discrimination_records(experiment_id, local, phi, theta, p, epsilon) -> list[SweepRecord]:
     """Discrimination records at each point (arguments as for _solve_pairs)."""
-    if np.broadcast(local, phi, theta, p, epsilon).size == 0:
-        return []
     out0, out1, qm_pair, diagnostics = _solve_pairs(local, phi, theta, p, epsilon)
     # Discrimination experiments compare against standard QM with the
     # optimal measurement and full state knowledge.
@@ -259,11 +257,9 @@ def discrimination_sweeps(tables, grid_size: int | None = None) -> list[SweepRec
         np.repeat([mode == "local" for _, _, mode in tables], sizes), phi, theta, 0.0, 0.0)
 
 
-def discrimination_sweep(mode: str, variant: str, grid_size: int | None = None,
-                         experiment_id: str | None = None) -> list[SweepRecord]:
-    """One discrimination_sweeps table, under experiment_id ("<variant>-<mode>" by default)."""
-    eid = f"{variant}-{mode}" if experiment_id is None else experiment_id
-    return discrimination_sweeps([(eid, variant, mode)], grid_size)
+def discrimination_sweep(mode: str, variant: str, grid_size: int | None = None) -> list[SweepRecord]:
+    """One discrimination_sweeps table, under the experiment id "<variant>-<mode>"."""
+    return discrimination_sweeps([(f"{variant}-{mode}", variant, mode)], grid_size)
 
 
 def decoherence_surface(p_grid: list[float] | None = None,

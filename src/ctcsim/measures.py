@@ -9,16 +9,19 @@ identify-one-state-at-a-time game instead.
 
 The measures on DensityMatrix pairs (mismatch_probability,
 optimal_mismatch_probability, trace_distance) work on the matrices and
-their eigensystems. bloch_measures gives the same quantities in closed
-form on Bloch vectors; the reproduce tables and qm_baseline use it, and
-the eigen-based functions are its oracles.
+their eigensystems. The optimized measure has one stacked eigensolve,
+_eigen_optima on Bloch pairs (N, 3): optimal_mismatch_probability is its
+batch of one, and the selftest's C9 and C10 call it once each.
+bloch_measures gives the same quantities in closed form on Bloch
+vectors; the reproduce tables and qm_baseline use it, and the eigen-based
+functions are its oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -115,28 +118,36 @@ def mismatch_probability(rho1: DensityMatrix, rho2: DensityMatrix,
     return a1 * b2 + b1 * a2
 
 
-def optimal_mismatch_probability(
-    rho1: DensityMatrix, rho2: DensityMatrix
-) -> tuple[float, MeasurementDirection]:
-    """Mismatch probability maximized over measurement axes.
+def _eigen_optima(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mismatch probability maximized over measurement axes, of Bloch pairs (N, 3).
 
     (n.r1)(n.r2) is the quadratic form of the symmetric matrix
     (r1 r2^T + r2 r1^T)/2, so the maximum is (1 - lambda_min)/2 with the
-    minimizing eigenvector as axis. When either Bloch vector vanishes (norm
-    below 1e-12) the form vanishes too, every axis gives 1/2 and the z-axis
-    is returned for determinism.
+    minimizing eigenvector as axis. Returns the values clipped to [0, 1]
+    (N,) and the axes (N, 3), not normalised, from one stacked eigensolve.
+    """
+    outer = r1[:, :, None] * r2[:, None, :]
+    # Solved as complex Hermitian matrices: the real solver can flip the
+    # sign of a roundoff-sized axis component, which the CLI prints. Those
+    # signs also follow the signs of zeros, so + 0.0 makes every zero +0.0.
+    lam, vecs = np.linalg.eigh(((outer + outer.swapaxes(1, 2)) / 2.0 + 0.0).astype(complex))
+    return np.clip((1.0 - lam[:, 0]) / 2.0, 0.0, 1.0), vecs[:, :, 0].real
+
+
+def optimal_mismatch_probability(
+    rho1: DensityMatrix, rho2: DensityMatrix
+) -> tuple[float, MeasurementDirection]:
+    """Mismatch probability maximized over measurement axes: _eigen_optima
+    as a batch of one, with the axis in canonical sign.
+
+    When either Bloch vector vanishes (norm below 1e-12) the form vanishes
+    too, every axis gives 1/2 and the z-axis is returned for determinism.
     """
     r1, r2 = rho1.bloch(), rho2.bloch()
     if min(math.hypot(*r1), math.hypot(*r2)) < 1e-12:
         return 0.5, SIGMA_Z_AXIS
-    # Solved as a complex Hermitian matrix: the real solver can flip the
-    # sign of a roundoff-sized axis component, which the CLI prints. Those
-    # signs also follow the signs of zeros, so + 0.0 makes every zero +0.0.
-    form = (np.outer(r1, r2) + np.outer(r2, r1)) / 2.0 + 0.0
-    lam, vecs = np.linalg.eigh(form.astype(complex))
-    axis = vecs[:, 0].real
-    value = float((1.0 - lam[0]) / 2.0)
-    return min(max(value, 0.0), 1.0), _canonical_direction(axis / np.linalg.norm(axis))
+    values, axes = _eigen_optima(r1[None], r2[None])
+    return float(values[0]), _canonical_direction(axes[0] / np.linalg.norm(axes[0]))
 
 
 def _canonical_direction(axis: np.ndarray) -> MeasurementDirection:
@@ -180,10 +191,8 @@ _ZOOM_LEVELS = 4
 _ZOOM_CHUNK = 25
 
 
-@cache
 def _search_grid():
-    """Fibonacci sphere of _GRID_POINTS axes and each zoom level's (du, dv)
-    mesh offsets, built on first use and shared (read-only) by later searches."""
+    """Fibonacci sphere of _GRID_POINTS axes and each zoom level's (du, dv) mesh offsets."""
     idx = np.arange(_GRID_POINTS, dtype=float)
     golden = math.pi * (3.0 - math.sqrt(5.0))
     z = 1.0 - 2.0 * (idx + 0.5) / _GRID_POINTS
@@ -197,15 +206,7 @@ def _search_grid():
         du, dv = np.meshgrid(rng_grid * spread, rng_grid * spread)
         zoom.append((du.reshape(-1), dv.reshape(-1)))
         spread /= 8.0
-    for a in (axes, *(d for pair in zoom for d in pair)):
-        a.setflags(write=False)
-    return axes, tuple(zoom)
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of stacks of 3-vectors (N, 3), same arithmetic, without its per-call overhead."""
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    return axes, zoom
 
 
 def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -238,9 +239,9 @@ def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
         cand = np.empty((len(ax), zoom[0][0].size, 3))
         for du, dv in zoom:
             ref = np.where(np.abs(ax[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-            u = _cross(ax, ref)
+            u = np.cross(ax, ref)
             u /= np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
-            v = _cross(ax, u)
+            v = np.cross(ax, u)
             # Built component-major (3, P, mesh), so each elementwise loop runs
             # over a mesh, then normalized into cand (P, mesh, 3), whose rows
             # the dot products need contiguous.

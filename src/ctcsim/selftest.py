@@ -38,7 +38,7 @@ from .experiments import (
     find_thresholds,
     nonlinearity_sweep,
 )
-from .measures import grid_search_mismatches, optimal_mismatch_probability
+from .measures import _eigen_optima, grid_search_mismatches
 from .qmath import DensityMatrix, PureQubit, trace_distance, trace_distances
 
 __all__ = ["CheckResult", "SelfTestReport", "run_selftest", "CHECKS"]
@@ -239,12 +239,10 @@ def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
     # 1000 pairs of pure states psi(acos u, phase), u and the phase uniform.
     u, phase = np.moveaxis(rng.uniform([-1.0, 0.0], [1.0, 2 * math.pi], size=(1000, 2, 2)), -1, 0)
     a, b = np.moveaxis(_pure_bloch(np.arccos(u), phase), 1, 0)
-    # optimal_mismatch_probability's eigensolve, stacked. Pure states have
-    # unit Bloch vectors, so its vanishing-form branch never applies.
-    outer = a[:, :, None] * b[:, None, :]
-    lam = np.linalg.eigh(((outer + outer.swapaxes(1, 2)) / 2.0).astype(complex))[0][:, 0]
+    # Pure states have unit Bloch vectors, so optimal_mismatch_probability's
+    # vanishing-form branch never applies to these rows.
     d = trace_distances(_density_rows(a), _density_rows(b))
-    worst_si = float(np.abs(np.clip((1.0 - lam) / 2.0, 0.0, 1.0) - 0.5 * (1 + d * d)).max())
+    worst_si = float(np.abs(_eigen_optima(a, b)[0] - 0.5 * (1 + d * d)).max())
 
     m1, m2 = _mixed_pairs(rng, 1000)
     lam, v = np.linalg.eigh(m1 - m2)
@@ -321,9 +319,8 @@ def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
                     _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK)])
 
     pairs = [(DensityMatrix(m1), DensityMatrix(m2)) for m1, m2 in zip(*_mixed_pairs(rng, 200))]
-    vals = np.array([optimal_mismatch_probability(r1, r2)[0] for r1, r2 in pairs])
     r1, r2 = (np.array([pair[i].bloch() for pair in pairs]) for i in (0, 1))
-    worst_grid = np.max(np.abs(vals - grid_search_mismatches(r1, r2)))
+    worst_grid = np.max(np.abs(_eigen_optima(r1, r2)[0] - grid_search_mismatches(r1, r2)))
     ok = worst <= ctx.tol(1e-9) and worst_grid <= ctx.tol(1e-6)
     return ok, f"solver disagreement {worst:.2e}, grid-search deviation {worst_grid:.2e}"
 

@@ -13,7 +13,9 @@ from ctcsim.circuits import (
     CircuitKind,
     CircuitSpec,
     QubitChannel,
+    _transfer_tensors,
     build_interaction,
+    make_cu_xz,
 )
 from ctcsim.deutsch import (
     EIGENVALUE_ONE_TOL,
@@ -38,12 +40,17 @@ from ctcsim.deutsch import (
     swap_cnot_closed_form,
 )
 from ctcsim.qmath import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     PureQubit,
     ValidationError,
     density_from_bloch,
     fidelity,
     trace_distance,
+    trace_distances,
 )
 
 H = PureQubit(0.0, 0.0)
@@ -462,6 +469,13 @@ class TestStackedInteractionTerm:
         self.assert_bitwise_equal(monkeypatch, random_batch(rng, [-0.8], 1))
 
 
+def test_run_batch_of_no_rows():
+    batch = run_batch(CircuitKind.SWAP_THEN_CU, [], [], [], np.zeros((0, 3)))
+    assert batch.loop.shape == batch.outputs.shape == (0, 3)
+    for name in ("fixed_set_dimension", "residual", "consistency_fidelity"):
+        assert getattr(batch, name).shape == (0,), name
+
+
 class TestSolveFixedPoint:
     def test_diagonal_closed_form_over_polar_grid(self):
         """Loop state is diag(cos^2(phi/2), sin^2(phi/2)) for the nonlinear circuit."""
@@ -587,6 +601,92 @@ class TestRandomChannels:
             assert batch.consistency_fidelity[0] == pytest.approx(1.0, abs=1e-12)
             direct = evolve_output(rho_in, engine.rho_ctc, interaction)
             assert np.abs(direct.bloch() - batch.outputs[0]).max() <= 1e-12
+
+
+def haar_unitary(rng, d):
+    """Haar-random d x d unitary: the Q of a complex Gaussian, with R's diagonal phases."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def bloch_rotation(u):
+    """R with Bloch(u rho u^dag) = R Bloch(rho): R_ij = Re Tr[s_i u s_j u^dag] / 2."""
+    paulis = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
+    return np.einsum("iab,bc,jcd,ad->ij", paulis, u, paulis, u.conj()).real / 2.0
+
+
+def conjugated(u, rho):
+    return DensityMatrix(u @ rho.mat @ u.conj().T)
+
+
+class TestLocalUnitaryCovariance:
+    """Metamorphic relation: with U' = (V (x) W) U (V (x) W)^dag, V on the output
+    rail and W on the loop rail, the input V rho V^dag gives the loop state
+    W sigma W^dag, the output V rho_out V^dag and the same fixed-set dimension.
+    The relation is exact and the maximum-entropy choice is unitarily
+    invariant, so degenerate rows compare their min-norm states too."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        """(channel, rho_in, V, W) rows: random Stinespring channels, a non-unital
+        amplitude-damped gate, and degenerate rows (fixed sets of dimension 2 and 4)."""
+        rng = np.random.default_rng(20261018)
+        gamma = 0.35
+        gate = make_cu_xz(0.7) @ SWAP
+        damping = [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+                   np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])]
+        damped_gate = QubitChannel(tuple((1.0, np.kron(ID2, k) @ gate) for k in damping))
+        pairs = [(random_stinespring_channel(rng, 1 + i % 4), random_qubit_state(rng))
+                 for i in range(24)]
+        pairs += [(damped_gate, random_qubit_state(rng)) for _ in range(4)]
+        pairs.append((build_interaction(SWAP_CNOT), PureQubit(math.pi / 2, 0.0).density()))
+        pairs.append((QubitChannel(((1.0, np.eye(4)),)), random_qubit_state(rng)))
+        return [(ch, rho, haar_unitary(rng, 2), haar_unitary(rng, 2)) for ch, rho in pairs]
+
+    @staticmethod
+    def moved(channel, v, w):
+        vw = np.kron(v, w)
+        return QubitChannel(tuple((wt, vw @ op @ vw.conj().T) for wt, op in channel.kraus))
+
+    def kraus_stacks(self, rows):
+        """Kraus stacks of the rows' channels U and of their U'."""
+        return (_kraus_stack([ch for ch, _, _, _ in rows]),
+                _kraus_stack([self.moved(ch, v, w) for ch, _, v, w in rows]))
+
+    def test_engine_solves_covariantly(self, rows):
+        kraus, moved_kraus = self.kraus_stacks(rows)
+        rot_v, rot_w = (np.array([bloch_rotation(r[i]) for r in rows]) for i in (2, 3))
+        bloch_in = np.array([rho.bloch() for _, rho, _, _ in rows])
+        base = solve_loops([(1.0, _transfer_tensors(*kraus))], bloch_in)
+        moved = solve_loops([(1.0, _transfer_tensors(*moved_kraus))],
+                            np.einsum("nij,nj->ni", rot_v, bloch_in))
+        assert {2, 4} <= set(base.fixed_set_dimension.tolist())
+        np.testing.assert_array_equal(moved.fixed_set_dimension, base.fixed_set_dimension)
+        assert np.abs(moved.loop - np.einsum("nij,nj->ni", rot_w, base.loop)).max() <= 1e-12
+        assert np.abs(moved.outputs - np.einsum("nij,nj->ni", rot_v, base.outputs)).max() <= 1e-12
+
+    def test_kraus_maps_are_covariant(self, rows):
+        rng = np.random.default_rng(20261019)
+        for channel, rho_in, v, w in rows:
+            moved_channel, moved_in = self.moved(channel, v, w), conjugated(v, rho_in)
+            sigma = random_qubit_state(rng)
+            image = consistency_map(moved_in, moved_channel, conjugated(w, sigma))
+            assert trace_distance(image, conjugated(w, consistency_map(rho_in, channel, sigma))) \
+                <= 1e-12
+            out = evolve_output(moved_in, conjugated(w, sigma), moved_channel)
+            assert trace_distance(out, conjugated(v, evolve_output(rho_in, sigma, channel))) \
+                <= 1e-12
+
+    def test_damped_iteration_is_covariant(self, rows):
+        """The iteration starts at I/2, which every W leaves fixed, so it tracks
+        the conjugated iterates on degenerate rows as well."""
+        kraus, moved_kraus = self.kraus_stacks(rows)
+        rho_in = np.array([rho.mat for _, rho, _, _ in rows])
+        v, w = (np.array([r[i] for r in rows]) for i in (2, 3))
+        base = damped_iteration(rho_in, kraus)
+        moved = damped_iteration(v @ rho_in @ v.conj().swapaxes(-1, -2), moved_kraus)
+        np.testing.assert_array_equal(moved.fixed_set_dimension, base.fixed_set_dimension)
+        assert trace_distances(moved.rho, w @ base.rho @ w.conj().swapaxes(-1, -2)).max() <= 1e-12
 
 
 class TestEvolveOutput:

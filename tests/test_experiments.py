@@ -141,6 +141,7 @@ class TestDecoherenceSurface:
 
     def test_empty_grid_gives_no_records(self):
         assert decoherence_surface([], [0.0, 0.5]) == decoherence_surface([0.5], []) == []
+        assert discrimination_sweeps([]) == []
 
     def test_grid_bounds_validated(self):
         from ctcsim.qmath import ValidationError
@@ -204,8 +205,8 @@ class TestBatchedTargets:
         from ctcsim.cli import _SWEEP_TABLES
 
         tables = _SWEEP_TABLES[target]
-        one_at_a_time = [r for eid, variant, mode in tables
-                         for r in discrimination_sweep(mode, variant, grid, eid)]
+        one_at_a_time = [r._replace(experiment_id=eid) for eid, variant, mode in tables
+                         for r in discrimination_sweep(mode, variant, grid)]
         assert bitwise(discrimination_sweeps(tables, grid)) == bitwise(one_at_a_time)
 
     def test_record_diagnostics_are_the_worst_over_its_loops(self):
