@@ -75,7 +75,6 @@ from .qmath import (
     DensityMatrix,
     PureQubit,
     ValidationError,
-    bloch_from_density,
     density_from_bloch,
     fidelity,
     trace_distance,
@@ -88,8 +87,7 @@ __all__ = [
     "__version__",
     # qmath
     "DensityMatrix", "PureQubit", "ValidationError",
-    "bloch_from_density", "density_from_bloch", "fidelity", "trace_distance",
-    "von_neumann_entropy",
+    "density_from_bloch", "fidelity", "trace_distance", "von_neumann_entropy",
     # circuits
     "CNOT", "SWAP", "CircuitKind", "CircuitSpec", "QubitChannel", "build_interaction",
     "depolarize", "make_cu_xz",

@@ -139,10 +139,6 @@ class NonLocalEnsemble:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "probs", probs)
 
-    def mixture(self) -> DensityMatrix:
-        m = sum(p * s.density().mat for p, s in zip(self.probs, self.states))
-        return DensityMatrix(m)
-
 
 PreparationMode = LocalPure | ImproperMixed | NonLocalEnsemble
 
@@ -171,14 +167,18 @@ class FixedPointResult:
     the consistency map; values above 1 mean the returned state is the
     entropy maximizer (the min-norm Bloch vector) over a continuum of
     solutions. iterations counts damped-iteration steps (0 for the
-    closed-form solve).
+    closed-form solve). entropy, the loop state's von Neumann entropy in
+    bits, is computed when read.
     """
 
     rho_ctc: DensityMatrix
     residual: float
     iterations: int
     fixed_set_dimension: int
-    entropy: float
+
+    @property
+    def entropy(self) -> float:
+        return von_neumann_entropy(self.rho_ctc)
 
 
 @dataclass(frozen=True)
@@ -427,14 +427,13 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
     solve_loops, before depolarization (a 1 - p shrink). Gate failure is
     linear in eps, so each row mixes the eps = 0 channel of its angle with
     the eps = 1 channel (SWAP only), built once per distinct angle and
-    stacked per row unless the batch has one angle.
+    stacked per row unless the batch has one angle. Each distinct angle
+    passes CircuitSpec's checks, so a NaN or inf angle raises there.
     """
     theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
     for name, v in (("gate_noise", eps), ("input_noise", p)):
         if not ((0.0 <= v) & (v <= 1.0)).all():
             raise ValidationError(f"{name} outside [0, 1]")
-    if not np.isfinite(theta).all():
-        raise ValidationError("non-finite gate angle")
     terms = []
     if eps.any():
         swap_only = build_interaction(CircuitSpec(kind=kind, gate_noise=1.0))
@@ -449,7 +448,7 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
 
 def _fixed_point_result(rho: DensityMatrix, residual, iterations, dimension) -> FixedPointResult:
     return FixedPointResult(rho_ctc=rho, residual=float(residual), iterations=int(iterations),
-                            fixed_set_dimension=int(dimension), entropy=von_neumann_entropy(rho))
+                            fixed_set_dimension=int(dimension))
 
 
 def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,

@@ -54,8 +54,8 @@ __all__ = [
 class MeasurementDirection:
     """Projective measurement along a unit Bloch axis; "+" projector (I + n.sigma)/2.
 
-    `axis` is stored as a read-only (3,) float array; the projector pair is
-    built on the first projectors() call and kept, read-only, for later ones.
+    `axis` is stored as a read-only (3,) float array; `projectors`, the
+    read-only pair (P+, P-), is built once per direction, when first read.
     """
 
     axis: np.ndarray
@@ -68,17 +68,14 @@ class MeasurementDirection:
         object.__setattr__(self, "axis", axis)
 
     @cached_property
-    def _projector_pair(self) -> tuple[np.ndarray, np.ndarray]:
+    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P+, P-) as read-only 2x2 arrays, the same pair on every read."""
         x, y, z = self.axis
         n_sigma = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
         pair = (ID2 + n_sigma) / 2.0, (ID2 - n_sigma) / 2.0
         for proj in pair:
             proj.setflags(write=False)
         return pair
-
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P+, P-) as read-only 2x2 arrays, the same pair on every call."""
-        return self._projector_pair
 
 
 SIGMA_Z_AXIS = MeasurementDirection(np.array([0.0, 0.0, 1.0]))
@@ -90,7 +87,6 @@ class DistinguishabilityReport:
 
     L_sigma_z: float
     L_optimal: float
-    optimal_axis: MeasurementDirection
     trace_dist: float
     p_succ_optimal: float
 
@@ -110,7 +106,7 @@ def mismatch_probability(rho1: DensityMatrix, rho2: DensityMatrix,
     <+|rho1|+><-|rho2|-> + <-|rho1|-><+|rho2|+>, which in Bloch form is
     (1 - (n.r1)(n.r2))/2.
     """
-    p_plus, p_minus = direction.projectors()
+    p_plus, p_minus = direction.projectors
     a1 = float(np.trace(p_plus @ rho1.mat).real)
     a2 = float(np.trace(p_plus @ rho2.mat).real)
     b1 = float(np.trace(p_minus @ rho1.mat).real)
@@ -265,9 +261,6 @@ def qm_baseline(phi: float, p: float = 0.0) -> DistinguishabilityReport:
     it does not depend on how the states were prepared. Depolarization
     shrinks the Bloch vectors to (1 - p) z and (1 - p) r(phi); the measures
     are bloch_measures' closed forms on them, as in the reproduce tables.
-    The shrink is isotropic, so the optimal axis is the noise-free one,
-    along z - r(phi), i.e. (-cos(phi/2), 0, sin(phi/2)), in canonical sign
-    (the x-axis at phi = 0); at p = 1 every axis gives 1/2 and it is z.
     The eigen-based measures on the depolarized matrices are the oracles.
     """
     if not 0.0 <= p <= 1.0:
@@ -275,13 +268,9 @@ def qm_baseline(phi: float, p: float = 0.0) -> DistinguishabilityReport:
     psi1 = PureQubit(phi, 0.0)
     shrink = 1.0 - p
     l_z, l_opt, d, p_succ = bloch_measures(np.array([0.0, 0.0, shrink]), shrink * psi1.bloch())
-    half = psi1.polar / 2.0
-    axis = (SIGMA_Z_AXIS if p == 1.0
-            else _canonical_direction(np.array([-math.cos(half), 0.0, math.sin(half)])))
     return DistinguishabilityReport(
         L_sigma_z=float(l_z),
         L_optimal=float(l_opt),
-        optimal_axis=axis,
         trace_dist=float(d),
         p_succ_optimal=float(p_succ),
     )

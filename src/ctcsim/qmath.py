@@ -42,7 +42,6 @@ __all__ = [
     "trace_distances",
     "fidelity",
     "von_neumann_entropy",
-    "bloch_from_density",
     "density_from_bloch",
 ]
 
@@ -165,7 +164,9 @@ class DensityMatrix:
         return cls(ID2 / 2)
 
     def bloch(self) -> np.ndarray:
-        return bloch_from_density(self)
+        """Bloch vector (x, y, z) with rho = (I + v . sigma)/2, as a (3,) array."""
+        m = self.mat
+        return np.array([2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
 
     def __repr__(self) -> str:
         return f"DensityMatrix({self.mat.tolist()})"
@@ -182,8 +183,7 @@ def _partial_trace_raw(mat4: np.ndarray, keep: int) -> np.ndarray:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the sum of |eigenvalues| of (a - b); 0 iff equal, 1 iff orthogonal."""
-    lo, hi = _eig_ranges_2x2(a.mat - b.mat)
-    return float(abs(lo) + abs(hi)) / 2.0
+    return float(trace_distances(a.mat, b.mat))
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,12 +208,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     lam = np.array(_eig_ranges_2x2(rho.mat))
     lam = lam[lam > 1e-15]
     return float(-(lam * np.log2(lam)).sum()) + 0.0
-
-
-def bloch_from_density(rho: DensityMatrix) -> np.ndarray:
-    """Bloch vector (x, y, z) with rho = (I + v . sigma)/2, as a (3,) array."""
-    m = rho.mat
-    return np.array([2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
 
 
 def density_from_bloch(v: np.ndarray) -> DensityMatrix:

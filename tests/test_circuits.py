@@ -21,7 +21,6 @@ from ctcsim.qmath import (
     DensityMatrix,
     PureQubit,
     ValidationError,
-    bloch_from_density,
 )
 
 HH = np.array([1, 0, 0, 0], dtype=complex)
@@ -104,8 +103,8 @@ class TestDepolarize:
             m = g @ g.conj().T
             rho = DensityMatrix(m / m.trace().real)
             p = rng.uniform(0, 1)
-            before = bloch_from_density(rho)
-            after = bloch_from_density(depolarize(rho, p))
+            before = rho.bloch()
+            after = depolarize(rho, p).bloch()
             np.testing.assert_allclose(after, (1 - p) * before, atol=1e-12)
 
     def test_out_of_range_rejected(self):

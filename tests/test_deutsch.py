@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ctcsim.cli as cli
 import ctcsim.deutsch as deutsch
 import ctcsim.experiments as experiments
 import ctcsim.selftest as selftest
@@ -17,6 +18,7 @@ from ctcsim.circuits import (
     build_interaction,
     make_cu_xz,
 )
+from ctcsim.measures import bloch_measures
 from ctcsim.deutsch import (
     EIGENVALUE_ONE_TOL,
     ConvergenceError,
@@ -41,6 +43,7 @@ from ctcsim.deutsch import (
 )
 from ctcsim.qmath import (
     ID2,
+    LOOP_RAIL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -67,6 +70,11 @@ def random_qubit_state(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace().real)
+
+
+def ensemble_mixture(ensemble):
+    """The unconditioned mixture sum_i p_i |psi_i><psi_i| of a NonLocalEnsemble."""
+    return DensityMatrix(sum(p * s.density().mat for p, s in zip(ensemble.probs, ensemble.states)))
 
 
 def diag_population_after_passes(a, n):
@@ -577,6 +585,57 @@ def random_stinespring_channel(rng, k):
     return QubitChannel(tuple((1.0 / k, math.sqrt(k) * v[4 * j:4 * j + 4]) for j in range(k)))
 
 
+def gap_singular_values(terms, loop_in):
+    """Second-smallest singular value of M - I per row, with M built as solve_loops
+    builds it. The smallest is 0 up to roundoff on every row (M's trace row is
+    (1, 0, 0, 0)), so this one decides between fixed-set dimensions 1 and 2."""
+    m = deutsch._mix(terms, LOOP_RAIL, "...kmv,...m->...kv", deutsch._homogeneous(loop_in))
+    return np.linalg.svd(m - np.eye(4), compute_uv=False)[:, 2]
+
+
+class TestNearDegenerateBand:
+    """The swap-cu gate at theta = -pi/2 + delta with input |H>: the fixed point is
+    unique for every delta > 0, but the gap sigma ~ sqrt(2) delta^2 falls below
+    EIGENVALUE_ONE_TOL for small delta, and the engine then reports dimension 2
+    and the max-entropy state. These tests pin where the tolerance puts rows."""
+
+    PAIR = np.array([[0.0, 0.0, 1.0], PureQubit(3 * math.pi / 2, 0.0).bloch()])
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
+    def test_gap_is_sqrt2_delta_squared(self, delta):
+        interaction = build_interaction(cu_circuit(-math.pi / 2 + delta))
+        sigma = gap_singular_values([(1.0, interaction.transfer)], self.PAIR[:1])[0]
+        assert sigma == pytest.approx(math.sqrt(2) * delta ** 2, rel=1e-2)
+
+    @pytest.mark.parametrize("delta, dimension, distance", [
+        (1e-7, 2, 0.5), (1e-5, 2, 0.5), (3e-5, 1, 0.707096164), (1e-4, 1, 0.707071425),
+    ])
+    def test_dimension_switch_and_trace_distance(self, delta, dimension, distance):
+        batch = run_batch(CircuitKind.SWAP_THEN_CU, [-math.pi / 2 + delta] * 2, [0.0, 0.0],
+                          [0.0, 0.0], self.PAIR)
+        assert batch.fixed_set_dimension.tolist() == [dimension, 1]
+        out = batch.outputs
+        assert np.linalg.norm(out[0] - out[1]) / 2 == pytest.approx(distance, abs=1e-6)
+
+    @pytest.mark.parametrize("target", cli.REPRODUCE_TARGETS)
+    def test_reproduce_rows_stay_clear_of_the_band(self, monkeypatch, tmp_path, target):
+        """Every row of a bundled table is clearly degenerate (sigma <= 1e-20; the
+        largest such value is 4.1e-32) or clearly not (sigma >= 1e-3; the smallest
+        is 3.4e-3, in fig5c, s1 and s2), so no tolerance decides a published row."""
+        sigmas = []
+        real = deutsch.solve_loops
+
+        def spy(terms, loop_in):
+            sigmas.append(gap_singular_values(terms, loop_in))
+            return real(terms, loop_in)
+
+        monkeypatch.setattr(deutsch, "solve_loops", spy)
+        assert cli.main(["reproduce", target, "--out", str(tmp_path / "out")]) == 0
+        sigma = np.concatenate(sigmas)
+        assert sigma.size
+        assert sigma[(sigma > 1e-20) & (sigma < 1e-3)].tolist() == []
+
+
 class TestRandomChannels:
     """Arbitrary two-qubit interaction channels: the engine and the Kraus-form
     oracles agree on seeded random CPTP maps, not just the paper's circuits."""
@@ -689,6 +748,63 @@ class TestLocalUnitaryCovariance:
         assert trace_distances(moved.rho, w @ base.rho @ w.conj().swapaxes(-1, -2)).max() <= 1e-12
 
 
+def weyl_gate(c1, c2, c3):
+    """exp(i(c1 XX + c2 YY + c3 ZZ)): the three factors commute, and each
+    exp(i c PP) is cos c I + i sin c PP."""
+    out = np.eye(4, dtype=complex)
+    for c, pauli in ((c1, SIGMA_X), (c2, SIGMA_Y), (c3, SIGMA_Z)):
+        out = out @ (math.cos(c) * np.eye(4) + 1j * math.sin(c) * np.kron(pauli, pauli))
+    return out
+
+
+class TestLocalUnitaryReduction:
+    """For U = (A (x) B) K (C (x) D), A and B after the core K, C on the input and
+    D on the loop rail before it, the outputs are A f(K, C rho C^dag, DB) A^dag.
+    So D and L_optimal of an output pair do not depend on A, and depend on B and
+    D only through the product DB."""
+
+    TRIALS = 40
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        """(D, L_optimal, fixed-set dimensions) per trial for the pair {|H>,
+        psi(phi, phase)} under U, under U with A -> A' and (B, D) -> (B', D B B'^dag),
+        and under U with D alone replaced; K alternates between the paper's gate
+        and a Weyl-chamber gate."""
+        rng = np.random.default_rng(20261020)
+        channels, loop_in = [], []
+        for i in range(self.TRIALS):
+            if i % 2:
+                core = make_cu_xz(rng.uniform(-math.pi / 2, math.pi / 2)) @ SWAP
+            else:
+                c1 = rng.uniform(0.0, math.pi / 4)
+                c2 = rng.uniform(0.0, c1)
+                core = weyl_gate(c1, c2, rng.uniform(-c2, c2))
+            a, b, c, d, a2, b2, d2 = (haar_unitary(rng, 2) for _ in range(7))
+            psi = PureQubit(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)).bloch()
+            for u in (np.kron(a, b) @ core @ np.kron(c, d),
+                      np.kron(a2, b2) @ core @ np.kron(c, d @ b @ b2.conj().T),
+                      np.kron(a, b) @ core @ np.kron(c, d2)):
+                channels += [QubitChannel(((1.0, u),))] * 2
+                loop_in += [[0.0, 0.0, 1.0], psi]
+        batch = solve_loops([(1.0, _transfer_tensors(*_kraus_stack(channels)))],
+                            np.array(loop_in))
+        out = batch.outputs.reshape(self.TRIALS, 3, 2, 3)
+        _, l_opt, dist, _ = bloch_measures(out[:, :, 0], out[:, :, 1])
+        return dist, l_opt, batch.fixed_set_dimension.reshape(self.TRIALS, 3, 2)
+
+    def test_outputs_depend_on_the_frames_only_through_db(self, measured):
+        dist, l_opt, dims = measured
+        assert np.abs(dist[:, 1] - dist[:, 0]).max() <= 1e-12
+        assert np.abs(l_opt[:, 1] - l_opt[:, 0]).max() <= 1e-12
+        np.testing.assert_array_equal(dims[:, 1], dims[:, 0])
+
+    def test_changing_db_moves_them(self, measured):
+        dist, l_opt, _ = measured
+        assert np.abs(dist[:, 2] - dist[:, 0]).max() > 1e-2
+        assert np.abs(l_opt[:, 2] - l_opt[:, 0]).max() > 1e-2
+
+
 class TestEvolveOutput:
     def test_nonlinear_closed_form_on_population_grid(self):
         interaction = build_interaction(SWAP_CNOT)
@@ -740,7 +856,7 @@ class TestRunScenario:
         # Trace the ancilla (the first factor, the rows of `amps`) out.
         amps = resource_state_vector(H, psi1).reshape(2, 2)
         reduced = DensityMatrix(amps.T @ amps.conj())
-        assert trace_distance(ensemble.mixture(), reduced) <= 1e-14
+        assert trace_distance(ensemble_mixture(ensemble), reduced) <= 1e-14
 
     def test_consistency_fidelity_is_one(self):
         rng = np.random.default_rng(89)
@@ -774,7 +890,7 @@ class TestRunScenario:
             spec = (SWAP_CNOT if i % 4 == 0 else
                     cu_circuit(rng.uniform(-1.5, 1.5), eps=rng.uniform(0, 1), p=rng.uniform(0, 1)))
             got = run_scenario(spec, ensemble, method=method)
-            want = run_scenario(spec, ImproperMixed(ensemble.mixture()), method=method)
+            want = run_scenario(spec, ImproperMixed(ensemble_mixture(ensemble)), method=method)
             assert len(got.rho_out_per_input) == k and len(want.rho_out_per_input) == 1
             for out in got.rho_out_per_input:
                 assert trace_distance(out, want.rho_out_per_input[0]) <= 1e-12

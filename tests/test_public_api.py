@@ -1,9 +1,11 @@
-"""Public surface: every name a module exports in __all__ resolves, and so does
-every ctcsim name the benchmark harness in perfbench/ uses."""
+"""Public surface: every name a module exports in __all__ resolves, every
+package export has a reader outside the tests, and every ctcsim name the
+benchmark harness in perfbench/ uses resolves."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,52 @@ def test_package_exports_come_from_the_modules():
                        for m in modules), name
 
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# Package exports whose only readers are tests, each with the reason it stays.
+TEST_ONLY_EXPORTS = {
+    # The matrix-form depolarizing channel: the oracle that the engine's Bloch
+    # (1 - p) shrink is checked against.
+    "depolarize": "oracle",
+}
+
+
+def src_reads():
+    """Names that src/ctcsim reads as code (a Name or an attribute loaded),
+    outside the module-level statement that defines them. Import lines and __all__ entries
+    hold no Name nodes, so they never count."""
+    read = set()
+    for path in sorted((ROOT / "src" / "ctcsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spans = {}
+        for node in tree.body:
+            names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else
+                     [t.id for t in node.targets if isinstance(t, ast.Name)]
+                     if isinstance(node, ast.Assign) else [])
+            for name in names:
+                spans.setdefault(name, []).append((node.lineno, node.end_lineno))
+        for node in ast.walk(tree):
+            name = (None if not isinstance(getattr(node, "ctx", None), ast.Load) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name and not any(lo <= node.lineno <= hi for lo, hi in spans.get(name, ())):
+                read.add(name)
+    return read
+
+
+def test_every_export_has_a_non_test_reader():
+    """A package export that only tests read is either deleted or listed, with
+    its reason, in TEST_ONLY_EXPORTS. Demos, tools, the benchmark and the README
+    count as readers by word match."""
+    docs = [ROOT / "README.md"] + [path for folder in ("demos", "tools", "perfbench")
+                                   for path in sorted((ROOT / folder).glob("*.py"))]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in docs)
+    read = src_reads()
+    unread = [name for name in ctcsim.__all__
+              if name != "__version__" and name not in read
+              and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert sorted(unread) == sorted(TEST_ONLY_EXPORTS)
 
 
 def perfbench_imports(tree):

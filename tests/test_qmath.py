@@ -17,7 +17,6 @@ from ctcsim.qmath import (
     PureQubit,
     ValidationError,
     _partial_trace_raw,
-    bloch_from_density,
     density_from_bloch,
     fidelity,
     trace_distance,
@@ -210,13 +209,13 @@ class TestEntropy:
 
 class TestBlochConversions:
     def test_basis_state_convention(self):
-        b = bloch_from_density(H)
+        b = H.bloch()
         assert b.shape == (3,)
         assert tuple(b) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
         np.testing.assert_allclose(density_from_bloch(np.array([0.0, 0.0, 1.0])).mat, H.mat)
 
     def test_maximally_mixed_is_origin(self):
-        assert tuple(bloch_from_density(HALF)) == (0.0, 0.0, 0.0)
+        assert tuple(HALF.bloch()) == (0.0, 0.0, 0.0)
 
     def test_equatorial_state(self):
         """polar 3pi/2 with zero phase sits at Bloch (-1, 0, 0)."""
@@ -230,7 +229,7 @@ class TestBlochConversions:
         rng = np.random.default_rng(53)
         for _ in range(200):
             rho = random_qubit_state(rng)
-            back = density_from_bloch(bloch_from_density(rho))
+            back = density_from_bloch(rho.bloch())
             assert np.abs(back.mat - rho.mat).max() <= 1e-12
 
     def test_norm_above_one_rejected(self):
