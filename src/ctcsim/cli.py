@@ -113,13 +113,18 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _signed(v: float, digits: int = 6) -> str:
+    """v with an explicit sign to `digits` decimals; a value that rounds to
+    zero prints as +0, whatever the sign roundoff gave it."""
+    return f"{round(float(v), digits) + 0.0:+.{digits}f}"
+
+
 def _print_state(label: str, dm) -> None:
     m = dm.mat
     print(f"{label}:")
     for row in m:
-        print("   [" + "  ".join(f"{v.real:+.6f}{v.imag:+.6f}j" for v in row) + "]")
-    x, y, z = dm.bloch()
-    print(f"   Bloch: ({x:+.6f}, {y:+.6f}, {z:+.6f})")
+        print("   [" + "  ".join(f"{_signed(v.real)}{_signed(v.imag)}j" for v in row) + "]")
+    print("   Bloch: (" + ", ".join(_signed(c) for c in dm.bloch()) + ")")
 
 
 def _build_spec(args) -> CircuitSpec:
@@ -191,8 +196,7 @@ def cmd_discriminate(args) -> int:
     l_opt, axis = optimal_mismatch_probability(o0, o1)
     qm = qm_baseline(phi, args.p)
     print(f"L(sigma_z)  = {l_z:.12f}")
-    x, y, z = axis.axis
-    print(f"L(optimal)  = {l_opt:.12f}  axis ({x:+.4f}, {y:+.4f}, {z:+.4f})")
+    print(f"L(optimal)  = {l_opt:.12f}  axis (" + ", ".join(_signed(c, 4) for c in axis.axis) + ")")
     print(f"D           = {trace_distance(o0, o1):.12f}")
     print(f"p_succ      = {helstrom_success_probability(o0, o1):.12f}")
     print(f"QM baseline: L = {qm.L_optimal:.12f}, D = {qm.trace_dist:.12f}, p_succ = {qm.p_succ_optimal:.12f}")

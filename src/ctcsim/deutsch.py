@@ -14,9 +14,12 @@ The engine works in Bloch coordinates on the channels' Pauli-transfer
 tensors and solves whole batches at once (solve_loops, run_batch): for a
 fixed input the consistency map is affine on the loop's Bloch vector,
 r -> A r + b, and Deutsch's maximum-entropy fixed point is the
-minimum-norm solution of (I - A) r = b. Where the fixed set has more than
-one state its dimension is reported, never hidden. Density matrices are
-built only at the API boundary (solve_fixed_point, run_scenario). A
+minimum-norm solution of (I - A) r = b. A CPTP map keeps the Bloch ball,
+so ||A||_2 <= 1 and a row with |det(I - A)| above a screen is provably
+unique, with dimension 1 as the SVD would count: one batched 3x3 solve
+serves those rows, the SVD the rest. Where the fixed set has more than one
+state its dimension is reported, never hidden. Density matrices are built
+only at the API boundary (solve_fixed_point, run_scenario). A
 solve_loops term is a (weight, transfer) pair covering every row: one
 channel's tensors (QubitChannel.transfer) shared by all rows, or a stack
 with one channel per row (circuits._transfer_tensors, or run_batch's
@@ -87,6 +90,11 @@ RESIDUAL_TOL = 1e-10
 # Tolerance for counting a singular value of (consistency map - I) as zero:
 # detects true degeneracies reliably at dim-4 scale.
 EIGENVALUE_ONE_TOL = 1e-9
+# solve_loops' screen tau on |det(I - A)|. A CPTP map keeps the Bloch ball,
+# so |A r| = |(A r + b) - (-A r + b)|/2 <= 1 for unit r: the singular values
+# of I - A are at most 2, and |det(I - A)| > tau gives sigma_min > tau/4 >>
+# EIGENVALUE_ONE_TOL. Appending b only raises them (interlacing): dimension 1.
+_UNIQUE_DET = 1e-6
 # Largest Bloch norm a valid state may have: (1 - |r|)/2 >= -PSD_TOL.
 BALL_TOL = 1.0 + 2.0 * PSD_TOL
 # damped_iteration's stopping step (trace distance between successive
@@ -385,24 +393,38 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     min-norm solution pinv(I - A) b of (I - A) r = b; with P the projector
     onto null(M - I) it is (1, r) = P e0 / (e0 . P e0).
 
+    A keeps the Bloch ball, so ||A||_2 <= 1 and a row with |det(I - A)| >
+    1e-6 has sigma_min(I - A) > 2.5e-7: its unique r = (I - A)^-1 b comes
+    from one batched 3x3 solve, with dimension 1, as the SVD would count
+    (interlacing). Only the other rows, degenerate or near it, take the SVD.
+
     terms: (weight, transfer) pairs (see _mix); loop_in (N, 3): the
     state the loop adapts to, which is also the input sent through the
     output rail. A row with residual above RESIDUAL_TOL raises
     ConvergenceError, a state outside the Bloch ball ValidationError; a
-    NaN fails both checks.
+    NaN fails both checks. Zero rows give an empty LoopBatch.
     """
     m = _mix(terms, LOOP_RAIL, "...kmv,...m->...kv", _homogeneous(loop_in))
     if not np.isfinite(m).all():
         raise ValidationError("non-finite loop input or interaction")
-    _, sing, vt = np.linalg.svd(m - _EYE4)
-    null = sing < EIGENVALUE_ONE_TOL
-    dims = null.sum(axis=1)
-    # Null-space rows of vt; e0 . P e0 = sum of their squared first entries.
-    lead = np.where(null, vt[:, :, 0], 0.0)
-    norm0 = _dot(lead, vt[:, :, 0])
-    if not (norm0 > 0.0).all():
-        raise ValidationError("consistency map has no unit-trace fixed state (non-CPTP interaction)")
-    r = np.einsum("nj,nji->ni", lead, vt[:, :, 1:]) / norm0[:, None]
+    i_minus_a = _EYE4[1:, 1:] - m[:, 1:, 1:]
+    unique = np.abs(np.linalg.det(i_minus_a)) > _UNIQUE_DET
+    # Rows that fail the screen solve I r = b here; the SVD overwrites them.
+    r = np.linalg.solve(np.where(unique[:, None, None], i_minus_a, _EYE4[1:, 1:]),
+                        m[:, 1:, :1])[:, :, 0]
+    dims = np.ones(len(m), dtype=int)
+    svd_rows = np.flatnonzero(~unique)
+    if svd_rows.size:
+        _, sing, vt = np.linalg.svd(m[svd_rows] - _EYE4)
+        null = sing < EIGENVALUE_ONE_TOL
+        dims[svd_rows] = null.sum(axis=1)
+        # Null-space rows of vt; e0 . P e0 = sum of their squared first entries.
+        lead = np.where(null, vt[:, :, 0], 0.0)
+        norm0 = _dot(lead, vt[:, :, 0])
+        if not (norm0 > 0.0).all():
+            raise ValidationError(
+                "consistency map has no unit-trace fixed state (non-CPTP interaction)")
+        r[svd_rows] = np.einsum("nj,nji->ni", lead, vt[:, :, 1:]) / norm0[:, None]
     # Round the few-ulp excess of a pure fixed state back onto the sphere.
     r = r / np.maximum(_require_in_ball(r, "loop state"), 1.0)[:, None]
 

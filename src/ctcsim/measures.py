@@ -138,12 +138,22 @@ def optimal_mismatch_probability(
 
     When either Bloch vector vanishes (norm below 1e-12) the form vanishes
     too, every axis gives 1/2 and the z-axis is returned for determinism.
+    When both point the same way u (|r1/|r1| - r2/|r2|| <= 1e-9), every axis
+    perpendicular to u is optimal; the one returned is z x u, or x when
+    |z x u| <= 1e-9, and the value is still the eigensolve's.
     """
     r1, r2 = rho1.bloch(), rho2.bloch()
-    if min(math.hypot(*r1), math.hypot(*r2)) < 1e-12:
+    n1, n2 = math.hypot(*r1), math.hypot(*r2)
+    if min(n1, n2) < 1e-12:
         return 0.5, SIGMA_Z_AXIS
     values, axes = _eigen_optima(r1[None], r2[None])
-    return float(values[0]), _canonical_direction(axes[0] / np.linalg.norm(axes[0]))
+    axis = axes[0]
+    if math.hypot(*(r1 / n1 - r2 / n2)) <= 1e-9:
+        u = r1 / n1 + r2 / n2
+        axis = np.array([-u[1], u[0], 0.0])
+        if math.hypot(*axis) <= 1e-9 * math.hypot(*u):
+            axis = np.array([1.0, 0.0, 0.0])
+    return float(values[0]), _canonical_direction(axis / np.linalg.norm(axis))
 
 
 def _canonical_direction(axis: np.ndarray) -> MeasurementDirection:

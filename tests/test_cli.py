@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -23,9 +24,11 @@ from ctcsim.cli import (
     write_thresholds_csv,
 )
 from ctcsim.circuits import CircuitKind, CircuitSpec
-from ctcsim.deutsch import LocalPure, run_scenario
+from ctcsim.deutsch import LocalPure, NonLocalEnsemble, run_scenario
 from ctcsim.experiments import SweepRecord, ThresholdResult, discrimination_sweep
+from ctcsim.measures import mismatch_probability, optimal_mismatch_probability
 from ctcsim.qmath import DensityMatrix, PureQubit
+from test_cli_golden import CASES, render_case
 
 
 class TestFixedPointCommand:
@@ -95,8 +98,8 @@ class TestFixedPointCommand:
         assert capsys.readouterr().out == (
             "rho:\n"
             "   [+1.000000+0.000000j  +0.000000+0.000000j]\n"
-            "   [+0.000000+0.000000j  -0.000000+0.000000j]\n"
-            "   Bloch: (+0.000000, -0.000000, +1.000000)\n"
+            "   [+0.000000+0.000000j  +0.000000+0.000000j]\n"
+            "   Bloch: (+0.000000, +0.000000, +1.000000)\n"
         )
 
     def test_nonconvergence_exits_3(self, capsys, monkeypatch):
@@ -130,10 +133,45 @@ class TestDiscriminateCommand:
         assert main(["discriminate", "--phi", str(7 - 2 * math.pi)]) == 0
 
     def test_optimal_axis_signs_of_the_readme_example(self, capsys):
-        """The optimal axis's roundoff-sized components keep their printed signs."""
+        """The optimal axis's roundoff-sized components print as +0.0000."""
         assert main(["discriminate", "--phi", "4.712", "--p", "0.2"]) == 0
-        assert ("L(optimal)  = 0.722279837739  axis (-0.0000, -0.0000, +1.0000)"
+        assert ("L(optimal)  = 0.722279837739  axis (+0.0000, +0.0000, +1.0000)"
                 in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("phi", ["0", "1.5707963267948966", "5.5"])
+    def test_nonlocal_prints_the_documented_axis(self, capsys, phi):
+        """Both nonlocal outputs are one state r, so every axis perpendicular to r
+        is optimal; the printed one is z x r/|r| (x when r is along z), in
+        canonical sign, and attains L(optimal)."""
+        argv = ["discriminate", "--prep", "nonlocal", "--phi", phi, "--epsilon", "0.3"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        psi1 = PureQubit(float(phi), 0.0)
+        spec = CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=(psi1.polar - math.pi) / 2,
+                           gate_noise=0.3)
+        o0, o1 = run_scenario(spec, NonLocalEnsemble((PureQubit(0.0, 0.0), psi1),
+                                                      (0.5, 0.5))).rho_out_per_input
+        r = o0.bloch()
+        assert np.linalg.norm(r) > 0.1
+        axis = np.cross([0.0, 0.0, 1.0], r / np.linalg.norm(r))
+        if np.linalg.norm(axis) <= 1e-9:
+            axis = np.array([1.0, 0.0, 0.0])
+        axis /= np.linalg.norm(axis)
+        axis *= np.sign(axis[np.abs(axis) > 1e-9][0])
+        value, direction = optimal_mismatch_probability(o0, o1)
+        assert np.abs(direction.axis - axis).max() <= 1e-15
+        assert abs(axis @ r) <= 1e-12
+        assert abs(mismatch_probability(o0, o1, direction) - value) <= 1e-12
+        x, y, z = axis + 0.0
+        assert f"L(optimal)  = {value:.12f}  axis ({x:+.4f}, {y:+.4f}, {z:+.4f})" in out
+
+
+def test_golden_matrix_prints_no_negative_zero():
+    """Every printed number that rounds to zero carries a + sign: matrix
+    entries, Bloch vectors and the optimal axis alike."""
+    text = "".join(render_case(argv) for argv in CASES)
+    assert "Bloch: (" in text and "axis (" in text
+    assert re.findall(r"-0\.0+(?![0-9])", text) == []
 
     def test_nonlocal_coin_flip(self, capsys):
         rc = main(["discriminate", "--phi", str(3 * math.pi / 2), "--prep", "nonlocal"])

@@ -1,6 +1,7 @@
 """Fixed-point engine: consistency map, solvers, scenarios, closed-form oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -585,12 +586,16 @@ def random_stinespring_channel(rng, k):
     return QubitChannel(tuple((1.0 / k, math.sqrt(k) * v[4 * j:4 * j + 4]) for j in range(k)))
 
 
+def loop_maps(terms, loop_in):
+    """Each row's M = [[1, 0], [b, A]], (N, 4, 4), built as solve_loops builds it."""
+    return deutsch._mix(terms, LOOP_RAIL, "...kmv,...m->...kv", deutsch._homogeneous(loop_in))
+
+
 def gap_singular_values(terms, loop_in):
     """Second-smallest singular value of M - I per row, with M built as solve_loops
     builds it. The smallest is 0 up to roundoff on every row (M's trace row is
     (1, 0, 0, 0)), so this one decides between fixed-set dimensions 1 and 2."""
-    m = deutsch._mix(terms, LOOP_RAIL, "...kmv,...m->...kv", deutsch._homogeneous(loop_in))
-    return np.linalg.svd(m - np.eye(4), compute_uv=False)[:, 2]
+    return np.linalg.svd(loop_maps(terms, loop_in) - np.eye(4), compute_uv=False)[:, 2]
 
 
 class TestNearDegenerateBand:
@@ -634,6 +639,128 @@ class TestNearDegenerateBand:
         sigma = np.concatenate(sigmas)
         assert sigma.size
         assert sigma[(sigma > 1e-20) & (sigma < 1e-3)].tolist() == []
+
+
+def svd_min_norm(terms, loop_in):
+    """Oracle: the null-space min-norm solve, on every row, as solve_loops ran it
+    before the uniqueness screen. Returns the loop states (N, 3) and the fixed-set
+    dimensions (N,)."""
+    _, sing, vt = np.linalg.svd(loop_maps(terms, loop_in) - np.eye(4))
+    null = sing < EIGENVALUE_ONE_TOL
+    lead = np.where(null, vt[:, :, 0], 0.0)
+    norm0 = np.einsum("...i,...i->...", lead, vt[:, :, 0])
+    r = np.einsum("nj,nji->ni", lead, vt[:, :, 1:]) / norm0[:, None]
+    norm = np.sqrt(np.einsum("...i,...i->...", r, r))
+    return r / np.maximum(norm, 1.0)[:, None], null.sum(axis=1)
+
+
+def screen_determinants(terms, loop_in):
+    """|det(I - A)| per row, the quantity solve_loops screens on."""
+    return np.abs(np.linalg.det(np.eye(3) - loop_maps(terms, loop_in)[:, 1:, 1:]))
+
+
+def exact_solve(a, b):
+    """The solution of a x = b for a 3x3 float matrix, by Cramer's rule in exact
+    rational arithmetic, rounded once to floats."""
+    a = [[Fraction(x) for x in row] for row in a.tolist()]
+    b = [Fraction(x) for x in b.tolist()]
+
+    def det(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    d = det(a)
+    return [float(det([[b[i] if j == c else a[i][j] for j in range(3)] for i in range(3)]) / d)
+            for c in range(3)]
+
+
+def random_stinespring_stack(rng, n, k):
+    """Pauli-transfer tensors (n, 2, 4, 4, 4) of n random_stinespring_channel draws."""
+    g = rng.normal(size=(n, 4 * k, 4)) + 1j * rng.normal(size=(n, 4 * k, 4))
+    v = np.linalg.qr(g)[0]
+    return _transfer_tensors(np.full((n, k), 1.0 / k), math.sqrt(k) * v.reshape(n, k, 4, 4))
+
+
+class TestScreenedSolve:
+    """solve_loops solves rows with |det(I - A)| above the screen by one 3x3 solve
+    and sends the rest through the SVD: both must give the SVD oracle's states and
+    dimensions."""
+
+    @pytest.mark.parametrize("target", cli.REPRODUCE_TARGETS)
+    def test_reproduce_rows_match_the_svd_oracle(self, monkeypatch, tmp_path, target):
+        seen = []
+        real = deutsch.solve_loops
+
+        def spy(terms, loop_in):
+            batch = real(terms, loop_in)
+            seen.append((batch, *svd_min_norm(terms, loop_in)))
+            return batch
+
+        monkeypatch.setattr(deutsch, "solve_loops", spy)
+        assert cli.main(["reproduce", target, "--out", str(tmp_path / "out")]) == 0
+        assert seen
+        for batch, loop, dims in seen:
+            assert np.abs(batch.loop - loop).max() <= 1e-15
+            assert batch.fixed_set_dimension.tolist() == dims.tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_stinespring_rows_match_the_exact_solution(self, k):
+        """Every row passes the screen and has the oracle's dimension. Against
+        (I - A)^-1 b in exact rational arithmetic, the 3x3 solve's error is within
+        cond(I - A) * eps, the LU forward-error bound, and the SVD oracle's within
+        4 cond(I - A) * eps: on two k = 1 rows the SVD oracle is 1.0e-15 from the
+        exact solution, where the 3x3 solve is 1.1e-16 from it, so the two differ by
+        more than 1e-15 there."""
+        rng = np.random.default_rng(5200 + k)
+        n = 1000
+        terms = [(1.0, random_stinespring_stack(rng, n, k))]
+        direction = rng.normal(size=(n, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        loop_in = direction * np.where(np.arange(n) % 4 == 0, 1.0, rng.uniform(0, 1, n))[:, None]
+        batch = solve_loops(terms, loop_in)
+        loop, dims = svd_min_norm(terms, loop_in)
+        assert (screen_determinants(terms, loop_in) > deutsch._UNIQUE_DET).all()
+        assert batch.fixed_set_dimension.tolist() == dims.tolist()
+        m = loop_maps(terms, loop_in)
+        exact = np.array([exact_solve(np.eye(3) - a, b) for a, b in zip(m[:, 1:, 1:], m[:, 1:, 0])])
+        bound = np.linalg.cond(np.eye(3) - m[:, 1:, 1:]) * np.finfo(float).eps
+        assert (np.abs(batch.loop - exact).max(axis=1) <= bound).all()
+        assert (np.abs(loop - exact).max(axis=1) <= 4 * bound).all()
+
+    @pytest.mark.parametrize("delta", [1e-7, 1e-5, 2e-5, 3e-5])
+    def test_near_degenerate_rows_take_the_svd_path(self, delta):
+        """The |H> row of the swap-cu family fails the screen (|det(I - A)| ~
+        delta^2) and gets exactly the oracle's state and dimension; at delta =
+        2e-5 the oracle's state misses RESIDUAL_TOL and the solve still raises.
+        The psi(3pi/2) row passes the screen."""
+        terms = [(1.0, build_interaction(cu_circuit(-math.pi / 2 + delta)).transfer)]
+        pair = TestNearDegenerateBand.PAIR
+        dets = screen_determinants(terms, pair)
+        assert dets[0] <= deutsch._UNIQUE_DET < dets[1]
+        if delta == 2e-5:
+            with pytest.raises(ConvergenceError, match="residual"):
+                solve_loops(terms, pair)
+            return
+        batch = solve_loops(terms, pair)
+        loop, dims = svd_min_norm(terms, pair)
+        assert batch.loop[0].tolist() == loop[0].tolist()
+        assert batch.fixed_set_dimension.tolist() == dims.tolist() == [2 if delta < 2e-5 else 1, 1]
+        assert np.abs(batch.loop[1] - loop[1]).max() <= 1e-15
+
+    @pytest.mark.parametrize("delta", [1.0005e-3, 1.001e-3, 1.002e-3])
+    def test_rows_just_past_the_screen_have_dimension_one(self, delta):
+        """|det(I - A)| just above the screen: sigma_min(I - A) > 2.5e-7, so the SVD
+        also counts one null direction of M - I. The solve's forward error is at
+        most about cond(I - A) * 1e-16 <= 8e6 * 1e-16, within 1e-9."""
+        terms = [(1.0, build_interaction(cu_circuit(-math.pi / 2 + delta)).transfer)]
+        loop_in = TestNearDegenerateBand.PAIR[:1]
+        det = screen_determinants(terms, loop_in)[0]
+        assert deutsch._UNIQUE_DET < det < 1.01 * deutsch._UNIQUE_DET
+        loop, dims = svd_min_norm(terms, loop_in)
+        batch = solve_loops(terms, loop_in)
+        assert dims.tolist() == batch.fixed_set_dimension.tolist() == [1]
+        assert np.abs(batch.loop - loop).max() <= 1e-9
 
 
 class TestRandomChannels:
