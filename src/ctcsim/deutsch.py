@@ -14,12 +14,11 @@ The engine works in Bloch coordinates on the channels' Pauli-transfer
 tensors and solves whole batches at once (solve_loops, run_batch): for a
 fixed input the consistency map is affine on the loop's Bloch vector,
 r -> A r + b, and Deutsch's maximum-entropy fixed point is the
-minimum-norm solution of (I - A) r = b. A CPTP map keeps the Bloch ball,
-so ||A||_2 <= 1 and a row with |det(I - A)| above a screen is provably
-unique, with dimension 1 as the SVD would count: one batched 3x3 solve
-serves those rows, the SVD the rest. Where the fixed set has more than one
-state its dimension is reported, never hidden. Density matrices are built
-only at the API boundary (solve_fixed_point, run_scenario). A
+minimum-norm solution of (I - A) r = b. Rows with |det(I - A)| above
+_UNIQUE_DET are provably unique and take one 3x3 solve; the rest take the
+SVD. Where the fixed set has more than one state its dimension is
+reported, never hidden. Density matrices are built only at the API
+boundary (solve_fixed_point, run_scenario). A
 solve_loops term is a (weight, transfer) pair covering every row: one
 channel's tensors (QubitChannel.transfer) shared by all rows, or a stack
 with one channel per row (circuits._transfer_tensors, or run_batch's
@@ -393,10 +392,8 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     min-norm solution pinv(I - A) b of (I - A) r = b; with P the projector
     onto null(M - I) it is (1, r) = P e0 / (e0 . P e0).
 
-    A keeps the Bloch ball, so ||A||_2 <= 1 and a row with |det(I - A)| >
-    1e-6 has sigma_min(I - A) > 2.5e-7: its unique r = (I - A)^-1 b comes
-    from one batched 3x3 solve, with dimension 1, as the SVD would count
-    (interlacing). Only the other rows, degenerate or near it, take the SVD.
+    Rows with |det(I - A)| above _UNIQUE_DET are provably unique and take
+    one batched 3x3 solve, r = (I - A)^-1 b; the rest take the SVD.
 
     terms: (weight, transfer) pairs (see _mix); loop_in (N, 3): the
     state the loop adapts to, which is also the input sent through the

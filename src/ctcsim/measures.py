@@ -123,11 +123,8 @@ def _eigen_optima(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarra
     (N,) and the axes (N, 3), not normalised, from one stacked eigensolve.
     """
     outer = r1[:, :, None] * r2[:, None, :]
-    # Solved as complex Hermitian matrices: the real solver can flip the
-    # sign of a roundoff-sized axis component, which the CLI prints. Those
-    # signs also follow the signs of zeros, so + 0.0 makes every zero +0.0.
-    lam, vecs = np.linalg.eigh(((outer + outer.swapaxes(1, 2)) / 2.0 + 0.0).astype(complex))
-    return np.clip((1.0 - lam[:, 0]) / 2.0, 0.0, 1.0), vecs[:, :, 0].real
+    lam, vecs = np.linalg.eigh((outer + outer.swapaxes(1, 2)) / 2.0)
+    return np.clip((1.0 - lam[:, 0]) / 2.0, 0.0, 1.0), vecs[:, :, 0]
 
 
 def optimal_mismatch_probability(
