@@ -1,8 +1,9 @@
 """CLI golden: stdout, stderr and exit code of a fixed command matrix, byte for byte.
 
 The matrix covers `discriminate` (both preparations over a phi x p x eps
-grid) and `fixed-point` (both circuits, all three preparations, both
-solver methods, and invalid inputs). Every case is replayed through
+grid, plus a non-zero phase, an explicit --theta and --deg under each) and
+`fixed-point` (both circuits, all three preparations, both solver methods,
+and invalid inputs). Every case is replayed through
 `cli.main` in process and rendered into one text, which must equal
 tests/data/cli_stdout.txt exactly. Regenerate the file only for an
 intended change of output:
@@ -27,6 +28,14 @@ CASES = [
     ["discriminate", "--prep", prep, "--phi", phi, "--p", p, "--epsilon", eps]
     for prep in ("local", "nonlocal") for phi in _PHIS for p in _PS for eps in _EPSILONS
 ] + [["discriminate", "--phi", "4.712", "--p", "0.2"]] + [
+    ["discriminate", "--prep", prep, *extra]
+    for prep in ("local", "nonlocal") for extra in (
+        # A non-zero phase puts the outputs off the xz-plane.
+        ("--phi", "1.2", "--phase", "0.7", "--p", "0.1", "--epsilon", "0.05"),
+        ("--phi", "2.0", "--theta", "-0.4", "--p", "0.2", "--epsilon", "0.1"),
+        ("--phi", "120", "--phase", "45", "--theta", "-30", "--p", "0.3", "--deg"),
+    )
+] + [
     ["fixed-point", "--circuit", circuit, "--prep", prep, "--method", method,
      "--phi", "1.0", "--p", "0.1", "--epsilon", "0.2"]
     for circuit in ("swap-cnot", "swap-cu") for prep in ("local", "improper", "nonlocal")
