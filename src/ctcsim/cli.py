@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 import typing
 
@@ -203,6 +204,11 @@ def cmd_discriminate(args) -> int:
     return 0
 
 
+def _svg_path(path: str) -> str:
+    """The plot next to a table: `path` with its extension, if any, replaced by .svg."""
+    return os.path.splitext(path)[0] + ".svg"
+
+
 def _emit(records: list[SweepRecord], args, default_stem: str) -> tuple[str, int]:
     problems = validate_records(records)
     if problems:
@@ -225,7 +231,7 @@ def cmd_sweep(args) -> int:
         from .svgplot import write_svg
 
         x_name = "theta_xz" if args.variant == "fixed-state" else "phi"
-        svg = path.rsplit(".", 1)[0] + ".svg"
+        svg = _svg_path(path)
         xs = [getattr(r, x_name) for r in records]
         write_svg(
             svg,
@@ -255,7 +261,7 @@ def _reproduce_records(target: str, grid: int | None) -> list[SweepRecord]:
 def _plot_reproduction(target: str, records: list[SweepRecord], path: str) -> None:
     from .svgplot import write_svg
 
-    svg = path.rsplit(".", 1)[0] + ".svg"
+    svg = _svg_path(path)
     if target == "fig3":
         base = [r for r in records if r.n_iterations == 1 and r.phase == 0.0]
         xs = [r.phi for r in base]

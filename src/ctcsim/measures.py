@@ -7,34 +7,25 @@ orthogonal states measured along their axis). Optimizing the measurement
 axis relates it to the trace distance; the Helstrom bound covers the
 identify-one-state-at-a-time game instead.
 
-The measures on DensityMatrix pairs (mismatch_probability,
-optimal_mismatch_probability, trace_distance) work on the matrices and
-their eigensystems. The optimized measure has one stacked eigensolve,
-_eigen_optima on Bloch pairs (N, 3): optimal_mismatch_probability is its
-batch of one, and the selftest's C9 and C10 call it once each.
-bloch_measures gives the same quantities in closed form on Bloch
-vectors; the reproduce tables and qm_baseline use it, and the eigen-based
-functions are its oracles.
+Every production measure is a closed form on Bloch vectors.
+bloch_measures computes all four for stacked pairs; the reproduce tables
+and qm_baseline use it. On DensityMatrix pairs, mismatch_probability is
+(1 - (n.r1)(n.r2))/2, and optimal_mismatch_probability is bloch_measures
+as a batch of one, with the optimal axis along r1/|r1| - r2/|r2|.
+
+Two oracles stay independent of these closed forms: _eigen_optima, the
+stacked eigensolve of the quadratic form (the selftest's C9 and C10), and
+the grid search over measurement axes (C10).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .qmath import (
-    ID2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    DensityMatrix,
-    PureQubit,
-    ValidationError,
-    trace_distance,
-)
+from .qmath import DensityMatrix, PureQubit, ValidationError, trace_distance
 
 __all__ = [
     "MeasurementDirection",
@@ -52,10 +43,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MeasurementDirection:
-    """Projective measurement along a unit Bloch axis; "+" projector (I + n.sigma)/2.
+    """Projective measurement along a unit Bloch axis n, with outcomes
+    +-1 for the projectors (I +- n.sigma)/2.
 
-    `axis` is stored as a read-only (3,) float array; `projectors`, the
-    read-only pair (P+, P-), is built once per direction, when first read.
+    `axis` is stored as a read-only (3,) float array.
     """
 
     axis: np.ndarray
@@ -66,16 +57,6 @@ class MeasurementDirection:
             raise ValidationError(f"measurement axis must be a unit 3-vector, got {axis.tolist()}")
         axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
-
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P+, P-) as read-only 2x2 arrays, the same pair on every read."""
-        x, y, z = self.axis
-        n_sigma = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
-        pair = (ID2 + n_sigma) / 2.0, (ID2 - n_sigma) / 2.0
-        for proj in pair:
-            proj.setflags(write=False)
-        return pair
 
 
 SIGMA_Z_AXIS = MeasurementDirection(np.array([0.0, 0.0, 1.0]))
@@ -103,24 +84,22 @@ def mismatch_probability(rho1: DensityMatrix, rho2: DensityMatrix,
                          direction: MeasurementDirection) -> float:
     """Probability that one projective measurement per system gives different outcomes.
 
-    <+|rho1|+><-|rho2|-> + <-|rho1|-><+|rho2|+>, which in Bloch form is
-    (1 - (n.r1)(n.r2))/2.
+    <+|rho1|+><-|rho2|-> + <-|rho1|-><+|rho2|+>, computed in Bloch form as
+    (1 - (n.r1)(n.r2))/2; along z it is bloch_measures' L_sigma_z.
     """
-    p_plus, p_minus = direction.projectors
-    a1 = float(np.trace(p_plus @ rho1.mat).real)
-    a2 = float(np.trace(p_plus @ rho2.mat).real)
-    b1 = float(np.trace(p_minus @ rho1.mat).real)
-    b2 = float(np.trace(p_minus @ rho2.mat).real)
-    return a1 * b2 + b1 * a2
+    n = direction.axis
+    return float((1.0 - (n @ rho1.bloch()) * (n @ rho2.bloch())) / 2.0)
 
 
 def _eigen_optima(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mismatch probability maximized over measurement axes, of Bloch pairs (N, 3).
+    """Oracle: mismatch probability maximized over measurement axes, of
+    Bloch pairs (N, 3), by eigensolve.
 
     (n.r1)(n.r2) is the quadratic form of the symmetric matrix
     (r1 r2^T + r2 r1^T)/2, so the maximum is (1 - lambda_min)/2 with the
     minimizing eigenvector as axis. Returns the values clipped to [0, 1]
     (N,) and the axes (N, 3), not normalised, from one stacked eigensolve.
+    The selftest's C9 and C10 check bloch_measures' closed form with it.
     """
     outer = r1[:, :, None] * r2[:, None, :]
     lam, vecs = np.linalg.eigh((outer + outer.swapaxes(1, 2)) / 2.0)
@@ -130,27 +109,30 @@ def _eigen_optima(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def optimal_mismatch_probability(
     rho1: DensityMatrix, rho2: DensityMatrix
 ) -> tuple[float, MeasurementDirection]:
-    """Mismatch probability maximized over measurement axes: _eigen_optima
-    as a batch of one, with the axis in canonical sign.
+    """Mismatch probability maximized over measurement axes, with an optimal
+    axis in canonical sign.
 
+    The value is bloch_measures' L_optimal as a batch of one, the reproduce
+    tables' formula. For unit vectors u1 = r1/|r1| and u2 = r2/|r2| the
+    form (n.u1)(n.u2) is least along u1 - u2, so that is the axis returned.
     When either Bloch vector vanishes (norm below 1e-12) the form vanishes
     too, every axis gives 1/2 and the z-axis is returned for determinism.
-    When both point the same way u (|r1/|r1| - r2/|r2|| <= 1e-9), every axis
+    When both point the same way u (|u1 - u2| <= 1e-9), every axis
     perpendicular to u is optimal; the one returned is z x u, or x when
-    |z x u| <= 1e-9, and the value is still the eigensolve's.
+    |z x u| <= 1e-9.
     """
     r1, r2 = rho1.bloch(), rho2.bloch()
     n1, n2 = math.hypot(*r1), math.hypot(*r2)
     if min(n1, n2) < 1e-12:
         return 0.5, SIGMA_Z_AXIS
-    values, axes = _eigen_optima(r1[None], r2[None])
-    axis = axes[0]
-    if math.hypot(*(r1 / n1 - r2 / n2)) <= 1e-9:
+    axis = r1 / n1 - r2 / n2
+    if math.hypot(*axis) <= 1e-9:
         u = r1 / n1 + r2 / n2
         axis = np.array([-u[1], u[0], 0.0])
         if math.hypot(*axis) <= 1e-9 * math.hypot(*u):
             axis = np.array([1.0, 0.0, 0.0])
-    return float(values[0]), _canonical_direction(axis / np.linalg.norm(axis))
+    value = float(bloch_measures(r1, r2)[1])
+    return value, _canonical_direction(axis / np.linalg.norm(axis))
 
 
 def _canonical_direction(axis: np.ndarray) -> MeasurementDirection:
@@ -177,7 +159,8 @@ def bloch_measures(r1: np.ndarray, r2: np.ndarray):
     """(L_sigma_z, L_optimal, trace distance, Helstrom) of Bloch pairs (..., 3), batched.
 
     Closed forms (1 - z1 z2)/2, (1 - (r1.r2 - |r1||r2|)/2)/2, |r1 - r2|/2
-    and (1 + D)/2; the eigen-based functions above are their oracles.
+    and (1 + D)/2; _eigen_optima and the grid search are the optimized
+    measure's oracles.
     """
     d = _norms(r1 - r2) / 2.0
     l_z = (1.0 - r1[..., 2] * r2[..., 2]) / 2.0

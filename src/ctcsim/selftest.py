@@ -239,8 +239,8 @@ def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
     # 1000 pairs of pure states psi(acos u, phase), u and the phase uniform.
     u, phase = np.moveaxis(rng.uniform([-1.0, 0.0], [1.0, 2 * math.pi], size=(1000, 2, 2)), -1, 0)
     a, b = np.moveaxis(_pure_bloch(np.arccos(u), phase), 1, 0)
-    # Pure states have unit Bloch vectors, so optimal_mismatch_probability's
-    # vanishing-form branch never applies to these rows.
+    # The eigensolve oracle of the optimized measure against the pure-state
+    # identity; unit Bloch vectors, so no row's quadratic form vanishes.
     d = trace_distances(_density_rows(a), _density_rows(b))
     worst_si = float(np.abs(_eigen_optima(a, b)[0] - 0.5 * (1 + d * d)).max())
 

@@ -30,7 +30,7 @@ from ctcsim.deutsch import (
     run_scenario,
     solve_fixed_point,
 )
-from ctcsim.measures import helstrom_success_probability, optimal_mismatch_probability
+from ctcsim.measures import _eigen_optima, helstrom_success_probability
 from ctcsim.qmath import DensityMatrix, PureQubit, density_from_bloch, trace_distance
 from ctcsim.selftest import (
     CHECKS,
@@ -346,15 +346,17 @@ def test_stacked_candidates_match_one_at_a_time(seed):
 
 
 def test_c9_deviations_match_scalar_measures(report):
-    """C9's stacked identities report the deviations the scalar measures give
-    on the same draws, to the printed digits."""
+    """C9's stacked identities report the deviations the one-pair-at-a-time
+    eigensolve and Helstrom measurement give on the same draws, to the
+    printed digits."""
     rng = np.random.default_rng(20260810)
     worst_si = worst_hel = 0.0
     for _ in range(1000):
         r1 = DensityMatrix(one_state_at_a_time(rng, True))
         r2 = DensityMatrix(one_state_at_a_time(rng, True))
         d = trace_distance(r1, r2)
-        worst_si = max(worst_si, abs(optimal_mismatch_probability(r1, r2)[0] - 0.5 * (1 + d * d)))
+        l_opt = _eigen_optima(r1.bloch()[None], r2.bloch()[None])[0][0]
+        worst_si = max(worst_si, abs(l_opt - 0.5 * (1 + d * d)))
     for _ in range(1000):
         r1 = DensityMatrix(one_state_at_a_time(rng, False))
         r2 = DensityMatrix(one_state_at_a_time(rng, False))
@@ -379,7 +381,7 @@ def test_c10_grid_deviation_matches_scalar_search(report):
     for _ in range(200):
         r1 = DensityMatrix(one_state_at_a_time(rng, False))
         r2 = DensityMatrix(one_state_at_a_time(rng, False))
-        val = optimal_mismatch_probability(r1, r2)[0]
+        val = _eigen_optima(r1.bloch()[None], r2.bloch()[None])[0][0]
         worst = max(worst, abs(val - scalar_grid_search(r1.bloch(), r2.bloch())))
     detail = {r.check_id: r.detail for r in report.results}["C10"]
     assert detail.endswith(f"grid-search deviation {worst:.2e}")

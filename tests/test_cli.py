@@ -139,6 +139,25 @@ class TestDiscriminateCommand:
         assert ("L(optimal)  = 0.722279837739  axis (+0.0000, +0.0000, +1.0000)"
                 in capsys.readouterr().out)
 
+    @pytest.mark.parametrize("prep", ["local", "nonlocal"])
+    @pytest.mark.parametrize("angles", [
+        ["--phi", "2.5", "--p", "0.2", "--epsilon", "0.1"],
+        ["--phi", "0", "--theta", "0.3"],  # the outputs point the same way
+        ["--phi", "3.141592653589793"],  # prepared locally, they point opposite ways
+        ["--phi", "2.0", "--p", "1"],  # a vanishing Bloch vector
+        ["--phi", "1.2", "--phase", "1"],
+    ])
+    def test_solves_no_eigenproblem(self, monkeypatch, capsys, prep, angles):
+        """Both measures and the printed axis are closed forms on the outputs'
+        Bloch vectors: no eigensolver runs for a discrimination point."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("discriminate called a numpy eigensolver")
+
+        for name in ("eigh", "eigvalsh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert main(["discriminate", "--prep", prep, *angles]) == 0
+        assert "L(optimal)" in capsys.readouterr().out
+
     @pytest.mark.parametrize("phi", ["0", "1.5707963267948966", "5.5"])
     def test_nonlocal_prints_the_documented_axis(self, capsys, phi):
         """Both nonlocal outputs are one state r, so every axis perpendicular to r
@@ -239,11 +258,16 @@ class TestReproduce:
             "fig5c-fixed-gate-local", "fig5c-fixed-gate-nonlocal",
         }
 
-    def test_plot_emission(self, tmp_path):
-        path = tmp_path / "fig3.csv"
-        assert main(["reproduce", "fig3", "--out", str(path), "--plot"]) == 0
-        svg = (tmp_path / "fig3.svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+    @pytest.mark.parametrize("out, svg", [("fig3.csv", "fig3.svg"),
+                                          ("./fig3out", "fig3out.svg")])
+    def test_plot_emission(self, tmp_path, monkeypatch, out, svg):
+        """The plot sits next to the table: its path is --out with the
+        extension, if any, replaced by .svg."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", "fig3", "--out", out, "--plot"]) == 0
+        text = (tmp_path / svg).read_text()
+        assert text.startswith("<svg") and "polyline" in text
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted([Path(out).name, svg])
 
     @pytest.mark.parametrize("argv", [
         ["reproduce", "fig3", "--grid", "7"],
@@ -343,15 +367,20 @@ class TestRecordTemplate:
 
 
 class TestSweepCommand:
-    def test_sweep_writes_and_plots(self, tmp_path):
-        path = tmp_path / "s.csv"
+    @pytest.mark.parametrize("out, svg", [("s.csv", "s.svg"),
+                                          ("run.v2/table", "run.v2/table.svg")])
+    def test_sweep_writes_and_plots(self, tmp_path, monkeypatch, out, svg):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.v2").mkdir()
         rc = main(["sweep", "--variant", "fixed-gate", "--prep", "nonlocal",
-                   "--grid", "6", "--out", str(path), "--plot"])
+                   "--grid", "6", "--out", out, "--plot"])
         assert rc == 0
-        recs = read_records_csv(str(path))
+        recs = read_records_csv(out)
         assert len(recs) == 6
         assert all(r.prep_mode == "nonlocal_ensemble" for r in recs)
-        assert (tmp_path / "s.svg").exists()
+        assert (tmp_path / svg).read_text().startswith("<svg")
+        assert sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")
+                      if f.is_file()) == sorted([out, svg])
 
 
 class TestSelftestCommand:

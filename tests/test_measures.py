@@ -1,4 +1,5 @@
-"""Distinguishability measures: closed forms, optimality, brute-force oracles."""
+"""Distinguishability measures: closed forms against projector traces, the
+eigensolve and brute-force oracles."""
 
 import math
 
@@ -11,6 +12,7 @@ from ctcsim.measures import (
     SIGMA_Z_AXIS,
     DistinguishabilityReport,
     MeasurementDirection,
+    _eigen_optima,
     _search_grid,
     grid_search_mismatch,
     grid_search_mismatches,
@@ -52,6 +54,22 @@ def random_axis(rng):
     return MeasurementDirection(v)
 
 
+def projector_mismatch(a, b, direction):
+    """Oracle: <+|a|+><-|b|-> + <-|a|-><+|b|+> as traces against the
+    projectors (I +- n.sigma)/2, built on each call."""
+    x, y, z = direction.axis
+    n_sigma = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+    p_plus, p_minus = (ID2 + n_sigma) / 2.0, (ID2 - n_sigma) / 2.0
+    return (float(np.trace(p_plus @ a.mat).real) * float(np.trace(p_minus @ b.mat).real)
+            + float(np.trace(p_minus @ a.mat).real) * float(np.trace(p_plus @ b.mat).real))
+
+
+def eigen_optimum(a, b):
+    """Oracle: the eigensolve's optimized mismatch probability and unit axis of one pair."""
+    values, axes = _eigen_optima(a.bloch()[None], b.bloch()[None])
+    return float(values[0]), axes[0] / np.linalg.norm(axes[0])
+
+
 class TestMismatchProbability:
     def test_orthogonal_aligned(self):
         assert mismatch_probability(H, V, SIGMA_Z_AXIS) == pytest.approx(1.0, abs=1e-15)
@@ -75,13 +93,13 @@ class TestMismatchProbability:
             ) <= 1e-14
 
     def test_bloch_closed_form_agreement(self):
+        """The Bloch closed form against the projector traces it replaces."""
         rng = np.random.default_rng(101)
         for _ in range(100):
             a, b = random_qubit_state(rng), random_qubit_state(rng)
             axis = random_axis(rng)
-            n = axis.axis
-            closed = (1 - (n @ a.bloch()) * (n @ b.bloch())) / 2
-            assert mismatch_probability(a, b, axis) == pytest.approx(closed, abs=1e-12)
+            assert mismatch_probability(a, b, axis) == pytest.approx(
+                projector_mismatch(a, b, axis), abs=1e-12)
 
     def test_non_unit_axis_rejected(self):
         """Non-unit, NaN, infinite and wrong-length axes all fail the unit check."""
@@ -89,31 +107,6 @@ class TestMismatchProbability:
                      [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0], [0.0, 1.0]):
             with pytest.raises(ValidationError, match="unit 3-vector"):
                 MeasurementDirection(np.array(axis))
-
-    def test_projectors_built_once_and_read_only(self):
-        direction = random_axis(np.random.default_rng(127))
-        pair = direction.projectors
-        again = direction.projectors
-        assert again[0] is pair[0] and again[1] is pair[1]
-        for proj in pair + SIGMA_Z_AXIS.projectors:
-            assert not proj.flags.writeable
-            with pytest.raises(ValueError):
-                proj[0, 0] = 1.0
-        np.testing.assert_allclose(pair[0] + pair[1], np.eye(2), atol=1e-15)
-
-    def test_cached_projectors_give_per_call_values(self):
-        """mismatch_probability is bit-identical with projectors built on each call."""
-        rng = np.random.default_rng(131)
-        for _ in range(200):
-            a, b, direction = random_qubit_state(rng), random_qubit_state(rng), random_axis(rng)
-            x, y, z = direction.axis
-            n_sigma = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
-            p_plus, p_minus = (ID2 + n_sigma) / 2.0, (ID2 - n_sigma) / 2.0
-            per_call = (float(np.trace(p_plus @ a.mat).real) * float(np.trace(p_minus @ b.mat).real)
-                        + float(np.trace(p_minus @ a.mat).real)
-                        * float(np.trace(p_plus @ b.mat).real))
-            for _ in range(2):
-                assert mismatch_probability(a, b, direction) == per_call
 
     def test_axis_is_a_read_only_copy(self):
         given = np.array([0.0, 1.0, 0.0])
@@ -159,15 +152,28 @@ class TestOptimalMismatch:
         assert val == 0.5
         assert tuple(axis.axis) == (0.0, 0.0, 1.0)
 
-    def test_tiny_but_nonzero_bloch_vectors_use_the_eigensolve(self):
-        """|r1||r2| ~ 9e-15 is not a vanishing form: the eigen value keeps its
-        4.6e-15 excess over 1/2 and agrees with the closed form."""
+    def test_tiny_but_nonzero_bloch_vectors_are_not_vanishing(self):
+        """|r1||r2| ~ 9e-15 is not a vanishing form: the value keeps its
+        4.6e-15 excess over 1/2 and agrees with the eigensolve."""
         p = 1 - 9.5e-8
         r1, r2 = (depolarize(PureQubit(phi, 0.0).density(), p) for phi in (0.0, math.pi))
         val, _ = optimal_mismatch_probability(r1, r2)
-        closed = float(bloch_measures(r1.bloch(), r2.bloch())[1])
         assert val > 0.5
-        assert abs(val - closed) <= 1e-15
+        assert abs(val - eigen_optimum(r1, r2)[0]) <= 1e-15
+
+    def test_axis_is_the_eigenvector_on_mixed_pairs(self):
+        """For Bloch vectors that are not parallel the optimal axis is unique up
+        to sign: the returned one is +- the eigensolve's and attains the value."""
+        rng = np.random.default_rng(137)
+        for _ in range(500):
+            a, b = random_qubit_state(rng), random_qubit_state(rng)
+            u1, u2 = (r.bloch() / np.linalg.norm(r.bloch()) for r in (a, b))
+            assert np.linalg.norm(np.cross(u1, u2)) > 1e-3
+            val, axis = optimal_mismatch_probability(a, b)
+            eigen_axis = eigen_optimum(a, b)[1]
+            assert min(np.abs(axis.axis - eigen_axis).max(),
+                       np.abs(axis.axis + eigen_axis).max()) <= 1e-9
+            assert abs(projector_mismatch(a, b, axis) - val) <= 1e-12
 
     def test_identical_mixed_states_cap_at_half(self):
         rng = np.random.default_rng(109)
@@ -249,14 +255,14 @@ class TestQmBaseline:
         return depolarize(H, p), depolarize(PureQubit(phi, 0.0).density(), p)
 
     def test_matches_eigen_oracles_on_depolarized_pairs(self):
-        """The closed forms against the eigen-based measures on the depolarized
-        DensityMatrix pair."""
+        """The closed forms against the projector traces, the eigensolve and the
+        eigen-based trace distance on the depolarized DensityMatrix pair."""
         for phi, p in self.points(20261018):
             qm = qm_baseline(phi, p)
             rho0, rho1 = self.depolarized_pair(phi, p)
             d = trace_distance(rho0, rho1)
-            assert abs(qm.L_sigma_z - mismatch_probability(rho0, rho1, SIGMA_Z_AXIS)) <= 1e-12
-            assert abs(qm.L_optimal - optimal_mismatch_probability(rho0, rho1)[0]) <= 1e-12
+            assert abs(qm.L_sigma_z - projector_mismatch(rho0, rho1, SIGMA_Z_AXIS)) <= 1e-12
+            assert abs(qm.L_optimal - eigen_optimum(rho0, rho1)[0]) <= 1e-12
             assert abs(qm.trace_dist - d) <= 1e-12
             assert abs(qm.p_succ_optimal - helstrom_success_probability(rho0, rho1)) <= 1e-12
 
@@ -269,7 +275,7 @@ class TestQmBaseline:
 
 
 class TestBlochClosedForms:
-    """The batched closed forms against the eigen-based functions they replace."""
+    """The batched closed forms against the projector traces and the eigensolve."""
 
     def test_match_eigen_measures_on_random_pairs(self):
         rng = np.random.default_rng(127)
@@ -283,8 +289,8 @@ class TestBlochClosedForms:
         r2 = np.array([b.bloch() for _, b in pairs])
         l_z, l_opt, d, p_succ = bloch_measures(r1, r2)
         for i, (a, b) in enumerate(pairs):
-            assert abs(l_z[i] - mismatch_probability(a, b, SIGMA_Z_AXIS)) <= 1e-12
-            assert abs(l_opt[i] - optimal_mismatch_probability(a, b)[0]) <= 1e-12
+            assert abs(l_z[i] - projector_mismatch(a, b, SIGMA_Z_AXIS)) <= 1e-12
+            assert abs(l_opt[i] - eigen_optimum(a, b)[0]) <= 1e-12
             assert abs(d[i] - trace_distance(a, b)) <= 1e-12
             assert abs(p_succ[i] - helstrom_success_probability(a, b)) <= 1e-12
 
