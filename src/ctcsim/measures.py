@@ -131,8 +131,7 @@ def optimal_mismatch_probability(
         axis = np.array([-u[1], u[0], 0.0])
         if math.hypot(*axis) <= 1e-9 * math.hypot(*u):
             axis = np.array([1.0, 0.0, 0.0])
-    value = float(bloch_measures(r1, r2)[1])
-    return value, _canonical_direction(axis / np.linalg.norm(axis))
+    return float(bloch_measures(r1, r2)[1]), _canonical_direction(axis / np.linalg.norm(axis))
 
 
 def _canonical_direction(axis: np.ndarray) -> MeasurementDirection:
