@@ -12,8 +12,9 @@ selftest      run the acceptance suite; exit 0 iff everything passes
 CSV files are byte-deterministic for a fixed configuration: fixed field
 order, 17-significant-digit floats, UTF-8, '.' decimal separator.
 
-Exit codes: 2 invalid parameters, 3 solver non-convergence, 4 record
-invariant violation in reproduce, 1 failed selftest.
+Exit codes: 2 invalid parameters (also an --out that cannot be written, and
+an --out ending in .svg with --plot, refused before any file is written), 3
+solver non-convergence, 4 record invariant violation in reproduce, 1 failed selftest.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import os
 import sys
 import typing
 
-import numpy as np
-
 from .circuits import CircuitKind, CircuitSpec
 from .deutsch import (
     ConvergenceError,
@@ -37,14 +36,14 @@ from .deutsch import (
     run_scenario,
 )
 from .experiments import (
+    MODES,
+    VARIANTS,
     SweepRecord,
     ThresholdNotFound,
     ThresholdResult,
-    decoherence_surface,
     discrimination_sweep,
-    discrimination_sweeps,
     find_thresholds,
-    nonlinearity_sweep,
+    reproduce,
     validate_records,
 )
 from .measures import (
@@ -68,21 +67,18 @@ _THRESHOLD_ROW = "%s,%.17g,%.17g,%.17g,%.17g\n"
 
 REPRODUCE_TARGETS = ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2", "thresholds")
 
-_VARIANTS = ("optimal-gate", "fixed-state", "fixed-gate")
-_MODES = ("local", "nonlocal")
-# The discrimination-sweep targets as (experiment_id, variant, mode) triples,
-# in emission order; every record of a triple carries its experiment_id.
-_SWEEP_TABLES = {
-    "fig5a": [("fig5a", "optimal-gate", "local")],
-    "fig5b": [(f"fig5b-{v}", v, "nonlocal") for v in _VARIANTS],
-    "fig5c": [(f"fig5c-{v}-{m}", v, m) for v in _VARIANTS[1:] for m in _MODES],
-    **{t: [(f"{t}-{v}-{m}", v, m) for v in _VARIANTS for m in _MODES] for t in ("s1", "s2")},
-}
+
+def _open_out(path: str):
+    """path opened for writing; a path that cannot be opened is invalid input."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_records_csv(records: list[SweepRecord], path: str) -> None:
     rows = "".join(_RECORD_ROW % r for r in records)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(",".join(RECORD_FIELDS) + "\n" + rows)
 
 
@@ -98,7 +94,7 @@ def read_records_csv(path: str) -> list[SweepRecord]:
 def _write_json(data, path: str) -> None:
     import json
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
 
@@ -106,7 +102,7 @@ def _write_json(data, path: str) -> None:
 def write_thresholds_csv(results: list[ThresholdResult], path: str) -> None:
     rows = "".join(_THRESHOLD_ROW % (t.parameter, t.crossing, *t.bracket, t.achieved_tolerance)
                    for t in results)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(",".join(THRESHOLD_FIELDS) + "\n" + rows)
 
 
@@ -210,12 +206,14 @@ def _svg_path(path: str) -> str:
 
 
 def _emit(records: list[SweepRecord], args, default_stem: str) -> tuple[str, int]:
+    path = args.out or f"{default_stem}.{args.format}"
+    if args.plot and _svg_path(path) == path:
+        raise ValidationError(f"--plot would write its SVG over the table {path}")
     problems = validate_records(records)
     if problems:
         for msg in problems[:10]:
             print(f"INVARIANT VIOLATION: {msg}", file=sys.stderr)
         return "", 4
-    path = args.out or f"{default_stem}.{args.format}"
     if args.format == "json":
         _write_json([r._asdict() for r in records], path)
     else:
@@ -233,29 +231,12 @@ def cmd_sweep(args) -> int:
         x_name = "theta_xz" if args.variant == "fixed-state" else "phi"
         svg = _svg_path(path)
         xs = [getattr(r, x_name) for r in records]
-        write_svg(
-            svg,
-            [
-                ("L loop (sigma_z)", xs, [r.L_ctc_sigma_z for r in records]),
-                ("L standard QM", xs, [r.L_qm for r in records]),
-            ],
-            title=f"{args.variant} sweep ({args.prep})",
-            x_label=f"{x_name} [rad]",
-            y_label="mismatch probability",
-        )
+        write_svg(svg, [("L loop (sigma_z)", xs, [r.L_ctc_sigma_z for r in records]),
+                        ("L standard QM", xs, [r.L_qm for r in records])],
+                  title=f"{args.variant} sweep ({args.prep})", x_label=f"{x_name} [rad]",
+                  y_label="mismatch probability")
         print(f"wrote plot to {svg}")
     return code
-
-
-def _reproduce_records(target: str, grid: int | None) -> list[SweepRecord]:
-    if target in _SWEEP_TABLES:
-        return discrimination_sweeps(_SWEEP_TABLES[target], grid)
-    if target == "fig3":
-        return nonlinearity_sweep()
-    if target == "fig6":
-        axis = None if grid is None else np.linspace(0.0, 1.0, grid).tolist()
-        return decoherence_surface(axis, axis)
-    raise ValidationError(f"unknown reproduce target {target!r}")
 
 
 def _plot_reproduction(target: str, records: list[SweepRecord], path: str) -> None:
@@ -321,7 +302,7 @@ def cmd_reproduce(args) -> int:
             print(f"{t.parameter}* = {t.crossing:.9f} (bracket {t.bracket}, tol {t.achieved_tolerance:.1e})")
         print(f"wrote thresholds to {path}")
         return 0
-    records = _reproduce_records(args.target, args.grid)
+    records = reproduce(args.target, args.grid)
     path, code = _emit(records, args, args.target)
     if code == 0 and args.plot:
         _plot_reproduction(args.target, records, path)
@@ -382,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     ds = sub.add_parser("discriminate", help="run one discrimination point")
     ds.add_argument("--theta", type=float, default=None,
                     help="gate angle (default: optimal for phi)")
-    ds.add_argument("--prep", choices=_MODES, default="local")
+    ds.add_argument("--prep", choices=MODES, default="local")
     _add_common_angles(ds)
     ds.set_defaults(fn=cmd_discriminate)
 
     sw = sub.add_parser("sweep", help="run a single discrimination sweep")
-    sw.add_argument("--variant", choices=_VARIANTS, required=True)
-    sw.add_argument("--prep", choices=_MODES, default="local")
+    sw.add_argument("--variant", choices=VARIANTS, required=True)
+    sw.add_argument("--prep", choices=MODES, default="local")
     sw.add_argument("--grid", type=int, default=None, help="grid size (>= 2)")
     sw.add_argument("--out", help="output path")
     sw.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qmath
 from .circuits import CircuitKind, CircuitSpec, QubitChannel, build_interaction
 from .qmath import (
     LOOP_RAIL,
@@ -365,18 +366,8 @@ def _mix(terms, rail: int, subscripts: str, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", u, v)
-
-
-def _qubit_fidelity(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-row Uhlmann fidelity of Bloch vectors: Tr(ab) + 2 sqrt(det a det b)."""
-    dets = np.maximum(1.0 - _dot(r, r), 0.0) * np.maximum(1.0 - _dot(s, s), 0.0) / 16.0
-    return np.clip((1.0 + _dot(r, s)) / 2.0 + 2.0 * np.sqrt(dets), 0.0, 1.0)
-
-
 def _require_in_ball(v: np.ndarray, what: str) -> np.ndarray:
-    norm = np.sqrt(_dot(v, v))
+    norm = np.sqrt(qmath._dot(v, v))
     if not (norm <= BALL_TOL).all():
         raise ValidationError(f"{what} Bloch norm {np.nanmax(norm):.6g} exceeds 1 + 2 PSD_TOL")
     return norm
@@ -417,7 +408,7 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
         dims[svd_rows] = null.sum(axis=1)
         # Null-space rows of vt; e0 . P e0 = sum of their squared first entries.
         lead = np.where(null, vt[:, :, 0], 0.0)
-        norm0 = _dot(lead, vt[:, :, 0])
+        norm0 = qmath._dot(lead, vt[:, :, 0])
         if not (norm0 > 0.0).all():
             raise ValidationError(
                 "consistency map has no unit-trace fixed state (non-CPTP interaction)")
@@ -426,7 +417,7 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     r = r / np.maximum(_require_in_ball(r, "loop state"), 1.0)[:, None]
 
     image = np.einsum("nij,nj->ni", m[:, 1:, 1:], r) + m[:, 1:, 0]
-    residual = np.sqrt(_dot(image - r, image - r)) / 2.0
+    residual = np.sqrt(qmath._dot(image - r, image - r)) / 2.0
     if not (residual <= RESIDUAL_TOL).all():
         raise ConvergenceError(
             f"fixed-point residual {np.nanmax(residual):.3e} exceeds {RESIDUAL_TOL:.0e}"
@@ -435,7 +426,7 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     o = _mix(terms, OUTPUT_RAIL, "...kmv,...v->...km", _homogeneous(r))
     outputs = np.einsum("nkm,nm->nk", o[:, 1:], _homogeneous(loop_in))
     _require_in_ball(outputs, "output")
-    return LoopBatch(r, outputs, dims, residual, _qubit_fidelity(r, image))
+    return LoopBatch(r, outputs, dims, residual, qmath._qubit_fidelity(r, image))
 
 
 def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatch:

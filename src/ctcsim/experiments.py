@@ -5,6 +5,8 @@ merit at once (fixed sigma-z measurement, optimized measurement, trace
 distance, identification probability) for both the loop circuit and the
 standard-QM baseline, plus the solver diagnostics. Nothing is discarded;
 the experiment id says which published panel a sweep corresponds to.
+The catalog lives here too: SWEEP_TABLES lists each discrimination table's
+sweeps, and reproduce(target) emits any bundled table but the thresholds.
 
 A sweep table is one deutsch.run_batch, local and non-local points alike;
 find_thresholds bisects all its brackets together, one batch per tree chunk.
@@ -27,6 +29,9 @@ from .qmath import ValidationError
 __all__ = [
     "SweepRecord",
     "ThresholdResult",
+    "VARIANTS",
+    "MODES",
+    "SWEEP_TABLES",
     "ThresholdNotFound",
     "WORKING_POINT_PHI",
     "WORKING_POINT_THETA",
@@ -36,6 +41,7 @@ __all__ = [
     "decoherence_surface",
     "find_threshold",
     "find_thresholds",
+    "reproduce",
     "validate_records",
 ]
 
@@ -46,6 +52,16 @@ WORKING_POINT_THETA = math.pi / 4
 
 # Default grid size of each discrimination sweep variant.
 _DEFAULT_GRID = {"optimal-gate": 32, "fixed-state": 64, "fixed-gate": 32}
+VARIANTS = tuple(_DEFAULT_GRID)
+MODES = ("local", "nonlocal")
+# The discrimination-sweep targets as (experiment_id, variant, mode) triples,
+# in emission order; every record of a triple carries its experiment_id.
+SWEEP_TABLES = {
+    "fig5a": [("fig5a", "optimal-gate", "local")],
+    "fig5b": [(f"fig5b-{v}", v, "nonlocal") for v in VARIANTS],
+    "fig5c": [(f"fig5c-{v}-{m}", v, m) for v in VARIANTS[1:] for m in MODES],
+    **{t: [(f"{t}-{v}-{m}", v, m) for v in VARIANTS for m in MODES] for t in ("s1", "s2")},
+}
 
 # find_thresholds' sign-change scan resolution, final bracket width and
 # bisection-tree levels scored per batch (2**5 - 1 = 31 midpoints).
@@ -243,9 +259,9 @@ def discrimination_sweeps(tables, grid_size: int | None = None) -> list[SweepRec
     if grid_size is not None and grid_size < 2:
         raise ValidationError("grid size must be >= 2")
     for _, variant, mode in tables:
-        if variant not in _DEFAULT_GRID:
+        if variant not in VARIANTS:
             raise ValidationError(f"unknown sweep variant {variant!r}")
-        if mode not in ("local", "nonlocal"):
+        if mode not in MODES:
             raise ValidationError(f"unknown preparation mode {mode!r}")
     if not tables:
         return []
@@ -280,6 +296,19 @@ def decoherence_surface(p_grid: list[float] | None = None,
     p = np.repeat(np.asarray(p_grid, dtype=float), len(eps_grid))
     eps = np.tile(np.asarray(eps_grid, dtype=float), len(p_grid))
     return _discrimination_records("fig6", True, WORKING_POINT_PHI, WORKING_POINT_THETA, p, eps)
+
+
+def reproduce(target: str, grid: int | None = None) -> list[SweepRecord]:
+    """Records of a bundled table, fig3, fig6 or a SWEEP_TABLES key; grid overrides
+    the sweeps' grids and fig6's axes (grid points over [0, 1]), not fig3's."""
+    if target in SWEEP_TABLES:
+        return discrimination_sweeps(SWEEP_TABLES[target], grid)
+    if target == "fig3":
+        return nonlinearity_sweep()
+    if target == "fig6":
+        axis = None if grid is None else np.linspace(0.0, 1.0, grid).tolist()
+        return decoherence_surface(axis, axis)
+    raise ValidationError(f"unknown reproduce target {target!r}")
 
 
 def _advantage_gaps(parameters, xs) -> np.ndarray:

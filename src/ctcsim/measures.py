@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qmath
 from .qmath import DensityMatrix, PureQubit, ValidationError, trace_distance
 
 __all__ = [
@@ -149,11 +150,6 @@ def helstrom_success_probability(rho1: DensityMatrix, rho2: DensityMatrix) -> fl
     return 0.5 * (1.0 + trace_distance(rho1, rho2))
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=-1) of real vectors, same arithmetic, without its per-call overhead."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1))
-
-
 def bloch_measures(r1: np.ndarray, r2: np.ndarray):
     """(L_sigma_z, L_optimal, trace distance, Helstrom) of Bloch pairs (..., 3), batched.
 
@@ -161,9 +157,9 @@ def bloch_measures(r1: np.ndarray, r2: np.ndarray):
     and (1 + D)/2; _eigen_optima and the grid search are the optimized
     measure's oracles.
     """
-    d = _norms(r1 - r2) / 2.0
+    d = qmath._norms(r1 - r2) / 2.0
     l_z = (1.0 - r1[..., 2] * r2[..., 2]) / 2.0
-    lam = (np.add.reduce(r1 * r2, axis=-1) - _norms(r1) * _norms(r2)) / 2.0
+    lam = (np.add.reduce(r1 * r2, axis=-1) - qmath._norms(r1) * qmath._norms(r2)) / 2.0
     l_opt = np.clip((1.0 - lam) / 2.0, 0.0, 1.0)
     return l_z, l_opt, d, 0.5 * (1.0 + d)
 

@@ -33,10 +33,9 @@ from .experiments import (
     SweepRecord,
     _pure_bloch,
     decoherence_surface,
-    discrimination_sweep,
-    discrimination_sweeps,
     find_thresholds,
     nonlinearity_sweep,
+    reproduce,
 )
 from .measures import _eigen_optima, grid_search_mismatches
 from .qmath import DensityMatrix, PureQubit, trace_distance, trace_distances
@@ -53,16 +52,10 @@ class CheckResult:
     elapsed: float
 
 
-# The non-local discrimination sweeps that C7 and C9 both read, as
-# discrimination_sweeps tables at the default grids (32, 64 and 32 points).
-NONLOCAL_SWEEPS = tuple((f"{v}-nonlocal", v, "nonlocal")
-                        for v in ("optimal-gate", "fixed-state", "fixed-gate"))
-
-
 @dataclass
 class Context:
-    """Shared state across checks: tolerance scale, observed fidelities and
-    the non-local sweeps, solved once on first use so each check can run alone."""
+    """Shared state across checks: tolerance scale, observed fidelities and the
+    fig5b sweeps C7 and C9 read, solved once on first use so each check can run alone."""
 
     tol_scale: float = 1.0
     fidelities: list[float] = field(default_factory=list)
@@ -73,7 +66,7 @@ class Context:
 
     def nonlocal_sweeps(self) -> list[SweepRecord]:
         if self._nonlocal is None:
-            self._nonlocal = discrimination_sweeps(NONLOCAL_SWEEPS)
+            self._nonlocal = reproduce("fig5b")
             self.fidelities.extend(r.consistency_fidelity for r in self._nonlocal)
         return self._nonlocal
 
@@ -174,8 +167,7 @@ def _check_iterated_distance(ctx: Context) -> tuple[bool, str]:
     """Trace-distance advantage appears only from the third pass on."""
     sweep = nonlinearity_sweep([math.pi / 4], [0.0], iterations=[2, 3])  # passes 1, 2, 3
     recs = {r.n_iterations: r for r in sweep[1:]}
-    for r in recs.values():
-        ctx.fidelities.append(r.consistency_fidelity)
+    ctx.fidelities.extend(r.consistency_fidelity for r in recs.values())
     a0 = math.cos(math.pi / 8) ** 2
     expect = {n: 1.0 - _diag_recurrence(a0, n) for n in (2, 3)}
     dev = max(abs(recs[n].D_ctc - expect[n]) for n in (2, 3))
@@ -192,7 +184,7 @@ def _check_iterated_distance(ctx: Context) -> tuple[bool, str]:
 def _check_perfect_discrimination(ctx: Context) -> tuple[bool, str]:
     """Optimal gate, local preparation: mismatch probability 1 for all 31 states."""
     # The phi = 0 record is the reference state itself, degenerate by construction.
-    recs = [r for r in discrimination_sweep("local", "optimal-gate", 32) if r.phi != 0.0]
+    recs = [r for r in reproduce("fig5a") if r.phi != 0.0]
     ctx.fidelities.extend(r.consistency_fidelity for r in recs)
     worst_l = np.max([abs(r.L_ctc_sigma_z - 1.0) for r in recs])
     worst_r = np.max([r.fixed_point_residual for r in recs])
@@ -219,8 +211,7 @@ def _check_decoherence_thresholds(ctx: Context) -> tuple[bool, str]:
     """Full noise surface plus bisected advantage thresholds sqrt(2)-1 and 1/3."""
     start = time.perf_counter()
     records = decoherence_surface()
-    for r in records:
-        ctx.fidelities.append(r.consistency_fidelity)
+    ctx.fidelities.extend(r.consistency_fidelity for r in records)
     thr_p, thr_e = find_thresholds(("p", "epsilon"))
     elapsed = time.perf_counter() - start
     dev_p = abs(thr_p.crossing - (math.sqrt(2.0) - 1.0))

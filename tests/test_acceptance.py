@@ -31,11 +31,10 @@ from ctcsim.deutsch import (
     solve_fixed_point,
 )
 from ctcsim.measures import _eigen_optima, helstrom_success_probability
-from ctcsim.qmath import DensityMatrix, PureQubit, density_from_bloch, trace_distance
+from ctcsim.qmath import DensityMatrix, PureQubit, density_from_bloch, trace_distances
 from ctcsim.selftest import (
     CHECKS,
     CHUNK,
-    NONLOCAL_SWEEPS,
     SOLVER_CHECKS,
     CheckResult,
     Context,
@@ -233,21 +232,21 @@ def test_chunked_draw_matches_one_at_a_time_draw():
 
 
 def test_nonlocal_sweeps_shared_by_c7_and_c9(monkeypatch):
-    """C9 run alone solves the non-local sweeps; C7 after it reuses them, and
-    their scenarios are counted once for C11."""
+    """C9 run alone solves the fig5b non-local sweeps with one reproduce("fig5b");
+    C7 after it reuses them, and their scenarios are counted once for C11."""
     calls = []
-    real = selftest.discrimination_sweeps
+    real = selftest.reproduce
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(selftest, "discrimination_sweeps", counted)
+    monkeypatch.setattr(selftest, "reproduce", counted)
     ctx = Context()
     assert selftest._check_supplement_identities(ctx)[0]
-    assert calls == [(NONLOCAL_SWEEPS,)]
-    assert [eid for eid, _, _ in NONLOCAL_SWEEPS] == [
-        f"{v}-nonlocal" for v in ("optimal-gate", "fixed-state", "fixed-gate")]
+    assert calls == [("fig5b",)]
+    assert sorted({r.experiment_id for r in ctx.nonlocal_sweeps()}) == [
+        f"fig5b-{v}" for v in ("fixed-gate", "fixed-state", "optimal-gate")]
     assert len(ctx.fidelities) == NONLOCAL_POINTS
     assert selftest._check_nonlocal_ceiling(ctx)[0]
     assert len(calls) == 1
@@ -354,7 +353,7 @@ def test_c9_deviations_match_scalar_measures(report):
     for _ in range(1000):
         r1 = DensityMatrix(one_state_at_a_time(rng, True))
         r2 = DensityMatrix(one_state_at_a_time(rng, True))
-        d = trace_distance(r1, r2)
+        d = trace_distances(r1.mat, r2.mat)
         l_opt = _eigen_optima(r1.bloch()[None], r2.bloch()[None])[0][0]
         worst_si = max(worst_si, abs(l_opt - 0.5 * (1 + d * d)))
     for _ in range(1000):
@@ -426,10 +425,10 @@ NAN_CASES = {
         mp, "nonlinearity_sweep", lambda recs: with_nan(recs, "L_qm")),
         "worst closed-form deviation nan"),
     "C6 L": ("C6", lambda mp, ctx: patch_result(
-        mp, "discrimination_sweep", lambda recs: with_nan(recs, "L_ctc_sigma_z")),
+        mp, "reproduce", lambda recs: with_nan(recs, "L_ctc_sigma_z")),
         "worst |L-1| nan"),
     "C6 residual": ("C6", lambda mp, ctx: patch_result(
-        mp, "discrimination_sweep", lambda recs: with_nan(recs, "fixed_point_residual")),
+        mp, "reproduce", lambda recs: with_nan(recs, "fixed_point_residual")),
         "worst residual nan"),
     "C7": ("C7", lambda mp, ctx: set_nonlocal(ctx, "L_ctc_sigma_z"), "max L - 1/2 = nan"),
     "C9": ("C9", lambda mp, ctx: set_nonlocal(ctx, "L_ctc_optimal"), "plateau dev nan"),

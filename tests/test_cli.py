@@ -15,17 +15,17 @@ import pytest
 
 from ctcsim.cli import (
     RECORD_FIELDS,
+    REPRODUCE_TARGETS,
     THRESHOLD_FIELDS,
     _print_state,
-    _reproduce_records,
     main,
     read_records_csv,
     write_records_csv,
     write_thresholds_csv,
 )
-from ctcsim.circuits import CircuitKind, CircuitSpec
+from ctcsim.circuits import CircuitKind, CircuitSpec, build_interaction
 from ctcsim.deutsch import LocalPure, NonLocalEnsemble, run_scenario
-from ctcsim.experiments import SweepRecord, ThresholdResult, discrimination_sweep
+from ctcsim.experiments import SweepRecord, ThresholdResult, discrimination_sweep, reproduce
 from ctcsim.measures import mismatch_probability, optimal_mismatch_probability
 from ctcsim.qmath import DensityMatrix, PureQubit
 
@@ -157,6 +157,20 @@ class TestDiscriminateCommand:
             monkeypatch.setattr(np.linalg, name, refuse)
         assert main(["discriminate", "--prep", prep, *angles]) == 0
         assert "L(optimal)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("prep", ["local", "nonlocal"])
+    def test_takes_no_2x2_eigenvalue_range(self, monkeypatch, capsys, prep):
+        """D and p_succ are |r0 - r1|/2 and (1 + D)/2 on the outputs' Bloch
+        vectors, the tables' formulas: no 2x2 eigenvalue range is taken."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("discriminate called qmath._eig_ranges_2x2")
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ctcsim") and hasattr(module, "_eig_ranges_2x2"):
+                monkeypatch.setattr(module, "_eig_ranges_2x2", refuse)
+        argv = ["discriminate", "--prep", prep, "--phi", "2.5", "--p", "0.2", "--epsilon", "0.1"]
+        assert main(argv) == 0
+        assert "p_succ      = " in capsys.readouterr().out
 
     @pytest.mark.parametrize("phi", ["0", "1.5707963267948966", "5.5"])
     def test_nonlocal_prints_the_documented_axis(self, capsys, phi):
@@ -325,7 +339,7 @@ class TestRecordTemplate:
 
     @pytest.mark.parametrize("target", ["fig5b", "fig6"])
     def test_real_records(self, tmp_path, target):
-        self.assert_same_bytes(_reproduce_records(target, None), tmp_path)
+        self.assert_same_bytes(reproduce(target), tmp_path)
 
     def test_edge_values(self, tmp_path):
         base = discrimination_sweep("local", "fixed-state", 2)[0]
@@ -383,6 +397,36 @@ class TestSweepCommand:
                       if f.is_file()) == sorted([out, svg])
 
 
+class TestOutputPaths:
+    """An --out the command cannot honour exits 2 with one line, writing nothing."""
+
+    def assert_refused(self, argv, tmp_path, monkeypatch, capsys, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid parameters: {message}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "fig3", "--out", "t.svg", "--plot"],
+        ["sweep", "--variant", "fixed-gate", "--grid", "4", "--out", "x.svg", "--plot"],
+    ])
+    def test_plot_over_an_svg_table_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        """The plot's path is --out with .svg for its extension, so an --out
+        ending in .svg would be overwritten: refused before any file is written."""
+        self.assert_refused(argv, tmp_path, monkeypatch, capsys, "--plot would write its SVG")
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "fig3", "--out", "."],
+        ["reproduce", "fig3", "--out", "nodir/x.csv"],
+        ["reproduce", "thresholds", "--out", "nodir/t.csv"],
+        ["sweep", "--variant", "fixed-gate", "--grid", "4", "--out", "nodir/s.csv"],
+        ["fixed-point", "--out", "nodir/fp.json"],
+    ])
+    def test_unwritable_out_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        self.assert_refused(argv, tmp_path, monkeypatch, capsys, f"cannot write {argv[-1]}: ")
+
+
 class TestSelftestCommand:
     def test_tolerance_floor_enforced(self, capsys):
         assert main(["selftest", "--tol", "1e-15"]) == 2
@@ -391,6 +435,18 @@ class TestSelftestCommand:
     def test_non_finite_tolerance_exits_2(self, capsys, tol):
         assert main(["selftest", "--tol", tol]) == 2
         assert "tolerance override" in capsys.readouterr().err
+
+
+def test_interaction_memo_holds_every_bundled_channel(tmp_path, capsys):
+    """Every reproduce target and the selftest, in one process, fit in
+    build_interaction's memo: nothing is evicted, so each channel is built once."""
+    build_interaction.cache_clear()
+    for target in REPRODUCE_TARGETS:
+        assert main(["reproduce", target, "--out", str(tmp_path / f"{target}.csv")]) == 0
+    assert main(["selftest"]) == 0
+    info = build_interaction.cache_info()
+    assert info.misses == info.currsize < info.maxsize
+    assert info.hits > 0
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

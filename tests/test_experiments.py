@@ -9,6 +9,7 @@ from ctcsim.circuits import CircuitKind
 from ctcsim.deutsch import run_batch
 from ctcsim.experiments import (
     _SCAN_POINTS,
+    SWEEP_TABLES,
     WORKING_POINT_PHI,
     WORKING_POINT_THETA,
     decoherence_surface,
@@ -17,6 +18,7 @@ from ctcsim.experiments import (
     find_threshold,
     find_thresholds,
     nonlinearity_sweep,
+    reproduce,
     validate_records,
 )
 from ctcsim.qmath import PureQubit, ValidationError
@@ -202,9 +204,7 @@ class TestBatchedTargets:
     @pytest.mark.parametrize("grid", [None, 2, 7])
     @pytest.mark.parametrize("target", ["fig5a", "fig5b", "fig5c", "s1", "s2"])
     def test_sweep_table_equals_its_sweeps(self, target, grid):
-        from ctcsim.cli import _SWEEP_TABLES
-
-        tables = _SWEEP_TABLES[target]
+        tables = SWEEP_TABLES[target]
         one_at_a_time = [r._replace(experiment_id=eid) for eid, variant, mode in tables
                          for r in discrimination_sweep(mode, variant, grid)]
         assert bitwise(discrimination_sweeps(tables, grid)) == bitwise(one_at_a_time)
@@ -212,9 +212,7 @@ class TestBatchedTargets:
     def test_record_diagnostics_are_the_worst_over_its_loops(self):
         """A local record's residual, fidelity and dimension are the worst over
         its |H> and psi1 loops, a non-local record's those of its mixture loop."""
-        from ctcsim.cli import _SWEEP_TABLES
-
-        for r in discrimination_sweeps(_SWEEP_TABLES["s1"], 7):
+        for r in discrimination_sweeps(SWEEP_TABLES["s1"], 7):
             psi0, psi1 = np.array([0.0, 0.0, 1.0]), np.array(PureQubit(r.phi, 0.0).bloch())
             rows = [psi0, psi1] if r.prep_mode == "local_pure" else [(psi0 + psi1) / 2.0]
             zero = np.zeros(len(rows))
@@ -301,9 +299,7 @@ def sequential_threshold(parameter):
 
 def supplement_sweep(target, variant, mode, grid):
     """The records of one (variant, mode) block of the s1/s2 reproduce table."""
-    from ctcsim.cli import _reproduce_records
-
-    records = _reproduce_records(target, grid)
+    records = reproduce(target, grid)
     assert len({r.experiment_id for r in records}) == 6
     return [r for r in records if r.experiment_id == f"{target}-{variant}-{mode}"]
 
@@ -341,10 +337,8 @@ class TestSupplementSweeps:
     def test_table_blocks_are_the_discrimination_sweeps(self):
         """Each table is the six discrimination sweeps, variant-major, each
         under its own experiment id."""
-        from ctcsim.cli import _reproduce_records
-
         for target in ("s1", "s2"):
-            assert _reproduce_records(target, 6) == [
+            assert reproduce(target, 6) == [
                 r._replace(experiment_id=f"{target}-{variant}-{mode}")
                 for variant in ("optimal-gate", "fixed-state", "fixed-gate")
                 for mode in ("local", "nonlocal")

@@ -31,11 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from ctcsim.cli import REPRODUCE_TARGETS, main  # noqa: E402
+from ctcsim.experiments import MODES, SWEEP_TABLES, VARIANTS  # noqa: E402
 
-VARIANTS = ("optimal-gate", "fixed-state", "fixed-gate")
-PREPS = ("local", "nonlocal")
 METHODS = ("eigen_max_entropy", "damped_iteration")
-SWEEP_TARGETS = ("fig5a", "fig5b", "fig5c", "s1", "s2")
 # Elapsed times as the selftest prints them ("0.12s").
 _ELAPSED = re.compile(r"\b\d+\.\d\ds\b")
 
@@ -48,10 +46,10 @@ def commands(out: Path) -> list[list[str]]:
              for t in ("thresholds", "fig3")]
     cmds += [["sweep", "--variant", v, "--prep", m, "--grid", "50", "--plot",
               "--out", str(out / f"sweep-{v}-{m}-grid50.csv")]
-             for v in VARIANTS for m in PREPS]
+             for v in VARIANTS for m in MODES]
     cmds.append(["reproduce", "fig6", "--grid", "13", "--out", str(out / "fig6-grid13.csv")])
     cmds += [["reproduce", t, "--grid", "7", "--out", str(out / f"{t}-grid7.csv")]
-             for t in SWEEP_TARGETS]
+             for t in SWEEP_TABLES]
     cmds += [["fixed-point", "--phi", "1.1", "--phase", "0.4", "--p", "0.2", "--epsilon", "0.3",
               "--method", m, "--out", str(out / f"fixed-point-{m}.json")] for m in METHODS]
     return cmds
