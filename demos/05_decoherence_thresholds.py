@@ -19,7 +19,7 @@ Writes decoherence_response.svg next to the working directory.
 import math
 
 from ctcsim import decoherence_surface, find_threshold
-from ctcsim.svgplot import write_svg
+from ctcsim.svgplot import svg
 
 
 def main():
@@ -42,8 +42,7 @@ def main():
     print("(that channel has no analogue without a loop); full failure drags")
     print("the loop down to coin flipping.")
 
-    write_svg(
-        "decoherence_response.svg",
+    plot = svg(
         [
             ("loop vs p (eps=0)", grid, [r.L_ctc_sigma_z for r in vs_p]),
             ("standard QM vs p", grid, [r.L_qm for r in vs_p]),
@@ -53,6 +52,8 @@ def main():
         x_label="noise strength",
         y_label="mismatch probability",
     )
+    with open("decoherence_response.svg", "w", encoding="utf-8") as fh:
+        fh.write(plot)
     print("wrote decoherence_response.svg")
 
 

@@ -6,15 +6,17 @@ fixed-point   solve one loop scenario and print the solved state
 discriminate  run one discrimination point (both states) and print measures
 sweep         run a single parameter sweep to CSV/JSON
 reproduce     emit a bundled experiment (fig3, fig5a..c, fig6, s1, s2, thresholds)
-selftest      run the acceptance suite; exit 0 iff everything passes
-              (--json prints the per-check report as JSON instead)
+selftest      run the acceptance suite at its fixed tolerances; exit 0 iff
+              everything passes (--json prints all_passed, total_elapsed and
+              checks, each check_id/description/passed/detail/elapsed, instead)
 
 CSV files are byte-deterministic for a fixed configuration: fixed field
 order, 17-significant-digit floats, UTF-8, '.' decimal separator.
 
-Exit codes: 2 invalid parameters (also an --out that cannot be written, and
-an --out ending in .svg with --plot, refused before any file is written), 3
-solver non-convergence, 4 record invariant violation in reproduce, 1 failed selftest.
+Exit codes: 2 invalid parameters (also an empty --out, an --out or --plot SVG
+path that cannot be written, and an --out ending in .svg with --plot: each
+refused with nothing written), 3 solver non-convergence, 4 record invariant
+violation in reproduce, 1 failed selftest.
 """
 
 from __future__ import annotations
@@ -150,6 +152,14 @@ def cmd_fixed_point(args) -> int:
     spec = _build_spec(args)
     res = run_scenario(spec, _build_prep(args, psi), method=args.method)
     fp = res.fixed_point
+    if args.out is not None:
+        _write_json({
+            "rho_ctc": [["%.17g" % v.real, "%.17g" % v.imag] for v in fp.rho_ctc.mat.reshape(-1)],
+            "residual": fp.residual,
+            "fixed_set_dimension": fp.fixed_set_dimension,
+            "entropy": fp.entropy,
+            "consistency_fidelity": res.consistency_fidelity,
+        }, args.out)
     _print_state("rho_ctc", fp.rho_ctc)
     print(f"residual:            {fp.residual:.3e}")
     print(f"fixed_set_dimension: {fp.fixed_set_dimension}"
@@ -158,14 +168,6 @@ def cmd_fixed_point(args) -> int:
     print(f"consistency fidelity: {res.consistency_fidelity:.12f}")
     for i, out in enumerate(res.rho_out_per_input):
         _print_state(f"rho_out[{i}]", out)
-    if args.out:
-        _write_json({
-            "rho_ctc": [["%.17g" % v.real, "%.17g" % v.imag] for v in fp.rho_ctc.mat.reshape(-1)],
-            "residual": fp.residual,
-            "fixed_set_dimension": fp.fixed_set_dimension,
-            "entropy": fp.entropy,
-            "consistency_fidelity": res.consistency_fidelity,
-        }, args.out)
     return 0
 
 
@@ -200,49 +202,64 @@ def cmd_discriminate(args) -> int:
     return 0
 
 
-def _svg_path(path: str) -> str:
-    """The plot next to a table: `path` with its extension, if any, replaced by .svg."""
-    return os.path.splitext(path)[0] + ".svg"
-
-
-def _emit(records: list[SweepRecord], args, default_stem: str) -> tuple[str, int]:
-    path = args.out or f"{default_stem}.{args.format}"
-    if args.plot and _svg_path(path) == path:
+def _emit(args, stem: str, rows: list, plot=None) -> int:
+    """Write a command's files, then print a `wrote` line for each: the rows
+    (records or thresholds) as the table at --out, default <stem>.<format>,
+    and with --plot the SVG of the (series, title, x_label, y_label) that
+    plot() returns, beside the table. Records that break an invariant are
+    reported and not written (exit 4). The plot's file is opened before the
+    table is written and removed if the table cannot be, so a path that
+    cannot be written refuses the run with nothing written or printed."""
+    path = f"{stem}.{args.format}" if args.out is None else args.out
+    plot_path = os.path.splitext(path)[0] + ".svg"
+    if args.plot and plot_path == path:
         raise ValidationError(f"--plot would write its SVG over the table {path}")
-    problems = validate_records(records)
+    thresholds = isinstance(rows[0], ThresholdResult)
+    problems = [] if thresholds else validate_records(rows)
     if problems:
         for msg in problems[:10]:
             print(f"INVARIANT VIOLATION: {msg}", file=sys.stderr)
-        return "", 4
-    if args.format == "json":
-        _write_json([r._asdict() for r in records], path)
+        return 4
+    if args.plot:
+        from .svgplot import svg
+
+        text = svg(*plot())
+        plot_fh = _open_out(plot_path)
+    try:
+        if args.format == "json":
+            _write_json([dataclasses.asdict(r) if thresholds else r._asdict() for r in rows], path)
+        else:
+            (write_thresholds_csv if thresholds else write_records_csv)(rows, path)
+    except ValidationError:
+        if args.plot:
+            plot_fh.close()
+            os.remove(plot_path)
+        raise
+    if thresholds:
+        for t in rows:
+            print(f"{t.parameter}* = {t.crossing:.9f} (bracket {t.bracket}, tol {t.achieved_tolerance:.1e})")
+        print(f"wrote thresholds to {path}")
     else:
-        write_records_csv(records, path)
-    print(f"wrote {len(records)} records to {path}")
-    return path, 0
+        print(f"wrote {len(rows)} records to {path}")
+    if args.plot:
+        with plot_fh:
+            plot_fh.write(text)
+        print(f"wrote plot to {plot_path}")
+    return 0
 
 
 def cmd_sweep(args) -> int:
     records = discrimination_sweep(args.prep, args.variant, args.grid)
-    path, code = _emit(records, args, f"sweep-{args.variant}-{args.prep}")
-    if code == 0 and args.plot:
-        from .svgplot import write_svg
-
-        x_name = "theta_xz" if args.variant == "fixed-state" else "phi"
-        svg = _svg_path(path)
-        xs = [getattr(r, x_name) for r in records]
-        write_svg(svg, [("L loop (sigma_z)", xs, [r.L_ctc_sigma_z for r in records]),
-                        ("L standard QM", xs, [r.L_qm for r in records])],
-                  title=f"{args.variant} sweep ({args.prep})", x_label=f"{x_name} [rad]",
-                  y_label="mismatch probability")
-        print(f"wrote plot to {svg}")
-    return code
+    x_name = "theta_xz" if args.variant == "fixed-state" else "phi"
+    xs = [getattr(r, x_name) for r in records]
+    return _emit(args, f"sweep-{args.variant}-{args.prep}", records, lambda: (
+        [("L loop (sigma_z)", xs, [r.L_ctc_sigma_z for r in records]),
+         ("L standard QM", xs, [r.L_qm for r in records])],
+        f"{args.variant} sweep ({args.prep})", f"{x_name} [rad]", "mismatch probability"))
 
 
-def _plot_reproduction(target: str, records: list[SweepRecord], path: str) -> None:
-    from .svgplot import write_svg
-
-    svg = _svg_path(path)
+def _plot_reproduction(target: str, records: list[SweepRecord]):
+    """The plot of a reproduce target: (series, title, x_label, y_label)."""
     if target == "fig3":
         base = [r for r in records if r.n_iterations == 1 and r.phase == 0.0]
         xs = [r.phi for r in base]
@@ -252,9 +269,8 @@ def _plot_reproduction(target: str, records: list[SweepRecord], path: str) -> No
             ("D loop", xs, [r.D_ctc for r in base]),
             ("D standard QM", xs, [r.D_qm for r in base]),
         ]
-        write_svg(svg, series, title="nonlinear evolution", x_label="phi [rad]",
-                  y_label="distinguishability")
-    elif target == "fig6":
+        return series, "nonlinear evolution", "phi [rad]", "distinguishability"
+    if target == "fig6":
         line_e0 = [r for r in records if r.epsilon == 0.0]
         line_p0 = [r for r in records if r.p == 0.0]
         series = [
@@ -262,26 +278,23 @@ def _plot_reproduction(target: str, records: list[SweepRecord], path: str) -> No
             ("QM vs p", [r.p for r in line_e0], [r.L_qm for r in line_e0]),
             ("loop vs eps (p=0)", [r.epsilon for r in line_p0], [r.L_ctc_sigma_z for r in line_p0]),
         ]
-        write_svg(svg, series, title="decoherence response at the working point",
-                  x_label="noise strength", y_label="mismatch probability")
-    else:
-        quantity = {
-            "s2": ("p_succ_ctc", "p_succ_qm", "success probability"),
-            "s1": ("L_ctc_optimal", "L_qm", "mismatch probability"),
-        }.get(target, ("L_ctc_sigma_z", "L_qm", "mismatch probability"))
-        blocks: dict[str, list[SweepRecord]] = {}
-        for r in records:
-            blocks.setdefault(r.experiment_id, []).append(r)
-        series = []
-        for eid in sorted(blocks):
-            xs = [getattr(r, "theta_xz" if "fixed-state" in eid else "phi") for r in blocks[eid]]
-            series.append((eid, xs, [getattr(r, quantity[0]) for r in blocks[eid]]))
-        # The standard-QM curve is read off the first block, on that block's x-axis.
-        series.append(("standard QM", series[0][1],
-                       [getattr(r, quantity[1]) for r in blocks[min(blocks)]]))
-        write_svg(svg, series, title=target, x_label="sweep parameter [rad]",
-                  y_label=quantity[2])
-    print(f"wrote plot to {svg}")
+        return (series, "decoherence response at the working point", "noise strength",
+                "mismatch probability")
+    quantity = {
+        "s2": ("p_succ_ctc", "p_succ_qm", "success probability"),
+        "s1": ("L_ctc_optimal", "L_qm", "mismatch probability"),
+    }.get(target, ("L_ctc_sigma_z", "L_qm", "mismatch probability"))
+    blocks: dict[str, list[SweepRecord]] = {}
+    for r in records:
+        blocks.setdefault(r.experiment_id, []).append(r)
+    series = []
+    for eid in sorted(blocks):
+        xs = [getattr(r, "theta_xz" if "fixed-state" in eid else "phi") for r in blocks[eid]]
+        series.append((eid, xs, [getattr(r, quantity[0]) for r in blocks[eid]]))
+    # The standard-QM curve is read off the first block, on that block's x-axis.
+    series.append(("standard QM", series[0][1],
+                   [getattr(r, quantity[1]) for r in blocks[min(blocks)]]))
+    return series, target, "sweep parameter [rad]", quantity[2]
 
 
 def cmd_reproduce(args) -> int:
@@ -292,41 +305,23 @@ def cmd_reproduce(args) -> int:
     if args.target == "thresholds":
         if args.plot:
             raise ValidationError("reproduce thresholds writes no plot; drop --plot")
-        results = find_thresholds(("p", "epsilon"))
-        path = args.out or f"thresholds.{args.format}"
-        if args.format == "json":
-            _write_json([dataclasses.asdict(t) for t in results], path)
-        else:
-            write_thresholds_csv(results, path)
-        for t in results:
-            print(f"{t.parameter}* = {t.crossing:.9f} (bracket {t.bracket}, tol {t.achieved_tolerance:.1e})")
-        print(f"wrote thresholds to {path}")
-        return 0
+        return _emit(args, "thresholds", find_thresholds(("p", "epsilon")))
     records = reproduce(args.target, args.grid)
-    path, code = _emit(records, args, args.target)
-    if code == 0 and args.plot:
-        _plot_reproduction(args.target, records, path)
-    return code
+    return _emit(args, args.target, records, lambda: _plot_reproduction(args.target, records))
 
 
 def cmd_selftest(args) -> int:
-    if not 1e-14 <= args.tol < math.inf:
-        raise ValidationError("tolerance override must be finite and >= 1e-14")
-    scale = args.tol / 1e-12
     if args.json:
         import json
 
-        report = run_selftest(tol_scale=scale, echo=None)
+        report = run_selftest(echo=None)
         print(json.dumps({
-            "tol_scale": scale,
             "all_passed": report.all_passed,
             "total_elapsed": report.total_elapsed,
             "checks": [dataclasses.asdict(r) for r in report.results],
         }, indent=2))
     else:
-        if scale != 1.0:
-            print(f"tolerance scale: x{scale:g} (base tolerances multiplied by this factor)")
-        report = run_selftest(tol_scale=scale)
+        report = run_selftest()
         print(f"{'all checks passed' if report.all_passed else 'FAILURES detected'} "
               f"in {report.total_elapsed:.2f}s")
     return 0 if report.all_passed else 1
@@ -387,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.set_defaults(fn=cmd_reproduce)
 
     st = sub.add_parser("selftest", help="run the acceptance suite")
-    st.add_argument("--tol", type=float, default=1e-12,
-                    help="base tolerance (>= 1e-14); scales every check tolerance")
     st.add_argument("--json", action="store_true",
                     help="print the per-check report (id, pass, time, detail) as JSON")
     st.set_defaults(fn=cmd_selftest)

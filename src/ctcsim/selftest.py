@@ -54,15 +54,11 @@ class CheckResult:
 
 @dataclass
 class Context:
-    """Shared state across checks: tolerance scale, observed fidelities and the
-    fig5b sweeps C7 and C9 read, solved once on first use so each check can run alone."""
+    """Shared state across checks: observed fidelities and the fig5b sweeps C7
+    and C9 read, solved once on first use so each check can run alone."""
 
-    tol_scale: float = 1.0
     fidelities: list[float] = field(default_factory=list)
     _nonlocal: list[SweepRecord] | None = field(default=None, init=False, repr=False)
-
-    def tol(self, base: float) -> float:
-        return base * self.tol_scale
 
     def nonlocal_sweeps(self) -> list[SweepRecord]:
         if self._nonlocal is None:
@@ -107,7 +103,7 @@ def _check_closed_form(ctx: Context) -> tuple[bool, str]:
     worst = np.max([trace_distances(_density_rows(batch.outputs), refs[:, 0]).max(),
                     trace_distances(_density_rows(batch.loop), refs[:, 1]).max()])
     elapsed = time.perf_counter() - start
-    ok = worst <= ctx.tol(1e-10) and elapsed < 1.0
+    ok = worst <= 1e-10 and elapsed < 1.0
     return ok, f"worst trace distance {worst:.2e}, {elapsed:.2f}s"
 
 
@@ -120,7 +116,7 @@ def _check_phase_erasure(ctx: Context) -> tuple[bool, str]:
     ctx.fidelities.extend(batch.consistency_fidelity.tolist())
     outs = _density_rows(batch.outputs).reshape(len(phis), 16, 2, 2)
     worst = trace_distances(outs[:, :1], outs[:, 1:]).max()
-    return worst <= ctx.tol(1e-10), f"worst pairwise trace distance {worst:.2e}"
+    return worst <= 1e-10, f"worst pairwise trace distance {worst:.2e}"
 
 
 def _check_degenerate_fixed_point(ctx: Context) -> tuple[bool, str]:
@@ -130,7 +126,7 @@ def _check_degenerate_fixed_point(ctx: Context) -> tuple[bool, str]:
         PureQubit(math.pi / 2, 0.0).density(), build_interaction(spec)
     )
     d = trace_distance(fp.rho_ctc, DensityMatrix.maximally_mixed())
-    ok = fp.fixed_set_dimension == 2 and d <= ctx.tol(1e-10)
+    ok = fp.fixed_set_dimension == 2 and d <= 1e-10
     return ok, f"fixed_set_dimension={fp.fixed_set_dimension}, distance to I/2 {d:.2e}"
 
 
@@ -148,11 +144,11 @@ def _check_nonlinearity_region(ctx: Context) -> tuple[bool, str]:
         if 0 < k < 8:
             region_ok &= gap > 0
         elif k == 8:
-            region_ok &= abs(gap) <= ctx.tol(1e-10)
+            region_ok &= abs(gap) <= 1e-10
         else:
-            region_ok &= gap <= ctx.tol(1e-10)
+            region_ok &= gap <= 1e-10
     worst = np.max(devs)
-    ok = worst <= ctx.tol(1e-10) and region_ok
+    ok = worst <= 1e-10 and region_ok
     return ok, f"worst closed-form deviation {worst:.2e}, advantage region {'ok' if region_ok else 'WRONG'}"
 
 
@@ -173,7 +169,7 @@ def _check_iterated_distance(ctx: Context) -> tuple[bool, str]:
     dev = max(abs(recs[n].D_ctc - expect[n]) for n in (2, 3))
     d_qm = math.sin(math.pi / 8)
     ordered = recs[2].D_ctc < d_qm < recs[3].D_ctc
-    ok = dev <= ctx.tol(1e-10) and ordered and abs(expect[2] - 0.375) < 1e-15 \
+    ok = dev <= 1e-10 and ordered and abs(expect[2] - 0.375) < 1e-15 \
         and abs(expect[3] - 0.46875) < 1e-15
     return ok, (
         f"D(n=2)={recs[2].D_ctc:.6f}, D_qm={d_qm:.6f}, D(n=3)={recs[3].D_ctc:.6f}, "
@@ -188,7 +184,7 @@ def _check_perfect_discrimination(ctx: Context) -> tuple[bool, str]:
     ctx.fidelities.extend(r.consistency_fidelity for r in recs)
     worst_l = np.max([abs(r.L_ctc_sigma_z - 1.0) for r in recs])
     worst_r = np.max([r.fixed_point_residual for r in recs])
-    ok = worst_l <= ctx.tol(1e-9) and worst_r <= ctx.tol(1e-10)
+    ok = worst_l <= 1e-9 and worst_r <= 1e-10
     return ok, f"worst |L-1| {worst_l:.2e}, worst residual {worst_r:.2e}"
 
 
@@ -203,7 +199,7 @@ def _check_nonlocal_ceiling(ctx: Context) -> tuple[bool, str]:
     ctx.fidelities.extend(batch.consistency_fidelity.tolist())
     worst_d = trace_distances(_density_rows(batch.outputs), DensityMatrix.maximally_mixed().mat).max()
     ceiling = np.max([0.0] + [r.L_ctc_sigma_z - 0.5 for r in ctx.nonlocal_sweeps()])
-    ok = worst_d <= ctx.tol(1e-10) and ceiling <= ctx.tol(1e-9)
+    ok = worst_d <= 1e-10 and ceiling <= 1e-9
     return ok, f"worst distance to I/2 {worst_d:.2e}, max L - 1/2 = {ceiling:.2e}"
 
 
@@ -216,7 +212,7 @@ def _check_decoherence_thresholds(ctx: Context) -> tuple[bool, str]:
     elapsed = time.perf_counter() - start
     dev_p = abs(thr_p.crossing - (math.sqrt(2.0) - 1.0))
     dev_e = abs(thr_e.crossing - 1.0 / 3.0)
-    ok = dev_p <= ctx.tol(1e-6) and dev_e <= ctx.tol(1e-6) and elapsed < 5.0
+    ok = dev_p <= 1e-6 and dev_e <= 1e-6 and elapsed < 5.0
     return ok, (
         f"p* = {thr_p.crossing:.9f} (dev {dev_p:.2e}), "
         f"eps* = {thr_e.crossing:.9f} (dev {dev_e:.2e}), "
@@ -250,9 +246,9 @@ def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
 
     plateau = np.max([abs(r.L_ctc_optimal - 0.5) for r in ctx.nonlocal_sweeps()])
     ok = (
-        worst_si <= ctx.tol(1e-10)
-        and worst_hel <= ctx.tol(1e-10)
-        and plateau <= ctx.tol(1e-9)
+        worst_si <= 1e-10
+        and worst_hel <= 1e-10
+        and plateau <= 1e-9
     )
     return ok, (
         f"optimal-measure identity dev {worst_si:.2e}, Helstrom dev {worst_hel:.2e}, "
@@ -312,7 +308,7 @@ def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
     pairs = [(DensityMatrix(m1), DensityMatrix(m2)) for m1, m2 in zip(*_mixed_pairs(rng, 200))]
     r1, r2 = (np.array([pair[i].bloch() for pair in pairs]) for i in (0, 1))
     worst_grid = np.max(np.abs(_eigen_optima(r1, r2)[0] - grid_search_mismatches(r1, r2)))
-    ok = worst <= ctx.tol(1e-9) and worst_grid <= ctx.tol(1e-6)
+    ok = worst <= 1e-9 and worst_grid <= 1e-6
     return ok, f"solver disagreement {worst:.2e}, grid-search deviation {worst_grid:.2e}"
 
 
@@ -321,7 +317,7 @@ def _check_consistency_fidelity(ctx: Context) -> tuple[bool, str]:
     if not ctx.fidelities:
         return False, "no scenarios recorded"
     worst = np.min(ctx.fidelities)
-    ok = worst >= 1 - ctx.tol(1e-9)
+    ok = worst >= 1 - 1e-9
     return ok, f"minimum fidelity {worst:.12f} over {len(ctx.fidelities)} scenarios"
 
 
@@ -350,9 +346,9 @@ class SelfTestReport:
         return all(r.passed for r in self.results)
 
 
-def run_selftest(tol_scale: float = 1.0, echo=print) -> SelfTestReport:
+def run_selftest(echo=print) -> SelfTestReport:
     """Run all acceptance checks; C12 is the runtime/aggregate criterion itself."""
-    ctx = Context(tol_scale=tol_scale)
+    ctx = Context()
     results = []
     t0 = time.perf_counter()
     for check_id, description, fn in CHECKS:

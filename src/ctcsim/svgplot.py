@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG line-plot writer.
+"""Minimal dependency-free SVG line-plot renderer.
 
 Plots are a convenience view of the CSV output, nothing more: one panel,
 linear axes, a handful of labelled series.
@@ -29,9 +29,9 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
-def write_svg(path: str, series: list[tuple[str, list[float], list[float]]],
-              title: str = "", x_label: str = "", y_label: str = "") -> None:
-    """Write named (x, y) series to `path` as a single-panel SVG line plot."""
+def svg(series: list[tuple[str, list[float], list[float]]], title: str, x_label: str,
+        y_label: str) -> str:
+    """Named (x, y) series as the text of a single-panel SVG line plot."""
     xs = [x for _, sx, _ in series for x in sx]
     ys = [y for _, _, sy in series for y in sy]
     if not xs:
@@ -99,5 +99,4 @@ def write_svg(path: str, series: list[tuple[str, list[float], list[float]]],
             f'<text x="{_W - _MR - 120}" y="{ly + 4}">{name}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

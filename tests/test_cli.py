@@ -398,14 +398,17 @@ class TestSweepCommand:
 
 
 class TestOutputPaths:
-    """An --out the command cannot honour exits 2 with one line, writing nothing."""
+    """An output path the command cannot honour exits 2 with one line on
+    stderr, printing nothing on stdout and writing nothing."""
 
     def assert_refused(self, argv, tmp_path, monkeypatch, capsys, message):
         monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith(f"invalid parameters: {message}") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        assert out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("argv", [
         ["reproduce", "fig3", "--out", "t.svg", "--plot"],
@@ -422,19 +425,35 @@ class TestOutputPaths:
         ["reproduce", "thresholds", "--out", "nodir/t.csv"],
         ["sweep", "--variant", "fixed-gate", "--grid", "4", "--out", "nodir/s.csv"],
         ["fixed-point", "--out", "nodir/fp.json"],
+        # An empty --out names no file; it is refused, not replaced by the default.
+        ["reproduce", "thresholds", "--out", ""],
+        ["sweep", "--variant", "fixed-gate", "--grid", "4", "--out", ""],
+        ["sweep", "--variant", "fixed-gate", "--grid", "4", "--plot", "--out", ""],
+        ["fixed-point", "--out", ""],
     ])
     def test_unwritable_out_exits_2(self, argv, tmp_path, monkeypatch, capsys):
         self.assert_refused(argv, tmp_path, monkeypatch, capsys, f"cannot write {argv[-1]}: ")
 
+    @pytest.mark.parametrize("argv, plot", [
+        (["reproduce", "fig3", "--out", "t.csv", "--plot"], "t.svg"),
+        (["sweep", "--variant", "fixed-gate", "--grid", "4", "--out", "x.json", "--format",
+          "json", "--plot"], "x.svg"),
+    ])
+    def test_unwritable_plot_exits_2(self, argv, plot, tmp_path, monkeypatch, capsys):
+        """The plot's file is opened before the table is written, so a plot
+        path that is a directory leaves no table behind."""
+        (tmp_path / plot).mkdir()
+        self.assert_refused(argv, tmp_path, monkeypatch, capsys, f"cannot write {plot}: ")
 
-class TestSelftestCommand:
-    def test_tolerance_floor_enforced(self, capsys):
-        assert main(["selftest", "--tol", "1e-15"]) == 2
-
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tolerance_exits_2(self, capsys, tol):
-        assert main(["selftest", "--tol", tol]) == 2
-        assert "tolerance override" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "fig3", "--out", "d", "--plot"],
+        ["sweep", "--variant", "fixed-gate", "--grid", "4", "--out", "d", "--plot"],
+    ])
+    def test_unwritable_table_leaves_no_plot(self, argv, tmp_path, monkeypatch, capsys):
+        """A table path that is a directory refuses the run after the plot's
+        file was opened beside it; that file is removed again."""
+        (tmp_path / "d").mkdir()
+        self.assert_refused(argv, tmp_path, monkeypatch, capsys, "cannot write d: ")
 
 
 def test_interaction_memo_holds_every_bundled_channel(tmp_path, capsys):

@@ -405,8 +405,8 @@ def grouped_run_batch(monkeypatch, kind, theta, eps, p, loop_in):
         return solve_loops(terms, loop_in * (1.0 - p)[:, None])
 
 
-def sweep_batches(monkeypatch, mode, variant):
-    """The run_batch arguments of one discrimination sweep."""
+def recorded_batches(monkeypatch, run):
+    """The arguments of every run_batch call experiments makes while run() runs."""
     calls = []
 
     def record(*args):
@@ -415,7 +415,7 @@ def sweep_batches(monkeypatch, mode, variant):
 
     with monkeypatch.context() as m:
         m.setattr(experiments, "run_batch", record)
-        experiments.discrimination_sweep(mode, variant)
+        run()
     return calls
 
 
@@ -457,7 +457,8 @@ class TestStackedInteractionTerm:
     @pytest.mark.parametrize("mode", ["local", "nonlocal"])
     @pytest.mark.parametrize("variant", ["optimal-gate", "fixed-state"])
     def test_sweep_grids(self, monkeypatch, mode, variant):
-        calls = sweep_batches(monkeypatch, mode, variant)
+        calls = recorded_batches(monkeypatch,
+                                 lambda: experiments.discrimination_sweep(mode, variant))
         assert calls
         for args in calls:
             assert len(set(np.asarray(args[1]).tolist())) > 1
@@ -1136,3 +1137,68 @@ class TestClosedForm:
         out, ctc = swap_cnot_closed_form(a)
         np.testing.assert_allclose(out.mat, np.diag([0.75, 0.25]), atol=1e-15)
         np.testing.assert_allclose(ctc.mat, np.diag([a, 1 - a]), atol=1e-15)
+
+
+def swap_cu_closed_form(theta, eps, p, loop_in):
+    """Oracle for SWAP then CU_xz(theta) with gate failure eps: loop states
+    (N, 3), outputs (N, 3) and the margin 1 + c of each row, from the input
+    Bloch vectors loop_in (N, 3) before the 1 - p shrink.
+
+    With r the shrunk input, n = (sin theta, 0, cos theta) the reflection axis
+    and d = 2(n.r)n - 2r, the loop map depends on the loop state only through
+    its z, so loop = r + (1 - eps)(1 - z)/2 d with z = (r_z + c)/(1 + c) and
+    c = (1 - eps) d_z / 2. The output is (f loop_x, f loop_y, loop_z) with
+    f = (1 - eps)(n.r) + eps. The fixed point is unique iff 1 + c != 0; rows
+    with 1 + c = 0 get NaN states.
+    """
+    theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
+    r = loop_in * (1.0 - p)[:, None]
+    n = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
+    nr = (n * r).sum(axis=1)
+    d = 2.0 * nr[:, None] * n - 2.0 * r
+    c = (1.0 - eps) * d[:, 2] / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (r[:, 2] + c) / (1.0 + c)
+    loop = r + ((1.0 - eps) * (1.0 - z) / 2.0)[:, None] * d
+    f = (1.0 - eps) * nr + eps
+    return loop, loop * np.stack([f, f, np.ones_like(f)], axis=1), 1.0 + c
+
+
+class TestSwapCuClosedForm:
+    """run_batch on the swap-cu circuit against swap_cu_closed_form."""
+
+    def deviations(self, args):
+        """Each row's margin, and its largest deviation from the closed form
+        over loop and output (NaN where the margin is 0), after checking that
+        the rows of dimension 2 are exactly those of margin 0."""
+        batch = run_batch(*args)
+        loop, out, margin = swap_cu_closed_form(*args[1:])
+        np.testing.assert_array_equal(batch.fixed_set_dimension, np.where(margin == 0.0, 2, 1))
+        return margin, np.maximum(np.abs(batch.loop - loop), np.abs(batch.outputs - out)).max(axis=1)
+
+    def test_random_mixed_rows(self):
+        rng = np.random.default_rng(20261019)
+        n = 20000
+        theta = rng.uniform(-math.pi / 2, math.pi / 2, n)
+        eps, p = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        eps[::5], eps[1::7], p[2::9] = 0.0, 1.0, 0.0
+        direction = rng.normal(size=(n, 3))
+        loop_in = (direction / np.linalg.norm(direction, axis=1)[:, None]
+                   * rng.uniform(0, 1, (n, 1)) ** (1 / 3))
+        margin, dev = self.deviations((CircuitKind.SWAP_THEN_CU, theta, eps, p, loop_in))
+        assert margin.min() > 0.05
+        assert dev.max() <= 1e-14
+
+    def test_every_bundled_swap_cu_row(self, monkeypatch):
+        """Every swap-cu row that reproduce and the thresholds bisection solve;
+        dimension 2 exactly where the margin 1 + c vanishes (phi = 0 at the
+        optimal gate). The solve's rounding error grows as 1/margin: the rows
+        next to the degenerate one, margin 0.0096, deviate by up to 1.2e-14."""
+        calls = recorded_batches(monkeypatch, lambda: (
+            [experiments.reproduce(t) for t in ("fig5a", "fig5b", "fig5c", "s1", "s2", "fig6")],
+            experiments.find_thresholds(("p", "epsilon"))))
+        calls = [args for args in calls if args[0] is CircuitKind.SWAP_THEN_CU]
+        margin, dev = map(np.concatenate, zip(*(self.deviations(args) for args in calls)))
+        unique = margin != 0.0
+        assert len(calls) == 14 and (~unique).sum() == 12 and margin[unique].min() > 1e-3
+        assert (dev[unique] * margin[unique]).max() <= 4e-15

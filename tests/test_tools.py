@@ -1,13 +1,16 @@
-"""Smoke test: tools/dump_outputs.py writes its full set of tables and reports."""
+"""tools/dump_outputs.py writes its full set of tables and reports, and
+tools/compare_outputs.py reports every file two dumps do not share."""
 
 import json
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "dump_outputs.py"
+COMPARE = ROOT / "tools" / "compare_outputs.py"
 
 PLOTTED = ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2")
 EXPECTED = sorted(
@@ -49,3 +52,31 @@ def test_dump_outputs_takes_no_options(tmp_path):
     assert proc.returncode != 0
     assert "usage" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_outputs_lists_every_difference(tmp_path):
+    differences = runpy.run_path(str(COMPARE))["differences"]
+    rev, here = tmp_path / "rev", tmp_path / "here"
+    for root, text in ((rev, "a"), (here, "b")):
+        (root / "sub").mkdir(parents=True)
+        (root / "same.csv").write_text("1,2\n")
+        (root / "sub" / "same.svg").write_text("<svg/>")
+        (root / "changed.json").write_text(text)
+        (root / "sub" / "changed.txt").write_text(text * 2)
+    (rev / "gone.csv").write_text("")
+    (here / "sub" / "new.svg").write_text("")
+    assert differences(rev, here) == ["differs: changed.json", "only in REV: gone.csv",
+                                      "differs: sub/changed.txt",
+                                      "only in this checkout: sub/new.svg"]
+    (here / "changed.json").write_text("a")
+    (here / "sub" / "changed.txt").write_text("aa")
+    (here / "sub" / "new.svg").unlink()
+    (here / "gone.csv").write_text("")
+    assert differences(rev, here) == []
+
+
+def test_compare_outputs_takes_one_revision(tmp_path):
+    for argv in ([], ["HEAD", "HEAD~1"], ["--help"]):
+        proc = subprocess.run([sys.executable, str(COMPARE), *argv], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stderr.startswith("usage")
