@@ -59,6 +59,8 @@ _PAULI = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 _PAIRS = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
 _PAIRS_T = _PAIRS.transpose(0, 2, 1).reshape(16, 16).T
 _READOUTS = np.concatenate([_PAIRS[:4], _PAIRS[::4]])
+# The 8 readouts side by side, (4, 32): A @ _READOUT_ROW is every A @ S_k at once.
+_READOUT_ROW = _READOUTS.transpose(1, 0, 2).reshape(4, 32)
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,13 @@ def _transfer_tensors(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     deutsch._kraus_stack does), which add exact zeros. QubitChannel is a
     batch of one of this.
     """
-    # Heisenberg picture: Tr[S E(P)] = Tr[E^dag(S) P] for every readout S.
-    adj = ops.conj().swapaxes(-1, -2)[:, :, None]
-    adjoint = (weights[:, :, None, None, None] * (adj @ _READOUTS @ ops[:, :, None])).sum(axis=1)
+    # Heisenberg picture: Tr[S E(P)] = Tr[E^dag(S) P] for every readout S:
+    # one (4, 32) product op^dag [S_0 ... S_7], then the 8 blocks stacked
+    # (32, 4) times op.
+    n, k = weights.shape
+    left = (ops.conj().swapaxes(-1, -2) @ _READOUT_ROW).reshape(n, k, 4, 8, 4)
+    images = (left.swapaxes(2, 3).reshape(n, k, 32, 4) @ ops).reshape(n, k, 8, 4, 4)
+    adjoint = (weights[:, :, None, None, None] * images).sum(axis=1)
     # The first readout is I (x) I, so its image is sum_k w_k op_k^dag op_k.
     if not np.abs(adjoint[:, 0] - ID4).max() <= COMPLETENESS_TOL:
         raise ValidationError(
@@ -150,6 +156,13 @@ class CircuitSpec:
                         ("input_noise (p)", self.input_noise)):
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} = {v} outside [0, 1]")
+
+
+def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each angle in theta (a sequence of floats) as make_cu_xz
+    computes them: math.cos and math.sin of the angle taken mod 2pi."""
+    t = [float(x) % (2 * math.pi) for x in theta]
+    return np.array([math.cos(x) for x in t]), np.array([math.sin(x) for x in t])
 
 
 def make_cu_xz(theta_xz: float) -> np.ndarray:

@@ -218,10 +218,14 @@ def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray, keep: int = LOOP_RAIL)
     gives the consistency map, OUTPUT_RAIL the output."""
     weights, ops = kraus
     n, b = x.shape[:2]
+    k = weights.shape[1]
     # Inlined 2x2 Kronecker products; np.kron overhead dominates at this size.
-    joint = (rho_in[:, None, :, None, :, None] * x[:, :, None, :, None, :]).reshape(n, 1, b, 4, 4)
-    op = ops[:, :, None]
-    out = (weights[:, :, None, None, None] * (op @ joint @ op.conj().swapaxes(-1, -2))).sum(axis=1)
+    # The B joint states side by side (4, 4B), so each Kraus operator takes one
+    # (4, 4B) product, then one (4B, 4) product with the B blocks stacked.
+    joint = (rho_in[:, :, None, None, :, None] * x.transpose(0, 2, 1, 3)[:, None, :, :, None, :])
+    left = (ops @ joint.reshape(n, 1, 4, 4 * b)).reshape(n, k, 4, b, 4)
+    images = left.swapaxes(2, 3).reshape(n, k, 4 * b, 4) @ ops.conj().swapaxes(-1, -2)
+    out = (weights[:, :, None, None, None] * images.reshape(n, k, b, 4, 4)).sum(axis=1)
     return _partial_trace_raw(out, keep)
 
 
