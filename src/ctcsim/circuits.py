@@ -4,13 +4,17 @@ Gates are plain 4x4 arrays (SWAP and CNOT read-only constants, CU_xz from
 make_cu_xz). The interaction that drives the time-travel circuit is always
 "some gate, then hand the rails over": either CNOT followed by SWAP (the
 nonlinear amplifier circuit) or SWAP followed by a controlled pi-rotation
-CU_xz (the state-discrimination circuit). build_interaction is the one
-place a gate-failure channel is built: when the controlled gate fails
-(probability epsilon) only the SWAP remains. QubitChannel is the one
-validated interaction type: weighted Kraus lists whose completeness check
-covers every gate in them, so noise semantics stay explicit and trace
+CU_xz (the state-discrimination circuit). When the controlled gate fails
+(probability epsilon) only the SWAP remains. build_interaction is the one
+factory of a gate-failure channel, a QubitChannel: the one validated
+interaction type, weighted Kraus lists whose completeness check covers
+every gate in them, so noise semantics stay explicit and trace
 preservation is checked locally; each also carries its real Pauli-transfer
 tensors, the form the fixed-point engine works in.
+
+The engine builds no channel: each circuit kind has one fixed transfer
+basis (_TRANSFER_BASIS), built once at import from the gates' generators,
+whose rows the engine mixes with each row's eps and _gate_coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,8 +99,7 @@ class QubitChannel:
         object.__setattr__(self, "kraus", tuple(terms))
         weights = np.array([[w for w, _ in terms]])
         ops = np.array([op for _, op in terms]).reshape(1, -1, 4, 4)
-        # A copy: a cached channel keeps one array, not a view and its base.
-        tensors = _transfer_tensors(weights, ops)[0].copy()
+        tensors = _transfer_tensors(weights, ops)[0]
         tensors.setflags(write=False)
         object.__setattr__(self, "transfer", tensors)
 
@@ -110,19 +112,28 @@ def _transfer_tensors(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
     deutsch._kraus_stack does), which add exact zeros. QubitChannel is a
     batch of one of this.
     """
-    # Heisenberg picture: Tr[S E(P)] = Tr[E^dag(S) P] for every readout S:
-    # one (4, 32) product op^dag [S_0 ... S_7], then the 8 blocks stacked
-    # (32, 4) times op.
-    n, k = weights.shape
-    left = (ops.conj().swapaxes(-1, -2) @ _READOUT_ROW).reshape(n, k, 4, 8, 4)
-    images = (left.swapaxes(2, 3).reshape(n, k, 32, 4) @ ops).reshape(n, k, 8, 4, 4)
-    adjoint = (weights[:, :, None, None, None] * images).sum(axis=1)
+    # Heisenberg picture: Tr[S E(P)] = Tr[E^dag(S) P] for every readout S.
+    adjoint = (weights[:, :, None, None, None] * _readout_images(ops, ops)).sum(axis=1)
     # The first readout is I (x) I, so its image is sum_k w_k op_k^dag op_k.
     if not np.abs(adjoint[:, 0] - ID4).max() <= COMPLETENESS_TOL:
         raise ValidationError(
             "channel violates completeness (sum w_k op_k^dag op_k != I to 1e-10)"
         )
-    return (adjoint.reshape(-1, 8, 16) @ _PAIRS_T).real.reshape(-1, 2, 4, 4, 4) / 4.0
+    return _pauli_transfer(adjoint)
+
+
+def _readout_images(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left^dag S right for the 8 readouts S, (..., 4, 4) -> (..., 8, 4, 4): one
+    (4, 32) product left^dag [S_0 ... S_7], then the blocks stacked (32, 4) @ right."""
+    lead = left.shape[:-2]
+    blocks = (left.conj().swapaxes(-1, -2) @ _READOUT_ROW).reshape(lead + (4, 8, 4))
+    return (blocks.swapaxes(-3, -2).reshape(lead + (32, 4)) @ right).reshape(lead + (8, 4, 4))
+
+
+def _pauli_transfer(images: np.ndarray) -> np.ndarray:
+    """Real parts of Tr[image P_mu (x) P_nu]/4 of readout images (N, 8, 4, 4),
+    as transfer tensors (N, 2, 4, 4, 4)."""
+    return (images.reshape(-1, 8, 16) @ _PAIRS_T).real.reshape(-1, 2, 4, 4, 4) / 4.0
 
 
 class CircuitKind(Enum):
@@ -145,24 +156,33 @@ class CircuitSpec:
     input_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.theta_xz):  # also for SWAP_CNOT, which ignores the angle
-            raise ValidationError(f"theta_xz = {self.theta_xz} is not finite")
-        if self.kind is CircuitKind.SWAP_THEN_CU:
-            if not -math.pi / 2 <= self.theta_xz < math.pi / 2:
-                raise ValidationError(
-                    f"theta_xz = {self.theta_xz} outside the sweep range [-pi/2, pi/2)"
-                )
+        _check_angles(self.kind, np.array([self.theta_xz], dtype=float))
         for name, v in (("gate_noise (epsilon)", self.gate_noise),
                         ("input_noise (p)", self.input_noise)):
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} = {v} outside [0, 1]")
 
 
-def _cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of each angle in theta (a sequence of floats) as make_cu_xz
-    computes them: math.cos and math.sin of the angle taken mod 2pi."""
-    t = [float(x) % (2 * math.pi) for x in theta]
-    return np.array([math.cos(x) for x in t]), np.array([math.sin(x) for x in t])
+def _check_angles(kind: CircuitKind, theta: np.ndarray) -> None:
+    """ValidationError unless every gate angle in theta (N,) is finite (also
+    for SWAP_CNOT, which ignores it) and, for SWAP_THEN_CU, in [-pi/2, pi/2)."""
+    if kind is CircuitKind.SWAP_THEN_CU:
+        ok = (-math.pi / 2 <= theta) & (theta < math.pi / 2)
+    else:
+        ok = np.isfinite(theta)
+    if not ok.all():
+        t = float(theta[~ok][0])
+        raise ValidationError(f"theta_xz = {t} is not finite" if not math.isfinite(t)
+                              else f"theta_xz = {t} outside the sweep range [-pi/2, pi/2)")
+
+
+def _cu_weights(theta: np.ndarray) -> np.ndarray:
+    """Rows (1, c, s) (N, 3) of the angles theta (N,), c and s as make_cu_xz
+    takes them: math.cos and math.sin of theta mod 2pi (np.mod is Python's %)."""
+    t = np.mod(theta, 2 * math.pi).tolist()
+    weights = np.ones((len(t), 3))
+    weights[:, 1], weights[:, 2] = list(map(math.cos, t)), list(map(math.sin, t))
+    return weights
 
 
 def make_cu_xz(theta_xz: float) -> np.ndarray:
@@ -195,10 +215,6 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     ))
 
 
-# Channels are immutable (read-only arrays), so sharing them is safe. All 8
-# reproduce targets and the selftest, in one process, build 66 distinct channels
-# (fig6 alone 2); a probes pass reuses none, and a larger memo kept ~2000 (3.7 MB).
-@lru_cache(maxsize=128)
 def build_interaction(spec: CircuitSpec) -> QubitChannel:
     """Full loop interaction as a channel, including gate noise.
 
@@ -219,3 +235,39 @@ def build_interaction(spec: CircuitSpec) -> QubitChannel:
     if eps > 0.0:  # when the controlled gate fails only the SWAP remains
         terms.append((eps, SWAP))
     return QubitChannel(tuple(terms))
+
+
+def _pair_maps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Transfer tensors (P, 2, 4, 4, 4) of rho -> L rho R^dag, plus R rho L^dag
+    where L != R, for operator pairs (P, 4, 4): that sum's readout image is
+    X + X^dag with X = L^dag S R, whose Pauli traces are twice X's real parts."""
+    twice = np.where((left == right).all(axis=(1, 2)), 1.0, 2.0)
+    return twice[:, None, None, None, None] * _pauli_transfer(_readout_images(left, right))
+
+
+# CU_xz(theta) SWAP = G0 + c G1 + s G2 (make_cu_xz's block is c Z + s X), so
+# its channel weighs the pair maps of (G_a, G_b) by x_a x_b, x = (1, c, s);
+# the pairs (a, b) in basis order are 00, 11, 22, 01, 02, 12.
+_H_PROJ, _V_PROJ = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+_CU_GENERATORS = np.array(
+    [np.kron(_H_PROJ, ID2), np.kron(_V_PROJ, SIGMA_Z), np.kron(_V_PROJ, SIGMA_X)]) @ SWAP
+_PAIR_A, _PAIR_B = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_BASIS_MAPS = _pair_maps(np.array([SWAP, SWAP @ CNOT, *_CU_GENERATORS[_PAIR_A]]),
+                         np.array([SWAP, SWAP @ CNOT, *_CU_GENERATORS[_PAIR_B]]))
+_BASIS_MAPS.setflags(write=False)
+# _TRANSFER_BASIS[kind] (J, 2, 4, 4, 4): row 0 is the channel of SWAP alone
+# (the gate failed); rows 1:, weighted by _gate_coefficients, sum to the
+# channel of the gate that did not fail (build_interaction's, to roundoff).
+_TRANSFER_BASIS = {CircuitKind.SWAP_CNOT: _BASIS_MAPS[:2],
+                   CircuitKind.SWAP_THEN_CU: _BASIS_MAPS[[0, 2, 3, 4, 5, 6, 7]]}
+_TRANSFER_BASIS[CircuitKind.SWAP_THEN_CU].setflags(write=False)
+
+
+def _gate_coefficients(kind: CircuitKind, theta: np.ndarray) -> np.ndarray:
+    """Weights (N, J - 1) of _TRANSFER_BASIS[kind][1:] for the angles theta
+    (N,): [1] for SWAP_CNOT, which has no angle, and the pair products
+    [1, c^2, s^2, c, s, c s] of _cu_weights for SWAP_THEN_CU."""
+    if kind is CircuitKind.SWAP_CNOT:
+        return np.ones((len(theta), 1))
+    weights = _cu_weights(theta)
+    return weights[:, _PAIR_A] * weights[:, _PAIR_B]

@@ -29,12 +29,15 @@ import os
 import sys
 import typing
 
+import numpy as np
+
 from .circuits import CircuitKind, CircuitSpec
 from .deutsch import (
     ConvergenceError,
     ImproperMixed,
     LocalPure,
     NonLocalEnsemble,
+    run_batch,
     run_scenario,
 )
 from .experiments import (
@@ -55,7 +58,7 @@ from .measures import (
     optimal_mismatch_probability,
     qm_baseline,
 )
-from .qmath import PureQubit, ValidationError, trace_distance
+from .qmath import PureQubit, ValidationError, density_from_bloch, trace_distance
 from .selftest import run_selftest
 
 RECORD_FIELDS = list(SweepRecord._fields)
@@ -186,9 +189,10 @@ def cmd_discriminate(args) -> int:
         o0, o1 = res.rho_out_per_input
         print(f"shared rho_ctc solved (fixed_set_dimension={res.fixed_point.fixed_set_dimension})")
     else:
-        r0 = run_scenario(spec, LocalPure(psi0))
-        r1 = run_scenario(spec, LocalPure(psi1))
-        o0, o1 = r0.rho_out_per_input[0], r1.rho_out_per_input[0]
+        # Both local loops as one batch of two rows, each solved as run_scenario solves it.
+        batch = run_batch(spec.kind, [spec.theta_xz] * 2, [spec.gate_noise] * 2,
+                          [spec.input_noise] * 2, np.array([psi0.bloch(), psi1.bloch()]))
+        o0, o1 = (density_from_bloch(r) for r in batch.outputs)
     _print_state("output for psi0 = |H>", o0)
     _print_state(f"output for psi1(phi={phi:.6f})", o1)
     l_z = mismatch_probability(o0, o1, SIGMA_Z_AXIS)

@@ -20,9 +20,10 @@ SVD. Where the fixed set has more than one state its dimension is
 reported, never hidden. Density matrices are built only at the API
 boundary (solve_fixed_point, run_scenario). A
 solve_loops term is a (weight, transfer) pair covering every row: one
-channel's tensors (QubitChannel.transfer) shared by all rows, or a stack
-with one channel per row (circuits._transfer_tensors, or run_batch's
-per-angle channels), so a batch of distinct channels is one term.
+channel's tensors shared by all rows, or a stack with one channel per row
+(circuits._transfer_tensors), so a batch of distinct channels is one term.
+run_batch builds no channel: it mixes its circuit's fixed transfer basis
+(circuits._TRANSFER_BASIS) with each row's angle and gate noise.
 
 The Kraus-form consistency_map, evolve_output, superoperator and the
 damped iteration stay as independent oracles: they never read the
@@ -44,7 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .circuits import CircuitKind, CircuitSpec, QubitChannel, build_interaction
+from .circuits import (
+    _TRANSFER_BASIS,
+    CircuitKind,
+    CircuitSpec,
+    QubitChannel,
+    _check_angles,
+    _gate_coefficients,
+    build_interaction,
+)
 from .qmath import (
     LOOP_RAIL,
     OUTPUT_RAIL,
@@ -438,25 +447,29 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
 
     theta, eps and p (length N) are each row's gate angle, gate failure
     probability and input depolarization; loop_in (N, 3) is as in
-    solve_loops, before depolarization (a 1 - p shrink). Gate failure is
-    linear in eps, so each row mixes the eps = 0 channel of its angle with
-    the eps = 1 channel (SWAP only), built once per distinct angle and
-    stacked per row unless the batch has one angle. Each distinct angle
-    passes CircuitSpec's checks, so a NaN or inf angle raises there.
+    solve_loops, before depolarization (a 1 - p shrink). No channel is
+    built: gate failure is linear in eps, so each row mixes the SWAP-only
+    tensors (row 0 of the kind's fixed transfer basis) with the tensors of
+    its ideal gate, which one einsum contracts from the basis and the
+    row's _gate_coefficients. A batch of one angle shares one ideal-gate
+    tensor, and so does every SWAP_CNOT batch (its gate has no angle);
+    otherwise each row has its own. The two encodings give a row the same
+    bits, so a row solves to the same result in every batch. Angles are
+    checked as CircuitSpec checks them (finite, and in [-pi/2, pi/2) for
+    SWAP_THEN_CU).
     """
     theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
+    _check_angles(kind, theta)
     for name, v in (("gate_noise", eps), ("input_noise", p)):
         if not ((0.0 <= v) & (v <= 1.0)).all():
             raise ValidationError(f"{name} outside [0, 1]")
-    terms = []
-    if eps.any():
-        swap_only = build_interaction(CircuitSpec(kind=kind, gate_noise=1.0))
-        terms.append((eps, swap_only.transfer))
-    angles = sorted(set(theta.tolist()))
-    transfers = [build_interaction(CircuitSpec(kind=kind, theta_xz=t)).transfer for t in angles]
-    ideal = (transfers[0] if len(angles) == 1
-             else np.array(transfers).reshape(-1, 2, 4, 4, 4)[np.searchsorted(angles, theta)])
-    terms.append((1.0 - eps, ideal))
+    basis = _TRANSFER_BASIS[kind]
+    shared = theta.size > 0 and (kind is CircuitKind.SWAP_CNOT or (theta == theta[0]).all())
+    coefficients = _gate_coefficients(kind, theta[:1] if shared else theta)
+    ideal = np.einsum("nj,jx->nx", coefficients,
+                      basis[1:].reshape(len(basis) - 1, -1)).reshape(-1, 2, 4, 4, 4)
+    terms = [(eps, basis[0])] if eps.any() else []
+    terms.append((1.0 - eps, ideal[0] if shared else ideal))
     return solve_loops(terms, loop_in * (1.0 - p)[:, None])
 
 

@@ -18,7 +18,8 @@ from .circuits import (
     SWAP,
     CircuitKind,
     CircuitSpec,
-    _cos_sin,
+    _CU_GENERATORS,
+    _cu_weights,
     _transfer_tensors,
     build_interaction,
 )
@@ -270,14 +271,12 @@ def _draw_candidates(rng: np.random.Generator, n: int):
     psi(acos(cos polar), phase) depolarized by p, and the Kraus stack
     (weights (n, 2), ops (n, 2, 4, 4)) of build_interaction's gate-failure
     channel, [1 - eps, eps] on [CU_xz(theta) SWAP, SWAP], each CU_xz(theta)
-    filled in from the cos and sin make_cu_xz takes.
+    SWAP summed from its generators, G0 + c G1 + s G2 (one term per entry).
     """
     theta, eps, p, cos_polar, phase = rng.uniform(_CANDIDATE_LOW, _CANDIDATE_HIGH, size=(n, 5)).T
     bloch = (1.0 - p)[:, None] * _pure_bloch(np.arccos(cos_polar), phase)
-    c, s = _cos_sin(theta.tolist())
-    cu = np.tile(np.eye(4, dtype=complex), (n, 1, 1))
-    cu[:, 2, 2], cu[:, 2, 3], cu[:, 3, 2], cu[:, 3, 3] = c, s, s, -c
-    ops = np.stack([cu @ SWAP, np.broadcast_to(SWAP, cu.shape)], axis=1)
+    gate = np.einsum("nj,jab->nab", _cu_weights(theta), _CU_GENERATORS)
+    ops = np.stack([gate, np.broadcast_to(SWAP, gate.shape)], axis=1)
     return bloch, (np.stack([1.0 - eps, eps], axis=1), ops)
 
 

@@ -11,6 +11,8 @@ from ctcsim.circuits import (
     CircuitKind,
     CircuitSpec,
     QubitChannel,
+    _TRANSFER_BASIS,
+    _gate_coefficients,
     _transfer_tensors,
     build_interaction,
     depolarize,
@@ -309,3 +311,40 @@ class TestTransferTensors:
         weights[1] *= 1.0 + 1e-9
         with pytest.raises(ValidationError, match="completeness"):
             _transfer_tensors(weights, ops)
+
+
+class TestTransferBasis:
+    """Each circuit kind's fixed transfer basis against build_interaction, the
+    channel factory it replaces in the engine."""
+
+    def test_failure_and_swap_cnot_rows_are_the_built_channels(self):
+        swap_only = build_interaction(CircuitSpec(kind=CircuitKind.SWAP_CNOT, gate_noise=1.0))
+        for kind in CircuitKind:
+            np.testing.assert_array_equal(_TRANSFER_BASIS[kind][0], swap_only.transfer)
+            np.testing.assert_array_equal(
+                _TRANSFER_BASIS[kind][0],
+                build_interaction(CircuitSpec(kind=kind, theta_xz=0.3, gate_noise=1.0)).transfer)
+        np.testing.assert_array_equal(
+            _TRANSFER_BASIS[CircuitKind.SWAP_CNOT][1:],
+            [build_interaction(CircuitSpec(kind=CircuitKind.SWAP_CNOT)).transfer])
+        assert _TRANSFER_BASIS[CircuitKind.SWAP_THEN_CU].shape == (7, 2, 4, 4, 4)
+
+    @pytest.mark.parametrize("kind", list(CircuitKind))
+    def test_mixed_basis_matches_built_channels(self, kind):
+        """2000 seeded (theta, eps), eps = 0 and 1 among them, mixed as
+        (eps, (1 - eps) _gate_coefficients) over the basis."""
+        rng = np.random.default_rng(20261021)
+        theta = rng.uniform(-math.pi / 2, math.pi / 2, 2000)
+        eps = rng.uniform(0, 1, 2000)
+        eps[::7], eps[1::11] = 0.0, 1.0
+        coefficients = np.column_stack(
+            [eps, (1.0 - eps)[:, None] * _gate_coefficients(kind, theta)])
+        mixed = np.einsum("nj,j...->n...", coefficients, _TRANSFER_BASIS[kind])
+        built = [build_interaction(CircuitSpec(kind=kind, theta_xz=t, gate_noise=e)).transfer
+                 for t, e in zip(theta.tolist(), eps.tolist())]
+        np.testing.assert_allclose(mixed, built, rtol=0, atol=1e-15)
+
+    def test_basis_is_read_only(self):
+        for basis in _TRANSFER_BASIS.values():
+            with pytest.raises(ValueError):
+                basis[0, 0, 0, 0, 0] = 1.0

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ctcsim.cli as cli
+import ctcsim.deutsch as deutsch
 from ctcsim.cli import (
     RECORD_FIELDS,
     REPRODUCE_TARGETS,
@@ -23,11 +25,11 @@ from ctcsim.cli import (
     write_records_csv,
     write_thresholds_csv,
 )
-from ctcsim.circuits import CircuitKind, CircuitSpec, build_interaction
+from ctcsim.circuits import CircuitKind, CircuitSpec, QubitChannel
 from ctcsim.deutsch import LocalPure, NonLocalEnsemble, run_scenario
 from ctcsim.experiments import SweepRecord, ThresholdResult, discrimination_sweep, reproduce
 from ctcsim.measures import mismatch_probability, optimal_mismatch_probability
-from ctcsim.qmath import DensityMatrix, PureQubit
+from ctcsim.qmath import DensityMatrix, PureQubit, density_from_bloch
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_stdout.txt"
 
@@ -157,6 +159,35 @@ class TestDiscriminateCommand:
             monkeypatch.setattr(np.linalg, name, refuse)
         assert main(["discriminate", "--prep", prep, *angles]) == 0
         assert "L(optimal)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("phi, phase, theta, p, eps", [
+        (2.5, 0.0, (2.5 - math.pi) / 2, 0.2, 0.1),
+        (0.0, 0.0, 0.3, 0.0, 0.0),
+        (1.2, 1.0, -1.5, 0.7, 0.4),
+    ])
+    def test_local_pair_is_one_batch_of_two_rows(self, monkeypatch, capsys,
+                                                 phi, phase, theta, p, eps):
+        """--prep local solves both states as one run_batch of two rows, whose
+        outputs are those of the two run_scenario solves, bit for bit."""
+        batches = []
+
+        def counted(*args):
+            batches.append(deutsch.run_batch(*args))
+            return batches[-1]
+
+        argv = ["discriminate", "--prep", "local", "--phi", repr(phi), "--phase", repr(phase),
+                "--theta", repr(theta), "--p", repr(p), "--epsilon", repr(eps)]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "run_batch", counted)
+            m.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("run_scenario"))
+            assert main(argv) == 0
+        assert "L(optimal)" in capsys.readouterr().out
+        assert len(batches) == 1 and len(batches[0].outputs) == 2
+        spec = CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta, gate_noise=eps,
+                           input_noise=p)
+        for out, psi in zip(batches[0].outputs, (PureQubit(0.0, 0.0), PureQubit(phi, phase))):
+            want = run_scenario(spec, LocalPure(psi)).rho_out_per_input[0]
+            np.testing.assert_array_equal(density_from_bloch(out).mat, want.mat)
 
     @pytest.mark.parametrize("prep", ["local", "nonlocal"])
     def test_takes_no_2x2_eigenvalue_range(self, monkeypatch, capsys, prep):
@@ -456,16 +487,25 @@ class TestOutputPaths:
         self.assert_refused(argv, tmp_path, monkeypatch, capsys, "cannot write d: ")
 
 
-def test_interaction_memo_holds_every_bundled_channel(tmp_path, capsys):
-    """Every reproduce target and the selftest, in one process, fit in
-    build_interaction's memo: nothing is evicted, so each channel is built once."""
-    build_interaction.cache_clear()
+def test_bundled_runs_build_no_channel_in_run_batch(tmp_path, monkeypatch, capsys):
+    """Every reproduce target and the selftest, in one process, build no
+    channel inside run_batch, which mixes its circuit's fixed transfer basis;
+    the channels the selftest's oracles build show the count is live."""
+    inside, outside = [], []
+    real = QubitChannel.__post_init__
+
+    def counted(self):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not deutsch.run_batch.__code__:
+            frame = frame.f_back
+        (outside if frame is None else inside).append(self)
+        real(self)
+
+    monkeypatch.setattr(QubitChannel, "__post_init__", counted)
     for target in REPRODUCE_TARGETS:
         assert main(["reproduce", target, "--out", str(tmp_path / f"{target}.csv")]) == 0
     assert main(["selftest"]) == 0
-    info = build_interaction.cache_info()
-    assert info.misses == info.currsize < info.maxsize
-    assert info.hits > 0
+    assert not inside and outside
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

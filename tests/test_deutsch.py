@@ -379,32 +379,6 @@ class TestAffineMap:
                         np.array([[0.0, 0.0, 1.5]]))
 
 
-def grouped_mix(terms, rail, subscripts, x):
-    """_mix over (rows, weight, transfer) triples: each term adds to its rows only."""
-    out = np.zeros(x.shape[:1] + (4, 4))
-    for rows, w, t in terms:
-        rail_t = t[..., rail, :, :, :]
-        out[rows] += np.reshape(w, (-1, 1, 1)) * np.einsum(subscripts, rail_t, x[rows])
-    return out
-
-
-def grouped_run_batch(monkeypatch, kind, theta, eps, p, loop_in):
-    """Oracle: run_batch with one shared-channel term per distinct angle,
-    its rows picked by flatnonzero, the encoding the stacked term replaced."""
-    theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
-    terms = []
-    if eps.any():
-        swap_only = build_interaction(CircuitSpec(kind=kind, gate_noise=1.0))
-        terms.append((slice(None), eps, swap_only.transfer))
-    for t in sorted(set(theta.tolist())):
-        rows = np.flatnonzero(theta == t)
-        ideal = build_interaction(CircuitSpec(kind=kind, theta_xz=t))
-        terms.append((rows, 1.0 - eps[rows], ideal.transfer))
-    with monkeypatch.context() as m:
-        m.setattr(deutsch, "_mix", grouped_mix)
-        return solve_loops(terms, loop_in * (1.0 - p)[:, None])
-
-
 def recorded_batches(monkeypatch, run):
     """The arguments of every run_batch call experiments makes while run() runs."""
     calls = []
@@ -431,28 +405,24 @@ def random_batch(rng, angles, n):
 
 
 class TestStackedInteractionTerm:
-    """run_batch's one stacked term equals the per-angle row grouping bit for bit."""
+    """run_batch's terms, mixed from the fixed transfer basis, give every row
+    the bits it gets when solved alone, and no channel is built for them."""
 
-    def assert_bitwise_equal(self, monkeypatch, args):
-        built = []
-        real = deutsch.build_interaction
+    def assert_rows_solve_alone(self, monkeypatch, args):
+        def no_channel(self):
+            raise AssertionError("run_batch built a channel")
 
-        def counted(spec):
-            built.append(spec)
-            return real(spec)
-
+        kind, theta, eps, p, loop_in = (args[0], *map(np.asarray, args[1:]))
         with monkeypatch.context() as m:
-            m.setattr(deutsch, "build_interaction", counted)
+            m.setattr(QubitChannel, "__post_init__", no_channel)
             got = run_batch(*args)
-        want = grouped_run_batch(monkeypatch, *args)
+            alone = [run_batch(kind, theta[i:i + 1], eps[i:i + 1], p[i:i + 1], loop_in[i:i + 1])
+                     for i in range(len(theta))]
         for name in ("loop", "outputs", "fixed_set_dimension", "residual", "consistency_fidelity"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
-        theta, eps = np.asarray(args[1]), np.asarray(args[2])
-        ideal = [s.theta_xz for s in built if s.gate_noise == 0.0]
-        assert ideal == sorted(set(theta.tolist()))
-        assert len(built) == len(ideal) + bool(eps.any())
+            want = np.concatenate([getattr(b, name) for b in alone])
+            a = getattr(got, name)
+            assert a.dtype == want.dtype and a.shape == want.shape, name
+            assert a.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("mode", ["local", "nonlocal"])
     @pytest.mark.parametrize("variant", ["optimal-gate", "fixed-state"])
@@ -462,21 +432,47 @@ class TestStackedInteractionTerm:
         assert calls
         for args in calls:
             assert len(set(np.asarray(args[1]).tolist())) > 1
-            self.assert_bitwise_equal(monkeypatch, args)
+            self.assert_rows_solve_alone(monkeypatch, args)
 
     def test_mixed_eps_with_repeated_angles(self, monkeypatch):
         rng = np.random.default_rng(163)
         args = random_batch(rng, [-1.2, -0.3, 0.0, 0.4, 1.1], 60)
         assert len(set(args[1].tolist())) == 5
-        self.assert_bitwise_equal(monkeypatch, args)
+        self.assert_rows_solve_alone(monkeypatch, args)
 
     def test_single_angle_batch(self, monkeypatch):
         rng = np.random.default_rng(167)
-        self.assert_bitwise_equal(monkeypatch, random_batch(rng, [0.4], 30))
+        self.assert_rows_solve_alone(monkeypatch, random_batch(rng, [0.4], 30))
 
     def test_batch_of_one(self, monkeypatch):
         rng = np.random.default_rng(173)
-        self.assert_bitwise_equal(monkeypatch, random_batch(rng, [-0.8], 1))
+        self.assert_rows_solve_alone(monkeypatch, random_batch(rng, [-0.8], 1))
+
+    def test_random_rows(self, monkeypatch):
+        """500 seeded rows, each with its own angle in the sweep range."""
+        rng = np.random.default_rng(20261020)
+        kind, _, eps, p, loop_in = random_batch(rng, [0.0], 500)
+        theta = rng.uniform(-math.pi / 2, math.pi / 2, 500)
+        assert len(set(theta.tolist())) == 500
+        self.assert_rows_solve_alone(monkeypatch, (kind, theta, eps, p, loop_in))
+
+    def test_swap_cnot_batch(self, monkeypatch):
+        rng = np.random.default_rng(179)
+        _, _, eps, p, loop_in = random_batch(rng, [0.0], 40)
+        self.assert_rows_solve_alone(
+            monkeypatch, (CircuitKind.SWAP_CNOT, rng.uniform(-3, 3, 40), eps, p, loop_in))
+
+    @pytest.mark.parametrize("kind", list(CircuitKind))
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, kind, angle):
+        with pytest.raises(ValidationError, match="theta_xz = .* is not finite"):
+            run_batch(kind, [0.1, angle], [0.0, 0.0], [0.0, 0.0], np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("angle", [-math.pi / 2 - 1e-12, math.pi / 2, 2.0])
+    def test_angle_outside_sweep_range_rejected(self, angle):
+        with pytest.raises(ValidationError, match="outside the sweep range"):
+            run_batch(CircuitKind.SWAP_THEN_CU, [0.1, angle], [0.0, 0.0], [0.0, 0.0],
+                      np.zeros((2, 3)))
 
 
 def test_run_batch_of_no_rows():

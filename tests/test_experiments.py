@@ -163,6 +163,41 @@ class TestThresholds:
         thr = find_threshold("epsilon")
         assert thr.crossing == pytest.approx(1 / 3, abs=1e-6)
 
+    def test_crossings_are_the_exact_roots(self):
+        """p* = sqrt(2) - 1 (eps = 0) and eps* = 1/3 (p = 0), the only roots in
+        (0, 1) of the advantage gap that sympy derives from the swap-cu closed
+        form (tests/test_deutsch.py::swap_cu_closed_form) at the working point,
+        local preparation; find_thresholds lands within 2e-12 of both."""
+        sp = pytest.importorskip("sympy")
+        phi, theta = 3 * sp.pi / 2, sp.pi / 4
+        assert (WORKING_POINT_PHI, WORKING_POINT_THETA) == (float(phi), float(theta))
+        axis = sp.Matrix([sp.sin(theta), 0, sp.cos(theta)])
+
+        def output_z(r, eps):
+            # The output's z is the loop's: loop = r + (1 - eps)(1 - z)/2 d.
+            d = 2 * axis.dot(r) * axis - 2 * r
+            c = (1 - eps) * d[2] / 2
+            z = (r[2] + c) / (1 + c)
+            return r[2] + (1 - eps) * (1 - z) / 2 * d[2]
+
+        def gap(p, eps):
+            """L_ctc(sigma_z) minus the QM optimum on the depolarized pair."""
+            r0 = (1 - p) * sp.Matrix([0, 0, 1])
+            r1 = (1 - p) * sp.Matrix([sp.sin(phi), 0, sp.cos(phi)])
+            lam = (r0.dot(r1) - r0.norm() * r1.norm()) / 2
+            return (1 - output_z(r0, eps) * output_z(r1, eps)) / 2 - (1 - lam) / 2
+
+        x = sp.Symbol("x")
+        exact = {}
+        for parameter, g in (("p", gap(x, 0)), ("epsilon", gap(0, x))):
+            roots = sp.solveset(sp.numer(sp.together(sp.simplify(g))), x, sp.Interval.open(0, 1))
+            assert isinstance(roots, sp.FiniteSet) and len(roots) == 1, roots
+            exact[parameter] = roots.args[0]
+        assert sp.simplify(exact["p"] - (sp.sqrt(2) - 1)) == 0
+        assert exact["epsilon"] == sp.Rational(1, 3)
+        for thr in find_thresholds(("p", "epsilon")):
+            assert abs(thr.crossing - float(exact[thr.parameter])) <= 2e-12, thr
+
     def test_advantage_at_zero_noise(self):
         from ctcsim.experiments import _advantage_gaps
 
