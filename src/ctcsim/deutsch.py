@@ -18,7 +18,10 @@ minimum-norm solution of (I - A) r = b. Rows with |det(I - A)| above
 _UNIQUE_DET are provably unique and take one 3x3 solve; the rest take the
 SVD. Where the fixed set has more than one state its dimension is
 reported, never hidden. Density matrices are built only at the API
-boundary (solve_fixed_point, run_scenario). A
+boundary (solve_fixed_point, run_scenario), straight from the Bloch
+vectors by density_from_bloch. Inputs are validated there too: run_batch
+checks its raw angle and noise arrays, and run_scenario, whose CircuitSpec
+has checked them, solves as run_batch does without checking again. A
 solve_loops term is a (weight, transfer) pair covering every row: one
 channel's tensors shared by all rows, or a stack with one channel per row
 (circuits._transfer_tensors), so a batch of distinct channels is one term.
@@ -397,7 +400,8 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     onto null(M - I) it is (1, r) = P e0 / (e0 . P e0).
 
     Rows with |det(I - A)| above _UNIQUE_DET are provably unique and take
-    one batched 3x3 solve, r = (I - A)^-1 b; the rest take the SVD.
+    one batched 3x3 solve, r = (I - A)^-1 b; the rest take the SVD, which
+    is set up only when some row fails the screen.
 
     terms: (weight, transfer) pairs (see _mix); loop_in (N, 3): the
     state the loop adapts to, which is also the input sent through the
@@ -405,17 +409,20 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     ConvergenceError, a state outside the Bloch ball ValidationError; a
     NaN fails both checks. Zero rows give an empty LoopBatch.
     """
-    m = _mix(terms, LOOP_RAIL, "...kmv,...m->...kv", _homogeneous(loop_in))
+    pauli_in = _homogeneous(loop_in)
+    m = _mix(terms, LOOP_RAIL, "...kmv,...m->...kv", pauli_in)
     if not np.isfinite(m).all():
         raise ValidationError("non-finite loop input or interaction")
     i_minus_a = _EYE4[1:, 1:] - m[:, 1:, 1:]
     unique = np.abs(np.linalg.det(i_minus_a)) > _UNIQUE_DET
+    all_unique = unique.all()
     # Rows that fail the screen solve I r = b here; the SVD overwrites them.
-    r = np.linalg.solve(np.where(unique[:, None, None], i_minus_a, _EYE4[1:, 1:]),
+    r = np.linalg.solve(i_minus_a if all_unique else
+                        np.where(unique[:, None, None], i_minus_a, _EYE4[1:, 1:]),
                         m[:, 1:, :1])[:, :, 0]
     dims = np.ones(len(m), dtype=int)
-    svd_rows = np.flatnonzero(~unique)
-    if svd_rows.size:
+    if not all_unique:
+        svd_rows = np.flatnonzero(~unique)
         _, sing, vt = np.linalg.svd(m[svd_rows] - _EYE4)
         null = sing < EIGENVALUE_ONE_TOL
         dims[svd_rows] = null.sum(axis=1)
@@ -437,7 +444,7 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
         )
 
     o = _mix(terms, OUTPUT_RAIL, "...kmv,...v->...km", _homogeneous(r))
-    outputs = np.einsum("nkm,nm->nk", o[:, 1:], _homogeneous(loop_in))
+    outputs = np.einsum("nkm,nm->nk", o[:, 1:], pauli_in)
     _require_in_ball(outputs, "output")
     return LoopBatch(r, outputs, dims, residual, qmath._qubit_fidelity(r, image))
 
@@ -456,13 +463,20 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
     otherwise each row has its own. The two encodings give a row the same
     bits, so a row solves to the same result in every batch. Angles are
     checked as CircuitSpec checks them (finite, and in [-pi/2, pi/2) for
-    SWAP_THEN_CU).
+    SWAP_THEN_CU); run_scenario, whose CircuitSpec has checked them, calls
+    the solve behind these checks directly.
     """
     theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
     _check_angles(kind, theta)
     for name, v in (("gate_noise", eps), ("input_noise", p)):
         if not ((0.0 <= v) & (v <= 1.0)).all():
             raise ValidationError(f"{name} outside [0, 1]")
+    return _solve_batch(kind, theta, eps, p, loop_in)
+
+
+def _solve_batch(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray, p: np.ndarray,
+                 loop_in: np.ndarray) -> LoopBatch:
+    """run_batch on float arrays whose angles and noise have been checked."""
     basis = _TRANSFER_BASIS[kind]
     shared = theta.size > 0 and (kind is CircuitKind.SWAP_CNOT or (theta == theta[0]).all())
     coefficients = _gate_coefficients(kind, theta[:1] if shared else theta)
@@ -543,8 +557,9 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
         return ScenarioOutput(fixed_point=fp, rho_out_per_input=(out,) * count,
                               consistency_fidelity=cf)
 
-    batch = run_batch(spec.kind, [spec.theta_xz], [spec.gate_noise], [spec.input_noise],
-                      loop_in[None])
+    batch = _solve_batch(spec.kind, np.array([spec.theta_xz], dtype=float),
+                         np.array([spec.gate_noise], dtype=float),
+                         np.array([spec.input_noise], dtype=float), loop_in[None])
     fp = _fixed_point_result(density_from_bloch(batch.loop[0]), batch.residual[0], 0,
                              batch.fixed_set_dimension[0])
     return ScenarioOutput(

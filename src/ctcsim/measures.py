@@ -160,7 +160,7 @@ def bloch_measures(r1: np.ndarray, r2: np.ndarray):
     d = qmath._norms(r1 - r2) / 2.0
     l_z = (1.0 - r1[..., 2] * r2[..., 2]) / 2.0
     lam = (np.add.reduce(r1 * r2, axis=-1) - qmath._norms(r1) * qmath._norms(r2)) / 2.0
-    l_opt = np.clip((1.0 - lam) / 2.0, 0.0, 1.0)
+    l_opt = np.minimum(np.maximum((1.0 - lam) / 2.0, 0.0), 1.0)
     return l_z, l_opt, d, 0.5 * (1.0 + d)
 
 

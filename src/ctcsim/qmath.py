@@ -73,13 +73,20 @@ def _eig_ranges_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (t - r) / 2.0, (t + r) / 2.0
 
 
+def _wrapped(angle: float) -> float:
+    """angle mod 2pi in [0, 2pi): Python's % rounds a tiny negative angle up to
+    exactly 2pi, which is folded to 0.0."""
+    a = float(angle) % (2 * math.pi)
+    return 0.0 if a == 2 * math.pi else a
+
+
 @dataclass(frozen=True)
 class PureQubit:
     """Pure qubit cos(polar/2)|H> + e^{i phase} sin(polar/2)|V>.
 
     `polar` is the Bloch polar angle from +z (|H>); sweeping it over
     [0, 2pi) covers the full xz great circle when `phase` = 0. Angles are
-    wrapped into [0, 2pi).
+    wrapped into [0, 2pi); a tiny negative angle wraps to 0.0.
     """
 
     polar: float
@@ -90,8 +97,8 @@ class PureQubit:
             raise ValidationError(
                 f"pure qubit angles must be finite (polar = {self.polar}, phase = {self.phase})"
             )
-        object.__setattr__(self, "polar", float(self.polar) % (2 * math.pi))
-        object.__setattr__(self, "phase", float(self.phase) % (2 * math.pi))
+        object.__setattr__(self, "polar", _wrapped(self.polar))
+        object.__setattr__(self, "phase", _wrapped(self.phase))
 
     def vector(self) -> np.ndarray:
         return np.array(
@@ -118,10 +125,16 @@ class DensityMatrix:
     type that exists is valid; operations therefore validate their outputs
     simply by returning them through this constructor. The checks run on
     the four entries as Python complex numbers (one tolist(), no numpy call
-    per check); `mat` is the read-only Hermitian part (m + m^dag)/2.
+    per check), and the state keeps the entries of its Hermitian part
+    (m + m^dag)/2 as Python numbers. `mat`, that part as a read-only array,
+    is built on first read; `bloch()` is derived from the entries. Both
+    have the bits the numpy form (m + m^dag)/2.0 gives.
     """
 
-    __slots__ = ("mat",)
+    # The Hermitian part: real diagonal entries _h00, _h11 (their imaginary
+    # parts are +0), complex off-diagonal entries _h01, _h10; _mat is unset
+    # until mat is read.
+    __slots__ = ("_h00", "_h01", "_h10", "_h11", "_mat")
 
     def __init__(self, mat: np.ndarray):
         a = np.asarray(mat, dtype=complex)
@@ -130,6 +143,10 @@ class DensityMatrix:
                 f"density matrix must be a qubit state (dim 2), got shape {a.shape}"
             )
         (m00, m01), (m10, m11) = a.tolist()
+        self._check(m00, m01, m10, m11)
+
+    def _check(self, m00: complex, m01: complex, m10: complex, m11: complex) -> None:
+        """Validate the entries of m and keep those of its Hermitian part."""
         parts = (m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
         if not all(map(math.isfinite, parts)):
             raise ValidationError("density matrix has non-finite entries")
@@ -154,22 +171,44 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix violates positivity (min eigenvalue = {lo:.3e})"
             )
-        a = np.array([[m00 + m00.conjugate(), m01 + m10.conjugate()],
-                      [m10 + m01.conjugate(), m11 + m11.conjugate()]]) / 2.0
-        a.setflags(write=False)
-        self.mat = a
+        # m + m^dag has diagonal (2 Re m_kk, +0), so halving leaves the real parts.
+        self._h00 = _halved(m00.real + m00.real, 0.0).real
+        self._h11 = _halved(m11.real + m11.real, 0.0).real
+        h01, h10 = m01 + m10.conjugate(), m10 + m01.conjugate()
+        self._h01 = _halved(h01.real, h01.imag)
+        self._h10 = _halved(h10.real, h10.imag)
 
     @classmethod
     def maximally_mixed(cls) -> "DensityMatrix":
         return cls(ID2 / 2)
 
+    @property
+    def mat(self) -> np.ndarray:
+        """The Hermitian part as a read-only (2, 2) complex array, built on first read."""
+        try:
+            return self._mat
+        except AttributeError:
+            a = np.array([[self._h00, self._h01], [self._h10, self._h11]], dtype=complex)
+            a.setflags(write=False)
+            self._mat = a
+            return a
+
     def bloch(self) -> np.ndarray:
-        """Bloch vector (x, y, z) with rho = (I + v . sigma)/2, as a (3,) array."""
-        m = self.mat
-        return np.array([2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
+        """Bloch vector (x, y, z) with rho = (I + v . sigma)/2, as a read-only (3,) array."""
+        h01 = self._h01
+        v = np.array([2.0 * h01.real, -2.0 * h01.imag, self._h00 - self._h11])
+        v.setflags(write=False)
+        return v
 
     def __repr__(self) -> str:
         return f"DensityMatrix({self.mat.tolist()})"
+
+
+def _halved(re: float, im: float) -> complex:
+    """(re + i im) / 2.0 with numpy's arithmetic: Smith's division by 2 + 0i,
+    ((re + im * 0) * 0.5, (im - re * 0) * 0.5), whose zero products fix the
+    signs of zeros."""
+    return complex((re + im * 0.0) * 0.5, (im - re * 0.0) * 0.5)
 
 
 def _partial_trace_raw(mat4: np.ndarray, keep: int) -> np.ndarray:
@@ -193,7 +232,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def _qubit_fidelity(r: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Per-row Uhlmann fidelity of Bloch vectors: Tr(ab) + 2 sqrt(det a det b)."""
     dets = np.maximum(1.0 - _dot(r, r), 0.0) * np.maximum(1.0 - _dot(s, s), 0.0) / 16.0
-    return np.clip((1.0 + _dot(r, s)) / 2.0 + 2.0 * np.sqrt(dets), 0.0, 1.0)
+    return np.minimum(np.maximum((1.0 + _dot(r, s)) / 2.0 + 2.0 * np.sqrt(dets), 0.0), 1.0)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -228,4 +267,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 def density_from_bloch(v: np.ndarray) -> DensityMatrix:
     """Qubit state (I + v . sigma)/2; positivity requires |v| <= 1 + 2 PSD_TOL."""
     x, y, z = np.asarray(v, dtype=float).tolist()
-    return DensityMatrix(np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2.0)
+    m01, m10 = x - 1j * y, x + 1j * y
+    # The entries of np.array([[1 + z, m01], [m10, 1 - z]]) / 2.0, checked as
+    # DensityMatrix checks that array, with no array built.
+    rho = DensityMatrix.__new__(DensityMatrix)
+    rho._check(_halved(1 + z, 0.0), _halved(m01.real, m01.imag), _halved(m10.real, m10.imag),
+               _halved(1 - z, 0.0))
+    return rho

@@ -135,6 +135,15 @@ class TestDiscriminateCommand:
         assert main(["discriminate", "--phi", "7"]) == 0
         assert main(["discriminate", "--phi", str(7 - 2 * math.pi)]) == 0
 
+    @pytest.mark.parametrize("prep", ["local", "nonlocal"])
+    def test_tiny_negative_phi_is_phi_zero(self, capsys, prep):
+        """-1e-20 wraps to the state at phi = 0, not to 2pi, whose default gate
+        angle would lie outside the sweep range."""
+        assert main(["discriminate", "--prep", prep, "--phi=-1e-20"]) == 0
+        tiny = capsys.readouterr().out
+        assert main(["discriminate", "--prep", prep, "--phi", "0"]) == 0
+        assert capsys.readouterr().out == tiny
+
     def test_optimal_axis_signs_of_the_readme_example(self, capsys):
         """The optimal axis's roundoff-sized components print as +0.0000."""
         assert main(["discriminate", "--phi", "4.712", "--p", "0.2"]) == 0

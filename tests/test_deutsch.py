@@ -1029,6 +1029,67 @@ class TestRunScenario:
             run_scenario(CircuitSpec(kind=kind, theta_xz=angle), LocalPure(PureQubit(1.0)),
                          method=method)
 
+    def test_matches_its_run_batch_row_bit_for_bit(self):
+        """run_scenario skips the checks its CircuitSpec has made, and solves as
+        run_batch does: the same bits as the scenario's row of one batch of
+        them all, and as a batch of one."""
+        rng = np.random.default_rng(1301)
+        specs, preps = [], []
+        for i in range(60):
+            kind = CircuitKind.SWAP_CNOT if i % 5 == 0 else CircuitKind.SWAP_THEN_CU
+            eps, p = (rng.choice([0.0, 1.0, rng.uniform()]) for _ in range(2))
+            specs.append(CircuitSpec(kind=kind, theta_xz=rng.uniform(-math.pi / 2, math.pi / 2),
+                                     gate_noise=eps, input_noise=p))
+            states = [PureQubit(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+                      for _ in range(1 + i % 3)]
+            weights = rng.uniform(0.05, 1.0, len(states))
+            preps.append([LocalPure(states[0]), ImproperMixed(random_qubit_state(rng)),
+                          NonLocalEnsemble(tuple(states), tuple(weights / weights.sum()))][i % 3])
+
+        def loop_in(prep):
+            if isinstance(prep, NonLocalEnsemble):
+                return sum(q * s.bloch() for q, s in zip(prep.probs, prep.states))
+            return (prep.state if isinstance(prep, LocalPure) else prep.rho).bloch()
+
+        def as_bytes(batch, n):
+            return (density_from_bloch(batch.loop[n]).mat.tobytes(),
+                    density_from_bloch(batch.outputs[n]).bloch().tobytes(),
+                    float(batch.residual[n]), int(batch.fixed_set_dimension[n]),
+                    float(batch.consistency_fidelity[n]))
+
+        batches = {}
+        for kind in CircuitKind:
+            rows = [n for n, s in enumerate(specs) if s.kind is kind]
+            batch = run_batch(kind, [specs[n].theta_xz for n in rows],
+                              [specs[n].gate_noise for n in rows],
+                              [specs[n].input_noise for n in rows],
+                              np.array([loop_in(preps[n]) for n in rows]))
+            batches.update((n, as_bytes(batch, j)) for j, n in enumerate(rows))
+        for n, (spec, prep) in enumerate(zip(specs, preps)):
+            res = run_scenario(spec, prep)
+            fp = res.fixed_point
+            got = (fp.rho_ctc.mat.tobytes(), res.rho_out_per_input[0].bloch().tobytes(),
+                   fp.residual, fp.fixed_set_dimension, res.consistency_fidelity)
+            one = run_batch(spec.kind, [spec.theta_xz], [spec.gate_noise], [spec.input_noise],
+                            loop_in(prep)[None])
+            assert got == batches[n] == as_bytes(one, 0), (spec, prep)
+            count = len(prep.states) if isinstance(prep, NonLocalEnsemble) else 1
+            assert res.rho_out_per_input == (res.rho_out_per_input[0],) * count
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"theta_xz": math.pi / 2}, "theta_xz = 1.5707963267948966 outside the sweep range [-pi/2, pi/2)"),
+        ({"theta_xz": -1.6}, "theta_xz = -1.6 outside the sweep range [-pi/2, pi/2)"),
+        ({"theta_xz": math.nan}, "theta_xz = nan is not finite"),
+        ({"gate_noise": 1.5}, "gate_noise (epsilon) = 1.5 outside [0, 1]"),
+        ({"gate_noise": math.nan}, "gate_noise (epsilon) = nan outside [0, 1]"),
+        ({"input_noise": -0.1}, "input_noise (p) = -0.1 outside [0, 1]"),
+        ({"input_noise": math.inf}, "input_noise (p) = inf outside [0, 1]"),
+    ])
+    def test_spec_refuses_what_run_scenario_no_longer_checks(self, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, **kwargs)
+        assert str(exc.value) == message
+
     def test_ensemble_probabilities_validated(self):
         with pytest.raises(ValidationError):
             NonLocalEnsemble((H,), (0.7,))

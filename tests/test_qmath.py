@@ -1,5 +1,6 @@
 """Linear-algebra layer: conventions, invariants, and frozen oracle values."""
 
+import itertools
 import math
 
 import numpy as np
@@ -277,6 +278,17 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="non-finite"):
             density_from_bloch(np.array([math.nan, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("angle", [-1e-20, -5e-324, -1e-16, -0.0, 2 * math.pi, -2 * math.pi])
+    def test_pure_qubit_angles_wrap_into_range(self, angle):
+        """A tiny negative angle is the state at angle 0: Python's % would round
+        it up to exactly 2pi, outside [0, 2pi)."""
+        q = PureQubit(angle, angle)
+        for a in (q.polar, q.phase):
+            assert 0.0 <= a < 2 * math.pi
+        if abs(angle) < 1e-15:
+            assert (q.polar, q.phase) == (0.0, 0.0)
+            assert q.bloch().tobytes() == PureQubit(0.0, 0.0).bloch().tobytes()
+
     def test_pure_qubit_normalization(self):
         for polar in (0.0, 0.7, math.pi, 4.0):
             assert abs(np.linalg.norm(PureQubit(polar, 1.3).vector()) - 1) < 1e-14
@@ -400,3 +412,70 @@ class TestScalarChecksMatchNumpyOracle:
             assert not stored.flags.writeable
             with pytest.raises(ValueError):
                 stored[0, 0] = 1.0
+
+
+def matrix_formula(v) -> DensityMatrix:
+    """Oracle: density_from_bloch as it built the state before, through the
+    matrix (I + v . sigma)/2 and the DensityMatrix constructor."""
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    with np.errstate(all="ignore"):
+        return DensityMatrix(np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2.0)
+
+
+def state_verdict(build, v):
+    """("ok", mat bytes, bloch bytes) or (exception type, message)."""
+    try:
+        rho = build(v)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", rho.mat.tobytes(), rho.bloch().tobytes()
+
+
+class TestBlochEntriesMatchMatrixFormula:
+    """density_from_bloch checks its four entries without building a matrix;
+    it accepts, rejects and words each case as the matrix route does, and
+    stores the same bytes."""
+
+    @staticmethod
+    def assert_same(v):
+        want = state_verdict(matrix_formula, v)
+        assert state_verdict(density_from_bloch, v) == want, list(v)
+        return want[0]
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(3111)
+        for _ in range(500):
+            u = rng.normal(size=3)
+            assert self.assert_same(u / np.linalg.norm(u) * rng.uniform(0.0, 1.0)) == "ok"
+
+    def test_positivity_bound(self):
+        """Norms 1e-3 (relative) either side of 1 + 2 PSD_TOL, in the excess."""
+        rng = np.random.default_rng(3112)
+        seen = set()
+        for _ in range(200):
+            u = rng.normal(size=3)
+            u /= np.linalg.norm(u)
+            for scale in (1.0 - 1e-3, 1.0 + 1e-3):
+                seen.add(self.assert_same(u * (1.0 + 2.0 * PSD_TOL * scale)))
+        assert seen == {"ok", "ValidationError"}
+
+    def test_signed_zeros(self):
+        values = (0.0, -0.0, 0.5, -0.5)
+        for v in itertools.product(values, repeat=3):
+            assert self.assert_same(np.array(v)) == "ok"
+        for v in itertools.product((0.0, -0.0), (0.0, -0.0), (1.0, -1.0)):
+            assert self.assert_same(np.array(v)) == "ok"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_components(self, bad):
+        for k in range(3):
+            v = np.array([0.1, -0.2, 0.3])
+            v[k] = bad
+            assert self.assert_same(v) == "ValidationError"
+
+    def test_bloch_and_matrix_are_read_only(self):
+        rho = density_from_bloch(np.array([0.1, -0.2, 0.3]))
+        for a in (rho.bloch(), rho.mat, HALF.bloch(), H.mat):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0

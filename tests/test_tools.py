@@ -22,6 +22,9 @@ EXPECTED = sorted(
        for m in ("local", "nonlocal") for ext in ("csv", "svg")]
     + [f"{t}-grid7.csv" for t in ("fig5a", "fig5b", "fig5c", "s1", "s2")]
     + [f"fixed-point-{m}.json" for m in ("eigen_max_entropy", "damped_iteration")]
+    + [f"discriminate-{m}{point}.txt" for m in ("local", "nonlocal") for point in ("", "-phi0")]
+    + [f"fixed-point-{prep}-{m}.txt" for prep in ("local", "improper", "nonlocal")
+       for m in ("eigen_max_entropy", "damped_iteration")]
     + [f"demo-{d.stem}.txt" for d in (ROOT / "demos").glob("*.py")]
 )
 

@@ -8,9 +8,14 @@ thresholds` and `reproduce fig3` as JSON, the six `sweep` tables (3
 variants x 2 preparations) at `--grid 50` with their `--plot` SVGs,
 `reproduce fig6 --grid 13`, the five discrimination tables (fig5a-c,
 s1, s2) at `--grid 7`, and the `fixed-point --out` JSON of one
-noisy scenario under both solver methods. It adds the `ctcsim selftest`
-report as text (selftest.txt) and as `--json` (selftest.json), each with
-every elapsed time masked, and the stdout of each script in demos/
+noisy scenario under both solver methods. It adds the stdout of the
+single-scenario commands: `discriminate` for both preparations at that
+noisy point and at the degenerate phi = 0 (discriminate-<prep>.txt,
+discriminate-<prep>-phi0.txt), and `fixed-point` at that point for all
+three preparations under both solver methods
+(fixed-point-<prep>-<method>.txt). It adds the `ctcsim selftest` report
+as text (selftest.txt) and as `--json` (selftest.json), each with every
+elapsed time masked, and the stdout of each script in demos/
 (demo-<name>.txt), run in DIR so that the SVG demo 05 writes lands there
 too. The package is imported from this checkout's
 `src`, so running the script from two checkouts into two directories and
@@ -22,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import runpy
 import sys
@@ -34,6 +40,15 @@ from ctcsim.cli import REPRODUCE_TARGETS, main  # noqa: E402
 from ctcsim.experiments import MODES, SWEEP_TABLES, VARIANTS  # noqa: E402
 
 METHODS = ("eigen_max_entropy", "damped_iteration")
+PREPS = ("local", "improper", "nonlocal")
+# The noisy scenario of the fixed-point and discriminate runs: input angles, p and epsilon.
+POINT = ["--phi", "1.1", "--phase", "0.4", "--p", "0.2", "--epsilon", "0.3"]
+# (file name, CLI argument list) of each command whose stdout is kept.
+PRINTED = ([(f"discriminate-{m}.txt", ["discriminate", "--prep", m, *POINT]) for m in MODES]
+           + [(f"discriminate-{m}-phi0.txt", ["discriminate", "--prep", m, "--phi", "0"])
+              for m in MODES]
+           + [(f"fixed-point-{prep}-{m}.txt", ["fixed-point", "--prep", prep, "--method", m, *POINT])
+              for prep in PREPS for m in METHODS])
 # Elapsed times as the selftest prints them ("0.12s").
 _ELAPSED = re.compile(r"\b\d+\.\d\ds\b")
 
@@ -50,8 +65,8 @@ def commands(out: Path) -> list[list[str]]:
     cmds.append(["reproduce", "fig6", "--grid", "13", "--out", str(out / "fig6-grid13.csv")])
     cmds += [["reproduce", t, "--grid", "7", "--out", str(out / f"{t}-grid7.csv")]
              for t in SWEEP_TABLES]
-    cmds += [["fixed-point", "--phi", "1.1", "--phase", "0.4", "--p", "0.2", "--epsilon", "0.3",
-              "--method", m, "--out", str(out / f"fixed-point-{m}.json")] for m in METHODS]
+    cmds += [["fixed-point", *POINT, "--method", m, "--out", str(out / f"fixed-point-{m}.json")]
+             for m in METHODS]
     return cmds
 
 
@@ -81,13 +96,20 @@ def dump(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for argv in commands(out):
         run(argv)
+    for name, argv in PRINTED:
+        (out / name).write_text(run(argv), encoding="utf-8")
     (out / "selftest.txt").write_text(_ELAPSED.sub("#.##s", run(["selftest"])), encoding="utf-8")
     (out / "selftest.json").write_text(masked_selftest_json(run(["selftest", "--json"])),
                                        encoding="utf-8")
     for demo in sorted((ROOT / "demos").glob("*.py")):
         buf = io.StringIO()
-        with contextlib.chdir(out), contextlib.redirect_stdout(buf):
-            runpy.run_path(str(demo), run_name="__main__")
+        cwd = os.getcwd()
+        os.chdir(out)
+        try:
+            with contextlib.redirect_stdout(buf):
+                runpy.run_path(str(demo), run_name="__main__")
+        finally:
+            os.chdir(cwd)
         (out / f"demo-{demo.stem}.txt").write_text(buf.getvalue(), encoding="utf-8")
 
 
