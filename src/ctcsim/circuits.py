@@ -33,6 +33,7 @@ from .qmath import (
     SIGMA_Z,
     DensityMatrix,
     ValidationError,
+    _wrapped,
 )
 
 __all__ = [
@@ -178,8 +179,11 @@ def _check_angles(kind: CircuitKind, theta: np.ndarray) -> None:
 
 def _cu_weights(theta: np.ndarray) -> np.ndarray:
     """Rows (1, c, s) (N, 3) of the angles theta (N,), c and s as make_cu_xz
-    takes them: math.cos and math.sin of theta mod 2pi (np.mod is Python's %)."""
-    t = np.mod(theta, 2 * math.pi).tolist()
+    takes them: math.cos and math.sin of theta mod 2pi (np.mod is Python's %),
+    with the exact 2pi of a tiny negative angle folded to 0.0 as in _wrapped."""
+    t = np.mod(theta, 2 * math.pi)
+    t[t == 2 * math.pi] = 0.0
+    t = t.tolist()
     weights = np.ones((len(t), 3))
     weights[:, 1], weights[:, 2] = list(map(math.cos, t)), list(map(math.sin, t))
     return weights
@@ -191,9 +195,9 @@ def make_cu_xz(theta_xz: float) -> np.ndarray:
     Control is qubit 1: identity on the control-|H> block, and the
     reflection [[cos t, sin t], [sin t, -cos t]] on the control-|V> block.
     theta_xz = 0 gives CZ, pi/2 gives CNOT, pi/4 a controlled
-    Hadamard. The angle is taken mod 2pi.
+    Hadamard. The angle is taken mod 2pi into [0, 2pi) by qmath._wrapped.
     """
-    t = float(theta_xz) % (2 * math.pi)
+    t = _wrapped(theta_xz)
     m = np.eye(4, dtype=complex)
     m[2:, 2:] = np.array(
         [[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]], dtype=complex

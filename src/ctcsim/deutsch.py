@@ -31,19 +31,22 @@ run_batch builds no channel: it mixes its circuit's fixed transfer basis
 The Kraus-form consistency_map, evolve_output, superoperator and the
 damped iteration stay as independent oracles: they never read the
 transfer tensors. All four apply the interaction through one batched
-Kraus path (_kraus_loop, on the rows' stacked Kraus terms);
+Kraus path (_kraus_loop, on the rows' stacked Kraus terms, in row
+blocks of _KRAUS_BLOCK so its temporaries do not grow with the batch);
 consistency_map and evolve_output are batches of one of it. The damped
 iteration (damped_iteration) takes a Kraus stack, builds one 4x4
 superoperator per row and iterates all rows together, each stopping on
 its own when its step, the closed-form trace distance between successive
-iterates, is small enough; superoperator and
+iterates, is small enough; the fixed-set dimension is read from the kept
+superoperators only when asked for. superoperator and
 solve_fixed_point(method="damped_iteration") are batches of one of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,12 +227,24 @@ def _kraus_stack(channels) -> tuple[np.ndarray, np.ndarray]:
     return weights, ops
 
 
+# _kraus_loop's row block: its temporaries take about 8 KB per row at B = 4
+# (a superoperator build), so a block of 200 rows caps them near 1.6 MB.
+_KRAUS_BLOCK = 200
+
+
 def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray, keep: int = LOOP_RAIL) -> np.ndarray:
     """The `keep` rail of E_n(rho_in[n] (x) x[n, b]) for a Kraus stack: rho_in
     (N, 2, 2), x (N, B, 2, 2) -> (N, B, 2, 2). Linear in x; keeping LOOP_RAIL
-    gives the consistency map, OUTPUT_RAIL the output."""
+    gives the consistency map, OUTPUT_RAIL the output. Rows are independent
+    and run _KRAUS_BLOCK at a time, so a row's bits do not depend on N."""
     weights, ops = kraus
     n, b = x.shape[:2]
+    if n > _KRAUS_BLOCK:
+        out = np.empty((n, b, 2, 2), dtype=complex)
+        for s in range(0, n, _KRAUS_BLOCK):
+            block = slice(s, s + _KRAUS_BLOCK)
+            out[block] = _kraus_loop((weights[block], ops[block]), rho_in[block], x[block], keep)
+        return out
     k = weights.shape[1]
     # Inlined 2x2 Kronecker products; np.kron overhead dominates at this size.
     # The B joint states side by side (4, 4B), so each Kraus operator takes one
@@ -296,12 +311,20 @@ def _clip_to_density(mats: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DampedBatch:
     """Damped-iteration fixed points: rho (N, 2, 2) states, and per row the
-    Kraus-map residual, the step count and the fixed-set dimension."""
+    Kraus-map residual, the step count and the fixed-set dimension. The
+    dimension counts the singular values of M_n - I below
+    EIGENVALUE_ONE_TOL, with M_n the row's superoperator (superoperators,
+    (N, 4, 4)); it is computed when first read, as few callers read it."""
 
     rho: np.ndarray
     residual: np.ndarray
     iterations: np.ndarray
-    fixed_set_dimension: np.ndarray
+    superoperators: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def fixed_set_dimension(self) -> np.ndarray:
+        sing = np.linalg.svd(self.superoperators - _EYE4, compute_uv=False)
+        return (sing < EIGENVALUE_ONE_TOL).sum(axis=1)
 
 
 def damped_iteration(rho_in: np.ndarray, kraus) -> DampedBatch:
@@ -312,16 +335,16 @@ def damped_iteration(rho_in: np.ndarray, kraus) -> DampedBatch:
     successive iterates) is at most _STEP_TOL, then stops; M_n is the
     superoperator of row n of the Kraus stack kraus (weights (N, K), ops
     (N, K, 4, 4), as _kraus_stack builds) at input rho_in[n] (N, 2, 2).
-    Any row still moving after _MAX_STEPS steps raises ConvergenceError. The
-    fixed-set dimension counts the singular values of M_n - I below
-    EIGENVALUE_ONE_TOL, and each clipped state must close the Kraus
-    consistency map to RESIDUAL_TOL (else ConvergenceError); a NaN or inf
-    input raises ValidationError. Never touches the transfer tensors.
+    Any row still moving after _MAX_STEPS steps raises ConvergenceError.
+    Each clipped state must close the Kraus consistency map to
+    RESIDUAL_TOL (else ConvergenceError); a NaN or inf input raises
+    ValidationError. The rows of M_n stay in the result, whose fixed-set
+    dimension is read from them on demand. Never touches the transfer
+    tensors.
     """
     m = _superoperators(kraus, rho_in)
     if not np.isfinite(m).all():
         raise ValidationError("non-finite loop input or interaction")
-    sing = np.linalg.svd(m - _EYE4, compute_uv=False)
     cur = np.tile(np.eye(2, dtype=complex).reshape(4) / 2, (len(m), 1))
     iterations = np.zeros(len(m), dtype=int)
     active, step = np.arange(len(m)), np.array([math.inf])
@@ -345,7 +368,7 @@ def damped_iteration(rho_in: np.ndarray, kraus) -> DampedBatch:
         raise ConvergenceError(
             f"fixed-point residual {np.nanmax(residual):.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
-    return DampedBatch(rho, residual, iterations, (sing < EIGENVALUE_ONE_TOL).sum(axis=1))
+    return DampedBatch(rho, residual, iterations, m)
 
 
 @dataclass(frozen=True)

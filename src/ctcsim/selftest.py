@@ -20,14 +20,12 @@ from .circuits import (
     CircuitSpec,
     _CU_GENERATORS,
     _cu_weights,
-    _transfer_tensors,
     build_interaction,
 )
 from .deutsch import (
     damped_iteration,
     run_batch,
     solve_fixed_point,
-    solve_loops,
     swap_cnot_closed_form,
 )
 from .experiments import (
@@ -257,8 +255,8 @@ def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
     )
 
 
-# C10 draws its candidates CHUNK at a time: the damped oracle and the
-# engine each solve a chunk as one batch, while the working set stays small.
+# CHUNK only sizes C10's draws, each solved by one run_batch; the damped
+# oracle then runs once on all SOLVER_CHECKS accepted candidates.
 SOLVER_CHECKS = 1000
 CHUNK = 200
 _CANDIDATE_LOW = [-math.pi / 2, 0.0, 0.0, -1.0, 0.0]
@@ -268,32 +266,34 @@ _CANDIDATE_HIGH = [math.pi / 2 - 1e-9, 1.0, 1.0, 1.0, 2 * math.pi]
 def _draw_candidates(rng: np.random.Generator, n: int):
     """n random swap-cu candidates from one draw of n rows (theta, eps, p,
     cos polar, phase), as stacks: the Bloch rows (n, 3) of the input states,
-    psi(acos(cos polar), phase) depolarized by p, and the Kraus stack
-    (weights (n, 2), ops (n, 2, 4, 4)) of build_interaction's gate-failure
-    channel, [1 - eps, eps] on [CU_xz(theta) SWAP, SWAP], each CU_xz(theta)
-    SWAP summed from its generators, G0 + c G1 + s G2 (one term per entry).
+    psi(acos(cos polar), phase) depolarized by p; the Kraus stack (weights
+    (n, 2), ops (n, 2, 4, 4)) of build_interaction's gate-failure channel,
+    [1 - eps, eps] on [CU_xz(theta) SWAP, SWAP], each CU_xz(theta) SWAP
+    summed from its generators, G0 + c G1 + s G2 (one term per entry); and
+    run_batch's arguments (theta, eps, p, the pure Bloch rows).
     """
     theta, eps, p, cos_polar, phase = rng.uniform(_CANDIDATE_LOW, _CANDIDATE_HIGH, size=(n, 5)).T
-    bloch = (1.0 - p)[:, None] * _pure_bloch(np.arccos(cos_polar), phase)
+    pure = _pure_bloch(np.arccos(cos_polar), phase)
+    bloch = (1.0 - p)[:, None] * pure
     gate = np.einsum("nj,jab->nab", _cu_weights(theta), _CU_GENERATORS)
     ops = np.stack([gate, np.broadcast_to(SWAP, gate.shape)], axis=1)
-    return bloch, (np.stack([1.0 - eps, eps], axis=1), ops)
+    return bloch, (np.stack([1.0 - eps, eps], axis=1), ops), (theta, eps, p, pure)
 
 
 def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int):
     """Yield (Kraus stack, rho_in (M, 2, 2), engine loop states (M, 3)) for the
     first `count` candidates whose fixed point is unique, chunk by chunk.
 
-    Each chunk's engine side is one solve_loops batch, one term whose
-    transfer tensors come from the same Kraus stack the oracle iterates. A
-    chunk draws at most as many candidates as are still needed, so the
-    generator ends just after the last accepted draw, as if the candidates
-    had been drawn one at a time.
+    Each chunk's engine side is one run_batch on the drawn angles, noise and
+    states, the fixed-basis solve every command takes; the Kraus stack is
+    left to the oracle. A chunk draws at most as many candidates as are
+    still needed, so the generator ends just after the last accepted draw,
+    as if the candidates had been drawn one at a time.
     """
     need = count
     while need:
-        bloch, (weights, ops) = _draw_candidates(rng, min(chunk, need))
-        batch = solve_loops([(1.0, _transfer_tensors(weights, ops))], bloch)
+        bloch, (weights, ops), args = _draw_candidates(rng, min(chunk, need))
+        batch = run_batch(CircuitKind.SWAP_THEN_CU, *args)
         keep = np.flatnonzero(batch.fixed_set_dimension == 1)
         need -= len(keep)
         if len(keep):
@@ -303,9 +303,10 @@ def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int)
 def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
     """Both solver methods agree; eigen measurement optimum matches grid search."""
     rng = np.random.default_rng(42)
-    worst = np.max([trace_distances(_density_rows(loop), damped_iteration(rho_in, kraus).rho).max()
-                    for kraus, rho_in, loop in
-                    _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK)])
+    kraus, rho_in, loop = zip(*_unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK))
+    kraus = tuple(np.concatenate(stack) for stack in zip(*kraus))
+    damped = damped_iteration(np.concatenate(rho_in), kraus)
+    worst = trace_distances(_density_rows(np.concatenate(loop)), damped.rho).max()
 
     pairs = [(DensityMatrix(m1), DensityMatrix(m2)) for m1, m2 in zip(*_mixed_pairs(rng, 200))]
     r1, r2 = (np.array([pair[i].bloch() for pair in pairs]) for i in (0, 1))

@@ -9,10 +9,10 @@ the timing and tolerance details.
 
 import dataclasses
 import io
-import itertools
 import json
 import math
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from types import SimpleNamespace
 
@@ -27,6 +27,8 @@ from ctcsim.deutsch import (
     LocalPure,
     NonLocalEnsemble,
     _kraus_stack,
+    damped_iteration,
+    run_batch,
     run_scenario,
     solve_fixed_point,
 )
@@ -271,6 +273,74 @@ def test_drawn_c10_inputs_are_density_matrices(monkeypatch):
         np.testing.assert_array_equal(DensityMatrix(m).mat, m)
 
 
+def c10_rows():
+    """C10's accepted candidates as one stack each: Kraus stack, rho_in (N,
+    2, 2) and engine loop states (N, 3)."""
+    kraus, rho_in, loop = zip(*_unique_fixed_point_chunks(np.random.default_rng(42),
+                                                          SOLVER_CHECKS, CHUNK))
+    return tuple(map(np.concatenate, zip(*kraus))), np.concatenate(rho_in), np.concatenate(loop)
+
+
+def test_c10_runs_one_damped_oracle_on_all_its_rows(monkeypatch):
+    """C10 calls damped_iteration once, on all SOLVER_CHECKS accepted rows,
+    and its result equals that of the oracle run chunk by chunk bit for bit."""
+    calls = []
+    real = selftest.damped_iteration
+
+    def recorded(rho_in, kraus):
+        calls.append((rho_in, kraus, real(rho_in, kraus)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(selftest, "damped_iteration", recorded)
+    assert selftest._check_solver_equivalence(Context())[0]
+    [(rho_in, kraus, whole)] = calls
+    assert len(rho_in) == len(kraus[0]) == len(kraus[1]) == SOLVER_CHECKS
+    want_kraus, want_rho_in, _ = c10_rows()
+    np.testing.assert_array_equal(rho_in, want_rho_in)
+    np.testing.assert_array_equal(kraus[0], want_kraus[0])
+    np.testing.assert_array_equal(kraus[1], want_kraus[1])
+    for start in range(0, SOLVER_CHECKS, CHUNK):
+        rows = slice(start, start + CHUNK)
+        part = real(rho_in[rows], (kraus[0][rows], kraus[1][rows]))
+        np.testing.assert_array_equal(whole.rho[rows], part.rho)
+        np.testing.assert_array_equal(whole.iterations[rows], part.iterations)
+
+
+def test_c10_engine_side_is_run_batch_on_the_draw(monkeypatch):
+    """C10's engine loop states are run_batch's on the drawn angles, noise and
+    input states bit for bit, here one batch of every drawn candidate,
+    restricted to the rows of a unique fixed point."""
+    drawn = []
+    real = selftest._draw_candidates
+
+    def recorded(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(selftest, "_draw_candidates", recorded)
+    _, _, loop = c10_rows()
+    theta, eps, p, pure = (np.concatenate(column) for column in zip(*(d[2] for d in drawn)))
+    batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, pure)
+    np.testing.assert_array_equal(loop, batch.loop[batch.fixed_set_dimension == 1])
+
+
+def test_c10_damped_oracle_memory_does_not_grow_with_its_rows():
+    """The traced peak of damped_iteration on C10's 1000 rows stays within
+    1.25 times its peak on the first 200: the superoperator build runs in
+    blocks, so only the per-row arrays grow (about 1.9 MB against 1.6 MB)."""
+    kraus, rho_in, _ = c10_rows()
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            damped_iteration(rho_in[:n], (kraus[0][:n], kraus[1][:n]))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(SOLVER_CHECKS) <= 1.25 * peak(CHUNK)
+
+
 def one_state_at_a_time(rng, pure):
     """Oracle: the draws of one random state (a (2, 2) array): pure
     psi(acos u, phase) with u and the phase uniform, in Bloch form as C9
@@ -298,27 +368,34 @@ def test_mixed_pairs_match_one_at_a_time(seed):
 
 
 def draw_candidates_one_at_a_time(rng, n):
-    """Oracle: C10's draw made one candidate at a time, one CircuitSpec and
-    one depolarized PureQubit density per candidate."""
-    specs, states = [], []
+    """Oracle: C10's draw made one candidate at a time, one CircuitSpec, one
+    PureQubit and its depolarized density per candidate."""
+    specs, pure, states = [], [], []
     for theta, eps, p, cos_polar, phase in rng.uniform(selftest._CANDIDATE_LOW,
                                                        selftest._CANDIDATE_HIGH,
                                                        size=(n, 5)).tolist():
         specs.append(CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
                                  gate_noise=eps, input_noise=p))
-        states.append(depolarize(PureQubit(math.acos(cos_polar), phase).density(), p))
-    return specs, states
+        pure.append(PureQubit(math.acos(cos_polar), phase))
+        states.append(depolarize(pure[-1].density(), p))
+    return specs, pure, states
 
 
 @pytest.mark.parametrize("seed", [42, 20260810])
 def test_stacked_candidates_match_one_at_a_time(seed):
     """C10's stacked draw gives the one-at-a-time Bloch rows and states to
-    roundoff, the build_interaction Kraus stacks bit for bit, and leaves the
-    generator where the one-at-a-time draw does."""
+    roundoff, the build_interaction Kraus stacks and the drawn angle and
+    noise columns bit for bit, and leaves the generator where the
+    one-at-a-time draw does."""
     stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     for n in (200, 200, 37):
-        bloch, (weights, ops) = selftest._draw_candidates(stacked, n)
-        specs, states = draw_candidates_one_at_a_time(scalar, n)
+        bloch, (weights, ops), (theta, eps, p, pure) = selftest._draw_candidates(stacked, n)
+        specs, pure_states, states = draw_candidates_one_at_a_time(scalar, n)
+        assert theta.tolist() == [s.theta_xz for s in specs]
+        assert eps.tolist() == [s.gate_noise for s in specs]
+        assert p.tolist() == [s.input_noise for s in specs]
+        np.testing.assert_allclose(pure, [q.bloch() for q in pure_states], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(bloch, (1.0 - p)[:, None] * pure)
         np.testing.assert_allclose(bloch, [s.bloch() for s in states], rtol=0, atol=1e-15)
         np.testing.assert_allclose(_density_rows(bloch), [s.mat for s in states],
                                    rtol=0, atol=1e-15)
@@ -392,11 +469,9 @@ def set_nonlocal(ctx, name):
     ctx._nonlocal = with_nan(Context().nonlocal_sweeps(), name)
 
 
-def nan_in_later_chunks(monkeypatch, ctx):
-    """C10's damped oracle returns a NaN row in every chunk but the first."""
-    calls = itertools.count()
-    patch_result(monkeypatch, "damped_iteration",
-                 lambda d: SimpleNamespace(rho=nan_row(d.rho)) if next(calls) else d)
+def nan_past_first_row(monkeypatch, ctx):
+    """C10's one damped-oracle call returns a NaN in a row past the first."""
+    patch_result(monkeypatch, "damped_iteration", lambda d: SimpleNamespace(rho=nan_row(d.rho)))
 
 
 # A NaN injected into one value past the first that each check reduces,
@@ -416,7 +491,7 @@ NAN_CASES = {
         "worst residual nan"),
     "C7": ("C7", lambda mp, ctx: set_nonlocal(ctx, "L_ctc_sigma_z"), "max L - 1/2 = nan"),
     "C9": ("C9", lambda mp, ctx: set_nonlocal(ctx, "L_ctc_optimal"), "plateau dev nan"),
-    "C10 solver": ("C10", nan_in_later_chunks, "solver disagreement nan"),
+    "C10 solver": ("C10", nan_past_first_row, "solver disagreement nan"),
     "C10 grid": ("C10", lambda mp, ctx: patch_result(mp, "grid_search_mismatches", nan_row),
                  "grid-search deviation nan"),
     "C11": ("C11", lambda mp, ctx: ctx.fidelities.extend([1.0, math.nan]), "minimum fidelity nan"),

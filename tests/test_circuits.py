@@ -18,7 +18,7 @@ from ctcsim.circuits import (
     depolarize,
     make_cu_xz,
 )
-from ctcsim.deutsch import _kraus_stack, consistency_map, evolve_output
+from ctcsim.deutsch import _kraus_stack, consistency_map, evolve_output, run_batch
 from ctcsim.qmath import (
     DensityMatrix,
     PureQubit,
@@ -65,6 +65,24 @@ class TestGateConstructors:
         u = make_cu_xz(theta)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(u @ u, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("theta", [-1e-20, -5e-324])
+    def test_tiny_negative_angle_is_angle_zero(self, theta):
+        """theta mod 2pi rounds a tiny negative angle up to exactly 2pi, which
+        is folded to 0.0: the gate, its basis weights and the run_batch rows,
+        in a batch of one angle and among other angles, are those of theta = 0
+        bit for bit."""
+        np.testing.assert_array_equal(make_cu_xz(theta), make_cu_xz(0.0))
+        kind = CircuitKind.SWAP_THEN_CU
+        tiny, zero = np.array([theta, 0.7, theta, -0.4]), np.array([0.0, 0.7, 0.0, -0.4])
+        np.testing.assert_array_equal(_gate_coefficients(kind, tiny), _gate_coefficients(kind, zero))
+        loop_in = np.array([[0.3, -0.2, 0.5], [0.0, 0.6, -0.7], [0.6, 0.0, 0.8], [-0.5, 0.4, 0.2]])
+        eps, p = np.array([0.0, 0.3, 0.0, 1.0]), np.array([0.1, 0.0, 0.0, 0.5])
+        for angles, want in ((tiny, zero), (np.full(4, theta), np.zeros(4))):
+            got, ref = run_batch(kind, angles, eps, p, loop_in), run_batch(kind, want, eps, p, loop_in)
+            for name in ("loop", "outputs", "fixed_set_dimension", "residual",
+                         "consistency_fidelity"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError, match="completeness"):

@@ -217,6 +217,31 @@ class TestDampedBatch:
             with pytest.raises(ConvergenceError, match="converge"):
                 damped_iteration(rho_in, kraus)
 
+    @staticmethod
+    def eager_dimensions(rho_in, kraus):
+        """Oracle: the singular values of each superoperator minus I below
+        EIGENVALUE_ONE_TOL, counted when the batch is solved."""
+        sing = np.linalg.svd(_superoperators(kraus, rho_in) - np.eye(4), compute_uv=False)
+        return (sing < EIGENVALUE_ONE_TOL).sum(axis=1)
+
+    def test_dimension_is_computed_when_first_read(self):
+        """On seeded random rows and on degenerate ones: the CNOT-then-SWAP
+        loop at the equator input (dimension 2), a SWAP_THEN_CU row at the
+        fig5a reference point (2) and the identity interaction (4)."""
+        rng = np.random.default_rng(163)
+        rho_in, channels = random_rows(rng, 50)
+        degenerate = [(PureQubit(math.pi / 2, 0.0).density(), build_interaction(SWAP_CNOT)),
+                      (H.density(), build_interaction(cu_circuit(-math.pi / 2))),
+                      (random_qubit_state(rng), QubitChannel(((1.0, np.eye(4)),)))]
+        rho_in = np.concatenate([rho_in, [rho.mat for rho, _ in degenerate]])
+        kraus = _kraus_stack(channels + [ch for _, ch in degenerate])
+        batch = damped_iteration(rho_in, kraus)
+        assert "fixed_set_dimension" not in vars(batch)
+        want = self.eager_dimensions(rho_in, kraus)
+        np.testing.assert_array_equal(batch.fixed_set_dimension, want)
+        assert batch.fixed_set_dimension is vars(batch)["fixed_set_dimension"]
+        assert want[:50].tolist() == [1] * 50 and want[50:].tolist() == [2, 2, 4]
+
     def test_non_finite_input_raises_validation_error(self):
         rho_in = np.array([HALF.mat, HALF.mat])
         rho_in[1, 0, 1] = math.nan
@@ -1259,3 +1284,39 @@ class TestSwapCuClosedForm:
         unique = margin != 0.0
         assert len(calls) == 14 and (~unique).sum() == 12 and margin[unique].min() > 1e-3
         assert (dev[unique] * margin[unique]).max() <= 4e-15
+
+
+class TestSwapCnotClosedForm:
+    """run_batch on the swap-cnot circuit against its closed form on any input:
+    with s = (1 - p) r the depolarized input, the loop state is (0, 0, s_z)
+    and the output (0, 0, s_z^2), swap_cnot_closed_form's diag(a, b) and
+    diag(a^2 + b^2, 2ab) with s_z = a - b; the loop keeps no coherence."""
+
+    def test_random_mixed_rows(self):
+        rng = np.random.default_rng(20261019)
+        n = 20000
+        direction = rng.normal(size=(n, 3))
+        r = (direction / np.linalg.norm(direction, axis=1)[:, None]
+             * rng.uniform(0, 1, (n, 1)) ** (1 / 3))
+        p, zero = rng.uniform(0, 1, n), np.zeros(n)
+        assert np.linalg.norm(r[:, :2], axis=1).min() > 1e-3  # no diagonal input
+        batch = run_batch(CircuitKind.SWAP_CNOT, zero, zero, p, r)
+        s_z = (1.0 - p) * r[:, 2]
+        loop = np.column_stack([zero, zero, s_z])
+        out = np.column_stack([zero, zero, s_z * s_z])
+        np.testing.assert_allclose(batch.loop, loop, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(batch.outputs, out, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(batch.fixed_set_dimension, np.ones(n, dtype=int))
+
+    def test_equator(self):
+        """The fixed set is a segment only at r = (1, 0, 0), C3's input; at
+        (-1, 0, 0) and elsewhere on the equator the fixed point is unique.
+        Every one of them has loop state and output I/2."""
+        phi = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
+        r = np.column_stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)])
+        r = np.concatenate([r, [[-1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.3, -0.2, 0.0]]])
+        zero = np.zeros(len(r))
+        batch = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero, r)
+        np.testing.assert_array_equal(batch.fixed_set_dimension, [2] + [1] * (len(r) - 1))
+        np.testing.assert_allclose(batch.loop, 0.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(batch.outputs, 0.0, rtol=0, atol=1e-15)
