@@ -5,12 +5,14 @@ make_cu_xz). The interaction that drives the time-travel circuit is always
 "some gate, then hand the rails over": either CNOT followed by SWAP (the
 nonlinear amplifier circuit) or SWAP followed by a controlled pi-rotation
 CU_xz (the state-discrimination circuit). When the controlled gate fails
-(probability epsilon) only the SWAP remains. build_interaction is the one
-factory of a gate-failure channel, a QubitChannel: the one validated
-interaction type, weighted Kraus lists whose completeness check covers
-every gate in them, so noise semantics stay explicit and trace
-preservation is checked locally; each also carries its real Pauli-transfer
-tensors, the form the fixed-point engine works in.
+(probability epsilon) only the SWAP remains. _failure_kraus is the one
+factory of that gate-failure channel, as a Kraus stack of many rows whose
+gates take their angle from _cu_weights; build_interaction is its row of
+one as a QubitChannel: the one validated interaction type, weighted Kraus
+lists whose completeness check covers every gate in them, so noise
+semantics stay explicit and trace preservation is checked locally; each
+also carries its real Pauli-transfer tensors, the form the fixed-point
+engine works in.
 
 The engine builds no channel: each circuit kind has one fixed transfer
 basis (_TRANSFER_BASIS), built once at import from the gates' generators,
@@ -33,7 +35,6 @@ from .qmath import (
     SIGMA_Z,
     DensityMatrix,
     ValidationError,
-    _wrapped,
 )
 
 __all__ = [
@@ -178,9 +179,9 @@ def _check_angles(kind: CircuitKind, theta: np.ndarray) -> None:
 
 
 def _cu_weights(theta: np.ndarray) -> np.ndarray:
-    """Rows (1, c, s) (N, 3) of the angles theta (N,), c and s as make_cu_xz
-    takes them: math.cos and math.sin of theta mod 2pi (np.mod is Python's %),
-    with the exact 2pi of a tiny negative angle folded to 0.0 as in _wrapped."""
+    """Rows (1, c, s) (N, 3) of the angles theta (N,), the one angle rule every
+    gate is built from: math.cos and math.sin of theta mod 2pi (np.mod is
+    Python's %), with the exact 2pi of a tiny negative angle folded to 0.0."""
     t = np.mod(theta, 2 * math.pi)
     t[t == 2 * math.pi] = 0.0
     t = t.tolist()
@@ -195,14 +196,12 @@ def make_cu_xz(theta_xz: float) -> np.ndarray:
     Control is qubit 1: identity on the control-|H> block, and the
     reflection [[cos t, sin t], [sin t, -cos t]] on the control-|V> block.
     theta_xz = 0 gives CZ, pi/2 gives CNOT, pi/4 a controlled
-    Hadamard. The angle is taken mod 2pi into [0, 2pi) by qmath._wrapped.
+    Hadamard. The gate is _CU_BLOCKS weighted by _cu_weights, which takes
+    the angle mod 2pi into [0, 2pi); a non-finite angle raises ValidationError.
     """
-    t = _wrapped(theta_xz)
-    m = np.eye(4, dtype=complex)
-    m[2:, 2:] = np.array(
-        [[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]], dtype=complex
-    )
-    return m
+    if not math.isfinite(theta_xz):
+        raise ValidationError(f"theta_xz = {theta_xz} is not finite")
+    return np.einsum("j,jab->ab", _cu_weights(np.array([theta_xz], dtype=float))[0], _CU_BLOCKS)
 
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -220,7 +219,8 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
 
 
 def build_interaction(spec: CircuitSpec) -> QubitChannel:
-    """Full loop interaction as a channel, including gate noise.
+    """Full loop interaction as a channel, including gate noise: the row of
+    one of _failure_kraus, without its zero-weight term.
 
     SWAP_CNOT:    CNOT first, then SWAP (gate matrix SWAP @ CNOT).
     SWAP_THEN_CU: SWAP first, then the (possibly failing) CU_xz, i.e. the
@@ -229,16 +229,22 @@ def build_interaction(spec: CircuitSpec) -> QubitChannel:
     Input depolarization (p) is *not* part of this channel: it acts on the
     input state before the loop and is applied by the fixed-point engine.
     """
-    if spec.kind is CircuitKind.SWAP_CNOT:
-        ideal = SWAP @ CNOT
+    weights, ops = _failure_kraus(spec.kind, np.array([spec.theta_xz], dtype=float),
+                                  np.array([spec.gate_noise], dtype=float))
+    return QubitChannel(tuple((w, op) for w, op in zip(weights[0], ops[0]) if w > 0.0))
+
+
+def _failure_kraus(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray):
+    """Kraus stack (weights (N, 2), ops (N, 2, 4, 4)) of the gate-failure
+    channels of angles theta (N,) and failure probabilities eps (N,):
+    [1 - eps, eps] on [ideal gate, SWAP], the ideal gate SWAP @ CNOT or, for
+    SWAP_THEN_CU, CU_xz(theta) SWAP = G0 + c G1 + s G2 (_CU_GENERATORS)."""
+    if kind is CircuitKind.SWAP_CNOT:
+        gate = np.tile(SWAP @ CNOT, (len(theta), 1, 1))
     else:
-        ideal = make_cu_xz(spec.theta_xz) @ SWAP
-    eps, terms = spec.gate_noise, []
-    if eps < 1.0:
-        terms.append((1.0 - eps, ideal))
-    if eps > 0.0:  # when the controlled gate fails only the SWAP remains
-        terms.append((eps, SWAP))
-    return QubitChannel(tuple(terms))
+        gate = np.einsum("nj,jab->nab", _cu_weights(theta), _CU_GENERATORS)
+    ops = np.stack([gate, np.broadcast_to(SWAP, gate.shape)], axis=1)
+    return np.stack([1.0 - eps, eps], axis=1), ops
 
 
 def _pair_maps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -249,12 +255,13 @@ def _pair_maps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return twice[:, None, None, None, None] * _pauli_transfer(_readout_images(left, right))
 
 
-# CU_xz(theta) SWAP = G0 + c G1 + s G2 (make_cu_xz's block is c Z + s X), so
-# its channel weighs the pair maps of (G_a, G_b) by x_a x_b, x = (1, c, s);
-# the pairs (a, b) in basis order are 00, 11, 22, 01, 02, 12.
+# CU_xz(theta) = B0 + c B1 + s B2 (its control-|V> block is c Z + s X), so
+# CU_xz(theta) SWAP = G0 + c G1 + s G2 with G = B SWAP, and its channel weighs
+# the pair maps of (G_a, G_b) by x_a x_b, x = (1, c, s); the pairs (a, b) in
+# basis order are 00, 11, 22, 01, 02, 12.
 _H_PROJ, _V_PROJ = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-_CU_GENERATORS = np.array(
-    [np.kron(_H_PROJ, ID2), np.kron(_V_PROJ, SIGMA_Z), np.kron(_V_PROJ, SIGMA_X)]) @ SWAP
+_CU_BLOCKS = np.array([np.kron(_H_PROJ, ID2), np.kron(_V_PROJ, SIGMA_Z), np.kron(_V_PROJ, SIGMA_X)])
+_CU_GENERATORS = _CU_BLOCKS @ SWAP
 _PAIR_A, _PAIR_B = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
 _BASIS_MAPS = _pair_maps(np.array([SWAP, SWAP @ CNOT, *_CU_GENERATORS[_PAIR_A]]),
                          np.array([SWAP, SWAP @ CNOT, *_CU_GENERATORS[_PAIR_B]]))

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import (
-    SWAP,
-    CircuitKind,
-    CircuitSpec,
-    _CU_GENERATORS,
-    _cu_weights,
-    build_interaction,
-)
+from .circuits import CircuitKind, CircuitSpec, _failure_kraus, build_interaction
 from .deutsch import (
     damped_iteration,
     run_batch,
@@ -255,61 +248,53 @@ def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
     )
 
 
-# CHUNK only sizes C10's draws, each solved by one run_batch; the damped
-# oracle then runs once on all SOLVER_CHECKS accepted candidates.
+# C10 draws until SOLVER_CHECKS candidates have a unique fixed point, then
+# runs the damped oracle once on all of them.
 SOLVER_CHECKS = 1000
-CHUNK = 200
 _CANDIDATE_LOW = [-math.pi / 2, 0.0, 0.0, -1.0, 0.0]
 _CANDIDATE_HIGH = [math.pi / 2 - 1e-9, 1.0, 1.0, 1.0, 2 * math.pi]
 
 
 def _draw_candidates(rng: np.random.Generator, n: int):
     """n random swap-cu candidates from one draw of n rows (theta, eps, p,
-    cos polar, phase), as stacks: the Bloch rows (n, 3) of the input states,
-    psi(acos(cos polar), phase) depolarized by p; the Kraus stack (weights
-    (n, 2), ops (n, 2, 4, 4)) of build_interaction's gate-failure channel,
-    [1 - eps, eps] on [CU_xz(theta) SWAP, SWAP], each CU_xz(theta) SWAP
-    summed from its generators, G0 + c G1 + s G2 (one term per entry); and
-    run_batch's arguments (theta, eps, p, the pure Bloch rows).
-    """
+    cos polar, phase), as run_batch's arguments: theta, eps, p and the pure
+    Bloch rows (n, 3) of psi(acos(cos polar), phase)."""
     theta, eps, p, cos_polar, phase = rng.uniform(_CANDIDATE_LOW, _CANDIDATE_HIGH, size=(n, 5)).T
-    pure = _pure_bloch(np.arccos(cos_polar), phase)
-    bloch = (1.0 - p)[:, None] * pure
-    gate = np.einsum("nj,jab->nab", _cu_weights(theta), _CU_GENERATORS)
-    ops = np.stack([gate, np.broadcast_to(SWAP, gate.shape)], axis=1)
-    return bloch, (np.stack([1.0 - eps, eps], axis=1), ops), (theta, eps, p, pure)
+    return theta, eps, p, _pure_bloch(np.arccos(cos_polar), phase)
 
 
-def _unique_fixed_point_chunks(rng: np.random.Generator, count: int, chunk: int):
-    """Yield (Kraus stack, rho_in (M, 2, 2), engine loop states (M, 3)) for the
-    first `count` candidates whose fixed point is unique, chunk by chunk.
-
-    Each chunk's engine side is one run_batch on the drawn angles, noise and
-    states, the fixed-basis solve every command takes; the Kraus stack is
-    left to the oracle. A chunk draws at most as many candidates as are
-    still needed, so the generator ends just after the last accepted draw,
-    as if the candidates had been drawn one at a time.
-    """
-    need = count
+def _unique_candidates(rng: np.random.Generator, count: int):
+    """theta, eps, input Bloch rows (pure rows depolarized by p) and engine
+    loop states (count, 3) of the first `count` candidates whose fixed point
+    is unique, solved by run_batch, the fixed-basis solve every command
+    takes. Each draw takes only the candidates still needed, so the generator
+    ends just after the last accepted one, as if drawn one at a time."""
+    rows, need = [], count
     while need:
-        bloch, (weights, ops), args = _draw_candidates(rng, min(chunk, need))
-        batch = run_batch(CircuitKind.SWAP_THEN_CU, *args)
-        keep = np.flatnonzero(batch.fixed_set_dimension == 1)
-        need -= len(keep)
-        if len(keep):
-            yield (weights[keep], ops[keep]), _density_rows(bloch[keep]), batch.loop[keep]
+        theta, eps, p, pure = _draw_candidates(rng, need)
+        batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, pure)
+        keep = batch.fixed_set_dimension == 1
+        rows.append((theta[keep], eps[keep], (1.0 - p[keep])[:, None] * pure[keep], batch.loop[keep]))
+        need -= int(keep.sum())
+    return tuple(map(np.concatenate, zip(*rows)))
+
+
+def _bloch_rows(m: np.ndarray) -> np.ndarray:
+    """Bloch vectors (N, 3) of Hermitian unit-trace matrices (N, 2, 2), read as
+    DensityMatrix.bloch reads them: (2 Re m01, -2 Im m01, Re m00 - Re m11)."""
+    m01 = m[:, 0, 1]
+    return np.stack([2.0 * m01.real, -2.0 * m01.imag, m[:, 0, 0].real - m[:, 1, 1].real], axis=1)
 
 
 def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
     """Both solver methods agree; eigen measurement optimum matches grid search."""
     rng = np.random.default_rng(42)
-    kraus, rho_in, loop = zip(*_unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK))
-    kraus = tuple(np.concatenate(stack) for stack in zip(*kraus))
-    damped = damped_iteration(np.concatenate(rho_in), kraus)
-    worst = trace_distances(_density_rows(np.concatenate(loop)), damped.rho).max()
+    theta, eps, bloch, loop = _unique_candidates(rng, SOLVER_CHECKS)
+    damped = damped_iteration(_density_rows(bloch),
+                              _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps))
+    worst = trace_distances(_density_rows(loop), damped.rho).max()
 
-    pairs = [(DensityMatrix(m1), DensityMatrix(m2)) for m1, m2 in zip(*_mixed_pairs(rng, 200))]
-    r1, r2 = (np.array([pair[i].bloch() for pair in pairs]) for i in (0, 1))
+    r1, r2 = map(_bloch_rows, _mixed_pairs(rng, 200))
     worst_grid = np.max(np.abs(_eigen_optima(r1, r2)[0] - grid_search_mismatches(r1, r2)))
     ok = worst <= 1e-9 and worst_grid <= 1e-6
     return ok, f"solver disagreement {worst:.2e}, grid-search deviation {worst_grid:.2e}"

@@ -21,7 +21,13 @@ import pytest
 
 import ctcsim.cli as cli
 import ctcsim.selftest as selftest
-from ctcsim.circuits import CircuitKind, CircuitSpec, build_interaction, depolarize
+from ctcsim.circuits import (
+    CircuitKind,
+    CircuitSpec,
+    _failure_kraus,
+    build_interaction,
+    depolarize,
+)
 from ctcsim.cli import main
 from ctcsim.deutsch import (
     LocalPure,
@@ -36,13 +42,12 @@ from ctcsim.measures import _eigen_optima, helstrom_success_probability
 from ctcsim.qmath import DensityMatrix, PureQubit, density_from_bloch, trace_distances
 from ctcsim.selftest import (
     CHECKS,
-    CHUNK,
     SOLVER_CHECKS,
     CheckResult,
     Context,
     SelfTestReport,
     _density_rows,
-    _unique_fixed_point_chunks,
+    _unique_candidates,
 )
 from test_measures import scalar_grid_search
 
@@ -184,11 +189,12 @@ def test_batched_check_matches_run_scenario(check_id, monkeypatch):
 
 
 def test_chunked_draw_matches_one_at_a_time_draw():
-    """C10's chunked draw accepts the candidates, and leaves the generator in the
-    state, of drawing and solving one candidate at a time: the same Kraus
-    stacks bit for bit, the same depolarized states to roundoff."""
-    count, chunk = 7, 3  # three chunks, the last one shorter
-    one_at_a_time, chunked = np.random.default_rng(42), np.random.default_rng(42)
+    """C10's draw, in pieces of the candidates still needed, accepts the
+    candidates, and leaves the generator in the state, of drawing and solving
+    one candidate at a time: the same Kraus stacks bit for bit, the same
+    depolarized states and loop states to roundoff."""
+    count = 7
+    one_at_a_time, stacked = np.random.default_rng(42), np.random.default_rng(42)
     expected = []
     while len(expected) < count:
         rng = one_at_a_time
@@ -204,17 +210,44 @@ def test_chunked_draw_matches_one_at_a_time_draw():
         if fp.fixed_set_dimension == 1:
             expected.append((build_interaction(spec), rho_in.mat, fp.rho_ctc.bloch()))
 
-    chunks = list(_unique_fixed_point_chunks(chunked, count, chunk))
-    assert [len(c[1]) for c in chunks] == [3, 3, 1]
-    weights, ops = (np.concatenate([c[0][i] for c in chunks]) for i in (0, 1))
-    rho_in = np.concatenate([c[1] for c in chunks])
-    loop = np.concatenate([c[2] for c in chunks])
+    theta, eps, bloch, loop = _unique_candidates(stacked, count)
+    assert len(theta) == len(eps) == len(bloch) == len(loop) == count
+    weights, ops = _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps)
     want_weights, want_ops = _kraus_stack([ch for ch, _, _ in expected])
     np.testing.assert_array_equal(weights, want_weights)
     np.testing.assert_array_equal(ops, want_ops)
-    np.testing.assert_allclose(rho_in, [m for _, m, _ in expected], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_density_rows(bloch), [m for _, m, _ in expected],
+                               rtol=0, atol=1e-15)
     np.testing.assert_allclose(loop, [r for _, _, r in expected], rtol=0, atol=1e-15)
-    assert chunked.bit_generator.state == one_at_a_time.bit_generator.state
+    assert stacked.bit_generator.state == one_at_a_time.bit_generator.state
+
+
+def test_unique_candidates_redraw_only_the_rejected(monkeypatch):
+    """A candidate without a unique fixed point is replaced by the next one in
+    the stream: with the first row of every draw of more than one rejected,
+    7 candidates take draws of 7 and 1, are candidates 2 to 8 of one-candidate
+    draws bit for bit, and leave the generator where 8 such draws do."""
+    sizes = []
+    real = selftest.run_batch
+
+    def reject_first(kind, theta, *args):
+        batch = real(kind, theta, *args)
+        sizes.append(len(theta))
+        dim = batch.fixed_set_dimension.copy()
+        if len(dim) > 1:
+            dim[0] = 2
+        return SimpleNamespace(loop=batch.loop, fixed_set_dimension=dim)
+
+    monkeypatch.setattr(selftest, "run_batch", reject_first)
+    redrawn = np.random.default_rng(42)
+    got = _unique_candidates(redrawn, 7)
+    assert sizes == [7, 1]
+    monkeypatch.undo()
+    one_at_a_time = np.random.default_rng(42)
+    want = [_unique_candidates(one_at_a_time, 1) for _ in range(8)][1:]
+    for column, rows in zip(got, zip(*want)):
+        np.testing.assert_array_equal(column, np.concatenate(rows))
+    assert redrawn.bit_generator.state == one_at_a_time.bit_generator.state
 
 
 def test_nonlocal_sweeps_shared_by_c7_and_c9(monkeypatch):
@@ -254,8 +287,9 @@ def test_c8_bisects_both_thresholds_together(monkeypatch):
 
 
 def test_drawn_c10_inputs_are_density_matrices(monkeypatch):
-    """Every input state C10 draws, built as a matrix from its Bloch row, is
-    density_from_bloch's matrix bit for bit and passes DensityMatrix unchanged."""
+    """Every input state C10 draws, depolarized and built as a matrix from its
+    Bloch row, is density_from_bloch's matrix bit for bit and passes
+    DensityMatrix unchanged; the accepted rows are among them."""
     drawn = []
     real = selftest._draw_candidates
 
@@ -264,10 +298,10 @@ def test_drawn_c10_inputs_are_density_matrices(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(selftest, "_draw_candidates", recorded)
-    accepted = sum(len(c[1]) for c in
-                   _unique_fixed_point_chunks(np.random.default_rng(42), SOLVER_CHECKS, CHUNK))
-    bloch = np.concatenate([d[0] for d in drawn])
-    assert accepted == SOLVER_CHECKS <= len(bloch)
+    _, _, accepted, _ = _unique_candidates(np.random.default_rng(42), SOLVER_CHECKS)
+    bloch = np.concatenate([(1.0 - p)[:, None] * pure for _, _, p, pure in drawn])
+    assert len(accepted) == SOLVER_CHECKS <= len(bloch)
+    assert {r.tobytes() for r in accepted} <= {r.tobytes() for r in bloch}
     for r, m in zip(bloch, _density_rows(bloch)):
         np.testing.assert_array_equal(density_from_bloch(r).mat, m)
         np.testing.assert_array_equal(DensityMatrix(m).mat, m)
@@ -276,14 +310,13 @@ def test_drawn_c10_inputs_are_density_matrices(monkeypatch):
 def c10_rows():
     """C10's accepted candidates as one stack each: Kraus stack, rho_in (N,
     2, 2) and engine loop states (N, 3)."""
-    kraus, rho_in, loop = zip(*_unique_fixed_point_chunks(np.random.default_rng(42),
-                                                          SOLVER_CHECKS, CHUNK))
-    return tuple(map(np.concatenate, zip(*kraus))), np.concatenate(rho_in), np.concatenate(loop)
+    theta, eps, bloch, loop = _unique_candidates(np.random.default_rng(42), SOLVER_CHECKS)
+    return _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps), _density_rows(bloch), loop
 
 
 def test_c10_runs_one_damped_oracle_on_all_its_rows(monkeypatch):
     """C10 calls damped_iteration once, on all SOLVER_CHECKS accepted rows,
-    and its result equals that of the oracle run chunk by chunk bit for bit."""
+    and its result equals that of the oracle run 200 rows at a time bit for bit."""
     calls = []
     real = selftest.damped_iteration
 
@@ -299,8 +332,8 @@ def test_c10_runs_one_damped_oracle_on_all_its_rows(monkeypatch):
     np.testing.assert_array_equal(rho_in, want_rho_in)
     np.testing.assert_array_equal(kraus[0], want_kraus[0])
     np.testing.assert_array_equal(kraus[1], want_kraus[1])
-    for start in range(0, SOLVER_CHECKS, CHUNK):
-        rows = slice(start, start + CHUNK)
+    for start in range(0, SOLVER_CHECKS, 200):
+        rows = slice(start, start + 200)
         part = real(rho_in[rows], (kraus[0][rows], kraus[1][rows]))
         np.testing.assert_array_equal(whole.rho[rows], part.rho)
         np.testing.assert_array_equal(whole.iterations[rows], part.iterations)
@@ -319,7 +352,7 @@ def test_c10_engine_side_is_run_batch_on_the_draw(monkeypatch):
 
     monkeypatch.setattr(selftest, "_draw_candidates", recorded)
     _, _, loop = c10_rows()
-    theta, eps, p, pure = (np.concatenate(column) for column in zip(*(d[2] for d in drawn)))
+    theta, eps, p, pure = (np.concatenate(column) for column in zip(*drawn))
     batch = run_batch(CircuitKind.SWAP_THEN_CU, theta, eps, p, pure)
     np.testing.assert_array_equal(loop, batch.loop[batch.fixed_set_dimension == 1])
 
@@ -338,7 +371,7 @@ def test_c10_damped_oracle_memory_does_not_grow_with_its_rows():
         finally:
             tracemalloc.stop()
 
-    assert peak(SOLVER_CHECKS) <= 1.25 * peak(CHUNK)
+    assert peak(SOLVER_CHECKS) <= 1.25 * peak(200)
 
 
 def one_state_at_a_time(rng, pure):
@@ -367,6 +400,15 @@ def test_mixed_pairs_match_one_at_a_time(seed):
     assert stacked.bit_generator.state == scalar.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", [42, 20260810])
+def test_bloch_rows_of_mixed_pairs_match_density_matrix(seed):
+    """The Bloch rows C10 reads straight from its symmetrised mixed pairs are
+    DensityMatrix(m).bloch() bit for bit, signed zeros included."""
+    for m in selftest._mixed_pairs(np.random.default_rng(seed), 200):
+        want = np.array([DensityMatrix(row).bloch() for row in m])
+        np.testing.assert_array_equal(selftest._bloch_rows(m).view(np.uint64), want.view(np.uint64))
+
+
 def draw_candidates_one_at_a_time(rng, n):
     """Oracle: C10's draw made one candidate at a time, one CircuitSpec, one
     PureQubit and its depolarized density per candidate."""
@@ -384,21 +426,22 @@ def draw_candidates_one_at_a_time(rng, n):
 @pytest.mark.parametrize("seed", [42, 20260810])
 def test_stacked_candidates_match_one_at_a_time(seed):
     """C10's stacked draw gives the one-at-a-time Bloch rows and states to
-    roundoff, the build_interaction Kraus stacks and the drawn angle and
-    noise columns bit for bit, and leaves the generator where the
-    one-at-a-time draw does."""
+    roundoff, the drawn angle and noise columns bit for bit, and so the
+    build_interaction Kraus stacks through _failure_kraus, and leaves the
+    generator where the one-at-a-time draw does."""
     stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     for n in (200, 200, 37):
-        bloch, (weights, ops), (theta, eps, p, pure) = selftest._draw_candidates(stacked, n)
+        theta, eps, p, pure = selftest._draw_candidates(stacked, n)
         specs, pure_states, states = draw_candidates_one_at_a_time(scalar, n)
         assert theta.tolist() == [s.theta_xz for s in specs]
         assert eps.tolist() == [s.gate_noise for s in specs]
         assert p.tolist() == [s.input_noise for s in specs]
         np.testing.assert_allclose(pure, [q.bloch() for q in pure_states], rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(bloch, (1.0 - p)[:, None] * pure)
+        bloch = (1.0 - p)[:, None] * pure  # as C10 depolarizes them
         np.testing.assert_allclose(bloch, [s.bloch() for s in states], rtol=0, atol=1e-15)
         np.testing.assert_allclose(_density_rows(bloch), [s.mat for s in states],
                                    rtol=0, atol=1e-15)
+        weights, ops = _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps)
         want_weights, want_ops = _kraus_stack([build_interaction(s) for s in specs])
         np.testing.assert_array_equal(weights, want_weights)
         np.testing.assert_array_equal(ops, want_ops)
@@ -435,8 +478,7 @@ def test_c10_grid_deviation_matches_scalar_search(report):
     """C10's stacked grid search reports the deviation that the one-pair-at-a-time
     search gives on the same draws, to the printed digits."""
     rng = np.random.default_rng(42)
-    for _ in _unique_fixed_point_chunks(rng, SOLVER_CHECKS, CHUNK):
-        pass  # the solver candidates C10 draws first
+    _unique_candidates(rng, SOLVER_CHECKS)  # the solver candidates C10 draws first
     worst = 0.0
     for _ in range(200):
         r1 = DensityMatrix(one_state_at_a_time(rng, False))

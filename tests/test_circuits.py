@@ -12,6 +12,7 @@ from ctcsim.circuits import (
     CircuitSpec,
     QubitChannel,
     _TRANSFER_BASIS,
+    _failure_kraus,
     _gate_coefficients,
     _transfer_tensors,
     build_interaction,
@@ -23,6 +24,7 @@ from ctcsim.qmath import (
     DensityMatrix,
     PureQubit,
     ValidationError,
+    _wrapped,
 )
 
 HH = np.array([1, 0, 0, 0], dtype=complex)
@@ -83,6 +85,11 @@ class TestGateConstructors:
             for name in ("loop", "outputs", "fixed_set_dimension", "residual",
                          "consistency_fidelity"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(ValidationError, match="is not finite"):
+            make_cu_xz(theta)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError, match="completeness"):
@@ -261,6 +268,71 @@ class TestBuildInteraction:
             CircuitSpec(kind=CircuitKind.SWAP_CNOT, gate_noise=-0.1)
         with pytest.raises(ValidationError):
             CircuitSpec(kind=CircuitKind.SWAP_CNOT, input_noise=1.01)
+
+
+def scalar_cu_xz(theta):
+    """Oracle: CU_xz written out from one wrapped angle, math.cos and math.sin."""
+    t = _wrapped(theta)
+    m = np.eye(4, dtype=complex)
+    m[2:, 2:] = np.array([[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]], dtype=complex)
+    return m
+
+
+def scalar_interaction_terms(spec):
+    """Oracle: the gate-failure channel's (weight, op) terms written out one at
+    a time, the ideal term first, a zero-weight term left out."""
+    ideal = SWAP @ CNOT if spec.kind is CircuitKind.SWAP_CNOT else scalar_cu_xz(spec.theta_xz) @ SWAP
+    eps, terms = spec.gate_noise, []
+    if eps < 1.0:
+        terms.append((1.0 - eps, ideal))
+    if eps > 0.0:
+        terms.append((eps, SWAP))
+    return terms
+
+
+def same_bits(a, b):
+    """Equal bit for bit, signed zeros included."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
+
+
+EDGE_ANGLES = [-1e-20, -5e-324, -0.0, 0.0, -math.pi / 2, math.nextafter(math.pi / 2, 0.0)]
+
+
+class TestOneFailureFactory:
+    """make_cu_xz, build_interaction and _failure_kraus all come from one
+    factory and one angle rule, and give the written-out gates bit for bit."""
+
+    def test_make_cu_xz_matches_scalar_rule(self):
+        rng = np.random.default_rng(2025)
+        angles = rng.uniform(-math.pi / 2, math.pi / 2, 20000).tolist() + EDGE_ANGLES + [
+            math.pi / 2, math.pi, 3.0, -2.5]
+        bad = [t for t in angles if not same_bits(make_cu_xz(t), scalar_cu_xz(t))]
+        assert bad == []
+
+    @pytest.mark.parametrize("kind", list(CircuitKind))
+    def test_build_interaction_matches_scalar_terms(self, kind):
+        rng = np.random.default_rng(7)
+        angles = rng.uniform(-math.pi / 2, math.pi / 2, 600).tolist() + EDGE_ANGLES
+        for i, theta in enumerate(angles):
+            eps = (0.0, 1.0, float(rng.uniform(0.0, 1.0)))[i % 3]
+            spec = CircuitSpec(kind=kind, theta_xz=theta, gate_noise=eps)
+            got, want = build_interaction(spec).kraus, scalar_interaction_terms(spec)
+            assert len(got) == len(want) == (1 if eps in (0.0, 1.0) else 2)
+            for (w, op), (want_w, want_op) in zip(got, want):
+                assert w == want_w and same_bits(op, want_op), (theta, eps)
+
+    @pytest.mark.parametrize("kind", list(CircuitKind))
+    def test_failure_kraus_rows_are_build_interaction(self, kind):
+        rng = np.random.default_rng(11)
+        theta = np.concatenate([rng.uniform(-math.pi / 2, math.pi / 2, 300), EDGE_ANGLES])
+        eps = rng.uniform(0.0, 1.0, len(theta))
+        weights, ops = _failure_kraus(kind, theta, eps)
+        want_weights, want_ops = _kraus_stack(
+            [build_interaction(CircuitSpec(kind=kind, theta_xz=t, gate_noise=e))
+             for t, e in zip(theta.tolist(), eps.tolist())])
+        assert (weights > 0).all()
+        assert same_bits(weights, want_weights) and same_bits(ops, want_ops)
 
 
 PAULI = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]

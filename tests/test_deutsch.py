@@ -15,6 +15,7 @@ from ctcsim.circuits import (
     CircuitKind,
     CircuitSpec,
     QubitChannel,
+    _failure_kraus,
     _transfer_tensors,
     build_interaction,
     make_cu_xz,
@@ -280,9 +281,9 @@ class TestDampedStep:
         np.testing.assert_array_equal(batch.rho, rho)
 
     def test_c10_candidates(self):
-        chunks = selftest._unique_fixed_point_chunks(np.random.default_rng(42), 200, 200)
-        for kraus, rho_in, _ in chunks:
-            self.assert_same_as_eigvalsh_step(rho_in, kraus)
+        theta, eps, bloch, _ = selftest._unique_candidates(np.random.default_rng(42), 200)
+        self.assert_same_as_eigvalsh_step(selftest._density_rows(bloch),
+                                          _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps))
 
     def test_random_channels(self):
         rng = np.random.default_rng(157)
