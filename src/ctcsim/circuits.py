@@ -35,6 +35,7 @@ from .qmath import (
     SIGMA_Z,
     DensityMatrix,
     ValidationError,
+    c_einsum,
 )
 
 __all__ = [
@@ -61,7 +62,7 @@ CNOT.setflags(write=False)
 # Tr[O P_mu (x) P_nu] = O.flat @ _PAIRS_T[:, 4 mu + nu]. The rail readouts are
 # I (x) P_k (loop rail, qubit 2) and P_k (x) I (output rail, qubit 1).
 _PAULI = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
-_PAIRS = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
+_PAIRS = c_einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
 _PAIRS_T = _PAIRS.transpose(0, 2, 1).reshape(16, 16).T
 _READOUTS = np.concatenate([_PAIRS[:4], _PAIRS[::4]])
 # The 8 readouts side by side, (4, 32): A @ _READOUT_ROW is every A @ S_k at once.
@@ -201,7 +202,7 @@ def make_cu_xz(theta_xz: float) -> np.ndarray:
     """
     if not math.isfinite(theta_xz):
         raise ValidationError(f"theta_xz = {theta_xz} is not finite")
-    return np.einsum("j,jab->ab", _cu_weights(np.array([theta_xz], dtype=float))[0], _CU_BLOCKS)
+    return c_einsum("j,jab->ab", _cu_weights(np.array([theta_xz], dtype=float))[0], _CU_BLOCKS)
 
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -242,7 +243,7 @@ def _failure_kraus(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray):
     if kind is CircuitKind.SWAP_CNOT:
         gate = np.tile(SWAP @ CNOT, (len(theta), 1, 1))
     else:
-        gate = np.einsum("nj,jab->nab", _cu_weights(theta), _CU_GENERATORS)
+        gate = c_einsum("nj,jab->nab", _cu_weights(theta), _CU_GENERATORS)
     ops = np.stack([gate, np.broadcast_to(SWAP, gate.shape)], axis=1)
     return np.stack([1.0 - eps, eps], axis=1), ops
 

@@ -20,8 +20,8 @@ SVD. Where the fixed set has more than one state its dimension is
 reported, never hidden. Density matrices are built only at the API
 boundary (solve_fixed_point, run_scenario), straight from the Bloch
 vectors by density_from_bloch. Inputs are validated there too: run_batch
-checks its raw angle and noise arrays, and run_scenario, whose CircuitSpec
-has checked them, solves as run_batch does without checking again. A
+checks its raw arrays (shape, angle, noise, ball); run_scenario, whose
+inputs are checked, solves as run_batch does without checking again. A
 solve_loops term is a (weight, transfer) pair covering every row: one
 channel's tensors shared by all rows, or a stack with one channel per row
 (circuits._transfer_tensors), so a batch of distinct channels is one term.
@@ -69,6 +69,7 @@ from .qmath import (
     ValidationError,
     _eig_ranges_2x2,
     _partial_trace_raw,
+    c_einsum,
     density_from_bloch,
     fidelity,
     trace_distances,
@@ -385,7 +386,8 @@ class LoopBatch:
 
 def _homogeneous(v: np.ndarray) -> np.ndarray:
     """Bloch vectors (..., 3) -> Pauli coordinates (..., 4) with leading 1."""
-    out = np.ones(v.shape[:-1] + (4,))
+    out = np.empty(v.shape[:-1] + (4,))
+    out[..., 0] = 1.0
     out[..., 1:] = v
     return out
 
@@ -401,7 +403,7 @@ def _mix(terms, rail: int, subscripts: str, x: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(x.shape[:1] + (4, 4))
     for w, t in terms:
-        out += np.reshape(w, (-1, 1, 1)) * np.einsum(subscripts, t[..., rail, :, :, :], x)
+        out += np.asarray(w).reshape(-1, 1, 1) * c_einsum(subscripts, t[..., rail, :, :, :], x)
     return out
 
 
@@ -428,9 +430,11 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
 
     terms: (weight, transfer) pairs (see _mix); loop_in (N, 3): the
     state the loop adapts to, which is also the input sent through the
-    output rail. A row with residual above RESIDUAL_TOL raises
-    ConvergenceError, a state outside the Bloch ball ValidationError; a
-    NaN fails both checks. Zero rows give an empty LoopBatch.
+    output rail. It checks the states it computes: a residual above
+    RESIDUAL_TOL raises ConvergenceError, a loop state or output outside
+    the Bloch ball ValidationError; a NaN fails both. loop_in's shape and
+    ball are the caller's to check (run_batch does). Zero rows give an
+    empty LoopBatch.
     """
     pauli_in = _homogeneous(loop_in)
     m = _mix(terms, LOOP_RAIL, "...kmv,...m->...kv", pauli_in)
@@ -455,11 +459,11 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
         if not (norm0 > 0.0).all():
             raise ValidationError(
                 "consistency map has no unit-trace fixed state (non-CPTP interaction)")
-        r[svd_rows] = np.einsum("nj,nji->ni", lead, vt[:, :, 1:]) / norm0[:, None]
+        r[svd_rows] = c_einsum("nj,nji->ni", lead, vt[:, :, 1:]) / norm0[:, None]
     # Round the few-ulp excess of a pure fixed state back onto the sphere.
     r = r / np.maximum(_require_in_ball(r, "loop state"), 1.0)[:, None]
 
-    image = np.einsum("nij,nj->ni", m[:, 1:, 1:], r) + m[:, 1:, 0]
+    image = c_einsum("nij,nj->ni", m[:, 1:, 1:], r) + m[:, 1:, 0]
     residual = np.sqrt(qmath._dot(image - r, image - r)) / 2.0
     if not (residual <= RESIDUAL_TOL).all():
         raise ConvergenceError(
@@ -467,7 +471,7 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
         )
 
     o = _mix(terms, OUTPUT_RAIL, "...kmv,...v->...km", _homogeneous(r))
-    outputs = np.einsum("nkm,nm->nk", o[:, 1:], pauli_in)
+    outputs = c_einsum("nkm,nm->nk", o[:, 1:], pauli_in)
     _require_in_ball(outputs, "output")
     return LoopBatch(r, outputs, dims, residual, qmath._qubit_fidelity(r, image))
 
@@ -487,24 +491,33 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
     bits, so a row solves to the same result in every batch. Angles are
     checked as CircuitSpec checks them (finite, and in [-pi/2, pi/2) for
     SWAP_THEN_CU); run_scenario, whose CircuitSpec has checked them, calls
-    the solve behind these checks directly.
+    the solve behind these checks directly. Shapes and the input ball are
+    checked too: theta, eps and p must be 1-D with one entry per row of an
+    (N, 3) loop_in whose rows lie in the Bloch ball; nothing is broadcast.
     """
-    theta, eps, p = (np.asarray(x, dtype=float) for x in (theta, eps, p))
+    theta, eps, p, loop_in = (np.asarray(x, dtype=float) for x in (theta, eps, p, loop_in))
+    if loop_in.ndim != 2 or loop_in.shape[1] != 3:
+        raise ValidationError(f"loop input shape {loop_in.shape} is not (N, 3)")
+    for name, v in (("theta_xz", theta), ("gate_noise", eps), ("input_noise", p)):
+        if v.shape != loop_in.shape[:1]:
+            raise ValidationError(f"{name} shape {v.shape} is not ({len(loop_in)},)")
     _check_angles(kind, theta)
     for name, v in (("gate_noise", eps), ("input_noise", p)):
         if not ((0.0 <= v) & (v <= 1.0)).all():
             raise ValidationError(f"{name} outside [0, 1]")
+    _require_in_ball(loop_in, "loop input")
     return _solve_batch(kind, theta, eps, p, loop_in)
 
 
 def _solve_batch(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray, p: np.ndarray,
                  loop_in: np.ndarray) -> LoopBatch:
-    """run_batch on float arrays whose angles and noise have been checked."""
+    """run_batch on the float arrays it has checked."""
     basis = _TRANSFER_BASIS[kind]
-    shared = theta.size > 0 and (kind is CircuitKind.SWAP_CNOT or (theta == theta[0]).all())
+    shared = theta.size == 1 or (theta.size > 1 and (
+        kind is CircuitKind.SWAP_CNOT or (theta == theta[0]).all()))
     coefficients = _gate_coefficients(kind, theta[:1] if shared else theta)
-    ideal = np.einsum("nj,jx->nx", coefficients,
-                      basis[1:].reshape(len(basis) - 1, -1)).reshape(-1, 2, 4, 4, 4)
+    ideal = c_einsum("nj,jx->nx", coefficients,
+                     basis[1:].reshape(len(basis) - 1, -1)).reshape(-1, 2, 4, 4, 4)
     terms = [(eps, basis[0])] if eps.any() else []
     terms.append((1.0 - eps, ideal[0] if shared else ideal))
     return solve_loops(terms, loop_in * (1.0 - p)[:, None])

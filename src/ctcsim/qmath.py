@@ -23,6 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# np.einsum(..., optimize=False) is this kernel behind Python dispatch: the
+# same bits, without the microseconds of dispatch that dominate 4x4 algebra.
+from numpy._core.multiarray import c_einsum
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -221,7 +224,7 @@ def _partial_trace_raw(mat4: np.ndarray, keep: int) -> np.ndarray:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", u, v)
+    return c_einsum("...i,...i->...", u, v)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Fixed-point engine: consistency map, solvers, scenarios, closed-form oracles."""
 
+import ast
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 import ctcsim.cli as cli
 import ctcsim.deutsch as deutsch
 import ctcsim.experiments as experiments
+import ctcsim.qmath as qmath
 import ctcsim.selftest as selftest
 from ctcsim.circuits import (
     SWAP,
@@ -506,6 +510,34 @@ def test_run_batch_of_no_rows():
     assert batch.loop.shape == batch.outputs.shape == (0, 3)
     for name in ("fixed_set_dimension", "residual", "consistency_fidelity"):
         assert getattr(batch, name).shape == (0,), name
+
+
+class TestRunBatchBoundary:
+    """run_batch refuses raw arrays it would otherwise broadcast or solve
+    silently: every argument has one entry per (N, 3) input row, in the ball."""
+
+    ARGS = ([0.1, 0.1], [0.0, 0.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [[0.1], [[0.1], [0.1]], 0.1, [0.1, 0.1, 0.1]])
+    @pytest.mark.parametrize("which", range(3))
+    def test_per_row_argument_of_wrong_shape_rejected(self, which, bad):
+        args = list(self.ARGS)
+        args[which] = bad
+        with pytest.raises(ValidationError, match=r"shape .* is not \(2,\)"):
+            run_batch(CircuitKind.SWAP_THEN_CU, *args, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("loop_in", [np.zeros(3), np.zeros((2, 2)), np.zeros((2, 3, 1)),
+                                         np.zeros((2, 4))])
+    def test_loop_input_not_n_by_3_rejected(self, loop_in):
+        with pytest.raises(ValidationError, match=r"is not \(N, 3\)"):
+            run_batch(CircuitKind.SWAP_THEN_CU, *self.ARGS, loop_in)
+
+    @pytest.mark.parametrize("kind", list(CircuitKind))
+    @pytest.mark.parametrize("row", [[2.0, 0.0, 0.0], [0.0, 0.0, -1.0 - 1e-9], [math.nan, 0.0, 0.0]])
+    def test_loop_input_outside_ball_rejected(self, kind, row):
+        """The input is checked before the 1 - p shrink, which would bring it inside."""
+        with pytest.raises(ValidationError, match="loop input Bloch norm"):
+            run_batch(kind, [0.1, 0.1], [0.0, 0.0], [0.0, 0.9], np.array([[0.0, 0.0, 1.0], row]))
 
 
 class TestSolveFixedPoint:
@@ -1321,3 +1353,115 @@ class TestSwapCnotClosedForm:
         np.testing.assert_array_equal(batch.fixed_set_dimension, [2] + [1] * (len(r) - 1))
         np.testing.assert_allclose(batch.loop, 0.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(batch.outputs, 0.0, rtol=0, atol=1e-15)
+
+
+# Every einsum subscript string in src/ctcsim, with the shapes its letters
+# take there: n, j, x and "..." are batch or basis axes, the rest 2 or 4.
+EINSUM_SUBSCRIPTS = ("...i,...i->...", "...kmv,...m->...kv", "...kmv,...v->...km",
+                     "nj,nji->ni", "nij,nj->ni", "nkm,nm->nk", "nj,jx->nx",
+                     "aij,bkl->abikjl", "j,jab->ab", "nj,jab->nab")
+
+
+def einsum_calls_and_subscripts():
+    """The functions src/ctcsim calls whose names contain "einsum", and every
+    string constant in it shaped like einsum subscripts."""
+    calls, subscripts = set(), set()
+    for path in sorted(Path(deutsch.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if "einsum" in getattr(func, "id", getattr(func, "attr", "")):
+                calls.add(ast.unparse(func))
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and re.fullmatch(r"[a-z.]+(,[a-z.]+)*->[a-z.]*", node.value)):
+                subscripts.add(node.value)
+    return calls, subscripts
+
+
+def einsum_operands(rng, subscripts, dtypes, batch, layout):
+    """Seeded operands for subscripts, a quarter of their entries +0.0 and a
+    quarter -0.0. "..." is one axis and n one of `batch` rows; layout
+    "strided" makes every operand a non-contiguous view, "shared" gives the
+    first operand no "..." axis or a stride-0 n axis, as _mix's shared tensor."""
+    sizes = {c: 2 + 2 * (i % 2) for i, c in enumerate("abijklmvx")}
+    sizes.update(n=batch, **{".": batch})
+    ops = []
+    for k, (term, dtype) in enumerate(zip(subscripts.split("->")[0].split(","), dtypes)):
+        term = term.replace("...", ".")
+        if layout == "shared" and k == 0:
+            term = term.replace(".", "")
+        shape = [1 if layout == "shared" and k == 0 and c == "n" else sizes[c] for c in term]
+        full = shape[:-1] + [2 * shape[-1]] if layout == "strided" else shape
+        x = np.empty(full, dtype=dtype)
+        for part in (x.real, x.imag) if dtype is complex else (x,):
+            signs = rng.integers(0, 4, size=full)
+            part[...] = np.where(signs == 0, 0.0, np.where(signs == 1, -0.0, rng.normal(size=full)))
+        if layout == "strided":
+            x = x[..., ::2]
+        if layout == "shared" and k == 0 and "n" in term:
+            x = np.broadcast_to(x, tuple(sizes[c] for c in term))
+        ops.append(x)
+    return ops
+
+
+class TestEinsumKernel:
+    """Every contraction goes through qmath.c_einsum, numpy's einsum kernel,
+    which gives np.einsum's bits without its Python dispatch."""
+
+    def test_alias_is_the_kernel_np_einsum_delegates_to(self, monkeypatch):
+        from numpy._core import einsumfunc
+
+        assert qmath.c_einsum is einsumfunc.c_einsum
+        calls = []
+
+        def recorded(*operands, **kwargs):
+            calls.append(operands[0])
+            return qmath.c_einsum(*operands, **kwargs)
+
+        monkeypatch.setattr(einsumfunc, "c_einsum", recorded)
+        np.einsum("i,i->", np.ones(3), np.ones(3))
+        assert calls == ["i,i->"]
+
+    def test_source_calls_only_the_kernel_on_the_listed_subscripts(self):
+        calls, subscripts = einsum_calls_and_subscripts()
+        assert calls == {"c_einsum"}
+        assert subscripts == set(EINSUM_SUBSCRIPTS)
+
+    @pytest.mark.parametrize("subscripts", EINSUM_SUBSCRIPTS)
+    def test_kernel_matches_np_einsum_bit_for_bit(self, subscripts):
+        rng = np.random.default_rng(20261020)
+        n_ops = subscripts.count(",") + 1
+        for dtypes in ((float,) * n_ops, (complex,) * n_ops, (float, complex)[:n_ops]):
+            for batch in (0, 1, 5):
+                for layout in ("contiguous", "strided", "shared"):
+                    ops = einsum_operands(rng, subscripts, dtypes, batch, layout)
+                    got = np.asarray(qmath.c_einsum(subscripts, *ops))
+                    want = np.asarray(np.einsum(subscripts, *ops))
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes(), (dtypes, batch, layout)
+
+    def test_engine_never_calls_np_einsum(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        spec = cu_circuit(0.3, eps=0.2, p=0.1)
+        psi0, psi1 = PureQubit(0.0, 0.0), PureQubit(1.1, 0.4)
+        for prep in (LocalPure(psi1), ImproperMixed(psi1.density()),
+                     NonLocalEnsemble((psi0, psi1), (0.5, 0.5))):
+            for method in ("eigen_max_entropy", "damped_iteration"):
+                run_scenario(spec, prep, method)
+        loop_in = np.array([psi0.bloch(), psi1.bloch(), [0.2, -0.1, 0.3]])
+        for kind in CircuitKind:
+            for theta in ([0.3] * 3, [0.3, -0.5, 1.0]):
+                for eps in ([0.0] * 3, [0.2, 0.0, 1.0]):
+                    run_batch(kind, theta, eps, [0.1, 0.0, 0.5], loop_in)
+        svd = run_batch(CircuitKind.SWAP_CNOT, [0.0], [0.0], [0.0], [[1.0, 0.0, 0.0]])
+        assert svd.fixed_set_dimension[0] == 2
+        interaction = build_interaction(spec)
+        for method in ("eigen_max_entropy", "damped_iteration"):
+            solve_fixed_point(psi1.density(), interaction, method)
+        make_cu_xz(0.7)
+        iterate_circuit(psi1, 3)
+        for target in cli.REPRODUCE_TARGETS:
+            grid = [] if target in ("fig3", "thresholds") else ["--grid", "3"]
+            assert cli.main(["reproduce", target, *grid, "--out", str(tmp_path / target)]) == 0
