@@ -5,38 +5,28 @@ make_cu_xz). The interaction that drives the time-travel circuit is always
 "some gate, then hand the rails over": either CNOT followed by SWAP (the
 nonlinear amplifier circuit) or SWAP followed by a controlled pi-rotation
 CU_xz (the state-discrimination circuit). When the controlled gate fails
-(probability epsilon) only the SWAP remains. _failure_kraus is the one
-factory of that gate-failure channel, as a Kraus stack of many rows whose
-gates take their angle from _cu_weights; build_interaction is its row of
-one as a QubitChannel: the one validated interaction type, weighted Kraus
-lists whose completeness check covers every gate in them, so noise
-semantics stay explicit and trace preservation is checked locally; each
-also carries its real Pauli-transfer tensors, the form the fixed-point
-engine works in.
-
-The engine builds no channel: each circuit kind has one fixed transfer
-basis (_TRANSFER_BASIS), built once at import from the gates' generators,
-whose rows the engine mixes with each row's eps and _gate_coefficients.
+(probability epsilon) only the SWAP remains. Each circuit kind has a record
+in _FAMILIES: generators G_a, a coefficient rule x(theta) and an angle
+range; its gate is sum_a x_a G_a. From the record alone come the angle
+check, _failure_kraus (the one factory of the gate-failure channel, a Kraus
+stack of many rows) and the fixed transfer basis the engine mixes with each
+row's eps, built once at import. build_interaction is _failure_kraus's row
+of one as a QubitChannel: the one validated interaction type, weighted
+Kraus lists whose completeness check covers every gate in them, carrying
+the real Pauli-transfer tensors the fixed-point engine works in.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
-from .qmath import (
-    ID2,
-    ID4,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    DensityMatrix,
-    ValidationError,
-    c_einsum,
-)
+from .qmath import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, ValidationError, c_einsum
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -159,24 +149,11 @@ class CircuitSpec:
     input_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_angles(self.kind, np.array([self.theta_xz], dtype=float))
+        _FAMILIES[self.kind].check_angles(np.array([self.theta_xz], dtype=float))
         for name, v in (("gate_noise (epsilon)", self.gate_noise),
                         ("input_noise (p)", self.input_noise)):
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} = {v} outside [0, 1]")
-
-
-def _check_angles(kind: CircuitKind, theta: np.ndarray) -> None:
-    """ValidationError unless every gate angle in theta (N,) is finite (also
-    for SWAP_CNOT, which ignores it) and, for SWAP_THEN_CU, in [-pi/2, pi/2)."""
-    if kind is CircuitKind.SWAP_THEN_CU:
-        ok = (-math.pi / 2 <= theta) & (theta < math.pi / 2)
-    else:
-        ok = np.isfinite(theta)
-    if not ok.all():
-        t = float(theta[~ok][0])
-        raise ValidationError(f"theta_xz = {t} is not finite" if not math.isfinite(t)
-                              else f"theta_xz = {t} outside the sweep range [-pi/2, pi/2)")
 
 
 def _cu_weights(theta: np.ndarray) -> np.ndarray:
@@ -221,29 +198,22 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
 
 def build_interaction(spec: CircuitSpec) -> QubitChannel:
     """Full loop interaction as a channel, including gate noise: the row of
-    one of _failure_kraus, without its zero-weight term.
-
-    SWAP_CNOT:    CNOT first, then SWAP (gate matrix SWAP @ CNOT).
-    SWAP_THEN_CU: SWAP first, then the (possibly failing) CU_xz, i.e. the
-                  failure mixture of CU_xz composed after the SWAP.
+    one of _failure_kraus, without its zero-weight term. The gate is SWAP @
+    CNOT (swap-cnot) or CU_xz @ SWAP (swap-cu), as _FAMILIES defines it.
 
     Input depolarization (p) is *not* part of this channel: it acts on the
     input state before the loop and is applied by the fixed-point engine.
     """
-    weights, ops = _failure_kraus(spec.kind, np.array([spec.theta_xz], dtype=float),
+    weights, ops = _failure_kraus(_FAMILIES[spec.kind], np.array([spec.theta_xz], dtype=float),
                                   np.array([spec.gate_noise], dtype=float))
     return QubitChannel(tuple((w, op) for w, op in zip(weights[0], ops[0]) if w > 0.0))
 
 
-def _failure_kraus(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray):
+def _failure_kraus(family: _GateFamily, theta: np.ndarray, eps: np.ndarray):
     """Kraus stack (weights (N, 2), ops (N, 2, 4, 4)) of the gate-failure
     channels of angles theta (N,) and failure probabilities eps (N,):
-    [1 - eps, eps] on [ideal gate, SWAP], the ideal gate SWAP @ CNOT or, for
-    SWAP_THEN_CU, CU_xz(theta) SWAP = G0 + c G1 + s G2 (_CU_GENERATORS)."""
-    if kind is CircuitKind.SWAP_CNOT:
-        gate = np.tile(SWAP @ CNOT, (len(theta), 1, 1))
-    else:
-        gate = c_einsum("nj,jab->nab", _cu_weights(theta), _CU_GENERATORS)
+    [1 - eps, eps] on [ideal gate sum_a x_a G_a of the family, SWAP]."""
+    gate = c_einsum("nj,jab->nab", family.coefficients(theta), family.generators)
     ops = np.stack([gate, np.broadcast_to(SWAP, gate.shape)], axis=1)
     return np.stack([1.0 - eps, eps], axis=1), ops
 
@@ -256,30 +226,54 @@ def _pair_maps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return twice[:, None, None, None, None] * _pauli_transfer(_readout_images(left, right))
 
 
+@dataclass(frozen=True)
+class _GateFamily:
+    """A circuit kind as data: its ideal gate at angles theta (N,) is
+    sum_a x_a G_a, of generators G (J, 4, 4) and coefficients x(theta)
+    (N, J), with angles in angle_range [lo, hi) (None: no angle, any finite
+    value). Derived once: basis row 0 is the SWAP-only channel and rows 1:
+    the pair maps of (G_a, G_b), (a, a) first, then a < b in lexicographic
+    order; weighted by basis_weights they sum to the unfailed gate's channel."""
+
+    generators: np.ndarray
+    coefficients: Callable[[np.ndarray], np.ndarray]
+    angle_range: tuple[float, float] | None
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    pairs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        g, k = self.generators, range(len(self.generators))
+        a, b = np.array([(i, i) for i in k] + list(combinations(k, 2))).T
+        basis = _pair_maps(np.array([SWAP, *g[a]]), np.array([SWAP, *g[b]]))
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pairs", (a, b))
+
+    def check_angles(self, theta: np.ndarray) -> None:
+        """ValidationError unless every angle in theta (N,) is finite and in angle_range."""
+        if self.angle_range is None:
+            ok = np.isfinite(theta)
+        else:
+            ok = (self.angle_range[0] <= theta) & (theta < self.angle_range[1])
+        if not ok.all():
+            t = float(theta[~ok][0])
+            raise ValidationError(f"theta_xz = {t} is not finite" if not math.isfinite(t)
+                                  else f"theta_xz = {t} outside the sweep range [-pi/2, pi/2)")
+
+    def basis_weights(self, theta: np.ndarray) -> np.ndarray:
+        """Weights x_a x_b (N, P) of basis[1:] for the angles theta (N,)."""
+        x = self.coefficients(theta)
+        return x[:, self.pairs[0]] * x[:, self.pairs[1]]
+
+
 # CU_xz(theta) = B0 + c B1 + s B2 (its control-|V> block is c Z + s X), so
-# CU_xz(theta) SWAP = G0 + c G1 + s G2 with G = B SWAP, and its channel weighs
-# the pair maps of (G_a, G_b) by x_a x_b, x = (1, c, s); the pairs (a, b) in
-# basis order are 00, 11, 22, 01, 02, 12.
+# CU_xz(theta) SWAP = G0 + c G1 + s G2 with G = B SWAP.
 _H_PROJ, _V_PROJ = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 _CU_BLOCKS = np.array([np.kron(_H_PROJ, ID2), np.kron(_V_PROJ, SIGMA_Z), np.kron(_V_PROJ, SIGMA_X)])
 _CU_GENERATORS = _CU_BLOCKS @ SWAP
-_PAIR_A, _PAIR_B = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
-_BASIS_MAPS = _pair_maps(np.array([SWAP, SWAP @ CNOT, *_CU_GENERATORS[_PAIR_A]]),
-                         np.array([SWAP, SWAP @ CNOT, *_CU_GENERATORS[_PAIR_B]]))
-_BASIS_MAPS.setflags(write=False)
-# _TRANSFER_BASIS[kind] (J, 2, 4, 4, 4): row 0 is the channel of SWAP alone
-# (the gate failed); rows 1:, weighted by _gate_coefficients, sum to the
-# channel of the gate that did not fail (build_interaction's, to roundoff).
-_TRANSFER_BASIS = {CircuitKind.SWAP_CNOT: _BASIS_MAPS[:2],
-                   CircuitKind.SWAP_THEN_CU: _BASIS_MAPS[[0, 2, 3, 4, 5, 6, 7]]}
-_TRANSFER_BASIS[CircuitKind.SWAP_THEN_CU].setflags(write=False)
-
-
-def _gate_coefficients(kind: CircuitKind, theta: np.ndarray) -> np.ndarray:
-    """Weights (N, J - 1) of _TRANSFER_BASIS[kind][1:] for the angles theta
-    (N,): [1] for SWAP_CNOT, which has no angle, and the pair products
-    [1, c^2, s^2, c, s, c s] of _cu_weights for SWAP_THEN_CU."""
-    if kind is CircuitKind.SWAP_CNOT:
-        return np.ones((len(theta), 1))
-    weights = _cu_weights(theta)
-    return weights[:, _PAIR_A] * weights[:, _PAIR_B]
+_FAMILIES = {
+    CircuitKind.SWAP_CNOT: _GateFamily(np.array([SWAP @ CNOT]),
+                                       lambda theta: np.ones((len(theta), 1)), None),
+    CircuitKind.SWAP_THEN_CU: _GateFamily(_CU_GENERATORS, _cu_weights,
+                                          (-math.pi / 2, math.pi / 2)),
+}

@@ -31,7 +31,7 @@ import typing
 
 import numpy as np
 
-from .circuits import CircuitKind, CircuitSpec
+from .circuits import _FAMILIES, CircuitKind, CircuitSpec
 from .deutsch import (
     ConvergenceError,
     ImproperMixed,
@@ -131,9 +131,9 @@ def _print_state(label: str, dm) -> None:
 
 def _build_spec(args) -> CircuitSpec:
     kind = CircuitKind(args.circuit)
-    if kind is CircuitKind.SWAP_CNOT:
+    if _FAMILIES[kind].angle_range is None:
         if args.theta is not None:
-            raise ValidationError("--theta sets the CU_xz axis; the swap-cnot circuit has none")
+            raise ValidationError(f"--theta sets the CU_xz axis; the {kind.value} circuit has none")
         theta = 0.0
     else:
         theta = math.pi / 4 if args.theta is None else _angle(args.theta, args.deg)

@@ -25,8 +25,8 @@ inputs are checked, solves as run_batch does without checking again. A
 solve_loops term is a (weight, transfer) pair covering every row: one
 channel's tensors shared by all rows, or a stack with one channel per row
 (circuits._transfer_tensors), so a batch of distinct channels is one term.
-run_batch builds no channel: it mixes its circuit's fixed transfer basis
-(circuits._TRANSFER_BASIS) with each row's angle and gate noise.
+run_batch builds no channel: it mixes its circuit family's fixed transfer
+basis (circuits._FAMILIES) with each row's angle and gate noise.
 
 The Kraus-form consistency_map, evolve_output, superoperator and the
 damped iteration stay as independent oracles: they never read the
@@ -46,20 +46,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qmath
-from .circuits import (
-    _TRANSFER_BASIS,
-    CircuitKind,
-    CircuitSpec,
-    QubitChannel,
-    _check_angles,
-    _gate_coefficients,
-    build_interaction,
-)
+from .circuits import _FAMILIES, CircuitKind, CircuitSpec, QubitChannel, build_interaction
 from .qmath import (
     LOOP_RAIL,
     OUTPUT_RAIL,
@@ -482,18 +475,16 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
     theta, eps and p (length N) are each row's gate angle, gate failure
     probability and input depolarization; loop_in (N, 3) is as in
     solve_loops, before depolarization (a 1 - p shrink). No channel is
-    built: gate failure is linear in eps, so each row mixes the SWAP-only
-    tensors (row 0 of the kind's fixed transfer basis) with the tensors of
-    its ideal gate, which one einsum contracts from the basis and the
-    row's _gate_coefficients. A batch of one angle shares one ideal-gate
-    tensor, and so does every SWAP_CNOT batch (its gate has no angle);
-    otherwise each row has its own. The two encodings give a row the same
-    bits, so a row solves to the same result in every batch. Angles are
-    checked as CircuitSpec checks them (finite, and in [-pi/2, pi/2) for
-    SWAP_THEN_CU); run_scenario, whose CircuitSpec has checked them, calls
-    the solve behind these checks directly. Shapes and the input ball are
-    checked too: theta, eps and p must be 1-D with one entry per row of an
-    (N, 3) loop_in whose rows lie in the Bloch ball; nothing is broadcast.
+    built: gate failure is linear in eps, so each row mixes the family's
+    SWAP-only basis row with its ideal-gate tensors, one einsum of the other
+    basis rows and the row's basis weights. A batch of one angle, repeated
+    or not, shares one ideal-gate tensor; otherwise each row has its own,
+    with the same bits, so a row solves to the same result in every batch.
+    Angles are checked as CircuitSpec checks them (finite, and in the
+    family's angle range); run_scenario, whose CircuitSpec has checked them,
+    calls the solve behind these checks directly. theta, eps and p must be
+    1-D with one entry per row of an (N, 3) loop_in whose rows lie in the
+    Bloch ball; nothing is broadcast.
     """
     theta, eps, p, loop_in = (np.asarray(x, dtype=float) for x in (theta, eps, p, loop_in))
     if loop_in.ndim != 2 or loop_in.shape[1] != 3:
@@ -501,7 +492,7 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
     for name, v in (("theta_xz", theta), ("gate_noise", eps), ("input_noise", p)):
         if v.shape != loop_in.shape[:1]:
             raise ValidationError(f"{name} shape {v.shape} is not ({len(loop_in)},)")
-    _check_angles(kind, theta)
+    _FAMILIES[kind].check_angles(theta)
     for name, v in (("gate_noise", eps), ("input_noise", p)):
         if not ((0.0 <= v) & (v <= 1.0)).all():
             raise ValidationError(f"{name} outside [0, 1]")
@@ -512,10 +503,10 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
 def _solve_batch(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray, p: np.ndarray,
                  loop_in: np.ndarray) -> LoopBatch:
     """run_batch on the float arrays it has checked."""
-    basis = _TRANSFER_BASIS[kind]
-    shared = theta.size == 1 or (theta.size > 1 and (
-        kind is CircuitKind.SWAP_CNOT or (theta == theta[0]).all()))
-    coefficients = _gate_coefficients(kind, theta[:1] if shared else theta)
+    family = _FAMILIES[kind]
+    basis = family.basis
+    shared = theta.size == 1 or (theta.size > 1 and (theta == theta[0]).all())
+    coefficients = family.basis_weights(theta[:1] if shared else theta)
     ideal = c_einsum("nj,jx->nx", coefficients,
                      basis[1:].reshape(len(basis) - 1, -1)).reshape(-1, 2, 4, 4, 4)
     terms = [(eps, basis[0])] if eps.any() else []
@@ -632,13 +623,20 @@ def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
     output as nonlinearity_sweep feeds its passes, so the state is fig3's
     iterated row bit for bit; it becomes a DensityMatrix only at return.
     """
-    if n < 1:
-        raise ValidationError("iteration count must be >= 1")
+    _check_iteration_count(n)
     zero = np.zeros(1)
     state = input_state.bloch()[None]
     for _ in range(n):
         state = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero, state).outputs
     return density_from_bloch(state[0])
+
+
+def _check_iteration_count(n) -> None:
+    """ValidationError unless n is an integer (a numpy one too) of at least 1."""
+    if not isinstance(n, numbers.Integral):
+        raise ValidationError(f"iteration count {n!r} is not an integer")
+    if n < 1:
+        raise ValidationError("iteration count must be >= 1")
 
 
 def swap_cnot_closed_form(h_weight: float) -> tuple[DensityMatrix, DensityMatrix]:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import CircuitKind
-from .deutsch import LoopBatch, run_batch
+from .deutsch import LoopBatch, _check_iteration_count, run_batch
 from .measures import bloch_measures
 from .qmath import ValidationError
 
@@ -168,9 +168,9 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
         iterations = [2, 3, 4, 5]
     if not phi_grid or not phase_grid:
         raise ValidationError("sweep grids must be non-empty")
-    passes = [1] + list(iterations)
-    if min(passes) < 1:
-        raise ValidationError("iteration count must be >= 1")
+    for k in iterations:
+        _check_iteration_count(k)
+    passes = [1, *iterations]
 
     states = [(phi, phase) for phi in phi_grid
               for phase in phase_grid[: 1 if abs(math.sin(phi)) < 1e-15 else len(phase_grid)]]
@@ -291,6 +291,8 @@ def decoherence_surface(p_grid: list[float] | None = None,
     if eps_grid is None:
         eps_grid = np.linspace(0.0, 1.0, 41).tolist()
     for g in (p_grid, eps_grid):
+        if len(g) == 0:
+            raise ValidationError("noise grids must be non-empty")
         if any(not 0.0 <= x <= 1.0 for x in g):
             raise ValidationError("noise grids must stay within [0, 1]")
     p = np.repeat(np.asarray(p_grid, dtype=float), len(eps_grid))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import CircuitKind, CircuitSpec, _failure_kraus, build_interaction
+from .circuits import _FAMILIES, CircuitKind, CircuitSpec, _failure_kraus, build_interaction
 from .deutsch import (
     damped_iteration,
     run_batch,
@@ -291,7 +291,7 @@ def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
     rng = np.random.default_rng(42)
     theta, eps, bloch, loop = _unique_candidates(rng, SOLVER_CHECKS)
     damped = damped_iteration(_density_rows(bloch),
-                              _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps))
+                              _failure_kraus(_FAMILIES[CircuitKind.SWAP_THEN_CU], theta, eps))
     worst = trace_distances(_density_rows(loop), damped.rho).max()
 
     r1, r2 = map(_bloch_rows, _mixed_pairs(rng, 200))

@@ -24,6 +24,7 @@ import ctcsim.selftest as selftest
 from ctcsim.circuits import (
     CircuitKind,
     CircuitSpec,
+    _FAMILIES,
     _failure_kraus,
     build_interaction,
     depolarize,
@@ -51,6 +52,7 @@ from ctcsim.selftest import (
 )
 from test_measures import scalar_grid_search
 
+SWAP_CU = _FAMILIES[CircuitKind.SWAP_THEN_CU]
 CRITERIA = [check_id for check_id, _, _ in CHECKS] + ["C12"]
 # The points of the non-local sweeps that C7 and C9 share: 32, 64 and 32.
 NONLOCAL_POINTS = 128
@@ -212,7 +214,7 @@ def test_chunked_draw_matches_one_at_a_time_draw():
 
     theta, eps, bloch, loop = _unique_candidates(stacked, count)
     assert len(theta) == len(eps) == len(bloch) == len(loop) == count
-    weights, ops = _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps)
+    weights, ops = _failure_kraus(SWAP_CU, theta, eps)
     want_weights, want_ops = _kraus_stack([ch for ch, _, _ in expected])
     np.testing.assert_array_equal(weights, want_weights)
     np.testing.assert_array_equal(ops, want_ops)
@@ -311,7 +313,7 @@ def c10_rows():
     """C10's accepted candidates as one stack each: Kraus stack, rho_in (N,
     2, 2) and engine loop states (N, 3)."""
     theta, eps, bloch, loop = _unique_candidates(np.random.default_rng(42), SOLVER_CHECKS)
-    return _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps), _density_rows(bloch), loop
+    return _failure_kraus(SWAP_CU, theta, eps), _density_rows(bloch), loop
 
 
 def test_c10_runs_one_damped_oracle_on_all_its_rows(monkeypatch):
@@ -441,7 +443,7 @@ def test_stacked_candidates_match_one_at_a_time(seed):
         np.testing.assert_allclose(bloch, [s.bloch() for s in states], rtol=0, atol=1e-15)
         np.testing.assert_allclose(_density_rows(bloch), [s.mat for s in states],
                                    rtol=0, atol=1e-15)
-        weights, ops = _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps)
+        weights, ops = _failure_kraus(SWAP_CU, theta, eps)
         want_weights, want_ops = _kraus_stack([build_interaction(s) for s in specs])
         np.testing.assert_array_equal(weights, want_weights)
         np.testing.assert_array_equal(ops, want_ops)

@@ -11,9 +11,10 @@ from ctcsim.circuits import (
     CircuitKind,
     CircuitSpec,
     QubitChannel,
-    _TRANSFER_BASIS,
+    _FAMILIES,
+    _cu_weights,
     _failure_kraus,
-    _gate_coefficients,
+    _pair_maps,
     _transfer_tensors,
     build_interaction,
     depolarize,
@@ -77,7 +78,8 @@ class TestGateConstructors:
         np.testing.assert_array_equal(make_cu_xz(theta), make_cu_xz(0.0))
         kind = CircuitKind.SWAP_THEN_CU
         tiny, zero = np.array([theta, 0.7, theta, -0.4]), np.array([0.0, 0.7, 0.0, -0.4])
-        np.testing.assert_array_equal(_gate_coefficients(kind, tiny), _gate_coefficients(kind, zero))
+        np.testing.assert_array_equal(_FAMILIES[kind].basis_weights(tiny),
+                                      _FAMILIES[kind].basis_weights(zero))
         loop_in = np.array([[0.3, -0.2, 0.5], [0.0, 0.6, -0.7], [0.6, 0.0, 0.8], [-0.5, 0.4, 0.2]])
         eps, p = np.array([0.0, 0.3, 0.0, 1.0]), np.array([0.1, 0.0, 0.0, 0.5])
         for angles, want in ((tiny, zero), (np.full(4, theta), np.zeros(4))):
@@ -292,7 +294,7 @@ def scalar_interaction_terms(spec):
 
 def same_bits(a, b):
     """Equal bit for bit, signed zeros included."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    a, b = (np.ascontiguousarray(x, dtype=complex) for x in (a, b))
     return a.shape == b.shape and (a.view(np.uint64) == b.view(np.uint64)).all()
 
 
@@ -327,7 +329,7 @@ class TestOneFailureFactory:
         rng = np.random.default_rng(11)
         theta = np.concatenate([rng.uniform(-math.pi / 2, math.pi / 2, 300), EDGE_ANGLES])
         eps = rng.uniform(0.0, 1.0, len(theta))
-        weights, ops = _failure_kraus(kind, theta, eps)
+        weights, ops = _failure_kraus(_FAMILIES[kind], theta, eps)
         want_weights, want_ops = _kraus_stack(
             [build_interaction(CircuitSpec(kind=kind, theta_xz=t, gate_noise=e))
              for t, e in zip(theta.tolist(), eps.tolist())])
@@ -404,37 +406,94 @@ class TestTransferTensors:
 
 
 class TestTransferBasis:
-    """Each circuit kind's fixed transfer basis against build_interaction, the
-    channel factory it replaces in the engine."""
+    """Each circuit family's fixed transfer basis against build_interaction,
+    the channel factory it replaces in the engine."""
 
     def test_failure_and_swap_cnot_rows_are_the_built_channels(self):
         swap_only = build_interaction(CircuitSpec(kind=CircuitKind.SWAP_CNOT, gate_noise=1.0))
         for kind in CircuitKind:
-            np.testing.assert_array_equal(_TRANSFER_BASIS[kind][0], swap_only.transfer)
+            np.testing.assert_array_equal(_FAMILIES[kind].basis[0], swap_only.transfer)
             np.testing.assert_array_equal(
-                _TRANSFER_BASIS[kind][0],
+                _FAMILIES[kind].basis[0],
                 build_interaction(CircuitSpec(kind=kind, theta_xz=0.3, gate_noise=1.0)).transfer)
         np.testing.assert_array_equal(
-            _TRANSFER_BASIS[CircuitKind.SWAP_CNOT][1:],
+            _FAMILIES[CircuitKind.SWAP_CNOT].basis[1:],
             [build_interaction(CircuitSpec(kind=CircuitKind.SWAP_CNOT)).transfer])
-        assert _TRANSFER_BASIS[CircuitKind.SWAP_THEN_CU].shape == (7, 2, 4, 4, 4)
+        assert _FAMILIES[CircuitKind.SWAP_THEN_CU].basis.shape == (7, 2, 4, 4, 4)
 
     @pytest.mark.parametrize("kind", list(CircuitKind))
     def test_mixed_basis_matches_built_channels(self, kind):
         """2000 seeded (theta, eps), eps = 0 and 1 among them, mixed as
-        (eps, (1 - eps) _gate_coefficients) over the basis."""
+        (eps, (1 - eps) basis_weights) over the basis."""
         rng = np.random.default_rng(20261021)
         theta = rng.uniform(-math.pi / 2, math.pi / 2, 2000)
         eps = rng.uniform(0, 1, 2000)
         eps[::7], eps[1::11] = 0.0, 1.0
         coefficients = np.column_stack(
-            [eps, (1.0 - eps)[:, None] * _gate_coefficients(kind, theta)])
-        mixed = np.einsum("nj,j...->n...", coefficients, _TRANSFER_BASIS[kind])
+            [eps, (1.0 - eps)[:, None] * _FAMILIES[kind].basis_weights(theta)])
+        mixed = np.einsum("nj,j...->n...", coefficients, _FAMILIES[kind].basis)
         built = [build_interaction(CircuitSpec(kind=kind, theta_xz=t, gate_noise=e)).transfer
                  for t, e in zip(theta.tolist(), eps.tolist())]
         np.testing.assert_allclose(mixed, built, rtol=0, atol=1e-15)
 
     def test_basis_is_read_only(self):
-        for basis in _TRANSFER_BASIS.values():
+        for family in _FAMILIES.values():
             with pytest.raises(ValueError):
-                basis[0, 0, 0, 0, 0] = 1.0
+                family.basis[0, 0, 0, 0, 0] = 1.0
+
+
+# Each family's generator pairs (a, b) in basis order, written out.
+FAMILY_PAIRS = {CircuitKind.SWAP_CNOT: [(0, 0)],
+                CircuitKind.SWAP_THEN_CU: [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]}
+
+
+class TestGateFamilies:
+    """What only the family record defines, bit for bit: the basis rows, their
+    order and their weights, and one family per circuit kind."""
+
+    def test_every_kind_has_a_family(self):
+        assert list(_FAMILIES) == list(CircuitKind) == list(FAMILY_PAIRS)
+        assert [k.value for k in CircuitKind] == ["swap-cnot", "swap-cu"]
+
+    def test_circuit_choices_unchanged(self, capsys):
+        import ctcsim.cli as cli
+
+        assert cli.build_parser().parse_args(["fixed-point"]).circuit == "swap-cu"
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["fixed-point", "--help"])
+        assert "--circuit {swap-cnot,swap-cu}" in capsys.readouterr().out
+
+    def test_records(self):
+        """swap-cnot: G = (SWAP CNOT,), no angle. swap-cu: G_a = B_a SWAP with
+        B = (|H><H| (x) I, |V><V| (x) Z, |V><V| (x) X), angles in [-pi/2, pi/2)."""
+        cnot, cu = _FAMILIES[CircuitKind.SWAP_CNOT], _FAMILIES[CircuitKind.SWAP_THEN_CU]
+        assert same_bits(cnot.generators, [SWAP @ CNOT]) and cnot.angle_range is None
+        h, v = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        blocks = [np.kron(h, np.eye(2)), np.kron(v, np.diag([1.0, -1.0])),
+                  np.kron(v, np.array([[0.0, 1.0], [1.0, 0.0]]))]
+        assert same_bits(cu.generators, [b @ SWAP for b in blocks])
+        assert cu.angle_range == (-math.pi / 2, math.pi / 2)
+
+    @pytest.mark.parametrize("kind", list(CircuitKind))
+    def test_basis_row_zero_is_swap_only(self, kind):
+        swap_only = build_interaction(CircuitSpec(kind=kind, theta_xz=0.3, gate_noise=1.0))
+        assert same_bits(_FAMILIES[kind].basis[0], swap_only.transfer)
+        assert same_bits(_FAMILIES[kind].basis[0], _pair_maps(SWAP[None], SWAP[None])[0])
+
+    @pytest.mark.parametrize("kind", list(CircuitKind))
+    def test_basis_rows_are_the_ordered_pair_maps(self, kind):
+        family = _FAMILIES[kind]
+        g = family.generators
+        want = [_pair_maps(g[a][None], g[b][None])[0] for a, b in FAMILY_PAIRS[kind]]
+        assert same_bits(family.basis[1:], want)
+
+    @pytest.mark.parametrize("kind", list(CircuitKind))
+    def test_basis_weights_are_the_ordered_pair_products(self, kind):
+        rng = np.random.default_rng(27)
+        theta = np.concatenate([rng.uniform(-math.pi / 2, math.pi / 2, 500), EDGE_ANGLES])
+        family = _FAMILIES[kind]
+        x = family.coefficients(theta)
+        assert same_bits(x, _cu_weights(theta) if kind is CircuitKind.SWAP_THEN_CU
+                         else np.ones((len(theta), 1)))
+        want = np.column_stack([x[:, a] * x[:, b] for a, b in FAMILY_PAIRS[kind]])
+        assert same_bits(family.basis_weights(theta), want)

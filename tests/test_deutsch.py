@@ -19,6 +19,7 @@ from ctcsim.circuits import (
     CircuitKind,
     CircuitSpec,
     QubitChannel,
+    _FAMILIES,
     _failure_kraus,
     _transfer_tensors,
     build_interaction,
@@ -286,8 +287,8 @@ class TestDampedStep:
 
     def test_c10_candidates(self):
         theta, eps, bloch, _ = selftest._unique_candidates(np.random.default_rng(42), 200)
-        self.assert_same_as_eigvalsh_step(selftest._density_rows(bloch),
-                                          _failure_kraus(CircuitKind.SWAP_THEN_CU, theta, eps))
+        kraus = _failure_kraus(_FAMILIES[CircuitKind.SWAP_THEN_CU], theta, eps)
+        self.assert_same_as_eigvalsh_step(selftest._density_rows(bloch), kraus)
 
     def test_random_channels(self):
         rng = np.random.default_rng(157)
@@ -1209,6 +1210,16 @@ class TestIterateCircuit:
     def test_requires_at_least_one_pass(self):
         with pytest.raises(ValidationError):
             iterate_circuit(H, 0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            iterate_circuit(H, n)
+
+    def test_numpy_integer_count_accepted(self):
+        for n in (np.int64(3), np.int32(3), np.uint8(3)):
+            np.testing.assert_array_equal(iterate_circuit(PureQubit(0.7, 0.2), n).mat,
+                                          iterate_circuit(PureQubit(0.7, 0.2), 3).mat)
 
     def test_matches_batched_passes_bit_for_bit(self):
         """Each pass feeds its Bloch output to the next, as nonlinearity_sweep's

@@ -62,6 +62,15 @@ class TestNonlinearitySweep:
         with pytest.raises(ValidationError):
             nonlinearity_sweep([], [0.0])
 
+    @pytest.mark.parametrize("iterations", [[2.5], [2, 3.0], [np.float64(2.0)], [None]])
+    def test_non_integer_iteration_count_rejected(self, iterations):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            nonlinearity_sweep(iterations=iterations)
+
+    def test_numpy_integer_iteration_counts_accepted(self):
+        assert nonlinearity_sweep(iterations=np.array([2, 3])) == nonlinearity_sweep(
+            iterations=[2, 3])
+
 
 class TestDiscriminationSweep:
     def test_local_optimal_gate_is_perfect_everywhere(self):
@@ -141,8 +150,12 @@ class TestDecoherenceSurface:
         assert all(a >= b - 1e-12 for a, b in zip(vs_p, vs_p[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(vs_e, vs_e[1:]))
 
-    def test_empty_grid_gives_no_records(self):
-        assert decoherence_surface([], [0.0, 0.5]) == decoherence_surface([0.5], []) == []
+    @pytest.mark.parametrize("grids", [([], [0.0, 0.5]), ([0.5], []), ([], [])])
+    def test_empty_grid_rejected(self, grids):
+        with pytest.raises(ValidationError, match="noise grids must be non-empty"):
+            decoherence_surface(*grids)
+
+    def test_no_sweep_tables_give_no_records(self):
         assert discrimination_sweeps([]) == []
 
     def test_grid_bounds_validated(self):
