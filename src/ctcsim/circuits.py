@@ -12,12 +12,14 @@ check, _failure_kraus (the one factory of the gate-failure channel, a Kraus
 stack of many rows) and the fixed transfer basis the engine mixes with each
 row's eps, built once at import. build_interaction is _failure_kraus's row
 of one as a QubitChannel: the one validated interaction type, weighted
-Kraus lists whose completeness check covers every gate in them, carrying
-the real Pauli-transfer tensors the fixed-point engine works in.
+Kraus lists whose completeness check, made on construction, covers every
+gate in them. A channel's real Pauli-transfer tensors, which the
+fixed-point engine works in, are built on first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -65,17 +67,17 @@ class QubitChannel:
 
     Each entry is (weight, op) with weight in (0, 1]; the Kraus operator
     proper is sqrt(weight) * op. Completeness sum_k w_k op_k^dag op_k = I
-    is enforced on construction.
+    is enforced on construction, on the Kraus terms alone.
 
     transfer holds the real Pauli-transfer tensors of the loop rail [0]
     and the output rail [1]: they map Bloch 4-vectors a = (1, a_x, a_y,
     a_z) of the input and r of the loop qubit to transfer[rail, k, mu, nu]
     a_mu r_nu, entry Tr[S_k E(P_mu (x) P_nu)]/4 with S_k = I (x) P_k on
-    the loop rail and P_k (x) I on the output rail.
+    the loop rail and P_k (x) I on the output rail: _transfer_tensors' row
+    of one, read-only, built on first read.
     """
 
     kraus: tuple[tuple[float, np.ndarray], ...]
-    transfer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         terms = []
@@ -90,29 +92,30 @@ class QubitChannel:
             op.setflags(write=False)
             terms.append((w, op))
         object.__setattr__(self, "kraus", tuple(terms))
-        weights = np.array([[w for w, _ in terms]])
-        ops = np.array([op for _, op in terms]).reshape(1, -1, 4, 4)
-        tensors = _transfer_tensors(weights, ops)[0]
+        gram = sum((w * op.conj().T @ op for w, op in terms), np.zeros((4, 4)))
+        if not np.abs(gram - ID4).max() <= COMPLETENESS_TOL:
+            raise ValidationError(
+                "channel violates completeness (sum w_k op_k^dag op_k != I to 1e-10)")
+
+    @functools.cached_property
+    def transfer(self) -> np.ndarray:
+        weights, ops = zip(*self.kraus)
+        tensors = _transfer_tensors(np.array([weights]), np.array([ops]))[0]
         tensors.setflags(write=False)
-        object.__setattr__(self, "transfer", tensors)
+        return tensors
 
 
 def _transfer_tensors(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Pauli-transfer tensors (N, 2, 4, 4, 4) of N weighted Kraus rows, each
-    checked for completeness: weights (N, K), ops (N, K, 4, 4).
+    """Pauli-transfer tensors (N, 2, 4, 4, 4) of N weighted Kraus rows:
+    weights (N, K), ops (N, K, 4, 4).
 
     Rows with fewer than K terms may be padded with zero-weight terms (as
-    deutsch._kraus_stack does), which add exact zeros. QubitChannel is a
-    batch of one of this.
+    deutsch._kraus_stack does), which add exact zeros. Completeness is not
+    checked here: QubitChannel checks it on construction, and its transfer
+    is a batch of one of this, built on first read.
     """
     # Heisenberg picture: Tr[S E(P)] = Tr[E^dag(S) P] for every readout S.
-    adjoint = (weights[:, :, None, None, None] * _readout_images(ops, ops)).sum(axis=1)
-    # The first readout is I (x) I, so its image is sum_k w_k op_k^dag op_k.
-    if not np.abs(adjoint[:, 0] - ID4).max() <= COMPLETENESS_TOL:
-        raise ValidationError(
-            "channel violates completeness (sum w_k op_k^dag op_k != I to 1e-10)"
-        )
-    return _pauli_transfer(adjoint)
+    return _pauli_transfer((weights[:, :, None, None, None] * _readout_images(ops, ops)).sum(axis=1))
 
 
 def _readout_images(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -149,7 +152,7 @@ class CircuitSpec:
     input_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        _FAMILIES[self.kind].check_angles(np.array([self.theta_xz], dtype=float))
+        _family(self.kind).check_angles(np.array([self.theta_xz], dtype=float))
         for name, v in (("gate_noise (epsilon)", self.gate_noise),
                         ("input_noise (p)", self.input_noise)):
             if not 0.0 <= v <= 1.0:
@@ -277,3 +280,10 @@ _FAMILIES = {
     CircuitKind.SWAP_THEN_CU: _GateFamily(_CU_GENERATORS, _cu_weights,
                                           (-math.pi / 2, math.pi / 2)),
 }
+
+
+def _family(kind: CircuitKind) -> _GateFamily:
+    """The _FAMILIES record of kind; ValidationError unless kind is a CircuitKind."""
+    if not isinstance(kind, CircuitKind):
+        raise ValidationError(f"circuit kind {kind!r} is not a CircuitKind")
+    return _FAMILIES[kind]

@@ -29,15 +29,12 @@ import os
 import sys
 import typing
 
-import numpy as np
-
 from .circuits import _FAMILIES, CircuitKind, CircuitSpec
 from .deutsch import (
     ConvergenceError,
     ImproperMixed,
     LocalPure,
     NonLocalEnsemble,
-    run_batch,
     run_scenario,
 )
 from .experiments import (
@@ -58,7 +55,7 @@ from .measures import (
     optimal_mismatch_probability,
     qm_baseline,
 )
-from .qmath import PureQubit, ValidationError, density_from_bloch, trace_distance
+from .qmath import PureQubit, ValidationError, trace_distance
 from .selftest import run_selftest
 
 RECORD_FIELDS = list(SweepRecord._fields)
@@ -184,15 +181,13 @@ def cmd_discriminate(args) -> int:
         kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
         gate_noise=args.epsilon, input_noise=args.p,
     )
+    # One loop per locally prepared state; one shared loop for the ensemble.
+    preps = ([NonLocalEnsemble((psi0, psi1), (0.5, 0.5))] if args.prep == "nonlocal"
+             else [LocalPure(psi0), LocalPure(psi1)])
+    scenarios = [run_scenario(spec, prep) for prep in preps]
+    o0, o1 = [out for res in scenarios for out in res.rho_out_per_input]
     if args.prep == "nonlocal":
-        res = run_scenario(spec, NonLocalEnsemble((psi0, psi1), (0.5, 0.5)))
-        o0, o1 = res.rho_out_per_input
-        print(f"shared rho_ctc solved (fixed_set_dimension={res.fixed_point.fixed_set_dimension})")
-    else:
-        # Both local loops as one batch of two rows, each solved as run_scenario solves it.
-        batch = run_batch(spec.kind, [spec.theta_xz] * 2, [spec.gate_noise] * 2,
-                          [spec.input_noise] * 2, np.array([psi0.bloch(), psi1.bloch()]))
-        o0, o1 = (density_from_bloch(r) for r in batch.outputs)
+        print(f"shared rho_ctc solved (fixed_set_dimension={scenarios[0].fixed_point.fixed_set_dimension})")
     _print_state("output for psi0 = |H>", o0)
     _print_state(f"output for psi1(phi={phi:.6f})", o1)
     l_z = mismatch_probability(o0, o1, SIGMA_Z_AXIS)

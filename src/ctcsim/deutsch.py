@@ -20,11 +20,12 @@ SVD. Where the fixed set has more than one state its dimension is
 reported, never hidden. Density matrices are built only at the API
 boundary (solve_fixed_point, run_scenario), straight from the Bloch
 vectors by density_from_bloch. Inputs are validated there too: run_batch
-checks its raw arrays (shape, angle, noise, ball); run_scenario, whose
-inputs are checked, solves as run_batch does without checking again. A
-solve_loops term is a (weight, transfer) pair covering every row: one
-channel's tensors shared by all rows, or a stack with one channel per row
-(circuits._transfer_tensors), so a batch of distinct channels is one term.
+checks its kind and raw arrays (shape, angle, noise, ball); run_scenario,
+whose inputs are checked, solves as run_batch does without checking
+again. A solve_loops term is a (weight, transfer) pair covering every
+row: one channel's tensors shared by all rows, or a stack with one
+channel per row (circuits._transfer_tensors), so a batch of distinct
+channels is one term.
 run_batch builds no channel: it mixes its circuit family's fixed transfer
 basis (circuits._FAMILIES) with each row's angle and gate noise.
 
@@ -40,6 +41,10 @@ its own when its step, the closed-form trace distance between successive
 iterates, is small enough; the fixed-set dimension is read from the kept
 superoperators only when asked for. superoperator and
 solve_fixed_point(method="damped_iteration") are batches of one of it.
+run_scenario tests its method once: the default is run_batch's solve on
+a batch of one; "damped_iteration" runs damped_iteration on the
+interaction's one Kraus stack and reads the output and the consistency
+image off that stack with _kraus_loop.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qmath
-from .circuits import _FAMILIES, CircuitKind, CircuitSpec, QubitChannel, build_interaction
+from .circuits import _FAMILIES, CircuitKind, CircuitSpec, QubitChannel, _family, build_interaction
 from .qmath import (
     LOOP_RAIL,
     OUTPUT_RAIL,
@@ -401,9 +406,13 @@ def _mix(terms, rail: int, subscripts: str, x: np.ndarray) -> np.ndarray:
 
 
 def _require_in_ball(v: np.ndarray, what: str) -> np.ndarray:
+    """Bloch norms of v (N, 3); ValidationError naming the first row outside
+    the ball, a NaN row included."""
     norm = np.sqrt(qmath._dot(v, v))
     if not (norm <= BALL_TOL).all():
-        raise ValidationError(f"{what} Bloch norm {np.nanmax(norm):.6g} exceeds 1 + 2 PSD_TOL")
+        first = norm[~(norm <= BALL_TOL)][0]
+        raise ValidationError(f"{what} Bloch norm {first:.6g} " + (
+            "is not a number" if math.isnan(first) else "exceeds 1 + 2 PSD_TOL"))
     return norm
 
 
@@ -480,19 +489,20 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
     basis rows and the row's basis weights. A batch of one angle, repeated
     or not, shares one ideal-gate tensor; otherwise each row has its own,
     with the same bits, so a row solves to the same result in every batch.
-    Angles are checked as CircuitSpec checks them (finite, and in the
-    family's angle range); run_scenario, whose CircuitSpec has checked them,
-    calls the solve behind these checks directly. theta, eps and p must be
-    1-D with one entry per row of an (N, 3) loop_in whose rows lie in the
-    Bloch ball; nothing is broadcast.
+    The kind and angles are checked as CircuitSpec checks them (a
+    CircuitKind; finite, and in the family's angle range); run_scenario,
+    whose CircuitSpec has checked them, calls the solve behind these checks
+    directly. theta, eps and p must be 1-D with one entry per row of an
+    (N, 3) loop_in whose rows lie in the Bloch ball; nothing is broadcast.
     """
+    family = _family(kind)
     theta, eps, p, loop_in = (np.asarray(x, dtype=float) for x in (theta, eps, p, loop_in))
     if loop_in.ndim != 2 or loop_in.shape[1] != 3:
         raise ValidationError(f"loop input shape {loop_in.shape} is not (N, 3)")
     for name, v in (("theta_xz", theta), ("gate_noise", eps), ("input_noise", p)):
         if v.shape != loop_in.shape[:1]:
             raise ValidationError(f"{name} shape {v.shape} is not ({len(loop_in)},)")
-    _FAMILIES[kind].check_angles(theta)
+    family.check_angles(theta)
     for name, v in (("gate_noise", eps), ("input_noise", p)):
         if not ((0.0 <= v) & (v <= 1.0)).all():
             raise ValidationError(f"{name} outside [0, 1]")
@@ -514,9 +524,10 @@ def _solve_batch(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray, p: np.nd
     return solve_loops(terms, loop_in * (1.0 - p)[:, None])
 
 
-def _fixed_point_result(rho: DensityMatrix, residual, iterations, dimension) -> FixedPointResult:
-    return FixedPointResult(rho_ctc=rho, residual=float(residual), iterations=int(iterations),
-                            fixed_set_dimension=int(dimension))
+def _fixed_point_result(rho: DensityMatrix, batch, iterations=0) -> FixedPointResult:
+    """Row 0 of a LoopBatch or DampedBatch, whose loop state is rho."""
+    return FixedPointResult(rho_ctc=rho, residual=float(batch.residual[0]), iterations=int(iterations),
+                            fixed_set_dimension=int(batch.fixed_set_dimension[0]))
 
 
 def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
@@ -536,13 +547,11 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     """
     if method == "eigen_max_entropy":
         batch = solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None])
-        return _fixed_point_result(density_from_bloch(batch.loop[0]), batch.residual[0], 0,
-                                   batch.fixed_set_dimension[0])
+        return _fixed_point_result(density_from_bloch(batch.loop[0]), batch)
     if method != "damped_iteration":
         raise ValidationError(f"unknown solver method {method!r}")
     batch = damped_iteration(rho_in.mat[None], _kraus_stack([interaction]))
-    return _fixed_point_result(DensityMatrix(batch.rho[0]), batch.residual[0],
-                               batch.iterations[0], batch.fixed_set_dimension[0])
+    return _fixed_point_result(DensityMatrix(batch.rho[0]), batch, batch.iterations[0])
 
 
 def _prepared_bloch(prep: PreparationMode) -> np.ndarray:
@@ -561,8 +570,11 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
     The loop state is solved once, from the reduced input the preparation
     mode dictates (pure state for LocalPure, the given matrix for
     ImproperMixed, the unconditioned mixture for NonLocalEnsemble), after
-    input depolarization. The default method is run_batch on a batch of
-    one; "damped_iteration" runs the Kraus-form oracle instead.
+    input depolarization. method is tested once, before any channel is
+    built: "eigen_max_entropy" (default) is run_batch's solve on a batch of
+    one; "damped_iteration" runs the Kraus-form oracle on the interaction's
+    Kraus stack and reads the output and the consistency image off that
+    stack, as evolve_output and consistency_map compute them.
 
     The depolarized state the loop adapts to is also the one sent through
     it, and is evolved once. For local and improper preparations
@@ -575,25 +587,23 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
     loop_in = _prepared_bloch(prep)
     count = len(prep.states) if isinstance(prep, NonLocalEnsemble) else 1
 
-    if method != "eigen_max_entropy":
-        interaction = build_interaction(spec)
-        rho_in = density_from_bloch((1.0 - spec.input_noise) * loop_in)
-        fp = solve_fixed_point(rho_in, interaction, method=method)
-        out = evolve_output(rho_in, fp.rho_ctc, interaction)
-        cf = fidelity(fp.rho_ctc, consistency_map(rho_in, interaction, fp.rho_ctc))
-        return ScenarioOutput(fixed_point=fp, rho_out_per_input=(out,) * count,
-                              consistency_fidelity=cf)
-
-    batch = _solve_batch(spec.kind, np.array([spec.theta_xz], dtype=float),
-                         np.array([spec.gate_noise], dtype=float),
-                         np.array([spec.input_noise], dtype=float), loop_in[None])
-    fp = _fixed_point_result(density_from_bloch(batch.loop[0]), batch.residual[0], 0,
-                             batch.fixed_set_dimension[0])
-    return ScenarioOutput(
-        fixed_point=fp,
-        rho_out_per_input=(density_from_bloch(batch.outputs[0]),) * count,
-        consistency_fidelity=float(batch.consistency_fidelity[0]),
-    )
+    if method == "eigen_max_entropy":
+        batch = _solve_batch(spec.kind, np.array([spec.theta_xz], dtype=float),
+                             np.array([spec.gate_noise], dtype=float),
+                             np.array([spec.input_noise], dtype=float), loop_in[None])
+        fp = _fixed_point_result(density_from_bloch(batch.loop[0]), batch)
+        out, cf = density_from_bloch(batch.outputs[0]), float(batch.consistency_fidelity[0])
+    elif method == "damped_iteration":
+        kraus = _kraus_stack([build_interaction(spec)])
+        rho_in = density_from_bloch((1.0 - spec.input_noise) * loop_in).mat[None]
+        damped = damped_iteration(rho_in, kraus)
+        fp = _fixed_point_result(DensityMatrix(damped.rho[0]), damped, damped.iterations[0])
+        out, image = (DensityMatrix(_kraus_loop(kraus, rho_in, fp.rho_ctc.mat[None, None], rail)[0, 0])
+                      for rail in (OUTPUT_RAIL, LOOP_RAIL))
+        cf = fidelity(fp.rho_ctc, image)
+    else:
+        raise ValidationError(f"unknown solver method {method!r}")
+    return ScenarioOutput(fixed_point=fp, rho_out_per_input=(out,) * count, consistency_fidelity=cf)
 
 
 def proper_mixture_output(spec: CircuitSpec, states: list[PureQubit],
@@ -623,7 +633,7 @@ def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
     output as nonlinearity_sweep feeds its passes, so the state is fig3's
     iterated row bit for bit; it becomes a DensityMatrix only at return.
     """
-    _check_iteration_count(n)
+    _check_count(n, "iteration count", 1)
     zero = np.zeros(1)
     state = input_state.bloch()[None]
     for _ in range(n):
@@ -631,12 +641,13 @@ def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
     return density_from_bloch(state[0])
 
 
-def _check_iteration_count(n) -> None:
-    """ValidationError unless n is an integer (a numpy one too) of at least 1."""
+def _check_count(n, what: str, least: int) -> None:
+    """ValidationError unless the count n, named `what`, is an integer (a
+    numpy one too) of at least `least`."""
     if not isinstance(n, numbers.Integral):
-        raise ValidationError(f"iteration count {n!r} is not an integer")
-    if n < 1:
-        raise ValidationError("iteration count must be >= 1")
+        raise ValidationError(f"{what} {n!r} is not an integer")
+    if n < least:
+        raise ValidationError(f"{what} must be >= {least}")
 
 
 def swap_cnot_closed_form(h_weight: float) -> tuple[DensityMatrix, DensityMatrix]:

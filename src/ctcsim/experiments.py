@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import CircuitKind
-from .deutsch import LoopBatch, _check_iteration_count, run_batch
+from .deutsch import LoopBatch, _check_count, run_batch
 from .measures import bloch_measures
 from .qmath import ValidationError
 
@@ -158,7 +158,7 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
     each n in `iterations`. Pass 1 sends each pure state through the loop;
     every later pass sends the previous output as an improper mixture
     (deutsch.iterate_circuit). All states and the reference go through
-    each pass as one batch.
+    each pass as one batch. Grid values must be finite.
     """
     if phi_grid is None:
         phi_grid = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
@@ -168,8 +168,10 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
         iterations = [2, 3, 4, 5]
     if not phi_grid or not phase_grid:
         raise ValidationError("sweep grids must be non-empty")
+    if not all(math.isfinite(x) for x in (*phi_grid, *phase_grid)):
+        raise ValidationError("sweep grids must be finite")
     for k in iterations:
-        _check_iteration_count(k)
+        _check_count(k, "iteration count", 1)
     passes = [1, *iterations]
 
     states = [(phi, phase) for phi in phi_grid
@@ -251,13 +253,14 @@ def discrimination_sweeps(tables, grid_size: int | None = None) -> list[SweepRec
     variant "optimal-gate": phi over [0, 2pi) with theta = (phi - pi)/2;
     variant "fixed-state":  phi = 3pi/2, theta over [-pi/2, pi/2);
     variant "fixed-gate":   theta = pi/4, phi over [0, 2pi).
-    grid_size overrides every variant's default (64 fixed-state, else 32).
+    grid_size, an integer >= 2, overrides every variant's default (64
+    fixed-state, else 32).
 
     The phi = 0 point (psi1 identical to the reference) is emitted with
     its degeneracy visible in fixed_set_dimension rather than skipped.
     """
-    if grid_size is not None and grid_size < 2:
-        raise ValidationError("grid size must be >= 2")
+    if grid_size is not None:
+        _check_count(grid_size, "grid size", 2)
     for _, variant, mode in tables:
         if variant not in VARIANTS:
             raise ValidationError(f"unknown sweep variant {variant!r}")
@@ -301,13 +304,16 @@ def decoherence_surface(p_grid: list[float] | None = None,
 
 
 def reproduce(target: str, grid: int | None = None) -> list[SweepRecord]:
-    """Records of a bundled table, fig3, fig6 or a SWEEP_TABLES key; grid overrides
-    the sweeps' grids and fig6's axes (grid points over [0, 1]), not fig3's."""
+    """Records of a bundled table, fig3, fig6 or a SWEEP_TABLES key; grid, an
+    integer >= 2, overrides the sweeps' grids and fig6's axes (grid points
+    over [0, 1]), not fig3's."""
     if target in SWEEP_TABLES:
         return discrimination_sweeps(SWEEP_TABLES[target], grid)
     if target == "fig3":
         return nonlinearity_sweep()
     if target == "fig6":
+        if grid is not None:
+            _check_count(grid, "grid size", 2)
         axis = None if grid is None else np.linspace(0.0, 1.0, grid).tolist()
         return decoherence_surface(axis, axis)
     raise ValidationError(f"unknown reproduce target {target!r}")

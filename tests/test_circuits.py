@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ctcsim.circuits as circuits
 from ctcsim.circuits import (
     CNOT,
     SWAP,
@@ -236,6 +237,13 @@ class TestApplyChannel:
 
 
 class TestBuildInteraction:
+    @pytest.mark.parametrize("kind", ["swap-cu", "swap-cnot", None, 1, [CircuitKind.SWAP_CNOT]])
+    def test_kind_not_a_circuit_kind_rejected(self, kind):
+        """A kind's value string is not coerced to its CircuitKind."""
+        with pytest.raises(ValidationError) as exc:
+            CircuitSpec(kind=kind)
+        assert str(exc.value) == f"circuit kind {kind!r} is not a CircuitKind"
+
     def test_swap_cnot_is_single_kraus(self):
         ch = build_interaction(CircuitSpec(kind=CircuitKind.SWAP_CNOT))
         assert len(ch.kraus) == 1
@@ -397,12 +405,42 @@ class TestTransferTensors:
         for ch in channels[::10]:
             np.testing.assert_allclose(ch.transfer, transfer_reference(ch), rtol=0, atol=1e-14)
 
-    def test_incomplete_row_rejected(self):
+    def test_incomplete_row_rejected_as_a_channel(self):
+        """_transfer_tensors does not check completeness; the channel of a
+        perturbed row is refused when it is built."""
         weights, ops = _kraus_stack([cu_interaction(t, 0.3) for t in (-1.0, 0.2, 1.1)])
-        _transfer_tensors(weights, ops)
+        QubitChannel(tuple(zip(weights[1], ops[1])))
         weights[1] *= 1.0 + 1e-9
         with pytest.raises(ValidationError, match="completeness"):
-            _transfer_tensors(weights, ops)
+            QubitChannel(tuple(zip(weights[1], ops[1])))
+
+    def test_channel_builds_no_tensors(self, monkeypatch):
+        """A channel's transfer tensors are built on first read, once."""
+        calls = []
+
+        def spy(weights, ops):
+            calls.append(len(weights))
+            return _transfer_tensors(weights, ops)
+
+        monkeypatch.setattr(circuits, "_transfer_tensors", spy)
+        channels = [build_interaction(CircuitSpec(kind=CircuitKind.SWAP_CNOT)),
+                    cu_interaction(-0.3, 0.4), QubitChannel(((1.0, SWAP),))]
+        assert calls == []
+        for ch in channels:
+            assert ch.transfer is ch.transfer
+        assert calls == [1, 1, 1]
+
+    def test_transfer_is_read_only_and_read_once(self):
+        rng = np.random.default_rng(211)
+        channels = [cu_interaction(t, e) for t, e in zip(rng.uniform(-1.5, 1.5, 20),
+                                                         rng.choice([0.0, 1.0, 0.3], 20))]
+        channels += [stinespring_channel(rng, k) for k in (1, 2, 3, 4)]
+        for ch in channels:
+            tensors = ch.transfer
+            assert tensors is ch.transfer and not tensors.flags.writeable
+            with pytest.raises(ValueError):
+                tensors[0, 0, 0, 0] = 1.0
+            assert same_bits(tensors, _transfer_tensors(*_kraus_stack([ch]))[0])
 
 
 class TestTransferBasis:

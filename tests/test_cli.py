@@ -28,7 +28,7 @@ from ctcsim.cli import (
 from ctcsim.circuits import CircuitKind, CircuitSpec, QubitChannel
 from ctcsim.deutsch import LocalPure, NonLocalEnsemble, run_scenario
 from ctcsim.experiments import SweepRecord, ThresholdResult, discrimination_sweep, reproduce
-from ctcsim.measures import mismatch_probability, optimal_mismatch_probability
+from ctcsim.measures import SIGMA_Z_AXIS, mismatch_probability, optimal_mismatch_probability
 from ctcsim.qmath import DensityMatrix, PureQubit, density_from_bloch
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_stdout.txt"
@@ -169,34 +169,46 @@ class TestDiscriminateCommand:
         assert main(["discriminate", "--prep", prep, *angles]) == 0
         assert "L(optimal)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("prep", ["local", "nonlocal"])
     @pytest.mark.parametrize("phi, phase, theta, p, eps", [
         (2.5, 0.0, (2.5 - math.pi) / 2, 0.2, 0.1),
         (0.0, 0.0, 0.3, 0.0, 0.0),
         (1.2, 1.0, -1.5, 0.7, 0.4),
     ])
-    def test_local_pair_is_one_batch_of_two_rows(self, monkeypatch, capsys,
-                                                 phi, phase, theta, p, eps):
-        """--prep local solves both states as one run_batch of two rows, whose
-        outputs are those of the two run_scenario solves, bit for bit."""
-        batches = []
+    def test_one_run_scenario_per_preparation(self, monkeypatch, capsys, prep,
+                                              phi, phase, theta, p, eps):
+        """--prep local solves each state through its own run_scenario, --prep
+        nonlocal their ensemble through one; the printed outputs, measures and
+        fixed-set dimension are those scenarios', bit for bit."""
+        calls = []
 
-        def counted(*args):
-            batches.append(deutsch.run_batch(*args))
-            return batches[-1]
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs, deutsch.run_scenario(*args, **kwargs)))
+            return calls[-1][2]
 
-        argv = ["discriminate", "--prep", "local", "--phi", repr(phi), "--phase", repr(phase),
+        argv = ["discriminate", "--prep", prep, "--phi", repr(phi), "--phase", repr(phase),
                 "--theta", repr(theta), "--p", repr(p), "--epsilon", repr(eps)]
         with monkeypatch.context() as m:
-            m.setattr(cli, "run_batch", counted)
-            m.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("run_scenario"))
+            m.setattr(cli, "run_scenario", counted)
             assert main(argv) == 0
-        assert "L(optimal)" in capsys.readouterr().out
-        assert len(batches) == 1 and len(batches[0].outputs) == 2
+        printed = capsys.readouterr().out
         spec = CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta, gate_noise=eps,
                            input_noise=p)
-        for out, psi in zip(batches[0].outputs, (PureQubit(0.0, 0.0), PureQubit(phi, phase))):
-            want = run_scenario(spec, LocalPure(psi)).rho_out_per_input[0]
-            np.testing.assert_array_equal(density_from_bloch(out).mat, want.mat)
+        psi0, psi1 = PureQubit(0.0, 0.0), PureQubit(phi, phase)
+        preps = ([LocalPure(psi0), LocalPure(psi1)] if prep == "local"
+                 else [NonLocalEnsemble((psi0, psi1), (0.5, 0.5))])
+        assert [(args, kwargs) for args, kwargs, _ in calls] == [((spec, q), {}) for q in preps]
+        outs = [o for *_, res in calls for o in res.rho_out_per_input]
+        fresh = [o for q in preps for o in run_scenario(spec, q).rho_out_per_input]
+        assert len(outs) == len(fresh) == 2
+        for out, want in zip(outs, fresh):
+            np.testing.assert_array_equal(out.mat, want.mat)
+        _print_state("output for psi0 = |H>", outs[0])
+        _print_state(f"output for psi1(phi={psi1.polar:.6f})", outs[1])
+        assert capsys.readouterr().out in printed
+        assert f"L(sigma_z)  = {mismatch_probability(*outs, SIGMA_Z_AXIS):.12f}" in printed
+        dims = [f"fixed_set_dimension={res.fixed_point.fixed_set_dimension}" for *_, res in calls]
+        assert ("shared rho_ctc solved (" + dims[0] + ")" in printed) == (prep == "nonlocal")
 
     @pytest.mark.parametrize("prep", ["local", "nonlocal"])
     def test_takes_no_2x2_eigenvalue_range(self, monkeypatch, capsys, prep):

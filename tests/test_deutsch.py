@@ -84,6 +84,31 @@ def ensemble_mixture(ensemble):
     return DensityMatrix(sum(p * s.density().mat for p, s in zip(ensemble.probs, ensemble.states)))
 
 
+def prepared_bloch(prep):
+    """Bloch vector of the state a preparation's loop adapts to, before depolarization."""
+    if isinstance(prep, NonLocalEnsemble):
+        return sum(q * s.bloch() for q, s in zip(prep.probs, prep.states))
+    return (prep.state if isinstance(prep, LocalPure) else prep.rho).bloch()
+
+
+def seeded_scenarios(seed, n):
+    """n seeded (spec, prep) pairs: both circuit kinds, eps and p each 0, 1 or
+    drawn, and local, improper and non-local preparations in turn."""
+    rng = np.random.default_rng(seed)
+    specs, preps = [], []
+    for i in range(n):
+        kind = CircuitKind.SWAP_CNOT if i % 5 == 0 else CircuitKind.SWAP_THEN_CU
+        eps, p = (rng.choice([0.0, 1.0, rng.uniform()]) for _ in range(2))
+        specs.append(CircuitSpec(kind=kind, theta_xz=rng.uniform(-math.pi / 2, math.pi / 2),
+                                 gate_noise=eps, input_noise=p))
+        states = [PureQubit(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+                  for _ in range(1 + i % 3)]
+        weights = rng.uniform(0.05, 1.0, len(states))
+        preps.append([LocalPure(states[0]), ImproperMixed(random_qubit_state(rng)),
+                      NonLocalEnsemble(tuple(states), tuple(weights / weights.sum()))][i % 3])
+    return specs, preps
+
+
 def diag_population_after_passes(a, n):
     """Independent oracle for the iterated loop: |H>-population recurrence."""
     for _ in range(n):
@@ -539,6 +564,26 @@ class TestRunBatchBoundary:
         """The input is checked before the 1 - p shrink, which would bring it inside."""
         with pytest.raises(ValidationError, match="loop input Bloch norm"):
             run_batch(kind, [0.1, 0.1], [0.0, 0.0], [0.0, 0.9], np.array([[0.0, 0.0, 1.0], row]))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[math.nan, 0.0, 0.0]], "loop input Bloch norm nan is not a number"),
+        ([[0.0, 0.0, 1.0], [0.0, math.nan, 0.0], [2.0, 0.0, 0.0]],
+         "loop input Bloch norm nan is not a number"),
+        ([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5], [0.0, 0.0, 2.0], [math.nan, 0.0, 0.0]],
+         "loop input Bloch norm 1.5 exceeds 1 + 2 PSD_TOL"),
+        ([[0.0, 0.0, 1.0], [0.0, math.inf, 0.0]], "loop input Bloch norm inf exceeds 1 + 2 PSD_TOL"),
+    ])
+    def test_first_row_outside_ball_is_named(self, rows, message):
+        n = len(rows)
+        with pytest.raises(ValidationError) as exc:
+            run_batch(CircuitKind.SWAP_THEN_CU, [0.1] * n, [0.0] * n, [0.0] * n, rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", ["swap-cu", "swap-cnot", None, 0])
+    def test_kind_not_a_circuit_kind_rejected(self, kind):
+        with pytest.raises(ValidationError) as exc:
+            run_batch(kind, [0.1], [0.0], [0.0], [[0.0, 0.0, 1.0]])
+        assert str(exc.value) == f"circuit kind {kind!r} is not a CircuitKind"
 
 
 class TestSolveFixedPoint:
@@ -1092,24 +1137,7 @@ class TestRunScenario:
         """run_scenario skips the checks its CircuitSpec has made, and solves as
         run_batch does: the same bits as the scenario's row of one batch of
         them all, and as a batch of one."""
-        rng = np.random.default_rng(1301)
-        specs, preps = [], []
-        for i in range(60):
-            kind = CircuitKind.SWAP_CNOT if i % 5 == 0 else CircuitKind.SWAP_THEN_CU
-            eps, p = (rng.choice([0.0, 1.0, rng.uniform()]) for _ in range(2))
-            specs.append(CircuitSpec(kind=kind, theta_xz=rng.uniform(-math.pi / 2, math.pi / 2),
-                                     gate_noise=eps, input_noise=p))
-            states = [PureQubit(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-                      for _ in range(1 + i % 3)]
-            weights = rng.uniform(0.05, 1.0, len(states))
-            preps.append([LocalPure(states[0]), ImproperMixed(random_qubit_state(rng)),
-                          NonLocalEnsemble(tuple(states), tuple(weights / weights.sum()))][i % 3])
-
-        def loop_in(prep):
-            if isinstance(prep, NonLocalEnsemble):
-                return sum(q * s.bloch() for q, s in zip(prep.probs, prep.states))
-            return (prep.state if isinstance(prep, LocalPure) else prep.rho).bloch()
-
+        specs, preps = seeded_scenarios(1301, 60)
         def as_bytes(batch, n):
             return (density_from_bloch(batch.loop[n]).mat.tobytes(),
                     density_from_bloch(batch.outputs[n]).bloch().tobytes(),
@@ -1122,7 +1150,7 @@ class TestRunScenario:
             batch = run_batch(kind, [specs[n].theta_xz for n in rows],
                               [specs[n].gate_noise for n in rows],
                               [specs[n].input_noise for n in rows],
-                              np.array([loop_in(preps[n]) for n in rows]))
+                              np.array([prepared_bloch(preps[n]) for n in rows]))
             batches.update((n, as_bytes(batch, j)) for j, n in enumerate(rows))
         for n, (spec, prep) in enumerate(zip(specs, preps)):
             res = run_scenario(spec, prep)
@@ -1130,10 +1158,51 @@ class TestRunScenario:
             got = (fp.rho_ctc.mat.tobytes(), res.rho_out_per_input[0].bloch().tobytes(),
                    fp.residual, fp.fixed_set_dimension, res.consistency_fidelity)
             one = run_batch(spec.kind, [spec.theta_xz], [spec.gate_noise], [spec.input_noise],
-                            loop_in(prep)[None])
+                            prepared_bloch(prep)[None])
             assert got == batches[n] == as_bytes(one, 0), (spec, prep)
             count = len(prep.states) if isinstance(prep, NonLocalEnsemble) else 1
             assert res.rho_out_per_input == (res.rho_out_per_input[0],) * count
+
+    def test_damped_method_is_the_oracle_chain_bit_for_bit(self):
+        """The damped branch solves, evolves and closes the loop on one Kraus
+        stack: the bits of solve_fixed_point, evolve_output and consistency_map."""
+        specs, preps = seeded_scenarios(1307, 45)
+        for spec, prep in zip(specs, preps):
+            rho_in = density_from_bloch((1.0 - spec.input_noise) * prepared_bloch(prep))
+            interaction = build_interaction(spec)
+            fp = solve_fixed_point(rho_in, interaction, method="damped_iteration")
+            out = evolve_output(rho_in, fp.rho_ctc, interaction)
+            cf = fidelity(fp.rho_ctc, consistency_map(rho_in, interaction, fp.rho_ctc))
+            res = run_scenario(spec, prep, "damped_iteration")
+            got = res.fixed_point
+            assert got.rho_ctc.mat.tobytes() == fp.rho_ctc.mat.tobytes(), (spec, prep)
+            assert ((got.residual, got.iterations, got.fixed_set_dimension)
+                    == (fp.residual, fp.iterations, fp.fixed_set_dimension))
+            count = len(prep.states) if isinstance(prep, NonLocalEnsemble) else 1
+            assert len(res.rho_out_per_input) == count
+            assert all(o.mat.tobytes() == out.mat.tobytes() for o in res.rho_out_per_input)
+            assert res.consistency_fidelity.hex() == cf.hex()
+
+    @pytest.mark.parametrize("prep", [LocalPure(H), NonLocalEnsemble((H, PureQubit(1.0)), (0.5, 0.5))])
+    @pytest.mark.parametrize("method", ["bogus", "eigen", None, "DAMPED_ITERATION"])
+    def test_unknown_method_rejected_before_a_channel_is_built(self, monkeypatch, prep, method):
+        monkeypatch.setattr(deutsch, "build_interaction", lambda spec: pytest.fail("built"))
+        with pytest.raises(ValidationError) as exc:
+            run_scenario(cu_circuit(0.3, eps=0.2), prep, method=method)
+        assert str(exc.value) == f"unknown solver method {method!r}"
+
+    def test_one_method_dispatch_and_no_solve_fixed_point(self):
+        """No code in deutsch calls the single-scenario shims, and run_scenario
+        tests method in one if/elif chain."""
+        tree = ast.parse(Path(deutsch.__file__).read_text(encoding="utf-8"))
+        called = {node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not called & {"consistency_map", "evolve_output", "solve_fixed_point"}
+        scenario = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "run_scenario")
+        tests = [ast.unparse(node) for node in ast.walk(scenario) if isinstance(node, ast.Compare)
+                 and isinstance(node.left, ast.Name) and node.left.id == "method"]
+        assert tests == ["method == 'eigen_max_entropy'", "method == 'damped_iteration'"]
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"theta_xz": math.pi / 2}, "theta_xz = 1.5707963267948966 outside the sweep range [-pi/2, pi/2)"),

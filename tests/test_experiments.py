@@ -71,6 +71,16 @@ class TestNonlinearitySweep:
         assert nonlinearity_sweep(iterations=np.array([2, 3])) == nonlinearity_sweep(
             iterations=[2, 3])
 
+    @pytest.mark.parametrize("grids", [([math.nan], [0.0]), ([1.0], [math.inf]),
+                                       ([0.5, -math.inf], [0.0]), ([0.5], [0.0, math.nan])])
+    def test_non_finite_grid_rejected_before_numpy(self, grids, monkeypatch):
+        import ctcsim.experiments as experiments
+
+        monkeypatch.setattr(experiments, "run_batch", lambda *args: pytest.fail("solved"))
+        with pytest.raises(ValidationError) as exc:
+            nonlinearity_sweep(*grids, [])
+        assert str(exc.value) == "sweep grids must be finite"
+
 
 class TestDiscriminationSweep:
     def test_local_optimal_gate_is_perfect_everywhere(self):
@@ -124,6 +134,26 @@ class TestDiscriminationSweep:
             discrimination_sweep("local", "optimal-gate", 1)
         with pytest.raises(ValidationError):
             discrimination_sweep("local", "sideways", 8)
+
+    @pytest.mark.parametrize("grid, message", [
+        (2.5, "grid size 2.5 is not an integer"),
+        (np.float64(8.0), "grid size np.float64(8.0) is not an integer"),
+        ("8", "grid size '8' is not an integer"),
+        (1, "grid size must be >= 2"),
+        (np.int64(0), "grid size must be >= 2"),
+    ])
+    def test_grid_size_is_an_integer_count(self, grid, message):
+        for call in (lambda: discrimination_sweep("local", "fixed-gate", grid),
+                     lambda: reproduce("fig6", grid), lambda: reproduce("fig5a", grid)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    def test_numpy_integer_grid_sizes_accepted(self):
+        assert (discrimination_sweep("local", "fixed-gate", np.int64(3))
+                == discrimination_sweep("local", "fixed-gate", 3))
+        assert reproduce("fig6", np.int32(3)) == reproduce("fig6", 3)
+        assert len(reproduce("fig6", 3)) == 9
 
 
 class TestDecoherenceSurface:

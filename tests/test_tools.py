@@ -25,6 +25,9 @@ EXPECTED = sorted(
     + [f"discriminate-{m}{point}.txt" for m in ("local", "nonlocal") for point in ("", "-phi0")]
     + [f"fixed-point-{prep}-{m}.txt" for prep in ("local", "improper", "nonlocal")
        for m in ("eigen_max_entropy", "damped_iteration")]
+    + [f"fixed-point-{prep}-{m}-eps{eps}.{ext}" for eps in ("0", "1")
+       for prep in ("local", "nonlocal") for m in ("eigen_max_entropy", "damped_iteration")
+       for ext in ("json", "txt")]
     + [f"demo-{d.stem}.txt" for d in (ROOT / "demos").glob("*.py")]
 )
 

@@ -8,12 +8,16 @@ thresholds` and `reproduce fig3` as JSON, the six `sweep` tables (3
 variants x 2 preparations) at `--grid 50` with their `--plot` SVGs,
 `reproduce fig6 --grid 13`, the five discrimination tables (fig5a-c,
 s1, s2) at `--grid 7`, and the `fixed-point --out` JSON of one
-noisy scenario under both solver methods. It adds the stdout of the
-single-scenario commands: `discriminate` for both preparations at that
-noisy point and at the degenerate phi = 0 (discriminate-<prep>.txt,
-discriminate-<prep>-phi0.txt), and `fixed-point` at that point for all
-three preparations under both solver methods
-(fixed-point-<prep>-<method>.txt). It adds the `ctcsim selftest` report
+noisy scenario (epsilon = 0.3) under both solver methods. It adds the
+stdout of the single-scenario commands: `discriminate` for both
+preparations at that noisy point and at the degenerate phi = 0
+(discriminate-<prep>.txt, discriminate-<prep>-phi0.txt), and `fixed-point`
+at that point for all three preparations under both solver methods
+(fixed-point-<prep>-<method>.txt). At epsilon = 0 and epsilon = 1, where
+the interaction keeps one Kraus term, it keeps both the `--out` JSON and
+the stdout of `fixed-point` under both methods for the local and
+non-local preparations (fixed-point-<prep>-<method>-eps<epsilon>.json and
+.txt). It adds the `ctcsim selftest` report
 as text (selftest.txt) and as `--json` (selftest.json), each with every
 elapsed time masked, and the stdout of each script in demos/
 (demo-<name>.txt), run in DIR so that the SVG demo 05 writes lands there
@@ -43,12 +47,18 @@ METHODS = ("eigen_max_entropy", "damped_iteration")
 PREPS = ("local", "improper", "nonlocal")
 # The noisy scenario of the fixed-point and discriminate runs: input angles, p and epsilon.
 POINT = ["--phi", "1.1", "--phase", "0.4", "--p", "0.2", "--epsilon", "0.3"]
+# The same point where the gate never fails or always does: one Kraus term, as
+# (file stem, CLI argument list) of fixed-point under each method and preparation.
+ONE_TERM = [(f"fixed-point-{prep}-{m}-eps{eps}",
+             ["fixed-point", "--prep", prep, "--method", m, *POINT[:-1], eps])
+            for eps in ("0", "1") for prep in ("local", "nonlocal") for m in METHODS]
 # (file name, CLI argument list) of each command whose stdout is kept.
 PRINTED = ([(f"discriminate-{m}.txt", ["discriminate", "--prep", m, *POINT]) for m in MODES]
            + [(f"discriminate-{m}-phi0.txt", ["discriminate", "--prep", m, "--phi", "0"])
               for m in MODES]
            + [(f"fixed-point-{prep}-{m}.txt", ["fixed-point", "--prep", prep, "--method", m, *POINT])
-              for prep in PREPS for m in METHODS])
+              for prep in PREPS for m in METHODS]
+           + [(f"{stem}.txt", argv) for stem, argv in ONE_TERM])
 # Elapsed times as the selftest prints them ("0.12s").
 _ELAPSED = re.compile(r"\b\d+\.\d\ds\b")
 
@@ -67,6 +77,7 @@ def commands(out: Path) -> list[list[str]]:
              for t in SWEEP_TABLES]
     cmds += [["fixed-point", *POINT, "--method", m, "--out", str(out / f"fixed-point-{m}.json")]
              for m in METHODS]
+    cmds += [[*argv, "--out", str(out / f"{stem}.json")] for stem, argv in ONE_TERM]
     return cmds
 
 
