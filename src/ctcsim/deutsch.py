@@ -643,8 +643,8 @@ def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
 
 def _check_count(n, what: str, least: int) -> None:
     """ValidationError unless the count n, named `what`, is an integer (a
-    numpy one too) of at least `least`."""
-    if not isinstance(n, numbers.Integral):
+    numpy one too, not a bool) of at least `least`."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValidationError(f"{what} {n!r} is not an integer")
     if n < least:
         raise ValidationError(f"{what} must be >= {least}")

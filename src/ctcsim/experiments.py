@@ -166,7 +166,7 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
         phase_grid = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
     if iterations is None:
         iterations = [2, 3, 4, 5]
-    if not phi_grid or not phase_grid:
+    if len(phi_grid) == 0 or len(phase_grid) == 0:
         raise ValidationError("sweep grids must be non-empty")
     if not all(math.isfinite(x) for x in (*phi_grid, *phase_grid)):
         raise ValidationError("sweep grids must be finite")

@@ -9,9 +9,10 @@ identify-one-state-at-a-time game instead.
 
 Every production measure is a closed form on Bloch vectors.
 bloch_measures computes all four for stacked pairs; the reproduce tables
-and qm_baseline use it. On DensityMatrix pairs, mismatch_probability is
-(1 - (n.r1)(n.r2))/2, and optimal_mismatch_probability is bloch_measures
-as a batch of one, with the optimal axis along r1/|r1| - r2/|r2|.
+use it. The pair forms (optimal_mismatch_probability, trace_distance,
+helstrom_success_probability, qm_baseline) run its operations in its order
+on the floats each DensityMatrix stores, so they give its bits with no
+array built. mismatch_probability is (1 - (n.r1)(n.r2))/2.
 
 Two oracles stay independent of these closed forms: _eigen_optima, the
 stacked eigensolve of the quadratic form (the selftest's C9 and C10), and
@@ -113,7 +114,7 @@ def optimal_mismatch_probability(
     """Mismatch probability maximized over measurement axes, with an optimal
     axis in canonical sign.
 
-    The value is bloch_measures' L_optimal as a batch of one, the reproduce
+    The value has the bits of bloch_measures' L_optimal, the reproduce
     tables' formula. For unit vectors u1 = r1/|r1| and u2 = r2/|r2| the
     form (n.u1)(n.u2) is least along u1 - u2, so that is the axis returned.
     When either Bloch vector vanishes (norm below 1e-12) the form vanishes
@@ -122,17 +123,19 @@ def optimal_mismatch_probability(
     perpendicular to u is optimal; the one returned is z x u, or x when
     |z x u| <= 1e-9.
     """
-    r1, r2 = rho1.bloch(), rho2.bloch()
+    r1, r2 = rho1._xyz(), rho2._xyz()
     n1, n2 = math.hypot(*r1), math.hypot(*r2)
     if min(n1, n2) < 1e-12:
         return 0.5, SIGMA_Z_AXIS
-    axis = r1 / n1 - r2 / n2
+    u1, u2 = [c / n1 for c in r1], [c / n2 for c in r2]
+    axis = [a - b for a, b in zip(u1, u2)]
     if math.hypot(*axis) <= 1e-9:
-        u = r1 / n1 + r2 / n2
-        axis = np.array([-u[1], u[0], 0.0])
+        u = [a + b for a, b in zip(u1, u2)]
+        axis = [-u[1], u[0], 0.0]
         if math.hypot(*axis) <= 1e-9 * math.hypot(*u):
-            axis = np.array([1.0, 0.0, 0.0])
-    return float(bloch_measures(r1, r2)[1]), _canonical_direction(axis / np.linalg.norm(axis))
+            axis = [1.0, 0.0, 0.0]
+    axis = np.array(axis)
+    return _pair_measures(r1, r2)[1], _canonical_direction(axis / np.linalg.norm(axis))
 
 
 def _canonical_direction(axis: np.ndarray) -> MeasurementDirection:
@@ -162,6 +165,16 @@ def bloch_measures(r1: np.ndarray, r2: np.ndarray):
     lam = (np.add.reduce(r1 * r2, axis=-1) - qmath._norms(r1) * qmath._norms(r2)) / 2.0
     l_opt = np.minimum(np.maximum((1.0 - lam) / 2.0, 0.0), 1.0)
     return l_z, l_opt, d, 0.5 * (1.0 + d)
+
+
+def _pair_measures(r1: tuple, r2: tuple) -> tuple[float, float, float, float]:
+    """bloch_measures of one Bloch pair of float triples, with no array built: the
+    same operations in the same order, so the same bits."""
+    (x1, y1, z1), (x2, y2, z2) = r1, r2
+    d = qmath._bloch_distance(r1, r2)
+    norms = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1) * math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
+    lam = (x1 * x2 + y1 * y2 + z1 * z2 - norms) / 2.0
+    return (1.0 - z1 * z2) / 2.0, min(max((1.0 - lam) / 2.0, 0.0), 1.0), d, 0.5 * (1.0 + d)
 
 
 # grid_search_mismatches' Fibonacci sphere size, number of zoom levels, and
@@ -250,12 +263,8 @@ def qm_baseline(phi: float, p: float = 0.0) -> DistinguishabilityReport:
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarization strength p = {p} outside [0, 1]")
-    psi1 = PureQubit(phi, 0.0)
-    shrink = 1.0 - p
-    l_z, l_opt, d, p_succ = bloch_measures(np.array([0.0, 0.0, shrink]), shrink * psi1.bloch())
-    return DistinguishabilityReport(
-        L_sigma_z=float(l_z),
-        L_optimal=float(l_opt),
-        trace_dist=float(d),
-        p_succ_optimal=float(p_succ),
-    )
+    polar = PureQubit(phi, 0.0).polar
+    shrink, s = 1.0 - p, math.sin(polar)
+    # shrink * PureQubit(phi, 0.0).bloch(): sin * cos(0) is sin, sin * sin(0) a signed zero.
+    r1 = (shrink * s, shrink * (s * 0.0), shrink * math.cos(polar))
+    return DistinguishabilityReport(*_pair_measures((0.0, 0.0, shrink), r1))

@@ -196,10 +196,14 @@ class DensityMatrix:
             self._mat = a
             return a
 
+    def _xyz(self) -> tuple[float, float, float]:
+        """The Bloch vector's components as Python floats."""
+        h01 = self._h01
+        return 2.0 * h01.real, -2.0 * h01.imag, self._h00 - self._h11
+
     def bloch(self) -> np.ndarray:
         """Bloch vector (x, y, z) with rho = (I + v . sigma)/2, as a read-only (3,) array."""
-        h01 = self._h01
-        v = np.array([2.0 * h01.real, -2.0 * h01.imag, self._h00 - self._h11])
+        v = np.array(self._xyz())
         v.setflags(write=False)
         return v
 
@@ -241,7 +245,14 @@ def _qubit_fidelity(r: np.ndarray, s: np.ndarray) -> np.ndarray:
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the sum of |eigenvalues| of (a - b), 0 iff equal, 1 iff orthogonal: for
     qubits |r_a - r_b|/2 on the Bloch vectors, the formula of every reproduce table."""
-    return float(_norms(a.bloch() - b.bloch()) / 2.0)
+    return _bloch_distance(a._xyz(), b._xyz())
+
+
+def _bloch_distance(r: tuple, s: tuple) -> float:
+    """|r - s|/2 of float triples with the bits of _norms(r - s) / 2.0, whose
+    np.add.reduce sums a 3-vector left to right."""
+    dx, dy, dz = r[0] - s[0], r[1] - s[1], r[2] - s[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz) / 2.0
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

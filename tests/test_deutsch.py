@@ -1280,7 +1280,7 @@ class TestIterateCircuit:
         with pytest.raises(ValidationError):
             iterate_circuit(H, 0)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None, True, False])
     def test_non_integer_count_rejected(self, n):
         with pytest.raises(ValidationError, match="is not an integer"):
             iterate_circuit(H, n)

@@ -62,7 +62,18 @@ class TestNonlinearitySweep:
         with pytest.raises(ValidationError):
             nonlinearity_sweep([], [0.0])
 
-    @pytest.mark.parametrize("iterations", [[2.5], [2, 3.0], [np.float64(2.0)], [None]])
+    @pytest.mark.parametrize("grids", [(np.array([]), [0.0]), ([0.5], np.array([]))])
+    def test_empty_numpy_grid_rejected(self, grids):
+        with pytest.raises(ValidationError, match="sweep grids must be non-empty"):
+            nonlinearity_sweep(*grids, [])
+
+    def test_numpy_grids_match_lists(self):
+        phi, phase = [0.0, 0.1, 0.2, math.pi], [0.0, 1.0]
+        assert nonlinearity_sweep(np.array(phi), np.array(phase), [2]) == nonlinearity_sweep(
+            phi, phase, [2])
+
+    @pytest.mark.parametrize("iterations", [[2.5], [2, 3.0], [np.float64(2.0)], [None], [True],
+                                            [2, False]])
     def test_non_integer_iteration_count_rejected(self, iterations):
         with pytest.raises(ValidationError, match="is not an integer"):
             nonlinearity_sweep(iterations=iterations)

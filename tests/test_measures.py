@@ -13,6 +13,7 @@ from ctcsim.measures import (
     DistinguishabilityReport,
     MeasurementDirection,
     _eigen_optima,
+    _pair_measures,
     _search_grid,
     grid_search_mismatch,
     grid_search_mismatches,
@@ -30,6 +31,7 @@ from ctcsim.qmath import (
     DensityMatrix,
     PureQubit,
     ValidationError,
+    density_from_bloch,
     trace_distance,
 )
 
@@ -293,6 +295,111 @@ class TestBlochClosedForms:
             assert abs(l_opt[i] - eigen_optimum(a, b)[0]) <= 1e-12
             assert abs(d[i] - trace_distance(a, b)) <= 1e-12
             assert abs(p_succ[i] - helstrom_success_probability(a, b)) <= 1e-12
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def array_axis(r1, r2):
+    """Oracle: optimal_mismatch_probability's axis computed on (3,) arrays, the
+    numpy form of its branches, before the canonical sign."""
+    n1, n2 = math.hypot(*r1), math.hypot(*r2)
+    if min(n1, n2) < 1e-12:
+        return np.array([0.0, 0.0, 1.0])
+    axis = r1 / n1 - r2 / n2
+    if math.hypot(*axis) <= 1e-9:
+        u = r1 / n1 + r2 / n2
+        axis = np.array([-u[1], u[0], 0.0])
+        if math.hypot(*axis) <= 1e-9 * math.hypot(*u):
+            axis = np.array([1.0, 0.0, 0.0])
+    return axis / np.linalg.norm(axis)
+
+
+class TestPairForms:
+    """The one-pair forms on DensityMatrix floats against bloch_measures, bit for bit.
+
+    Their equality rests on np.add.reduce summing a 3-vector left to right,
+    as Python's a + b + c does, for both (3,) and (N, 3) shapes.
+    """
+
+    @staticmethod
+    def pairs(seed):
+        """Seeded pairs covering mixed and pure states, the zero Bloch vector,
+        Bloch norms just below and above 1e-12, parallel and antiparallel
+        pairs, pairs along and near z, and nearly parallel pairs just outside
+        the |u1 - u2| <= 1e-9 branch."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for k in range(300):
+            a = random_qubit_state(rng) if k % 2 else random_pure(rng).density()
+            r = a.bloch()
+            out.append((a, random_qubit_state(rng)))
+            out.append((a, random_pure(rng).density()))
+            out.append((a, HALF))
+            out.append((a, a))
+            for scale in (rng.uniform(0.05, 1.0), -rng.uniform(0.05, 1.0)):
+                out.append((a, density_from_bloch(scale * r)))
+            u = r / np.linalg.norm(r)
+            for norm in (0.5e-12, 0.999e-12, 1.001e-12, 2e-12):
+                out.append((density_from_bloch(norm * u), a))
+            # Along z, and within 1e-10 of it: z x u is below 1e-9.
+            z = np.array([rng.uniform(-1e-10, 1e-10), 0.0, rng.choice([-1.0, 1.0])])
+            out.append((density_from_bloch(rng.uniform(0.05, 1.0) * z),
+                        density_from_bloch(rng.uniform(0.05, 1.0) * z)))
+            # Nearly parallel, 1e-9 to 1e-8 apart.
+            tilt = r + rng.uniform(1e-9, 1e-8) * np.cross(u, rng.normal(size=3))
+            out.append((a, density_from_bloch(0.5 * tilt / np.linalg.norm(tilt))))
+        return out
+
+    @pytest.mark.parametrize("seed", [1, 20261020])
+    def test_match_bloch_measures_bit_for_bit(self, seed):
+        pairs = self.pairs(seed)
+        r1 = np.array([a.bloch() for a, _ in pairs])
+        r2 = np.array([b.bloch() for _, b in pairs])
+        stacked = np.column_stack(bloch_measures(r1, r2))
+        for i, (a, b) in enumerate(pairs):
+            expected = bits(bloch_measures(r1[i], r2[i]))
+            np.testing.assert_array_equal(bits(stacked[i]), expected)
+            np.testing.assert_array_equal(bits(_pair_measures(a._xyz(), b._xyz())), expected)
+            value, direction = optimal_mismatch_probability(a, b)
+            forms = (value, trace_distance(a, b), helstrom_success_probability(a, b))
+            np.testing.assert_array_equal(bits(forms), expected[1:])
+            axis = array_axis(r1[i], r2[i])
+            assert np.array_equal(bits(direction.axis), bits(axis)) or np.array_equal(
+                bits(direction.axis), bits(-axis))
+
+    def test_pairs_reach_every_axis_branch(self):
+        """The seeded pairs take each branch of optimal_mismatch_probability's axis."""
+        taken = set()
+        for a, b in self.pairs(1):
+            r1, r2 = a.bloch(), b.bloch()
+            n1, n2 = math.hypot(*r1), math.hypot(*r2)
+            if min(n1, n2) < 1e-12:
+                taken.add("below 1e-12")
+                continue
+            if min(n1, n2) < 1e-11:
+                taken.add("just above 1e-12")
+            gap = math.hypot(*(r1 / n1 - r2 / n2))
+            if gap > 1e-9:
+                taken.add("nearly parallel" if gap < 1e-7 else "apart")
+            else:
+                u = r1 / n1 + r2 / n2
+                taken.add("x" if math.hypot(-u[1], u[0]) <= 1e-9 * math.hypot(*u) else "z cross u")
+        assert taken == {"below 1e-12", "just above 1e-12", "apart", "nearly parallel",
+                         "z cross u", "x"}
+
+    def test_qm_baseline_matches_bloch_measures_bit_for_bit(self):
+        rng = np.random.default_rng(20261021)
+        points = [(phi, p) for phi in (-1e-20, 0.0, math.pi, 2 * math.pi) for p in (0.0, 1.0)]
+        points += list(zip(rng.uniform(-7.0, 7.0, 2000).tolist(), rng.uniform(0.0, 1.0, 2000).tolist()))
+        for phi, p in points:
+            qm = qm_baseline(phi, p)
+            shrink = 1.0 - p
+            expected = bloch_measures(np.array([0.0, 0.0, shrink]), shrink * PureQubit(phi).bloch())
+            np.testing.assert_array_equal(
+                bits((qm.L_sigma_z, qm.L_optimal, qm.trace_dist, qm.p_succ_optimal)),
+                bits(expected))
 
 
 def scalar_grid_search(r1, r2):

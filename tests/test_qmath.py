@@ -218,6 +218,19 @@ class TestBlochConversions:
     def test_maximally_mixed_is_origin(self):
         assert tuple(HALF.bloch()) == (0.0, 0.0, 0.0)
 
+    def test_bloch_is_the_float_components(self):
+        """bloch() is the read-only array of _xyz(), the floats the pair measures
+        read, to the bit (signed zeros included)."""
+        rng = np.random.default_rng(59)
+        states = [H, V, HALF, PureQubit(math.pi / 2, math.pi).density()]
+        states += [random_qubit_state(rng) for _ in range(200)]
+        for rho in states:
+            v = rho.bloch()
+            assert not v.flags.writeable
+            xyz = rho._xyz()
+            assert all(type(c) is float for c in xyz)
+            np.testing.assert_array_equal(v.view(np.uint64), np.array(xyz).view(np.uint64))
+
     def test_equatorial_state(self):
         """polar 3pi/2 with zero phase sits at Bloch (-1, 0, 0)."""
         psi = PureQubit(3 * math.pi / 2, 0.0)
