@@ -18,12 +18,12 @@ minimum-norm solution of (I - A) r = b. Rows with |det(I - A)| above
 _UNIQUE_DET are provably unique and take one 3x3 solve; the rest take the
 SVD. Where the fixed set has more than one state its dimension is
 reported, never hidden. Density matrices are built only at the API
-boundary (solve_fixed_point, run_scenario), straight from the Bloch
-vectors by density_from_bloch. Inputs are validated there too: run_batch
-checks its kind and raw arrays (shape, angle, noise, ball); run_scenario,
-whose inputs are checked, solves as run_batch does without checking
-again. A solve_loops term is a (weight, transfer) pair covering every
-row: one channel's tensors shared by all rows, or a stack with one
+boundary, from Bloch rows solve_loops has checked to lie in the ball,
+with no second check (qmath._ball_state). Inputs are validated there:
+run_batch checks its kind and raw arrays (shape, angle, noise, ball);
+run_scenario, whose inputs are checked, solves as run_batch does without
+checking again. A solve_loops term is a (weight, transfer) pair covering
+every row: one channel's tensors shared by all rows, or a stack with one
 channel per row (circuits._transfer_tensors), so a batch of distinct
 channels is one term.
 run_batch builds no channel: it mixes its circuit family's fixed transfer
@@ -55,6 +55,8 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+# np.linalg.det's and np.linalg.solve's LAPACK gufuncs: their bits, without their wrappers.
+from numpy.linalg import _umath_linalg
 
 from . import qmath
 from .circuits import _FAMILIES, CircuitKind, CircuitSpec, QubitChannel, _family, build_interaction
@@ -65,6 +67,7 @@ from .qmath import (
     DensityMatrix,
     PureQubit,
     ValidationError,
+    _ball_state,
     _eig_ranges_2x2,
     _partial_trace_raw,
     c_einsum,
@@ -131,6 +134,9 @@ class LocalPure:
 
     state: PureQubit
 
+    def __post_init__(self) -> None:
+        _require_type(self.state, PureQubit, "local preparation state")
+
 
 @dataclass(frozen=True)
 class ImproperMixed:
@@ -140,6 +146,9 @@ class ImproperMixed:
     """
 
     rho: DensityMatrix
+
+    def __post_init__(self) -> None:
+        _require_type(self.rho, DensityMatrix, "improper mixture")
 
 
 @dataclass(frozen=True)
@@ -165,12 +174,19 @@ class NonLocalEnsemble:
 PreparationMode = LocalPure | ImproperMixed | NonLocalEnsemble
 
 
+def _require_type(value, cls: type, what: str) -> None:
+    if not isinstance(value, cls):
+        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _ensemble(states, probs) -> tuple[tuple, tuple[float, ...]]:
-    """Validated (states, weights): matching, non-empty, non-negative, summing to 1.
+    """Validated (states, weights): PureQubits, matching, non-empty, non-negative, summing to 1.
 
     A non-finite weight fails the sum check.
     """
     states = tuple(states)
+    for s in states:
+        _require_type(s, PureQubit, "ensemble state")
     probs = tuple(float(p) for p in probs)
     if len(states) != len(probs) or not states:
         raise ValidationError("ensemble needs matching, non-empty states and probs")
@@ -428,27 +444,29 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
 
     Rows with |det(I - A)| above _UNIQUE_DET are provably unique and take
     one batched 3x3 solve, r = (I - A)^-1 b; the rest take the SVD, which
-    is set up only when some row fails the screen.
+    is set up only when some row fails the screen. Both call the LAPACK
+    gufuncs of np.linalg.det and np.linalg.solve directly, with their bits;
+    the solve sees only screened rows or the identity, never a singular one.
 
     terms: (weight, transfer) pairs (see _mix); loop_in (N, 3): the
     state the loop adapts to, which is also the input sent through the
     output rail. It checks the states it computes: a residual above
     RESIDUAL_TOL raises ConvergenceError, a loop state or output outside
-    the Bloch ball ValidationError; a NaN fails both. loop_in's shape and
-    ball are the caller's to check (run_batch does). Zero rows give an
-    empty LoopBatch.
+    the Bloch ball ValidationError; a NaN fails both, so its rows become
+    states unchecked (qmath._ball_state). loop_in's shape and ball are the
+    caller's to check (run_batch does). Zero rows give an empty LoopBatch.
     """
     pauli_in = _homogeneous(loop_in)
     m = _mix(terms, LOOP_RAIL, "...kmv,...m->...kv", pauli_in)
     if not np.isfinite(m).all():
         raise ValidationError("non-finite loop input or interaction")
     i_minus_a = _EYE4[1:, 1:] - m[:, 1:, 1:]
-    unique = np.abs(np.linalg.det(i_minus_a)) > _UNIQUE_DET
+    unique = np.abs(_umath_linalg.det(i_minus_a, signature="d->d")) > _UNIQUE_DET
     all_unique = unique.all()
     # Rows that fail the screen solve I r = b here; the SVD overwrites them.
-    r = np.linalg.solve(i_minus_a if all_unique else
-                        np.where(unique[:, None, None], i_minus_a, _EYE4[1:, 1:]),
-                        m[:, 1:, :1])[:, :, 0]
+    r = _umath_linalg.solve(i_minus_a if all_unique else
+                            np.where(unique[:, None, None], i_minus_a, _EYE4[1:, 1:]),
+                            m[:, 1:, :1], signature="dd->d")[:, :, 0]
     dims = np.ones(len(m), dtype=int)
     if not all_unique:
         svd_rows = np.flatnonzero(~unique)
@@ -547,7 +565,7 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     """
     if method == "eigen_max_entropy":
         batch = solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None])
-        return _fixed_point_result(density_from_bloch(batch.loop[0]), batch)
+        return _fixed_point_result(_ball_state(batch.loop[0]), batch)
     if method != "damped_iteration":
         raise ValidationError(f"unknown solver method {method!r}")
     batch = damped_iteration(rho_in.mat[None], _kraus_stack([interaction]))
@@ -591,8 +609,8 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
         batch = _solve_batch(spec.kind, np.array([spec.theta_xz], dtype=float),
                              np.array([spec.gate_noise], dtype=float),
                              np.array([spec.input_noise], dtype=float), loop_in[None])
-        fp = _fixed_point_result(density_from_bloch(batch.loop[0]), batch)
-        out, cf = density_from_bloch(batch.outputs[0]), float(batch.consistency_fidelity[0])
+        fp = _fixed_point_result(_ball_state(batch.loop[0]), batch)
+        out, cf = _ball_state(batch.outputs[0]), float(batch.consistency_fidelity[0])
     elif method == "damped_iteration":
         kraus = _kraus_stack([build_interaction(spec)])
         rho_in = density_from_bloch((1.0 - spec.input_noise) * loop_in).mat[None]
@@ -638,7 +656,7 @@ def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
     state = input_state.bloch()[None]
     for _ in range(n):
         state = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero, state).outputs
-    return density_from_bloch(state[0])
+    return _ball_state(state[0])
 
 
 def _check_count(n, what: str, least: int) -> None:

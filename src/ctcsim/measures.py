@@ -139,13 +139,17 @@ def optimal_mismatch_probability(
 
 
 def _canonical_direction(axis: np.ndarray) -> MeasurementDirection:
-    """The direction of +-axis whose first clearly nonzero component is positive."""
+    """The direction of +-axis, a just-normalised (3,) float array, whose first clearly
+    nonzero component is positive; built without the constructor's copy and norm check."""
     for c in axis.tolist():
         if abs(c) > 1e-9:
             if c < 0:
                 axis = -axis
             break
-    return MeasurementDirection(axis)
+    axis.setflags(write=False)
+    direction = object.__new__(MeasurementDirection)
+    object.__setattr__(direction, "axis", axis)
+    return direction
 
 
 def helstrom_success_probability(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
@@ -177,11 +181,13 @@ def _pair_measures(r1: tuple, r2: tuple) -> tuple[float, float, float, float]:
     return (1.0 - z1 * z2) / 2.0, min(max((1.0 - lam) / 2.0, 0.0), 1.0), d, 0.5 * (1.0 + d)
 
 
-# grid_search_mismatches' Fibonacci sphere size, number of zoom levels, and
-# the pairs whose zoom meshes are scanned as one stack: each (25, 441, 3)
-# array is 0.26 MB, small enough to leave the selftest's peak RSS unchanged.
+# grid_search_mismatches' Fibonacci sphere size, number of zoom levels, the
+# pairs whose sphere values are one (8, 10000) product (0.64 MB), and those
+# whose zoom meshes are scanned as one stack: each (25, 441, 3) array is
+# 0.26 MB, small enough to leave the selftest's peak RSS unchanged.
 _GRID_POINTS = 10_000
 _ZOOM_LEVELS = 4
+_SCAN_CHUNK = 8
 _ZOOM_CHUNK = 25
 
 
@@ -203,6 +209,24 @@ def _search_grid():
     return axes, zoom
 
 
+def _sphere_argmax(axes: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Per pair of Bloch stacks (N, 3), the index of the axis n in axes (M, 3)
+    with the largest (1 - (n.r1)(n.r2))/2: the argmin of the quadratic form
+    (n.r1)(n.r2) in six features n_i n_j (x^2, y^2, z^2, xy, xz, yz), so that
+    _SCAN_CHUNK pairs' values are one (_SCAN_CHUNK, 6) @ (6, M) product. Its
+    rounding is not the per-pair scan's, so axes tied to within it could
+    swap; the tests hold the index to that scan's on 20,000 seeded pairs."""
+    i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    features = axes.T[i] * axes.T[j]
+    ab = r1[:, :, None] * r2[:, None, :]
+    # a_i b_j + a_j b_i, halved (exactly) on the diagonal.
+    weights = (ab + ab.swapaxes(1, 2))[:, i, j] * [0.5, 0.5, 0.5, 1.0, 1.0, 1.0]
+    best = np.empty(len(r1), dtype=np.intp)
+    for lo in range(0, len(r1), _SCAN_CHUNK):
+        best[lo:lo + _SCAN_CHUNK] = np.argmin(weights[lo:lo + _SCAN_CHUNK] @ features, axis=1)
+    return best
+
+
 def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Brute-force oracle for the optimized mismatch probability of Bloch pairs (N, 3).
 
@@ -212,11 +236,11 @@ def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     the last in a local frame around the current best axis. Deliberately
     independent of the eigensystem shortcut it is used to check.
 
-    The sphere scan runs pair by pair, so the working set stays one
-    _GRID_POINTS column; the zoom meshes of up to _ZOOM_CHUNK pairs are
-    scanned as one stack. Every value is computed as a search of one pair
-    computes it, with the same dot products, so a pair's result does not
-    depend on the batch it is in.
+    The sphere scan (_sphere_argmax) gives only each pair's best index;
+    the zoom meshes of up to _ZOOM_CHUNK pairs are scanned as one stack.
+    Every value is computed as a search of one pair computes it, with the
+    same dot products, so a pair's result does not depend on the batch it
+    is in.
     """
     r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
     if r1.ndim != 2 or r1.shape[1:] != (3,) or r1.shape != r2.shape:
@@ -224,7 +248,7 @@ def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise ValidationError("Bloch stacks must be finite")
     axes, zoom = _search_grid()
-    best = axes[[int(np.argmax((1.0 - (axes @ a) * (axes @ b)) / 2.0)) for a, b in zip(r1, r2)]]
+    best = axes[_sphere_argmax(axes, r1, r2)]
     out = np.empty(len(r1))
     for lo in range(0, len(r1), _ZOOM_CHUNK):
         ax = best[lo:lo + _ZOOM_CHUNK]

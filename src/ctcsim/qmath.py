@@ -131,7 +131,9 @@ class DensityMatrix:
     per check), and the state keeps the entries of its Hermitian part
     (m + m^dag)/2 as Python numbers. `mat`, that part as a read-only array,
     is built on first read; `bloch()` is derived from the entries. Both
-    have the bits the numpy form (m + m^dag)/2.0 gives.
+    have the bits the numpy form (m + m^dag)/2.0 gives. The engine's states,
+    from Bloch rows solve_loops has checked to lie in the ball, are stored
+    as density_from_bloch stores them but not checked again (_ball_state).
     """
 
     # The Hermitian part: real diagonal entries _h00, _h11 (their imaginary
@@ -147,9 +149,10 @@ class DensityMatrix:
             )
         (m00, m01), (m10, m11) = a.tolist()
         self._check(m00, m01, m10, m11)
+        self._store(m00, m01, m10, m11)
 
     def _check(self, m00: complex, m01: complex, m10: complex, m11: complex) -> None:
-        """Validate the entries of m and keep those of its Hermitian part."""
+        """ValidationError unless the entries of m are those of a qubit state."""
         parts = (m00.real, m00.imag, m01.real, m01.imag, m10.real, m10.imag, m11.real, m11.imag)
         if not all(map(math.isfinite, parts)):
             raise ValidationError("density matrix has non-finite entries")
@@ -174,6 +177,9 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix violates positivity (min eigenvalue = {lo:.3e})"
             )
+
+    def _store(self, m00: complex, m01: complex, m10: complex, m11: complex) -> None:
+        """Keep the entries of m's Hermitian part."""
         # m + m^dag has diagonal (2 Re m_kk, +0), so halving leaves the real parts.
         self._h00 = _halved(m00.real + m00.real, 0.0).real
         self._h11 = _halved(m11.real + m11.real, 0.0).real
@@ -280,11 +286,22 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def density_from_bloch(v: np.ndarray) -> DensityMatrix:
     """Qubit state (I + v . sigma)/2; positivity requires |v| <= 1 + 2 PSD_TOL."""
-    x, y, z = np.asarray(v, dtype=float).tolist()
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise ValidationError(f"Bloch vector must have shape (3,), got {a.shape}")
+    return _ball_state(a, in_ball=False)
+
+
+def _ball_state(v: np.ndarray, in_ball: bool = True) -> DensityMatrix:
+    """density_from_bloch of a (3,) float row, checked unless known to lie in the
+    ball, as solve_loops' rows are (a NaN fails their ball check)."""
+    x, y, z = v.tolist()
     m01, m10 = x - 1j * y, x + 1j * y
-    # The entries of np.array([[1 + z, m01], [m10, 1 - z]]) / 2.0, checked as
-    # DensityMatrix checks that array, with no array built.
-    rho = DensityMatrix.__new__(DensityMatrix)
-    rho._check(_halved(1 + z, 0.0), _halved(m01.real, m01.imag), _halved(m10.real, m10.imag),
+    # The entries of np.array([[1 + z, m01], [m10, 1 - z]]) / 2.0, with no array built.
+    entries = (_halved(1 + z, 0.0), _halved(m01.real, m01.imag), _halved(m10.real, m10.imag),
                _halved(1 - z, 0.0))
+    rho = DensityMatrix.__new__(DensityMatrix)
+    if not in_ball:
+        rho._check(*entries)
+    rho._store(*entries)
     return rho

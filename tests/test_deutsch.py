@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -1218,6 +1219,37 @@ class TestRunScenario:
             CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, **kwargs)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LocalPure(H.density()), "local preparation state must be a PureQubit, got DensityMatrix"),
+        (lambda: LocalPure(np.array([1.0, 0.0])), "local preparation state must be a PureQubit, got ndarray"),
+        (lambda: ImproperMixed(np.eye(2) / 2), "improper mixture must be a DensityMatrix, got ndarray"),
+        (lambda: ImproperMixed(H), "improper mixture must be a DensityMatrix, got PureQubit"),
+        (lambda: NonLocalEnsemble((H, HALF), (0.5, 0.5)),
+         "ensemble state must be a PureQubit, got DensityMatrix"),
+        (lambda: proper_mixture_output(SWAP_CNOT, [np.eye(2) / 2], [1.0]),
+         "ensemble state must be a PureQubit, got ndarray"),
+    ])
+    def test_preparation_types_checked_on_construction(self, build, message):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_engine_states_are_not_checked_again(self, monkeypatch):
+        """run_scenario stores its loop and output rows, which solve_loops has
+        checked to lie in the ball, as density_from_bloch stores them, without
+        running the state checks again."""
+        specs, preps = seeded_scenarios(97, 12)
+        want = []
+        for spec, prep in zip(specs, preps):
+            batch = run_batch(spec.kind, [spec.theta_xz], [spec.gate_noise], [spec.input_noise],
+                              prepared_bloch(prep)[None])
+            want.append([density_from_bloch(v[0]).mat.tobytes() for v in (batch.loop, batch.outputs)])
+        monkeypatch.setattr(DensityMatrix, "_check", lambda *entries: pytest.fail("checked again"))
+        for spec, prep, (loop, out) in zip(specs, preps, want):
+            res = run_scenario(spec, prep)
+            assert res.fixed_point.rho_ctc.mat.tobytes() == loop
+            assert res.rho_out_per_input[0].mat.tobytes() == out
+
     def test_ensemble_probabilities_validated(self):
         with pytest.raises(ValidationError):
             NonLocalEnsemble((H,), (0.7,))
@@ -1442,19 +1474,32 @@ EINSUM_SUBSCRIPTS = ("...i,...i->...", "...kmv,...m->...kv", "...kmv,...v->...km
                      "aij,bkl->abikjl", "j,jab->ab", "nj,jab->nab")
 
 
+# Every gufunc src/ctcsim calls with a signature= keyword, and that signature.
+GUFUNC_SIGNATURES = {"_umath_linalg.det": "d->d", "_umath_linalg.solve": "dd->d"}
+
+
 def einsum_calls_and_subscripts():
-    """The functions src/ctcsim calls whose names contain "einsum", and every
-    string constant in it shaped like einsum subscripts."""
-    calls, subscripts = set(), set()
+    """The functions src/ctcsim calls whose names contain "einsum", every
+    string constant in it shaped like einsum subscripts, and the (function,
+    signature) pairs of its calls with a signature= keyword. A signature
+    such as "dd->d" is shaped like subscripts too, and is counted only as a
+    signature."""
+    calls, subscripts, signatures, signature_nodes = set(), set(), set(), set()
     for path in sorted(Path(deutsch.__file__).parent.glob("*.py")):
+        # ast.walk visits a call before its arguments.
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             func = node.func if isinstance(node, ast.Call) else None
             if "einsum" in getattr(func, "id", getattr(func, "attr", "")):
                 calls.add(ast.unparse(func))
+            for kw in getattr(node, "keywords", []) if func else []:
+                if kw.arg == "signature":
+                    signatures.add((ast.unparse(func), ast.literal_eval(kw.value)))
+                    signature_nodes.add(kw.value)
             if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node not in signature_nodes
                     and re.fullmatch(r"[a-z.]+(,[a-z.]+)*->[a-z.]*", node.value)):
                 subscripts.add(node.value)
-    return calls, subscripts
+    return calls, subscripts, signatures
 
 
 def einsum_operands(rng, subscripts, dtypes, batch, layout):
@@ -1502,9 +1547,10 @@ class TestEinsumKernel:
         assert calls == ["i,i->"]
 
     def test_source_calls_only_the_kernel_on_the_listed_subscripts(self):
-        calls, subscripts = einsum_calls_and_subscripts()
+        calls, subscripts, signatures = einsum_calls_and_subscripts()
         assert calls == {"c_einsum"}
         assert subscripts == set(EINSUM_SUBSCRIPTS)
+        assert signatures == set(GUFUNC_SIGNATURES.items())
 
     @pytest.mark.parametrize("subscripts", EINSUM_SUBSCRIPTS)
     def test_kernel_matches_np_einsum_bit_for_bit(self, subscripts):
@@ -1545,3 +1591,73 @@ class TestEinsumKernel:
         for target in cli.REPRODUCE_TARGETS:
             grid = [] if target in ("fig3", "thresholds") else ["--grid", "3"]
             assert cli.main(["reproduce", target, *grid, "--out", str(tmp_path / target)]) == 0
+
+
+def linalg_operands(rng, batch, layout, det_floor=None):
+    """Seeded (a (batch, 3, 3), b (batch, 3, 1)) as solve_loops passes them;
+    layout "strided" makes both non-contiguous views, as b = m[:, 1:, :1]
+    is. Each a is 4 I plus normal entries, a quarter of them +0.0 and a
+    quarter -0.0; with det_floor, it is instead a random rotation of
+    diag(1, 1, d) with d from det_floor up to 1.001 det_floor, so |det a|
+    is just above the screen."""
+    if det_floor is None:
+        full = (batch, 3, 6) if layout == "strided" else (batch, 3, 3)
+        a = np.where(rng.integers(0, 4, size=full) < 2, rng.choice([0.0, -0.0], size=full),
+                     rng.normal(size=full))
+        a[:, [0, 1, 2], [0, 2, 4] if layout == "strided" else [0, 1, 2]] += 4.0
+    else:
+        q = np.linalg.qr(rng.normal(size=(batch, 3, 3)))[0]
+        d = det_floor * rng.uniform(1.0, 1.001, batch)
+        a = (q * np.stack([np.ones(batch), np.ones(batch), d], axis=1)[:, None, :]) @ q.swapaxes(1, 2)
+        a = np.repeat(a, 2, axis=2) if layout == "strided" else a
+    b = rng.normal(size=(batch, 3, 2 if layout == "strided" else 1))
+    return (a[:, :, ::2], b[:, :, :1]) if layout == "strided" else (a, b)
+
+
+class TestLinalgKernel:
+    """solve_loops' determinant and solve call the LAPACK gufuncs behind
+    np.linalg.det and np.linalg.solve, which give those functions' bits
+    without their wrappers."""
+
+    def test_np_linalg_calls_the_same_gufuncs_on_the_listed_signatures(self, monkeypatch):
+        import numpy.linalg._linalg as linalg_impl
+
+        assert deutsch._umath_linalg is linalg_impl._umath_linalg
+        calls = []
+
+        class Recorded:
+            def __getattr__(self, name):
+                def call(*args, signature):
+                    calls.append((f"_umath_linalg.{name}", signature))
+                    return getattr(deutsch._umath_linalg, name)(*args, signature=signature)
+                return call
+
+        monkeypatch.setattr(linalg_impl, "_umath_linalg", Recorded())
+        a, b = linalg_operands(np.random.default_rng(1), 2, "contiguous")
+        np.linalg.det(a)
+        np.linalg.solve(a, b)
+        assert calls == list(GUFUNC_SIGNATURES.items())
+
+    @pytest.mark.parametrize("det_floor", [None, deutsch._UNIQUE_DET])
+    def test_kernels_match_np_linalg_bit_for_bit(self, det_floor):
+        rng = np.random.default_rng(20261021)
+        for batch in (0, 1, 5):
+            for layout in ("contiguous", "strided"):
+                a, b = linalg_operands(rng, batch, layout, det_floor)
+                if det_floor is not None:
+                    assert (np.abs(np.linalg.det(a)) > det_floor).all()
+                for got, want in ((deutsch._umath_linalg.det(a, signature="d->d"), np.linalg.det(a)),
+                                  (deutsch._umath_linalg.solve(a, b, signature="dd->d"),
+                                   np.linalg.solve(a, b))):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes(), (batch, layout)
+
+    def test_batch_with_svd_rows_raises_no_warning(self):
+        """Rows that fail the screen reach the solve as the identity, so no
+        singular matrix (numpy's "invalid value" warning) is ever solved."""
+        r = np.array([[1.0, 0.0, 0.0], [0.2, -0.1, 0.3], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        zero = np.zeros(len(r))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero, r)
+        np.testing.assert_array_equal(batch.fixed_set_dimension, [2, 1, 1, 2])

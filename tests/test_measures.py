@@ -8,6 +8,7 @@ import pytest
 
 from ctcsim.circuits import depolarize
 from ctcsim.measures import (
+    _SCAN_CHUNK,
     _ZOOM_CHUNK,
     SIGMA_Z_AXIS,
     DistinguishabilityReport,
@@ -15,6 +16,7 @@ from ctcsim.measures import (
     _eigen_optima,
     _pair_measures,
     _search_grid,
+    _sphere_argmax,
     grid_search_mismatch,
     grid_search_mismatches,
     helstrom_success_probability,
@@ -488,3 +490,30 @@ class TestGridSearchBatch:
     def test_invalid_stacks_rejected(self, r1, r2):
         with pytest.raises(ValidationError):
             grid_search_mismatches(r1, r2)
+
+
+class TestSphereArgmax:
+    """The sphere scan's feature product picks the axis the per-pair scan
+    argmax((1 - (n.r1)(n.r2))/2) picks, so the zoom starts where it did."""
+
+    @staticmethod
+    def assert_per_pair_index(r1, r2):
+        axes, _ = _search_grid()
+        want = [int(np.argmax((1.0 - (axes @ a) * (axes @ b)) / 2.0)) for a, b in zip(r1, r2)]
+        np.testing.assert_array_equal(_sphere_argmax(axes, r1, r2), want)
+
+    def test_seeded_pairs(self):
+        rng = np.random.default_rng(229)
+        n = 20_000 + _SCAN_CHUNK // 2
+        self.assert_per_pair_index(random_bloch(rng, n), random_bloch(rng, n))
+
+    def test_zero_parallel_and_antiparallel_pairs(self):
+        rng = np.random.default_rng(233)
+        r = np.vstack([random_bloch(rng, 40), np.eye(3), -np.eye(3)])
+        zero = np.zeros_like(r)
+        self.assert_per_pair_index(np.vstack([zero, r, zero, r, r, 0.5 * r]),
+                                   np.vstack([r, zero, zero, r, -r, -0.2 * r]))
+
+    def test_empty_batch(self):
+        axes, _ = _search_grid()
+        assert _sphere_argmax(axes, np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)

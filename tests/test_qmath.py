@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ctcsim.qmath import (
     DensityMatrix,
     PureQubit,
     ValidationError,
+    _ball_state,
     _partial_trace_raw,
     density_from_bloch,
     fidelity,
@@ -485,6 +487,24 @@ class TestBlochEntriesMatchMatrixFormula:
             v = np.array([0.1, -0.2, 0.3])
             v[k] = bad
             assert self.assert_same(v) == "ValidationError"
+
+    @pytest.mark.parametrize("v", [[[0.0, 0.0, 1.0]], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0], 0.5])
+    def test_shape_other_than_three_rejected(self, v):
+        shape = np.shape(v)
+        with pytest.raises(ValidationError, match=re.escape(f"got {shape}")):
+            density_from_bloch(np.array(v))
+
+    def test_ball_rows_are_stored_as_density_from_bloch_stores_them(self):
+        """_ball_state, which the engine uses on rows it has checked to lie in
+        the ball, stores what density_from_bloch stores, signed zeros and unit
+        norms included."""
+        rng = np.random.default_rng(3113)
+        u = rng.normal(size=(20_000, 3))
+        rows = u / np.linalg.norm(u, axis=1, keepdims=True) * rng.uniform(0.0, 1.0, (20_000, 1))
+        rows[::4] = u[::4] / np.linalg.norm(u[::4], axis=1, keepdims=True)
+        zeros = np.array(list(itertools.product((0.0, -0.0, 0.5, -1.0), repeat=3)))
+        for v in np.concatenate([rows, zeros[np.linalg.norm(zeros, axis=1) <= 1.0]]):
+            assert state_verdict(_ball_state, v) == state_verdict(density_from_bloch, v), list(v)
 
     def test_bloch_and_matrix_are_read_only(self):
         rho = density_from_bloch(np.array([0.1, -0.2, 0.3]))
