@@ -1,30 +1,8 @@
 """ctcsim: a desk-scale simulator of qubits traversing a Deutsch closed timelike curve.
 
-The simulator solves the self-consistency fixed point for the qubit
-trapped in the loop under arbitrary two-qubit interactions and noise,
-evolves chronology-respecting inputs through the loop, and reproduces the
-quantitative phenomenology of such circuits (nonlinear state evolution,
-perfect discrimination of non-orthogonal states, the local/non-local
-preparation split, and decoherence thresholds) as machine-checkable
-tables.
-
-Quick example
--------------
-
-.. code:: python
-
-    import math
-    from ctcsim import CircuitSpec, CircuitKind, LocalPure, PureQubit, run_scenario
-
-    # A qubit at polar angle pi/4 meets its older self via CNOT + SWAP.
-    spec = CircuitSpec(kind=CircuitKind.SWAP_CNOT)
-    result = run_scenario(spec, LocalPure(PureQubit(math.pi / 4)))
-    print(result.fixed_point.rho_ctc.mat)      # the self-consistent loop state
-    print(result.rho_out_per_input[0].mat)     # the nonlinearly evolved output
-
-The `experiments` module sweeps entire parameter grids and the
-`ctcsim` command line reproduces every bundled experiment as CSV
-(`ctcsim reproduce fig6`, `ctcsim selftest`, ...).
+It solves the loop's self-consistency fixed point for any two-qubit interaction
+and noise, evolves inputs through the loop, and reproduces the paper's tables
+(`ctcsim reproduce`, `ctcsim selftest`). README.md has a quick example.
 """
 
 from .circuits import (

@@ -1,20 +1,10 @@
-"""Two-qubit gates, noise channels, and the loop interaction builder.
+"""Two-qubit gates and the loop interaction.
 
-Gates are plain 4x4 arrays (SWAP and CNOT read-only constants, CU_xz from
-make_cu_xz). The interaction that drives the time-travel circuit is always
-"some gate, then hand the rails over": either CNOT followed by SWAP (the
-nonlinear amplifier circuit) or SWAP followed by a controlled pi-rotation
-CU_xz (the state-discrimination circuit). When the controlled gate fails
-(probability epsilon) only the SWAP remains. Each circuit kind has a record
-in _FAMILIES: generators G_a, a coefficient rule x(theta) and an angle
-range; its gate is sum_a x_a G_a. From the record alone come the angle
-check, _failure_kraus (the one factory of the gate-failure channel, a Kraus
-stack of many rows) and the fixed transfer basis the engine mixes with each
-row's eps, built once at import. build_interaction is _failure_kraus's row
-of one as a QubitChannel: the one validated interaction type, weighted
-Kraus lists whose completeness check, made on construction, covers every
-gate in them. A channel's real Pauli-transfer tensors, which the
-fixed-point engine works in, are built on first read.
+The interaction is a gate, then the rails handed over: CNOT then SWAP
+(swap-cnot, the nonlinear amplifier) or SWAP then the controlled pi-rotation
+CU_xz (swap-cu, the discrimination circuit). With probability epsilon the gate
+fails and only the SWAP remains. Each kind is one _FAMILIES record, the single
+source of its angle check, gate-failure Kraus stacks and transfer basis.
 """
 
 from __future__ import annotations
@@ -50,9 +40,8 @@ CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 SWAP.setflags(write=False)
 CNOT.setflags(write=False)
 
-# Two-qubit Pauli products _PAIRS[4 mu + nu] = P_mu (x) P_nu, P = (I, X, Y, Z);
-# Tr[O P_mu (x) P_nu] = O.flat @ _PAIRS_T[:, 4 mu + nu]. The rail readouts are
-# I (x) P_k (loop rail, qubit 2) and P_k (x) I (output rail, qubit 1).
+# _PAIRS[4 mu + nu] = P_mu (x) P_nu, P = (I, X, Y, Z); Tr[O P_mu (x) P_nu] = O.flat @
+# _PAIRS_T[:, 4 mu + nu]. _READOUTS are QubitChannel.transfer's S_k, loop rail first.
 _PAULI = np.stack([ID2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 _PAIRS = c_einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
 _PAIRS_T = _PAIRS.transpose(0, 2, 1).reshape(16, 16).T
@@ -63,18 +52,12 @@ _READOUT_ROW = _READOUTS.transpose(1, 0, 2).reshape(4, 32)
 
 @dataclass(frozen=True)
 class QubitChannel:
-    """Trace-preserving map as weighted Kraus terms sum_k w_k A_k rho A_k^dag.
+    """Trace-preserving map sum_k w_k op_k rho op_k^dag given as (w_k, op_k) terms, w_k in
+    (0, 1]; completeness sum_k w_k op_k^dag op_k = I is checked on construction.
 
-    Each entry is (weight, op) with weight in (0, 1]; the Kraus operator
-    proper is sqrt(weight) * op. Completeness sum_k w_k op_k^dag op_k = I
-    is enforced on construction, on the Kraus terms alone.
-
-    transfer holds the real Pauli-transfer tensors of the loop rail [0]
-    and the output rail [1]: they map Bloch 4-vectors a = (1, a_x, a_y,
-    a_z) of the input and r of the loop qubit to transfer[rail, k, mu, nu]
-    a_mu r_nu, entry Tr[S_k E(P_mu (x) P_nu)]/4 with S_k = I (x) P_k on
-    the loop rail and P_k (x) I on the output rail: _transfer_tensors' row
-    of one, read-only, built on first read.
+    transfer (read-only, built on first read) holds the real Pauli-transfer tensors
+    transfer[rail, k, mu, nu] = Tr[S_k E(P_mu (x) P_nu)]/4, with S_k = I (x) P_k on
+    the loop rail and P_k (x) I on the output rail.
     """
 
     kraus: tuple[tuple[float, np.ndarray], ...]
@@ -106,14 +89,8 @@ class QubitChannel:
 
 
 def _transfer_tensors(weights: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Pauli-transfer tensors (N, 2, 4, 4, 4) of N weighted Kraus rows:
-    weights (N, K), ops (N, K, 4, 4).
-
-    Rows with fewer than K terms may be padded with zero-weight terms (as
-    deutsch._kraus_stack does), which add exact zeros. Completeness is not
-    checked here: QubitChannel checks it on construction, and its transfer
-    is a batch of one of this, built on first read.
-    """
+    """Pauli-transfer tensors (N, 2, 4, 4, 4) of N weighted Kraus rows, weights (N, K)
+    and ops (N, K, 4, 4); completeness is not checked."""
     # Heisenberg picture: Tr[S E(P)] = Tr[E^dag(S) P] for every readout S.
     return _pauli_transfer((weights[:, :, None, None, None] * _readout_images(ops, ops)).sum(axis=1))
 
@@ -133,18 +110,16 @@ def _pauli_transfer(images: np.ndarray) -> np.ndarray:
 
 
 class CircuitKind(Enum):
+    """The loop circuits, by their command-line names."""
+
     SWAP_CNOT = "swap-cnot"
     SWAP_THEN_CU = "swap-cu"
 
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """One simulated interaction: gate choice plus both decoherence knobs.
-
-    `gate_noise` is the probability epsilon that the controlled gate fails,
-    leaving only the SWAP; `input_noise` is the depolarization strength p
-    applied to the input qubit before it reaches the loop.
-    """
+    """One interaction: the circuit, its gate angle (checked by the family), the gate
+    failure probability epsilon and the input depolarization p, both in [0, 1]."""
 
     kind: CircuitKind
     theta_xz: float = 0.0
@@ -172,25 +147,17 @@ def _cu_weights(theta: np.ndarray) -> np.ndarray:
 
 
 def make_cu_xz(theta_xz: float) -> np.ndarray:
-    """Controlled pi-rotation of the target about the Bloch xz-plane axis at theta_xz.
-
-    Control is qubit 1: identity on the control-|H> block, and the
-    reflection [[cos t, sin t], [sin t, -cos t]] on the control-|V> block.
-    theta_xz = 0 gives CZ, pi/2 gives CNOT, pi/4 a controlled
-    Hadamard. The gate is _CU_BLOCKS weighted by _cu_weights, which takes
-    the angle mod 2pi into [0, 2pi); a non-finite angle raises ValidationError.
-    """
+    """Controlled pi-rotation about the Bloch xz-plane axis at theta_xz, controlled by
+    qubit 1: [[cos t, sin t], [sin t, -cos t]] on the control-|V> block (0: CZ, pi/2:
+    CNOT, pi/4: controlled Hadamard). ValidationError on a non-finite angle."""
     if not math.isfinite(theta_xz):
         raise ValidationError(f"theta_xz = {theta_xz} is not finite")
     return c_einsum("j,jab->ab", _cu_weights(np.array([theta_xz], dtype=float))[0], _CU_BLOCKS)
 
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
-    """Single-qubit depolarizing channel of strength p.
-
-    (1 - 3p/4) rho + (p/4)(X rho X + Y rho Y + Z rho Z), which is the same
-    as shrinking the Bloch vector by (1 - p).
-    """
+    """Depolarizing channel (1 - 3p/4) rho + (p/4)(X rho X + Y rho Y + Z rho Z): the Bloch
+    vector shrinks by 1 - p."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarization strength p = {p} outside [0, 1]")
     m = rho.mat
@@ -200,13 +167,8 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
 
 
 def build_interaction(spec: CircuitSpec) -> QubitChannel:
-    """Full loop interaction as a channel, including gate noise: the row of
-    one of _failure_kraus, without its zero-weight term. The gate is SWAP @
-    CNOT (swap-cnot) or CU_xz @ SWAP (swap-cu), as _FAMILIES defines it.
-
-    Input depolarization (p) is *not* part of this channel: it acts on the
-    input state before the loop and is applied by the fixed-point engine.
-    """
+    """The loop interaction with gate failure, _failure_kraus's row of one without its
+    zero-weight term. Input depolarization is not in it: the engine applies it."""
     weights, ops = _failure_kraus(_FAMILIES[spec.kind], np.array([spec.theta_xz], dtype=float),
                                   np.array([spec.gate_noise], dtype=float))
     return QubitChannel(tuple((w, op) for w, op in zip(weights[0], ops[0]) if w > 0.0))

@@ -1,22 +1,10 @@
-"""Command-line front end: scenario runs, figure reproduction, selftest.
+"""The `ctcsim` command line; `ctcsim --help` lists its commands.
 
-Subcommands
------------
-fixed-point   solve one loop scenario and print the solved state
-discriminate  run one discrimination point (both states) and print measures
-sweep         run a single parameter sweep to CSV/JSON
-reproduce     emit a bundled experiment (fig3, fig5a..c, fig6, s1, s2, thresholds)
-selftest      run the acceptance suite at its fixed tolerances; exit 0 iff
-              everything passes (--json prints all_passed, total_elapsed and
-              checks, each check_id/description/passed/detail/elapsed, instead)
-
-CSV files are byte-deterministic for a fixed configuration: fixed field
-order, 17-significant-digit floats, UTF-8, '.' decimal separator.
-
-Exit codes: 2 invalid parameters (also an empty --out, an --out or --plot SVG
-path that cannot be written, and an --out ending in .svg with --plot: each
-refused with nothing written), 3 solver non-convergence, 4 record invariant
-violation in reproduce, 1 failed selftest.
+CSV files are byte-deterministic for a fixed configuration: fixed field order,
+17-significant-digit floats, UTF-8. Exit codes: 2 invalid parameters, a file
+that cannot be written included (refused with nothing written), 3 solver
+non-convergence, 4 a record invariant violation or no threshold crossing, 1 a
+failed selftest.
 """
 
 from __future__ import annotations
@@ -142,9 +130,7 @@ def _build_prep(args, psi: PureQubit):
         return LocalPure(psi)
     if args.prep == "improper":
         return ImproperMixed(psi.density())
-    if args.prep == "nonlocal":
-        return NonLocalEnsemble((PureQubit(0.0, 0.0), psi), (0.5, 0.5))
-    raise ValidationError(f"unknown preparation {args.prep!r}")
+    return NonLocalEnsemble((PureQubit(0.0, 0.0), psi), (0.5, 0.5))
 
 
 def cmd_fixed_point(args) -> int:
@@ -202,13 +188,11 @@ def cmd_discriminate(args) -> int:
 
 
 def _emit(args, stem: str, rows: list, plot=None) -> int:
-    """Write a command's files, then print a `wrote` line for each: the rows
-    (records or thresholds) as the table at --out, default <stem>.<format>,
-    and with --plot the SVG of the (series, title, x_label, y_label) that
-    plot() returns, beside the table. Records that break an invariant are
-    reported and not written (exit 4). The plot's file is opened before the
-    table is written and removed if the table cannot be, so a path that
-    cannot be written refuses the run with nothing written or printed."""
+    """Write the rows (records or thresholds) as the table at --out, default
+    <stem>.<format>, and with --plot the SVG of plot()'s (series, title, x_label,
+    y_label) beside it, then print a `wrote` line for each. Records that break an
+    invariant are reported and not written (exit 4); a path that cannot be written
+    refuses the run with nothing written or printed."""
     path = f"{stem}.{args.format}" if args.out is None else args.out
     plot_path = os.path.splitext(path)[0] + ".svg"
     if args.plot and plot_path == path:
@@ -299,8 +283,8 @@ def _plot_reproduction(target: str, records: list[SweepRecord]):
 def cmd_reproduce(args) -> int:
     if args.grid is not None and args.grid < 2:
         raise ValidationError("grid size must be >= 2")
-    if args.grid is not None and args.target in ("fig3", "thresholds"):
-        raise ValidationError(f"reproduce {args.target} has a fixed grid; drop --grid")
+    if args.grid is not None and args.target == "thresholds":
+        raise ValidationError("reproduce thresholds has a fixed grid; drop --grid")
     if args.target == "thresholds":
         if args.plot:
             raise ValidationError("reproduce thresholds writes no plot; drop --plot")

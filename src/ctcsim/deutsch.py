@@ -1,50 +1,10 @@
-"""Fixed-point engine for the time-loop consistency condition.
+"""Deutsch's consistency condition: the loop state rho = Tr_1[E(rho_in (x) rho)]
+and the output Tr_2[E(rho_in (x) rho)], for any two-qubit channel E.
 
-The loop qubit must satisfy rho = Tr_1[E(rho_in (x) rho)], where E is the
-two-qubit interaction channel: the state entering the wormhole equals the
-state leaving it. This module solves that equation for arbitrary channels
-and preparation modes, evolves chronology-respecting inputs through the
-loop (rho_out = Tr_2[E(rho_in (x) rho)]), and exposes the closed forms
-that serve as independent oracles for the engine.
-
-Conventions follow qmath: qubit 1 is the chronology-respecting rail and
-qubit 2 the loop rail, so Tr_1 keeps the loop qubit and Tr_2 the output.
-
-The engine works in Bloch coordinates on the channels' Pauli-transfer
-tensors and solves whole batches at once (solve_loops, run_batch): for a
-fixed input the consistency map is affine on the loop's Bloch vector,
-r -> A r + b, and Deutsch's maximum-entropy fixed point is the
-minimum-norm solution of (I - A) r = b. Rows with |det(I - A)| above
-_UNIQUE_DET are provably unique and take one 3x3 solve; the rest take the
-SVD. Where the fixed set has more than one state its dimension is
-reported, never hidden. Density matrices are built only at the API
-boundary, from Bloch rows solve_loops has checked to lie in the ball,
-with no second check (qmath._ball_state). Inputs are validated there:
-run_batch checks its kind and raw arrays (shape, angle, noise, ball);
-run_scenario, whose inputs are checked, solves as run_batch does without
-checking again. A solve_loops term is a (weight, transfer) pair covering
-every row: one channel's tensors shared by all rows, or a stack with one
-channel per row (circuits._transfer_tensors), so a batch of distinct
-channels is one term.
-run_batch builds no channel: it mixes its circuit family's fixed transfer
-basis (circuits._FAMILIES) with each row's angle and gate noise.
-
-The Kraus-form consistency_map, evolve_output, superoperator and the
-damped iteration stay as independent oracles: they never read the
-transfer tensors. All four apply the interaction through one batched
-Kraus path (_kraus_loop, on the rows' stacked Kraus terms, in row
-blocks of _KRAUS_BLOCK so its temporaries do not grow with the batch);
-consistency_map and evolve_output are batches of one of it. The damped
-iteration (damped_iteration) takes a Kraus stack, builds one 4x4
-superoperator per row and iterates all rows together, each stopping on
-its own when its step, the closed-form trace distance between successive
-iterates, is small enough; the fixed-set dimension is read from the kept
-superoperators only when asked for. superoperator and
-solve_fixed_point(method="damped_iteration") are batches of one of it.
-run_scenario tests its method once: the default is run_batch's solve on
-a batch of one; "damped_iteration" runs damped_iteration on the
-interaction's one Kraus stack and reads the output and the consistency
-image off that stack with _kraus_loop.
+The engine (solve_loops, run_batch) works on Bloch vectors and the channels'
+Pauli-transfer tensors. The Kraus-form consistency_map, evolve_output,
+superoperator and damped_iteration are independent oracles: they never read
+the transfer tensors.
 """
 
 from __future__ import annotations
@@ -114,23 +74,18 @@ EIGENVALUE_ONE_TOL = 1e-9
 _UNIQUE_DET = 1e-6
 # Largest Bloch norm a valid state may have: (1 - |r|)/2 >= -PSD_TOL.
 BALL_TOL = 1.0 + 2.0 * PSD_TOL
-# damped_iteration's stopping step (trace distance between successive
-# iterates) and step budget.
+# damped_iteration's step tolerance and step budget.
 _STEP_TOL = 1e-12
 _MAX_STEPS = 10000
 
 
 class ConvergenceError(RuntimeError):
-    """The iterative solver did not reach the requested tolerance."""
+    """A solver did not close the loop to its tolerance."""
 
 
 @dataclass(frozen=True)
 class LocalPure:
-    """A pure state prepared directly on the input qubit.
-
-    The consistency condition acts shot-by-shot, so this single state (after
-    any input depolarization) is exactly what the loop adapts to.
-    """
+    """A pure state prepared on the input qubit: the loop adapts to it shot by shot."""
 
     state: PureQubit
 
@@ -140,10 +95,7 @@ class LocalPure:
 
 @dataclass(frozen=True)
 class ImproperMixed:
-    """A mixed input that is the reduced state of some larger system.
-
-    The loop sees the density matrix itself, not an ensemble of pure shots.
-    """
+    """A mixed input that is the reduced state of a larger system: the loop sees the matrix."""
 
     rho: DensityMatrix
 
@@ -153,13 +105,12 @@ class ImproperMixed:
 
 @dataclass(frozen=True)
 class NonLocalEnsemble:
-    """States prepared remotely via an entangled resource and post-selection.
+    """States prepared remotely through an entangled resource and post-selection.
 
-    No classical record of the post-selection outcome exists at the loop, so
-    the loop adapts to the unconditioned mixture sum_i p_i |psi_i><psi_i|.
-    That a Deutsch loop's output depends on how its input was prepared,
-    not only on the input's density matrix, is the point made by Bennett,
-    Leung, Smith & Smolin, Phys. Rev. Lett. 103, 170502 (2009).
+    No record of the outcome reaches the loop, so it adapts to the mixture
+    sum_i p_i |psi_i><psi_i|: the output depends on the preparation, not only
+    on the input's density matrix (Bennett, Leung, Smith & Smolin, PRL 103,
+    170502 (2009)).
     """
 
     states: tuple[PureQubit, ...]
@@ -180,10 +131,7 @@ def _require_type(value, cls: type, what: str) -> None:
 
 
 def _ensemble(states, probs) -> tuple[tuple, tuple[float, ...]]:
-    """Validated (states, weights): PureQubits, matching, non-empty, non-negative, summing to 1.
-
-    A non-finite weight fails the sum check.
-    """
+    """Validated (states, weights): PureQubits, matching, non-empty, non-negative, summing to 1."""
     states = tuple(states)
     for s in states:
         _require_type(s, PureQubit, "ensemble state")
@@ -199,15 +147,9 @@ def _ensemble(states, probs) -> tuple[tuple, tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Solved loop state plus solver diagnostics.
-
-    fixed_set_dimension is the dimension of the eigenvalue-1 eigenspace of
-    the consistency map; values above 1 mean the returned state is the
-    entropy maximizer (the min-norm Bloch vector) over a continuum of
-    solutions. iterations counts damped-iteration steps (0 for the
-    closed-form solve). entropy, the loop state's von Neumann entropy in
-    bits, is computed when read.
-    """
+    """Solved loop state and diagnostics. fixed_set_dimension > 1 means rho_ctc is the
+    entropy maximizer over a continuum of solutions; iterations counts damped-iteration
+    steps (0 for the direct solve); entropy is in bits."""
 
     rho_ctc: DensityMatrix
     residual: float
@@ -221,17 +163,16 @@ class FixedPointResult:
 
 @dataclass(frozen=True)
 class ScenarioOutput:
+    """run_scenario's result: the loop solution, the outputs and the consistency fidelity."""
+
     fixed_point: FixedPointResult
     rho_out_per_input: tuple[DensityMatrix, ...]
     consistency_fidelity: float
 
 
 def _kraus_stack(channels) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (N, K) and operators (N, K, 4, 4) of N channels' Kraus terms.
-
-    Rows with fewer than K terms are padded with zero-weight zero operators,
-    which add exact zeros.
-    """
+    """Weights (N, K) and operators (N, K, 4, 4) of N channels' Kraus terms; shorter
+    rows are padded with zero-weight zero operators, which add exact zeros."""
     k = max(len(ch.kraus) for ch in channels)
     weights = np.zeros((len(channels), k))
     ops = np.zeros((len(channels), k, 4, 4), dtype=complex)
@@ -248,10 +189,9 @@ _KRAUS_BLOCK = 200
 
 
 def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray, keep: int = LOOP_RAIL) -> np.ndarray:
-    """The `keep` rail of E_n(rho_in[n] (x) x[n, b]) for a Kraus stack: rho_in
-    (N, 2, 2), x (N, B, 2, 2) -> (N, B, 2, 2). Linear in x; keeping LOOP_RAIL
-    gives the consistency map, OUTPUT_RAIL the output. Rows are independent
-    and run _KRAUS_BLOCK at a time, so a row's bits do not depend on N."""
+    """The `keep` rail of E_n(rho_in[n] (x) x[n, b]) for a Kraus stack: rho_in (N, 2, 2),
+    x (N, B, 2, 2) -> (N, B, 2, 2). Rows run _KRAUS_BLOCK at a time, so a row's bits
+    do not depend on N."""
     weights, ops = kraus
     n, b = x.shape[:2]
     if n > _KRAUS_BLOCK:
@@ -297,19 +237,13 @@ _EYE4.setflags(write=False)
 
 
 def _superoperators(kraus, rho_in: np.ndarray) -> np.ndarray:
-    """(N, 4, 4) stack of superoperators: column k is vec of the map's image of
-    the k-th matrix unit (row-major vec)."""
+    """(N, 4, 4) superoperators: column k is vec of the k-th matrix unit's image."""
     images = _kraus_loop(kraus, rho_in, np.broadcast_to(_VEC_BASIS, (len(rho_in), 4, 2, 2)))
     return images.reshape(-1, 4, 4).transpose(0, 2, 1)
 
 
 def superoperator(rho_in: DensityMatrix, interaction: QubitChannel) -> np.ndarray:
-    """4x4 matrix M with M @ vec(rho) = vec(consistency_map(rho)) for all rho.
-
-    vec is row-major flattening of the 2x2 matrix. Built from the Kraus
-    form, independently of the transfer tensors the engine solves with;
-    the damped iteration runs on it. A batch of one of _superoperators.
-    """
+    """4x4 M with M @ vec(rho) = vec(consistency_map(rho)), vec row-major."""
     return _superoperators(_kraus_stack([interaction]), rho_in.mat[None])[0]
 
 
@@ -325,11 +259,9 @@ def _clip_to_density(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DampedBatch:
-    """Damped-iteration fixed points: rho (N, 2, 2) states, and per row the
-    Kraus-map residual, the step count and the fixed-set dimension. The
-    dimension counts the singular values of M_n - I below
-    EIGENVALUE_ONE_TOL, with M_n the row's superoperator (superoperators,
-    (N, 4, 4)); it is computed when first read, as few callers read it."""
+    """Damped-iteration fixed points rho (N, 2, 2) with each row's Kraus-map residual,
+    step count and superoperator M_n; fixed_set_dimension, the number of singular
+    values of M_n - I below EIGENVALUE_ONE_TOL, is computed on first read."""
 
     rho: np.ndarray
     residual: np.ndarray
@@ -342,20 +274,21 @@ class DampedBatch:
         return (sing < EIGENVALUE_ONE_TOL).sum(axis=1)
 
 
-def damped_iteration(rho_in: np.ndarray, kraus) -> DampedBatch:
-    """Independent oracle: damped iteration on the Kraus-form superoperators.
+def _checked_residual(residual: np.ndarray) -> np.ndarray:
+    """residual, unless a row exceeds RESIDUAL_TOL or is NaN: ConvergenceError."""
+    if not (residual <= RESIDUAL_TOL).all():
+        raise ConvergenceError(f"fixed-point residual {np.nanmax(residual):.3e} exceeds {RESIDUAL_TOL:.0e}")
+    return residual
 
-    Row n iterates rho <- (M_n vec(rho) + vec(rho))/2 from the maximally
-    mixed state until the step (the closed-form trace distance between
-    successive iterates) is at most _STEP_TOL, then stops; M_n is the
-    superoperator of row n of the Kraus stack kraus (weights (N, K), ops
-    (N, K, 4, 4), as _kraus_stack builds) at input rho_in[n] (N, 2, 2).
-    Any row still moving after _MAX_STEPS steps raises ConvergenceError.
-    Each clipped state must close the Kraus consistency map to
-    RESIDUAL_TOL (else ConvergenceError); a NaN or inf input raises
-    ValidationError. The rows of M_n stay in the result, whose fixed-set
-    dimension is read from them on demand. Never touches the transfer
-    tensors.
+
+def damped_iteration(rho_in: np.ndarray, kraus) -> DampedBatch:
+    """Independent oracle: row n iterates rho <- (M_n vec(rho) + vec(rho))/2 from I/2
+    until its step (trace distance between iterates) is at most _STEP_TOL.
+
+    M_n is the superoperator of row n of the Kraus stack kraus (as _kraus_stack
+    builds it) at input rho_in[n] (N, 2, 2). ConvergenceError if a row still moves
+    after _MAX_STEPS steps or a clipped state's residual exceeds RESIDUAL_TOL;
+    ValidationError on a non-finite input.
     """
     m = _superoperators(kraus, rho_in)
     if not np.isfinite(m).all():
@@ -378,18 +311,13 @@ def damped_iteration(rho_in: np.ndarray, kraus) -> DampedBatch:
         moving = step > _STEP_TOL
         active, step = active[moving], step[moving]
     rho = _clip_to_density(cur.reshape(-1, 2, 2))
-    residual = trace_distances(rho, _kraus_loop(kraus, rho_in, rho[:, None])[:, 0])
-    if not (residual <= RESIDUAL_TOL).all():
-        raise ConvergenceError(
-            f"fixed-point residual {np.nanmax(residual):.3e} exceeds {RESIDUAL_TOL:.0e}"
-        )
+    residual = _checked_residual(trace_distances(rho, _kraus_loop(kraus, rho_in, rho[:, None])[:, 0]))
     return DampedBatch(rho, residual, iterations, m)
 
 
 @dataclass(frozen=True)
 class LoopBatch:
-    """Solved loop scenarios in Bloch coordinates: loop (N, 3) min-norm loop
-    states, outputs (N, 3) evolved loop inputs, and three per-row diagnostics."""
+    """Solved scenarios in Bloch coordinates: loop states and outputs (N, 3), per-row diagnostics."""
 
     loop: np.ndarray
     outputs: np.ndarray
@@ -407,13 +335,11 @@ def _homogeneous(v: np.ndarray) -> np.ndarray:
 
 
 def _mix(terms, rail: int, subscripts: str, x: np.ndarray) -> np.ndarray:
-    """Per-row contraction of a rail's transfer tensors with x, mixed over terms.
+    """Per-row contraction of a rail's transfer tensors with x, summed over terms in order.
 
-    terms are (weight, transfer) pairs: transfer is either one channel's
-    tensors (2, 4, 4, 4), shared by all the rows, or a stack (N, 2, 4, 4,
-    4) with one channel per row. Row n's interaction is the sum over the
-    terms of weight * transfer (weight scalar or one per row), added in
-    term order. Transfer tensors are linear in the channel, so they mix.
+    terms are (weight, transfer) pairs: weight a scalar or (N,), transfer one
+    channel's tensors (2, 4, 4, 4) shared by all rows or a stack (N, 2, 4, 4, 4).
+    Transfer tensors are linear in the channel, so weighted terms mix channels.
     """
     out = np.zeros(x.shape[:1] + (4, 4))
     for w, t in terms:
@@ -422,8 +348,7 @@ def _mix(terms, rail: int, subscripts: str, x: np.ndarray) -> np.ndarray:
 
 
 def _require_in_ball(v: np.ndarray, what: str) -> np.ndarray:
-    """Bloch norms of v (N, 3); ValidationError naming the first row outside
-    the ball, a NaN row included."""
+    """Bloch norms of v (N, 3); ValidationError on the first row outside the ball or NaN."""
     norm = np.sqrt(qmath._dot(v, v))
     if not (norm <= BALL_TOL).all():
         first = norm[~(norm <= BALL_TOL)][0]
@@ -433,28 +358,15 @@ def _require_in_ball(v: np.ndarray, what: str) -> np.ndarray:
 
 
 def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
-    """Solve a batch of consistency conditions at once, in Bloch coordinates.
+    """Solve N consistency conditions; loop_in (N, 3) is the state each loop adapts to
+    and sends through the output rail, terms as _mix takes them.
 
-    For a fixed input the map is affine on the loop's Bloch vector,
-    (1, r) -> M (1, r) with M = [[1, 0], [b, A]]. The fixed set has
-    dimension d = #(singular values of M - I below EIGENVALUE_ONE_TOL).
-    Entropy falls as |r| grows, so the maximum-entropy fixed state is the
-    min-norm solution pinv(I - A) b of (I - A) r = b; with P the projector
-    onto null(M - I) it is (1, r) = P e0 / (e0 . P e0).
-
-    Rows with |det(I - A)| above _UNIQUE_DET are provably unique and take
-    one batched 3x3 solve, r = (I - A)^-1 b; the rest take the SVD, which
-    is set up only when some row fails the screen. Both call the LAPACK
-    gufuncs of np.linalg.det and np.linalg.solve directly, with their bits;
-    the solve sees only screened rows or the identity, never a singular one.
-
-    terms: (weight, transfer) pairs (see _mix); loop_in (N, 3): the
-    state the loop adapts to, which is also the input sent through the
-    output rail. It checks the states it computes: a residual above
-    RESIDUAL_TOL raises ConvergenceError, a loop state or output outside
-    the Bloch ball ValidationError; a NaN fails both, so its rows become
-    states unchecked (qmath._ball_state). loop_in's shape and ball are the
-    caller's to check (run_batch does). Zero rows give an empty LoopBatch.
+    The map is affine, (1, r) -> M (1, r) with M = [[1, 0], [b, A]]. Entropy falls
+    as |r| grows, so the loop state is the min-norm solution of (I - A) r = b, and
+    fixed_set_dimension counts the singular values of M - I below
+    EIGENVALUE_ONE_TOL. ConvergenceError on a residual above RESIDUAL_TOL,
+    ValidationError on a loop state or output outside the Bloch ball; a NaN fails
+    both, so the rows are safe for qmath._ball_state. loop_in is the caller's to check.
     """
     pauli_in = _homogeneous(loop_in)
     m = _mix(terms, LOOP_RAIL, "...kmv,...m->...kv", pauli_in)
@@ -473,7 +385,7 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
         _, sing, vt = np.linalg.svd(m[svd_rows] - _EYE4)
         null = sing < EIGENVALUE_ONE_TOL
         dims[svd_rows] = null.sum(axis=1)
-        # Null-space rows of vt; e0 . P e0 = sum of their squared first entries.
+        # (1, r) = P e0 / (e0 . P e0), P the projector onto the null-space rows of vt.
         lead = np.where(null, vt[:, :, 0], 0.0)
         norm0 = qmath._dot(lead, vt[:, :, 0])
         if not (norm0 > 0.0).all():
@@ -484,11 +396,7 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     r = r / np.maximum(_require_in_ball(r, "loop state"), 1.0)[:, None]
 
     image = c_einsum("nij,nj->ni", m[:, 1:, 1:], r) + m[:, 1:, 0]
-    residual = np.sqrt(qmath._dot(image - r, image - r)) / 2.0
-    if not (residual <= RESIDUAL_TOL).all():
-        raise ConvergenceError(
-            f"fixed-point residual {np.nanmax(residual):.3e} exceeds {RESIDUAL_TOL:.0e}"
-        )
+    residual = _checked_residual(np.sqrt(qmath._dot(image - r, image - r)) / 2.0)
 
     o = _mix(terms, OUTPUT_RAIL, "...kmv,...v->...km", _homogeneous(r))
     outputs = c_einsum("nkm,nm->nk", o[:, 1:], pauli_in)
@@ -497,21 +405,11 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
 
 
 def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatch:
-    """Solve N loop scenarios of one circuit kind, one spec per row.
-
-    theta, eps and p (length N) are each row's gate angle, gate failure
-    probability and input depolarization; loop_in (N, 3) is as in
-    solve_loops, before depolarization (a 1 - p shrink). No channel is
-    built: gate failure is linear in eps, so each row mixes the family's
-    SWAP-only basis row with its ideal-gate tensors, one einsum of the other
-    basis rows and the row's basis weights. A batch of one angle, repeated
-    or not, shares one ideal-gate tensor; otherwise each row has its own,
-    with the same bits, so a row solves to the same result in every batch.
-    The kind and angles are checked as CircuitSpec checks them (a
-    CircuitKind; finite, and in the family's angle range); run_scenario,
-    whose CircuitSpec has checked them, calls the solve behind these checks
-    directly. theta, eps and p must be 1-D with one entry per row of an
-    (N, 3) loop_in whose rows lie in the Bloch ball; nothing is broadcast.
+    """Solve N scenarios of one circuit kind: theta, eps and p (N,) are each row's gate
+    angle, gate failure probability and input depolarization, loop_in (N, 3) the
+    input before depolarization. ValidationError unless the arguments are as
+    CircuitSpec checks them, of these shapes (nothing is broadcast), and loop_in
+    lies in the Bloch ball. A row solves to the same bits in every batch.
     """
     family = _family(kind)
     theta, eps, p, loop_in = (np.asarray(x, dtype=float) for x in (theta, eps, p, loop_in))
@@ -530,7 +428,9 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
 
 def _solve_batch(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray, p: np.ndarray,
                  loop_in: np.ndarray) -> LoopBatch:
-    """run_batch on the float arrays it has checked."""
+    """run_batch on checked float arrays. No channel is built: each row mixes the
+    family's SWAP-only basis row (weight eps) with its ideal-gate tensors; one angle,
+    repeated or not, shares one ideal-gate tensor, with the bits of per-row ones."""
     family = _FAMILIES[kind]
     basis = family.basis
     shared = theta.size == 1 or (theta.size > 1 and (theta == theta[0]).all())
@@ -550,19 +450,12 @@ def _fixed_point_result(rho: DensityMatrix, batch, iterations=0) -> FixedPointRe
 
 def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
                       method: str = "eigen_max_entropy") -> FixedPointResult:
-    """Solve rho = Tr_1[E(rho_in (x) rho)] for the loop state.
-
-    method "eigen_max_entropy" (authoritative): the min-norm Bloch-affine
-    solve of solve_loops, a batch of one. Its state maximizes the entropy
-    over the fixed set, whose dimension is reported.
-
-    method "damped_iteration" (independent oracle): rho <- (map(rho) +
-    rho)/2 on the Kraus-form superoperator, from the maximally mixed state;
-    damped_iteration on a batch of one, with its default step tolerance
-    and step budget. Agrees with the default whenever the fixed point is
-    unique; on degenerate sets it lands somewhere in the set (residual
-    still checked).
+    """Solve rho = Tr_1[E(rho_in (x) rho)] for the loop state: method
+    "eigen_max_entropy" is solve_loops (authoritative), "damped_iteration" the
+    oracle damped_iteration, which on a degenerate fixed set lands somewhere in it.
     """
+    _require_type(rho_in, DensityMatrix, "loop input")
+    _require_type(interaction, QubitChannel, "interaction")
     if method == "eigen_max_entropy":
         batch = solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None])
         return _fixed_point_result(_ball_state(batch.loop[0]), batch)
@@ -573,7 +466,7 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
 
 
 def _prepared_bloch(prep: PreparationMode) -> np.ndarray:
-    """Bloch vector of the reduced input the loop adapts to, before depolarization."""
+    """Bloch vector of the input the loop adapts to, before depolarization."""
     if isinstance(prep, (LocalPure, ImproperMixed)):
         return (prep.state if isinstance(prep, LocalPure) else prep.rho).bloch()
     if isinstance(prep, NonLocalEnsemble):
@@ -583,25 +476,12 @@ def _prepared_bloch(prep: PreparationMode) -> np.ndarray:
 
 def run_scenario(spec: CircuitSpec, prep: PreparationMode,
                  method: str = "eigen_max_entropy") -> ScenarioOutput:
-    """Solve one complete loop scenario and evolve its input.
-
-    The loop state is solved once, from the reduced input the preparation
-    mode dictates (pure state for LocalPure, the given matrix for
-    ImproperMixed, the unconditioned mixture for NonLocalEnsemble), after
-    input depolarization. method is tested once, before any channel is
-    built: "eigen_max_entropy" (default) is run_batch's solve on a batch of
-    one; "damped_iteration" runs the Kraus-form oracle on the interaction's
-    Kraus stack and reads the output and the consistency image off that
-    stack, as evolve_output and consistency_map compute them.
-
-    The depolarized state the loop adapts to is also the one sent through
-    it, and is evolved once. For local and improper preparations
-    rho_out_per_input has that one entry. For NonLocalEnsemble the
-    interaction correlates the output with the loop qubit, not with the
-    remote ancilla, so conditioning on the (space-like separated)
-    post-selection outcome cannot steer it: every ensemble state emerges
-    as the evolved ensemble mixture, repeated once per state.
+    """Solve one scenario (method as in solve_fixed_point) and evolve the depolarized
+    input the loop adapts to. rho_out_per_input has one entry, or for NonLocalEnsemble
+    the evolved mixture once per state: the output correlates with the loop qubit,
+    not the remote ancilla, so the post-selection outcome cannot steer it.
     """
+    _require_type(spec, CircuitSpec, "circuit spec")
     loop_in = _prepared_bloch(prep)
     count = len(prep.states) if isinstance(prep, NonLocalEnsemble) else 1
 
@@ -626,13 +506,9 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
 
 def proper_mixture_output(spec: CircuitSpec, states: list[PureQubit],
                           probs: list[float]) -> DensityMatrix:
-    """Loop output for a proper mixture: classical fluctuations in the preparation.
-
-    Each pure state runs through its own complete scenario (own fixed
-    point), and the outputs are averaged with the ensemble weights. Under
-    nonlinear evolution this generally differs from feeding the same
-    reduced density matrix in as an improper mixture.
-    """
+    """Loop output for a proper mixture: each state runs its own scenario and the
+    outputs are averaged. Under nonlinear evolution this differs from the improper
+    mixture of the same density matrix."""
     states, probs = _ensemble(states, probs)
     out = np.zeros((2, 2), dtype=complex)
     for q, psi in zip(probs, states):
@@ -642,15 +518,10 @@ def proper_mixture_output(spec: CircuitSpec, states: list[PureQubit],
 
 
 def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
-    """Feed the noise-free CNOT-then-SWAP loop output back through it n times in total.
-
-    Pass 1 treats the pure input shot-by-shot; every later pass receives
-    the previous output as an improper mixture, because that mixture comes
-    from tracing out the loop rail, not from classical fluctuation. Each
-    pass is run_batch on a batch of one, fed the previous pass's Bloch
-    output as nonlinearity_sweep feeds its passes, so the state is fig3's
-    iterated row bit for bit; it becomes a DensityMatrix only at return.
-    """
+    """The noise-free CNOT-then-SWAP loop output after n passes, each later pass fed
+    the previous Bloch output as an improper mixture (it comes from tracing out the
+    loop rail), as nonlinearity_sweep feeds fig3's passes, so with its bits."""
+    _require_type(input_state, PureQubit, "input state")
     _check_count(n, "iteration count", 1)
     zero = np.zeros(1)
     state = input_state.bloch()[None]
@@ -660,8 +531,7 @@ def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
 
 
 def _check_count(n, what: str, least: int) -> None:
-    """ValidationError unless the count n, named `what`, is an integer (a
-    numpy one too, not a bool) of at least `least`."""
+    """ValidationError unless n is an integer (numpy's too, not a bool) of at least `least`."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValidationError(f"{what} {n!r} is not an integer")
     if n < least:
@@ -669,13 +539,8 @@ def _check_count(n, what: str, least: int) -> None:
 
 
 def swap_cnot_closed_form(h_weight: float) -> tuple[DensityMatrix, DensityMatrix]:
-    """Analytic (rho_out, rho_ctc) for the CNOT-then-SWAP loop circuit.
-
-    For an input with |H>-population a (and |V>-population b = 1-a) the
-    loop state is diag(a, b) and the output diag(a^2 + b^2, 2ab): the
-    nonlinear map studied by Bacon (quant-ph/0309189). Serves as the
-    independent oracle for the matrix engine.
-    """
+    """Oracle: (rho_out, rho_ctc) of the CNOT-then-SWAP loop for |H>-population a,
+    diag(a^2 + b^2, 2ab) and diag(a, b) with b = 1 - a (Bacon, quant-ph/0309189)."""
     if not 0.0 <= h_weight <= 1.0:
         raise ValidationError(f"population {h_weight} outside [0, 1]")
     a, b = float(h_weight), 1.0 - float(h_weight)
@@ -685,12 +550,8 @@ def swap_cnot_closed_form(h_weight: float) -> tuple[DensityMatrix, DensityMatrix
 
 
 def resource_state_vector(psi0: PureQubit, psi1: PureQubit) -> np.ndarray:
-    """Entangled resource (|0>|psi0> + |1>|psi1>)/sqrt(2) for remote preparation.
-
-    Projecting the first (ancilla) qubit onto |0> or |1> leaves the second
-    qubit in psi0 or psi1; tracing the ancilla out instead gives the
-    mixture the loop adapts to.
-    """
+    """Entangled resource (|0>|psi0> + |1>|psi1>)/sqrt(2) for remote preparation:
+    projecting the ancilla (qubit 1) leaves psi0 or psi1, tracing it out the mixture."""
     v = np.zeros(4, dtype=complex)
     v[:2] = psi0.vector() / math.sqrt(2)
     v[2:] = psi1.vector() / math.sqrt(2)

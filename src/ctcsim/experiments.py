@@ -1,16 +1,9 @@
-"""Parameterized reproduction of the quantitative results, as tabular records.
+"""The reproduction catalog as tabular records.
 
-Each sweep emits one SweepRecord per grid point carrying every figure of
-merit at once (fixed sigma-z measurement, optimized measurement, trace
-distance, identification probability) for both the loop circuit and the
-standard-QM baseline, plus the solver diagnostics. Nothing is discarded;
-the experiment id says which published panel a sweep corresponds to.
-The catalog lives here too: SWEEP_TABLES lists each discrimination table's
-sweeps, and reproduce(target) emits any bundled table but the thresholds.
-
-A sweep table is one deutsch.run_batch, local and non-local points alike;
-find_thresholds bisects all its brackets together, one batch per tree chunk.
-Records come from the Bloch closed forms of the measures, in grid order.
+Each sweep emits one SweepRecord per grid point, in grid order, with every
+figure of merit for the loop and the standard-QM baseline and the solver
+diagnostics; its experiment id names the published panel. SWEEP_TABLES and
+reproduce name the bundled tables.
 """
 
 from __future__ import annotations
@@ -126,12 +119,8 @@ def _diagnostics(batches: list[LoopBatch], rows) -> tuple[np.ndarray, ...]:
 
 def _records(out0: np.ndarray, out1: np.ndarray, qm_pair: tuple[np.ndarray, np.ndarray],
              qm_fixed_axis: bool, diagnostics, **columns) -> list[SweepRecord]:
-    """Records of N output pairs (N, 3) against their standard-QM input pairs.
-
-    The QM side is scored with the optimal measurement and full state
-    knowledge, or with the fixed sigma-z measurement if qm_fixed_axis.
-    Scalar columns are broadcast to every record.
-    """
+    """Records of N output pairs (N, 3) against their standard-QM input pairs, scored
+    with the optimal measurement or, if qm_fixed_axis, sigma-z; scalar columns broadcast."""
     l_z, l_opt, d, p_succ = bloch_measures(out0, out1)
     qm_z, qm_opt, qm_d, qm_p = bloch_measures(*qm_pair)
     resid, fid, dim = diagnostics
@@ -150,15 +139,11 @@ def _records(out0: np.ndarray, out1: np.ndarray, qm_pair: tuple[np.ndarray, np.n
 def nonlinearity_sweep(phi_grid: list[float] | None = None,
                        phase_grid: list[float] | None = None,
                        iterations: list[int] | None = None) -> list[SweepRecord]:
-    """Nonlinear-evolution sweep (CNOT-then-SWAP loop) against the |H> reference.
+    """Nonlinear-evolution sweep (CNOT-then-SWAP loop) against the |H> reference, with
+    rows for each pass count in `iterations` (as deutsch.iterate_circuit passes).
 
-    Defaults reproduce the 14 published states: polar angles
-    {0, pi/4, pi/2, 3pi/4, pi} crossed with 4 phases, de-duplicated at the
-    poles where the phase is meaningless, plus iterated-circuit rows for
-    each n in `iterations`. Pass 1 sends each pure state through the loop;
-    every later pass sends the previous output as an improper mixture
-    (deutsch.iterate_circuit). All states and the reference go through
-    each pass as one batch. Grid values must be finite.
+    The defaults are the 14 published states: polar angles {0, pi/4, pi/2, 3pi/4,
+    pi} by 4 phases, one phase at the poles. Grids must be finite and non-empty.
     """
     if phi_grid is None:
         phi_grid = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
@@ -197,15 +182,9 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
 
 
 def _solve_pairs(local, phi, theta, p, epsilon):
-    """Solve the pair {|H>, psi1(phi)} at each point, as one batch; the
-    arguments are per-point arrays or scalars, broadcast together.
-
-    A local point (local[i] true) solves one loop per state; a non-local
-    point one loop for the unconditioned mixture, which is also what both
-    outputs are evolved from. Returns the output pairs (N, 3), the
-    depolarized input pair (the standard-QM side) and each point's worst
-    diagnostics over its loops.
-    """
+    """The output pairs (N, 3) of {|H>, psi1(phi)} at each point, the depolarized input
+    pair and each point's worst diagnostics, from one batch: a local point solves one
+    loop per state, a non-local point one for the mixture. Arguments broadcast."""
     local, phi, theta, p, epsilon = np.broadcast_arrays(local, phi, theta, p, epsilon)
     n = len(phi)
     psi0 = np.broadcast_to([0.0, 0.0, 1.0], (n, 3))
@@ -246,18 +225,13 @@ def _sweep_grid(variant: str, grid_size: int | None) -> tuple[np.ndarray, np.nda
 
 
 def discrimination_sweeps(tables, grid_size: int | None = None) -> list[SweepRecord]:
-    """State-discrimination sweeps for the pair {|H>, psi1(phi)}, all as one batch.
-
-    tables holds (experiment_id, variant, mode) triples, mode "local" or
-    "nonlocal"; the records come triple by triple, each in grid order.
-    variant "optimal-gate": phi over [0, 2pi) with theta = (phi - pi)/2;
-    variant "fixed-state":  phi = 3pi/2, theta over [-pi/2, pi/2);
-    variant "fixed-gate":   theta = pi/4, phi over [0, 2pi).
-    grid_size, an integer >= 2, overrides every variant's default (64
-    fixed-state, else 32).
-
-    The phi = 0 point (psi1 identical to the reference) is emitted with
-    its degeneracy visible in fixed_set_dimension rather than skipped.
+    """Discrimination sweeps of the pair {|H>, psi1(phi)}, triple by triple of tables'
+    (experiment_id, variant, mode), mode in MODES. grid_size, an integer >= 2,
+    overrides every variant's default grid:
+    "optimal-gate": phi over [0, 2pi) with theta = (phi - pi)/2;
+    "fixed-state":  phi = 3pi/2, theta over [-pi/2, pi/2);
+    "fixed-gate":   theta = pi/4, phi over [0, 2pi).
+    The degenerate phi = 0 point is kept, its degeneracy in fixed_set_dimension.
     """
     if grid_size is not None:
         _check_count(grid_size, "grid size", 2)
@@ -283,12 +257,9 @@ def discrimination_sweep(mode: str, variant: str, grid_size: int | None = None) 
 
 def decoherence_surface(p_grid: list[float] | None = None,
                         eps_grid: list[float] | None = None) -> list[SweepRecord]:
-    """Discrimination under both noise channels at the working point, local prep.
-
-    The loop side keeps the sigma-z measurement and the QM side its
-    decoherence-free optimal axis: the experimenter does not know the
-    noise parameters. Records run over eps fastest, then p.
-    """
+    """Discrimination at the working point, local preparation, over the noise grids in
+    [0, 1] (eps fastest). The loop side keeps sigma-z and the QM side its noise-free
+    optimal axis: the experimenter does not know the noise."""
     if p_grid is None:
         p_grid = np.linspace(0.0, 1.0, 41).tolist()
     if eps_grid is None:
@@ -305,11 +276,12 @@ def decoherence_surface(p_grid: list[float] | None = None,
 
 def reproduce(target: str, grid: int | None = None) -> list[SweepRecord]:
     """Records of a bundled table, fig3, fig6 or a SWEEP_TABLES key; grid, an
-    integer >= 2, overrides the sweeps' grids and fig6's axes (grid points
-    over [0, 1]), not fig3's."""
+    integer >= 2, sets the sweeps' grids and fig6's axes. fig3's grid is fixed."""
     if target in SWEEP_TABLES:
         return discrimination_sweeps(SWEEP_TABLES[target], grid)
     if target == "fig3":
+        if grid is not None:
+            raise ValidationError("reproduce fig3 has a fixed grid; drop --grid")
         return nonlinearity_sweep()
     if target == "fig6":
         if grid is not None:
@@ -330,17 +302,13 @@ def _advantage_gaps(parameters, xs) -> np.ndarray:
 
 
 def find_thresholds(parameters) -> list[ThresholdResult]:
-    """Locate where the loop advantage dies along each named axis, all at once.
+    """Where the loop advantage dies along each axis, "p" (eps = 0) or "epsilon" (p = 0).
 
-    Each parameter is "p" (eps = 0) or "epsilon" (p = 0). One batch scans
-    _SCAN_POINTS evenly spaced noise levels per parameter for a sign change
-    (the gap also vanishes at full noise, so a blind [0, 1] bracket would
-    be ambiguous); then every bracket is bisected down to a width of at
-    most _BISECT_TOL. Bisection is evaluated in batches by tree level: the
-    (lo + hi) / 2 midpoints of the next _SPEC_LEVELS levels of every
-    bracket are scored as one batch in heap order (node i's halves at
-    2i + 1, 2i + 2), then walked with the sign rule, so every bracket is
-    the one a step-by-step bisection takes; a closed bracket is not moved.
+    A scan of _SCAN_POINTS levels finds the first sign change (the gap also vanishes
+    at full noise, so [0, 1] is no bracket), then bisection to _BISECT_TOL scores
+    _SPEC_LEVELS tree levels of every bracket per batch, in heap order (node i's
+    halves at 2i + 1, 2i + 2): each bracket is the one step-by-step bisection takes.
+    ThresholdNotFound if an axis has no sign change.
     """
     for parameter in parameters:
         if parameter not in ("p", "epsilon"):
@@ -382,8 +350,7 @@ def find_thresholds(parameters) -> list[ThresholdResult]:
 
 
 def find_threshold(parameter: str) -> ThresholdResult:
-    """Locate where the loop advantage dies along the p (eps=0) or epsilon (p=0)
-    axis: find_thresholds as a batch of one."""
+    """find_thresholds of one axis."""
     return find_thresholds([parameter])[0]
 
 

@@ -1,22 +1,8 @@
-"""Distinguishability functionals and standard-QM baselines.
+"""Distinguishability measures of state pairs, and the standard-QM baseline.
 
-Two states can be compared by a single projective measurement on each
-system: the probability that the two outcomes disagree is an operational
-distinguishability measure (0 for identical aligned states, 1 for
-orthogonal states measured along their axis). Optimizing the measurement
-axis relates it to the trace distance; the Helstrom bound covers the
-identify-one-state-at-a-time game instead.
-
-Every production measure is a closed form on Bloch vectors.
-bloch_measures computes all four for stacked pairs; the reproduce tables
-use it. The pair forms (optimal_mismatch_probability, trace_distance,
-helstrom_success_probability, qm_baseline) run its operations in its order
-on the floats each DensityMatrix stores, so they give its bits with no
-array built. mismatch_probability is (1 - (n.r1)(n.r2))/2.
-
-Two oracles stay independent of these closed forms: _eigen_optima, the
-stacked eigensolve of the quadratic form (the selftest's C9 and C10), and
-the grid search over measurement axes (C10).
+The measures are closed forms on Bloch vectors (bloch_measures and its pair
+forms). _eigen_optima and the grid search over measurement axes are independent
+oracles of the optimized measure.
 """
 
 from __future__ import annotations
@@ -45,11 +31,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MeasurementDirection:
-    """Projective measurement along a unit Bloch axis n, with outcomes
-    +-1 for the projectors (I +- n.sigma)/2.
-
-    `axis` is stored as a read-only (3,) float array.
-    """
+    """Projective measurement with projectors (I +- n.sigma)/2 along the unit axis n,
+    stored as a read-only (3,) float array."""
 
     axis: np.ndarray
 
@@ -84,25 +67,16 @@ class DistinguishabilityReport:
 
 def mismatch_probability(rho1: DensityMatrix, rho2: DensityMatrix,
                          direction: MeasurementDirection) -> float:
-    """Probability that one projective measurement per system gives different outcomes.
-
-    <+|rho1|+><-|rho2|-> + <-|rho1|-><+|rho2|+>, computed in Bloch form as
-    (1 - (n.r1)(n.r2))/2; along z it is bloch_measures' L_sigma_z.
-    """
+    """Probability that one measurement per system gives different outcomes,
+    (1 - (n.r1)(n.r2))/2."""
     n = direction.axis
     return float((1.0 - (n @ rho1.bloch()) * (n @ rho2.bloch())) / 2.0)
 
 
 def _eigen_optima(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: mismatch probability maximized over measurement axes, of
-    Bloch pairs (N, 3), by eigensolve.
-
-    (n.r1)(n.r2) is the quadratic form of the symmetric matrix
-    (r1 r2^T + r2 r1^T)/2, so the maximum is (1 - lambda_min)/2 with the
-    minimizing eigenvector as axis. Returns the values clipped to [0, 1]
-    (N,) and the axes (N, 3), not normalised, from one stacked eigensolve.
-    The selftest's C9 and C10 check bloch_measures' closed form with it.
-    """
+    """Oracle: the mismatch probability of Bloch pairs (N, 3) maximized over axes, and
+    the axes (not normalised), by eigensolve: (n.r1)(n.r2) is the quadratic form of
+    (r1 r2^T + r2 r1^T)/2, so the maximum is (1 - lambda_min)/2, clipped to [0, 1]."""
     outer = r1[:, :, None] * r2[:, None, :]
     lam, vecs = np.linalg.eigh((outer + outer.swapaxes(1, 2)) / 2.0)
     return np.clip((1.0 - lam[:, 0]) / 2.0, 0.0, 1.0), vecs[:, :, 0]
@@ -111,18 +85,10 @@ def _eigen_optima(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def optimal_mismatch_probability(
     rho1: DensityMatrix, rho2: DensityMatrix
 ) -> tuple[float, MeasurementDirection]:
-    """Mismatch probability maximized over measurement axes, with an optimal
-    axis in canonical sign.
-
-    The value has the bits of bloch_measures' L_optimal, the reproduce
-    tables' formula. For unit vectors u1 = r1/|r1| and u2 = r2/|r2| the
-    form (n.u1)(n.u2) is least along u1 - u2, so that is the axis returned.
-    When either Bloch vector vanishes (norm below 1e-12) the form vanishes
-    too, every axis gives 1/2 and the z-axis is returned for determinism.
-    When both point the same way u (|u1 - u2| <= 1e-9), every axis
-    perpendicular to u is optimal; the one returned is z x u, or x when
-    |z x u| <= 1e-9.
-    """
+    """Mismatch probability maximized over axes, with bloch_measures' bits, and an
+    optimal axis in canonical sign: u1 - u2 for the unit vectors u_i = r_i/|r_i|.
+    If a Bloch vector is below 1e-12 every axis gives 1/2 and z is returned; if
+    |u1 - u2| <= 1e-9 the axis is z x u, or x when that is below 1e-9."""
     r1, r2 = rho1._xyz(), rho2._xyz()
     n1, n2 = math.hypot(*r1), math.hypot(*r2)
     if min(n1, n2) < 1e-12:
@@ -139,8 +105,8 @@ def optimal_mismatch_probability(
 
 
 def _canonical_direction(axis: np.ndarray) -> MeasurementDirection:
-    """The direction of +-axis, a just-normalised (3,) float array, whose first clearly
-    nonzero component is positive; built without the constructor's copy and norm check."""
+    """The direction of +-axis, a unit (3,) float array, whose first clearly nonzero
+    component is positive; built without the constructor's copy and norm check."""
     for c in axis.tolist():
         if abs(c) > 1e-9:
             if c < 0:
@@ -158,12 +124,8 @@ def helstrom_success_probability(rho1: DensityMatrix, rho2: DensityMatrix) -> fl
 
 
 def bloch_measures(r1: np.ndarray, r2: np.ndarray):
-    """(L_sigma_z, L_optimal, trace distance, Helstrom) of Bloch pairs (..., 3), batched.
-
-    Closed forms (1 - z1 z2)/2, (1 - (r1.r2 - |r1||r2|)/2)/2, |r1 - r2|/2
-    and (1 + D)/2; _eigen_optima and the grid search are the optimized
-    measure's oracles.
-    """
+    """(L_sigma_z, L_optimal, trace distance D, Helstrom) of Bloch pairs (..., 3):
+    (1 - z1 z2)/2, (1 - (r1.r2 - |r1||r2|)/2)/2, |r1 - r2|/2 and (1 + D)/2."""
     d = qmath._norms(r1 - r2) / 2.0
     l_z = (1.0 - r1[..., 2] * r2[..., 2]) / 2.0
     lam = (np.add.reduce(r1 * r2, axis=-1) - qmath._norms(r1) * qmath._norms(r2)) / 2.0
@@ -172,8 +134,8 @@ def bloch_measures(r1: np.ndarray, r2: np.ndarray):
 
 
 def _pair_measures(r1: tuple, r2: tuple) -> tuple[float, float, float, float]:
-    """bloch_measures of one Bloch pair of float triples, with no array built: the
-    same operations in the same order, so the same bits."""
+    """bloch_measures of one pair of float triples, with its bits while np.add.reduce sums
+    a 3-vector left to right, as Python's a + b + c does."""
     (x1, y1, z1), (x2, y2, z2) = r1, r2
     d = qmath._bloch_distance(r1, r2)
     norms = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1) * math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
@@ -210,12 +172,9 @@ def _search_grid():
 
 
 def _sphere_argmax(axes: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Per pair of Bloch stacks (N, 3), the index of the axis n in axes (M, 3)
-    with the largest (1 - (n.r1)(n.r2))/2: the argmin of the quadratic form
-    (n.r1)(n.r2) in six features n_i n_j (x^2, y^2, z^2, xy, xz, yz), so that
-    _SCAN_CHUNK pairs' values are one (_SCAN_CHUNK, 6) @ (6, M) product. Its
-    rounding is not the per-pair scan's, so axes tied to within it could
-    swap; the tests hold the index to that scan's on 20,000 seeded pairs."""
+    """Per pair of Bloch stacks (N, 3), the index of the axis in axes (M, 3) that
+    minimizes (n.r1)(n.r2), as a form in six features n_i n_j: one (_SCAN_CHUNK, 6) @
+    (6, M) product per chunk. Axes tied to within its rounding could swap."""
     i, j = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
     features = axes.T[i] * axes.T[j]
     ab = r1[:, :, None] * r2[:, None, :]
@@ -228,19 +187,11 @@ def _sphere_argmax(axes: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarr
 
 
 def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Brute-force oracle for the optimized mismatch probability of Bloch pairs (N, 3).
+    """Brute-force oracle: the optimized mismatch probability of Bloch pairs (N, 3).
 
-    For each pair, scans a Fibonacci sphere of _GRID_POINTS axes for the
-    largest (1 - (n.r1)(n.r2))/2, then zooms onto the best region
-    _ZOOM_LEVELS times, each time scanning a 21x21 mesh 8 times finer than
-    the last in a local frame around the current best axis. Deliberately
-    independent of the eigensystem shortcut it is used to check.
-
-    The sphere scan (_sphere_argmax) gives only each pair's best index;
-    the zoom meshes of up to _ZOOM_CHUNK pairs are scanned as one stack.
-    Every value is computed as a search of one pair computes it, with the
-    same dot products, so a pair's result does not depend on the batch it
-    is in.
+    Scans a Fibonacci sphere of _GRID_POINTS axes, then _ZOOM_LEVELS 21x21 meshes,
+    each 8 times finer, around the best axis. A pair's result does not depend on
+    the batch it is in. ValidationError unless both stacks are finite and (N, 3).
     """
     r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
     if r1.ndim != 2 or r1.shape[1:] != (3,) or r1.shape != r2.shape:
@@ -277,14 +228,8 @@ def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 
 def qm_baseline(phi: float, p: float = 0.0) -> DistinguishabilityReport:
-    """Standard-QM reference for the pair {|H>, psi1(phi)} after depolarization p.
-
-    This is the un-evolved comparison used against every loop experiment;
-    it does not depend on how the states were prepared. Depolarization
-    shrinks the Bloch vectors to (1 - p) z and (1 - p) r(phi); the measures
-    are bloch_measures' closed forms on them, as in the reproduce tables.
-    The eigen-based measures on the depolarized matrices are the oracles.
-    """
+    """Standard-QM reference: the measures of the un-evolved pair {|H>, psi1(phi)}
+    after depolarization p, whatever the preparation, with bloch_measures' bits."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarization strength p = {p} outside [0, 1]")
     polar = PureQubit(phi, 0.0).polar

@@ -1,20 +1,10 @@
-"""Dense complex linear algebra for qubit states.
+"""Qubit states and the conventions every module uses.
 
-States are qubit density matrices, Bloch vectors are (3,) float arrays,
-operators are plain complex ndarrays, and the conventions are fixed once
-and for all here:
-
-* computational basis |H> = (1, 0), |V> = (0, 1); |H> sits at Bloch +z,
-* two-qubit basis order (HH, HV, VH, VV),
-* qubit 1 is the chronology-respecting (output) rail, qubit 2 the loop
-  rail, and tensor products are written (qubit 1) x (qubit 2),
-* a rail is named by its index, LOOP_RAIL = 0 or OUTPUT_RAIL = 1: the
-  index of its Pauli-transfer tensors in QubitChannel.transfer, and the
-  qubit a partial trace keeps.
-
-Everything is a pure function of its inputs. Non-finite numbers are
-rejected wherever a state is built, so a NaN cannot pass a validation by
-failing every comparison in it.
+|H> = (1, 0) sits at Bloch +z; two-qubit basis order is (HH, HV, VH, VV);
+qubit 1 is the chronology-respecting (output) rail, qubit 2 the loop rail. A
+rail is named by its index, LOOP_RAIL = 0 or OUTPUT_RAIL = 1: its slot in
+QubitChannel.transfer and the qubit a partial trace keeps. A state with a
+non-finite entry is rejected, so a NaN cannot pass a check by failing it.
 """
 
 from __future__ import annotations
@@ -85,12 +75,8 @@ def _wrapped(angle: float) -> float:
 
 @dataclass(frozen=True)
 class PureQubit:
-    """Pure qubit cos(polar/2)|H> + e^{i phase} sin(polar/2)|V>.
-
-    `polar` is the Bloch polar angle from +z (|H>); sweeping it over
-    [0, 2pi) covers the full xz great circle when `phase` = 0. Angles are
-    wrapped into [0, 2pi); a tiny negative angle wraps to 0.0.
-    """
+    """Pure qubit cos(polar/2)|H> + e^{i phase} sin(polar/2)|V>; both angles must be
+    finite and are wrapped into [0, 2pi)."""
 
     polar: float
     phase: float = 0.0
@@ -122,23 +108,11 @@ class PureQubit:
 
 
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite 2x2 matrix: a qubit state.
+    """Hermitian, unit-trace, positive-semidefinite 2x2 matrix: a qubit state, checked
+    on construction (ValidationError). It keeps its Hermitian part (m + m^dag)/2 as
+    Python numbers, with the bits numpy's (m + m^dag)/2.0 gives."""
 
-    All three invariants are checked on construction, so any value of this
-    type that exists is valid; operations therefore validate their outputs
-    simply by returning them through this constructor. The checks run on
-    the four entries as Python complex numbers (one tolist(), no numpy call
-    per check), and the state keeps the entries of its Hermitian part
-    (m + m^dag)/2 as Python numbers. `mat`, that part as a read-only array,
-    is built on first read; `bloch()` is derived from the entries. Both
-    have the bits the numpy form (m + m^dag)/2.0 gives. The engine's states,
-    from Bloch rows solve_loops has checked to lie in the ball, are stored
-    as density_from_bloch stores them but not checked again (_ball_state).
-    """
-
-    # The Hermitian part: real diagonal entries _h00, _h11 (their imaginary
-    # parts are +0), complex off-diagonal entries _h01, _h10; _mat is unset
-    # until mat is read.
+    # Real diagonal entries _h00, _h11, complex _h01, _h10; _mat is unset until read.
     __slots__ = ("_h00", "_h01", "_h10", "_h11", "_mat")
 
     def __init__(self, mat: np.ndarray):
@@ -193,7 +167,7 @@ class DensityMatrix:
 
     @property
     def mat(self) -> np.ndarray:
-        """The Hermitian part as a read-only (2, 2) complex array, built on first read."""
+        """The Hermitian part as a read-only (2, 2) complex array."""
         try:
             return self._mat
         except AttributeError:
@@ -225,9 +199,7 @@ def _halved(re: float, im: float) -> complex:
 
 
 def _partial_trace_raw(mat4: np.ndarray, keep: int) -> np.ndarray:
-    """The `keep` rail's reduced state (LOOP_RAIL: trace out qubit 1,
-    OUTPUT_RAIL: trace out qubit 2) of a 4x4 matrix or a stack (..., 4, 4),
-    unvalidated."""
+    """The `keep` rail's reduced state of a 4x4 matrix or a stack (..., 4, 4), unvalidated."""
     # Index layout after reshape: [..., i, j, k, l] = <ij|rho|kl>.
     t = mat4.reshape(mat4.shape[:-2] + (2, 2, 2, 2))
     return np.trace(t, axis1=-4 + keep, axis2=-2 + keep)
@@ -249,31 +221,26 @@ def _qubit_fidelity(r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the sum of |eigenvalues| of (a - b), 0 iff equal, 1 iff orthogonal: for
-    qubits |r_a - r_b|/2 on the Bloch vectors, the formula of every reproduce table."""
+    """Trace distance, |r_a - r_b|/2 on the Bloch vectors: 0 iff equal, 1 iff orthogonal."""
     return _bloch_distance(a._xyz(), b._xyz())
 
 
 def _bloch_distance(r: tuple, s: tuple) -> float:
-    """|r - s|/2 of float triples with the bits of _norms(r - s) / 2.0, whose
-    np.add.reduce sums a 3-vector left to right."""
+    """|r - s|/2 of float triples, with the bits of _norms(r - s) / 2.0."""
     dx, dy, dz = r[0] - s[0], r[1] - s[1], r[2] - s[2]
     return math.sqrt(dx * dx + dy * dy + dz * dz) / 2.0
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Trace distance row by row of raw qubit matrices (..., 2, 2), from the eigenvalues
-    of a - b: the oracles' form (selftest, damped iteration), free of Bloch vectors."""
+    of a - b: the oracles' form, free of Bloch vectors."""
     lo, hi = _eig_ranges_2x2(a - b)
     return (np.abs(lo) + np.abs(hi)) / 2.0
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Squared Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, in [0, 1].
-
-    For qubits this is Tr(ab) + 2 sqrt(det a det b), on the Bloch vectors as
-    the engine's consistency fidelity takes it.
-    """
+    """Squared Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 in [0, 1], as the engine's
+    consistency fidelity takes it."""
     return float(_qubit_fidelity(a.bloch(), b.bloch()))
 
 
@@ -293,8 +260,7 @@ def density_from_bloch(v: np.ndarray) -> DensityMatrix:
 
 
 def _ball_state(v: np.ndarray, in_ball: bool = True) -> DensityMatrix:
-    """density_from_bloch of a (3,) float row, checked unless known to lie in the
-    ball, as solve_loops' rows are (a NaN fails their ball check)."""
+    """density_from_bloch of a (3,) float row, checked unless known to lie in the ball."""
     x, y, z = v.tolist()
     m01, m10 = x - 1j * y, x + 1j * y
     # The entries of np.array([[1 + z, m01], [m10, 1 - z]]) / 2.0, with no array built.

@@ -1,9 +1,6 @@
-"""End-to-end acceptance checks runnable from the CLI (`ctcsim selftest`).
-
-Each check re-derives its expected values from an independent oracle
-(closed forms, recurrences, brute-force search) and compares the matrix
-engine against them at a pinned tolerance. The checks double as the
-pytest acceptance suite.
+"""The acceptance checks of `ctcsim selftest` and the pytest acceptance suite: each
+compares the engine with an independent oracle (closed forms, recurrences,
+brute-force search) at a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -37,6 +34,8 @@ __all__ = ["CheckResult", "SelfTestReport", "run_selftest", "CHECKS"]
 
 @dataclass
 class CheckResult:
+    """One criterion's outcome; elapsed in seconds."""
+
     check_id: str
     description: str
     passed: bool
@@ -77,19 +76,13 @@ def _density_rows(r: np.ndarray) -> np.ndarray:
     return np.stack([1 + z, x - 1j * y, x + 1j * y, 1 - z], axis=-1).reshape(-1, 2, 2) / 2.0
 
 
-def _pure_rows(states) -> np.ndarray:
-    """Bloch vectors (N, 3) of pure states given as (polar, phase) pairs, each
-    computed as PureQubit computes it: the input run_scenario would solve."""
-    return np.array([PureQubit(phi, phase).bloch() for phi, phase in states])
-
-
 def _check_closed_form(ctx: Context) -> tuple[bool, str]:
     """Engine vs analytic loop/output states on a 64-point population grid."""
     start = time.perf_counter()
     pops = np.linspace(0.0, 1.0, 64).tolist()
     zero = np.zeros(len(pops))
     batch = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero,
-                      _pure_rows((2 * math.acos(math.sqrt(a)), 0.0) for a in pops))
+                      _pure_bloch([2 * math.acos(math.sqrt(a)) for a in pops], 0.0))
     ctx.fidelities.extend(batch.consistency_fidelity.tolist())
     refs = np.array([[r.mat for r in swap_cnot_closed_form(a)] for a in pops])  # (64, out/ctc, 2, 2)
     worst = np.max([trace_distances(_density_rows(batch.outputs), refs[:, 0]).max(),
@@ -102,9 +95,10 @@ def _check_closed_form(ctx: Context) -> tuple[bool, str]:
 def _check_phase_erasure(ctx: Context) -> tuple[bool, str]:
     """Outputs agree across a 16-point phase grid at each of 5 polar angles."""
     phis = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
+    phases = [2 * math.pi * k / 16 for k in range(16)]
     zero = np.zeros(len(phis) * 16)
     batch = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero,
-                      _pure_rows((phi, 2 * math.pi * k / 16) for phi in phis for k in range(16)))
+                      _pure_bloch(np.repeat(phis, 16), phases * len(phis)))
     ctx.fidelities.extend(batch.consistency_fidelity.tolist())
     outs = _density_rows(batch.outputs).reshape(len(phis), 16, 2, 2)
     worst = trace_distances(outs[:, :1], outs[:, 1:]).max()
@@ -187,7 +181,7 @@ def _check_nonlocal_ceiling(ctx: Context) -> tuple[bool, str]:
     # Each scenario's loop adapts to the ensemble mean of |H> and psi(phi),
     # and both ensemble states emerge as that mean's evolved output.
     batch = run_batch(CircuitKind.SWAP_THEN_CU, [(phi - math.pi) / 2 for phi in phis], zero, zero,
-                      (np.array([0.0, 0.0, 1.0]) + _pure_rows((phi, 0.0) for phi in phis)) / 2.0)
+                      (np.array([0.0, 0.0, 1.0]) + _pure_bloch(phis, 0.0)) / 2.0)
     ctx.fidelities.extend(batch.consistency_fidelity.tolist())
     worst_d = trace_distances(_density_rows(batch.outputs), DensityMatrix.maximally_mixed().mat).max()
     ceiling = np.max([0.0] + [r.L_ctc_sigma_z - 0.5 for r in ctx.nonlocal_sweeps()])
@@ -326,6 +320,8 @@ CHECKS = [
 
 @dataclass
 class SelfTestReport:
+    """Every criterion's result, C12 last, and the suite's time in seconds."""
+
     results: list[CheckResult]
     total_elapsed: float
 
@@ -351,16 +347,9 @@ def run_selftest(echo=print) -> SelfTestReport:
             status = "PASS" if passed else "FAIL"
             echo(f"[{status}] {check_id}: {description} ({dt:.2f}s) -- {detail}")
     total = time.perf_counter() - t0
-    c12 = all(r.passed for r in results) and total < 60.0
-    results.append(
-        CheckResult(
-            "C12",
-            "full acceptance suite finishes under 60 s",
-            c12,
-            f"total {total:.2f}s",
-            0.0,
-        )
-    )
+    c12 = CheckResult("C12", "full acceptance suite finishes under 60 s",
+                      all(r.passed for r in results) and total < 60.0, f"total {total:.2f}s", 0.0)
+    results.append(c12)
     if echo:
-        echo(f"[{'PASS' if c12 else 'FAIL'}] C12: full acceptance suite finishes under 60 s -- total {total:.2f}s")
+        echo(f"[{'PASS' if c12.passed else 'FAIL'}] C12: {c12.description} -- {c12.detail}")
     return SelfTestReport(results=results, total_elapsed=total)

@@ -335,15 +335,23 @@ class TestReproduce:
         assert text.startswith("<svg") and "polyline" in text
         assert sorted(f.name for f in tmp_path.iterdir()) == sorted([Path(out).name, svg])
 
-    @pytest.mark.parametrize("argv", [
-        ["reproduce", "fig3", "--grid", "7"],
-        ["reproduce", "thresholds", "--grid", "9"],
-        ["reproduce", "thresholds", "--plot"],
+    @pytest.mark.parametrize("argv, message", [
+        (["reproduce", "fig3", "--grid", "7"], "reproduce fig3 has a fixed grid; drop --grid"),
+        (["reproduce", "thresholds", "--grid", "9"],
+         "reproduce thresholds has a fixed grid; drop --grid"),
+        (["reproduce", "thresholds", "--plot"], "reproduce thresholds writes no plot; drop --plot"),
+        (["reproduce", "thresholds", "--grid", "9", "--plot"],
+         "reproduce thresholds has a fixed grid; drop --grid"),
+        *[(["reproduce", t, "--grid", "1"], "grid size must be >= 2")
+          for t in ("fig3", "fig6", "fig5a", "thresholds")],
     ])
-    def test_flag_the_target_cannot_honour_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+    def test_flag_the_target_cannot_honour_exits_2(self, argv, message, tmp_path, monkeypatch,
+                                                   capsys):
+        """A grid below 2 is refused first, then a grid, then a plot the target cannot
+        honour; each exits 2 with one message and nothing written."""
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
-        assert "invalid parameters:" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"invalid parameters: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_too_small_exits_2(self):

@@ -1234,6 +1234,23 @@ class TestRunScenario:
             build()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: iterate_circuit(np.array([0, 0, 1.0]), 1), "input state must be a PureQubit, got ndarray"),
+        (lambda: iterate_circuit(H.density(), 2), "input state must be a PureQubit, got DensityMatrix"),
+        (lambda: run_scenario("swap-cnot", LocalPure(H)), "circuit spec must be a CircuitSpec, got str"),
+        (lambda: run_scenario(CircuitKind.SWAP_CNOT, LocalPure(H), method="damped_iteration"),
+         "circuit spec must be a CircuitSpec, got CircuitKind"),
+        (lambda: proper_mixture_output("x", [H], [1.0]), "circuit spec must be a CircuitSpec, got str"),
+        (lambda: solve_fixed_point(np.eye(2) / 2, None), "loop input must be a DensityMatrix, got ndarray"),
+        (lambda: solve_fixed_point(HALF, None), "interaction must be a QubitChannel, got NoneType"),
+        (lambda: solve_fixed_point(HALF, np.eye(4), method="damped_iteration"),
+         "interaction must be a QubitChannel, got ndarray"),
+    ])
+    def test_argument_types_checked_at_the_api(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_engine_states_are_not_checked_again(self, monkeypatch):
         """run_scenario stores its loop and output rows, which solve_loops has
         checked to lie in the ball, as density_from_bloch stores them, without

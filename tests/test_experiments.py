@@ -160,6 +160,13 @@ class TestDiscriminationSweep:
                 call()
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("grid", [5, 2, 1, np.int64(7)])
+    def test_fig3_refuses_a_grid(self, grid):
+        """fig3's grid is fixed: reproduce refuses one rather than ignore it."""
+        with pytest.raises(ValidationError) as exc:
+            reproduce("fig3", grid)
+        assert str(exc.value) == "reproduce fig3 has a fixed grid; drop --grid"
+
     def test_numpy_integer_grid_sizes_accepted(self):
         assert (discrimination_sweep("local", "fixed-gate", np.int64(3))
                 == discrimination_sweep("local", "fixed-gate", 3))

@@ -1,4 +1,4 @@
-"""Public surface: every name a module exports in __all__ resolves, every
+"""Public surface: every name a module exports in __all__ resolves and is documented, every
 package export has a reader outside the tests, and every ctcsim name the
 benchmark harness in perfbench/ uses resolves."""
 
@@ -77,6 +77,21 @@ def test_every_export_has_a_non_test_reader():
               if name != "__version__" and name not in read
               and not re.search(rf"\b{re.escape(name)}\b", text)]
     assert sorted(unread) == sorted(TEST_ONLY_EXPORTS)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "ctcsim").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_module_and_exported_definition_has_a_docstring(path):
+    """The docstrings are the contracts: every module has one, and so does every
+    function and class its __all__ names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    exported = {element.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for element in node.value.elts}
+    assert [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in exported
+            and not ast.get_docstring(node)] == []
 
 
 def perfbench_imports(tree):

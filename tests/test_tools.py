@@ -1,5 +1,6 @@
-"""tools/dump_outputs.py writes its full set of tables and reports, and
-tools/compare_outputs.py reports every file two dumps do not share."""
+"""tools/dump_outputs.py writes its full set of tables and reports,
+tools/compare_outputs.py reports every file two dumps do not share, and
+tools/line_counts.py counts each kind of source line."""
 
 import json
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "dump_outputs.py"
 COMPARE = ROOT / "tools" / "compare_outputs.py"
+LINE_COUNTS = ROOT / "tools" / "line_counts.py"
 
 PLOTTED = ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2")
 EXPECTED = sorted(
@@ -86,3 +88,55 @@ def test_compare_outputs_takes_one_revision(tmp_path):
         proc = subprocess.run([sys.executable, str(COMPARE), *argv], capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 2 and proc.stderr.startswith("usage")
+
+
+SYNTHETIC = '''"""Module docstring,
+
+on three lines."""
+# A comment line.
+
+import math  # code with a trailing comment
+
+
+class Shape:
+    """Class docstring."""
+
+    sides = 4
+    TEXT = """a string that is code,
+
+not a docstring"""
+
+    def area(self, r):
+        """Method docstring
+        on two lines."""
+        # Comment inside a body.
+        return math.pi * (
+            r * r)
+'''
+
+
+def test_line_counts_of_a_synthetic_source(tmp_path):
+    tool = runpy.run_path(str(LINE_COUNTS))
+    counts = tool["count"](SYNTHETIC)
+    assert counts == {"code": 9, "docstring": 6, "comment": 2, "blank": 5, "total": 22}
+    assert counts["total"] == len(SYNTHETIC.splitlines())
+    path = tmp_path / "shape.py"
+    path.write_text(SYNTHETIC, encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(LINE_COUNTS), str(path), str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    header, row, _, total = proc.stdout.splitlines()
+    assert header.split() == ["file", "total", "code", "docstring", "comment", "blank"]
+    assert row.split() == [str(path), "22", "9", "6", "2", "5"]
+    assert total.split() == ["total", "44", "18", "12", "4", "10"]
+
+
+def test_line_counts_default_to_the_package_sources():
+    proc = subprocess.run([sys.executable, str(LINE_COUNTS)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    sources = sorted((ROOT / "src" / "ctcsim").glob("*.py"))
+    assert [r.split()[0] for r in rows] == [f"src/ctcsim/{p.name}" for p in sources] + ["total"]
+    wc = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sources)
+    assert rows[-1].split()[1] == str(wc)
