@@ -18,7 +18,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .qmath import ID2, ID4, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, ValidationError, c_einsum
+from .qmath import (ID2, ID4, LOOP_RAIL, OUTPUT_RAIL, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix,
+                    ValidationError, _require_type, c_einsum)
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -56,8 +57,8 @@ class QubitChannel:
     (0, 1]; completeness sum_k w_k op_k^dag op_k = I is checked on construction.
 
     transfer (read-only, built on first read) holds the real Pauli-transfer tensors
-    transfer[rail, k, mu, nu] = Tr[S_k E(P_mu (x) P_nu)]/4, with S_k = I (x) P_k on
-    the loop rail and P_k (x) I on the output rail.
+    Tr[S_k E(P_mu (x) P_nu)]/4, S_k = I (x) P_k on the loop rail and P_k (x) I on the
+    output rail, contracted index first: transfer[LOOP_RAIL, mu, k, nu], [OUTPUT_RAIL, nu, k, mu].
     """
 
     kraus: tuple[tuple[float, np.ndarray], ...]
@@ -104,9 +105,12 @@ def _readout_images(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _pauli_transfer(images: np.ndarray) -> np.ndarray:
-    """Real parts of Tr[image P_mu (x) P_nu]/4 of readout images (N, 8, 4, 4),
-    as transfer tensors (N, 2, 4, 4, 4)."""
-    return (images.reshape(-1, 8, 16) @ _PAIRS_T).real.reshape(-1, 2, 4, 4, 4) / 4.0
+    """Real parts of Tr[image P_mu (x) P_nu]/4 of readout images (N, 8, 4, 4), as C-contiguous
+    transfer tensors (N, 2, 4, 4, 4) in QubitChannel.transfer's layout. Contracted over
+    the leading index, numpy's einsum kernel runs over 16 contiguous entries, not 4."""
+    t = (images.reshape(-1, 8, 16) @ _PAIRS_T).real.reshape(-1, 2, 4, 4, 4) / 4.0
+    return np.ascontiguousarray(np.stack([t[:, LOOP_RAIL].transpose(0, 2, 1, 3),
+                                          t[:, OUTPUT_RAIL].transpose(0, 3, 1, 2)], axis=1))
 
 
 class CircuitKind(Enum):
@@ -158,6 +162,7 @@ def make_cu_xz(theta_xz: float) -> np.ndarray:
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     """Depolarizing channel (1 - 3p/4) rho + (p/4)(X rho X + Y rho Y + Z rho Z): the Bloch
     vector shrinks by 1 - p."""
+    _require_type(DensityMatrix, "state", rho)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"depolarization strength p = {p} outside [0, 1]")
     m = rho.mat

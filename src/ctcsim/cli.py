@@ -69,7 +69,8 @@ def _open_out(path: str):
 def write_records_csv(records: list[SweepRecord], path: str) -> None:
     rows = "".join(_RECORD_ROW % r for r in records)
     with _open_out(path) as fh:
-        fh.write(",".join(RECORD_FIELDS) + "\n" + rows)
+        fh.write(",".join(RECORD_FIELDS) + "\n")
+        fh.write(rows)  # not appended to the header: that would copy the whole table
 
 
 def read_records_csv(path: str) -> list[SweepRecord]:

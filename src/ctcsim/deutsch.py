@@ -30,6 +30,7 @@ from .qmath import (
     _ball_state,
     _eig_ranges_2x2,
     _partial_trace_raw,
+    _require_type,
     c_einsum,
     density_from_bloch,
     fidelity,
@@ -90,7 +91,7 @@ class LocalPure:
     state: PureQubit
 
     def __post_init__(self) -> None:
-        _require_type(self.state, PureQubit, "local preparation state")
+        _require_type(PureQubit, "local preparation state", self.state)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class ImproperMixed:
     rho: DensityMatrix
 
     def __post_init__(self) -> None:
-        _require_type(self.rho, DensityMatrix, "improper mixture")
+        _require_type(DensityMatrix, "improper mixture", self.rho)
 
 
 @dataclass(frozen=True)
@@ -125,16 +126,10 @@ class NonLocalEnsemble:
 PreparationMode = LocalPure | ImproperMixed | NonLocalEnsemble
 
 
-def _require_type(value, cls: type, what: str) -> None:
-    if not isinstance(value, cls):
-        raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
-
-
 def _ensemble(states, probs) -> tuple[tuple, tuple[float, ...]]:
     """Validated (states, weights): PureQubits, matching, non-empty, non-negative, summing to 1."""
     states = tuple(states)
-    for s in states:
-        _require_type(s, PureQubit, "ensemble state")
+    _require_type(PureQubit, "ensemble state", *states)
     probs = tuple(float(p) for p in probs)
     if len(states) != len(probs) or not states:
         raise ValidationError("ensemble needs matching, non-empty states and probs")
@@ -347,19 +342,18 @@ def _mix(terms, rail: int, subscripts: str, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_in_ball(v: np.ndarray, what: str) -> np.ndarray:
-    """Bloch norms of v (N, 3); ValidationError on the first row outside the ball or NaN."""
-    norm = np.sqrt(qmath._dot(v, v))
+def _require_in_ball(norm: np.ndarray, what: str) -> None:
+    """ValidationError on the first of the Bloch norms (N,) outside the ball or NaN."""
     if not (norm <= BALL_TOL).all():
         first = norm[~(norm <= BALL_TOL)][0]
         raise ValidationError(f"{what} Bloch norm {first:.6g} " + (
             "is not a number" if math.isnan(first) else "exceeds 1 + 2 PSD_TOL"))
-    return norm
 
 
 def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     """Solve N consistency conditions; loop_in (N, 3) is the state each loop adapts to
-    and sends through the output rail, terms as _mix takes them.
+    and sends through the output rail, terms as _mix takes them, each rail's tensors
+    contracted over their leading index (mu, nu) as QubitChannel.transfer stores them.
 
     The map is affine, (1, r) -> M (1, r) with M = [[1, 0], [b, A]]. Entropy falls
     as |r| grows, so the loop state is the min-norm solution of (I - A) r = b, and
@@ -368,8 +362,14 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
     ValidationError on a loop state or output outside the Bloch ball; a NaN fails
     both, so the rows are safe for qmath._ball_state. loop_in is the caller's to check.
     """
+    return _checked(*_loop_rows(terms, loop_in))
+
+
+def _loop_rows(terms, loop_in: np.ndarray) -> tuple[LoopBatch, np.ndarray, bool]:
+    """solve_loops before its checks (only a non-finite map raises): the LoopBatch, the loop
+    states' Bloch norms before rounding, and whether every row has a unit-trace fixed state."""
     pauli_in = _homogeneous(loop_in)
-    m = _mix(terms, LOOP_RAIL, "...kmv,...m->...kv", pauli_in)
+    m = _mix(terms, LOOP_RAIL, "...mkv,...m->...kv", pauli_in)
     if not np.isfinite(m).all():
         raise ValidationError("non-finite loop input or interaction")
     i_minus_a = _EYE4[1:, 1:] - m[:, 1:, 1:]
@@ -380,6 +380,7 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
                             np.where(unique[:, None, None], i_minus_a, _EYE4[1:, 1:]),
                             m[:, 1:, :1], signature="dd->d")[:, :, 0]
     dims = np.ones(len(m), dtype=int)
+    fixed = True
     if not all_unique:
         svd_rows = np.flatnonzero(~unique)
         _, sing, vt = np.linalg.svd(m[svd_rows] - _EYE4)
@@ -388,20 +389,29 @@ def solve_loops(terms, loop_in: np.ndarray) -> LoopBatch:
         # (1, r) = P e0 / (e0 . P e0), P the projector onto the null-space rows of vt.
         lead = np.where(null, vt[:, :, 0], 0.0)
         norm0 = qmath._dot(lead, vt[:, :, 0])
-        if not (norm0 > 0.0).all():
-            raise ValidationError(
-                "consistency map has no unit-trace fixed state (non-CPTP interaction)")
-        r[svd_rows] = c_einsum("nj,nji->ni", lead, vt[:, :, 1:]) / norm0[:, None]
+        fixed = bool((norm0 > 0.0).all())
+        r[svd_rows] = c_einsum("nj,nji->ni", lead, vt[:, :, 1:]) / np.where(
+            norm0 > 0.0, norm0, math.nan)[:, None]
     # Round the few-ulp excess of a pure fixed state back onto the sphere.
-    r = r / np.maximum(_require_in_ball(r, "loop state"), 1.0)[:, None]
+    norm = np.sqrt(qmath._dot(r, r))
+    r = r / np.maximum(norm, 1.0)[:, None]
 
     image = c_einsum("nij,nj->ni", m[:, 1:, 1:], r) + m[:, 1:, 0]
-    residual = _checked_residual(np.sqrt(qmath._dot(image - r, image - r)) / 2.0)
+    residual = np.sqrt(qmath._dot(image - r, image - r)) / 2.0
 
-    o = _mix(terms, OUTPUT_RAIL, "...kmv,...v->...km", _homogeneous(r))
+    o = _mix(terms, OUTPUT_RAIL, "...vkm,...v->...km", _homogeneous(r))
     outputs = c_einsum("nkm,nm->nk", o[:, 1:], pauli_in)
-    _require_in_ball(outputs, "output")
-    return LoopBatch(r, outputs, dims, residual, qmath._qubit_fidelity(r, image))
+    return LoopBatch(r, outputs, dims, residual, qmath._qubit_fidelity(r, image)), norm, fixed
+
+
+def _checked(batch: LoopBatch, loop_norm: np.ndarray, fixed: bool) -> LoopBatch:
+    """batch, after solve_loops' checks in their order over all its rows."""
+    if not fixed:
+        raise ValidationError("consistency map has no unit-trace fixed state (non-CPTP interaction)")
+    _require_in_ball(loop_norm, "loop state")
+    _checked_residual(batch.residual)
+    _require_in_ball(np.sqrt(qmath._dot(batch.outputs, batch.outputs)), "output")
+    return batch
 
 
 def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatch:
@@ -422,16 +432,41 @@ def run_batch(kind: CircuitKind, theta, eps, p, loop_in: np.ndarray) -> LoopBatc
     for name, v in (("gate_noise", eps), ("input_noise", p)):
         if not ((0.0 <= v) & (v <= 1.0)).all():
             raise ValidationError(f"{name} outside [0, 1]")
-    _require_in_ball(loop_in, "loop input")
+    _require_in_ball(np.sqrt(qmath._dot(loop_in, loop_in)), "loop input")
     return _solve_batch(kind, theta, eps, p, loop_in)
+
+
+# _solve_batch's row block. fig6's 3362-row run_batch (warm, one pinned CPU of a 2-core
+# Intel Xeon; ms and minor page faults per call): unblocked 5.3-5.8, 1177; 512 rows
+# 2.96, 0; 640 2.77, 0; 768 3.18, 224; 1024 3.1-3.3, 318. At 512 each (N, 4, 4)
+# temporary is 64 KB, which malloc reuses instead of faulting it in anew.
+_SOLVE_BLOCK = 512
 
 
 def _solve_batch(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray, p: np.ndarray,
                  loop_in: np.ndarray) -> LoopBatch:
-    """run_batch on checked float arrays. No channel is built: each row mixes the
-    family's SWAP-only basis row (weight eps) with its ideal-gate tensors; one angle,
+    """run_batch on checked float arrays, _SOLVE_BLOCK rows at a time into one
+    LoopBatch; solve_loops' checks run in their order over the whole batch."""
+    family, n = _FAMILIES[kind], len(theta)
+    if n <= _SOLVE_BLOCK:
+        return solve_loops(_gate_terms(family, theta, eps), loop_in * (1.0 - p)[:, None])
+    out = LoopBatch(np.empty((n, 3)), np.empty((n, 3)), np.empty(n, dtype=int), np.empty(n),
+                    np.empty(n))
+    loop_norm, fixed = np.empty(n), True
+    for s in range(0, n, _SOLVE_BLOCK):
+        rows = slice(s, s + _SOLVE_BLOCK)
+        block, loop_norm[rows], ok = _loop_rows(_gate_terms(family, theta[rows], eps[rows]),
+                                                loop_in[rows] * (1.0 - p[rows])[:, None])
+        fixed = fixed and ok
+        for whole, part in zip(vars(out).values(), vars(block).values()):
+            whole[rows] = part
+    return _checked(out, loop_norm, fixed)
+
+
+def _gate_terms(family, theta: np.ndarray, eps: np.ndarray) -> list:
+    """solve_loops terms of rows: no channel is built. Each row mixes the family's
+    SWAP-only basis row (weight eps) with its ideal-gate tensors; one angle,
     repeated or not, shares one ideal-gate tensor, with the bits of per-row ones."""
-    family = _FAMILIES[kind]
     basis = family.basis
     shared = theta.size == 1 or (theta.size > 1 and (theta == theta[0]).all())
     coefficients = family.basis_weights(theta[:1] if shared else theta)
@@ -439,7 +474,7 @@ def _solve_batch(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray, p: np.nd
                      basis[1:].reshape(len(basis) - 1, -1)).reshape(-1, 2, 4, 4, 4)
     terms = [(eps, basis[0])] if eps.any() else []
     terms.append((1.0 - eps, ideal[0] if shared else ideal))
-    return solve_loops(terms, loop_in * (1.0 - p)[:, None])
+    return terms
 
 
 def _fixed_point_result(rho: DensityMatrix, batch, iterations=0) -> FixedPointResult:
@@ -454,8 +489,8 @@ def solve_fixed_point(rho_in: DensityMatrix, interaction: QubitChannel,
     "eigen_max_entropy" is solve_loops (authoritative), "damped_iteration" the
     oracle damped_iteration, which on a degenerate fixed set lands somewhere in it.
     """
-    _require_type(rho_in, DensityMatrix, "loop input")
-    _require_type(interaction, QubitChannel, "interaction")
+    _require_type(DensityMatrix, "loop input", rho_in)
+    _require_type(QubitChannel, "interaction", interaction)
     if method == "eigen_max_entropy":
         batch = solve_loops([(1.0, interaction.transfer)], rho_in.bloch()[None])
         return _fixed_point_result(_ball_state(batch.loop[0]), batch)
@@ -481,7 +516,7 @@ def run_scenario(spec: CircuitSpec, prep: PreparationMode,
     the evolved mixture once per state: the output correlates with the loop qubit,
     not the remote ancilla, so the post-selection outcome cannot steer it.
     """
-    _require_type(spec, CircuitSpec, "circuit spec")
+    _require_type(CircuitSpec, "circuit spec", spec)
     loop_in = _prepared_bloch(prep)
     count = len(prep.states) if isinstance(prep, NonLocalEnsemble) else 1
 
@@ -521,7 +556,7 @@ def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
     """The noise-free CNOT-then-SWAP loop output after n passes, each later pass fed
     the previous Bloch output as an improper mixture (it comes from tracing out the
     loop rail), as nonlinearity_sweep feeds fig3's passes, so with its bits."""
-    _require_type(input_state, PureQubit, "input state")
+    _require_type(PureQubit, "input state", input_state)
     _check_count(n, "iteration count", 1)
     zero = np.zeros(1)
     state = input_state.bloch()[None]

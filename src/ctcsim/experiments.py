@@ -308,8 +308,10 @@ def find_thresholds(parameters) -> list[ThresholdResult]:
     at full noise, so [0, 1] is no bracket), then bisection to _BISECT_TOL scores
     _SPEC_LEVELS tree levels of every bracket per batch, in heap order (node i's
     halves at 2i + 1, 2i + 2): each bracket is the one step-by-step bisection takes.
-    ThresholdNotFound if an axis has no sign change.
+    ThresholdNotFound if an axis has no sign change; ValidationError on a bare string.
     """
+    if isinstance(parameters, str):
+        raise ValidationError(f"threshold parameters must be a sequence, not the str {parameters!r}")
     for parameter in parameters:
         if parameter not in ("p", "epsilon"):
             raise ValidationError(f"unknown threshold parameter {parameter!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix, PureQubit, ValidationError, trace_distance
+from .qmath import DensityMatrix, PureQubit, ValidationError, _require_type, trace_distance
 
 __all__ = [
     "MeasurementDirection",
@@ -69,6 +69,8 @@ def mismatch_probability(rho1: DensityMatrix, rho2: DensityMatrix,
                          direction: MeasurementDirection) -> float:
     """Probability that one measurement per system gives different outcomes,
     (1 - (n.r1)(n.r2))/2."""
+    _require_type(DensityMatrix, "state", rho1, rho2)
+    _require_type(MeasurementDirection, "measurement direction", direction)
     n = direction.axis
     return float((1.0 - (n @ rho1.bloch()) * (n @ rho2.bloch())) / 2.0)
 
@@ -89,6 +91,7 @@ def optimal_mismatch_probability(
     optimal axis in canonical sign: u1 - u2 for the unit vectors u_i = r_i/|r_i|.
     If a Bloch vector is below 1e-12 every axis gives 1/2 and z is returned; if
     |u1 - u2| <= 1e-9 the axis is z x u, or x when that is below 1e-9."""
+    _require_type(DensityMatrix, "state", rho1, rho2)
     r1, r2 = rho1._xyz(), rho2._xyz()
     n1, n2 = math.hypot(*r1), math.hypot(*r2)
     if min(n1, n2) < 1e-12:
@@ -224,6 +227,7 @@ def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
 def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     """grid_search_mismatches of one state pair."""
+    _require_type(DensityMatrix, "state", rho1, rho2)
     return float(grid_search_mismatches(rho1.bloch()[None], rho2.bloch()[None])[0])
 
 

@@ -58,6 +58,13 @@ class ValidationError(ValueError):
     """An input violated one of the stated invariants."""
 
 
+def _require_type(cls: type, what: str, *values) -> None:
+    """ValidationError unless each value is a cls: the one type check of public arguments."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise ValidationError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _eig_ranges_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) eigenvalues of Hermitian 2x2 matrices (..., 2, 2), closed form."""
     t = (h[..., 0, 0] + h[..., 1, 1]).real
@@ -222,6 +229,7 @@ def _qubit_fidelity(r: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Trace distance, |r_a - r_b|/2 on the Bloch vectors: 0 iff equal, 1 iff orthogonal."""
+    _require_type(DensityMatrix, "state", a, b)
     return _bloch_distance(a._xyz(), b._xyz())
 
 
@@ -241,11 +249,13 @@ def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Squared Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 in [0, 1], as the engine's
     consistency fidelity takes it."""
+    _require_type(DensityMatrix, "state", a, b)
     return float(_qubit_fidelity(a.bloch(), b.bloch()))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum lambda_i log2 lambda_i with 0 log 0 := 0."""
+    _require_type(DensityMatrix, "state", rho)
     lam = np.array(_eig_ranges_2x2(rho.mat))
     lam = lam[lam > 1e-15]
     return float(-(lam * np.log2(lam)).sum()) + 0.0

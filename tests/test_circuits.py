@@ -349,15 +349,16 @@ PAULI = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), n
 
 
 def transfer_reference(ch):
-    """transfer[rail, k, mu, nu] = Tr[S_k E(P_mu (x) P_nu)]/4, written out with
-    np.kron: S_k = I (x) P_k on the loop rail, P_k (x) I on the output rail."""
+    """Tr[S_k E(P_mu (x) P_nu)]/4 written out with np.kron, contracted index first:
+    transfer[0, mu, k, nu] with S_k = I (x) P_k on the loop rail, transfer[1, nu, k, mu]
+    with S_k = P_k (x) I on the output rail."""
     out = np.zeros((2, 4, 4, 4))
     for mu in range(4):
         for nu in range(4):
             image = joint_image(ch, np.kron(PAULI[mu], PAULI[nu]))
             for k in range(4):
-                out[0, k, mu, nu] = np.trace(np.kron(PAULI[0], PAULI[k]) @ image).real / 4
-                out[1, k, mu, nu] = np.trace(np.kron(PAULI[k], PAULI[0]) @ image).real / 4
+                out[0, mu, k, nu] = np.trace(np.kron(PAULI[0], PAULI[k]) @ image).real / 4
+                out[1, nu, k, mu] = np.trace(np.kron(PAULI[k], PAULI[0]) @ image).real / 4
     return out
 
 

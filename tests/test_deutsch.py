@@ -52,6 +52,7 @@ from ctcsim.deutsch import (
 from ctcsim.qmath import (
     ID2,
     LOOP_RAIL,
+    OUTPUT_RAIL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -326,7 +327,7 @@ class TestDampedStep:
 
 def consistency_affine(rho_in, interaction):
     """(A, b) with Bloch(consistency_map(rho)) = A r + b, read off the loop-rail tensor."""
-    m = np.einsum("kmv,m->kv", interaction.transfer[0], np.r_[1.0, rho_in.bloch()])
+    m = np.einsum("mkv,m->kv", interaction.transfer[LOOP_RAIL], np.r_[1.0, rho_in.bloch()])
     return m[1:, 1:], m[1:, 0]
 
 
@@ -365,7 +366,7 @@ class TestAffineMap:
             rho_in, rho = random_qubit_state(rng), random_qubit_state(rng)
             a4 = np.r_[1.0, rho_in.bloch()]
             r4 = np.r_[1.0, rho.bloch()]
-            via_tensor = np.einsum("kmv,m,v->k", interaction.transfer[1], a4, r4)
+            via_tensor = np.einsum("vkm,m,v->k", interaction.transfer[OUTPUT_RAIL], a4, r4)
             direct = evolve_output(rho_in, rho, interaction).bloch()
             assert via_tensor[0] == pytest.approx(1.0, abs=1e-14)
             assert np.abs(via_tensor[1:] - direct).max() <= 1e-12
@@ -461,25 +462,27 @@ def random_batch(rng, angles, n):
     return CircuitKind.SWAP_THEN_CU, theta, eps, p, bloch
 
 
+def assert_rows_solve_alone(monkeypatch, args):
+    """run_batch(*args) gives each row the bits it gets alone, and builds no channel."""
+    def no_channel(self):
+        raise AssertionError("run_batch built a channel")
+
+    kind, theta, eps, p, loop_in = (args[0], *map(np.asarray, args[1:]))
+    with monkeypatch.context() as m:
+        m.setattr(QubitChannel, "__post_init__", no_channel)
+        got = run_batch(*args)
+        alone = [run_batch(kind, theta[i:i + 1], eps[i:i + 1], p[i:i + 1], loop_in[i:i + 1])
+                 for i in range(len(theta))]
+    for name in ("loop", "outputs", "fixed_set_dimension", "residual", "consistency_fidelity"):
+        want = np.concatenate([getattr(b, name) for b in alone])
+        a = getattr(got, name)
+        assert a.dtype == want.dtype and a.shape == want.shape, name
+        assert a.tobytes() == want.tobytes(), name
+
+
 class TestStackedInteractionTerm:
     """run_batch's terms, mixed from the fixed transfer basis, give every row
     the bits it gets when solved alone, and no channel is built for them."""
-
-    def assert_rows_solve_alone(self, monkeypatch, args):
-        def no_channel(self):
-            raise AssertionError("run_batch built a channel")
-
-        kind, theta, eps, p, loop_in = (args[0], *map(np.asarray, args[1:]))
-        with monkeypatch.context() as m:
-            m.setattr(QubitChannel, "__post_init__", no_channel)
-            got = run_batch(*args)
-            alone = [run_batch(kind, theta[i:i + 1], eps[i:i + 1], p[i:i + 1], loop_in[i:i + 1])
-                     for i in range(len(theta))]
-        for name in ("loop", "outputs", "fixed_set_dimension", "residual", "consistency_fidelity"):
-            want = np.concatenate([getattr(b, name) for b in alone])
-            a = getattr(got, name)
-            assert a.dtype == want.dtype and a.shape == want.shape, name
-            assert a.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("mode", ["local", "nonlocal"])
     @pytest.mark.parametrize("variant", ["optimal-gate", "fixed-state"])
@@ -489,21 +492,21 @@ class TestStackedInteractionTerm:
         assert calls
         for args in calls:
             assert len(set(np.asarray(args[1]).tolist())) > 1
-            self.assert_rows_solve_alone(monkeypatch, args)
+            assert_rows_solve_alone(monkeypatch, args)
 
     def test_mixed_eps_with_repeated_angles(self, monkeypatch):
         rng = np.random.default_rng(163)
         args = random_batch(rng, [-1.2, -0.3, 0.0, 0.4, 1.1], 60)
         assert len(set(args[1].tolist())) == 5
-        self.assert_rows_solve_alone(monkeypatch, args)
+        assert_rows_solve_alone(monkeypatch, args)
 
     def test_single_angle_batch(self, monkeypatch):
         rng = np.random.default_rng(167)
-        self.assert_rows_solve_alone(monkeypatch, random_batch(rng, [0.4], 30))
+        assert_rows_solve_alone(monkeypatch, random_batch(rng, [0.4], 30))
 
     def test_batch_of_one(self, monkeypatch):
         rng = np.random.default_rng(173)
-        self.assert_rows_solve_alone(monkeypatch, random_batch(rng, [-0.8], 1))
+        assert_rows_solve_alone(monkeypatch, random_batch(rng, [-0.8], 1))
 
     def test_random_rows(self, monkeypatch):
         """500 seeded rows, each with its own angle in the sweep range."""
@@ -511,12 +514,12 @@ class TestStackedInteractionTerm:
         kind, _, eps, p, loop_in = random_batch(rng, [0.0], 500)
         theta = rng.uniform(-math.pi / 2, math.pi / 2, 500)
         assert len(set(theta.tolist())) == 500
-        self.assert_rows_solve_alone(monkeypatch, (kind, theta, eps, p, loop_in))
+        assert_rows_solve_alone(monkeypatch, (kind, theta, eps, p, loop_in))
 
     def test_swap_cnot_batch(self, monkeypatch):
         rng = np.random.default_rng(179)
         _, _, eps, p, loop_in = random_batch(rng, [0.0], 40)
-        self.assert_rows_solve_alone(
+        assert_rows_solve_alone(
             monkeypatch, (CircuitKind.SWAP_CNOT, rng.uniform(-3, 3, 40), eps, p, loop_in))
 
     @pytest.mark.parametrize("kind", list(CircuitKind))
@@ -530,6 +533,127 @@ class TestStackedInteractionTerm:
         with pytest.raises(ValidationError, match="outside the sweep range"):
             run_batch(CircuitKind.SWAP_THEN_CU, [0.1, angle], [0.0, 0.0], [0.0, 0.0],
                       np.zeros((2, 3)))
+
+
+def mix_reference(terms, rail, x):
+    """_mix written out elementwise: per term, w times the sum over the rail's
+    leading index in its order from +0.0, each product and each sum rounded."""
+    out = np.zeros(x.shape[:1] + (4, 4))
+    for w, t in terms:
+        t = np.broadcast_to(t, x.shape[:1] + t.shape[-4:])[:, rail]
+        acc = np.zeros_like(out)
+        for j in range(4):
+            acc = acc + t[:, j] * x[:, j, None, None]
+        out = out + np.asarray(w).reshape(-1, 1, 1) * acc
+    return out
+
+
+class TestContractionLayout:
+    """The transfer tensors are stored contraction-major, and _mix contracts them
+    to the bits of an elementwise sum in the contracted index's order."""
+
+    def test_engine_tensors_are_c_contiguous(self):
+        channel = build_interaction(cu_circuit(0.3, eps=0.2))
+        for tensors in [f.basis for f in _FAMILIES.values()] + [channel.transfer]:
+            assert tensors.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 7, 700])
+    def test_mix_matches_elementwise_reference(self, n):
+        rng = np.random.default_rng(20261022 + n)
+
+        def draw(shape):
+            signs = rng.integers(0, 4, size=shape)
+            return np.where(signs == 0, 0.0, np.where(signs == 1, -0.0, rng.normal(size=shape)))
+
+        x = draw((n, 4))
+        x[:, 0] = 1.0
+        terms = [(rng.uniform(0, 1, n), draw((2, 4, 4, 4))),
+                 (1.0 - rng.uniform(0, 1, n), draw((n, 2, 4, 4, 4))),
+                 (0.5, draw((2, 4, 4, 4)))]
+        for rail, subscripts in ((LOOP_RAIL, "...mkv,...m->...kv"),
+                                 (OUTPUT_RAIL, "...vkm,...v->...km")):
+            got = deutsch._mix(terms, rail, subscripts, x)
+            assert got.tobytes() == mix_reference(terms, rail, x).tobytes()
+
+
+class TestSolveBlocks:
+    """Batches above _SOLVE_BLOCK rows are solved a block at a time: every row
+    keeps its bits, and a failing row in a later block raises what the
+    unblocked solve raises."""
+
+    B = deutsch._SOLVE_BLOCK
+
+    @pytest.mark.parametrize("angles", ["shared", "per-row"])
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_rows_solve_alone(self, monkeypatch, n, angles):
+        rng = np.random.default_rng(20261023 + n)
+        kind, theta, eps, p, loop_in = random_batch(rng, [0.4], n)
+        if angles == "per-row":
+            theta = rng.uniform(-math.pi / 2, math.pi / 2, n)
+        eps[self.B:2 * self.B] = 0.0  # a whole block with no gate failure
+        if n == 0:
+            batch = run_batch(kind, theta, eps, p, np.zeros((0, 3)))
+            assert batch.loop.shape == batch.outputs.shape == (0, 3)
+            return
+        assert_rows_solve_alone(monkeypatch, (kind, theta, eps, p, loop_in))
+
+    @staticmethod
+    def failing_batch(faults):
+        """16 solvable swap-cu rows, with the faults (row, fault, value) made."""
+        rng = np.random.default_rng(41)
+        theta, eps, p = np.full(16, 0.3), np.full(16, 0.2), np.full(16, 0.1)
+        loop_in = random_batch(rng, [0.0], 16)[4]
+        for row, fault, value in faults:
+            if fault == "non-finite":
+                loop_in[row] = math.nan
+            elif fault == "loop ball":  # the SWAP-only map keeps the input
+                eps[row], p[row], loop_in[row] = 1.0, 0.0, [0.0, 0.0, value]
+            elif fault == "residual":  # the near-degenerate band
+                theta[row], eps[row], p[row], loop_in[row] = -math.pi / 2 + value, 0.0, 0.0, [0, 0, 1]
+            elif fault == "no fixed state":
+                theta[row], eps[row], p[row] = 0.25, 1.0, 1.0
+            else:
+                theta[row] = 0.35
+        return CircuitKind.SWAP_THEN_CU, theta, eps, p, loop_in
+
+    @staticmethod
+    def injected_terms(real):
+        """_gate_terms plus, at angle 0.25, a loop-rail part that makes the
+        SWAP-only map at zero input diag(0, 1, 1, 1) (no unit-trace fixed
+        state), and at angle 0.35 an output-rail part adding 2 to output x."""
+        no_trace, output_x = np.zeros((2, 4, 4, 4)), np.zeros((2, 4, 4, 4))
+        no_trace[LOOP_RAIL, 0] = np.diag([-1.0, 1.0, 1.0, 1.0])
+        output_x[OUTPUT_RAIL, 0, 1, 0] = 2.0
+
+        def gate_terms(family, theta, eps):
+            return real(family, theta, eps) + [((theta == 0.25) * 1.0, no_trace),
+                                               ((theta == 0.35) * 1.0, output_x)]
+        return gate_terms
+
+    @pytest.mark.parametrize("faults, error, message", [
+        ([(5, "residual", 2e-5), (13, "loop ball", 1.3)], ValidationError,
+         "loop state Bloch norm 1.3 exceeds"),
+        ([(1, "loop ball", 1.3), (14, "non-finite", None)], ValidationError, "non-finite loop input"),
+        ([(2, "loop ball", 1.3), (9, "no fixed state", None)], ValidationError,
+         "consistency map has no unit-trace fixed state"),
+        ([(6, "loop ball", 1.3), (10, "loop ball", 1.5)], ValidationError,
+         "loop state Bloch norm 1.3 exceeds"),
+        # The message names the batch's largest residual, row 12's.
+        ([(3, "output ball", None), (8, "residual", 2e-5), (12, "residual", 2.5e-5)],
+         ConvergenceError, "fixed-point residual 3.1"),
+        ([(0, "output ball", None), (11, "output ball", None)], ValidationError,
+         "output Bloch norm"),
+    ])
+    def test_failing_rows_in_later_blocks(self, monkeypatch, faults, error, message):
+        monkeypatch.setattr(deutsch, "_gate_terms", self.injected_terms(deutsch._gate_terms))
+        args = self.failing_batch(faults)
+        raised = []
+        for block in (10 ** 6, 4):
+            monkeypatch.setattr(deutsch, "_SOLVE_BLOCK", block)
+            with pytest.raises(error, match=message) as exc:
+                deutsch._solve_batch(*args)
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1]
 
 
 def test_run_batch_of_no_rows():
@@ -690,7 +814,7 @@ def random_stinespring_channel(rng, k):
 
 def loop_maps(terms, loop_in):
     """Each row's M = [[1, 0], [b, A]], (N, 4, 4), built as solve_loops builds it."""
-    return deutsch._mix(terms, LOOP_RAIL, "...kmv,...m->...kv", deutsch._homogeneous(loop_in))
+    return deutsch._mix(terms, LOOP_RAIL, "...mkv,...m->...kv", deutsch._homogeneous(loop_in))
 
 
 def gap_singular_values(terms, loop_in):
@@ -730,13 +854,13 @@ class TestNearDegenerateBand:
         largest such value is 4.1e-32) or clearly not (sigma >= 1e-3; the smallest
         is 3.4e-3, in fig5c, s1 and s2), so no tolerance decides a published row."""
         sigmas = []
-        real = deutsch.solve_loops
+        real = deutsch._loop_rows
 
         def spy(terms, loop_in):
             sigmas.append(gap_singular_values(terms, loop_in))
             return real(terms, loop_in)
 
-        monkeypatch.setattr(deutsch, "solve_loops", spy)
+        monkeypatch.setattr(deutsch, "_loop_rows", spy)
         assert cli.main(["reproduce", target, "--out", str(tmp_path / "out")]) == 0
         sigma = np.concatenate(sigmas)
         assert sigma.size
@@ -792,14 +916,14 @@ class TestScreenedSolve:
     @pytest.mark.parametrize("target", cli.REPRODUCE_TARGETS)
     def test_reproduce_rows_match_the_svd_oracle(self, monkeypatch, tmp_path, target):
         seen = []
-        real = deutsch.solve_loops
+        real = deutsch._loop_rows
 
         def spy(terms, loop_in):
-            batch = real(terms, loop_in)
-            seen.append((batch, *svd_min_norm(terms, loop_in)))
-            return batch
+            rows = real(terms, loop_in)
+            seen.append((rows[0], *svd_min_norm(terms, loop_in)))
+            return rows
 
-        monkeypatch.setattr(deutsch, "solve_loops", spy)
+        monkeypatch.setattr(deutsch, "_loop_rows", spy)
         assert cli.main(["reproduce", target, "--out", str(tmp_path / "out")]) == 0
         assert seen
         for batch, loop, dims in seen:
@@ -1486,7 +1610,7 @@ class TestSwapCnotClosedForm:
 
 # Every einsum subscript string in src/ctcsim, with the shapes its letters
 # take there: n, j, x and "..." are batch or basis axes, the rest 2 or 4.
-EINSUM_SUBSCRIPTS = ("...i,...i->...", "...kmv,...m->...kv", "...kmv,...v->...km",
+EINSUM_SUBSCRIPTS = ("...i,...i->...", "...mkv,...m->...kv", "...vkm,...v->...km",
                      "nj,nji->ni", "nij,nj->ni", "nkm,nm->nk", "nj,jx->nx",
                      "aij,bkl->abikjl", "j,jab->ab", "nj,jab->nab")
 

@@ -318,6 +318,20 @@ class TestBatchedTargets:
             assert r.consistency_fidelity == loops.consistency_fidelity.min()
             assert r.fixed_set_dimension == loops.fixed_set_dimension.max()
 
+    @pytest.mark.parametrize("name", ["p", "epsilon"])
+    def test_bare_string_rejected(self, name, monkeypatch):
+        """A str is a sequence of letters: "p" used to pass as one axis and
+        "epsilon" to fail on its first letter 'e'."""
+        import ctcsim.experiments as experiments
+
+        def no_solve(*args):
+            raise AssertionError("solved before validating")
+
+        monkeypatch.setattr(experiments, "run_batch", no_solve)
+        with pytest.raises(ValidationError) as exc:
+            find_thresholds(name)
+        assert str(exc.value) == f"threshold parameters must be a sequence, not the str {name!r}"
+
     def test_thresholds_equal_their_batches_of_one(self):
         both = find_thresholds(("p", "epsilon"))
         assert both == [find_threshold("p"), find_threshold("epsilon")]

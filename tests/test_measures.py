@@ -34,7 +34,9 @@ from ctcsim.qmath import (
     PureQubit,
     ValidationError,
     density_from_bloch,
+    fidelity,
     trace_distance,
+    von_neumann_entropy,
 )
 
 H = PureQubit(0.0, 0.0).density()
@@ -72,6 +74,33 @@ def eigen_optimum(a, b):
     """Oracle: the eigensolve's optimized mismatch probability and unit axis of one pair."""
     values, axes = _eigen_optima(a.bloch()[None], b.bloch()[None])
     return float(values[0]), axes[0] / np.linalg.norm(axes[0])
+
+
+MIXED_ARRAY = np.eye(2) / 2
+
+
+class TestArgumentTypes:
+    """A state or direction of the wrong type is refused with ValidationError
+    naming the type, not an AttributeError from inside the formula."""
+
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: mismatch_probability(H, H, np.array([0, 0, 1.0])), "measurement direction"),
+        (lambda: mismatch_probability(MIXED_ARRAY, H, SIGMA_Z_AXIS), "state"),
+        (lambda: optimal_mismatch_probability(H, MIXED_ARRAY), "state"),
+        (lambda: trace_distance(MIXED_ARRAY, H), "state"),
+        (lambda: helstrom_success_probability(H, MIXED_ARRAY), "state"),
+        (lambda: fidelity(MIXED_ARRAY, H), "state"),
+        (lambda: von_neumann_entropy(MIXED_ARRAY), "state"),
+        (lambda: grid_search_mismatch(H, MIXED_ARRAY), "state"),
+        (lambda: depolarize(MIXED_ARRAY, 0.5), "state"),
+    ], ids=["mismatch_probability-direction", "mismatch_probability-state",
+            "optimal_mismatch_probability", "trace_distance", "helstrom_success_probability",
+            "fidelity", "von_neumann_entropy", "grid_search_mismatch", "depolarize"])
+    def test_wrong_type_rejected(self, call, expected):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        cls = "MeasurementDirection" if expected == "measurement direction" else "DensityMatrix"
+        assert str(exc.value) == f"{expected} must be a {cls}, got ndarray"
 
 
 class TestMismatchProbability:
