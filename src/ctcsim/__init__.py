@@ -13,7 +13,6 @@ from .circuits import (
     QubitChannel,
     build_interaction,
     depolarize,
-    make_cu_xz,
 )
 from .deutsch import (
     ConvergenceError,
@@ -68,7 +67,7 @@ __all__ = [
     "density_from_bloch", "fidelity", "trace_distance", "von_neumann_entropy",
     # circuits
     "CNOT", "SWAP", "CircuitKind", "CircuitSpec", "QubitChannel", "build_interaction",
-    "depolarize", "make_cu_xz",
+    "depolarize",
     # deutsch
     "ConvergenceError", "FixedPointResult", "ImproperMixed", "LocalPure",
     "NonLocalEnsemble", "ScenarioOutput", "consistency_map", "evolve_output",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,7 +29,6 @@ __all__ = [
     "QubitChannel",
     "CircuitKind",
     "CircuitSpec",
-    "make_cu_xz",
     "depolarize",
     "build_interaction",
 ]
@@ -131,7 +131,12 @@ class CircuitSpec:
     input_noise: float = 0.0
 
     def __post_init__(self) -> None:
-        _family(self.kind).check_angles(np.array([self.theta_xz], dtype=float))
+        family = _family(self.kind)
+        for name in ("theta_xz", "gate_noise", "input_noise"):
+            v = getattr(self, name)
+            if type(v) is bool or not isinstance(v, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {type(v).__name__}")
+        family.check_angles(np.array([self.theta_xz], dtype=float))
         for name, v in (("gate_noise (epsilon)", self.gate_noise),
                         ("input_noise (p)", self.input_noise)):
             if not 0.0 <= v <= 1.0:
@@ -148,15 +153,6 @@ def _cu_weights(theta: np.ndarray) -> np.ndarray:
     weights = np.ones((len(t), 3))
     weights[:, 1], weights[:, 2] = list(map(math.cos, t)), list(map(math.sin, t))
     return weights
-
-
-def make_cu_xz(theta_xz: float) -> np.ndarray:
-    """Controlled pi-rotation about the Bloch xz-plane axis at theta_xz, controlled by
-    qubit 1: [[cos t, sin t], [sin t, -cos t]] on the control-|V> block (0: CZ, pi/2:
-    CNOT, pi/4: controlled Hadamard). ValidationError on a non-finite angle."""
-    if not math.isfinite(theta_xz):
-        raise ValidationError(f"theta_xz = {theta_xz} is not finite")
-    return c_einsum("j,jab->ab", _cu_weights(np.array([theta_xz], dtype=float))[0], _CU_BLOCKS)
 
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -236,15 +232,15 @@ class _GateFamily:
         return x[:, self.pairs[0]] * x[:, self.pairs[1]]
 
 
-# CU_xz(theta) = B0 + c B1 + s B2 (its control-|V> block is c Z + s X), so
-# CU_xz(theta) SWAP = G0 + c G1 + s G2 with G = B SWAP.
+# CU_xz(theta), the pi-rotation about the Bloch xz-plane axis at theta controlled by
+# qubit 1 (0: CZ, pi/2: CNOT, pi/4: controlled Hadamard), is B0 + c B1 + s B2: its
+# control-|V> block is c Z + s X. So CU_xz(theta) SWAP = G0 + c G1 + s G2, G = B SWAP.
 _H_PROJ, _V_PROJ = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 _CU_BLOCKS = np.array([np.kron(_H_PROJ, ID2), np.kron(_V_PROJ, SIGMA_Z), np.kron(_V_PROJ, SIGMA_X)])
-_CU_GENERATORS = _CU_BLOCKS @ SWAP
 _FAMILIES = {
     CircuitKind.SWAP_CNOT: _GateFamily(np.array([SWAP @ CNOT]),
                                        lambda theta: np.ones((len(theta), 1)), None),
-    CircuitKind.SWAP_THEN_CU: _GateFamily(_CU_GENERATORS, _cu_weights,
+    CircuitKind.SWAP_THEN_CU: _GateFamily(_CU_BLOCKS @ SWAP, _cu_weights,
                                           (-math.pi / 2, math.pi / 2)),
 }
 

@@ -553,16 +553,23 @@ def proper_mixture_output(spec: CircuitSpec, states: list[PureQubit],
 
 
 def iterate_circuit(input_state: PureQubit, n: int) -> DensityMatrix:
-    """The noise-free CNOT-then-SWAP loop output after n passes, each later pass fed
-    the previous Bloch output as an improper mixture (it comes from tracing out the
-    loop rail), as nonlinearity_sweep feeds fig3's passes, so with its bits."""
+    """The noise-free CNOT-then-SWAP loop output after n passes: the pass loop
+    fig3 runs, each later pass fed the previous Bloch output as an improper
+    mixture (it comes from tracing out the loop rail), so with fig3's bits."""
     _require_type(PureQubit, "input state", input_state)
     _check_count(n, "iteration count", 1)
-    zero = np.zeros(1)
-    state = input_state.bloch()[None]
+    return _ball_state(_swap_cnot_passes(input_state.bloch()[None], n)[-1].outputs[0])
+
+
+def _swap_cnot_passes(state: np.ndarray, n: int) -> list[LoopBatch]:
+    """n noise-free CNOT-then-SWAP passes of the Bloch rows state (N, 3), each
+    later pass fed the last pass's outputs: one LoopBatch per pass."""
+    zero = np.zeros(len(state))
+    batches = []
     for _ in range(n):
-        state = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero, state).outputs
-    return _ball_state(state[0])
+        batches.append(run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero, state))
+        state = batches[-1].outputs
+    return batches
 
 
 def _check_count(n, what: str, least: int) -> None:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import CircuitKind
-from .deutsch import LoopBatch, _check_count, run_batch
+from .deutsch import RESIDUAL_TOL, LoopBatch, _check_count, _swap_cnot_passes, run_batch
 from .measures import bloch_measures
 from .qmath import ValidationError
 
@@ -164,12 +164,8 @@ def nonlinearity_sweep(phi_grid: list[float] | None = None,
     phi, phase = (np.array(c) for c in zip(*states))
     n = len(states)
     swept, ref = slice(n), slice(n, None)  # rows of the swept states and the |H> reference
-    state = np.vstack([_pure_bloch(phi, phase), np.tile([0.0, 0.0, 1.0], (n, 1))])
-    zeros = np.zeros(2 * n)
-    batches = []
-    for _ in range(max(passes)):
-        batches.append(run_batch(CircuitKind.SWAP_CNOT, zeros, zeros, zeros, state))
-        state = batches[-1].outputs
+    batches = _swap_cnot_passes(
+        np.vstack([_pure_bloch(phi, phase), np.tile([0.0, 0.0, 1.0], (n, 1))]), max(passes))
     # The nonlinearity experiment compares against the fixed sigma-z
     # measurement on the un-evolved inputs (the reference state is known,
     # the swept one is not).
@@ -360,8 +356,8 @@ def validate_records(records: list[SweepRecord]) -> list[str]:
     """Regression guard: list of human-readable invariant violations (empty = good)."""
     problems = []
     for i, r in enumerate(records):
-        if not r.fixed_point_residual <= 1e-10:
-            problems.append(f"row {i}: residual {r.fixed_point_residual:.3e} > 1e-10")
+        if not r.fixed_point_residual <= RESIDUAL_TOL:
+            problems.append(f"row {i}: residual {r.fixed_point_residual:.3e} > {RESIDUAL_TOL:.0e}")
         if not r.consistency_fidelity >= 1 - 1e-9:
             problems.append(f"row {i}: consistency fidelity {r.consistency_fidelity}")
         for name in ("L_ctc_sigma_z", "L_ctc_optimal", "D_ctc", "L_qm", "D_qm",

@@ -13,6 +13,7 @@ import numpy as np
 
 from .circuits import _FAMILIES, CircuitKind, CircuitSpec, _failure_kraus, build_interaction
 from .deutsch import (
+    _swap_cnot_passes,
     damped_iteration,
     run_batch,
     solve_fixed_point,
@@ -21,6 +22,8 @@ from .deutsch import (
 from .experiments import (
     SweepRecord,
     _pure_bloch,
+    _solve_pairs,
+    _sweep_grid,
     decoherence_surface,
     find_thresholds,
     nonlinearity_sweep,
@@ -80,9 +83,7 @@ def _check_closed_form(ctx: Context) -> tuple[bool, str]:
     """Engine vs analytic loop/output states on a 64-point population grid."""
     start = time.perf_counter()
     pops = np.linspace(0.0, 1.0, 64).tolist()
-    zero = np.zeros(len(pops))
-    batch = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero,
-                      _pure_bloch([2 * math.acos(math.sqrt(a)) for a in pops], 0.0))
+    [batch] = _swap_cnot_passes(_pure_bloch([2 * math.acos(math.sqrt(a)) for a in pops], 0.0), 1)
     ctx.fidelities.extend(batch.consistency_fidelity.tolist())
     refs = np.array([[r.mat for r in swap_cnot_closed_form(a)] for a in pops])  # (64, out/ctc, 2, 2)
     worst = np.max([trace_distances(_density_rows(batch.outputs), refs[:, 0]).max(),
@@ -96,9 +97,7 @@ def _check_phase_erasure(ctx: Context) -> tuple[bool, str]:
     """Outputs agree across a 16-point phase grid at each of 5 polar angles."""
     phis = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
     phases = [2 * math.pi * k / 16 for k in range(16)]
-    zero = np.zeros(len(phis) * 16)
-    batch = run_batch(CircuitKind.SWAP_CNOT, zero, zero, zero,
-                      _pure_bloch(np.repeat(phis, 16), phases * len(phis)))
+    [batch] = _swap_cnot_passes(_pure_bloch(np.repeat(phis, 16), phases * len(phis)), 1)
     ctx.fidelities.extend(batch.consistency_fidelity.tolist())
     outs = _density_rows(batch.outputs).reshape(len(phis), 16, 2, 2)
     worst = trace_distances(outs[:, :1], outs[:, 1:]).max()
@@ -176,14 +175,12 @@ def _check_perfect_discrimination(ctx: Context) -> tuple[bool, str]:
 
 def _check_nonlocal_ceiling(ctx: Context) -> tuple[bool, str]:
     """Non-local preparation: maximally mixed outputs at the optimum, never above 1/2."""
-    phis = [2 * math.pi * k / 32 for k in range(1, 32)]
-    zero = np.zeros(len(phis))
-    # Each scenario's loop adapts to the ensemble mean of |H> and psi(phi),
-    # and both ensemble states emerge as that mean's evolved output.
-    batch = run_batch(CircuitKind.SWAP_THEN_CU, [(phi - math.pi) / 2 for phi in phis], zero, zero,
-                      (np.array([0.0, 0.0, 1.0]) + _pure_bloch(phis, 0.0)) / 2.0)
-    ctx.fidelities.extend(batch.consistency_fidelity.tolist())
-    worst_d = trace_distances(_density_rows(batch.outputs), DensityMatrix.maximally_mixed().mat).max()
+    # fig5b's optimal-gate points but phi = 0. Each loop adapts to the ensemble
+    # mean of |H> and psi(phi), and both states emerge as its evolved output.
+    phi, theta = (axis[1:] for axis in _sweep_grid("optimal-gate", 32))
+    out, _, _, (_, fid, _) = _solve_pairs(False, phi, theta, 0.0, 0.0)
+    ctx.fidelities.extend(fid.tolist())
+    worst_d = trace_distances(_density_rows(out), DensityMatrix.maximally_mixed().mat).max()
     ceiling = np.max([0.0] + [r.L_ctc_sigma_z - 0.5 for r in ctx.nonlocal_sweeps()])
     ok = worst_d <= 1e-10 and ceiling <= 1e-9
     return ok, f"worst distance to I/2 {worst_d:.2e}, max L - 1/2 = {ceiling:.2e}"

@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 import ctcsim.cli as cli
+import ctcsim.deutsch as deutsch
+import ctcsim.experiments as experiments
 import ctcsim.selftest as selftest
 from ctcsim.circuits import (
     CircuitKind,
@@ -161,22 +163,30 @@ def scenarios_one_at_a_time(check_id):
             for phi in phis]
 
 
+# The module whose run_batch each check reaches: C1 and C2 through
+# deutsch._swap_cnot_passes, C7 through experiments._solve_pairs.
+BATCH_MODULES = {"C1": deutsch, "C2": deutsch, "C7": experiments}
+
+
 @pytest.mark.parametrize("check_id", ["C1", "C2", "C7"])
 def test_batched_check_matches_run_scenario(check_id, monkeypatch):
     """C1, C2 and C7 each solve their scenarios as one run_batch, whose rows are
     run_scenario's results one at a time bit for bit: loop state, every
     output and the consistency fidelity the check records."""
     batches = []
-    real = selftest.run_batch
+    module = BATCH_MODULES[check_id]
+    real = module.run_batch
 
     def recorded(*args):
         batches.append(real(*args))
         return batches[-1]
 
-    monkeypatch.setattr(selftest, "run_batch", recorded)
+    monkeypatch.setattr(module, "run_batch", recorded)
     ctx = Context()
     assert {c: check for c, _, check in CHECKS}[check_id](ctx)[0]
-    [batch] = batches
+    # C7's second batch is the fig5b sweeps it shares with C9 (Context.nonlocal_sweeps).
+    assert len(batches) == (2 if check_id == "C7" else 1)
+    batch = batches[0]
     scenarios = scenarios_one_at_a_time(check_id)
     assert len(batch.loop) == len(scenarios)
     loops, outputs = _density_rows(batch.loop), _density_rows(batch.outputs)
@@ -497,10 +507,10 @@ def with_nan(records, name, index=2):
     return [r._replace(**{name: math.nan}) if i == index else r for i, r in enumerate(records)]
 
 
-def patch_result(monkeypatch, name, change):
-    """Replace selftest.<name> by a wrapper that passes its result through change."""
-    real = getattr(selftest, name)
-    monkeypatch.setattr(selftest, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+def patch_result(monkeypatch, name, change, module=selftest):
+    """Replace module.<name> by a wrapper that passes its result through change."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
 
 
 def nan_row(a, index=1):
@@ -522,7 +532,7 @@ def nan_past_first_row(monkeypatch, ctx):
 # and the detail the failed check then prints.
 NAN_CASES = {
     "C1 loop": ("C1", lambda mp, ctx: patch_result(
-        mp, "run_batch", lambda b: dataclasses.replace(b, loop=nan_row(b.loop))),
+        mp, "run_batch", lambda b: dataclasses.replace(b, loop=nan_row(b.loop)), deutsch),
         "worst trace distance nan"),
     "C4": ("C4", lambda mp, ctx: patch_result(
         mp, "nonlinearity_sweep", lambda recs: with_nan(recs, "L_qm")),

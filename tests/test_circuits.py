@@ -1,6 +1,7 @@
 """Gate constructors, noise channels, and the interaction builder."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from ctcsim.circuits import (
     _transfer_tensors,
     build_interaction,
     depolarize,
-    make_cu_xz,
 )
 from ctcsim.deutsch import _kraus_stack, consistency_map, evolve_output, run_batch
 from ctcsim.qmath import (
@@ -46,7 +46,7 @@ class TestGateConstructors:
 
     def test_cz_sign_flip_on_vv(self):
         """CU_xz at angle 0 is exactly CZ."""
-        cz = make_cu_xz(0.0)
+        cz = scalar_cu_xz(0.0)
         np.testing.assert_array_equal(cz, np.diag([1, 1, 1, -1]).astype(complex))
         np.testing.assert_allclose(cz @ VV, -VV, atol=0)
         for basis in (HH, HV, VH):
@@ -54,19 +54,19 @@ class TestGateConstructors:
 
     def test_cu_at_zero_is_cz_like(self):
         np.testing.assert_allclose(
-            make_cu_xz(0.0)[2:, 2:], np.diag([1.0, -1.0]), atol=1e-15
+            scalar_cu_xz(0.0)[2:, 2:], np.diag([1.0, -1.0]), atol=1e-15
         )
 
     def test_cu_at_half_pi_is_cnot(self):
-        np.testing.assert_allclose(make_cu_xz(math.pi / 2), CNOT, atol=1e-15)
+        np.testing.assert_allclose(scalar_cu_xz(math.pi / 2), CNOT, atol=1e-15)
 
     def test_cu_at_quarter_pi_is_controlled_hadamard(self):
         hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        np.testing.assert_allclose(make_cu_xz(math.pi / 4)[2:, 2:], hadamard, atol=1e-15)
+        np.testing.assert_allclose(scalar_cu_xz(math.pi / 4)[2:, 2:], hadamard, atol=1e-15)
 
     @pytest.mark.parametrize("theta", np.linspace(-math.pi / 2, math.pi / 2, 25))
     def test_cu_unitary_and_involutive(self, theta):
-        u = make_cu_xz(theta)
+        u = scalar_cu_xz(theta)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(u @ u, np.eye(4), atol=1e-12)
 
@@ -76,8 +76,9 @@ class TestGateConstructors:
         is folded to 0.0: the gate, its basis weights and the run_batch rows,
         in a batch of one angle and among other angles, are those of theta = 0
         bit for bit."""
-        np.testing.assert_array_equal(make_cu_xz(theta), make_cu_xz(0.0))
         kind = CircuitKind.SWAP_THEN_CU
+        gates = _failure_kraus(_FAMILIES[kind], np.array([theta, 0.0]), np.zeros(2))[1][:, 0]
+        np.testing.assert_array_equal(gates[0], gates[1])
         tiny, zero = np.array([theta, 0.7, theta, -0.4]), np.array([0.0, 0.7, 0.0, -0.4])
         np.testing.assert_array_equal(_FAMILIES[kind].basis_weights(tiny),
                                       _FAMILIES[kind].basis_weights(zero))
@@ -88,11 +89,6 @@ class TestGateConstructors:
             for name in ("loop", "outputs", "fixed_set_dimension", "residual",
                          "consistency_fidelity"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
-
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
-    def test_non_finite_angle_rejected(self, theta):
-        with pytest.raises(ValidationError, match="is not finite"):
-            make_cu_xz(theta)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError, match="completeness"):
@@ -164,7 +160,7 @@ class TestGateFailureChannel:
     def test_zero_failure_is_pure_unitary(self):
         ch = cu_interaction(0.3, 0.0)
         assert len(ch.kraus) == 1 and ch.kraus[0][0] == 1.0
-        np.testing.assert_allclose(ch.kraus[0][1], make_cu_xz(0.3) @ SWAP,
+        np.testing.assert_allclose(ch.kraus[0][1], scalar_cu_xz(0.3) @ SWAP,
                                    atol=0)
 
     def test_certain_failure_is_pure_swap(self):
@@ -177,7 +173,7 @@ class TestGateFailureChannel:
         half of the time, so the result is an even mixture of |V>|H> and |V>|+>."""
         h = PureQubit(0.0).density().mat
         v = PureQubit(math.pi).density().mat
-        plus_vec = make_cu_xz(math.pi / 4)[2:, 2:] @ np.array([1.0, 0.0])  # Hadamard |H>
+        plus_vec = scalar_cu_xz(math.pi / 4)[2:, 2:] @ np.array([1.0, 0.0])  # Hadamard |H>
         plus = np.outer(plus_vec, plus_vec.conj())
         out = joint_image(cu_interaction(math.pi / 4, 0.5), np.kron(h, v))
         expected = 0.5 * np.kron(v, h) + 0.5 * np.kron(v, plus)
@@ -189,7 +185,7 @@ class TestGateFailureChannel:
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = g @ g.conj().T
         rho /= rho.trace().real
-        u = make_cu_xz(math.pi / 4) @ SWAP
+        u = scalar_cu_xz(math.pi / 4) @ SWAP
         s = SWAP
         out = joint_image(cu_interaction(math.pi / 4, 1 / 3), rho)
         expected = (2 / 3) * u @ rho @ u.conj().T + (1 / 3) * s @ rho @ s.conj().T
@@ -244,6 +240,24 @@ class TestBuildInteraction:
             CircuitSpec(kind=kind)
         assert str(exc.value) == f"circuit kind {kind!r} is not a CircuitKind"
 
+    def test_kind_checked_before_the_numeric_fields(self):
+        """The kind first, then each numeric field's type, then the angle and ranges."""
+        for args, message in ((("swap-cu", "abc"), "circuit kind 'swap-cu' is not a CircuitKind"),
+                              ((CircuitKind.SWAP_CNOT, "abc"), "theta_xz must be a real number, got str"),
+                              ((CircuitKind.SWAP_THEN_CU, 9.0, "x"),
+                               "gate_noise must be a real number, got str")):
+            with pytest.raises(ValidationError) as exc:
+                CircuitSpec(*args)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [0, 0.25, np.float64(0.25), np.float32(0.25), np.int64(1),
+                                       Fraction(1, 4)])
+    def test_real_numbers_accepted(self, value):
+        """Python and numpy integers and floats, and other numbers.Real, are kept as given."""
+        for field in ("theta_xz", "gate_noise", "input_noise"):
+            spec = CircuitSpec(CircuitKind.SWAP_THEN_CU, **{field: value})
+            assert getattr(spec, field) is value
+
     def test_swap_cnot_is_single_kraus(self):
         ch = build_interaction(CircuitSpec(kind=CircuitKind.SWAP_CNOT))
         assert len(ch.kraus) == 1
@@ -255,7 +269,7 @@ class TestBuildInteraction:
         )
         assert len(ch.kraus) == 1
         np.testing.assert_allclose(
-            ch.kraus[0][1], make_cu_xz(math.pi / 4) @ SWAP
+            ch.kraus[0][1], scalar_cu_xz(math.pi / 4) @ SWAP
         )
 
     def test_full_gate_noise_leaves_pure_swap(self):
@@ -310,14 +324,18 @@ EDGE_ANGLES = [-1e-20, -5e-324, -0.0, 0.0, -math.pi / 2, math.nextafter(math.pi 
 
 
 class TestOneFailureFactory:
-    """make_cu_xz, build_interaction and _failure_kraus all come from one
-    factory and one angle rule, and give the written-out gates bit for bit."""
+    """build_interaction and _failure_kraus both come from one factory and one
+    angle rule, and give the written-out gates bit for bit."""
 
-    def test_make_cu_xz_matches_scalar_rule(self):
+    def test_family_gate_matches_scalar_rule(self):
+        """The swap-cu family's ideal gate, _failure_kraus's first operator, is
+        the written-out CU_xz(theta) SWAP, inside the sweep range and beyond it."""
         rng = np.random.default_rng(2025)
         angles = rng.uniform(-math.pi / 2, math.pi / 2, 20000).tolist() + EDGE_ANGLES + [
             math.pi / 2, math.pi, 3.0, -2.5]
-        bad = [t for t in angles if not same_bits(make_cu_xz(t), scalar_cu_xz(t))]
+        gates = _failure_kraus(_FAMILIES[CircuitKind.SWAP_THEN_CU], np.array(angles),
+                               np.zeros(len(angles)))[1][:, 0]
+        bad = [t for t, gate in zip(angles, gates) if not same_bits(gate, scalar_cu_xz(t) @ SWAP)]
         assert bad == []
 
     @pytest.mark.parametrize("kind", list(CircuitKind))

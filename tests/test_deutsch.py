@@ -24,7 +24,6 @@ from ctcsim.circuits import (
     _failure_kraus,
     _transfer_tensors,
     build_interaction,
-    make_cu_xz,
 )
 from ctcsim.measures import bloch_measures
 from ctcsim.deutsch import (
@@ -64,6 +63,7 @@ from ctcsim.qmath import (
     trace_distance,
     trace_distances,
 )
+from test_circuits import scalar_cu_xz
 
 H = PureQubit(0.0, 0.0)
 HALF = DensityMatrix.maximally_mixed()
@@ -1044,7 +1044,7 @@ class TestLocalUnitaryCovariance:
         amplitude-damped gate, and degenerate rows (fixed sets of dimension 2 and 4)."""
         rng = np.random.default_rng(20261018)
         gamma = 0.35
-        gate = make_cu_xz(0.7) @ SWAP
+        gate = scalar_cu_xz(0.7) @ SWAP
         damping = [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
                    np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])]
         damped_gate = QubitChannel(tuple((1.0, np.kron(ID2, k) @ gate) for k in damping))
@@ -1128,7 +1128,7 @@ class TestLocalUnitaryReduction:
         channels, loop_in = [], []
         for i in range(self.TRIALS):
             if i % 2:
-                core = make_cu_xz(rng.uniform(-math.pi / 2, math.pi / 2)) @ SWAP
+                core = scalar_cu_xz(rng.uniform(-math.pi / 2, math.pi / 2)) @ SWAP
             else:
                 c1 = rng.uniform(0.0, math.pi / 4)
                 c2 = rng.uniform(0.0, c1)
@@ -1337,6 +1337,14 @@ class TestRunScenario:
         ({"gate_noise": math.nan}, "gate_noise (epsilon) = nan outside [0, 1]"),
         ({"input_noise": -0.1}, "input_noise (p) = -0.1 outside [0, 1]"),
         ({"input_noise": math.inf}, "input_noise (p) = inf outside [0, 1]"),
+        ({"theta_xz": "0.5"}, "theta_xz must be a real number, got str"),
+        ({"theta_xz": None}, "theta_xz must be a real number, got NoneType"),
+        ({"theta_xz": [0.5]}, "theta_xz must be a real number, got list"),
+        ({"theta_xz": True}, "theta_xz must be a real number, got bool"),
+        ({"gate_noise": "0.5"}, "gate_noise must be a real number, got str"),
+        ({"gate_noise": np.False_}, "gate_noise must be a real number, got bool"),
+        ({"input_noise": np.array(0.5)}, "input_noise must be a real number, got ndarray"),
+        ({"input_noise": 0.5j}, "input_noise must be a real number, got complex"),
     ])
     def test_spec_refuses_what_run_scenario_no_longer_checks(self, kwargs, message):
         with pytest.raises(ValidationError) as exc:
@@ -1612,7 +1620,7 @@ class TestSwapCnotClosedForm:
 # take there: n, j, x and "..." are batch or basis axes, the rest 2 or 4.
 EINSUM_SUBSCRIPTS = ("...i,...i->...", "...mkv,...m->...kv", "...vkm,...v->...km",
                      "nj,nji->ni", "nij,nj->ni", "nkm,nm->nk", "nj,jx->nx",
-                     "aij,bkl->abikjl", "j,jab->ab", "nj,jab->nab")
+                     "aij,bkl->abikjl", "nj,jab->nab")
 
 
 # Every gufunc src/ctcsim calls with a signature= keyword, and that signature.
@@ -1727,7 +1735,6 @@ class TestEinsumKernel:
         interaction = build_interaction(spec)
         for method in ("eigen_max_entropy", "damped_iteration"):
             solve_fixed_point(psi1.density(), interaction, method)
-        make_cu_xz(0.7)
         iterate_circuit(psi1, 3)
         for target in cli.REPRODUCE_TARGETS:
             grid = [] if target in ("fig3", "thresholds") else ["--grid", "3"]
