@@ -178,9 +178,10 @@ def _kraus_stack(channels) -> tuple[np.ndarray, np.ndarray]:
     return weights, ops
 
 
-# _kraus_loop's row block: its temporaries take about 8 KB per row at B = 4
-# (a superoperator build), so a block of 200 rows caps them near 1.6 MB.
-_KRAUS_BLOCK = 200
+# _kraus_loop's row block: a superoperator build (B = 4, two Kraus operators)
+# makes temporaries of 1-2 KB per row, so a block of 64 rows keeps each at or
+# below 128 KB, which the allocator reuses instead of faulting in fresh pages.
+_KRAUS_BLOCK = 64
 
 
 def _kraus_loop(kraus, rho_in: np.ndarray, x: np.ndarray, keep: int = LOOP_RAIL) -> np.ndarray:

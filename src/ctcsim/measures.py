@@ -154,6 +154,15 @@ _GRID_POINTS = 10_000
 _ZOOM_LEVELS = 4
 _SCAN_CHUNK = 8
 _ZOOM_CHUNK = 25
+# A near-parallel pair peaks on a narrow crest that one mesh follows only part
+# of the way: at the _RESCAN_LEVELS coarsest levels, a pair whose best mesh
+# point beats the centre and lies in the mesh's outer ring (more than 7 of its
+# 10 steps out along either mesh axis) is scanned again around that point, at
+# most _RESCANS times.
+_RESCAN_LEVELS = 2
+_RESCANS = 16
+_OUTER = np.logical_or.outer(*2 * [np.abs(np.arange(-10, 11)) > 7]).reshape(-1)
+_CENTRE = _OUTER.size // 2
 
 
 def _search_grid():
@@ -189,12 +198,38 @@ def _sphere_argmax(axes: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarr
     return best
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two (P, 3) stacks, with its products and differences (so its
+    bits) at half its call overhead."""
+    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+
+
+def _zoom(ax: np.ndarray, a: np.ndarray, b: np.ndarray, du, dv, cand: np.ndarray):
+    """One mesh scan of a stack of pairs (P, 3, 1): each pair's best axis of the
+    (du, dv) mesh around its axis in ax (P, 3), built in cand (P, mesh, 3), and
+    whether that axis beats the centre from the mesh's outer ring."""
+    ref = np.where(np.abs(ax[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    u = _cross(ax, ref)
+    u /= np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
+    v = _cross(ax, u)
+    # Built component-major (3, P, mesh), so each elementwise loop runs over a
+    # mesh, then normalized into cand, whose rows the dot products need contiguous.
+    c = ax.T[:, :, None] + du * u.T[:, :, None] + dv * v.T[:, :, None]
+    np.divide(c, np.sqrt(np.add.reduce(c * c, axis=0)), out=np.moveaxis(cand, -1, 0))
+    value = (1.0 - (cand @ a)[..., 0] * (cand @ b)[..., 0]) / 2.0
+    rows = np.arange(len(ax))
+    best = np.argmax(value, axis=1)
+    return cand[rows, best], _OUTER[best] & (value[rows, best] > value[:, _CENTRE])
+
+
 def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Brute-force oracle: the optimized mismatch probability of Bloch pairs (N, 3).
 
     Scans a Fibonacci sphere of _GRID_POINTS axes, then _ZOOM_LEVELS 21x21 meshes,
-    each 8 times finer, around the best axis. A pair's result does not depend on
-    the batch it is in. ValidationError unless both stacks are finite and (N, 3).
+    each 8 times finer, around the best axis; the two coarsest levels rescan
+    around a best axis in the mesh's outer ring (see _RESCANS). A pair's result
+    does not depend on the batch it is in. ValidationError unless both stacks
+    are finite and (N, 3).
     """
     r1, r2 = np.asarray(r1, dtype=float), np.asarray(r2, dtype=float)
     if r1.ndim != 2 or r1.shape[1:] != (3,) or r1.shape != r2.shape:
@@ -202,27 +237,21 @@ def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise ValidationError("Bloch stacks must be finite")
     axes, zoom = _search_grid()
-    best = axes[_sphere_argmax(axes, r1, r2)]
-    out = np.empty(len(r1))
-    for lo in range(0, len(r1), _ZOOM_CHUNK):
-        ax = best[lo:lo + _ZOOM_CHUNK]
-        a, b = r1[lo:lo + _ZOOM_CHUNK, :, None], r2[lo:lo + _ZOOM_CHUNK, :, None]
+    ax = axes[_sphere_argmax(axes, r1, r2)]
+    a, b = r1[:, :, None], r2[:, :, None]
+    cand = np.empty((_ZOOM_CHUNK, zoom[0][0].size, 3))
+    for level, (du, dv) in enumerate(zoom):
         rows = np.arange(len(ax))
-        cand = np.empty((len(ax), zoom[0][0].size, 3))
-        for du, dv in zoom:
-            ref = np.where(np.abs(ax[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-            u = np.cross(ax, ref)
-            u /= np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
-            v = np.cross(ax, u)
-            # Built component-major (3, P, mesh), so each elementwise loop runs
-            # over a mesh, then normalized into cand (P, mesh, 3), whose rows
-            # the dot products need contiguous.
-            c = ax.T[:, :, None] + du * u.T[:, :, None] + dv * v.T[:, :, None]
-            np.divide(c, np.sqrt(np.add.reduce(c * c, axis=0)), out=np.moveaxis(cand, -1, 0))
-            value = (1.0 - (cand @ a)[..., 0] * (cand @ b)[..., 0]) / 2.0
-            ax = cand[rows, np.argmax(value, axis=1)]
-        out[lo:lo + _ZOOM_CHUNK] = (1.0 - (ax[:, None, :] @ a) * (ax[:, None, :] @ b))[:, 0, 0] / 2.0
-    return out
+        for _ in range(1 + _RESCANS * (level < _RESCAN_LEVELS)):
+            again = np.empty(len(rows), dtype=bool)
+            for lo in range(0, len(rows), _ZOOM_CHUNK):
+                part = rows[lo:lo + _ZOOM_CHUNK]
+                ax[part], again[lo:lo + _ZOOM_CHUNK] = _zoom(ax[part], a[part], b[part], du, dv,
+                                                              cand[:len(part)])
+            rows = rows[again]
+            if not rows.size:
+                break
+    return (1.0 - (ax[:, None, :] @ a) * (ax[:, None, :] @ b))[:, 0, 0] / 2.0
 
 
 def grid_search_mismatch(rho1: DensityMatrix, rho2: DensityMatrix) -> float:

@@ -1,11 +1,13 @@
 """The acceptance checks of `ctcsim selftest` and the pytest acceptance suite: each
 compares the engine with an independent oracle (closed forms, recurrences,
-brute-force search) at a fixed tolerance.
+brute-force search) at a fixed tolerance. Random draws come from the
+stdlib's random.Random through _uniform, so the suite never imports numpy.random.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 
@@ -61,16 +63,23 @@ class Context:
         return self._nonlocal
 
 
-def _mixed_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n random pairs of mixed qubit states G G^dag / Tr(G G^dag), G complex
-    Gaussian, as two (n, 2, 2) stacks. Symmetrised as DensityMatrix does, so
-    wrapping a row leaves it unchanged."""
-    x = rng.normal(size=(n, 2, 2, 2, 2))
-    g = x[:, :, 0] + 1j * x[:, :, 1]
-    m = g @ g.conj().swapaxes(-1, -2)
-    m = m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
-    m = (m + m.conj().swapaxes(-1, -2)) / 2.0
-    return m[:, 0], m[:, 1]
+def _uniform(rng: random.Random, low, high, shape) -> np.ndarray:
+    """Uniform draws in [low, high) (broadcast to shape) by numpy's formula
+    low + (high - low) (w >> 11) 2^-53, each from its own little-endian 64-bit
+    word of rng.randbytes in C order: a stacked draw equals one-at-a-time draws."""
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8").reshape(shape)
+    low = np.asarray(low, dtype=float)
+    return low + (np.asarray(high, dtype=float) - low) * ((words >> 11) * 2.0 ** -53)
+
+
+def _mixed_pairs(rng: random.Random, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random pairs of qubit states as two Bloch stacks (n, 3), uniform in the
+    ball (the Hilbert-Schmidt measure): psi(acos u, phase) shrunk to radius
+    cbrt(w), each state one (u, phase, w) draw."""
+    u, phase, w = np.moveaxis(_uniform(rng, [-1.0, 0.0, 0.0], [1.0, 2 * math.pi, 1.0], (n, 2, 3)),
+                              -1, 0)
+    r = _pure_bloch(np.arccos(u), phase) * np.cbrt(w)[..., None]
+    return r[:, 0], r[:, 1]
 
 
 def _density_rows(r: np.ndarray) -> np.ndarray:
@@ -205,16 +214,16 @@ def _check_decoherence_thresholds(ctx: Context) -> tuple[bool, str]:
 
 def _check_supplement_identities(ctx: Context) -> tuple[bool, str]:
     """Optimized-measure and Helstrom identities, and the non-local 1/2 plateau."""
-    rng = np.random.default_rng(20260810)
+    rng = random.Random(20260810)
     # 1000 pairs of pure states psi(acos u, phase), u and the phase uniform.
-    u, phase = np.moveaxis(rng.uniform([-1.0, 0.0], [1.0, 2 * math.pi], size=(1000, 2, 2)), -1, 0)
+    u, phase = np.moveaxis(_uniform(rng, [-1.0, 0.0], [1.0, 2 * math.pi], (1000, 2, 2)), -1, 0)
     a, b = np.moveaxis(_pure_bloch(np.arccos(u), phase), 1, 0)
     # The eigensolve oracle of the optimized measure against the pure-state
     # identity; unit Bloch vectors, so no row's quadratic form vanishes.
     d = trace_distances(_density_rows(a), _density_rows(b))
     worst_si = float(np.abs(_eigen_optima(a, b)[0] - 0.5 * (1 + d * d)).max())
 
-    m1, m2 = _mixed_pairs(rng, 1000)
+    m1, m2 = map(_density_rows, _mixed_pairs(rng, 1000))
     lam, v = np.linalg.eigh(m1 - m2)
     # Projector onto the positive eigenspace of each difference, built from
     # its top k eigenvectors for each dimension k (none: the zero matrix).
@@ -246,15 +255,15 @@ _CANDIDATE_LOW = [-math.pi / 2, 0.0, 0.0, -1.0, 0.0]
 _CANDIDATE_HIGH = [math.pi / 2 - 1e-9, 1.0, 1.0, 1.0, 2 * math.pi]
 
 
-def _draw_candidates(rng: np.random.Generator, n: int):
+def _draw_candidates(rng: random.Random, n: int):
     """n random swap-cu candidates from one draw of n rows (theta, eps, p,
     cos polar, phase), as run_batch's arguments: theta, eps, p and the pure
     Bloch rows (n, 3) of psi(acos(cos polar), phase)."""
-    theta, eps, p, cos_polar, phase = rng.uniform(_CANDIDATE_LOW, _CANDIDATE_HIGH, size=(n, 5)).T
+    theta, eps, p, cos_polar, phase = _uniform(rng, _CANDIDATE_LOW, _CANDIDATE_HIGH, (n, 5)).T
     return theta, eps, p, _pure_bloch(np.arccos(cos_polar), phase)
 
 
-def _unique_candidates(rng: np.random.Generator, count: int):
+def _unique_candidates(rng: random.Random, count: int):
     """theta, eps, input Bloch rows (pure rows depolarized by p) and engine
     loop states (count, 3) of the first `count` candidates whose fixed point
     is unique, solved by run_batch, the fixed-basis solve every command
@@ -270,22 +279,15 @@ def _unique_candidates(rng: np.random.Generator, count: int):
     return tuple(map(np.concatenate, zip(*rows)))
 
 
-def _bloch_rows(m: np.ndarray) -> np.ndarray:
-    """Bloch vectors (N, 3) of Hermitian unit-trace matrices (N, 2, 2), read as
-    DensityMatrix.bloch reads them: (2 Re m01, -2 Im m01, Re m00 - Re m11)."""
-    m01 = m[:, 0, 1]
-    return np.stack([2.0 * m01.real, -2.0 * m01.imag, m[:, 0, 0].real - m[:, 1, 1].real], axis=1)
-
-
 def _check_solver_equivalence(ctx: Context) -> tuple[bool, str]:
     """Both solver methods agree; eigen measurement optimum matches grid search."""
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     theta, eps, bloch, loop = _unique_candidates(rng, SOLVER_CHECKS)
     damped = damped_iteration(_density_rows(bloch),
                               _failure_kraus(_FAMILIES[CircuitKind.SWAP_THEN_CU], theta, eps))
     worst = trace_distances(_density_rows(loop), damped.rho).max()
 
-    r1, r2 = map(_bloch_rows, _mixed_pairs(rng, 200))
+    r1, r2 = _mixed_pairs(rng, 200)
     worst_grid = np.max(np.abs(_eigen_optima(r1, r2)[0] - grid_search_mismatches(r1, r2)))
     ok = worst <= 1e-9 and worst_grid <= 1e-6
     return ok, f"solver disagreement {worst:.2e}, grid-search deviation {worst_grid:.2e}"

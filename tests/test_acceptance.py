@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 import time
 import tracemalloc
 from contextlib import redirect_stdout
@@ -52,6 +53,7 @@ from ctcsim.selftest import (
     _density_rows,
     _unique_candidates,
 )
+from test_cli import run_python
 from test_measures import scalar_grid_search
 
 SWAP_CU = _FAMILIES[CircuitKind.SWAP_THEN_CU]
@@ -200,23 +202,61 @@ def test_batched_check_matches_run_scenario(check_id, monkeypatch):
     assert ctx.fidelities[:len(scenarios)] == batch.consistency_fidelity.tolist()
 
 
+def scalar_uniform(rng, low, high):
+    """Oracle: one uniform draw in [low, high), numpy's formula in Python floats
+    on the next 8 bytes of rng read as a little-endian 64-bit word."""
+    word = int.from_bytes(rng.randbytes(8), "little")
+    return low + (high - low) * ((word >> 11) * 2.0 ** -53)
+
+
+@pytest.mark.parametrize("low, high, shape", [
+    (-1.0, 1.0, ()), (0.0, 2 * math.pi, (7,)), ([-1.0, 0.0], [1.0, 2 * math.pi], (5, 3, 2)),
+    (selftest._CANDIDATE_LOW, selftest._CANDIDATE_HIGH, (4, 5)), (0.0, 1.0, (0, 3)),
+])
+def test_uniform_matches_one_at_a_time(low, high, shape):
+    """A stacked _uniform draw is the one-at-a-time draws in C order bit for
+    bit, and leaves the generator where they do."""
+    stacked, scalar = random.Random(42), random.Random(42)
+    got = selftest._uniform(stacked, low, high, shape)
+    lows, highs = (np.broadcast_to(np.asarray(x, dtype=float), shape).reshape(-1).tolist()
+                   for x in (low, high))
+    want = [scalar_uniform(scalar, lo, hi) for lo, hi in zip(lows, highs)]
+    assert got.shape == shape
+    assert got.reshape(-1).tolist() == want
+    assert all(lo <= x < hi for x, lo, hi in zip(want, lows, highs))
+    assert stacked.getstate() == scalar.getstate()
+
+
+def test_selftest_never_imports_numpy_random():
+    """`ctcsim selftest` in a fresh interpreter passes without loading
+    numpy.random or the secrets module it pulls in."""
+    proc = run_python("-c", (
+        "import io, sys, contextlib, ctcsim.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['selftest']) == 0\n"
+        "print(sorted({'numpy.random', 'secrets'} & set(sys.modules)))"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_chunked_draw_matches_one_at_a_time_draw():
     """C10's draw, in pieces of the candidates still needed, accepts the
     candidates, and leaves the generator in the state, of drawing and solving
     one candidate at a time: the same Kraus stacks bit for bit, the same
     depolarized states and loop states to roundoff."""
     count = 7
-    one_at_a_time, stacked = np.random.default_rng(42), np.random.default_rng(42)
+    one_at_a_time, stacked = random.Random(42), random.Random(42)
     expected = []
     while len(expected) < count:
         rng = one_at_a_time
         spec = CircuitSpec(
             kind=CircuitKind.SWAP_THEN_CU,
-            theta_xz=rng.uniform(-math.pi / 2, math.pi / 2 - 1e-9),
-            gate_noise=rng.uniform(0, 1),
-            input_noise=rng.uniform(0, 1),
+            theta_xz=scalar_uniform(rng, -math.pi / 2, math.pi / 2 - 1e-9),
+            gate_noise=scalar_uniform(rng, 0.0, 1.0),
+            input_noise=scalar_uniform(rng, 0.0, 1.0),
         )
-        psi = PureQubit(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+        psi = PureQubit(math.acos(scalar_uniform(rng, -1.0, 1.0)),
+                        scalar_uniform(rng, 0.0, 2 * math.pi))
         rho_in = depolarize(psi.density(), spec.input_noise)  # built as a matrix
         fp = solve_fixed_point(rho_in, build_interaction(spec))
         if fp.fixed_set_dimension == 1:
@@ -231,7 +271,7 @@ def test_chunked_draw_matches_one_at_a_time_draw():
     np.testing.assert_allclose(_density_rows(bloch), [m for _, m, _ in expected],
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose(loop, [r for _, _, r in expected], rtol=0, atol=1e-15)
-    assert stacked.bit_generator.state == one_at_a_time.bit_generator.state
+    assert stacked.getstate() == one_at_a_time.getstate()
 
 
 def test_unique_candidates_redraw_only_the_rejected(monkeypatch):
@@ -251,15 +291,15 @@ def test_unique_candidates_redraw_only_the_rejected(monkeypatch):
         return SimpleNamespace(loop=batch.loop, fixed_set_dimension=dim)
 
     monkeypatch.setattr(selftest, "run_batch", reject_first)
-    redrawn = np.random.default_rng(42)
+    redrawn = random.Random(42)
     got = _unique_candidates(redrawn, 7)
     assert sizes == [7, 1]
     monkeypatch.undo()
-    one_at_a_time = np.random.default_rng(42)
+    one_at_a_time = random.Random(42)
     want = [_unique_candidates(one_at_a_time, 1) for _ in range(8)][1:]
     for column, rows in zip(got, zip(*want)):
         np.testing.assert_array_equal(column, np.concatenate(rows))
-    assert redrawn.bit_generator.state == one_at_a_time.bit_generator.state
+    assert redrawn.getstate() == one_at_a_time.getstate()
 
 
 def test_nonlocal_sweeps_shared_by_c7_and_c9(monkeypatch):
@@ -310,7 +350,7 @@ def test_drawn_c10_inputs_are_density_matrices(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(selftest, "_draw_candidates", recorded)
-    _, _, accepted, _ = _unique_candidates(np.random.default_rng(42), SOLVER_CHECKS)
+    _, _, accepted, _ = _unique_candidates(random.Random(42), SOLVER_CHECKS)
     bloch = np.concatenate([(1.0 - p)[:, None] * pure for _, _, p, pure in drawn])
     assert len(accepted) == SOLVER_CHECKS <= len(bloch)
     assert {r.tobytes() for r in accepted} <= {r.tobytes() for r in bloch}
@@ -322,7 +362,7 @@ def test_drawn_c10_inputs_are_density_matrices(monkeypatch):
 def c10_rows():
     """C10's accepted candidates as one stack each: Kraus stack, rho_in (N,
     2, 2) and engine loop states (N, 3)."""
-    theta, eps, bloch, loop = _unique_candidates(np.random.default_rng(42), SOLVER_CHECKS)
+    theta, eps, bloch, loop = _unique_candidates(random.Random(42), SOLVER_CHECKS)
     return _failure_kraus(SWAP_CU, theta, eps), _density_rows(bloch), loop
 
 
@@ -370,9 +410,10 @@ def test_c10_engine_side_is_run_batch_on_the_draw(monkeypatch):
 
 
 def test_c10_damped_oracle_memory_does_not_grow_with_its_rows():
-    """The traced peak of damped_iteration on C10's 1000 rows stays within
-    1.25 times its peak on the first 200: the superoperator build runs in
-    blocks, so only the per-row arrays grow (about 1.9 MB against 1.6 MB)."""
+    """The traced peak of damped_iteration grows by at most 512 bytes a row
+    from C10's first 200 rows to all 1000: the superoperator build runs in
+    blocks, so only the per-row arrays grow (about 260 bytes a row, against
+    about 8 KB a row for a build in one block)."""
     kraus, rho_in, _ = c10_rows()
 
     def peak(n):
@@ -383,51 +424,43 @@ def test_c10_damped_oracle_memory_does_not_grow_with_its_rows():
         finally:
             tracemalloc.stop()
 
-    assert peak(SOLVER_CHECKS) <= 1.25 * peak(200)
+    assert peak(SOLVER_CHECKS) - peak(200) <= 512 * (SOLVER_CHECKS - 200)
 
 
 def one_state_at_a_time(rng, pure):
-    """Oracle: the draws of one random state (a (2, 2) array): pure
-    psi(acos u, phase) with u and the phase uniform, in Bloch form as C9
-    draws it (np.arccos, which rounds unlike math.acos), or mixed
-    G G^dag / Tr(G G^dag) with G complex Gaussian."""
-    if pure:
-        u, phase = rng.uniform(-1, 1), rng.uniform(0, 2 * math.pi)
-        return density_from_bloch(PureQubit(float(np.arccos(u)), phase).bloch()).mat
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real).mat
+    """Oracle: the Bloch vector (3,) of one random state, psi(acos u, phase)
+    with u and the phase uniform (np.arccos, which rounds unlike math.acos, as
+    C9 draws it), and if not pure shrunk to the radius cbrt(w) of a third
+    uniform w, which makes it uniform in the ball."""
+    u, phase = scalar_uniform(rng, -1.0, 1.0), scalar_uniform(rng, 0.0, 2 * math.pi)
+    r = PureQubit(float(np.arccos(u)), phase).bloch()
+    return r if pure else r * float(np.cbrt(scalar_uniform(rng, 0.0, 1.0)))
 
 
 @pytest.mark.parametrize("seed", [20260810, 42])
 def test_mixed_pairs_match_one_at_a_time(seed):
-    """The stacked mixed pairs are the one-at-a-time states bit for bit, leave
-    the generator where the one-at-a-time draws do, and are DensityMatrix-exact."""
-    stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    """The stacked mixed pairs are the one-at-a-time states to roundoff, lie
+    in the ball, leave the generator where the one-at-a-time draws do, and
+    their density matrices (as C9 builds them) are DensityMatrix-exact."""
+    stacked, scalar = random.Random(seed), random.Random(seed)
     a, b = selftest._mixed_pairs(stacked, 500)
     want = np.array([one_state_at_a_time(scalar, False) for _ in range(1000)])
-    np.testing.assert_array_equal(np.stack([a, b], axis=1).reshape(-1, 2, 2), want)
-    for m in a:
+    np.testing.assert_allclose(np.stack([a, b], axis=1).reshape(-1, 3), want, rtol=0, atol=1e-15)
+    assert (np.linalg.norm(a, axis=1) < 1.0).all() and (np.linalg.norm(b, axis=1) < 1.0).all()
+    for r, m in zip(a, _density_rows(a)):
+        np.testing.assert_array_equal(density_from_bloch(r).mat, m)
         np.testing.assert_array_equal(DensityMatrix(m).mat, m)
-    assert stacked.bit_generator.state == scalar.bit_generator.state
-
-
-@pytest.mark.parametrize("seed", [42, 20260810])
-def test_bloch_rows_of_mixed_pairs_match_density_matrix(seed):
-    """The Bloch rows C10 reads straight from its symmetrised mixed pairs are
-    DensityMatrix(m).bloch() bit for bit, signed zeros included."""
-    for m in selftest._mixed_pairs(np.random.default_rng(seed), 200):
-        want = np.array([DensityMatrix(row).bloch() for row in m])
-        np.testing.assert_array_equal(selftest._bloch_rows(m).view(np.uint64), want.view(np.uint64))
+    assert stacked.getstate() == scalar.getstate()
 
 
 def draw_candidates_one_at_a_time(rng, n):
     """Oracle: C10's draw made one candidate at a time, one CircuitSpec, one
     PureQubit and its depolarized density per candidate."""
     specs, pure, states = [], [], []
-    for theta, eps, p, cos_polar, phase in rng.uniform(selftest._CANDIDATE_LOW,
-                                                       selftest._CANDIDATE_HIGH,
-                                                       size=(n, 5)).tolist():
+    for _ in range(n):
+        theta, eps, p, cos_polar, phase = (
+            scalar_uniform(rng, low, high)
+            for low, high in zip(selftest._CANDIDATE_LOW, selftest._CANDIDATE_HIGH))
         specs.append(CircuitSpec(kind=CircuitKind.SWAP_THEN_CU, theta_xz=theta,
                                  gate_noise=eps, input_noise=p))
         pure.append(PureQubit(math.acos(cos_polar), phase))
@@ -441,7 +474,7 @@ def test_stacked_candidates_match_one_at_a_time(seed):
     roundoff, the drawn angle and noise columns bit for bit, and so the
     build_interaction Kraus stacks through _failure_kraus, and leaves the
     generator where the one-at-a-time draw does."""
-    stacked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked, scalar = random.Random(seed), random.Random(seed)
     for n in (200, 200, 37):
         theta, eps, p, pure = selftest._draw_candidates(stacked, n)
         specs, pure_states, states = draw_candidates_one_at_a_time(scalar, n)
@@ -457,24 +490,24 @@ def test_stacked_candidates_match_one_at_a_time(seed):
         want_weights, want_ops = _kraus_stack([build_interaction(s) for s in specs])
         np.testing.assert_array_equal(weights, want_weights)
         np.testing.assert_array_equal(ops, want_ops)
-    assert stacked.bit_generator.state == scalar.bit_generator.state
+    assert stacked.getstate() == scalar.getstate()
 
 
 def test_c9_deviations_match_scalar_measures(report):
     """C9's stacked identities report the deviations the one-pair-at-a-time
     eigensolve and Helstrom measurement give on the same draws, to the
     printed digits."""
-    rng = np.random.default_rng(20260810)
+    rng = random.Random(20260810)
     worst_si = worst_hel = 0.0
     for _ in range(1000):
-        r1 = DensityMatrix(one_state_at_a_time(rng, True))
-        r2 = DensityMatrix(one_state_at_a_time(rng, True))
+        r1 = density_from_bloch(one_state_at_a_time(rng, True))
+        r2 = density_from_bloch(one_state_at_a_time(rng, True))
         d = trace_distances(r1.mat, r2.mat)
         l_opt = _eigen_optima(r1.bloch()[None], r2.bloch()[None])[0][0]
         worst_si = max(worst_si, abs(l_opt - 0.5 * (1 + d * d)))
     for _ in range(1000):
-        r1 = DensityMatrix(one_state_at_a_time(rng, False))
-        r2 = DensityMatrix(one_state_at_a_time(rng, False))
+        r1 = density_from_bloch(one_state_at_a_time(rng, False))
+        r2 = density_from_bloch(one_state_at_a_time(rng, False))
         lam, v = np.linalg.eigh(r1.mat - r2.mat)
         proj = (v[:, lam > 0] @ v[:, lam > 0].conj().T) if (lam > 0).any() else np.zeros((2, 2))
         explicit = 0.5 * float(
@@ -489,14 +522,13 @@ def test_c9_deviations_match_scalar_measures(report):
 def test_c10_grid_deviation_matches_scalar_search(report):
     """C10's stacked grid search reports the deviation that the one-pair-at-a-time
     search gives on the same draws, to the printed digits."""
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     _unique_candidates(rng, SOLVER_CHECKS)  # the solver candidates C10 draws first
     worst = 0.0
     for _ in range(200):
-        r1 = DensityMatrix(one_state_at_a_time(rng, False))
-        r2 = DensityMatrix(one_state_at_a_time(rng, False))
-        val = _eigen_optima(r1.bloch()[None], r2.bloch()[None])[0][0]
-        worst = max(worst, abs(val - scalar_grid_search(r1.bloch(), r2.bloch())))
+        r1, r2 = one_state_at_a_time(rng, False), one_state_at_a_time(rng, False)
+        val = _eigen_optima(r1[None], r2[None])[0][0]
+        worst = max(worst, abs(val - scalar_grid_search(r1, r2)))
     detail = {r.check_id: r.detail for r in report.results}["C10"]
     assert detail.endswith(f"grid-search deviation {worst:.2e}")
 

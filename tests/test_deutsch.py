@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -313,7 +314,7 @@ class TestDampedStep:
         np.testing.assert_array_equal(batch.rho, rho)
 
     def test_c10_candidates(self):
-        theta, eps, bloch, _ = selftest._unique_candidates(np.random.default_rng(42), 200)
+        theta, eps, bloch, _ = selftest._unique_candidates(random.Random(42), 200)
         kraus = _failure_kraus(_FAMILIES[CircuitKind.SWAP_THEN_CU], theta, eps)
         self.assert_same_as_eigvalsh_step(selftest._density_rows(bloch), kraus)
 
