@@ -297,17 +297,42 @@ def _advantage_gaps(parameters, xs) -> np.ndarray:
     return bloch_measures(out0, out1)[0] - bloch_measures(*qm_pair)[1]
 
 
+def _bisection_plan(lo, hi, flo, fhi) -> list[float]:
+    """The midpoints find_thresholds scores for the bracket [lo, hi]: its tree of
+    _SPEC_LEVELS levels in heap order (node i's halves at 2i + 1, 2i + 2), then the
+    path below the tree that bisection takes if the root sits at the regula-falsi
+    estimate from the gaps flo and fhi at lo and hi (NaN-guarded, kept in [lo, hi])."""
+    nodes, mids = [(lo, hi)], []
+    while len(mids) < 2 ** _SPEC_LEVELS - 1:
+        a, b = nodes[len(mids)]
+        mids.append((a + b) / 2)
+        nodes += [(a, mids[-1]), (mids[-1], b)]
+    root = lo + (hi - lo) * flo / (flo - fhi)
+    root = min(max(root, lo), hi) if root == root else lo
+    path = []
+    while hi - lo > _BISECT_TOL:
+        path.append((lo + hi) / 2)
+        lo, hi = (path[-1], hi) if path[-1] < root else (lo, path[-1])
+    return mids + path[_SPEC_LEVELS:]  # the path's first _SPEC_LEVELS points are tree nodes
+
+
 def find_thresholds(parameters) -> list[ThresholdResult]:
     """Where the loop advantage dies along each axis, "p" (eps = 0) or "epsilon" (p = 0).
 
     A scan of _SCAN_POINTS levels finds the first sign change (the gap also vanishes
-    at full noise, so [0, 1] is no bracket), then bisection to _BISECT_TOL scores
-    _SPEC_LEVELS tree levels of every bracket per batch, in heap order (node i's
-    halves at 2i + 1, 2i + 2): each bracket is the one step-by-step bisection takes.
-    ThresholdNotFound if an axis has no sign change; ValidationError on a bare string.
+    at full noise, so [0, 1] is no bracket); bisection then narrows it to _BISECT_TOL.
+    Each batch scores, per bracket, the full tree of its next _SPEC_LEVELS levels
+    and the path below it that a root at the regula-falsi estimate predicts
+    (_bisection_plan). The walk consumes a scored point only while it is the
+    bisection's next midpoint (lo + hi)/2, and decides with that point's own gap,
+    so every bracket, crossing and tolerance is the step-by-step one, and each
+    batch advances every bracket by at least _SPEC_LEVELS levels.
+    parameters is any iterable of axis names. ThresholdNotFound if an axis has no
+    sign change; ValidationError on a bare string or an unknown name.
     """
     if isinstance(parameters, str):
         raise ValidationError(f"threshold parameters must be a sequence, not the str {parameters!r}")
+    parameters = tuple(parameters)
     for parameter in parameters:
         if parameter not in ("p", "epsilon"):
             raise ValidationError(f"unknown threshold parameter {parameter!r}")
@@ -315,36 +340,30 @@ def find_thresholds(parameters) -> list[ThresholdResult]:
         return []
     xs = np.linspace(0.0, 1.0, _SCAN_POINTS)
     scans = _advantage_gaps(np.repeat(parameters, _SCAN_POINTS), np.tile(xs, len(parameters)))
-    brackets, state = [], []  # state: [lo, hi, gap at lo] of each bracket
+    brackets, state = [], []  # state: [lo, hi, gap at lo, gap at hi] of each bracket
     for parameter, v in zip(parameters, scans.reshape(len(parameters), -1)):
         starts = np.flatnonzero((v[:-1] > 0.0) & (v[1:] <= 0.0))
         if not starts.size:
             raise ThresholdNotFound(f"no advantage crossing found along {parameter}")
         i = starts[0]
         brackets.append((float(xs[i]), float(xs[i + 1])))
-        state.append([*brackets[-1], v[i]])
-    while any(hi - lo > _BISECT_TOL for lo, hi, _ in state):
-        # Every bracket's tree midpoints, one column per heap node.
-        nodes, mids = [tuple(np.array(state)[:, :2].T)], []
-        while len(mids) < 2 ** _SPEC_LEVELS - 1:
-            a, b = nodes[len(mids)]
-            mids.append((a + b) / 2)
-            nodes += [(a, mids[-1]), (mids[-1], b)]
-        trees = np.array(mids).T  # one row per bracket
-        gaps = _advantage_gaps(np.repeat(parameters, trees.shape[1]), trees.ravel())
-        for s, tree, tree_gaps in zip(state, trees.tolist(), gaps.reshape(trees.shape)):
-            lo, hi, flo = s
-            node = 0
-            while node < len(tree) and hi - lo > _BISECT_TOL:
-                mid, fm = tree[node], tree_gaps[node]
-                if (flo > 0) == (fm > 0):
-                    lo, flo, node = mid, fm, 2 * node + 2
+        state.append([*brackets[-1], *v[i:i + 2].tolist()])
+    while any(hi - lo > _BISECT_TOL for lo, hi, _, _ in state):
+        plans = [_bisection_plan(*s) for s in state]
+        gaps = iter(_advantage_gaps(np.repeat(parameters, [len(plan) for plan in plans]),
+                                    np.concatenate(plans)).tolist())
+        for s, plan in zip(state, plans):
+            scored = dict(zip(plan, gaps))  # takes this bracket's len(plan) gaps
+            lo, hi, flo, fhi = s
+            while hi - lo > _BISECT_TOL and (mid := (lo + hi) / 2) in scored:
+                if (flo > 0) == (scored[mid] > 0):
+                    lo, flo = mid, scored[mid]
                 else:
-                    hi, node = mid, 2 * node + 1
-            s[:] = lo, hi, flo
+                    hi, fhi = mid, scored[mid]
+            s[:] = lo, hi, flo, fhi
     return [ThresholdResult(parameter=parameter, crossing=(lo + hi) / 2, bracket=bracket,
                             achieved_tolerance=hi - lo)
-            for parameter, bracket, (lo, hi, _) in zip(parameters, brackets, state)]
+            for parameter, bracket, (lo, hi, _, _) in zip(parameters, brackets, state)]
 
 
 def find_threshold(parameter: str) -> ThresholdResult:

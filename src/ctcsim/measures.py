@@ -204,18 +204,26 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
 
 
-def _zoom(ax: np.ndarray, a: np.ndarray, b: np.ndarray, du, dv, cand: np.ndarray):
+def _zoom(ax: np.ndarray, a: np.ndarray, b: np.ndarray, du, dv, cand: np.ndarray,
+          mesh: np.ndarray):
     """One mesh scan of a stack of pairs (P, 3, 1): each pair's best axis of the
-    (du, dv) mesh around its axis in ax (P, 3), built in cand (P, mesh, 3), and
-    whether that axis beats the centre from the mesh's outer ring."""
+    (du, dv) mesh around its axis in ax (P, 3), built in the buffers mesh
+    (3, P, mesh) and cand (P, mesh, 3), and whether that axis beats the centre
+    from the mesh's outer ring."""
     ref = np.where(np.abs(ax[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     u = _cross(ax, ref)
     u /= np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
     v = _cross(ax, u)
-    # Built component-major (3, P, mesh), so each elementwise loop runs over a
-    # mesh, then normalized into cand, whose rows the dot products need contiguous.
-    c = ax.T[:, :, None] + du * u.T[:, :, None] + dv * v.T[:, :, None]
-    np.divide(c, np.sqrt(np.add.reduce(c * c, axis=0)), out=np.moveaxis(cand, -1, 0))
+    # Built component-major (3, P, mesh) in mesh, so each elementwise loop runs
+    # over a mesh, as (ax + du u) + dv v in place, with cand's memory as the
+    # scratch buffer, then normalized into cand, whose rows the dot products
+    # need contiguous.
+    c, work = mesh, cand.reshape(mesh.shape)
+    np.multiply(du, u.T[:, :, None], out=c)
+    c += ax.T[:, :, None]
+    c += np.multiply(dv, v.T[:, :, None], out=work)
+    norm = np.add.reduce(np.multiply(c, c, out=work), axis=0)
+    np.divide(c, np.sqrt(norm, out=norm), out=np.moveaxis(cand, -1, 0))
     value = (1.0 - (cand @ a)[..., 0] * (cand @ b)[..., 0]) / 2.0
     rows = np.arange(len(ax))
     best = np.argmax(value, axis=1)
@@ -240,6 +248,7 @@ def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     ax = axes[_sphere_argmax(axes, r1, r2)]
     a, b = r1[:, :, None], r2[:, :, None]
     cand = np.empty((_ZOOM_CHUNK, zoom[0][0].size, 3))
+    mesh = np.empty((3, _ZOOM_CHUNK, zoom[0][0].size))
     for level, (du, dv) in enumerate(zoom):
         rows = np.arange(len(ax))
         for _ in range(1 + _RESCANS * (level < _RESCAN_LEVELS)):
@@ -247,7 +256,8 @@ def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
             for lo in range(0, len(rows), _ZOOM_CHUNK):
                 part = rows[lo:lo + _ZOOM_CHUNK]
                 ax[part], again[lo:lo + _ZOOM_CHUNK] = _zoom(ax[part], a[part], b[part], du, dv,
-                                                              cand[:len(part)])
+                                                              cand[:len(part)],
+                                                              mesh[:, :len(part)])
             rows = rows[again]
             if not rows.size:
                 break

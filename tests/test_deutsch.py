@@ -1577,7 +1577,7 @@ class TestSwapCuClosedForm:
         calls = [args for args in calls if args[0] is CircuitKind.SWAP_THEN_CU]
         margin, dev = map(np.concatenate, zip(*(self.deviations(args) for args in calls)))
         unique = margin != 0.0
-        assert len(calls) == 14 and (~unique).sum() == 12 and margin[unique].min() > 1e-3
+        assert len(calls) == 10 and (~unique).sum() == 12 and margin[unique].min() > 1e-3
         assert (dev[unique] * margin[unique]).max() <= 4e-15
 
 

@@ -290,8 +290,35 @@ class TestThresholds:
         monkeypatch.setattr(experiments, "run_batch", counted)
         monkeypatch.setattr(experiments, "SweepRecord", lambda *row: records.append(row))
         find_threshold(parameter)
-        assert 1 < len(batches) <= 10
+        assert len(batches) == 4  # the scan, then three bisection batches
         assert records == []
+
+    @pytest.mark.parametrize("gap", [
+        lambda x: np.where(x < 0.4137, 1.0, -1.0),
+        lambda x: np.where(x < 0.3012, 1.0, -1e-9),
+        lambda x: np.where(x < 0.6031, 1.0, np.where(x < 0.6031 + 1e-7, np.nan, -1.0)),
+    ], ids=["step", "cliff", "nan-band"])
+    def test_misleading_gaps_keep_the_bisection(self, gap, monkeypatch):
+        """Gaps that defeat the regula-falsi path (a +-1 step aims it at every
+        midpoint, a cliff at hi, and a NaN band after the root makes it NaN) give
+        the step-by-step result bit for bit, in no more batches than the tree
+        alone takes."""
+        import ctcsim.experiments as experiments
+
+        calls = []
+
+        def stub(parameters, xs):
+            calls.append(len(xs))
+            return gap(np.asarray(xs, dtype=float))
+
+        monkeypatch.setattr(experiments, "_advantage_gaps", stub)
+        levels = math.ceil(math.log2(1 / (_SCAN_POINTS - 1) / experiments._BISECT_TOL))
+        assert levels == 35
+        for parameter in ("p", "epsilon"):
+            calls.clear()
+            result = find_threshold(parameter)
+            assert len(calls) <= 1 + math.ceil(levels / experiments._SPEC_LEVELS)
+            assert threshold_bits(result) == threshold_bits(sequential_threshold(parameter))
 
 
 class TestBatchedTargets:
@@ -331,6 +358,16 @@ class TestBatchedTargets:
         with pytest.raises(ValidationError) as exc:
             find_thresholds(name)
         assert str(exc.value) == f"threshold parameters must be a sequence, not the str {name!r}"
+
+    @pytest.mark.parametrize("make", [np.array, iter], ids=["array", "iterator"])
+    def test_any_iterable_of_names(self, make):
+        """An array or iterator of names acts as its tuple: an array used to fail
+        on its truth value, an empty one too, and an iterator on len()."""
+        assert find_thresholds(make(["p", "epsilon"])) == find_thresholds(("p", "epsilon"))
+        assert find_thresholds(make([])) == []
+        with pytest.raises(ValidationError) as exc:
+            find_thresholds(make(["p", "q"]))
+        assert str(exc.value) == f"unknown threshold parameter {list(make(['q']))[0]!r}"
 
     def test_thresholds_equal_their_batches_of_one(self):
         both = find_thresholds(("p", "epsilon"))
@@ -377,6 +414,12 @@ class TestBatchedTargets:
 def bitwise(records):
     """Records with every float as its hex string, so == compares bits (and -0.0)."""
     return [tuple(v.hex() if isinstance(v, float) else v for v in r) for r in records]
+
+
+def threshold_bits(result):
+    """A ThresholdResult with every float as its hex string, so == compares bits."""
+    return (result.parameter, result.crossing.hex(), [x.hex() for x in result.bracket],
+            result.achieved_tolerance.hex())
 
 
 def sequential_threshold(parameter):
