@@ -13,9 +13,10 @@ import functools
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,28 +193,20 @@ def _pair_maps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return twice[:, None, None, None, None] * _pauli_transfer(_readout_images(left, right))
 
 
-@dataclass(frozen=True)
-class _GateFamily:
+class _GateFamily(NamedTuple):
     """A circuit kind as data: its ideal gate at angles theta (N,) is
     sum_a x_a G_a, of generators G (J, 4, 4) and coefficients x(theta)
     (N, J), with angles in angle_range [lo, hi) (None: no angle, any finite
-    value). Derived once: basis row 0 is the SWAP-only channel and rows 1:
-    the pair maps of (G_a, G_b), (a, a) first, then a < b in lexicographic
-    order; weighted by basis_weights they sum to the unfailed gate's channel."""
+    value). basis row 0 is the SWAP-only channel and rows 1: the pair maps of
+    (G_a, G_b) for the index arrays pairs = (a, b), (a, a) first, then a < b
+    in lexicographic order; weighted by basis_weights they sum to the
+    unfailed gate's channel. _gate_family derives basis and pairs."""
 
     generators: np.ndarray
     coefficients: Callable[[np.ndarray], np.ndarray]
     angle_range: tuple[float, float] | None
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
-    pairs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        g, k = self.generators, range(len(self.generators))
-        a, b = np.array([(i, i) for i in k] + list(combinations(k, 2))).T
-        basis = _pair_maps(np.array([SWAP, *g[a]]), np.array([SWAP, *g[b]]))
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pairs", (a, b))
+    basis: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
 
     def check_angles(self, theta: np.ndarray) -> None:
         """ValidationError unless every angle in theta (N,) is finite and in angle_range."""
@@ -232,16 +225,25 @@ class _GateFamily:
         return x[:, self.pairs[0]] * x[:, self.pairs[1]]
 
 
+def _gate_family(generators: np.ndarray, coefficients, angle_range) -> _GateFamily:
+    """The _GateFamily of the generators, with its read-only basis and pairs built once."""
+    k = range(len(generators))
+    a, b = np.array([(i, i) for i in k] + list(combinations(k, 2))).T
+    basis = _pair_maps(np.array([SWAP, *generators[a]]), np.array([SWAP, *generators[b]]))
+    basis.setflags(write=False)
+    return _GateFamily(generators, coefficients, angle_range, basis, (a, b))
+
+
 # CU_xz(theta), the pi-rotation about the Bloch xz-plane axis at theta controlled by
 # qubit 1 (0: CZ, pi/2: CNOT, pi/4: controlled Hadamard), is B0 + c B1 + s B2: its
 # control-|V> block is c Z + s X. So CU_xz(theta) SWAP = G0 + c G1 + s G2, G = B SWAP.
 _H_PROJ, _V_PROJ = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 _CU_BLOCKS = np.array([np.kron(_H_PROJ, ID2), np.kron(_V_PROJ, SIGMA_Z), np.kron(_V_PROJ, SIGMA_X)])
 _FAMILIES = {
-    CircuitKind.SWAP_CNOT: _GateFamily(np.array([SWAP @ CNOT]),
-                                       lambda theta: np.ones((len(theta), 1)), None),
-    CircuitKind.SWAP_THEN_CU: _GateFamily(_CU_BLOCKS @ SWAP, _cu_weights,
-                                          (-math.pi / 2, math.pi / 2)),
+    CircuitKind.SWAP_CNOT: _gate_family(np.array([SWAP @ CNOT]),
+                                        lambda theta: np.ones((len(theta), 1)), None),
+    CircuitKind.SWAP_THEN_CU: _gate_family(_CU_BLOCKS @ SWAP, _cu_weights,
+                                           (-math.pi / 2, math.pi / 2)),
 }
 
 

@@ -10,7 +10,6 @@ failed selftest.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -211,7 +210,7 @@ def _emit(args, stem: str, rows: list, plot=None) -> int:
         plot_fh = _open_out(plot_path)
     try:
         if args.format == "json":
-            _write_json([dataclasses.asdict(r) if thresholds else r._asdict() for r in rows], path)
+            _write_json([r._asdict() for r in rows], path)
         else:
             (write_thresholds_csv if thresholds else write_records_csv)(rows, path)
     except ValidationError:
@@ -302,7 +301,7 @@ def cmd_selftest(args) -> int:
         print(json.dumps({
             "all_passed": report.all_passed,
             "total_elapsed": report.total_elapsed,
-            "checks": [dataclasses.asdict(r) for r in report.results],
+            "checks": [r._asdict() for r in report.results],
         }, indent=2))
     else:
         report = run_selftest()

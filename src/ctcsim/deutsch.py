@@ -9,10 +9,10 @@ the transfer tensors.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 # np.linalg.det's and np.linalg.solve's LAPACK gufuncs: their bits, without their wrappers.
@@ -140,8 +140,7 @@ def _ensemble(states, probs) -> tuple[tuple, tuple[float, ...]]:
     return states, probs
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     """Solved loop state and diagnostics. fixed_set_dimension > 1 means rho_ctc is the
     entropy maximizer over a continuum of solutions; iterations counts damped-iteration
     steps (0 for the direct solve); entropy is in bits."""
@@ -156,8 +155,7 @@ class FixedPointResult:
         return von_neumann_entropy(self.rho_ctc)
 
 
-@dataclass(frozen=True)
-class ScenarioOutput:
+class ScenarioOutput(NamedTuple):
     """run_scenario's result: the loop solution, the outputs and the consistency fidelity."""
 
     fixed_point: FixedPointResult
@@ -253,18 +251,17 @@ def _clip_to_density(mats: np.ndarray) -> np.ndarray:
     return h / np.trace(h, axis1=-2, axis2=-1).real[:, None, None]
 
 
-@dataclass(frozen=True)
-class DampedBatch:
+class DampedBatch(NamedTuple):
     """Damped-iteration fixed points rho (N, 2, 2) with each row's Kraus-map residual,
     step count and superoperator M_n; fixed_set_dimension, the number of singular
-    values of M_n - I below EIGENVALUE_ONE_TOL, is computed on first read."""
+    values of M_n - I below EIGENVALUE_ONE_TOL, is computed when read."""
 
     rho: np.ndarray
     residual: np.ndarray
     iterations: np.ndarray
-    superoperators: np.ndarray = field(repr=False)
+    superoperators: np.ndarray
 
-    @functools.cached_property
+    @property
     def fixed_set_dimension(self) -> np.ndarray:
         sing = np.linalg.svd(self.superoperators - _EYE4, compute_uv=False)
         return (sing < EIGENVALUE_ONE_TOL).sum(axis=1)
@@ -311,8 +308,7 @@ def damped_iteration(rho_in: np.ndarray, kraus) -> DampedBatch:
     return DampedBatch(rho, residual, iterations, m)
 
 
-@dataclass(frozen=True)
-class LoopBatch:
+class LoopBatch(NamedTuple):
     """Solved scenarios in Bloch coordinates: loop states and outputs (N, 3), per-row diagnostics."""
 
     loop: np.ndarray
@@ -446,22 +442,17 @@ _SOLVE_BLOCK = 512
 
 def _solve_batch(kind: CircuitKind, theta: np.ndarray, eps: np.ndarray, p: np.ndarray,
                  loop_in: np.ndarray) -> LoopBatch:
-    """run_batch on checked float arrays, _SOLVE_BLOCK rows at a time into one
-    LoopBatch; solve_loops' checks run in their order over the whole batch."""
+    """run_batch on checked float arrays, _SOLVE_BLOCK rows at a time, the blocks'
+    fields concatenated; solve_loops' checks run in their order over the whole batch."""
     family, n = _FAMILIES[kind], len(theta)
     if n <= _SOLVE_BLOCK:
         return solve_loops(_gate_terms(family, theta, eps), loop_in * (1.0 - p)[:, None])
-    out = LoopBatch(np.empty((n, 3)), np.empty((n, 3)), np.empty(n, dtype=int), np.empty(n),
-                    np.empty(n))
-    loop_norm, fixed = np.empty(n), True
-    for s in range(0, n, _SOLVE_BLOCK):
-        rows = slice(s, s + _SOLVE_BLOCK)
-        block, loop_norm[rows], ok = _loop_rows(_gate_terms(family, theta[rows], eps[rows]),
-                                                loop_in[rows] * (1.0 - p[rows])[:, None])
-        fixed = fixed and ok
-        for whole, part in zip(vars(out).values(), vars(block).values()):
-            whole[rows] = part
-    return _checked(out, loop_norm, fixed)
+    batches, loop_norms, fixed = zip(*(
+        _loop_rows(_gate_terms(family, theta[rows], eps[rows]),
+                   loop_in[rows] * (1.0 - p[rows])[:, None])
+        for rows in (slice(s, s + _SOLVE_BLOCK) for s in range(0, n, _SOLVE_BLOCK))))
+    return _checked(LoopBatch(*map(np.concatenate, zip(*batches))), np.concatenate(loop_norms),
+                    all(fixed))
 
 
 def _gate_terms(family, theta: np.ndarray, eps: np.ndarray) -> list:

@@ -9,7 +9,6 @@ reproduce name the bundled tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,8 +85,7 @@ class SweepRecord(NamedTuple):
     fixed_set_dimension: int
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Noise level where the loop advantage over standard QM disappears."""
 
     parameter: str
@@ -327,12 +325,13 @@ def find_thresholds(parameters) -> list[ThresholdResult]:
     bisection's next midpoint (lo + hi)/2, and decides with that point's own gap,
     so every bracket, crossing and tolerance is the step-by-step one, and each
     batch advances every bracket by at least _SPEC_LEVELS levels.
-    parameters is any iterable of axis names. ThresholdNotFound if an axis has no
-    sign change; ValidationError on a bare string or an unknown name.
+    parameters is any iterable of axis names, each string kept as a plain str.
+    ThresholdNotFound if an axis has no sign change; ValidationError on a bare
+    string or an unknown name.
     """
     if isinstance(parameters, str):
         raise ValidationError(f"threshold parameters must be a sequence, not the str {parameters!r}")
-    parameters = tuple(parameters)
+    parameters = tuple(str(x) if isinstance(x, str) else x for x in parameters)
     for parameter in parameters:
         if parameter not in ("p", "epsilon"):
             raise ValidationError(f"unknown threshold parameter {parameter!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from .qmath import DensityMatrix, PureQubit, trace_distance, trace_distances
 __all__ = ["CheckResult", "SelfTestReport", "run_selftest", "CHECKS"]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     """One criterion's outcome; elapsed in seconds."""
 
     check_id: str
@@ -48,13 +47,13 @@ class CheckResult:
     elapsed: float
 
 
-@dataclass
 class Context:
     """Shared state across checks: observed fidelities and the fig5b sweeps C7
     and C9 read, solved once on first use so each check can run alone."""
 
-    fidelities: list[float] = field(default_factory=list)
-    _nonlocal: list[SweepRecord] | None = field(default=None, init=False, repr=False)
+    def __init__(self) -> None:
+        self.fidelities: list[float] = []
+        self._nonlocal: list[SweepRecord] | None = None
 
     def nonlocal_sweeps(self) -> list[SweepRecord]:
         if self._nonlocal is None:
@@ -317,8 +316,7 @@ CHECKS = [
 ]
 
 
-@dataclass
-class SelfTestReport:
+class SelfTestReport(NamedTuple):
     """Every criterion's result, C12 last, and the suite's time in seconds."""
 
     results: list[CheckResult]

@@ -7,7 +7,6 @@ so `pytest -v` shows one pass/fail line per criterion. Run with -s to see
 the timing and tolerance details.
 """
 
-import dataclasses
 import io
 import json
 import math
@@ -564,7 +563,7 @@ def nan_past_first_row(monkeypatch, ctx):
 # and the detail the failed check then prints.
 NAN_CASES = {
     "C1 loop": ("C1", lambda mp, ctx: patch_result(
-        mp, "run_batch", lambda b: dataclasses.replace(b, loop=nan_row(b.loop)), deutsch),
+        mp, "run_batch", lambda b: b._replace(loop=nan_row(b.loop)), deutsch),
         "worst trace distance nan"),
     "C4": ("C4", lambda mp, ctx: patch_result(
         mp, "nonlinearity_sweep", lambda recs: with_nan(recs, "L_qm")),

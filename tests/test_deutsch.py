@@ -258,10 +258,11 @@ class TestDampedBatch:
         sing = np.linalg.svd(_superoperators(kraus, rho_in) - np.eye(4), compute_uv=False)
         return (sing < EIGENVALUE_ONE_TOL).sum(axis=1)
 
-    def test_dimension_is_computed_when_first_read(self):
-        """On seeded random rows and on degenerate ones: the CNOT-then-SWAP
-        loop at the equator input (dimension 2), a SWAP_THEN_CU row at the
-        fig5a reference point (2) and the identity interaction (4)."""
+    def test_dimension_is_computed_when_read(self, monkeypatch):
+        """damped_iteration runs no SVD; reading fixed_set_dimension gives the
+        eager counts on seeded random rows and on degenerate ones: the
+        CNOT-then-SWAP loop at the equator input (dimension 2), a SWAP_THEN_CU
+        row at the fig5a reference point (2) and the identity interaction (4)."""
         rng = np.random.default_rng(163)
         rho_in, channels = random_rows(rng, 50)
         degenerate = [(PureQubit(math.pi / 2, 0.0).density(), build_interaction(SWAP_CNOT)),
@@ -269,11 +270,15 @@ class TestDampedBatch:
                       (random_qubit_state(rng), QubitChannel(((1.0, np.eye(4)),)))]
         rho_in = np.concatenate([rho_in, [rho.mat for rho, _ in degenerate]])
         kraus = _kraus_stack(channels + [ch for _, ch in degenerate])
-        batch = damped_iteration(rho_in, kraus)
-        assert "fixed_set_dimension" not in vars(batch)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("damped_iteration ran an SVD")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", no_svd)
+            batch = damped_iteration(rho_in, kraus)
         want = self.eager_dimensions(rho_in, kraus)
         np.testing.assert_array_equal(batch.fixed_set_dimension, want)
-        assert batch.fixed_set_dimension is vars(batch)["fixed_set_dimension"]
         assert want[:50].tolist() == [1] * 50 and want[50:].tolist() == [2, 2, 4]
 
     def test_non_finite_input_raises_validation_error(self):

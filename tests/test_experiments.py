@@ -362,12 +362,21 @@ class TestBatchedTargets:
     @pytest.mark.parametrize("make", [np.array, iter], ids=["array", "iterator"])
     def test_any_iterable_of_names(self, make):
         """An array or iterator of names acts as its tuple: an array used to fail
-        on its truth value, an empty one too, and an iterator on len()."""
-        assert find_thresholds(make(["p", "epsilon"])) == find_thresholds(("p", "epsilon"))
+        on its truth value, an empty one too, and an iterator on len(). An array's
+        np.str_ names become plain str, in the results and in the error."""
+        results = find_thresholds(make(["p", "epsilon"]))
+        assert results == find_thresholds(("p", "epsilon"))
+        assert [type(r.parameter) for r in results] == [str, str]
         assert find_thresholds(make([])) == []
         with pytest.raises(ValidationError) as exc:
             find_thresholds(make(["p", "q"]))
-        assert str(exc.value) == f"unknown threshold parameter {list(make(['q']))[0]!r}"
+        assert str(exc.value) == "unknown threshold parameter 'q'"
+
+    @pytest.mark.parametrize("name", [1, None, b"p"], ids=["int", "None", "bytes"])
+    def test_non_string_name_reported_by_its_repr(self, name):
+        with pytest.raises(ValidationError) as exc:
+            find_thresholds(["p", name])
+        assert str(exc.value) == f"unknown threshold parameter {name!r}"
 
     def test_thresholds_equal_their_batches_of_one(self):
         both = find_thresholds(("p", "epsilon"))

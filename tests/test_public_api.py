@@ -132,3 +132,50 @@ def test_names_the_benchmark_calls_resolve():
                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id == "cli" and not hasattr(cli, node.attr)]
     assert missing == []
+
+
+# The records that carry results between the layers, with their fields in
+# order: `selftest --json` and `thresholds --format json` write their keys so.
+RESULT_RECORDS = {
+    ("ctcsim.circuits", "_GateFamily"): ("generators", "coefficients", "angle_range", "basis",
+                                         "pairs"),
+    ("ctcsim.deutsch", "FixedPointResult"): ("rho_ctc", "residual", "iterations",
+                                             "fixed_set_dimension"),
+    ("ctcsim.deutsch", "ScenarioOutput"): ("fixed_point", "rho_out_per_input",
+                                           "consistency_fidelity"),
+    ("ctcsim.deutsch", "DampedBatch"): ("rho", "residual", "iterations", "superoperators"),
+    ("ctcsim.deutsch", "LoopBatch"): ("loop", "outputs", "fixed_set_dimension", "residual",
+                                      "consistency_fidelity"),
+    ("ctcsim.experiments", "ThresholdResult"): ("parameter", "crossing", "bracket",
+                                                "achieved_tolerance"),
+    ("ctcsim.selftest", "CheckResult"): ("check_id", "description", "passed", "detail",
+                                         "elapsed"),
+    ("ctcsim.selftest", "SelfTestReport"): ("results", "total_elapsed"),
+}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "ctcsim").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_dataclass_is_a_validated_frozen_input(path):
+    """One record idiom: a dataclass is an input that checks its fields, so it is
+    frozen and defines __post_init__; a result is a NamedTuple."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            if getattr(call.func if call else deco, "id", None) != "dataclass":
+                continue
+            frozen = call and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                                  for k in call.keywords)
+            assert frozen, f"{node.name} is not frozen"
+            assert any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                       for f in node.body), f"{node.name} has no __post_init__"
+
+
+@pytest.mark.parametrize("module, name", RESULT_RECORDS, ids=lambda x: x)
+def test_result_records_are_tuples_in_field_order(module, name):
+    cls = getattr(importlib.import_module(module), name)
+    assert issubclass(cls, tuple)
+    assert cls._fields == RESULT_RECORDS[module, name]

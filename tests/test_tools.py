@@ -1,6 +1,7 @@
 """tools/dump_outputs.py writes its full set of tables and reports,
-tools/compare_outputs.py reports every file two dumps do not share, and
-tools/line_counts.py counts each kind of source line."""
+tools/compare_outputs.py reports every file two dumps do not share,
+tools/line_counts.py counts each kind of source line, and tools/import_time.py
+times ctcsim.cli's import."""
 
 import json
 import re
@@ -13,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "dump_outputs.py"
 COMPARE = ROOT / "tools" / "compare_outputs.py"
 LINE_COUNTS = ROOT / "tools" / "line_counts.py"
+IMPORT_TIME = ROOT / "tools" / "import_time.py"
 
 PLOTTED = ("fig3", "fig5a", "fig5b", "fig5c", "fig6", "s1", "s2")
 EXPECTED = sorted(
@@ -140,3 +142,18 @@ def test_line_counts_default_to_the_package_sources():
     assert [r.split()[0] for r in rows] == [f"src/ctcsim/{p.name}" for p in sources] + ["total"]
     wc = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sources)
     assert rows[-1].split()[1] == str(wc)
+
+
+def test_import_time_of_the_package_sources(tmp_path):
+    proc = subprocess.run([sys.executable, str(IMPORT_TIME), str(ROOT / "src"), "--runs", "2"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    match = re.fullmatch(r"ctcsim\.cli import after numpy over 2 runs: "
+                         r"median (\d+) us, quartiles (\d+) us and (\d+) us\n", proc.stdout)
+    assert match, proc.stdout
+    median, q1, q3 = map(int, match.groups())
+    assert 0 < q1 <= median <= q3
+    for argv in ([str(tmp_path)], [str(ROOT / "src"), "--runs", "1"]):
+        proc = subprocess.run([sys.executable, str(IMPORT_TIME), *argv], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stderr.startswith("usage")
