@@ -3,6 +3,7 @@ package export has a reader outside the tests, and every ctcsim name the
 benchmark harness in perfbench/ uses resolves."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -154,24 +155,21 @@ RESULT_RECORDS = {
 }
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "ctcsim").glob("*.py")),
-                         ids=lambda path: path.name)
-def test_every_dataclass_is_a_validated_frozen_input(path):
+# Every module but __main__, which runs the command line when imported.
+PACKAGE_MODULES = ["ctcsim"] + [f"ctcsim.{path.stem}"
+                                for path in sorted((ROOT / "src" / "ctcsim").glob("*.py"))
+                                if not path.stem.startswith("__")]
+
+
+@pytest.mark.parametrize("name", PACKAGE_MODULES)
+def test_every_dataclass_is_a_validated_frozen_input(name):
     """One record idiom: a dataclass is an input that checks its fields, so it is
     frozen and defines __post_init__; a result is a NamedTuple."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for deco in node.decorator_list:
-            call = deco if isinstance(deco, ast.Call) else None
-            if getattr(call.func if call else deco, "id", None) != "dataclass":
-                continue
-            frozen = call and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
-                                  for k in call.keywords)
-            assert frozen, f"{node.name} is not frozen"
-            assert any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
-                       for f in node.body), f"{node.name} has no __post_init__"
+    module = importlib.import_module(name)
+    for cls in vars(module).values():
+        if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls):
+            assert cls.__dataclass_params__.frozen, f"{cls.__name__} is not frozen"
+            assert "__post_init__" in vars(cls), f"{cls.__name__} has no __post_init__"
 
 
 @pytest.mark.parametrize("module, name", RESULT_RECORDS, ids=lambda x: x)

@@ -1,8 +1,8 @@
 """Time the import of ctcsim.cli in fresh interpreters.
 
-    python3 tools/import_time.py SRC_DIR [--runs N]
+    python3 tools/import_time.py SRC_DIR
 
-starts N (default 15, at least 2) fresh interpreters, each running
+starts RUNS (15) fresh interpreters, each running
 `import numpy; import ctcsim.cli` under `-X importtime` with SRC_DIR as
 PYTHONPATH and PYTHONDONTWRITEBYTECODE=1, so every run compiles the
 sources, as a start without cached bytecode does. It reads the cumulative
@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 CODE = "import numpy; import ctcsim.cli; print(ctcsim.cli.__file__)"
+RUNS = 15
 
 
 def import_us(src: Path) -> int:
@@ -42,20 +43,17 @@ def import_us(src: Path) -> int:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="Median and quartiles of ctcsim.cli's import time.")
     ap.add_argument("src", type=Path, metavar="SRC_DIR", help="directory that holds ctcsim/")
-    ap.add_argument("--runs", type=int, default=15, help="fresh interpreters to time (>= 2)")
     args = ap.parse_args(argv)
     src = args.src.resolve()
-    if args.runs < 2:
-        ap.error("--runs must be at least 2")
     if not (src / "ctcsim" / "__init__.py").is_file():
         ap.error(f"no ctcsim package under {args.src}")
     try:
-        times = [import_us(src) for _ in range(args.runs)]
+        times = [import_us(src) for _ in range(RUNS)]
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 2
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    print(f"ctcsim.cli import after numpy over {args.runs} runs: median {median:.0f} us, "
+    print(f"ctcsim.cli import after numpy over {RUNS} runs: median {median:.0f} us, "
           f"quartiles {q1:.0f} us and {q3:.0f} us")
     return 0
 
