@@ -286,23 +286,27 @@ def damped_iteration(rho_in: np.ndarray, kraus) -> DampedBatch:
     m = _superoperators(kraus, rho_in)
     if not np.isfinite(m).all():
         raise ValidationError("non-finite loop input or interaction")
+    # The active rows' superoperators mm and iterates c are compacted only on a step
+    # where some row stops, mm first to keep the peak low. cur holds every row's I/2,
+    # which the first step reads in place, and takes each row's last iterate once.
     cur = np.tile(np.eye(2, dtype=complex).reshape(4) / 2, (len(m), 1))
     iterations = np.zeros(len(m), dtype=int)
-    active, step = np.arange(len(m)), np.array([math.inf])
+    active, mm, c, step = np.arange(len(m)), m, cur, np.array([math.inf])
     steps = 0
     while active.size:
         if steps >= _MAX_STEPS:
             raise ConvergenceError(
                 f"damped iteration did not converge in {_MAX_STEPS} steps (step = {step.max():.3e})"
             )
-        c = cur[active]
-        nxt = 0.5 * (m[active] @ c[:, :, None])[:, :, 0] + 0.5 * c
+        nxt = 0.5 * (mm @ c[:, :, None])[:, :, 0] + 0.5 * c
         step = trace_distances(nxt.reshape(-1, 2, 2), c.reshape(-1, 2, 2))
-        cur[active] = nxt
         steps += 1
-        iterations[active] = steps
-        moving = step > _STEP_TOL
-        active, step = active[moving], step[moving]
+        c, moving = nxt, step > _STEP_TOL
+        if not moving.all():
+            stopped = active[~moving]
+            cur[stopped], iterations[stopped] = c[~moving], steps
+            mm = mm[moving]
+            active, c, step = active[moving], c[moving], step[moving]
     rho = _clip_to_density(cur.reshape(-1, 2, 2))
     residual = _checked_residual(trace_distances(rho, _kraus_loop(kraus, rho_in, rho[:, None])[:, 0]))
     return DampedBatch(rho, residual, iterations, m)

@@ -148,8 +148,7 @@ def _pair_measures(r1: tuple, r2: tuple) -> tuple[float, float, float, float]:
 
 # grid_search_mismatches' Fibonacci sphere size, number of zoom levels, the
 # pairs whose sphere values are one (8, 10000) product (0.64 MB), and those
-# whose zoom meshes are scanned as one stack: each (25, 441, 3) array is
-# 0.26 MB, small enough to leave the selftest's peak RSS unchanged.
+# whose zoom meshes are scored as one (25, 441) stack of quadratic forms.
 _GRID_POINTS = 10_000
 _ZOOM_LEVELS = 4
 _SCAN_CHUNK = 8
@@ -204,30 +203,25 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
 
 
-def _zoom(ax: np.ndarray, a: np.ndarray, b: np.ndarray, du, dv, cand: np.ndarray,
-          mesh: np.ndarray):
-    """One mesh scan of a stack of pairs (P, 3, 1): each pair's best axis of the
-    (du, dv) mesh around its axis in ax (P, 3), built in the buffers mesh
-    (3, P, mesh) and cand (P, mesh, 3), and whether that axis beats the centre
-    from the mesh's outer ring."""
+def _zoom(ax: np.ndarray, pairs: np.ndarray, d: np.ndarray, w: np.ndarray):
+    """One mesh scan of a stack of pairs (a, b) as columns of pairs (P, 3, 2): each
+    pair's best unit axis of the mesh around its axis in ax (P, 3), and whether it
+    beats the centre from the mesh's outer ring. In the orthonormal frame (ax, u, v)
+    mesh point k is ax + du u + dv v, with d[:, k] = (1, du, dv) and squared norm
+    w[k] = 1 + du^2 + dv^2, so its unit axis n has (n.a)(n.b) = (f_a.d)(f_b.d)/w = q
+    for the pair's frame coordinates f. The score 1 - q ties where the one-pair
+    search's values (1 - (n.a)(n.b))/2 tie; only the winner is built, as
+    (du u + ax) + dv v normalized."""
     ref = np.where(np.abs(ax[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     u = _cross(ax, ref)
     u /= np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
     v = _cross(ax, u)
-    # Built component-major (3, P, mesh) in mesh, so each elementwise loop runs
-    # over a mesh, as (ax + du u) + dv v in place, with cand's memory as the
-    # scratch buffer, then normalized into cand, whose rows the dot products
-    # need contiguous.
-    c, work = mesh, cand.reshape(mesh.shape)
-    np.multiply(du, u.T[:, :, None], out=c)
-    c += ax.T[:, :, None]
-    c += np.multiply(dv, v.T[:, :, None], out=work)
-    norm = np.add.reduce(np.multiply(c, c, out=work), axis=0)
-    np.divide(c, np.sqrt(norm, out=norm), out=np.moveaxis(cand, -1, 0))
-    value = (1.0 - (cand @ a)[..., 0] * (cand @ b)[..., 0]) / 2.0
-    rows = np.arange(len(ax))
-    best = np.argmax(value, axis=1)
-    return cand[rows, best], _OUTER[best] & (value[rows, best] > value[:, _CENTRE])
+    f = (np.stack([ax, u, v], axis=1) @ pairs).swapaxes(1, 2) @ d
+    score = 1.0 - f[:, 0] * f[:, 1] / w
+    best = np.argmax(score, axis=1)
+    n = (d[1, best, None] * u + ax) + d[2, best, None] * v
+    n /= np.sqrt((n * n).sum(axis=1))[:, None]
+    return n, _OUTER[best] & (score[np.arange(len(ax)), best] > score[:, _CENTRE])
 
 
 def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -247,17 +241,15 @@ def grid_search_mismatches(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     axes, zoom = _search_grid()
     ax = axes[_sphere_argmax(axes, r1, r2)]
     a, b = r1[:, :, None], r2[:, :, None]
-    cand = np.empty((_ZOOM_CHUNK, zoom[0][0].size, 3))
-    mesh = np.empty((3, _ZOOM_CHUNK, zoom[0][0].size))
+    pairs = np.concatenate([a, b], axis=2)
     for level, (du, dv) in enumerate(zoom):
+        d, w = np.stack([np.ones_like(du), du, dv]), 1.0 + du * du + dv * dv
         rows = np.arange(len(ax))
         for _ in range(1 + _RESCANS * (level < _RESCAN_LEVELS)):
             again = np.empty(len(rows), dtype=bool)
             for lo in range(0, len(rows), _ZOOM_CHUNK):
                 part = rows[lo:lo + _ZOOM_CHUNK]
-                ax[part], again[lo:lo + _ZOOM_CHUNK] = _zoom(ax[part], a[part], b[part], du, dv,
-                                                              cand[:len(part)],
-                                                              mesh[:, :len(part)])
+                ax[part], again[lo:lo + _ZOOM_CHUNK] = _zoom(ax[part], pairs[part], d, w)
             rows = rows[again]
             if not rows.size:
                 break

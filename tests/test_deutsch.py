@@ -64,6 +64,7 @@ from ctcsim.qmath import (
     trace_distance,
     trace_distances,
 )
+from test_acceptance import c10_rows
 from test_circuits import scalar_cu_xz
 
 H = PureQubit(0.0, 0.0)
@@ -329,6 +330,50 @@ class TestDampedStep:
         channels += [random_stinespring_channel(rng, k) for k in (1, 2, 3, 4) for _ in range(15)]
         rho_in = np.concatenate([rho_in, [random_qubit_state(rng).mat for _ in range(60)]])
         self.assert_same_as_eigvalsh_step(rho_in, _kraus_stack(channels))
+
+
+class TestDampedCompaction:
+    """damped_iteration compacts its active rows as they stop, so a row's
+    iterate, step count and residual do not depend on its place in the batch or
+    on the rows beside it."""
+
+    def test_permuted_rows_permute_the_result(self):
+        (weights, ops), rho_in, _ = c10_rows()
+        batch = damped_iteration(rho_in, (weights, ops))
+        order = np.random.default_rng(263).permutation(len(rho_in))
+        permuted = damped_iteration(rho_in[order], (weights[order], ops[order]))
+        np.testing.assert_array_equal(permuted.rho, batch.rho[order])
+        np.testing.assert_array_equal(permuted.iterations, batch.iterations[order])
+        np.testing.assert_array_equal(permuted.residual, batch.residual[order])
+
+    def test_slowest_row_alone_is_its_batch_row(self):
+        (weights, ops), rho_in, _ = c10_rows()
+        batch = damped_iteration(rho_in, (weights, ops))
+        k = int(np.argmax(batch.iterations))
+        assert batch.iterations[k] == 265 > 6 * batch.iterations.mean()
+        alone = damped_iteration(rho_in[k:k + 1], (weights[k:k + 1], ops[k:k + 1]))
+        np.testing.assert_array_equal(alone.rho[0], batch.rho[k])
+        assert alone.iterations[0] == batch.iterations[k]
+        assert alone.residual[0] == batch.residual[k]
+
+    def test_budget_message_names_the_largest_active_step(self, monkeypatch):
+        """At a budget of 50 steps the error names the largest step among the
+        rows still moving, as a lock-step loop over every row computes it."""
+        kraus, rho_in, _ = c10_rows()
+        m = _superoperators(kraus, rho_in)
+        cur = np.tile(np.eye(2, dtype=complex).reshape(4) / 2, (len(m), 1))
+        moving = np.ones(len(m), dtype=bool)
+        for _ in range(50):
+            nxt = 0.5 * (m @ cur[:, :, None])[:, :, 0] + 0.5 * cur
+            step = trace_distances(nxt.reshape(-1, 2, 2), cur.reshape(-1, 2, 2))
+            cur = np.where(moving[:, None], nxt, cur)
+            moving &= step > deutsch._STEP_TOL
+        assert 0 < moving.sum() < len(m)
+        largest = step[moving].max()
+        monkeypatch.setattr(deutsch, "_MAX_STEPS", 50)
+        with pytest.raises(ConvergenceError) as err:
+            damped_iteration(rho_in, kraus)
+        assert str(err.value) == f"damped iteration did not converge in 50 steps (step = {largest:.3e})"
 
 
 def consistency_affine(rho_in, interaction):

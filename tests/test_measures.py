@@ -591,6 +591,95 @@ class TestCrestPairs:
         assert deviation <= 1e-8 < missed
 
 
+def unit_rows(rng, n):
+    """n random unit vectors (n, 3), uniform in direction."""
+    r = rng.normal(size=(n, 3))
+    return r / np.linalg.norm(r, axis=1, keepdims=True)
+
+
+def mesh_form(du, dv):
+    """A zoom level's mesh offsets as _zoom reads them: d (3, M) with columns
+    (1, du, dv), and w = 1 + du^2 + dv^2."""
+    return np.stack([np.ones_like(du), du, dv]), 1.0 + du * du + dv * dv
+
+
+def explicit_mesh(ax, a, b, du, dv):
+    """Oracle: one zoom mesh around the unit axis ax (3,), built point by point
+    as scalar_grid_search builds it: the frame (ax, u, v) (3, 3), the normalized
+    mesh axes n (M, 3) and their values (1 - (n.a)(n.b))/2."""
+    ref = np.array([1.0, 0.0, 0.0]) if abs(ax[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u = measures._cross(ax[None], ref[None])[0]
+    u /= np.linalg.norm(u)
+    v = measures._cross(ax[None], u[None])[0]
+    cand = ax[None, :] + du[:, None] * u[None, :] + dv[:, None] * v[None, :]
+    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+    return np.stack([ax, u, v]), cand, (1.0 - (cand @ a) * (cand @ b)) / 2.0
+
+
+class TestMeshQuadraticForm:
+    """_zoom scores a mesh by the form (f_a.d)(f_b.d)/w of the pair's frame
+    coordinates f, in place of the products (n.a)(n.b) of the normalized mesh
+    axes n, and builds only the winning axis, which is the explicit mesh's."""
+
+    def test_form_is_the_normalized_product(self):
+        rng = np.random.default_rng(241)
+        _, zoom = _search_grid()
+        for ax, a, b in zip(unit_rows(rng, 40), random_bloch(rng, 40), random_bloch(rng, 40)):
+            for du, dv in zoom:
+                d, w = mesh_form(du, dv)
+                frame, cand, _ = explicit_mesh(ax, a, b, du, dv)
+                q = ((frame @ a) @ d) * ((frame @ b) @ d) / w
+                ulp = np.finfo(float).eps * np.linalg.norm(a) * np.linalg.norm(b)
+                np.testing.assert_allclose(q, (cand @ a) * (cand @ b), rtol=0, atol=4 * ulp)
+
+    def test_winner_is_the_explicit_argmax(self):
+        """Wherever the explicit top two values differ by more than 1e-13, _zoom
+        returns the explicit winner bit for bit, and rescans as the one-pair
+        search does."""
+        rng = np.random.default_rng(251)
+        n = 50
+        ax, a, b = unit_rows(rng, n), random_bloch(rng, n), random_bloch(rng, n)
+        _, zoom = _search_grid()
+        checked = 0
+        for du, dv in zoom:
+            got, again = measures._zoom(ax, np.stack([a, b], axis=2), *mesh_form(du, dv))
+            for i in range(n):
+                _, cand, value = explicit_mesh(ax[i], a[i], b[i], du, dv)
+                second, first = np.sort(value)[-2:]
+                if first - second > 1e-13:
+                    k = int(np.argmax(value))
+                    np.testing.assert_array_equal(got[i], cand[k])
+                    assert again[i] == (measures._OUTER[k] and value[k] > value[measures._CENTRE])
+                    checked += 1
+        assert checked >= 0.9 * n * len(zoom)
+
+    def test_exact_ties_pick_the_first_tied_point(self):
+        """Zero vectors tie the whole mesh, so its first point wins. r with r
+        along x, around an axis orthogonal to x, ties the mesh row dv = 0 at
+        (n.r)^2 = 0 exactly, and r with r along u - v ties the diagonal du = dv,
+        where every value rounds to 1/2; in each the first tied point wins, as in
+        the explicit scan, and nothing is rescanned."""
+        rng = np.random.default_rng(257)
+        _, zoom = _search_grid()
+        angle = rng.uniform(0.0, 2 * math.pi, 12)
+        ax = np.column_stack([np.zeros(12), np.cos(angle), np.sin(angle)])
+        x = np.outer(rng.choice([1.0, 0.7, 0.2], 12), [1.0, 0.0, 0.0])
+        zero = np.zeros_like(x)
+        diag_ax = unit_rows(rng, 12)
+        diag = np.array([(u - v) / 2 for _, u, v in
+                         (explicit_mesh(c, c, c, *zoom[0])[0] for c in diag_ax)])
+        for du, dv in zoom:
+            cases = [(ax, zero, zero, 0), (ax, zero, x, 0),
+                     (ax, x, x, np.flatnonzero(dv == 0.0)[0]), (diag_ax, diag, diag, 0)]
+            for axes, a, b, k in cases:
+                got, again = measures._zoom(axes, np.stack([a, b], axis=2), *mesh_form(du, dv))
+                for i in range(len(axes)):
+                    _, cand, value = explicit_mesh(axes[i], a[i], b[i], du, dv)
+                    assert int(np.argmax(value)) == k
+                    np.testing.assert_array_equal(got[i], cand[k])
+                assert not again.any()
+
+
 class TestSphereArgmax:
     """The sphere scan's feature product picks the axis the per-pair scan
     argmax((1 - (n.r1)(n.r2))/2) picks, so the zoom starts where it did."""
